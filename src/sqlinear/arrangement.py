@@ -251,6 +251,8 @@ def enumerate_regions(arr: Arrangement) -> list:
     if pairs:
         raise ParallelRows(pairs)
     A = arr.A
+    # signed[i][s] is s * A[i], built once instead of once per cone.
+    signed = [{1: row, -1: ratlin.scale(row, -1)} for row in A]
     first = A[0]
     w0 = ratlin.scale(first, 1 / ratlin.dot(first, first))
     regions = [((1,), w0)]
@@ -258,18 +260,18 @@ def enumerate_regions(arr: Arrangement) -> list:
         row = A[h]
         grown = []
         for signs, witness in regions:
-            cone = [ratlin.scale(A[i], signs[i]) for i in range(h)]
+            cone = [signed[i][s] for i, s in enumerate(signs)]
             value = ratlin.dot(row, witness)
             if value != 0:
                 side = 1 if value > 0 else -1
-                other = feasible_point(cone + [ratlin.scale(row, -side)])
+                other = feasible_point(cone + [signed[h][-side]])
                 grown.append((signs + (side,), witness))
                 if other is not None:
                     grown.append((signs + (-side,), other))
             else:
                 # Witness sits on the new hyperplane: both sides are cut out.
                 for side in (1, -1):
-                    point = feasible_point(cone + [ratlin.scale(row, side)])
+                    point = feasible_point(cone + [signed[h][side]])
                     if point is not None:
                         grown.append((signs + (side,), point))
         regions = grown

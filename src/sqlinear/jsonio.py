@@ -92,11 +92,11 @@ def dpp_from_json(doc: dict) -> DPPModel:
     for key in ("Theta_fixed", "k", "n"):
         if key not in doc:
             raise ValidationError(f"DPP input needs key {key!r}")
-    return DPPModel(
-        Theta_fixed=parse_matrix(doc["Theta_fixed"], "Theta_fixed"),
-        k=int(doc["k"]),
-        n=int(doc["n"]),
-    )
+    for key in ("k", "n"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ValidationError(f"DPP key {key!r} must be a JSON integer, got {doc[key]!r}")
+    theta = parse_matrix(doc["Theta_fixed"], "Theta_fixed")
+    return DPPModel(Theta_fixed=theta, k=doc["k"], n=doc["n"])
 
 
 def critical_point_to_json(point) -> dict:

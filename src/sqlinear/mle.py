@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrangement import Region, SignVector, enumerate_regions
-from .errors import BoundaryData, NoConvergence
+from .errors import BoundaryData, NoConvergence, NumericError, ValidationError
 from .model import SquaredLinearModel, gradient, hessian, log_likelihood, normalize_parameter
 
 
@@ -94,8 +94,10 @@ def rank_defect(matrix: LikelihoodMatrix, tol: float) -> int:
     return matrix.rows.shape[0] - numerical_rank
 
 
-def _check_positive_data(s):
+def _check_positive_data(s, n):
     s = np.asarray(s, dtype=float)
+    if s.shape != (n,):
+        raise ValidationError(f"data vector must have n = {n} entries, got shape {s.shape}")
     if np.any(s <= 0.0):
         raise BoundaryData(
             "data vector has nonpositive entries; use the degeneration module"
@@ -179,7 +181,7 @@ def solve_region(
     warm starts during path tracking); it must already lie in the region.
     """
     opts = opts or SolveOptions()
-    s = _check_positive_data(s)
+    s = _check_positive_data(s, model.n)
     chart = _Chart(model, s, region, opts)
 
     if start is not None:
@@ -287,10 +289,10 @@ def solve_all(
 ) -> SolveAllResult:
     """One critical point per region; the argmax of logL is the MLE.
 
-    Failures are collected per region instead of aborting the rest. Results
-    are in canonical region order regardless of scheduling.
+    Any NumericError is collected per region instead of aborting the rest.
+    Results are in canonical region order regardless of scheduling.
     """
-    s = _check_positive_data(s)
+    s = _check_positive_data(s, model.n)
     if regions is None:
         regions = enumerate_regions(model.arr)
     if max_workers is None:
@@ -334,7 +336,7 @@ def _gradient_noise_floor(model, s, x) -> float:
 def _guard(fn, region):
     try:
         return fn(region), None
-    except NoConvergence as err:
+    except NumericError as err:
         return None, err
 
 

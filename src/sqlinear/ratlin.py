@@ -8,7 +8,7 @@ kernel bases and witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def as_fraction(value) -> Fraction:
@@ -70,14 +70,9 @@ def is_zero(vec) -> bool:
 def primitive(vec):
     """Scale a rational vector to coprime integers, first nonzero entry > 0."""
     vec = tuple(as_fraction(v) for v in vec)
-    denoms = [v.denominator for v in vec]
-    lcm = 1
-    for q in denoms:
-        lcm = lcm * q // gcd(lcm, q)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    common = lcm(*(v.denominator for v in vec))
+    ints = [int(v * common) for v in vec]
+    g = gcd(*ints)
     if g == 0:
         return tuple(0 for _ in ints)
     ints = [v // g for v in ints]
@@ -216,9 +211,7 @@ class IntEchelon:
         leadpos = next((i for i, v in enumerate(row) if v != 0), None)
         if leadpos is None:
             return False
-        g = 0
-        for v in row:
-            g = gcd(g, abs(v))
+        g = gcd(*row)
         if g > 1:
             row = [v // g for v in row]
         self.rows.append(row)

@@ -6,23 +6,25 @@ Since the sets we probe are open polyhedral cones, feasibility of the >= 1
 system is equivalent to the cone having interior, and any feasible point is
 strictly inside the cone.
 
-Phase-1 simplex over Fractions with Bland's rule: no cycling, no tolerance
+Phase-1 simplex on integer rows with Bland's rule, exact and gcd-normalized;
+the ``Fraction`` version is kept in the tests as the oracle. Each row is a
+positive multiple of the row a ``Fraction`` tableau would hold, so signs,
+ratio tests and hence all pivots are the same: no cycling and no tolerance
 questions near degenerate arrangements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import gcd, lcm
 
 
 def feasible_point(rows):
     """Return x with row . x >= 1 for every row, or None if infeasible.
 
     Free variables are split as x = u - v; slacks s and artificials a give
-    the start basis:  M u - M v - s + a = 1,  minimize sum(a).
+    the start basis:  M u - M v - s + a = 1,  minimize sum(a). Row i is
+    stored times the lcm of its denominators; the objective is row m.
     """
     m = len(rows)
     if m == 0:
@@ -31,57 +33,57 @@ def feasible_point(rows):
     ncols = 2 * d + 2 * m
     tableau = []
     for i, row in enumerate(rows):
-        line = [ZERO] * (ncols + 1)
-        for j, v in enumerate(row):
-            line[j] = Fraction(v)
-            line[d + j] = -Fraction(v)
-        line[2 * d + i] = -ONE
-        line[2 * d + m + i] = ONE
-        line[ncols] = ONE
+        ratios = [v.as_integer_ratio() for v in row]
+        scale = lcm(*(q for _, q in ratios))
+        ints = [p * (scale // q) for p, q in ratios]
+        line = ints + [-v for v in ints] + [0] * (2 * m) + [scale]
+        line[2 * d + i] = -scale
+        line[2 * d + m + i] = scale
         tableau.append(line)
-    # Reduced costs for min sum(a) with the artificial basis priced out.
-    obj = [ZERO] * (ncols + 1)
+    # Reduced costs for min sum(a) with the artificial basis priced out,
+    # over the common denominator of all rows (each rhs is its row's scale).
+    common = lcm(*(line[ncols] for line in tableau))
+    obj = [0] * (ncols + 1)
     for line in tableau:
-        for j in range(ncols + 1):
-            obj[j] -= line[j]
-    for i in range(m):
-        obj[2 * d + m + i] = ZERO
+        f = common // line[ncols]
+        obj = [a - f * b for a, b in zip(obj, line)]
+    obj[2 * d + m :] = [0] * m + [obj[ncols]]
+    tableau.append(obj)
     basis = [2 * d + m + i for i in range(m)]
 
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = next((j for j in range(ncols) if tableau[m][j] < 0), None)
         if enter is None:
             break
+        # Ratio test rhs_i / coef_i, cross-multiplied; ties go to the
+        # smallest basic variable.
         leave = None
-        best = None
         for i in range(m):
             coef = tableau[i][enter]
             if coef > 0:
-                ratio = tableau[i][ncols] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is not None:
+                    lhs = tableau[i][ncols] * tableau[leave][enter]
+                    rhs = tableau[leave][ncols] * coef
+                if leave is None or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # Unbounded phase-1 objective cannot happen (bounded below by 0).
             return None
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+        pivot_row = tableau[leave]
+        piv = pivot_row[enter]
+        for i, line in enumerate(tableau):
+            f = line[enter]
+            if i != leave and f != 0:
+                # piv * line - f * pivot_row with piv > 0, over its content.
+                line = [piv * a - f * b for a, b in zip(line, pivot_row)]
+                g = gcd(*line)
+                tableau[i] = [v // g for v in line] if g > 1 else line
         basis[leave] = enter
 
-    if -obj[ncols] != 0:
+    if tableau[m][ncols] != 0:
         return None
-    x = [ZERO] * d
-    for i, var in enumerate(basis):
-        value = tableau[i][ncols]
-        if var < d:
-            x[var] += value
-        elif var < 2 * d:
-            x[var - d] -= value
+    x = [Fraction(0)] * d
+    for line, var in zip(tableau, basis):
+        if var < 2 * d:  # u_j adds to x_j, v_j subtracts
+            x[var % d] += (1 if var < d else -1) * Fraction(line[ncols], line[var])
     return tuple(x)

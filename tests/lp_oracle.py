@@ -1,0 +1,84 @@
+"""Test oracle: the phase-1 simplex over ``Fraction``s.
+
+This is the textbook form of :func:`sqlinear.simplex.feasible_point`: the
+same LP (x = u - v, slacks, artificials) and the same Bland pivots, with
+every basic variable normalized to coefficient 1. The library's kernel runs
+on integer rows instead; tests/test_simplex.py checks that both return the
+same exact point, LP by LP.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def feasible_point(rows):
+    """Return x with row . x >= 1 for every row, or None if infeasible.
+
+    Free variables are split as x = u - v; slacks s and artificials a give
+    the start basis:  M u - M v - s + a = 1,  minimize sum(a).
+    """
+    m = len(rows)
+    if m == 0:
+        return ()
+    d = len(rows[0])
+    ncols = 2 * d + 2 * m
+    tableau = []
+    for i, row in enumerate(rows):
+        line = [ZERO] * (ncols + 1)
+        for j, v in enumerate(row):
+            line[j] = Fraction(v)
+            line[d + j] = -Fraction(v)
+        line[2 * d + i] = -ONE
+        line[2 * d + m + i] = ONE
+        line[ncols] = ONE
+        tableau.append(line)
+    # Reduced costs for min sum(a) with the artificial basis priced out.
+    obj = [ZERO] * (ncols + 1)
+    for line in tableau:
+        for j in range(ncols + 1):
+            obj[j] -= line[j]
+    for i in range(m):
+        obj[2 * d + m + i] = ZERO
+    basis = [2 * d + m + i for i in range(m)]
+
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][ncols] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # Unbounded phase-1 objective cannot happen (bounded below by 0).
+            return None
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+        basis[leave] = enter
+
+    if -obj[ncols] != 0:
+        return None
+    x = [ZERO] * d
+    for i, var in enumerate(basis):
+        value = tableau[i][ncols]
+        if var < d:
+            x[var] += value
+        elif var < 2 * d:
+            x[var - d] -= value
+    return tuple(x)

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from sqlinear.cli import main
 
 STEINER = {
@@ -261,6 +263,22 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "numeric"
+
+    def test_mle_data_of_wrong_length(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "mle", dict(STEINER, s=[1, 2, 3]))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert "n = 4" in err["error"]["message"]
+
+    @pytest.mark.parametrize("key, value", [("k", "two"), ("k", 3.5), ("k", True), ("n", 5.0)])
+    def test_dpp_non_integer_size(self, tmp_path, capsys, key, value):
+        doc = {"Theta_fixed": [[1, 2, 3, 4, 5], [2, -1, 4, 1, -3]], "k": 3, "n": 5}
+        code, _ = run(tmp_path, "dpp", dict(doc, **{key: value}))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert repr(key) in err["error"]["message"]
 
     def test_bad_anchor(self, tmp_path):
         code, _ = run(tmp_path, "degenerate", STEINER, "--anchor", "9")

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import canonical_x as canonical
 from conftest import grid_search_oracle
+from sqlinear import mle
 from sqlinear.arrangement import enumerate_regions, interior_samples
 from sqlinear.catalog import random_arrangement
-from sqlinear.errors import BoundaryData, NoConvergence
+from sqlinear.errors import BoundaryData, NoConvergence, OnHyperplane, ValidationError
 from sqlinear.mle import (
     SolveOptions,
     likelihood_matrix,
@@ -173,6 +174,31 @@ class TestSolveAll:
         assert result.failures
         assert len(result.points) + len(result.failures) == 7
         assert all(isinstance(err, NoConvergence) for _, err in result.failures)
+
+    def test_numeric_error_in_one_region_is_recorded(self, steiner, rng, monkeypatch):
+        s = rng.uniform(0.1, 1.0, size=4)
+        regions = enumerate_regions(steiner.arr)
+        bad = regions[2]
+        real = mle.solve_region
+
+        def flaky(model, s, region, opts=None):
+            if region == bad:
+                raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
+            return real(model, s, region, opts)
+
+        monkeypatch.setattr(mle, "solve_region", flaky)
+        result = solve_all(steiner, s, regions=regions)
+        assert [region for region, _ in result.failures] == [bad]
+        assert isinstance(result.failures[0][1], OnHyperplane)
+        assert [p.region for p in result.points] == [r.sign for r in regions if r != bad]
+        assert all(p.grad_norm <= 1e-8 for p in result.points)
+
+    def test_data_of_wrong_length_rejected(self, steiner):
+        region = enumerate_regions(steiner.arr)[0]
+        with pytest.raises(ValidationError, match="n = 4"):
+            solve_all(steiner, [0.5, 0.3, 0.2])
+        with pytest.raises(ValidationError, match="n = 4"):
+            solve_region(steiner, [[0.4, 0.3, 0.2, 0.1]], region)
 
     def test_threaded_matches_sequential(self, steiner, rng):
         s = rng.uniform(0.1, 1.0, size=4)
