@@ -27,7 +27,7 @@ from .degeneration import (
     unit_data_solutions,
 )
 from .dpp import dpp_ml_degree_l2, dpp_probabilities, linear_projection_arrangement
-from .errors import NumericError, SqlinearError, ValidationError
+from .errors import NoConvergence, NumericError, SqlinearError, ValidationError
 from .geometry import (
     chamber_arrangement,
     dual_polytope,
@@ -36,7 +36,7 @@ from .geometry import (
     swap_candidates,
 )
 from .jsonio import SCHEMA
-from .mle import SolveOptions, solve_all, _thread_cap
+from .mle import SolveOptions, solve_all
 from .model import (
     minor_space_dimension,
     singular_subspaces,
@@ -130,11 +130,15 @@ def _write(path, text: str):
 
 
 def _emit_error(kind: str, err: Exception):
-    payload = {
-        "schema": SCHEMA,
-        "error": {"kind": kind, "type": type(err).__name__, "message": str(err)},
-    }
-    sys.stderr.write(json.dumps(payload) + "\n")
+    error = {"kind": kind, "type": type(err).__name__, "message": str(err)}
+    if getattr(err, "trace", None):
+        error["trace"] = err.trace  # (iteration, gradient norm) pairs
+    if getattr(err, "failures", None):
+        error["failures"] = [
+            {"region": str(r.sign), "type": type(e).__name__, "message": str(e), "trace": e.trace}
+            for r, e in err.failures
+        ]
+    sys.stderr.write(json.dumps({"schema": SCHEMA, "error": error}) + "\n")
 
 
 def _need(doc, key):
@@ -199,10 +203,10 @@ def _cmd_mldegree(doc, args):
 def _cmd_mle(doc, args):
     model = jsonio.model_from_json(doc)
     s = [float(v) for v in jsonio.parse_vector(_need(doc, "s"), "s")]
-    result = solve_all(model, s, _solve_options(args), max_workers=_thread_cap())
+    result = solve_all(model, s, _solve_options(args))
     if result.failures:
         tags = ", ".join(str(region.sign) for region, _ in result.failures)
-        raise NumericError(f"regions failed to converge: {tags}")
+        raise NoConvergence(f"regions failed to converge: {tags}", failures=result.failures)
     out = {
         "critical_points": [jsonio.critical_point_to_json(p) for p in result.points],
         "mle_index": result.mle_index,

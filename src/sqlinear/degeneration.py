@@ -21,14 +21,8 @@ import numpy as np
 
 from . import ratlin
 from .arrangement import enumerate_regions
-from .errors import (
-    AnchorNotUnique,
-    NoConvergence,
-    PathLost,
-    RankDeficient,
-    ValidationError,
-)
-from .mle import SolveOptions, solve_region
+from .errors import AnchorNotUnique, PathLost, RankDeficient, ValidationError
+from .mle import CriticalPoint, SolveOptions, _check_positive_data, _solve_batch
 from .model import SquaredLinearModel
 
 DEFAULT_EPS_GRID = (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5)
@@ -202,7 +196,9 @@ def estimate_valuations(
     """Estimate critical-point valuations by tracking solutions in eps.
 
     For each region, the critical point of s(eps) = (eps^w_1, ..., eps^w_n)
-    is solved with warm starts down the decreasing eps grid. The slope of
+    is solved with warm starts down the decreasing eps grid; all regions are
+    solved in one batch per eps, each started from its previous point. The
+    first region to fail, in canonical order, raises PathLost. The slope of
     log|y_j| against log eps (least squares over the whole grid, which
     suppresses next-order series terms) estimates the valuation of each
     coordinate; slopes are rounded to the only values the theory allows,
@@ -228,35 +224,24 @@ def estimate_valuations(
     regions = enumerate_regions(model.arr)
     opts = opts or SolveOptions(adaptive_floor=True)
 
-    tracks = {str(r.sign): [] for r in regions}
-    starts = {str(r.sign): None for r in regions}
+    tracks = [[] for _ in regions]
+    starts = [None] * len(regions)
     for eps in eps_grid:
-        s = eps**w
-        for region in regions:
-            key = str(region.sign)
-            try:
-                point = solve_region(model, s, region, opts, start=starts[key])
-            except NoConvergence as err:
+        points = _solve_batch(model, _check_positive_data(eps**w, model.n), regions, opts, starts)
+        for region, point, track in zip(regions, points, tracks):
+            if not isinstance(point, CriticalPoint):
                 raise PathLost(
-                    f"tracking lost region {key} at eps = {eps:g}: {err}"
-                ) from err
-            if point.region.signs != region.sign.signs:
-                raise PathLost(f"region {key} jumped at eps = {eps:g}")
-            starts[key] = point.x
-            tracks[key].append(point.y / point.y[anchor])
+                    f"tracking lost region {region.sign} at eps = {eps:g}: {point}"
+                ) from point
+            track.append(point.y / point.y[anchor])
+        starts = [point.x for point in points]
 
     log_eps = np.log(np.array(eps_grid))
     estimates = []
-    for region in regions:
-        ys = np.array(tracks[str(region.sign)])
-        slopes = []
-        for j in range(model.n):
-            if j == anchor:
-                slopes.append(0.0)
-                continue
-            logs = np.log(np.abs(ys[:, j]))
-            slope = np.polyfit(log_eps, logs, 1)[0]
-            slopes.append(float(slope))
+    for region, track in zip(regions, tracks):
+        ys = np.array(track)
+        slopes = np.polyfit(log_eps, np.log(np.abs(ys)), 1)[0].tolist()
+        slopes[anchor] = 0.0
         z = []
         residual = 0.0
         for j, slope in enumerate(slopes):

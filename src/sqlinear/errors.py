@@ -56,11 +56,13 @@ class DegenerateLeadingBlock(ValidationError):
 class NoConvergence(NumericError):
     """Newton solve exceeded the iteration budget.
 
-    ``trace`` holds (iteration, gradient norm) pairs for diagnosis.
+    ``trace`` holds (iteration, gradient norm) pairs for diagnosis, and
+    ``failures`` the (region, error) pairs when it stands for several regions.
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, failures=None):
         self.trace = list(trace or [])
+        self.failures = list(failures or [])
         super().__init__(message)
 
 

@@ -1,32 +1,29 @@
-"""Per-region maximum-likelihood solving and the determinantal rank test.
+"""Maximum-likelihood solving in every region at once, and the determinantal
+rank test.
 
 Every region of the arrangement complement carries exactly one critical
-point of the log-likelihood, and it is a local maximum. The solver therefore
-never needs globalization tricks beyond a line search: damped Newton on a
-chart, with steps rejected whenever they would flip the sign of any form,
-converges from any interior start of the region.
-
-The chart pins the currently largest coordinate of the iterate (starting
-from the witness) and hops charts when another coordinate takes over, so
-iterates stay bounded; curvature is handled by ridging the Hessian when it
-is not negative definite. Convergence is measured by the Euclidean norm of
-the ambient gradient at the unit-norm representative, which is scale-free.
-Once that norm is small the likelihood comparisons of the line search are
-dominated by roundoff, so the last stretch runs plain Newton steps (still
-sign-guarded) and keeps the iterate with the smallest gradient.
+point of the log-likelihood, and it is a local maximum, so damped Newton
+with steps rejected whenever they would flip the sign of any form converges
+from any interior start of the region. All regions are solved as one (R, d)
+stack of iterates: each iteration evaluates the whole stack in a few numpy
+calls, and every decision is made per row through masks. A row's chart pins
+its largest coordinate and hops when another one takes over, so iterates
+stay bounded; the Hessian is ridged only when it is not negative definite.
+Convergence is measured by the ambient gradient norm at the unit-norm
+representative, which is scale-free. Once it is small, likelihood
+comparisons are dominated by roundoff, so the last stretch runs plain
+sign-guarded Newton steps and keeps each row's best iterate.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arrangement import Region, SignVector, enumerate_regions
-from .errors import BoundaryData, NoConvergence, NumericError, ValidationError
-from .model import SquaredLinearModel, gradient, hessian, log_likelihood, normalize_parameter
+from .errors import BoundaryData, NoConvergence, ValidationError
+from .model import SquaredLinearModel, normalize_parameter
 
 
 @dataclass(frozen=True)
@@ -98,74 +95,14 @@ def _check_positive_data(s, n):
     s = np.asarray(s, dtype=float)
     if s.shape != (n,):
         raise ValidationError(f"data vector must have n = {n} entries, got shape {s.shape}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(s.sum()):  # also catches NaN and infinite entries
+            raise ValidationError("data vector must be finite, and so must its sum")
     if np.any(s <= 0.0):
         raise BoundaryData(
             "data vector has nonpositive entries; use the degeneration module"
         )
     return s
-
-
-class _Chart:
-    """Newton mechanics on the chart that pins one coordinate of x.
-
-    The chart starts at the witness's largest coordinate; when iterates grow,
-    the pinned coordinate is re-chosen so they stay in [-1, 1]^d (standard
-    atlas hopping on projective space). Without this, regions whose critical
-    point has a small pinned coordinate push the iterates toward infinity.
-    """
-
-    def __init__(self, model, s, region, opts):
-        self.model = model
-        self.s = s
-        self.signs = np.array(region.sign.signs, dtype=float)
-        self.A = model.A_float
-        self.opts = opts
-        witness = np.array([float(v) for v in region.witness])
-        self.chart = int(np.argmax(np.abs(witness)))
-        self.free = [i for i in range(model.d) if i != self.chart]
-
-    def rechart(self, x):
-        top = int(np.argmax(np.abs(x)))
-        if top != self.chart:
-            self.chart = top
-            self.free = [i for i in range(self.model.d) if i != top]
-        return x / abs(x[self.chart])
-
-    def in_region(self, x) -> bool:
-        return bool(np.all(self.signs * (self.A @ x) > 0.0))
-
-    def grad_norm(self, x) -> float:
-        # Degree-0 homogeneity: the gradient at x/|x| is |x| * gradient at x.
-        return float(np.linalg.norm(gradient(self.model, self.s, x)) * np.linalg.norm(x))
-
-    def noise_floor(self, x) -> float:
-        xn = x / np.linalg.norm(x)
-        return _gradient_noise_floor(self.model, self.s, xn)
-
-    def newton_step(self, x):
-        """Ascent direction solve(-H, g), ridging H only when not negative
-        definite. A definite Hessian, however stiff, gets the pure Newton
-        step; shifting it would wreck the soft directions during tracking."""
-        H = hessian(self.model, self.s, x)[np.ix_(self.free, self.free)]
-        g_free = gradient(self.model, self.s, x)[self.free]
-        ridge = 0.0
-        scale = float(np.abs(np.diag(H)).max()) or 1.0
-        try:
-            for _ in range(80):
-                try:
-                    np.linalg.cholesky(-(H - ridge * np.eye(len(self.free))))
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = max(2.0 * ridge, self.opts.shift_margin * scale)
-            step = np.linalg.solve(-(H - ridge * np.eye(len(self.free))), g_free)
-        except np.linalg.LinAlgError as err:
-            raise NoConvergence(f"Newton system unsolvable: {err}") from err
-        return step, float(g_free @ step)
-
-    def advance(self, x, step, t):
-        cand = x.copy()
-        cand[self.free] += t * step
-        return cand
 
 
 def solve_region(
@@ -179,105 +116,13 @@ def solve_region(
 
     ``start`` overrides the region witness as the initial iterate (used for
     warm starts during path tracking); it must already lie in the region.
+    This is the one-row case of the batch that :func:`solve_all` runs.
     """
-    opts = opts or SolveOptions()
     s = _check_positive_data(s, model.n)
-    chart = _Chart(model, s, region, opts)
-
-    if start is not None:
-        x = np.asarray(start, dtype=float).copy()
-        if not chart.in_region(x) and chart.in_region(-x):
-            x = -x  # antipodal representative of the same projective point
-    else:
-        x = np.array([float(v) for v in region.witness])
-    if not chart.in_region(x):
-        raise NoConvergence("start point does not satisfy the region signs")
-
-    trace = []
-    iterations = 0
-    polish_at = 1e-5 * max(1.0, float(s.sum()))
-
-    # Globalized phase: Newton direction with Armijo backtracking.
-    while iterations < opts.max_iter:
-        x = chart.rechart(x)
-        grad_norm = chart.grad_norm(x)
-        trace.append((iterations, grad_norm))
-        if grad_norm <= opts.tol or grad_norm <= polish_at:
-            break
-        if opts.adaptive_floor and grad_norm <= 8.0 * chart.noise_floor(x):
-            break  # at the roundoff floor of this data vector
-        step, slope = chart.newton_step(x)
-        current = log_likelihood(model, s, x)
-        t = 1.0
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            cand = chart.advance(x, step, t)
-            if chart.in_region(cand) and log_likelihood(model, s, cand) >= current + 1e-4 * t * slope:
-                x = cand
-                accepted = True
-                break
-            t *= 0.5
-        iterations += 1
-        if not accepted:
-            break  # likelihood comparisons hit roundoff; polish below
-
-    # Local phase: plain sign-guarded Newton, keep the best iterate.
-    best_x = x.copy()
-    best_norm = chart.grad_norm(x)
-    for _ in range(opts.polish_iters):
-        if best_norm <= opts.tol:
-            break
-        x = chart.rechart(x)
-        step, _ = chart.newton_step(x)
-        t = 1.0
-        cand = chart.advance(x, step, t)
-        for _ in range(opts.max_backtracks):
-            if chart.in_region(cand):
-                break
-            t *= 0.5
-            cand = chart.advance(x, step, t)
-        else:
-            break
-        x = cand
-        iterations += 1
-        norm = chart.grad_norm(x)
-        trace.append((iterations, norm))
-        if norm < best_norm:
-            best_norm = norm
-            best_x = x.copy()
-        elif norm > 10.0 * best_norm:
-            break  # diverging from the basin floor; stop polishing
-    if best_norm > opts.tol:
-        accept = opts.adaptive_floor and best_norm <= 8.0 * _gradient_noise_floor(
-            model, s, best_x / np.linalg.norm(best_x)
-        )
-        if not accept:
-            raise NoConvergence(
-                f"gradient floor {best_norm:.3e} above tolerance {opts.tol:.1e}",
-                trace=trace,
-            )
-
-    xn = normalize_parameter(best_x)
-    y = model.A_float @ xn
-    try:
-        converged_signs = SignVector.from_values(y).signs
-    except ValueError as err:
-        raise NoConvergence(f"coordinate underflow at convergence: {err}") from err
-    if converged_signs != region.sign.signs:
-        raise NoConvergence("converged point left its region", trace=trace)
-    squares = y**2
-    p = squares / squares.sum()
-    H_final = hessian(model, s, xn)[np.ix_(chart.free, chart.free)]
-    return CriticalPoint(
-        region=region.sign,
-        x=xn,
-        y=y,
-        p=p,
-        logL=log_likelihood(model, s, xn),
-        grad_norm=float(np.linalg.norm(gradient(model, s, xn))),
-        iterations=iterations,
-        hessian_max_eig=float(np.linalg.eigvalsh(H_final)[-1]),
-    )
+    (outcome,) = _solve_batch(model, s, [region], opts or SolveOptions(), [start])
+    if not isinstance(outcome, CriticalPoint):
+        raise outcome
+    return outcome
 
 
 def solve_all(
@@ -285,64 +130,228 @@ def solve_all(
     s,
     opts: SolveOptions | None = None,
     regions=None,
-    max_workers: int | None = None,
 ) -> SolveAllResult:
     """One critical point per region; the argmax of logL is the MLE.
 
-    Any NumericError is collected per region instead of aborting the rest.
-    Results are in canonical region order regardless of scheduling.
+    All regions are solved in one batch. A region that fails is recorded in
+    ``failures`` with its error while the rest solve; results are in
+    canonical region order. When no region converges, the NoConvergence
+    raised carries every region's failure.
     """
     s = _check_positive_data(s, model.n)
     if regions is None:
         regions = enumerate_regions(model.arr)
-    if max_workers is None:
-        max_workers = _thread_cap()
-
-    def run(region):
-        return solve_region(model, s, region, opts)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(lambda r: _guard(run, r), regions))
-    else:
-        outcomes = [_guard(run, r) for r in regions]
-    points = []
-    failures = []
-    for region, (point, err) in zip(regions, outcomes):
-        if err is not None:
-            failures.append((region, err))
-        else:
-            points.append(point)
+    outcomes = _solve_batch(model, s, regions, opts or SolveOptions())
+    points = [out for out in outcomes if isinstance(out, CriticalPoint)]
+    failures = [(r, out) for r, out in zip(regions, outcomes) if not isinstance(out, CriticalPoint)]
     if not points:
-        raise NoConvergence("no region converged", trace=[])
+        raise NoConvergence("no region converged", trace=[], failures=failures)
     mle_index = max(range(len(points)), key=lambda i: points[i].logL)
     return SolveAllResult(points=points, mle_index=mle_index, failures=failures)
 
 
-def _gradient_noise_floor(model, s, x) -> float:
-    """Backward-error bound on the gradient roundoff at unit-norm x.
+def _solve_batch(model, s, regions, opts, starts=None) -> list:
+    """Damped Newton for every region at once.
 
-    Each term 2 s_i / l_i(x) inherits the summation error of l_i, which is
-    about eps * |A_i|_1 * max|x|; dividing by l_i once more gives the term's
-    contribution to the gradient noise.
+    Returns one outcome per region, in order: its CriticalPoint, or the
+    NoConvergence that stopped it. ``starts`` optionally gives a start point
+    per region (None keeps the witness). ``s`` must be checked data.
     """
     A = model.A_float
-    values = A @ x
-    row_scale = np.abs(A).sum(axis=1) * float(np.abs(x).max())
-    u = float(np.finfo(float).eps)
-    return u * float(np.sum(2.0 * s * row_scale**2 / values**2))
+    gram = A.T @ A
+    total = float(s.sum())
+    R, d = len(regions), model.d
+    signs = np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n)
+    X = np.array([[float(v) for v in r.witness] for r in regions]).reshape(R, d)
+    chart = np.argmax(np.abs(X), axis=1)
+    for k, start in enumerate(starts or ()):
+        if start is not None:
+            X[k] = start
+    iterations = np.zeros(R, dtype=int)
+    traces = [[] for _ in range(R)]
+    outcomes = [None] * R
 
+    def inside(Y, rows=slice(None)):
+        return np.all(signs[rows] * (Y @ A.T) > 0.0, axis=1)
 
-def _guard(fn, region):
-    try:
-        return fn(region), None
-    except NumericError as err:
-        return None, err
+    def gradient(Y):
+        V = Y @ A.T
+        q = np.einsum("ri,ri->r", V, V)
+        return (2.0 * s / V) @ A - (2.0 * total / q)[:, None] * (V @ A), V, q
 
+    def grad_norm(Y):
+        # Degree-0 homogeneity: the gradient at y/|y| is |y| * gradient at y.
+        return np.linalg.norm(gradient(Y)[0], axis=1) * np.linalg.norm(Y, axis=1)
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SLM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    def log_likelihood(Y):
+        V = Y @ A.T
+        return 2.0 * np.log(np.abs(V)) @ s - total * np.log(np.einsum("ri,ri->r", V, V))
+
+    def noise_floor(Y):
+        # Gradient roundoff at Y/|Y|: each term 2 s_i / l_i inherits the error
+        # of l_i, about eps * |A_i|_1 * max|y|, divided by l_i once more.
+        Y = Y / np.linalg.norm(Y, axis=1)[:, None]
+        scale = np.abs(A).sum(axis=1) * np.abs(Y).max(axis=1)[:, None]
+        return np.finfo(float).eps * np.sum(2.0 * s * scale**2 / (Y @ A.T) ** 2, axis=1)
+
+    def free_hessian(rows, Y):
+        """Gradient and Hessian on the free coordinates of each row's chart."""
+        g, V, q = gradient(Y)
+        U = V @ A
+        H = (
+            -np.einsum("ri,ij,ik->rjk", 2.0 * s / V**2, A, A)
+            - (2.0 * total / q)[:, None, None] * gram
+            + (4.0 * total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
+        )
+        lane = np.arange(d - 1)
+        free = lane + (lane >= chart[rows, None])
+        H = np.take_along_axis(np.take_along_axis(H, free[:, :, None], 1), free[:, None, :], 2)
+        return np.take_along_axis(g, free, 1), H, free
+
+    def newton_step(rows):
+        """Ascent direction solve(-H, g) on the free coordinates (zero on the
+        pinned one) and its slope, ridging H only when not negative definite.
+        A definite Hessian, however stiff, gets the pure Newton step; shifting
+        it would wreck the soft directions during tracking."""
+        g, H, free = free_hessian(rows, X[rows])
+        finite = np.all(np.isfinite(H), axis=(1, 2))
+        H[~finite] = -np.eye(d - 1)  # keeps eigh going; the step is discarded
+        lam, Q = np.linalg.eigh(-H)
+        scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        ridge = np.zeros(len(rows))
+        for _ in range(80):
+            short = ~(lam[:, 0] + ridge > 0.0)
+            if not short.any():
+                break
+            ridge[short] = np.maximum(2.0 * ridge[short], opts.shift_margin * scale[short])
+        coef = np.einsum("rji,rj->ri", Q, g) / (lam + ridge[:, None])
+        step = np.einsum("rij,rj->ri", Q, coef)
+        step[~finite] = np.nan
+        full = np.zeros((len(rows), d))
+        np.put_along_axis(full, free, step, 1)
+        return full, np.einsum("ri,ri->r", g, step)
+
+    def backtrack(rows, step, accept):
+        """Halve each row's step from t = 1 until ``accept(sub, cand, t)``
+        holds, at most max_backtracks times: candidates and the found mask."""
+        t = np.ones(len(rows))
+        found = np.zeros(len(rows), dtype=bool)
+        cand = np.empty((len(rows), d))
+        for _ in range(opts.max_backtracks):
+            sub = np.flatnonzero(~found)
+            if not sub.size:
+                break
+            trial = X[rows[sub]] + t[sub, None] * step[sub]
+            ok = accept(sub, trial, t[sub])
+            cand[sub[ok]] = trial[ok]
+            found[sub[ok]] = True
+            t[sub[~ok]] *= 0.5
+        return cand, found
+
+    def rechart(rows):
+        chart[rows] = np.argmax(np.abs(X[rows]), axis=1)
+        X[rows] /= np.abs(X[rows, chart[rows]])[:, None]
+
+    def record(rows, norms):
+        for k, it, norm in zip(rows.tolist(), iterations[rows].tolist(), norms.tolist()):
+            traces[k].append((it, norm))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        flip = ~inside(X) & inside(-X)
+        X[flip] = -X[flip]  # antipodal representative of the same projective point
+        live = inside(X)
+        for k in np.flatnonzero(~live):
+            outcomes[k] = NoConvergence("start point does not satisfy the region signs")
+
+        # Globalized phase: Newton direction with Armijo backtracking.
+        polish_at = 1e-5 * max(1.0, total)
+        globalized = live.copy()
+        while True:
+            rows = np.flatnonzero(globalized & (iterations < opts.max_iter))
+            if not rows.size:
+                break
+            rechart(rows)
+            norm = grad_norm(X[rows])
+            record(rows, norm)
+            done = (norm <= opts.tol) | (norm <= polish_at)
+            if opts.adaptive_floor:
+                done |= norm <= 8.0 * noise_floor(X[rows])  # at the roundoff floor
+            globalized[rows[done]] = False
+            rows = rows[~done]
+            step, slope = newton_step(rows)
+            current = log_likelihood(X[rows])
+
+            def armijo(sub, cand, t):
+                gain = current[sub] + 1e-4 * t * slope[sub]
+                return inside(cand, rows[sub]) & (log_likelihood(cand) >= gain)
+
+            cand, found = backtrack(rows, step, armijo)
+            # A step too short to change x would repeat forever; it counts as none.
+            found &= np.any(cand != X[rows], axis=1)
+            X[rows[found]] = cand[found]
+            iterations[rows] += 1
+            globalized[rows[~found]] = False  # comparisons hit roundoff; polish below
+
+        # Local phase: plain sign-guarded Newton, keep each row's best iterate.
+        best_x = X.copy()
+        best_norm = np.full(R, np.nan)
+        best_norm[live] = grad_norm(X[live])
+        polishing = live.copy()
+        for _ in range(opts.polish_iters):
+            rows = np.flatnonzero(polishing & ~(best_norm <= opts.tol))
+            if not rows.size:
+                break
+            rechart(rows)
+            step, _ = newton_step(rows)
+            cand, found = backtrack(rows, step, lambda sub, cand, t: inside(cand, rows[sub]))
+            polishing[rows[~found]] = False
+            rows = rows[found]
+            X[rows] = cand[found]
+            iterations[rows] += 1
+            norm = grad_norm(X[rows])
+            record(rows, norm)
+            better = norm < best_norm[rows]
+            best_norm[rows[better]] = norm[better]
+            best_x[rows[better]] = X[rows[better]]
+            polishing[rows[~better & (norm > 10.0 * best_norm[rows])]] = False  # diverging
+
+        # A NaN norm compares false, so it never counts as converged.
+        converged = best_norm <= opts.tol
+        if opts.adaptive_floor:
+            converged[live] |= best_norm[live] <= 8.0 * noise_floor(best_x[live])
+        for k in np.flatnonzero(live & ~converged):
+            outcomes[k] = NoConvergence(
+                f"gradient floor {best_norm[k]:.3e} above tolerance {opts.tol:.1e}",
+                trace=traces[k],
+            )
+
+        rows = np.flatnonzero(live & converged)
+        xn = np.array([normalize_parameter(x) for x in best_x[rows]]).reshape(-1, d)
+        y = xn @ A.T
+        top_eig = np.linalg.eigvalsh(free_hessian(rows, xn)[1])[:, -1]
+        final_norm = np.linalg.norm(gradient(xn)[0], axis=1)
+        logL = log_likelihood(xn)
+        p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
+        underflow = np.any(y == 0.0, axis=1)
+        sides = np.where(y > 0.0, 1.0, -1.0)
+        left = np.any(sides * sides[:, :1] != signs[rows], axis=1)
+    for i, k in enumerate(rows):
+        if underflow[i]:
+            outcomes[k] = NoConvergence(
+                "coordinate underflow at convergence: cannot take the sign vector of a zero value"
+            )
+        elif left[i]:
+            outcomes[k] = NoConvergence("converged point left its region", trace=traces[k])
+        else:
+            outcomes[k] = CriticalPoint(
+                region=regions[k].sign,
+                x=xn[i],
+                y=y[i],
+                p=p[i],
+                logL=float(logL[i]),
+                grad_norm=float(final_norm[i]),
+                iterations=int(iterations[k]),
+                hessian_max_eig=float(top_eig[i]),
+            )
+    return outcomes

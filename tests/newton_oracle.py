@@ -1,0 +1,228 @@
+"""Test oracle: the per-region Newton solver.
+
+This is the loop form of :mod:`sqlinear.mle`: one region at a time, a chart
+object per region and one small numpy call per evaluation. The library
+solves every region together on an (R, d) stack with the same decisions made
+per row; tests/test_newton_batch.py checks that both find the same critical
+points, fail on the same regions and track the same valuations.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sqlinear.arrangement import SignVector, enumerate_regions
+from sqlinear.errors import NoConvergence, NumericError
+from sqlinear.mle import CriticalPoint, SolveAllResult, SolveOptions, _check_positive_data
+from sqlinear.model import gradient, hessian, log_likelihood, normalize_parameter
+
+
+class _Chart:
+    """Newton mechanics on the chart that pins one coordinate of x.
+
+    The chart starts at the witness's largest coordinate; when iterates grow,
+    the pinned coordinate is re-chosen so they stay in [-1, 1]^d (standard
+    atlas hopping on projective space). Without this, regions whose critical
+    point has a small pinned coordinate push the iterates toward infinity.
+    """
+
+    def __init__(self, model, s, region, opts):
+        self.model = model
+        self.s = s
+        self.signs = np.array(region.sign.signs, dtype=float)
+        self.A = model.A_float
+        self.opts = opts
+        witness = np.array([float(v) for v in region.witness])
+        self.chart = int(np.argmax(np.abs(witness)))
+        self.free = [i for i in range(model.d) if i != self.chart]
+
+    def rechart(self, x):
+        top = int(np.argmax(np.abs(x)))
+        if top != self.chart:
+            self.chart = top
+            self.free = [i for i in range(self.model.d) if i != top]
+        return x / abs(x[self.chart])
+
+    def in_region(self, x) -> bool:
+        return bool(np.all(self.signs * (self.A @ x) > 0.0))
+
+    def grad_norm(self, x) -> float:
+        # Degree-0 homogeneity: the gradient at x/|x| is |x| * gradient at x.
+        return float(np.linalg.norm(gradient(self.model, self.s, x)) * np.linalg.norm(x))
+
+    def noise_floor(self, x) -> float:
+        xn = x / np.linalg.norm(x)
+        return _gradient_noise_floor(self.model, self.s, xn)
+
+    def newton_step(self, x):
+        """Ascent direction solve(-H, g), ridging H only when not negative
+        definite. A definite Hessian, however stiff, gets the pure Newton
+        step; shifting it would wreck the soft directions during tracking."""
+        H = hessian(self.model, self.s, x)[np.ix_(self.free, self.free)]
+        g_free = gradient(self.model, self.s, x)[self.free]
+        ridge = 0.0
+        scale = float(np.abs(np.diag(H)).max()) or 1.0
+        try:
+            for _ in range(80):
+                try:
+                    np.linalg.cholesky(-(H - ridge * np.eye(len(self.free))))
+                    break
+                except np.linalg.LinAlgError:
+                    ridge = max(2.0 * ridge, self.opts.shift_margin * scale)
+            step = np.linalg.solve(-(H - ridge * np.eye(len(self.free))), g_free)
+        except np.linalg.LinAlgError as err:
+            raise NoConvergence(f"Newton system unsolvable: {err}") from err
+        return step, float(g_free @ step)
+
+    def advance(self, x, step, t):
+        cand = x.copy()
+        cand[self.free] += t * step
+        return cand
+
+
+def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
+    """Newton-solve the unique critical point inside one region."""
+    opts = opts or SolveOptions()
+    s = _check_positive_data(s, model.n)
+    chart = _Chart(model, s, region, opts)
+
+    if start is not None:
+        x = np.asarray(start, dtype=float).copy()
+        if not chart.in_region(x) and chart.in_region(-x):
+            x = -x  # antipodal representative of the same projective point
+    else:
+        x = np.array([float(v) for v in region.witness])
+    if not chart.in_region(x):
+        raise NoConvergence("start point does not satisfy the region signs")
+
+    trace = []
+    iterations = 0
+    polish_at = 1e-5 * max(1.0, float(s.sum()))
+
+    # Globalized phase: Newton direction with Armijo backtracking.
+    while iterations < opts.max_iter:
+        x = chart.rechart(x)
+        grad_norm = chart.grad_norm(x)
+        trace.append((iterations, grad_norm))
+        if grad_norm <= opts.tol or grad_norm <= polish_at:
+            break
+        if opts.adaptive_floor and grad_norm <= 8.0 * chart.noise_floor(x):
+            break  # at the roundoff floor of this data vector
+        step, slope = chart.newton_step(x)
+        current = log_likelihood(model, s, x)
+        t = 1.0
+        accepted = False
+        for _ in range(opts.max_backtracks):
+            cand = chart.advance(x, step, t)
+            if chart.in_region(cand) and log_likelihood(model, s, cand) >= current + 1e-4 * t * slope:
+                x = cand
+                accepted = True
+                break
+            t *= 0.5
+        iterations += 1
+        if not accepted:
+            break  # likelihood comparisons hit roundoff; polish below
+
+    # Local phase: plain sign-guarded Newton, keep the best iterate.
+    best_x = x.copy()
+    best_norm = chart.grad_norm(x)
+    for _ in range(opts.polish_iters):
+        if best_norm <= opts.tol:
+            break
+        x = chart.rechart(x)
+        step, _ = chart.newton_step(x)
+        t = 1.0
+        cand = chart.advance(x, step, t)
+        for _ in range(opts.max_backtracks):
+            if chart.in_region(cand):
+                break
+            t *= 0.5
+            cand = chart.advance(x, step, t)
+        else:
+            break
+        x = cand
+        iterations += 1
+        norm = chart.grad_norm(x)
+        trace.append((iterations, norm))
+        if norm < best_norm:
+            best_norm = norm
+            best_x = x.copy()
+        elif norm > 10.0 * best_norm:
+            break  # diverging from the basin floor; stop polishing
+    if best_norm > opts.tol:
+        accept = opts.adaptive_floor and best_norm <= 8.0 * _gradient_noise_floor(
+            model, s, best_x / np.linalg.norm(best_x)
+        )
+        if not accept:
+            raise NoConvergence(
+                f"gradient floor {best_norm:.3e} above tolerance {opts.tol:.1e}",
+                trace=trace,
+            )
+
+    xn = normalize_parameter(best_x)
+    y = model.A_float @ xn
+    try:
+        converged_signs = SignVector.from_values(y).signs
+    except ValueError as err:
+        raise NoConvergence(f"coordinate underflow at convergence: {err}") from err
+    if converged_signs != region.sign.signs:
+        raise NoConvergence("converged point left its region", trace=trace)
+    squares = y**2
+    p = squares / squares.sum()
+    H_final = hessian(model, s, xn)[np.ix_(chart.free, chart.free)]
+    return CriticalPoint(
+        region=region.sign,
+        x=xn,
+        y=y,
+        p=p,
+        logL=log_likelihood(model, s, xn),
+        grad_norm=float(np.linalg.norm(gradient(model, s, xn))),
+        iterations=iterations,
+        hessian_max_eig=float(np.linalg.eigvalsh(H_final)[-1]),
+    )
+
+
+def solve_all(model, s, opts=None, regions=None) -> SolveAllResult:
+    """One region after another; NumericErrors are collected per region."""
+    s = _check_positive_data(s, model.n)
+    if regions is None:
+        regions = enumerate_regions(model.arr)
+    points = []
+    failures = []
+    for region in regions:
+        try:
+            points.append(solve_region(model, s, region, opts))
+        except NumericError as err:
+            failures.append((region, err))
+    if not points:
+        raise NoConvergence("no region converged", trace=[])
+    mle_index = max(range(len(points)), key=lambda i: points[i].logL)
+    return SolveAllResult(points=points, mle_index=mle_index, failures=failures)
+
+
+def track_slopes(model, w, anchor, eps_grid, opts):
+    """Per-region tracking down ``eps_grid`` for data eps**w: the least-squares
+    slope of log|y_j| against log eps for every coordinate, per region."""
+    w = np.asarray(w, dtype=float)
+    slopes = {}
+    for region in enumerate_regions(model.arr):
+        start = None
+        ys = []
+        for eps in eps_grid:
+            point = solve_region(model, eps**w, region, opts, start=start)
+            start = point.x
+            ys.append(point.y / point.y[anchor])
+        logs = np.log(np.abs(np.array(ys)))
+        fit = np.polyfit(np.log(np.array(eps_grid)), logs, 1)[0]
+        fit[anchor] = 0.0
+        slopes[str(region.sign)] = fit
+    return slopes
+
+
+def _gradient_noise_floor(model, s, x) -> float:
+    """Backward-error bound on the gradient roundoff at unit-norm x."""
+    A = model.A_float
+    values = A @ x
+    row_scale = np.abs(A).sum(axis=1) * float(np.abs(x).max())
+    u = float(np.finfo(float).eps)
+    return u * float(np.sum(2.0 * s * row_scale**2 / values**2))

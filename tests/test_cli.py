@@ -221,14 +221,6 @@ class TestDeterminism:
         _, second = run(tmp_path, "plot", doc, "--anchor", "1")
         assert first == second
 
-    def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
-        doc = dict(STEINER, s=[0.4, 0.3, 0.2, 0.1])
-        monkeypatch.setenv("SLM_THREADS", "1")
-        _, single = run(tmp_path, "mle", doc)
-        monkeypatch.setenv("SLM_THREADS", "4")
-        _, multi = run(tmp_path, "mle", doc)
-        assert single == multi
-
 
 class TestExitCodes:
     def test_missing_input(self, tmp_path, capsys):
@@ -263,6 +255,42 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "numeric"
+
+    @pytest.mark.parametrize("s", [[float("nan"), 1, 1, 1], [1e308, 1e308, 2, 3]])
+    def test_mle_non_finite_data(self, tmp_path, capsys, s):
+        code, text = run(tmp_path, "mle", dict(STEINER, s=s))
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+
+    def test_every_region_failing_lists_all_failures(self, tmp_path, capsys):
+        code, text = run(tmp_path, "mle", dict(STEINER, s=[0.4, 0.3, 0.2, 0.1]), "--tol", "1e-300")
+        assert code == 3 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "NoConvergence"
+        assert len(err["failures"]) == 7
+        assert len({f["region"] for f in err["failures"]}) == 7
+        for failure in err["failures"]:
+            assert failure["type"] == "NoConvergence"
+            assert failure["trace"] and all(len(step) == 2 for step in failure["trace"])
+
+    def test_partial_failure_lists_only_failed_regions(self, tmp_path, capsys, monkeypatch):
+        # One region gets a witness with the wrong signs, so it alone fails.
+        from sqlinear import cli, mle
+        from sqlinear.arrangement import Region, enumerate_regions
+
+        def one_bad_witness(model, s, opts):
+            regions = enumerate_regions(model.arr)
+            regions[2] = Region(sign=regions[2].sign, witness=regions[3].witness)
+            return mle.solve_all(model, s, opts, regions=regions)
+
+        monkeypatch.setattr(cli, "solve_all", one_bad_witness)
+        code, _ = run(tmp_path, "mle", dict(STEINER, s=[0.4, 0.3, 0.2, 0.1]))
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "numeric"
+        assert [f["region"] for f in err["failures"]] == ["++--"]
+        assert err["failures"][0]["message"] == "start point does not satisfy the region signs"
 
     def test_mle_data_of_wrong_length(self, tmp_path, capsys):
         code, _ = run(tmp_path, "mle", dict(STEINER, s=[1, 2, 3]))

@@ -13,7 +13,7 @@ from sqlinear.degeneration import (
     tropical_predictions,
     unit_data_solutions,
 )
-from sqlinear.errors import AnchorNotUnique, RankDeficient, ValidationError
+from sqlinear.errors import AnchorNotUnique, BoundaryData, RankDeficient, ValidationError
 from sqlinear.model import make_model
 
 STEINER_POINTS = {
@@ -207,6 +207,11 @@ class TestEstimateValuations:
             estimate_valuations(steiner, trop, eps_grid=(1e-2, 1e-1, 1e-3))
         with pytest.raises(ValidationError):
             estimate_valuations(steiner, trop, eps_grid=(1e-1, 1e-2, -1e-3))
+
+    def test_underflowing_data_rejected(self, steiner):
+        # eps**300 underflows to zero at the end of the default grid.
+        with pytest.raises(BoundaryData):
+            estimate_valuations(steiner, TropicalData(w=(300, 303, 304, 305), anchor=0))
 
     def test_anchor_invariance_of_canonical_form(self, steiner):
         trop = TropicalData(w=(Fraction(0), 3, 4, 5), anchor=0)

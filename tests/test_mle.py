@@ -1,14 +1,20 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from conftest import canonical_x as canonical
 from conftest import grid_search_oracle
-from sqlinear import mle
-from sqlinear.arrangement import enumerate_regions, interior_samples
+from sqlinear.arrangement import (
+    Region,
+    characteristic_polynomial,
+    enumerate_regions,
+    interior_samples,
+    ml_degree,
+)
 from sqlinear.catalog import random_arrangement
-from sqlinear.errors import BoundaryData, NoConvergence, OnHyperplane, ValidationError
+from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError
 from sqlinear.mle import (
     SolveOptions,
     likelihood_matrix,
@@ -175,23 +181,31 @@ class TestSolveAll:
         assert len(result.points) + len(result.failures) == 7
         assert all(isinstance(err, NoConvergence) for _, err in result.failures)
 
-    def test_numeric_error_in_one_region_is_recorded(self, steiner, rng, monkeypatch):
+    def test_numeric_error_in_one_region_is_recorded(self, steiner, rng):
+        # Region 2 gets the witness of region 3, which has the wrong signs
+        # for it, so that region alone fails while the others solve.
         s = rng.uniform(0.1, 1.0, size=4)
         regions = enumerate_regions(steiner.arr)
-        bad = regions[2]
-        real = mle.solve_region
-
-        def flaky(model, s, region, opts=None):
-            if region == bad:
-                raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
-            return real(model, s, region, opts)
-
-        monkeypatch.setattr(mle, "solve_region", flaky)
+        bad = Region(sign=regions[2].sign, witness=regions[3].witness)
+        regions[2] = bad
         result = solve_all(steiner, s, regions=regions)
         assert [region for region, _ in result.failures] == [bad]
-        assert isinstance(result.failures[0][1], OnHyperplane)
+        assert isinstance(result.failures[0][1], NumericError)
+        assert "start point" in str(result.failures[0][1])
         assert [p.region for p in result.points] == [r.sign for r in regions if r != bad]
         assert all(p.grad_norm <= 1e-8 for p in result.points)
+
+    @pytest.mark.parametrize(
+        "s", [[np.nan, 1.0, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [1e308, 1e308, 2.0, 3.0]]
+    )
+    def test_non_finite_data_rejected(self, steiner, s):
+        # NaN compares false with everything, and an overflowing sum made
+        # the witnesses pass for critical points with a NaN gradient norm.
+        region = enumerate_regions(steiner.arr)[0]
+        with pytest.raises(ValidationError, match="finite"):
+            solve_all(steiner, s)
+        with pytest.raises(ValidationError, match="finite"):
+            solve_region(steiner, s, region)
 
     def test_data_of_wrong_length_rejected(self, steiner):
         region = enumerate_regions(steiner.arr)[0]
@@ -200,10 +214,21 @@ class TestSolveAll:
         with pytest.raises(ValidationError, match="n = 4"):
             solve_region(steiner, [[0.4, 0.3, 0.2, 0.1]], region)
 
-    def test_threaded_matches_sequential(self, steiner, rng):
-        s = rng.uniform(0.1, 1.0, size=4)
-        seq = solve_all(steiner, s, max_workers=1)
-        par = solve_all(steiner, s, max_workers=4)
-        assert [str(p.region) for p in seq.points] == [str(p.region) for p in par.points]
-        for a, b in zip(seq.points, par.points):
-            assert np.array_equal(a.x, b.x)
+
+class TestPaperInvariants:
+    """On random generic arrangements: one critical point per region, each a
+    strict local maximum on which the likelihood matrix drops rank."""
+
+    @pytest.mark.parametrize("d, n, count", [(3, 6, 5), (4, 7, 4)])
+    def test_random_generic_arrangements(self, d, n, count):
+        pyrng = random.Random(f"invariants/{d}x{n}")
+        rng = np.random.default_rng(d * 10 + n)
+        for _ in range(count):
+            model = make_model(random_arrangement(d, n, pyrng))
+            s = rng.uniform(0.05, 1.0, size=n)
+            result = solve_all(model, s)
+            chi = characteristic_polynomial(model.arr)
+            assert len(result.points) + len(result.failures) == ml_degree(model.arr) == abs(chi(-1)) // 2
+            for point in result.points:
+                assert point.hessian_max_eig < 0
+                assert rank_defect(likelihood_matrix(model, s, point.x), 1e-8) >= 1
