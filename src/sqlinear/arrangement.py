@@ -187,27 +187,27 @@ def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
 
     Subsets are walked depth-first while an integer echelon form of the
     included rows is carried along, so each subset costs one row reduction.
+    Once the included rows reach rank d, every extension also has rank d and
+    their 2^(rows left) signed terms cancel, so that branch is cut.
     """
     n, d = arr.n, arr.d
     if n > SUBSET_BUDGET:
         raise BudgetExceeded(f"n = {n} exceeds the 2^n enumeration budget ({SUBSET_BUDGET})")
-    rows = ratlin.int_rows(arr.A)
+    rows = [ratlin.primitive(row) for row in arr.A]
     acc = [0] * (d + 1)
 
     def walk(i, echelon, sign):
         if i == n:
             acc[echelon.rank] += sign
-            return
-        walk(i + 1, echelon, sign)
-        grown = echelon.copy()
-        grown.insert(rows[i])
-        walk(i + 1, grown, -sign)
+        elif echelon.rank < d:
+            walk(i + 1, echelon, sign)
+            grown = echelon.copy()
+            grown.insert(rows[i])
+            walk(i + 1, grown, -sign)
 
     walk(0, ratlin.IntEchelon(), 1)
-    coeffs = [0] * (d + 1)
-    for r, value in enumerate(acc):
-        coeffs[r] = value  # exponent d - r, descending order
-    return CharacteristicPolynomial(coeffs=tuple(coeffs))
+    # acc[r] is the coefficient of t^(d - r): descending order already.
+    return CharacteristicPolynomial(coeffs=tuple(acc))
 
 
 def ml_degree(arr: Arrangement) -> int:

@@ -39,6 +39,7 @@ from .jsonio import SCHEMA
 from .mle import SolveOptions, solve_all
 from .model import (
     minor_space_dimension,
+    parameters_of,
     singular_subspaces,
     veronese_generators,
 )
@@ -49,47 +50,43 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become ValidationError, so they leave as JSON with exit 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+# Flags a command may take, beyond --input and --output.
+FLAGS = {
+    "--tol": dict(type=float, default=1e-10, help="solver tolerance"),
+    "--anchor": dict(type=int, help="1-based anchor state index"),
+    "--eps-grid": dict(help="comma-separated decreasing eps values for tracking"),
+    "--samples": dict(type=int, default=20, help="sample count"),
+    "--svg": dict(help="also write an SVG figure to this path"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqlinear",
         description="Likelihood geometry of squared linear statistical models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "regions": "enumerate regions with witnesses",
-        "charpoly": "characteristic polynomial of the arrangement",
-        "mldegree": "ML degree and characteristic polynomial",
-        "mle": "critical points and the MLE for the data in the input",
-        "degenerate": "closed-form critical points at a unit data vector",
-        "tropical": "tropical predictions and path-tracked valuations",
-        "lognormal": "log-normal polytope and its dual at the input point",
-        "chamber": "chamber arrangement of the model",
-        "voronoi": "log-Voronoi membership scan along a data segment",
-        "dpp": "linear projection DPP: arrangement and ML degree",
-        "ideal": "implicit generators (linear forms and quadric matrix)",
-        "singular": "singular subspaces of the model",
-        "plot": "SVG figure of the arrangement with overlays",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text, flags) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", required=True, help="path to the JSON input")
         cmd.add_argument("--output", help="output path (default: stdout)")
-        cmd.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for sampled work")
-        cmd.add_argument("--anchor", type=int, help="1-based anchor state index")
-        cmd.add_argument(
-            "--eps-grid", help="comma-separated decreasing eps values for tracking"
-        )
-        cmd.add_argument("--samples", type=int, default=20, help="sample count")
-        cmd.add_argument("--svg", help="also write an SVG figure to this path")
+        for flag in flags:
+            cmd.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         doc = _load_input(args.input)
-        handler = _HANDLERS[args.command]
+        handler = COMMANDS[args.command][0]
         result = handler(doc, args)
     except ValidationError as err:
         _emit_error("validation", err)
@@ -405,48 +402,33 @@ def _cmd_plot(doc, args):
 
 
 def _plot_overlays_from_tracking(model, estimates, solutions):
-    from . import ratlin
+    def params_of(ys):
+        return [[float(v) for v in x] for x in parameters_of(model, ys)]
 
-    gram = ratlin.matmul(ratlin.transpose(model.arr.A), model.arr.A)
-
-    def param_of(yvec):
-        rhs = ratlin.matvec(
-            ratlin.transpose(model.arr.A), tuple(ratlin.as_fraction(v) for v in yvec)
-        )
-        x = ratlin.solve(gram, rhs)
-        return None if x is None else [float(v) for v in x]
-
-    limits = []
-    for sol in solutions:
-        if sol.y:
-            x = param_of(sol.y)
-            if x is not None:
-                limits.append(x)
-    arcs = []
-    for est in estimates:
-        arc = [[float(v) for v in est.region.witness]]
-        for yvec in est.y_track:
-            x = param_of(yvec)
-            if x is not None:
-                arc.append(x)
-        arcs.append(arc)
+    limits = params_of(sol.y for sol in solutions if sol.y)
+    arcs = [[[float(v) for v in est.region.witness]] + params_of(est.y_track) for est in estimates]
     return Overlays(arcs=arcs, limit_points=limits)
 
 
-_HANDLERS = {
-    "regions": _cmd_regions,
-    "charpoly": _cmd_charpoly,
-    "mldegree": _cmd_mldegree,
-    "mle": _cmd_mle,
-    "degenerate": _cmd_degenerate,
-    "tropical": _cmd_tropical,
-    "lognormal": _cmd_lognormal,
-    "chamber": _cmd_chamber,
-    "voronoi": _cmd_voronoi,
-    "dpp": _cmd_dpp,
-    "ideal": _cmd_ideal,
-    "singular": _cmd_singular,
-    "plot": _cmd_plot,
+# command -> (handler, help text, flags it reads)
+COMMANDS = {
+    "regions": (_cmd_regions, "enumerate regions with witnesses", ("--svg",)),
+    "charpoly": (_cmd_charpoly, "characteristic polynomial of the arrangement", ()),
+    "mldegree": (_cmd_mldegree, "ML degree and characteristic polynomial", ()),
+    "mle": (_cmd_mle, "critical points and the MLE for the data in the input", ("--tol", "--svg")),
+    "degenerate": (_cmd_degenerate, "closed-form critical points at a unit data vector", ("--anchor",)),
+    "tropical": (
+        _cmd_tropical,
+        "tropical predictions and path-tracked valuations",
+        ("--anchor", "--eps-grid", "--svg"),
+    ),
+    "lognormal": (_cmd_lognormal, "log-normal polytope and its dual at the input point", ()),
+    "chamber": (_cmd_chamber, "chamber arrangement of the model", ()),
+    "voronoi": (_cmd_voronoi, "log-Voronoi membership scan along a data segment", ("--tol", "--samples")),
+    "dpp": (_cmd_dpp, "linear projection DPP: arrangement and ML degree", ()),
+    "ideal": (_cmd_ideal, "implicit generators (linear forms and quadric matrix)", ()),
+    "singular": (_cmd_singular, "singular subspaces of the model", ()),
+    "plot": (_cmd_plot, "SVG figure of the arrangement with overlays", ("--tol", "--anchor", "--eps-grid")),
 }
 
 

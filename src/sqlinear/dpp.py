@@ -97,19 +97,19 @@ def reduced_points(dpp: DPPModel):
     m = n - k + 1  # surviving parameters, the ambient dimension of the points
     perm = tuple(range(n))
     block = [row[m:] for row in dpp.Theta_fixed]
-    if k > 1 and ratlin.det(block) == 0:
-        perm = _repair_columns(dpp)
-        if perm is None:
+    inverse = ratlin.inverse(block)
+    if inverse is None:
+        # Prefer trailing columns to stay close to the standard normal form.
+        columns = ratlin.transpose(dpp.Theta_fixed)[::-1]
+        chosen = ratlin.IntEchelon.independent_rows(columns, k - 1)
+        if chosen is None:
             raise ReductionFailed(
                 "no column order makes the trailing block invertible", block=block
             )
-        block = [[dpp.Theta_fixed[r][c] for c in perm[m:]] for r in range(k - 1)]
+        chosen = sorted(n - 1 - i for i in chosen)
+        perm = tuple([c for c in range(n) if c not in chosen] + chosen)
+        inverse = ratlin.inverse([[row[c] for c in chosen] for row in dpp.Theta_fixed])
     fixed = [[dpp.Theta_fixed[r][c] for c in perm] for r in range(k - 1)]
-    identity = [
-        [Fraction(int(i == j)) for j in range(k - 1)] for i in range(k - 1)
-    ]
-    inv_cols = [ratlin.solve(block, col) for col in ratlin.transpose(identity)]
-    inverse = ratlin.transpose(inv_cols)
     reduced = ratlin.matmul(inverse, fixed)  # [A1 | I]
     a1 = [row[:m] for row in reduced]
     points = []
@@ -118,23 +118,6 @@ def reduced_points(dpp: DPPModel):
     for r in range(k - 1):
         points.append(tuple(-a1[r][c] for c in range(m)))
     return tuple(points), perm, tuple(tuple(row) for row in reduced)
-
-
-def _repair_columns(dpp: DPPModel):
-    m = dpp.n - dpp.k + 1
-    echelon = ratlin.IntEchelon()
-    chosen = []
-    # Prefer trailing columns to stay close to the standard normal form.
-    for c in reversed(range(dpp.n)):
-        col = tuple(dpp.Theta_fixed[r][c] for r in range(dpp.k - 1))
-        if echelon.insert(ratlin.primitive(col)):
-            chosen.append(c)
-        if len(chosen) == dpp.k - 1:
-            break
-    if len(chosen) < dpp.k - 1:
-        return None
-    front = [c for c in range(dpp.n) if c not in chosen]
-    return tuple(front + sorted(chosen))
 
 
 def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:

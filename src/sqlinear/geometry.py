@@ -108,7 +108,7 @@ def _affine_rank(points) -> int:
     return ratlin.rank(diffs)
 
 
-def _face_lattice(num_vertices, facet_sets):
+def _face_lattice(facet_sets):
     """All proper nonempty faces as vertex sets, closed under intersection."""
     faces = set(facet_sets)
     frontier = list(facet_sets)
@@ -123,7 +123,7 @@ def _face_lattice(num_vertices, facet_sets):
 
 
 def _f_vector(vertices, facet_sets, dim):
-    faces = _face_lattice(len(vertices), facet_sets)
+    faces = _face_lattice(facet_sets)
     counts = [0] * dim
     for face in faces:
         fdim = _affine_rank([vertices[i] for i in sorted(face)])
@@ -172,9 +172,7 @@ def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
     for row in B:
         btilde.append(tuple(v / yi for v, yi in zip(row, y)))
     btilde_cols = ratlin.transpose(btilde)
-    wmat = [tuple(v * v for v in y)]
-    for row in B:
-        wmat.append(tuple(v * yi for v, yi in zip(row, y)))
+    wmat_cols = ratlin.transpose(_data_rows(model, y))
 
     rays = set()
     for subset in itertools.combinations(range(n), n - d):
@@ -193,7 +191,7 @@ def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
 
     vertices = set()
     for ray in sorted(rays):
-        s = ratlin.matvec(ratlin.transpose(wmat), ray)
+        s = ratlin.matvec(wmat_cols, ray)
         total = sum(s)
         if total == 0:
             continue
@@ -252,7 +250,7 @@ def polytope_from_points(points, ambient_dim=None) -> Polytope:
         if _affine_rank(chosen) != dim - 1:
             continue
         rows = [ratlin.sub(p, chosen[0]) for p in chosen[1:]]
-        kernel = ratlin.nullspace(rows, ncols=dim) if rows else ratlin.nullspace([], ncols=dim)
+        kernel = ratlin.nullspace(rows, ncols=dim)
         if len(kernel) != 1:
             continue
         normal = kernel[0]
@@ -272,7 +270,7 @@ def polytope_from_points(points, ambient_dim=None) -> Polytope:
     incidence = sorted(facet_sets, key=sorted)
     f_vec = _f_vector(work, incidence, dim)
     vertex_set = set()
-    faces = _face_lattice(len(work), set(incidence))
+    faces = _face_lattice(set(incidence))
     for face in faces:
         if _affine_rank([work[k] for k in sorted(face)]) == 0:
             vertex_set.update(face)
@@ -433,6 +431,8 @@ def log_voronoi_scan(
     parameter. Log-Voronoi boundaries are generally not algebraic, so
     sampling plus bisection is the honest tool here.
     """
+    if steps < 1:
+        raise ValidationError(f"steps must be at least 1, got {steps}")
     y = _check_kernel_point(model, y)
     start = tuple(ratlin.as_fraction(v) for v in start)
     end = tuple(ratlin.as_fraction(v) for v in end)
@@ -468,8 +468,13 @@ def log_voronoi_scan(
     )
 
 
+def _data_rows(model: SquaredLinearModel, y):
+    """Rows [y^2; B diag(y)] whose span holds the data with critical point y."""
+    return [tuple(v * v for v in y)] + [
+        tuple(v * yi for v, yi in zip(row, y)) for row in model.B.B
+    ]
+
+
 def _in_row_span(model: SquaredLinearModel, y, s) -> bool:
-    wmat = [tuple(v * v for v in y)]
-    for row in model.B.B:
-        wmat.append(tuple(v * yi for v, yi in zip(row, y)))
-    return ratlin.rank(list(wmat) + [tuple(s)]) == ratlin.rank(wmat)
+    rows = _data_rows(model, y)
+    return ratlin.rank(rows + [tuple(s)]) == ratlin.rank(rows)

@@ -35,9 +35,13 @@ class SolveOptions:
     polish_iters: int = 20
     # Accept the gradient-noise floor of double precision when it exceeds
     # tol. Path tracking needs this: near-degenerate data makes some forms
-    # cancel catastrophically, which bounds the achievable gradient norm,
-    # while the coordinates themselves stay accurate in relative terms.
+    # cancel catastrophically, which bounds the achievable gradient norm;
+    # tiny coordinates can then lose relative accuracy (see README).
     adaptive_floor: bool = False
+
+    def __post_init__(self):
+        if not 0.0 <= self.tol < np.inf:  # NaN fails both comparisons
+            raise ValidationError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True)

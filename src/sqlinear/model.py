@@ -78,6 +78,17 @@ def normalize_parameter(x) -> np.ndarray:
     return x
 
 
+def parameters_of(model: SquaredLinearModel, ys):
+    """Exact x with A x = y for each y in the image of A, from the Gram
+    system (A^T A) x = A^T y; A has full column rank in every model."""
+    At = ratlin.transpose(model.arr.A)
+    gram_inverse = ratlin.inverse(ratlin.matmul(At, model.arr.A))
+    return [
+        ratlin.matvec(gram_inverse, ratlin.matvec(At, tuple(ratlin.as_fraction(v) for v in y)))
+        for y in ys
+    ]
+
+
 def evaluate(model: SquaredLinearModel, x) -> np.ndarray:
     """Probability vector p(x); entries sum to one."""
     x = np.asarray(x, dtype=float)
@@ -210,18 +221,17 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     monomials = quadric_monomials(d)
     L = tuple(squared_form_row(row, monomials) for row in model.arr.A)
     Lprime = tuple(L[:N])
-    if ratlin.det(Lprime) == 0:
-        perm = _repair_permutation(L, N)
+    inverse_rows = ratlin.inverse(Lprime)
+    if inverse_rows is None:
+        perm = ratlin.IntEchelon.independent_rows(L, N)
+        if perm is not None:
+            perm = tuple(perm + [i for i in range(n) if i not in perm])
         raise DegenerateLeadingBlock(
             "squares of the first N forms are linearly dependent",
             permutation=perm,
         )
-    identity = tuple(
-        tuple(Fraction(int(i == j)) for j in range(N)) for i in range(N)
-    )
-    inverse_rows = tuple(ratlin.solve(ratlin.transpose(Lprime), col) for col in identity)
-    # inverse_rows[k] is row k of Lprime^{-1}; entry (i,j) of R is the row of
-    # the inverse attached to monomial x_i x_j, as a linear form in p_1..p_N.
+    # Entry (i,j) of R is the row of Lprime^{-1} attached to monomial x_i x_j,
+    # as a linear form in p_1..p_N.
     index = {mon: k for k, mon in enumerate(monomials)}
     R = tuple(
         tuple(inverse_rows[index[(min(i, j), max(i, j))]] for j in range(d))
@@ -232,21 +242,6 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     return VeroneseGenerators(
         L=L, Lprime=Lprime, linear_forms=linear_forms, R=R, monomials=monomials
     )
-
-
-def _repair_permutation(L, N):
-    """Greedy row order whose leading N x N block is invertible, if any."""
-    chosen = []
-    echelon = ratlin.IntEchelon()
-    for i, row in enumerate(L):
-        if echelon.insert(ratlin.primitive(row)):
-            chosen.append(i)
-        if len(chosen) == N:
-            break
-    if len(chosen) < N:
-        return None
-    rest = [i for i in range(len(L)) if i not in chosen]
-    return tuple(chosen + rest)
 
 
 def r_minors_residual(vg: VeroneseGenerators, p) -> float:
@@ -289,9 +284,9 @@ def steiner_quartic(p) -> float:
 def minor_space_dimension(d: int) -> int:
     """Rank of the span of all 2x2 minors of a symmetric d x d matrix.
 
-    Each minor is a quadratic with at most two monomials in the matrix
-    entries, so the coefficient matrix is eliminated sparsely. The result
-    equals (d+1) d^2 (d-1) / 12.
+    The minors' coefficient rows over the quadratic monomials in the matrix
+    entries go through the exact rank of :mod:`.ratlin`. The result equals
+    (d+1) d^2 (d-1) / 12.
     """
     if d < 2:
         raise ValidationError("need d >= 2")
@@ -299,37 +294,16 @@ def minor_space_dimension(d: int) -> int:
     for i in range(d):
         for j in range(i, d):
             var[(i, j)] = var[(j, i)] = (i, j)
-
-    def monomial(a, b):
-        return tuple(sorted((a, b)))
-
     rows = []
     for i, k in itertools.combinations(range(d), 2):
         for j, l in itertools.combinations(range(d), 2):
-            coeffs = {}
-            m1 = monomial(var[(i, j)], var[(k, l)])
-            m2 = monomial(var[(i, l)], var[(k, j)])
-            coeffs[m1] = coeffs.get(m1, 0) + 1
-            coeffs[m2] = coeffs.get(m2, 0) - 1
-            row = {m: c for m, c in coeffs.items() if c != 0}
-            if row:
-                rows.append(row)
-    # Sparse elimination; rows keep at most two terms throughout.
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                pivots[lead] = row
-                rank += 1
-                break
-            base = pivots[lead]
-            f = Fraction(row[lead], base[lead])
-            for m, c in base.items():
-                row[m] = row.get(m, 0) - f * c
-            row = {m: c for m, c in row.items() if c != 0}
+            row = {}
+            for sign, pair in ((1, (var[(i, j)], var[(k, l)])), (-1, (var[(i, l)], var[(k, j)]))):
+                monomial = tuple(sorted(pair))
+                row[monomial] = row.get(monomial, 0) + sign
+            rows.append(row)
+    monomials = sorted({m for row in rows for m in row})
+    rank = ratlin.rank([[row.get(m, 0) for m in monomials] for row in rows])
     expected = (d + 1) * d**2 * (d - 1) // 12
     if rank != expected:
         raise AssertionError(f"minor-space rank {rank} != closed form {expected}")
@@ -396,7 +370,6 @@ def noninjectivity_witness(subspace: SingularSubspace, model: SquaredLinearModel
         tuple(-v for v in row) if i in subspace.J else row
         for i, row in enumerate(arr.A)
     )
-    gram = ratlin.matmul(ratlin.transpose(arr.A), arr.A)
     for weights in itertools.chain(
         [(1,) * len(subspace.basis)],
         itertools.product((1, 2, 3), repeat=len(subspace.basis)),
@@ -407,10 +380,7 @@ def noninjectivity_witness(subspace: SingularSubspace, model: SquaredLinearModel
         )
         if ratlin.is_zero(x):
             continue
-        target = ratlin.matvec(ratlin.transpose(arr.A), ratlin.matvec(flipped, x))
-        xp = ratlin.solve(gram, target)
-        if xp is None:
-            continue
+        (xp,) = parameters_of(model, [ratlin.matvec(flipped, x)])
         if ratlin.primitive(x) != ratlin.primitive(xp):
             return x, xp
     raise ValidationError("no non-injectivity witness found on this subspace")

@@ -1,8 +1,10 @@
 """Small exact linear algebra kernel over the rationals.
 
-Matrices are tuples/lists of row tuples of ``fractions.Fraction``. Everything
-here is deterministic; downstream modules rely on that for reproducible
-kernel bases and witnesses.
+Matrices are tuples/lists of row tuples of ``fractions.Fraction`` (ints are
+accepted too). ``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse`` and
+``det`` all read their answers off one integer Gauss-Jordan pass built on
+:func:`row_update`. Everything here is deterministic; downstream modules rely
+on that for reproducible kernel bases and witnesses.
 """
 
 from __future__ import annotations
@@ -67,51 +69,90 @@ def is_zero(vec) -> bool:
     return all(v == 0 for v in vec)
 
 
+def cleared(row):
+    """(integer row, lcd): ``row`` times the lcm of its denominators."""
+    ratios = [v.as_integer_ratio() for v in row]
+    lcd = lcm(*(q for _, q in ratios))
+    return [p * (lcd // q) for p, q in ratios], lcd
+
+
 def primitive(vec):
     """Scale a rational vector to coprime integers, first nonzero entry > 0."""
-    vec = tuple(as_fraction(v) for v in vec)
-    common = lcm(*(v.denominator for v in vec))
-    ints = [int(v * common) for v in vec]
+    ints, _ = cleared([as_fraction(v) for v in vec])
     g = gcd(*ints)
     if g == 0:
-        return tuple(0 for _ in ints)
-    ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 1)
+        return tuple(ints)
+    lead = next(v for v in ints if v != 0)
     if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def row_update(a, row, b, pivot_row):
+    """``a * row - b * pivot_row`` over the gcd g of its entries; returns (row, g).
+
+    With ``a = pivot_row[c]`` and ``b = row[c]`` this clears column c in
+    integers (fraction-free elimination, Bareiss 1968, dividing out the row
+    content). Every exact elimination here and in :mod:`.simplex` uses it.
+    """
+    line = [a * x - b * y for x, y in zip(row, pivot_row)]
+    g = gcd(*line)
+    return ([v // g for v in line] if g > 1 else line), g
+
+
+def _gauss_jordan(rows, width=None):
+    """The one elimination loop: integer Gauss-Jordan on ``rows``.
+
+    Rows are cleared of denominators and their first ``width`` columns
+    (default: all) reduced with :func:`row_update`; later columns ride along.
+    Returns (m, pivots, (num, den)): row r < len(pivots) of ``m`` is a nonzero
+    multiple of reduced echelon row r, the rest vanish on the first ``width``
+    columns, and det(rows) = num * prod(m[r][r]) / den for square nonsingular
+    rows (num and den track the swaps, row updates and clearing).
+    """
+    m = []
+    num, den = 1, 1
+    for row in rows:
+        ints, lcd = cleared(row)
+        m.append(ints)
+        den *= lcd
+    if width is None:
+        width = len(m[0]) if m else 0
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            num = -num
+        pivot_row = m[r]
+        a = pivot_row[c]
+        for i, row in enumerate(m):
+            if i != r and row[c] != 0:
+                m[i], g = row_update(a, row, row[c], pivot_row)
+                num *= g
+                den *= a
+        pivots.append(c)
+    return m, pivots, (num, den)
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (rref rows, pivot column indices)."""
-    m = [list(row) for row in rows]
-    if not m:
+    if not rows:
         return (), ()
+    m, pivots, _ = _gauss_jordan(rows)
     ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(row) for row in m), tuple(pivots)
+    red = [tuple(Fraction(v, row[c]) for v in row) for row, c in zip(m, pivots)]
+    red += [(Fraction(0),) * ncols] * (len(m) - len(pivots))
+    return tuple(red), tuple(pivots)
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+    return len(_gauss_jordan(rows)[1])
 
 
 def nullspace(rows, ncols=None):
@@ -124,16 +165,13 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("ncols required for an empty row list")
         ncols = len(rows[0])
-    if not rows:
-        return tuple(tuple(Fraction(i == j) for j in range(ncols)) for i in range(ncols))
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots, _ = _gauss_jordan(rows, ncols)
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
+        for row, c in zip(m, pivots):
+            vec[c] = Fraction(-row[f], row[c])
         basis.append(tuple(vec))
     return tuple(basis)
 
@@ -141,51 +179,36 @@ def nullspace(rows, ncols=None):
 def solve(rows, rhs):
     """Solve a square nonsingular system exactly; None when singular."""
     n = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
+    m, pivots, _ = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(row[n], row[r]) for r, row in enumerate(m))
+
+
+def inverse(rows):
+    """Inverse of a square matrix as a tuple of rows; None when singular."""
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots, _ = _gauss_jordan(augmented, n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(Fraction(v, row[r]) for v in row[n:]) for r, row in enumerate(m))
 
 
 def det(rows):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
-
-
-def int_rows(rows):
-    """Clear denominators row by row (rank and matroid data are unchanged)."""
-    return tuple(primitive(row) for row in rows)
+    """Determinant of a square matrix, from the same integer pass."""
+    m, pivots, (num, den) = _gauss_jordan(rows)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    for r, row in enumerate(m):
+        num *= row[r]
+    return Fraction(num, den)
 
 
 class IntEchelon:
     """Incremental integer echelon form used for subset-rank enumeration.
 
-    Rows are reduced with cross-multiplication, so no fractions appear.
+    Rows are reduced with :func:`row_update`, so no fractions appear.
     ``copy()`` is cheap enough for a depth-first subset walk.
     """
 
@@ -202,21 +225,31 @@ class IntEchelon:
         return other
 
     def insert(self, row) -> bool:
-        """Reduce ``row`` against the current basis; True if rank grew."""
-        row = list(row)
+        """Reduce the integer ``row`` against the current basis; True if rank grew."""
         for basis, lead in zip(self.rows, self.lead):
             if row[lead] != 0:
-                a, b = basis[lead], row[lead]
-                row = [b0 * a - a0 * b for a0, b0 in zip(basis, row)]
+                row, _ = row_update(basis[lead], row, row[lead], basis)
         leadpos = next((i for i, v in enumerate(row) if v != 0), None)
         if leadpos is None:
             return False
-        g = gcd(*row)
-        if g > 1:
-            row = [v // g for v in row]
         self.rows.append(row)
         self.lead.append(leadpos)
         return True
+
+    @staticmethod
+    def independent_rows(rows, count):
+        """Indices of the first ``count`` rows that each raise the rank, or None.
+
+        Greedy in the given order; the rows may be rational.
+        """
+        echelon = IntEchelon()
+        chosen = []
+        for i, row in enumerate(rows):
+            if len(chosen) == count:
+                break
+            if echelon.insert(primitive(row)):
+                chosen.append(i)
+        return chosen if len(chosen) == count else None
 
     @property
     def rank(self) -> int:

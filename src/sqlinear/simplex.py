@@ -16,7 +16,9 @@ questions near degenerate arrangements.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+
+from .ratlin import cleared, row_update
 
 
 def feasible_point(rows):
@@ -33,9 +35,7 @@ def feasible_point(rows):
     ncols = 2 * d + 2 * m
     tableau = []
     for i, row in enumerate(rows):
-        ratios = [v.as_integer_ratio() for v in row]
-        scale = lcm(*(q for _, q in ratios))
-        ints = [p * (scale // q) for p, q in ratios]
+        ints, scale = cleared(row)
         line = ints + [-v for v in ints] + [0] * (2 * m) + [scale]
         line[2 * d + i] = -scale
         line[2 * d + m + i] = scale
@@ -74,10 +74,8 @@ def feasible_point(rows):
         for i, line in enumerate(tableau):
             f = line[enter]
             if i != leave and f != 0:
-                # piv * line - f * pivot_row with piv > 0, over its content.
-                line = [piv * a - f * b for a, b in zip(line, pivot_row)]
-                g = gcd(*line)
-                tableau[i] = [v // g for v in line] if g > 1 else line
+                # piv > 0 keeps every row a positive multiple of its Fraction row.
+                tableau[i], _ = row_update(piv, line, f, pivot_row)
         basis[leave] = enter
 
     if tableau[m][ncols] != 0:

@@ -95,6 +95,21 @@ class TestCharacteristicPolynomial:
         permuted = Arrangement(A=tuple(scaled[i] for i in order))
         assert characteristic_polynomial(permuted).coeffs == chi.coeffs
 
+    def test_matches_subset_oracle_on_degenerate_arrangements(self, pyrng):
+        # Repeated, parallel and dependent rows reach full rank early, where
+        # the walk cuts its branch; non-essential ones never do.
+        for trial in range(8):
+            d = 2 + trial % 3
+            rows = [tuple(pyrng.randint(-3, 3) for _ in range(d)) for _ in range(3)]
+            while len(rows) < 6:
+                a, b = pyrng.sample(rows, 2)
+                rows.append(tuple(pyrng.choice([1, 2, -1]) * x + pyrng.randint(-1, 1) * y for x, y in zip(a, b)))
+            if trial == 7:
+                rows = [row[:-1] + (0,) for row in rows]
+            rows = [row for row in rows if any(row)]
+            arr = Arrangement(A=rows)
+            assert characteristic_polynomial(arr).coeffs == subset_rank_charpoly(arr)
+
     def test_budget(self):
         arr = Arrangement(A=tuple((1, i) for i in range(25)))
         with pytest.raises(BudgetExceeded):

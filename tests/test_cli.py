@@ -308,6 +308,63 @@ class TestExitCodes:
         assert err["error"]["type"] == "ValidationError"
         assert repr(key) in err["error"]["message"]
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_voronoi_samples_below_one(self, tmp_path, capsys, samples):
+        doc = dict(
+            {"A": [[1, 0], [1, 1], [1, 2], [0, 1]], "y": [3, 2, 1, -1]},
+            segment={"start": ["3/5", "4/15", "1/15", "1/15"], "end": ["3/50", "2/75", "11/30", "41/75"]},
+        )
+        code, text = run(tmp_path, "voronoi", doc, "--samples", samples)
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError" and "steps" in err["message"]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_mle_tolerance_not_finite_positive(self, tmp_path, capsys, tol):
+        code, text = run(tmp_path, "mle", dict(STEINER, s=[4, 3, 2, 1]), "--tol", tol)
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "validation" and "tol" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["regions"], "--input"),
+            (["frobnicate", "--input", "x.json"], "invalid choice"),
+            (["regions", "--input", "x.json", "--tol", "1"], "unrecognized arguments: --tol 1"),
+            (["mldegree", "--input", "x.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["degenerate", "--input", "x.json", "--anchor", "one"], "invalid int value"),
+            ([], "command"),
+        ],
+    )
+    def test_usage_errors_are_json(self, capsys, argv, fragment):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["schema"] == "slm/1"
+        assert err["error"]["kind"] == "validation"
+        assert fragment in err["error"]["message"]
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["voronoi", "-h"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--samples" in out and "--tol" in out and "--anchor" not in out
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        from sqlinear.cli import COMMANDS, build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        optional = 0
+        for name, (_, _, flags) in COMMANDS.items():
+            taken = {s for a in sub.choices[name]._actions for s in a.option_strings}
+            assert taken == {"-h", "--help", "--input", "--output", *flags}
+            optional += len(flags)
+        # With --output on every command: 13 + 12 = 25 optional values, was 13 x 7 = 91.
+        assert optional == 12
+
     def test_bad_anchor(self, tmp_path):
         code, _ = run(tmp_path, "degenerate", STEINER, "--anchor", "9")
         assert code == 2

@@ -269,6 +269,13 @@ class TestLogVoronoiScan:
         assert profile.crossings == ()
         assert set(profile.tags) == {"+++-"}
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_rejected(self, four_points, steps):
+        total = sum(v * v for v in QUAD_Y)
+        s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
+        with pytest.raises(ValidationError, match="steps"):
+            log_voronoi_scan(four_points, QUAD_Y, s_star, s_star, steps=steps)
+
     def test_segment_validation(self, four_points):
         with pytest.raises(ValidationError):
             log_voronoi_scan(

@@ -167,6 +167,11 @@ class TestSolveAll:
         tags = [str(p.region) for p in solve_all(steiner, s).points]
         assert tags == sorted(tags)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            SolveOptions(tol=tol)
+
     def test_impossible_tolerance_aggregates(self, steiner, rng):
         # tol = 0 is unreachable except by an exact floating-point zero of
         # the gradient; failing regions are collected without aborting the
