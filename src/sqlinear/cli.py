@@ -199,7 +199,7 @@ def _cmd_mldegree(doc, args):
 
 def _cmd_mle(doc, args):
     model = jsonio.model_from_json(doc)
-    s = [float(v) for v in jsonio.parse_vector(_need(doc, "s"), "s")]
+    s = jsonio.to_doubles(jsonio.parse_vector(_need(doc, "s"), "s"), "s")
     result = solve_all(model, s, _solve_options(args))
     if result.failures:
         tags = ", ".join(str(region.sign) for region, _ in result.failures)
@@ -236,6 +236,7 @@ def _cmd_degenerate(doc, args):
 def _cmd_tropical(doc, args):
     model = jsonio.model_from_json(doc)
     w = jsonio.parse_vector(_need(doc, "w"), "w")
+    jsonio.to_doubles(w, "w")  # tracking runs in floats
     anchor = _anchor_index(args, model.n)
     trop = TropicalData(w=w, anchor=anchor)
     predictions = tropical_predictions(model, trop, check_generic=False)
@@ -313,6 +314,8 @@ def _cmd_voronoi(doc, args):
         raise ValidationError("segment must be an object with 'start' and 'end'")
     start = jsonio.parse_vector(segment["start"], "segment.start")
     end = jsonio.parse_vector(segment["end"], "segment.end")
+    for point, name in ((start, "segment.start"), (end, "segment.end")):
+        jsonio.to_doubles(point, name)  # the scan solves in floats
     profile = log_voronoi_scan(
         model, y, start, end, steps=args.samples, opts=_solve_options(args)
     )
@@ -339,7 +342,7 @@ def _cmd_dpp(doc, args):
     if dpp.n - dpp.k == 2:
         out["ml_degree_formula"] = dpp_ml_degree_l2(dpp.n)
     if "Theta" in doc:
-        Theta = [[float(v) for v in row] for row in jsonio.parse_matrix(doc["Theta"], "Theta")]
+        Theta = [jsonio.to_doubles(row, "Theta") for row in jsonio.parse_matrix(doc["Theta"], "Theta")]
         dist = dpp_probabilities(np.array(Theta))
         out["distribution"] = [
             {"sigma": [i + 1 for i in sigma], "prob": float(p)}
@@ -384,14 +387,14 @@ def _cmd_plot(doc, args):
     model = jsonio.model_from_json(doc)
     overlays = Overlays()
     if "w" in doc and args.anchor is not None:
-        trop = TropicalData(
-            w=jsonio.parse_vector(doc["w"], "w"), anchor=_anchor_index(args, model.n)
-        )
+        w = jsonio.parse_vector(doc["w"], "w")
+        jsonio.to_doubles(w, "w")  # tracking runs in floats
+        trop = TropicalData(w=w, anchor=_anchor_index(args, model.n))
         estimates = estimate_valuations(model, trop, eps_grid=_eps_grid(args))
         solutions = unit_data_solutions(model, trop.anchor)
         overlays = _plot_overlays_from_tracking(model, estimates, solutions)
     if "s" in doc:
-        s = [float(v) for v in jsonio.parse_vector(doc["s"], "s")]
+        s = jsonio.to_doubles(jsonio.parse_vector(doc["s"], "s"), "s")
         result = solve_all(model, s, _solve_options(args))
         overlays.critical_points = [p.x for p in result.points]
     if "y" in doc and model.n == 3:

@@ -8,9 +8,12 @@ B diag(y)^(-1), and stays constant while y moves inside a region of the
 chamber arrangement (the original hyperplanes plus one determinantal
 hyperplane per column subset of size n-d+1).
 
-All polytopes here are desk-scale, so vertices come from brute-force ray
-enumeration and facets from subset enumeration, exactly over the rationals
-whenever y is rational.
+All polytopes here are desk-scale. Exact rational arithmetic runs only
+where vertices and facets are found: brute-force ray enumeration for the
+log-normal polytope, supporting hyperplanes through point subsets for a hull
+(and the one elimination that gives the hull's dimension). Every other face,
+with its dimension, is read off the vertex-facet incidences alone by walking
+down from the facets, so no rank is taken per face.
 """
 
 from __future__ import annotations
@@ -100,36 +103,22 @@ class VoronoiProfile:
     crossings: tuple  # (t_refined, tag_before, tag_after)
 
 
-def _affine_rank(points) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    diffs = [ratlin.sub(p, base) for p in points[1:]]
-    return ratlin.rank(diffs)
+def _face_layers(facet_sets, dim):
+    """Proper nonempty faces as vertex sets, one layer per dimension.
 
-
-def _face_lattice(facet_sets):
-    """All proper nonempty faces as vertex sets, closed under intersection."""
-    faces = set(facet_sets)
-    frontier = list(facet_sets)
-    while frontier:
-        face = frontier.pop()
-        for facet in facet_sets:
-            meet = face & facet
-            if meet and meet != face and meet not in faces:
-                faces.add(meet)
-                frontier.append(meet)
-    return faces
-
-
-def _f_vector(vertices, facet_sets, dim):
-    faces = _face_lattice(facet_sets)
-    counts = [0] * dim
-    for face in faces:
-        fdim = _affine_rank([vertices[i] for i in sorted(face)])
-        if fdim < dim:
-            counts[fdim] += 1
-    return tuple(counts)
+    Layer dim-1 holds the facets, and the faces one dimension below a face H
+    are the inclusion-maximal nonempty sets H & f over the facets f not
+    containing H (Kaibel & Pfetsch 2002, "Computing the face lattice of a
+    polytope from its vertex-facet incidences"). A point has no layers.
+    """
+    layers = [set(facet_sets)]
+    while len(layers) < dim:
+        below = set()
+        for face in layers[0]:
+            meets = {face & facet for facet in facet_sets} - {face, frozenset()}
+            below.update(m for m in meets if not any(m < other for other in meets))
+        layers.insert(0, below)
+    return layers[:dim]
 
 
 def _check_kernel_point(model: SquaredLinearModel, y, slack: float = 1e-9):
@@ -146,8 +135,8 @@ def _check_kernel_point(model: SquaredLinearModel, y, slack: float = 1e-9):
     B = model.B.B
     residual = ratlin.matvec(B, y)
     if not ratlin.is_zero(residual):
-        scale = max(abs(float(v)) for v in y)
-        if max(abs(float(v)) for v in residual) > slack * max(scale, 1.0):
+        scale = max(1, *(abs(v) for v in y))
+        if max(abs(v) for v in residual) > Fraction(slack) * scale:
             raise ValidationError("y is not in the kernel of B")
         gram = ratlin.matmul(B, ratlin.transpose(B))
         u = ratlin.solve(gram, residual)
@@ -163,7 +152,11 @@ def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
     Realized through the cone {z : z^T Btilde >= 0} with Btilde = [1; B Y^-1]:
     extreme rays are enumerated over column subsets of size n-d, mapped to
     data space by s = z^T [y^2; B Y], and normalized to unit coordinate sum.
-    Facets are the simplex facets s_i >= 0 that cut the affine hull properly.
+    The polytope has dimension n-d: it holds s* = y^2 / sum(y^2) > 0, and the
+    rows [y^2; B Y] are independent. Its facets are the inclusion-maximal
+    nonempty zero sets {vertices with s_i = 0}, listed by i (two coordinates
+    with one zero set give the facet twice); none holds every vertex, as
+    s* > 0. The other faces follow from these vertex-facet incidences.
     """
     y = _check_kernel_point(model, y)
     n, d = model.n, model.d
@@ -197,44 +190,38 @@ def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
             continue
         vertices.add(tuple(v / total for v in s))
     vertices = sorted(vertices)
-    dim = _affine_rank(vertices)
-
-    h_rep = []
-    incidence = []
-    for i in range(n):
-        on_i = frozenset(k for k, v in enumerate(vertices) if v[i] == 0)
-        if on_i and _affine_rank([vertices[k] for k in sorted(on_i)]) == dim - 1:
-            normal = tuple(Fraction(int(j == i)) for j in range(n))
-            h_rep.append((normal, Fraction(0)))
-            incidence.append(on_i)
-    f_vec = _f_vector(vertices, incidence, dim)
+    dim = n - d
+    zero_sets = [frozenset(k for k, v in enumerate(vertices) if v[i] == 0) for i in range(n)]
+    facets = [i for i, z in enumerate(zero_sets) if z and not any(z < other for other in zero_sets)]
+    incidence = tuple(zero_sets[i] for i in facets)
     return Polytope(
         ambient_dim=n,
         dim=dim,
         V_rep=tuple(vertices),
-        H_rep=tuple(h_rep),
-        f_vector=f_vec,
-        incidence=tuple(incidence),
+        H_rep=tuple((tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0)) for i in facets),
+        f_vector=tuple(len(layer) for layer in _face_layers(incidence, dim)),
+        incidence=incidence,
     )
 
 
 def polytope_from_points(points, ambient_dim=None) -> Polytope:
     """Convex hull combinatorics of a rational point configuration.
 
-    Facets come from enumerating supporting hyperplanes through point
-    subsets; faces and the f-vector follow from facet incidences. Points
-    inside the hull simply never appear in a zero-dimensional face.
+    The hull dimension is the rank of the point differences. Facets come from
+    enumerating supporting hyperplanes through point subsets, exactly; every
+    other face and the f-vector follow from the facet incidences alone, and
+    the vertices are the points on the zero-dimensional faces. Points inside
+    the hull or inside a facet never form a face of their own.
     """
     points = [tuple(ratlin.as_fraction(v) for v in p) for p in points]
     if ambient_dim is None:
         ambient_dim = len(points[0])
-    dim = _affine_rank(points)
     base = points[0]
+    echelon, pivots = ratlin.rref([ratlin.sub(p, base) for p in points[1:]])
+    dim = len(pivots)
     if dim < ambient_dim:
         # Work in coordinates on the affine hull.
-        diffs = [ratlin.sub(p, base) for p in points[1:]]
-        echelon, pivots = ratlin.rref(diffs)
-        frame = [echelon[r] for r in range(dim)]
+        frame = echelon[:dim]
         gram = [[ratlin.dot(u, v) for v in frame] for u in frame]
         coords = []
         for p in points:
@@ -247,8 +234,6 @@ def polytope_from_points(points, ambient_dim=None) -> Polytope:
     facet_sets = {}
     for subset in itertools.combinations(range(len(work)), dim):
         chosen = [work[k] for k in subset]
-        if _affine_rank(chosen) != dim - 1:
-            continue
         rows = [ratlin.sub(p, chosen[0]) for p in chosen[1:]]
         kernel = ratlin.nullspace(rows, ncols=dim)
         if len(kernel) != 1:
@@ -268,19 +253,15 @@ def polytope_from_points(points, ambient_dim=None) -> Polytope:
         facet_sets[members] = (normal, offset)
 
     incidence = sorted(facet_sets, key=sorted)
-    f_vec = _f_vector(work, incidence, dim)
-    vertex_set = set()
-    faces = _face_lattice(set(incidence))
-    for face in faces:
-        if _affine_rank([work[k] for k in sorted(face)]) == 0:
-            vertex_set.update(face)
+    layers = _face_layers(incidence, dim)
+    vertex_set = set().union(*layers[0]) if layers else set()
     h_rep = tuple(facet_sets[m] for m in incidence)
     return Polytope(
         ambient_dim=ambient_dim,
         dim=dim,
         V_rep=tuple(points[k] for k in sorted(vertex_set)),
         H_rep=h_rep,
-        f_vector=f_vec,
+        f_vector=tuple(len(layer) for layer in layers),
         incidence=tuple(incidence),
     )
 

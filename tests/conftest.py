@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sqlinear import ratlin
 from sqlinear.catalog import (
     braid_arrangement,
     circle_arrangement,
@@ -12,6 +14,7 @@ from sqlinear.catalog import (
     six_points_arrangement,
     steiner_arrangement,
 )
+from sqlinear.geometry import chamber_forms
 from sqlinear.model import make_model
 
 
@@ -83,3 +86,30 @@ def canonical_x(x):
     x = x / np.linalg.norm(x)
     lead = next(v for v in x if abs(v) > 1e-12)
     return x if lead > 0 else -x
+
+
+def sample_kernel_point(model, pyrng, avoid_chamber=True):
+    """Random rational model point off the arrangement (and chamber walls)."""
+    forms = chamber_forms(model) if avoid_chamber else ()
+    for _ in range(200):
+        x = tuple(Fraction(pyrng.randint(-9, 9)) for _ in range(model.d))
+        y = model.arr.form_values(x)
+        if any(v == 0 for v in y):
+            continue
+        if avoid_chamber and any(ratlin.dot(f.normal, x) == 0 for f in forms):
+            continue
+        return y
+    raise AssertionError("could not sample a kernel point")
+
+
+def sample_wall_point(model, pyrng):
+    """Random rational model point on one chamber wall, off the arrangement."""
+    normal = pyrng.choice(chamber_forms(model)).normal
+    for _ in range(200):
+        u = [pyrng.randint(-5, 5) for _ in range(model.d)]
+        v = [pyrng.randint(-5, 5) for _ in range(model.d)]
+        x = ratlin.sub(ratlin.scale(u, ratlin.dot(normal, v)), ratlin.scale(v, ratlin.dot(normal, u)))
+        y = model.arr.form_values(x)
+        if all(t != 0 for t in y):
+            return y
+    raise AssertionError("could not sample a wall point")

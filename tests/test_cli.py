@@ -263,6 +263,25 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "command, fields, extra",
+        [
+            ("mle", {"s": ["1e400", 2, 3, 4]}, []),
+            ("plot", {"s": ["1e400", 2, 3, 4]}, []),
+            ("tropical", {"w": [0, "1e400", 3, 2]}, ["--anchor", "1"]),
+            ("lognormal", {"y": ["1e400", 2, 1, -1]}, []),
+            ("voronoi", {"y": [3, 2, 1, -1], "segment": {"start": ["9e400", "4e400", "1e400", "1e400"], "end": [9, 4, 1, 1]}}, []),
+            ("dpp", {"Theta_fixed": [[1, 1, 1, 1]], "k": 2, "n": 4, "Theta": [[1, 1, 1, 1], ["1e400", 1, 2, 3]]}, []),
+        ],
+        ids=["mle", "plot", "tropical", "lognormal", "voronoi", "dpp"],
+    )
+    def test_rational_beyond_double_range(self, tmp_path, capsys, command, fields, extra):
+        doc = {"A": [[1, 0], [1, 1], [1, 2], [0, 1]], **fields}
+        code, text = run(tmp_path, command, doc, *extra)
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+
     def test_every_region_failing_lists_all_failures(self, tmp_path, capsys):
         code, text = run(tmp_path, "mle", dict(STEINER, s=[0.4, 0.3, 0.2, 0.1]), "--tol", "1e-300")
         assert code == 3 and text == ""

@@ -7,7 +7,6 @@ from sqlinear.catalog import random_arrangement
 from sqlinear.errors import ValidationError, ZeroCoordinate
 from sqlinear.geometry import (
     chamber_arrangement,
-    chamber_forms,
     combinatorial_type_scan,
     dual_polytope,
     log_voronoi_scan,
@@ -18,21 +17,9 @@ from sqlinear.geometry import (
 )
 from sqlinear.model import make_model
 
+from conftest import sample_kernel_point, sample_wall_point
+
 QUAD_Y = (3, 2, 1, -1)
-
-
-def sample_kernel_point(model, pyrng, avoid_chamber=True):
-    """Random rational model point off the arrangement (and chamber walls)."""
-    forms = chamber_forms(model) if avoid_chamber else ()
-    for _ in range(200):
-        x = tuple(Fraction(pyrng.randint(-9, 9)) for _ in range(model.d))
-        y = model.arr.form_values(x)
-        if any(v == 0 for v in y):
-            continue
-        if avoid_chamber and any(ratlin.dot(f.normal, x) == 0 for f in forms):
-            continue
-        return y
-    raise AssertionError("could not sample a kernel point")
 
 
 class TestLognormalPolytope:
@@ -137,6 +124,27 @@ class TestDualPolytope:
             s_star = tuple(v * v / total for v in y)
             assert _in_row_span(model, y, s_star)
             assert pi.dim == model.n - model.d
+            checked += 1
+        # On a chamber wall the dual Q may stop being simplicial. Keep the
+        # walls where it does: there the polytope is not simple, and the
+        # reversed f-vector duality must still hold.
+        checked = 0
+        while checked < 5:
+            d = pyrng.choice([2, 3])
+            n = pyrng.randint(d + 3, 8)
+            try:
+                model = make_model(random_arrangement(d, n, pyrng, lo=-5, hi=5))
+                y = sample_wall_point(model, pyrng)
+            except AssertionError:
+                continue
+            pi = lognormal_polytope(model, y)
+            q = dual_polytope(model, y)
+            points = [ratlin.scale(col, 1 / v) for col, v in zip(ratlin.transpose(model.B.B), y)]
+            corners = {k for k, p in enumerate(points) if p in q.V_rep}
+            if all(len(facet & corners) == q.dim for facet in q.incidence):
+                continue
+            assert pi.f_vector == tuple(reversed(q.f_vector))
+            assert pi.is_simple() is False
             checked += 1
 
 
