@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 from . import ratlin
 from .errors import BudgetExceeded, ParallelRows, RankDeficient
@@ -237,46 +238,117 @@ def generic_ml_degree(d: int, n: int) -> int:
     return binomial_sum
 
 
+def _ray(ints):
+    """Integer vector divided by the gcd of its entries (direction kept)."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _split(rays, row, bit, d):
+    """One double-description step: the extreme rays of both halves of a cone.
+
+    ``rays`` are the (vector, zero mask) pairs of a pointed cone's extreme
+    rays, the mask holding the bits of the inserted rows that vanish on the
+    ray. Returns {1: rays of cone & {row >= 0}, -1: rays of cone & {row <= 0}},
+    with None for a half that no ray enters strictly: its open part is empty.
+    Rays on the hyperplane gain ``bit``; each adjacent pair across it adds
+    the ray where their 2-face meets it. Two rays are adjacent when their
+    common zero set has at least d - 2 rows and no third ray vanishes on all
+    of them (Fukuda & Prodon 1996).
+    """
+    pos, neg, both = [], [], []
+    for ray, mask in rays:
+        value = sum(map(mul, row, ray))
+        if value > 0:
+            pos.append((value, ray, mask))
+        elif value < 0:
+            neg.append((value, ray, mask))
+        else:
+            both.append((ray, mask | bit))
+    for vp, p, mp in pos:
+        for vn, q, mq in neg:
+            common = mp & mq
+            if common.bit_count() >= d - 2 and sum(m & common == common for _, m in rays) == 2:
+                both.append((_ray([vp * b - vn * a for a, b in zip(p, q)]), common | bit))
+    return {
+        1: [(ray, mask) for _, ray, mask in pos] + both if pos else None,
+        -1: [(ray, mask) for _, ray, mask in neg] + both if neg else None,
+    }
+
+
+def _cone_rays(signs, chosen, base, ints, d):
+    """Extreme rays of the closed cone {s_i A_i x >= 0 : i < len(signs)}.
+
+    ``base`` holds the rays of the simplicial cone of the ``chosen`` rows with
+    positive signs; the other rows are cut in one by one.
+    """
+    full = sum(1 << i for i in chosen)
+    rays = [(tuple(signs[i] * v for v in ray), full & ~(1 << i)) for i, ray in zip(chosen, base)]
+    for i in range(len(signs)):
+        if i not in chosen:
+            rays = _split(rays, ints[i], 1 << i, d)[signs[i]]
+    return rays
+
+
 def enumerate_regions(arr: Arrangement) -> list:
     """All regions of the projective complement, as canonical sign vectors.
 
     Hyperplanes are inserted one at a time. A region survives unsplit when
-    the opposite side of the new hyperplane is infeasible for its cone; the
-    feasibility questions are exact rational LPs from :mod:`.simplex`, so
-    near-degenerate arrangements cannot be misclassified. Regions come back
-    sorted by sign string; the count always equals ``ml_degree(arr)``.
+    the opposite side of the new hyperplane is empty for its cone. Once the
+    inserted rows reach rank d, every cone is pointed and carries its extreme
+    rays (primitive integer vectors with a bitmask of the rows vanishing on
+    them), started from one inverse of d independent rows and updated by the
+    double-description step of :func:`_split`. A side is empty exactly when
+    no ray enters it, so exact LPs from :mod:`.simplex` run only to produce
+    the witness of a new region, or while the rows have rank < d. Each LP
+    that runs is the one the unscreened loop would run (kept in
+    tests/lp_oracle.py as the oracle), so witnesses do not depend on the
+    screen. Regions come back sorted by sign string; the count always
+    equals ``ml_degree(arr)``.
     """
     _require_essential(arr)
     pairs = _parallel_pairs(arr)
     if pairs:
         raise ParallelRows(pairs)
-    A = arr.A
+    A, n, d = arr.A, arr.n, arr.d
     # signed[i][s] is s * A[i], built once instead of once per cone.
     signed = [{1: row, -1: ratlin.scale(row, -1)} for row in A]
+    ints = [_ray(ratlin.cleared(row)[0]) for row in A]
+    # Screening starts after the first prefix of rank d. The simplicial cone
+    # {s_j M_j x >= 0} of d independent rows M has the rays s_j (M^-1)_{:,j}.
+    chosen = ratlin.IntEchelon.independent_rows(A, d)
+    start = chosen[-1] + 1
+    columns = ratlin.transpose(ratlin.inverse([A[i] for i in chosen]))
+    base = [_ray(ratlin.cleared(col)[0]) for col in columns]
     first = A[0]
     w0 = ratlin.scale(first, 1 / ratlin.dot(first, first))
-    regions = [((1,), w0)]
-    for h in range(1, arr.n):
-        row = A[h]
+    regions = [((1,), w0, None)]
+    for h in range(1, n):
+        if h == start:
+            regions = [(s, w, _cone_rays(s, chosen, base, ints, d)) for s, w, _ in regions]
         grown = []
-        for signs, witness in regions:
-            cone = [signed[i][s] for i, s in enumerate(signs)]
-            value = ratlin.dot(row, witness)
+        for signs, witness, rays in regions:
+            parts = {1: None, -1: None} if rays is None else _split(rays, ints[h], 1 << h, d)
+            sides = [s for s in (1, -1) if rays is None or parts[s] is not None]
+            if len(sides) == 1:
+                # The rays leave one side empty: the witness is on the other.
+                grown.append((signs + (sides[0],), witness, parts[sides[0]]))
+                continue
+            value = ratlin.dot(A[h], witness)
             if value != 0:
                 side = 1 if value > 0 else -1
-                other = feasible_point(cone + [signed[h][-side]])
-                grown.append((signs + (side,), witness))
-                if other is not None:
-                    grown.append((signs + (-side,), other))
-            else:
-                # Witness sits on the new hyperplane: both sides are cut out.
-                for side in (1, -1):
+                grown.append((signs + (side,), witness, parts[side]))
+            # Probe the side(s) the witness misses. A witness on the new
+            # hyperplane is interior to the cone, so both sides are cut out.
+            cone = [signed[i][s] for i, s in enumerate(signs)]
+            for side in sides:
+                if side * value <= 0:
                     point = feasible_point(cone + [signed[h][side]])
                     if point is not None:
-                        grown.append((signs + (side,), point))
+                        grown.append((signs + (side,), point, parts[side]))
         regions = grown
     result = []
-    for signs, witness in regions:
+    for signs, witness, _ in regions:
         top = max(abs(v) for v in witness)
         scaled = tuple(v / top for v in witness)
         result.append(Region(sign=SignVector(signs), witness=scaled))

@@ -70,20 +70,36 @@ class DiscriminantalArrangement:
     column_permutation: tuple
 
 
+def _squared_minor_ratios(Theta, states):
+    minors = np.array([np.linalg.det(Theta[:, sigma]) for sigma in states])
+    return minors**2 / float(np.linalg.det(Theta @ Theta.T))
+
+
 def dpp_probabilities(Theta) -> SubsetDistribution:
     """Probabilities det(Theta_sigma)^2 / det(Theta Theta^T) over k-subsets.
 
     The denominator is the Cauchy-Binet total of the squared minors, so the
-    distribution is normalized by construction up to roundoff.
+    distribution is normalized by construction up to roundoff. Scaling a row
+    leaves the probabilities unchanged, so the rank test runs on rows scaled
+    to max |entry| = 1: its tolerance is relative to the largest singular
+    value, and would take a badly scaled row for a dependent one. The minors
+    use the rows as given, and the scaled rows only where the given ones
+    overflow or underflow, so well-scaled input keeps its exact floats.
     """
     Theta = np.asarray(Theta, dtype=float)
     k, n = Theta.shape
-    if k > n or np.linalg.matrix_rank(Theta) < k:
+    top = np.abs(Theta).max(axis=1, initial=0.0)
+    if k > n or not np.all(top > 0):
+        raise RankDeficient("parameter matrix must have full row rank k")
+    scaled = Theta / top[:, None]
+    if np.linalg.matrix_rank(scaled) < k:
         raise RankDeficient("parameter matrix must have full row rank k")
     states = tuple(itertools.combinations(range(n), k))
-    minors = np.array([np.linalg.det(Theta[:, sigma]) for sigma in states])
-    total = float(np.linalg.det(Theta @ Theta.T))
-    return SubsetDistribution(states=states, probs=minors**2 / total)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        probs = _squared_minor_ratios(Theta, states)
+    if not np.isfinite(probs).all():
+        probs = _squared_minor_ratios(scaled, states)
+    return SubsetDistribution(states=states, probs=probs)
 
 
 def reduced_points(dpp: DPPModel):

@@ -14,8 +14,24 @@ from sqlinear.catalog import (
     six_points_arrangement,
     steiner_arrangement,
 )
+from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.geometry import chamber_forms
 from sqlinear.model import make_model
+
+
+# Named arrangements for the differential tests of region enumeration.
+CATALOG = {
+    "steiner": steiner_arrangement,
+    "braid4": lambda: braid_arrangement(4),
+    "braid5": lambda: braid_arrangement(5),
+    "circle": circle_arrangement,
+    "four_points": four_points_arrangement,
+    "six_points": six_points_arrangement,
+    "seven_lines": seven_lines_arrangement,
+    "dpp5": lambda: linear_projection_arrangement(
+        DPPModel(Theta_fixed=((1, 2, 3, 4, 5), (2, -1, 4, 1, -3)), k=3, n=5)
+    ).arrangement,
+}
 
 
 @pytest.fixture(scope="session")

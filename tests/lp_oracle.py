@@ -1,15 +1,26 @@
-"""Test oracle: the phase-1 simplex over ``Fraction``s.
+"""Test oracles for the exact LP layer.
 
-This is the textbook form of :func:`sqlinear.simplex.feasible_point`: the
-same LP (x = u - v, slacks, artificials) and the same Bland pivots, with
-every basic variable normalized to coefficient 1. The library's kernel runs
-on integer rows instead; tests/test_simplex.py checks that both return the
-same exact point, LP by LP.
+:func:`feasible_point` is the phase-1 simplex over ``Fraction``s, the
+textbook form of :func:`sqlinear.simplex.feasible_point`: the same LP
+(x = u - v, slacks, artificials) and the same Bland pivots, with every basic
+variable normalized to coefficient 1. The library's kernel runs on integer
+rows instead; tests/test_simplex.py checks that both return the same exact
+point, LP by LP.
+
+:func:`enumerate_regions` is region enumeration without the extreme-ray
+screen: one LP per (region, inserted hyperplane), infeasible or not. It calls
+the LP as ``simplex.feasible_point`` so a test can count its calls;
+tests/test_regions_oracle.py checks that the screened enumeration of
+:mod:`sqlinear.arrangement` returns the same regions and witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from sqlinear import ratlin, simplex
+from sqlinear.arrangement import Region, SignVector, _parallel_pairs, _require_essential
+from sqlinear.errors import ParallelRows
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -82,3 +93,43 @@ def feasible_point(rows):
         elif var < 2 * d:
             x[var - d] -= value
     return tuple(x)
+
+
+def enumerate_regions(arr):
+    """All regions of the projective complement, with one LP per split test."""
+    _require_essential(arr)
+    pairs = _parallel_pairs(arr)
+    if pairs:
+        raise ParallelRows(pairs)
+    A = arr.A
+    # signed[i][s] is s * A[i], built once instead of once per cone.
+    signed = [{1: row, -1: ratlin.scale(row, -1)} for row in A]
+    first = A[0]
+    w0 = ratlin.scale(first, 1 / ratlin.dot(first, first))
+    regions = [((1,), w0)]
+    for h in range(1, arr.n):
+        row = A[h]
+        grown = []
+        for signs, witness in regions:
+            cone = [signed[i][s] for i, s in enumerate(signs)]
+            value = ratlin.dot(row, witness)
+            if value != 0:
+                side = 1 if value > 0 else -1
+                other = simplex.feasible_point(cone + [signed[h][-side]])
+                grown.append((signs + (side,), witness))
+                if other is not None:
+                    grown.append((signs + (-side,), other))
+            else:
+                # Witness sits on the new hyperplane: both sides are cut out.
+                for side in (1, -1):
+                    point = simplex.feasible_point(cone + [signed[h][side]])
+                    if point is not None:
+                        grown.append((signs + (side,), point))
+        regions = grown
+    result = []
+    for signs, witness in regions:
+        top = max(abs(v) for v in witness)
+        scaled = tuple(v / top for v in witness)
+        result.append(Region(sign=SignVector(signs), witness=scaled))
+    result.sort(key=Region.key)
+    return result

@@ -18,6 +18,7 @@ from sqlinear.arrangement import (
 )
 from sqlinear.catalog import random_arrangement
 from sqlinear.errors import BudgetExceeded, ParallelRows, RankDeficient
+from sqlinear.geometry import chamber_arrangement
 
 
 def row_span(rows):
@@ -194,6 +195,20 @@ class TestEnumerateRegions:
             for _ in range(3):
                 arr = random_arrangement(d, n, pyrng)
                 assert len(enumerate_regions(arr)) == generic_ml_degree(d, n)
+
+    def test_chamber_arrangement_past_charpoly_budget(self, seven_lines):
+        """28 planes in d = 3: chi is out of budget, but for d = 3 the region
+        count |chi(-1)|/2 equals 1 + sum over rank-2 flats X of (m_X - 1)."""
+        arr = chamber_arrangement(seven_lines).arrangement
+        assert (arr.n, arr.d) == (28, 3)
+        with pytest.raises(BudgetExceeded):
+            characteristic_polynomial(arr)
+        expected = 1 + sum(len(f.subset) - 1 for f in flats(arr, 2) if f.rank == 2)
+        regions = enumerate_regions(arr)
+        assert len(regions) == expected == 300
+        for region in regions:
+            signs = tuple(1 if v > 0 else -1 for v in arr.form_values(region.witness))
+            assert signs == region.sign.signs
 
 
 def closure_oracle(arr, max_codim):

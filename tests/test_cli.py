@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -143,6 +144,21 @@ class TestBasicCommands:
         dist = out["distribution"]
         assert [entry["sigma"] for entry in dist] == sorted(e["sigma"] for e in dist)
         assert abs(sum(e["prob"] for e in dist) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("big", ["1e300", "1e200"])
+    def test_dpp_badly_scaled_theta(self, tmp_path, big):
+        doc = {"Theta_fixed": [[1, 1, 1, 1]], "k": 2, "n": 4, "Theta": [[1, 1, 1, 1], [big, 1, 2, 3]]}
+        code, text = run(tmp_path, "dpp", doc)
+        assert code == 0
+        probs = [e["prob"] for e in json.loads(text)["distribution"]]
+        assert all(math.isfinite(p) for p in probs)
+        assert abs(sum(probs) - 1.0) <= 1e-12
+
+    def test_dpp_dependent_theta_rejected(self, tmp_path, capsys):
+        doc = {"Theta_fixed": [[1, 1, 1, 1]], "k": 2, "n": 4, "Theta": [[1, 2, 3, 4], [2, 4, 6, 8]]}
+        code, text = run(tmp_path, "dpp", doc)
+        assert code == 2 and text == ""
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "RankDeficient"
 
     def test_rational_string_input(self, tmp_path):
         doc = {"A": [["1/2", "0"], ["0", "1/3"], ["1/2", "1/3"]]}

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CATALOG
 from lp_oracle import feasible_point as oracle_point
 from sqlinear import arrangement, catalog, ratlin
-from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.errors import ValidationError
 from sqlinear.simplex import feasible_point
 
@@ -128,20 +128,6 @@ def test_enumeration_matches_oracle_on_rational_degenerate_arrangements(monkeypa
         except ValidationError:
             continue  # zero, parallel or rank-deficient rows
         done += 1
-
-
-CATALOG = {
-    "steiner": catalog.steiner_arrangement,
-    "braid4": lambda: catalog.braid_arrangement(4),
-    "braid5": lambda: catalog.braid_arrangement(5),
-    "circle": catalog.circle_arrangement,
-    "four_points": catalog.four_points_arrangement,
-    "six_points": catalog.six_points_arrangement,
-    "seven_lines": catalog.seven_lines_arrangement,
-    "dpp5": lambda: linear_projection_arrangement(
-        DPPModel(Theta_fixed=((1, 2, 3, 4, 5), (2, -1, 4, 1, -3)), k=3, n=5)
-    ).arrangement,
-}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
