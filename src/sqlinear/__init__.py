@@ -48,7 +48,6 @@ from .geometry import (
     dual_polytope,
     log_voronoi_scan,
     lognormal_polytope,
-    polytope_from_points,
     swap_candidates,
 )
 from .mle import (

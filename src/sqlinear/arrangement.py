@@ -254,7 +254,9 @@ def _split(rays, row, bit, d):
     Rays on the hyperplane gain ``bit``; each adjacent pair across it adds
     the ray where their 2-face meets it. Two rays are adjacent when their
     common zero set has at least d - 2 rows and no third ray vanishes on all
-    of them (Fukuda & Prodon 1996).
+    of them (Fukuda & Prodon 1996). Region enumeration keeps both halves;
+    :mod:`.geometry` keeps only the positive one, cutting the data cone of a
+    log-normal polytope out row by row.
     """
     pos, neg, both = [], [], []
     for ray, mask in rays:
@@ -276,11 +278,24 @@ def _split(rays, row, bit, d):
     }
 
 
+def _simplicial_start(rows, d):
+    """The first d independent rows (greedy, as indices) and their cone's rays.
+
+    The simplicial cone {M_j x >= 0} of d independent rows M has the extreme
+    rays (M^-1)_{:,j}, returned as primitive integer vectors; ray j vanishes
+    on every chosen row but the j-th.
+    """
+    chosen = ratlin.IntEchelon.independent_rows(rows, d)
+    columns = ratlin.transpose(ratlin.inverse([rows[i] for i in chosen]))
+    return chosen, [_ray(ratlin.cleared(col)[0]) for col in columns]
+
+
 def _cone_rays(signs, chosen, base, ints, d):
     """Extreme rays of the closed cone {s_i A_i x >= 0 : i < len(signs)}.
 
     ``base`` holds the rays of the simplicial cone of the ``chosen`` rows with
-    positive signs; the other rows are cut in one by one.
+    positive signs (see :func:`_simplicial_start`); the other rows are cut in
+    one by one.
     """
     full = sum(1 << i for i in chosen)
     rays = [(tuple(signs[i] * v for v in ray), full & ~(1 << i)) for i, ray in zip(chosen, base)]
@@ -314,12 +329,9 @@ def enumerate_regions(arr: Arrangement) -> list:
     # signed[i][s] is s * A[i], built once instead of once per cone.
     signed = [{1: row, -1: ratlin.scale(row, -1)} for row in A]
     ints = [_ray(ratlin.cleared(row)[0]) for row in A]
-    # Screening starts after the first prefix of rank d. The simplicial cone
-    # {s_j M_j x >= 0} of d independent rows M has the rays s_j (M^-1)_{:,j}.
-    chosen = ratlin.IntEchelon.independent_rows(A, d)
+    # Screening starts after the first prefix of rank d.
+    chosen, base = _simplicial_start(A, d)
     start = chosen[-1] + 1
-    columns = ratlin.transpose(ratlin.inverse([A[i] for i in chosen]))
-    base = [_ray(ratlin.cleared(col)[0]) for col in columns]
     first = A[0]
     w0 = ratlin.scale(first, 1 / ratlin.dot(first, first))
     regions = [((1,), w0, None)]

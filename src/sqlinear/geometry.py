@@ -8,12 +8,14 @@ B diag(y)^(-1), and stays constant while y moves inside a region of the
 chamber arrangement (the original hyperplanes plus one determinantal
 hyperplane per column subset of size n-d+1).
 
-All polytopes here are desk-scale. Exact rational arithmetic runs only
-where vertices and facets are found: brute-force ray enumeration for the
-log-normal polytope, supporting hyperplanes through point subsets for a hull
-(and the one elimination that gives the hull's dimension). Every other face,
-with its dimension, is read off the vertex-facet incidences alone by walking
-down from the facets, so no rank is taken per face.
+All polytopes here are desk-scale. Exact arithmetic runs only where
+vertices and facets are found, and both come from one set of extreme rays:
+those of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}, cut out row by row
+with the integer double-description step of region enumeration. A ray maps
+to a vertex of the log-normal polytope and, by polarity, is a facet of the
+hull of the columns of B diag(y)^(-1). Every other face, with its dimension,
+is read off the vertex-facet incidences alone by walking down from the
+facets, so no rank is taken per face.
 """
 
 from __future__ import annotations
@@ -21,14 +23,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from . import ratlin
-from .arrangement import Arrangement, SignVector, enumerate_regions, interior_samples
+from .arrangement import (
+    Arrangement,
+    SignVector,
+    _cone_rays,
+    _ray,
+    _simplicial_start,
+    enumerate_regions,
+    interior_samples,
+)
 from .errors import (
     DegenerateMinor,
-    EmptyPolytope,
     RankDeficient,
     ValidationError,
     ZeroCoordinate,
@@ -146,12 +156,32 @@ def _check_kernel_point(model: SquaredLinearModel, y, slack: float = 1e-9):
     return y
 
 
+def _data_cone_rays(model: SquaredLinearModel, y):
+    """Extreme rays of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}.
+
+    Row i of the cone is (1, q_i) for the column point q_i = B_{:,i} / y_i,
+    and ``y`` must already be checked. The cone is pointed, because
+    [1; B diag(y)^(-1)] has full row rank (the ones row is not in the row
+    span of B diag(y)^(-1), as B y = 0), and z = (1, 0, ..., 0) is interior.
+    Returns (rays, rows): the (primitive integer ray, bitmask of the rows
+    vanishing on it) pairs, and the rows as primitive integer vectors, each a
+    positive multiple row[0] of (1, q_i).
+    """
+    rows = [_ray(ratlin.cleared((Fraction(1),) + tuple(v / yi for v in col))[0])
+            for col, yi in zip(ratlin.transpose(model.B.B), y)]
+    dim = model.n - model.d + 1
+    chosen, base = _simplicial_start(rows, dim)
+    return _cone_rays((1,) * model.n, chosen, base, rows, dim), rows
+
+
 def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
     """Data polytope of the model point with square roots y.
 
-    Realized through the cone {z : z^T Btilde >= 0} with Btilde = [1; B Y^-1]:
-    extreme rays are enumerated over column subsets of size n-d, mapped to
-    data space by s = z^T [y^2; B Y], and normalized to unit coordinate sum.
+    Realized through the data cone of :func:`_data_cone_rays`: an extreme ray
+    z maps to data space by s = z^T [y^2; B Y], and the vertex is s over its
+    coordinate sum. Since sum_i y_i^2 (1, q_i) = (sum(y^2), 0), that sum is
+    z_0 sum(y^2), positive because z_0 > 0 on every nonzero point of the
+    cone; so every ray gives a vertex and the polytope is never empty.
     The polytope has dimension n-d: it holds s* = y^2 / sum(y^2) > 0, and the
     rows [y^2; B Y] are independent. Its facets are the inclusion-maximal
     nonempty zero sets {vertices with s_i = 0}, listed by i (two coordinates
@@ -160,36 +190,13 @@ def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
     """
     y = _check_kernel_point(model, y)
     n, d = model.n, model.d
-    B = model.B.B
-    btilde = [tuple(Fraction(1) for _ in range(n))]
-    for row in B:
-        btilde.append(tuple(v / yi for v, yi in zip(row, y)))
-    btilde_cols = ratlin.transpose(btilde)
-    wmat_cols = ratlin.transpose(_data_rows(model, y))
-
-    rays = set()
-    for subset in itertools.combinations(range(n), n - d):
-        cols = [btilde_cols[c] for c in subset]
-        kernel = ratlin.nullspace(cols, ncols=n - d + 1)
-        if len(kernel) != 1:
-            continue
-        ray = kernel[0]
-        values = ratlin.matvec(btilde_cols, ray)
-        if all(v >= 0 for v in values):
-            rays.add(ratlin.primitive(ray))
-        elif all(v <= 0 for v in values):
-            rays.add(ratlin.primitive(ratlin.scale(ray, Fraction(-1))))
-    if not rays:
-        raise EmptyPolytope("no ray of the data cone survives the sign test")
-
-    vertices = set()
-    for ray in sorted(rays):
-        s = ratlin.matvec(wmat_cols, ray)
-        total = sum(s)
-        if total == 0:
-            continue
-        vertices.add(tuple(v / total for v in s))
-    vertices = sorted(vertices)
+    rays, rows = _data_cone_rays(model, y)
+    weights = [v * v / row[0] for v, row in zip(y, rows)]
+    total = sum(v * v for v in y)
+    vertices = sorted({
+        tuple(w * sum(map(mul, row, ray)) / (ray[0] * total) for w, row in zip(weights, rows))
+        for ray, _ in rays
+    })
     dim = n - d
     zero_sets = [frozenset(k for k, v in enumerate(vertices) if v[i] == 0) for i in range(n)]
     facets = [i for i, z in enumerate(zero_sets) if z and not any(z < other for other in zero_sets)]
@@ -204,78 +211,39 @@ def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
     )
 
 
-def polytope_from_points(points, ambient_dim=None) -> Polytope:
-    """Convex hull combinatorics of a rational point configuration.
+def dual_polytope(model: SquaredLinearModel, y) -> Polytope:
+    """Convex hull Q of the column points q_i = B_{:,i} / y_i.
 
-    The hull dimension is the rank of the point differences. Facets come from
-    enumerating supporting hyperplanes through point subsets, exactly; every
-    other face and the f-vector follow from the facet incidences alone, and
-    the vertices are the points on the zero-dimensional faces. Points inside
-    the hull or inside a facet never form a face of their own.
+    Q is (n-d)-dimensional with the origin inside, as sum_i y_i^2 q_i = B y
+    = 0. By polarity its facets are the extreme rays (z_0, z) of the data
+    cone of :func:`_data_cone_rays`: a ray is the facet z . q >= -z_0, on the
+    points whose row vanishes on it. The normal is scaled to z / |z_f| for
+    the last nonzero entry z_f, and the offset to -z_0 / |z_f|. Facets are
+    listed by their sorted point sets, and the vertices are the points on
+    the zero-dimensional faces. The reversed f-vector of Q equals the
+    f-vector of the log-normal polytope at the same point, and for y off the
+    chamber arrangement Q is simplicial.
     """
-    points = [tuple(ratlin.as_fraction(v) for v in p) for p in points]
-    if ambient_dim is None:
-        ambient_dim = len(points[0])
-    base = points[0]
-    echelon, pivots = ratlin.rref([ratlin.sub(p, base) for p in points[1:]])
-    dim = len(pivots)
-    if dim < ambient_dim:
-        # Work in coordinates on the affine hull.
-        frame = echelon[:dim]
-        gram = [[ratlin.dot(u, v) for v in frame] for u in frame]
-        coords = []
-        for p in points:
-            rhs = [ratlin.dot(ratlin.sub(p, base), u) for u in frame]
-            coords.append(ratlin.solve(gram, rhs))
-        work = coords
-    else:
-        work = points
-
-    facet_sets = {}
-    for subset in itertools.combinations(range(len(work)), dim):
-        chosen = [work[k] for k in subset]
-        rows = [ratlin.sub(p, chosen[0]) for p in chosen[1:]]
-        kernel = ratlin.nullspace(rows, ncols=dim)
-        if len(kernel) != 1:
-            continue
-        normal = kernel[0]
-        offset = ratlin.dot(normal, chosen[0])
-        values = [ratlin.dot(normal, p) - offset for p in work]
-        if all(v >= 0 for v in values):
-            pass
-        elif all(v <= 0 for v in values):
-            normal = ratlin.scale(normal, Fraction(-1))
-            offset = -offset
-            values = [-v for v in values]
-        else:
-            continue
-        members = frozenset(k for k, v in enumerate(values) if v == 0)
-        facet_sets[members] = (normal, offset)
-
-    incidence = sorted(facet_sets, key=sorted)
+    y = _check_kernel_point(model, y)
+    n, dim = model.n, model.n - model.d
+    rays, _ = _data_cone_rays(model, y)
+    cols = ratlin.transpose(model.B.B)
+    points = [ratlin.scale(cols[i], 1 / y[i]) for i in range(n)]
+    facets = {}
+    for (z0, *z), mask in rays:
+        last = abs(next(v for v in reversed(z) if v))
+        normal = tuple(Fraction(v, last) for v in z)
+        facets[frozenset(i for i in range(n) if mask >> i & 1)] = (normal, Fraction(-z0, last))
+    incidence = sorted(facets, key=sorted)
     layers = _face_layers(incidence, dim)
-    vertex_set = set().union(*layers[0]) if layers else set()
-    h_rep = tuple(facet_sets[m] for m in incidence)
     return Polytope(
-        ambient_dim=ambient_dim,
+        ambient_dim=dim,
         dim=dim,
-        V_rep=tuple(points[k] for k in sorted(vertex_set)),
-        H_rep=h_rep,
+        V_rep=tuple(points[k] for k in sorted(set().union(*layers[0]))),
+        H_rep=tuple(facets[m] for m in incidence),
         f_vector=tuple(len(layer) for layer in layers),
         incidence=tuple(incidence),
     )
-
-
-def dual_polytope(model: SquaredLinearModel, y) -> Polytope:
-    """Convex hull Q of the columns of B diag(y)^(-1).
-
-    Its reversed f-vector equals the f-vector of the log-normal polytope at
-    the same point, and for y off the chamber arrangement Q is simplicial.
-    """
-    y = _check_kernel_point(model, y)
-    cols = ratlin.transpose(model.B.B)
-    points = [ratlin.scale(cols[i], 1 / y[i]) for i in range(model.n)]
-    return polytope_from_points(points, ambient_dim=model.n - model.d)
 
 
 def chamber_forms(model: SquaredLinearModel):
@@ -414,6 +382,8 @@ def log_voronoi_scan(
     """
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
+    if not refine_tol > 0:  # NaN fails too
+        raise ValidationError(f"refine_tol must be positive, got {refine_tol}")
     y = _check_kernel_point(model, y)
     start = tuple(ratlin.as_fraction(v) for v in start)
     end = tuple(ratlin.as_fraction(v) for v in end)

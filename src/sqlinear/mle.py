@@ -26,12 +26,16 @@ from .errors import BoundaryData, NoConvergence, ValidationError
 from .model import SquaredLinearModel, normalize_parameter
 
 
+# Smallest ridge, relative to the Hessian's largest diagonal entry, added to
+# a Hessian that is not negative definite; and the most halvings of a step.
+SHIFT_MARGIN = 1e-8
+MAX_BACKTRACKS = 50
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 200
-    shift_margin: float = 1e-8
-    max_backtracks: int = 50
     polish_iters: int = 20
     # Accept the gradient-noise floor of double precision when it exceeds
     # tol. Path tracking needs this: near-degenerate data makes some forms
@@ -228,7 +232,7 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
             short = ~(lam[:, 0] + ridge > 0.0)
             if not short.any():
                 break
-            ridge[short] = np.maximum(2.0 * ridge[short], opts.shift_margin * scale[short])
+            ridge[short] = np.maximum(2.0 * ridge[short], SHIFT_MARGIN * scale[short])
         coef = np.einsum("rji,rj->ri", Q, g) / (lam + ridge[:, None])
         step = np.einsum("rij,rj->ri", Q, coef)
         step[~finite] = np.nan
@@ -238,11 +242,11 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
 
     def backtrack(rows, step, accept):
         """Halve each row's step from t = 1 until ``accept(sub, cand, t)``
-        holds, at most max_backtracks times: candidates and the found mask."""
+        holds, at most MAX_BACKTRACKS times: candidates and the found mask."""
         t = np.ones(len(rows))
         found = np.zeros(len(rows), dtype=bool)
         cand = np.empty((len(rows), d))
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             sub = np.flatnonzero(~found)
             if not sub.size:
                 break

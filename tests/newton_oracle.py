@@ -13,7 +13,14 @@ import numpy as np
 
 from sqlinear.arrangement import SignVector, enumerate_regions
 from sqlinear.errors import NoConvergence, NumericError
-from sqlinear.mle import CriticalPoint, SolveAllResult, SolveOptions, _check_positive_data
+from sqlinear.mle import (
+    MAX_BACKTRACKS,
+    SHIFT_MARGIN,
+    CriticalPoint,
+    SolveAllResult,
+    SolveOptions,
+    _check_positive_data,
+)
 from sqlinear.model import gradient, hessian, log_likelihood, normalize_parameter
 
 
@@ -26,12 +33,11 @@ class _Chart:
     point has a small pinned coordinate push the iterates toward infinity.
     """
 
-    def __init__(self, model, s, region, opts):
+    def __init__(self, model, s, region):
         self.model = model
         self.s = s
         self.signs = np.array(region.sign.signs, dtype=float)
         self.A = model.A_float
-        self.opts = opts
         witness = np.array([float(v) for v in region.witness])
         self.chart = int(np.argmax(np.abs(witness)))
         self.free = [i for i in range(model.d) if i != self.chart]
@@ -68,7 +74,7 @@ class _Chart:
                     np.linalg.cholesky(-(H - ridge * np.eye(len(self.free))))
                     break
                 except np.linalg.LinAlgError:
-                    ridge = max(2.0 * ridge, self.opts.shift_margin * scale)
+                    ridge = max(2.0 * ridge, SHIFT_MARGIN * scale)
             step = np.linalg.solve(-(H - ridge * np.eye(len(self.free))), g_free)
         except np.linalg.LinAlgError as err:
             raise NoConvergence(f"Newton system unsolvable: {err}") from err
@@ -84,7 +90,7 @@ def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
     """Newton-solve the unique critical point inside one region."""
     opts = opts or SolveOptions()
     s = _check_positive_data(s, model.n)
-    chart = _Chart(model, s, region, opts)
+    chart = _Chart(model, s, region)
 
     if start is not None:
         x = np.asarray(start, dtype=float).copy()
@@ -112,7 +118,7 @@ def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
         current = log_likelihood(model, s, x)
         t = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = chart.advance(x, step, t)
             if chart.in_region(cand) and log_likelihood(model, s, cand) >= current + 1e-4 * t * slope:
                 x = cand
@@ -133,7 +139,7 @@ def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
         step, _ = chart.newton_step(x)
         t = 1.0
         cand = chart.advance(x, step, t)
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             if chart.in_region(cand):
                 break
             t *= 0.5

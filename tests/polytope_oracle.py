@@ -1,10 +1,13 @@
 """Test oracle: polytope faces from exact affine ranks.
 
-These are the rank-based rules that :mod:`sqlinear.geometry` used before it
-read faces off the vertex-facet incidences alone: every face is found by
-closing the facet sets under intersection, and each face's dimension, each
-log-normal facet and each hull vertex is decided by an exact affine rank.
-tests/test_polytope_oracle.py checks that both give the same polytopes.
+These are the rules that :mod:`sqlinear.geometry` used before it read
+vertices and facets off the extreme rays of one data cone, and faces off the
+vertex-facet incidences alone. Log-normal vertices come from one nullspace
+per (n-d)-subset of columns, hull facets from one nullspace per subset of
+points. Every face is found by closing the facet sets under intersection,
+and each face's dimension, each log-normal facet and each hull vertex is
+decided by an exact affine rank. tests/test_polytope_oracle.py checks that
+both give the same polytopes.
 """
 
 from __future__ import annotations

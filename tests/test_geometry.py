@@ -11,7 +11,6 @@ from sqlinear.geometry import (
     dual_polytope,
     log_voronoi_scan,
     lognormal_polytope,
-    polytope_from_points,
     swap_candidates,
     _in_row_span,
 )
@@ -148,25 +147,6 @@ class TestDualPolytope:
             checked += 1
 
 
-class TestPolytopeFromPoints:
-    def test_square(self):
-        square = polytope_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert square.f_vector == (4, 4)
-        assert square.n_vertices == 4
-
-    def test_interior_point_ignored(self):
-        poly = polytope_from_points(
-            [(0, 0), (2, 0), (0, 2), (Fraction(1, 2), Fraction(1, 2))]
-        )
-        assert poly.n_vertices == 3
-        assert poly.f_vector == (3, 3)
-
-    def test_lower_dimensional(self):
-        seg = polytope_from_points([(0, 0, 1), (2, 2, 1), (1, 1, 1)])
-        assert seg.dim == 1
-        assert seg.f_vector == (2,)
-
-
 class TestChamberArrangement:
     def test_six_points_example(self, six_points):
         from math import comb
@@ -283,6 +263,14 @@ class TestLogVoronoiScan:
         s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
         with pytest.raises(ValidationError, match="steps"):
             log_voronoi_scan(four_points, QUAD_Y, s_star, s_star, steps=steps)
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, float("nan")])
+    def test_refine_tol_must_be_positive(self, four_points, refine_tol):
+        # Bisection never gets below a tolerance <= 0, and skips a NaN one.
+        total = sum(v * v for v in QUAD_Y)
+        s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
+        with pytest.raises(ValidationError, match="refine_tol"):
+            log_voronoi_scan(four_points, QUAD_Y, s_star, s_star, refine_tol=refine_tol)
 
     def test_segment_validation(self, four_points):
         with pytest.raises(ValidationError):
