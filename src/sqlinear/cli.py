@@ -15,9 +15,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import jsonio
+from . import jsonio, ratlin
 from .arrangement import characteristic_polynomial, enumerate_regions, ml_degree
 from .degeneration import (
     DEFAULT_EPS_GRID,
@@ -199,7 +197,7 @@ def _cmd_mldegree(doc, args):
 
 def _cmd_mle(doc, args):
     model = jsonio.model_from_json(doc)
-    s = jsonio.to_doubles(jsonio.parse_vector(_need(doc, "s"), "s"), "s")
+    s = jsonio.parse_vector(_need(doc, "s"), "s")
     result = solve_all(model, s, _solve_options(args))
     if result.failures:
         tags = ", ".join(str(region.sign) for region, _ in result.failures)
@@ -236,7 +234,6 @@ def _cmd_degenerate(doc, args):
 def _cmd_tropical(doc, args):
     model = jsonio.model_from_json(doc)
     w = jsonio.parse_vector(_need(doc, "w"), "w")
-    jsonio.to_doubles(w, "w")  # tracking runs in floats
     anchor = _anchor_index(args, model.n)
     trop = TropicalData(w=w, anchor=anchor)
     predictions = tropical_predictions(model, trop, check_generic=False)
@@ -259,15 +256,9 @@ def _cmd_tropical(doc, args):
         ],
     }
     if args.svg:
-        _write(args.svg, _tropical_figure(model, trop, estimates))
+        overlays = _plot_overlays_from_tracking(model, estimates, unit_data_solutions(model, anchor))
+        _write(args.svg, plot_arrangement(model, overlays))
     return out
-
-
-def _tropical_figure(model, trop, estimates):
-    solutions = unit_data_solutions(model, trop.anchor)
-    return plot_arrangement(
-        model, _plot_overlays_from_tracking(model, estimates, solutions)
-    )
 
 
 def _cmd_lognormal(doc, args):
@@ -314,8 +305,6 @@ def _cmd_voronoi(doc, args):
         raise ValidationError("segment must be an object with 'start' and 'end'")
     start = jsonio.parse_vector(segment["start"], "segment.start")
     end = jsonio.parse_vector(segment["end"], "segment.end")
-    for point, name in ((start, "segment.start"), (end, "segment.end")):
-        jsonio.to_doubles(point, name)  # the scan solves in floats
     profile = log_voronoi_scan(
         model, y, start, end, steps=args.samples, opts=_solve_options(args)
     )
@@ -342,8 +331,7 @@ def _cmd_dpp(doc, args):
     if dpp.n - dpp.k == 2:
         out["ml_degree_formula"] = dpp_ml_degree_l2(dpp.n)
     if "Theta" in doc:
-        Theta = [jsonio.to_doubles(row, "Theta") for row in jsonio.parse_matrix(doc["Theta"], "Theta")]
-        dist = dpp_probabilities(np.array(Theta))
+        dist = dpp_probabilities(jsonio.parse_matrix(doc["Theta"], "Theta"))
         out["distribution"] = [
             {"sigma": [i + 1 for i in sigma], "prob": float(p)}
             for sigma, p in zip(dist.states, dist.probs)
@@ -388,13 +376,12 @@ def _cmd_plot(doc, args):
     overlays = Overlays()
     if "w" in doc and args.anchor is not None:
         w = jsonio.parse_vector(doc["w"], "w")
-        jsonio.to_doubles(w, "w")  # tracking runs in floats
         trop = TropicalData(w=w, anchor=_anchor_index(args, model.n))
         estimates = estimate_valuations(model, trop, eps_grid=_eps_grid(args))
         solutions = unit_data_solutions(model, trop.anchor)
         overlays = _plot_overlays_from_tracking(model, estimates, solutions)
     if "s" in doc:
-        s = jsonio.to_doubles(jsonio.parse_vector(doc["s"], "s"), "s")
+        s = jsonio.parse_vector(doc["s"], "s")
         result = solve_all(model, s, _solve_options(args))
         overlays.critical_points = [p.x for p in result.points]
     if "y" in doc and model.n == 3:
@@ -406,10 +393,10 @@ def _cmd_plot(doc, args):
 
 def _plot_overlays_from_tracking(model, estimates, solutions):
     def params_of(ys):
-        return [[float(v) for v in x] for x in parameters_of(model, ys)]
+        return ratlin.to_floats(parameters_of(model, ys), "parameters").tolist()
 
     limits = params_of(sol.y for sol in solutions if sol.y)
-    arcs = [[[float(v) for v in est.region.witness]] + params_of(est.y_track) for est in estimates]
+    arcs = [[ratlin.to_floats(est.region.witness, "witness").tolist()] + params_of(est.y_track) for est in estimates]
     return Overlays(arcs=arcs, limit_points=limits)
 
 

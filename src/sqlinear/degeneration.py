@@ -165,6 +165,7 @@ def tropical_predictions(
     degenerations collide, a warning is attached and the caller should trust
     only supports whose ``generic_flag`` holds.
     """
+    _check_length(model, trop)
     n, d = model.n, model.d
     w = trop.w
     anchor = trop.anchor
@@ -181,6 +182,11 @@ def tropical_predictions(
             z[j] = w[j] - w[anchor]
         points.append(TropicalPoint(z=tuple(z), J=J))
     return points
+
+
+def _check_length(model: SquaredLinearModel, trop: TropicalData):
+    if len(trop.w) != model.n:
+        raise ValidationError(f"valuation vector must have n = {model.n} entries, got {len(trop.w)}")
 
 
 def model_is_generic(model: SquaredLinearModel, anchor: int = 0) -> bool:
@@ -205,6 +211,7 @@ def estimate_valuations(
     namely 0 or w_j - w_anchor, and the largest pre-rounding deviation is
     reported as the residual.
     """
+    _check_length(model, trop)
     eps_grid = tuple(float(e) for e in eps_grid)
     if len(eps_grid) < 3:
         raise ValidationError("need at least three eps values for a slope fit")
@@ -212,15 +219,15 @@ def estimate_valuations(
         a <= b for a, b in zip(eps_grid, eps_grid[1:])
     ):
         raise ValidationError("eps grid must be positive and strictly decreasing")
-    spread = float(max(trop.w) - trop.w[trop.anchor])
+    w = ratlin.to_floats(trop.w, "w")
+    anchor = trop.anchor
+    spread = float(w.max()) - float(w[anchor])  # inf when out of range; the check below rejects it
     if eps_grid[-1] ** spread < 1e-14:
         raise ValidationError(
             "grid too deep for double precision: the smallest coordinate "
             f"would reach {eps_grid[-1] ** spread:.1e}; raise the last eps or "
             "shrink the valuation range"
         )
-    w = np.array([float(v) for v in trop.w])
-    anchor = trop.anchor
     regions = enumerate_regions(model.arr)
     opts = opts or SolveOptions(adaptive_floor=True)
 
@@ -283,7 +290,7 @@ def match_supports(estimates, solutions) -> dict:
 def limit_distance(estimate: ValuationEstimate, solution: DegenerateSolution) -> float:
     """Distance between the tracked limit and the closed-form point,
     both scaled to anchor coordinate one."""
-    y_exact = np.array([float(v) for v in solution.y])
+    y_exact = ratlin.to_floats(solution.y, "y")
     y_exact = y_exact / y_exact[solution.anchor]
     y_num = np.array(estimate.y_limit)
     return float(np.max(np.abs(y_exact - y_num)))

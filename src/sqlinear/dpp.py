@@ -86,7 +86,7 @@ def dpp_probabilities(Theta) -> SubsetDistribution:
     use the rows as given, and the scaled rows only where the given ones
     overflow or underflow, so well-scaled input keeps its exact floats.
     """
-    Theta = np.asarray(Theta, dtype=float)
+    Theta = ratlin.to_floats(Theta, "Theta")
     k, n = Theta.shape
     top = np.abs(Theta).max(axis=1, initial=0.0)
     if k > n or not np.all(top > 0):

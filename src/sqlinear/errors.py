@@ -70,10 +70,6 @@ class BoundaryData(ValidationError):
     """Data vector has zero entries; use the degeneration routines instead."""
 
 
-class SingularGram(NumericError):
-    """Gram matrix of a column-selected kernel block is singular for this support."""
-
-
 class AnchorNotUnique(ValidationError):
     """Minimum of the valuation vector is attained more than once."""
 

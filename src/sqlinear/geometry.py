@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
-
 from . import ratlin
 from .arrangement import (
     Arrangement,
@@ -388,17 +386,18 @@ def log_voronoi_scan(
     start = tuple(ratlin.as_fraction(v) for v in start)
     end = tuple(ratlin.as_fraction(v) for v in end)
     for point, name in ((start, "start"), (end, "end")):
+        if len(point) != model.n:
+            raise ValidationError(f"{name} point must have n = {model.n} entries, got {len(point)}")
         if any(v <= 0 for v in point):
             raise ValidationError(f"{name} point must be strictly positive")
         if not _in_row_span(model, y, point):
             raise ValidationError(f"{name} point is outside the log-normal span")
+    a, b = ratlin.to_floats(start, "start"), ratlin.to_floats(end, "end")
     regions = enumerate_regions(model.arr)
     opts = opts or SolveOptions()
 
     def tag_at(t: float) -> str:
-        s = np.array([float(a) + t * (float(b) - float(a)) for a, b in zip(start, end)])
-        result = solve_all(model, s, opts, regions=regions)
-        return str(result.mle.region)
+        return str(solve_all(model, a + t * (b - a), opts, regions=regions).mle.region)
 
     params = [k / steps for k in range(steps + 1)]
     tags = [tag_at(t) for t in params]

@@ -42,14 +42,6 @@ def parse_rational(value) -> Fraction:
         raise ValidationError(f"not a rational number: {value!r}") from err
 
 
-def to_doubles(values, name: str) -> list:
-    """Exact values as floats for the numeric layer; out of range is invalid."""
-    try:
-        return [float(v) for v in values]
-    except OverflowError as err:
-        raise ValidationError(f"field {name!r} holds a value beyond double range") from err
-
-
 def parse_vector(data, name: str):
     if not isinstance(data, list) or not data:
         raise ValidationError(f"field {name!r} must be a nonempty array")

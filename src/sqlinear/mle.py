@@ -6,9 +6,11 @@ point of the log-likelihood, and it is a local maximum, so damped Newton
 with steps rejected whenever they would flip the sign of any form converges
 from any interior start of the region. All regions are solved as one (R, d)
 stack of iterates: each iteration evaluates the whole stack in a few numpy
-calls, and every decision is made per row through masks. A row's chart pins
-its largest coordinate and hops when another one takes over, so iterates
-stay bounded; the Hessian is ridged only when it is not negative definite.
+calls through :class:`sqlinear.model.Likelihood`, which holds the only copy
+of the log-likelihood, gradient and Hessian formulas, and every decision is
+made per row through masks. A row's chart pins its largest coordinate and
+hops when another one takes over, so iterates stay bounded; the Hessian is
+ridged only when it is not negative definite.
 Convergence is measured by the ambient gradient norm at the unit-norm
 representative, which is scale-free. Once it is small, likelihood
 comparisons are dominated by roundoff, so the last stretch runs plain
@@ -21,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ratlin
 from .arrangement import Region, SignVector, enumerate_regions
 from .errors import BoundaryData, NoConvergence, ValidationError
-from .model import SquaredLinearModel, normalize_parameter
+from .model import Likelihood, SquaredLinearModel, normalize_parameter
 
 
 # Smallest ridge, relative to the Hessian's largest diagonal entry, added to
@@ -81,7 +84,7 @@ class SolveAllResult:
 
 
 def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
-    s = np.asarray(s, dtype=float)
+    s = ratlin.to_floats(s, "s")
     x = np.asarray(x, dtype=float)
     values = model.A_float @ x
     rows = np.vstack([s, values**2, model.B_float * values])
@@ -100,7 +103,7 @@ def rank_defect(matrix: LikelihoodMatrix, tol: float) -> int:
 
 
 def _check_positive_data(s, n):
-    s = np.asarray(s, dtype=float)
+    s = ratlin.to_floats(s, "s")
     if s.shape != (n,):
         raise ValidationError(f"data vector must have n = {n} entries, got shape {s.shape}")
     with np.errstate(over="ignore"):
@@ -166,11 +169,10 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
     per region (None keeps the witness). ``s`` must be checked data.
     """
     A = model.A_float
-    gram = A.T @ A
-    total = float(s.sum())
+    loglik = Likelihood(A, s)
     R, d = len(regions), model.d
     signs = np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n)
-    X = np.array([[float(v) for v in r.witness] for r in regions]).reshape(R, d)
+    X = ratlin.to_floats([r.witness for r in regions], "witness").reshape(R, d)
     chart = np.argmax(np.abs(X), axis=1)
     for k, start in enumerate(starts or ()):
         if start is not None:
@@ -182,18 +184,9 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
     def inside(Y, rows=slice(None)):
         return np.all(signs[rows] * (Y @ A.T) > 0.0, axis=1)
 
-    def gradient(Y):
-        V = Y @ A.T
-        q = np.einsum("ri,ri->r", V, V)
-        return (2.0 * s / V) @ A - (2.0 * total / q)[:, None] * (V @ A), V, q
-
     def grad_norm(Y):
         # Degree-0 homogeneity: the gradient at y/|y| is |y| * gradient at y.
-        return np.linalg.norm(gradient(Y)[0], axis=1) * np.linalg.norm(Y, axis=1)
-
-    def log_likelihood(Y):
-        V = Y @ A.T
-        return 2.0 * np.log(np.abs(V)) @ s - total * np.log(np.einsum("ri,ri->r", V, V))
+        return np.linalg.norm(loglik.gradient(Y)[0], axis=1) * np.linalg.norm(Y, axis=1)
 
     def noise_floor(Y):
         # Gradient roundoff at Y/|Y|: each term 2 s_i / l_i inherits the error
@@ -204,13 +197,7 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
 
     def free_hessian(rows, Y):
         """Gradient and Hessian on the free coordinates of each row's chart."""
-        g, V, q = gradient(Y)
-        U = V @ A
-        H = (
-            -np.einsum("ri,ij,ik->rjk", 2.0 * s / V**2, A, A)
-            - (2.0 * total / q)[:, None, None] * gram
-            + (4.0 * total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
-        )
+        g, H = loglik.hessian(Y)
         lane = np.arange(d - 1)
         free = lane + (lane >= chart[rows, None])
         H = np.take_along_axis(np.take_along_axis(H, free[:, :, None], 1), free[:, None, :], 2)
@@ -273,7 +260,7 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
             outcomes[k] = NoConvergence("start point does not satisfy the region signs")
 
         # Globalized phase: Newton direction with Armijo backtracking.
-        polish_at = 1e-5 * max(1.0, total)
+        polish_at = 1e-5 * max(1.0, loglik.total)
         globalized = live.copy()
         while True:
             rows = np.flatnonzero(globalized & (iterations < opts.max_iter))
@@ -288,11 +275,11 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
             globalized[rows[done]] = False
             rows = rows[~done]
             step, slope = newton_step(rows)
-            current = log_likelihood(X[rows])
+            current = loglik(X[rows])
 
             def armijo(sub, cand, t):
                 gain = current[sub] + 1e-4 * t * slope[sub]
-                return inside(cand, rows[sub]) & (log_likelihood(cand) >= gain)
+                return inside(cand, rows[sub]) & (loglik(cand) >= gain)
 
             cand, found = backtrack(rows, step, armijo)
             # A step too short to change x would repeat forever; it counts as none.
@@ -338,8 +325,8 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
         xn = np.array([normalize_parameter(x) for x in best_x[rows]]).reshape(-1, d)
         y = xn @ A.T
         top_eig = np.linalg.eigvalsh(free_hessian(rows, xn)[1])[:, -1]
-        final_norm = np.linalg.norm(gradient(xn)[0], axis=1)
-        logL = log_likelihood(xn)
+        final_norm = np.linalg.norm(loglik.gradient(xn)[0], axis=1)
+        logL = loglik(xn)
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = np.any(y == 0.0, axis=1)
         sides = np.where(y > 0.0, 1.0, -1.0)

@@ -1,9 +1,11 @@
 """The squared linear model: evaluation, likelihood, implicit generators.
 
 State probabilities are p_i(x) = l_i(x)^2 / q(x) with q the sum of all
-squared forms. Numeric evaluation is done with numpy; the implicit-ideal
-constructions (kernel of the squared-forms matrix, rank-one symmetric matrix
-of linear entries, singular subspaces) are exact rational.
+squared forms. Numeric evaluation is done with numpy; the log-likelihood,
+its gradient and its Hessian are written once, in :class:`Likelihood`, which
+the Newton solver runs and the public one-point functions call. The
+implicit-ideal constructions (kernel of the squared-forms matrix, rank-one
+symmetric matrix of linear entries, singular subspaces) are exact rational.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ class SquaredLinearModel:
 
     @property
     def A_float(self) -> np.ndarray:
-        return np.array(self.arr.A, dtype=float)
+        return ratlin.to_floats(self.arr.A, "A")
 
     @property
     def B_float(self) -> np.ndarray:
-        return np.array(self.B.B, dtype=float)
+        return ratlin.to_floats(self.B.B, "B")
 
 
 def make_model(arr: Arrangement) -> SquaredLinearModel:
@@ -108,59 +110,69 @@ def evaluate_exact(model: SquaredLinearModel, x):
     return tuple(v / total for v in squares)
 
 
-def log_likelihood(model: SquaredLinearModel, s, x) -> float:
-    """sum_i s_i log p_i(x); -inf when x sits on a hyperplane with s_i > 0.
+class Likelihood:
+    """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
+    Hessian on every row y of an (R, d) stack Y.
 
-    Invariant under rescaling x (the model is degree-zero homogeneous).
+    The one copy of these formulas: the Newton batch of :mod:`.mle` runs it
+    and the public one-point functions below call it. Built once per
+    (float A, s). States of weight 0 drop out of the sums, also on their own
+    hyperplanes.
     """
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    values = model.A_float @ x
-    q = float(np.dot(values, values))
-    if q == 0.0:
+
+    def __init__(self, A: np.ndarray, s: np.ndarray):
+        self.A, self.total, self.gram = A, float(s.sum()), A.T @ A
+        keep = slice(None) if np.all(s != 0.0) else np.flatnonzero(s != 0.0)
+        self._keep, self._s, self._A = keep, s[keep], A[keep]
+
+    def __call__(self, Y):
+        V = Y @ self.A.T
+        return 2.0 * np.log(np.abs(V[:, self._keep])) @ self._s - self.total * np.log(np.einsum("ri,ri->r", V, V))
+
+    def gradient(self, Y):
+        """(G, V, q): the rows sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y,
+        the form values and q."""
+        V = Y @ self.A.T
+        q = np.einsum("ri,ri->r", V, V)
+        return (2.0 * self._s / V[:, self._keep]) @ self._A - (2.0 * self.total / q)[:, None] * (V @ self.A), V, q
+
+    def hessian(self, Y):
+        """(G, H): the gradient rows and the (R, d, d) stack of Hessians."""
+        G, V, q = self.gradient(Y)
+        U = V @ self.A
+        H = (
+            -np.einsum("ri,ij,ik->rjk", 2.0 * self._s / V[:, self._keep] ** 2, self._A, self._A)
+            - (2.0 * self.total / q)[:, None, None] * self.gram
+            + (4.0 * self.total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
+        )
+        return G, H
+
+
+def _one_point(model: SquaredLinearModel, s, x):
+    """(evaluator, (1, d) stack, whether x lies on a hyperplane of positive
+    weight) for one point; ZeroPoint when every form vanishes at x."""
+    A, s = model.A_float, ratlin.to_floats(s, "s")
+    X = np.asarray(x, dtype=float)[None, :]
+    values = (X @ A.T)[0]
+    if not np.any(values):
         raise ZeroPoint("zero vector is not a projective point")
-    total = 0.0
-    for si, li in zip(s, values):
-        if si == 0.0:
-            continue
-        if li == 0.0:
-            return -math.inf
-        total += 2.0 * si * math.log(abs(li))
-    return total - float(s.sum()) * math.log(q)
+    return Likelihood(A, s), X, bool(np.any((values == 0.0) & (s != 0.0)))
+
+
+def log_likelihood(model: SquaredLinearModel, s, x) -> float:
+    """sum_i s_i log p_i(x), invariant under rescaling x; -inf when x sits on
+    a hyperplane with s_i > 0."""
+    loglik, X, on_hyperplane = _one_point(model, s, x)
+    return -math.inf if on_hyperplane else float(loglik(X)[0])
 
 
 def gradient(model: SquaredLinearModel, s, x) -> np.ndarray:
-    """Gradient of the log-likelihood in the ambient coordinates.
-
-    grad = sum_i (2 s_i / l_i(x)) A_i - (2 sum_j s_j / q(x)) A^T A x,
-    which is orthogonal to x by homogeneity.
-    """
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    A = model.A_float
-    values = A @ x
-    if np.any((values == 0.0) & (s != 0.0)):
+    """Gradient of the log-likelihood in the ambient coordinates; orthogonal
+    to x by homogeneity."""
+    loglik, X, on_hyperplane = _one_point(model, s, x)
+    if on_hyperplane:
         raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
-    q = float(np.dot(values, values))
-    weights = np.where(s != 0.0, 2.0 * s / np.where(values == 0.0, 1.0, values), 0.0)
-    return weights @ A - (2.0 * s.sum() / q) * (A.T @ (A @ x))
-
-
-def hessian(model: SquaredLinearModel, s, x) -> np.ndarray:
-    """Ambient-coordinate Hessian of the log-likelihood."""
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    A = model.A_float
-    values = A @ x
-    if np.any((values == 0.0) & (s != 0.0)):
-        raise OnHyperplane("hessian undefined on a hyperplane with positive weight")
-    q = float(np.dot(values, values))
-    gram = A.T @ A
-    u = gram @ x
-    safe = np.where(values == 0.0, 1.0, values)
-    diag = np.where(s != 0.0, 2.0 * s / safe**2, 0.0)
-    total = float(s.sum())
-    return -(A.T * diag) @ A - (2.0 * total / q) * gram + (4.0 * total / q**2) * np.outer(u, u)
+    return loglik.gradient(X)[0][0]
 
 
 def quadric_monomials(d: int):

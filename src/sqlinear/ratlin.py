@@ -4,13 +4,18 @@ Matrices are tuples/lists of row tuples of ``fractions.Fraction`` (ints are
 accepted too). ``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse`` and
 ``det`` all read their answers off one integer Gauss-Jordan pass built on
 :func:`row_update`. Everything here is deterministic; downstream modules rely
-on that for reproducible kernel bases and witnesses.
+on that for reproducible kernel bases and witnesses. :func:`to_floats` is
+the one place where exact values turn into doubles for the numeric layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
+
+from .errors import ValidationError
 
 
 def as_fraction(value) -> Fraction:
@@ -30,6 +35,15 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def to_floats(values, name: str) -> np.ndarray:
+    """Exact values (a vector or a matrix) as a float array; a value beyond
+    double range is invalid input, not an infinity."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as err:
+        raise ValidationError(f"field {name!r} holds a value beyond double range") from err
 
 
 def frac_matrix(rows):

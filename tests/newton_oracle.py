@@ -5,14 +5,20 @@ object per region and one small numpy call per evaluation. The library
 solves every region together on an (R, d) stack with the same decisions made
 per row; tests/test_newton_batch.py checks that both find the same critical
 points, fail on the same regions and track the same valuations.
+
+The oracle keeps its own scalar copies of the log-likelihood, its gradient
+and its Hessian, so it stays independent of :class:`sqlinear.model.Likelihood`,
+which the library evaluates them with; tests/test_model.py compares the two.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from sqlinear.arrangement import SignVector, enumerate_regions
-from sqlinear.errors import NoConvergence, NumericError
+from sqlinear.errors import NoConvergence, NumericError, OnHyperplane, ZeroPoint
 from sqlinear.mle import (
     MAX_BACKTRACKS,
     SHIFT_MARGIN,
@@ -21,7 +27,55 @@ from sqlinear.mle import (
     SolveOptions,
     _check_positive_data,
 )
-from sqlinear.model import gradient, hessian, log_likelihood, normalize_parameter
+from sqlinear.model import normalize_parameter
+
+
+def log_likelihood(model, s, x) -> float:
+    """sum_i s_i log p_i(x); -inf when x sits on a hyperplane with s_i > 0."""
+    s = np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
+    values = model.A_float @ x
+    q = float(np.dot(values, values))
+    if q == 0.0:
+        raise ZeroPoint("zero vector is not a projective point")
+    total = 0.0
+    for si, li in zip(s, values):
+        if si == 0.0:
+            continue
+        if li == 0.0:
+            return -math.inf
+        total += 2.0 * si * math.log(abs(li))
+    return total - float(s.sum()) * math.log(q)
+
+
+def gradient(model, s, x) -> np.ndarray:
+    """grad = sum_i (2 s_i / l_i(x)) A_i - (2 sum_j s_j / q(x)) A^T A x."""
+    s = np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
+    A = model.A_float
+    values = A @ x
+    if np.any((values == 0.0) & (s != 0.0)):
+        raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
+    q = float(np.dot(values, values))
+    weights = np.where(s != 0.0, 2.0 * s / np.where(values == 0.0, 1.0, values), 0.0)
+    return weights @ A - (2.0 * s.sum() / q) * (A.T @ (A @ x))
+
+
+def hessian(model, s, x) -> np.ndarray:
+    """Ambient-coordinate Hessian of the log-likelihood."""
+    s = np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
+    A = model.A_float
+    values = A @ x
+    if np.any((values == 0.0) & (s != 0.0)):
+        raise OnHyperplane("hessian undefined on a hyperplane with positive weight")
+    q = float(np.dot(values, values))
+    gram = A.T @ A
+    u = gram @ x
+    safe = np.where(values == 0.0, 1.0, values)
+    diag = np.where(s != 0.0, 2.0 * s / safe**2, 0.0)
+    total = float(s.sum())
+    return -(A.T * diag) @ A - (2.0 * total / q) * gram + (4.0 * total / q**2) * np.outer(u, u)
 
 
 class _Chart:

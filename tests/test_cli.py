@@ -288,8 +288,22 @@ class TestExitCodes:
             ("lognormal", {"y": ["1e400", 2, 1, -1]}, []),
             ("voronoi", {"y": [3, 2, 1, -1], "segment": {"start": ["9e400", "4e400", "1e400", "1e400"], "end": [9, 4, 1, 1]}}, []),
             ("dpp", {"Theta_fixed": [[1, 1, 1, 1]], "k": 2, "n": 4, "Theta": [[1, 1, 1, 1], ["1e400", 1, 2, 3]]}, []),
+            ("mle", {"A": [["1e400", 0], [1, 1], [1, 2], [0, 1]], "s": [1, 2, 3, 4]}, []),
+            ("tropical", {"A": [["1e400", 0], [1, 1], [1, 2], [0, 1]], "w": [0, 1, 3, 2]}, ["--anchor", "1"]),
+            ("plot", {"A": [["1e400", 0], [1, 1], [1, 2], [0, 1]], "s": [1, 2, 3, 4]}, []),
+            # Each entry is a double; max(w) - w[anchor] is not.
+            ("tropical", {"w": ["-1.7e308", "1.7e308", 0, 1]}, ["--anchor", "1"]),
+            # The exact parameters of the tracked points are beyond double range.
+            (
+                "plot",
+                {"A": [[1, 0, 0], [0, 1, 1e-320], [0, 0, 1], [1, 1, 1]], "s": [4, 3, 2, 1], "w": [0, 3, 4, 5]},
+                ["--anchor", "1"],
+            ),
         ],
-        ids=["mle", "plot", "tropical", "lognormal", "voronoi", "dpp"],
+        ids=[
+            "mle", "plot", "tropical", "lognormal", "voronoi", "dpp",
+            "mle-A", "tropical-A", "plot-A", "tropical-w-spread", "plot-parameters",
+        ],
     )
     def test_rational_beyond_double_range(self, tmp_path, capsys, command, fields, extra):
         doc = {"A": [[1, 0], [1, 1], [1, 2], [0, 1]], **fields}
@@ -399,6 +413,20 @@ class TestExitCodes:
             optional += len(flags)
         # With --output on every command: 13 + 12 = 25 optional values, was 13 x 7 = 91.
         assert optional == 12
+
+    @pytest.mark.parametrize("w", [[0, 4, 5], [0, 3, 4, 5, 6]])
+    def test_tropical_valuations_of_wrong_length(self, tmp_path, capsys, w):
+        code, text = run(tmp_path, "tropical", dict(STEINER, w=w), "--anchor", "1")
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError" and "n = 4 entries" in err["message"]
+
+    def test_voronoi_endpoint_of_wrong_length(self, tmp_path, capsys):
+        doc = {"A": [[1, 0], [1, 1], [1, 2], [0, 1]], "y": [3, 2, 1, -1], "segment": {"start": [1, 2], "end": [9, 4, 1, 1]}}
+        code, text = run(tmp_path, "voronoi", doc)
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError" and "n = 4 entries" in err["message"]
 
     def test_bad_anchor(self, tmp_path):
         code, _ = run(tmp_path, "degenerate", STEINER, "--anchor", "9")

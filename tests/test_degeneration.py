@@ -151,6 +151,14 @@ class TestTropicalPredictions:
         with pytest.raises(AnchorNotUnique):
             TropicalData(w=(1, 0, 2), anchor=0)
 
+    @pytest.mark.parametrize("w", [(0, 4, 5), (0, 3, 4, 5, 6)])
+    def test_valuations_of_wrong_length_rejected(self, steiner, w):
+        trop = TropicalData(w=w, anchor=0)
+        with pytest.raises(ValidationError, match="n = 4 entries"):
+            tropical_predictions(steiner, trop, check_generic=False)
+        with pytest.raises(ValidationError, match="n = 4 entries"):
+            estimate_valuations(steiner, trop)
+
     def test_nongeneric_warns(self, four_points):
         with pytest.warns(UserWarning):
             tropical_predictions(four_points, TropicalData(w=(0, 1, 2, 3), anchor=0))
@@ -207,6 +215,12 @@ class TestEstimateValuations:
             estimate_valuations(steiner, trop, eps_grid=(1e-2, 1e-1, 1e-3))
         with pytest.raises(ValidationError):
             estimate_valuations(steiner, trop, eps_grid=(1e-1, 1e-2, -1e-3))
+
+    def test_valuation_spread_beyond_double_range_rejected(self, steiner):
+        # Each entry is a double, but their difference is not.
+        trop = TropicalData(w=("-1.7e308", "1.7e308", 0, 1), anchor=0)
+        with pytest.raises(ValidationError, match="too deep"):
+            estimate_valuations(steiner, trop)
 
     def test_underflowing_data_rejected(self, steiner):
         # eps**300 underflows to zero at the end of the default grid.

@@ -281,3 +281,11 @@ class TestLogVoronoiScan:
                 (Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)),
                 steps=4,
             )
+
+    @pytest.mark.parametrize("which", ["start", "end"])
+    def test_endpoint_of_wrong_length_rejected(self, four_points, which):
+        total = sum(v * v for v in QUAD_Y)
+        s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
+        points = {"start": s_star, "end": s_star, which: (1, 2)}
+        with pytest.raises(ValidationError, match=f"{which} point must have n = 4 entries"):
+            log_voronoi_scan(four_points, QUAD_Y, points["start"], points["end"], steps=2)

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import newton_oracle as oracle
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from sqlinear.errors import (
     ZeroPoint,
 )
 from sqlinear.model import (
+    Likelihood,
     evaluate,
     evaluate_exact,
     gradient,
@@ -125,6 +127,58 @@ class TestGradient:
     def test_on_hyperplane_raises(self, steiner):
         with pytest.raises(OnHyperplane):
             gradient(steiner, (1, 1, 1, 1), (0, 1, 1))
+
+    def test_zero_point_raises(self, steiner):
+        for evaluation in (log_likelihood, gradient):
+            with pytest.raises(ZeroPoint):
+                evaluation(steiner, (1, 1, 1, 1), (0, 0, 0))
+
+
+class TestAgainstScalarOracle:
+    """The public one-point functions and ``Likelihood.hessian`` evaluate the
+    formulas the Newton batch runs; the oracle's scalar copies check them."""
+
+    @staticmethod
+    def _point_on(row, pyrng):
+        """Exact integer point on the hyperplane of ``row``, off the origin."""
+        basis = ratlin.nullspace([row])
+        while True:
+            weights = [pyrng.randint(-3, 3) for _ in basis]
+            x = [sum(w * b[k] for w, b in zip(weights, basis)) for k in range(len(row))]
+            if any(x):
+                return np.array([float(v) for v in ratlin.primitive(x)])
+
+    def test_random_points(self, pyrng, rng):
+        on_zero_weight = on_positive_weight = 0
+        for trial in range(200):
+            d = pyrng.choice([2, 3, 4])
+            n = pyrng.randint(d + 1, d + 4)
+            model = make_model(random_arrangement(d, n, pyrng))
+            s = rng.uniform(0.1, 5.0, size=n)
+            s[rng.random(n) < 0.3] = 0.0
+            s[0] = max(s[0], 1.0)  # at least one state has positive weight
+            x = rng.normal(size=d)
+            if trial % 50 == 0:  # on the hyperplane of a zero weight, then of a positive one
+                i = pyrng.randrange(1, n)
+                s[i] = 0.0 if trial % 100 == 0 else 1.0
+                x = self._point_on(model.arr.A[i], pyrng)
+            values = model.A_float @ x
+            if np.any((values == 0.0) & (s != 0.0)):
+                on_positive_weight += 1
+                assert log_likelihood(model, s, x) == oracle.log_likelihood(model, s, x) == -math.inf
+                with pytest.raises(OnHyperplane):
+                    gradient(model, s, x)
+                continue
+            on_zero_weight += bool(np.any(values == 0.0))
+            expected = oracle.log_likelihood(model, s, x)
+            assert log_likelihood(model, s, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            g = oracle.gradient(model, s, x)
+            assert np.linalg.norm(gradient(model, s, x) - g) <= 1e-12 * max(1.0, np.linalg.norm(g))
+            H = oracle.hessian(model, s, x)
+            G, batch = Likelihood(model.A_float, s).hessian(x[None, :])
+            assert np.linalg.norm(batch[0] - H) <= 1e-12 * max(1.0, np.linalg.norm(H))
+            assert np.linalg.norm(G[0] - g) <= 1e-12 * max(1.0, np.linalg.norm(g))
+        assert on_zero_weight >= 1 and on_positive_weight >= 1
 
 
 class TestVeroneseGenerators:
