@@ -53,7 +53,6 @@ from .geometry import (
 from .mle import (
     CriticalPoint,
     LikelihoodMatrix,
-    SolveOptions,
     likelihood_matrix,
     rank_defect,
     solve_all,

@@ -72,8 +72,6 @@ class KernelComplement:
     """(n-d) x n matrix B with B A = 0 and full row rank."""
 
     B: tuple
-    n: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ def kernel_complement(arr: Arrangement) -> KernelComplement:
     _require_essential(arr)
     basis = ratlin.nullspace(ratlin.transpose(arr.A), ncols=arr.n)
     rows = tuple(tuple(Fraction(v) for v in ratlin.primitive(vec)) for vec in basis)
-    return KernelComplement(B=rows, n=arr.n, d=arr.d)
+    return KernelComplement(B=rows)
 
 
 def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:

@@ -34,7 +34,7 @@ from .geometry import (
     swap_candidates,
 )
 from .jsonio import SCHEMA
-from .mle import SolveOptions, solve_all
+from .mle import solve_all
 from .model import (
     minor_space_dimension,
     parameters_of,
@@ -160,10 +160,10 @@ def _eps_grid(args):
     return values
 
 
-def _solve_options(args) -> SolveOptions:
+def _tol(args) -> float:
     if args.tol <= 0:
         raise ValidationError("--tol must be positive")
-    return SolveOptions(tol=args.tol)
+    return args.tol
 
 
 def _cmd_regions(doc, args):
@@ -198,7 +198,7 @@ def _cmd_mldegree(doc, args):
 def _cmd_mle(doc, args):
     model = jsonio.model_from_json(doc)
     s = jsonio.parse_vector(_need(doc, "s"), "s")
-    result = solve_all(model, s, _solve_options(args))
+    result = solve_all(model, s, _tol(args))
     if result.failures:
         tags = ", ".join(str(region.sign) for region, _ in result.failures)
         raise NoConvergence(f"regions failed to converge: {tags}", failures=result.failures)
@@ -305,9 +305,7 @@ def _cmd_voronoi(doc, args):
         raise ValidationError("segment must be an object with 'start' and 'end'")
     start = jsonio.parse_vector(segment["start"], "segment.start")
     end = jsonio.parse_vector(segment["end"], "segment.end")
-    profile = log_voronoi_scan(
-        model, y, start, end, steps=args.samples, opts=_solve_options(args)
-    )
+    profile = log_voronoi_scan(model, y, start, end, steps=args.samples, tol=_tol(args))
     return {
         "profile": [
             {"t": float(t), "region": tag}
@@ -382,7 +380,7 @@ def _cmd_plot(doc, args):
         overlays = _plot_overlays_from_tracking(model, estimates, solutions)
     if "s" in doc:
         s = jsonio.parse_vector(doc["s"], "s")
-        result = solve_all(model, s, _solve_options(args))
+        result = solve_all(model, s, _tol(args))
         overlays.critical_points = [p.x for p in result.points]
     if "y" in doc and model.n == 3:
         overlays.lognormal = lognormal_polytope(

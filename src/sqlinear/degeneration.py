@@ -22,7 +22,7 @@ import numpy as np
 from . import ratlin
 from .arrangement import enumerate_regions
 from .errors import AnchorNotUnique, PathLost, RankDeficient, ValidationError
-from .mle import CriticalPoint, SolveOptions, _check_positive_data, _solve_batch
+from .mle import CriticalPoint, _check_positive_data, _solve_batch
 from .model import SquaredLinearModel
 
 DEFAULT_EPS_GRID = (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5)
@@ -197,7 +197,6 @@ def estimate_valuations(
     model: SquaredLinearModel,
     trop: TropicalData,
     eps_grid=DEFAULT_EPS_GRID,
-    opts: SolveOptions | None = None,
 ) -> list:
     """Estimate critical-point valuations by tracking solutions in eps.
 
@@ -229,12 +228,12 @@ def estimate_valuations(
             "shrink the valuation range"
         )
     regions = enumerate_regions(model.arr)
-    opts = opts or SolveOptions(adaptive_floor=True)
 
     tracks = [[] for _ in regions]
     starts = [None] * len(regions)
     for eps in eps_grid:
-        points = _solve_batch(model, _check_positive_data(eps**w, model.n), regions, opts, starts)
+        s = _check_positive_data(eps**w, model.n)
+        points = _solve_batch(model, s, regions, tol=1e-10, starts=starts, at_floor=True)
         for region, point, track in zip(regions, points, tracks):
             if not isinstance(point, CriticalPoint):
                 raise PathLost(

@@ -41,8 +41,17 @@ from .errors import (
     ValidationError,
     ZeroCoordinate,
 )
-from .mle import SolveOptions, solve_all
+from .mle import solve_all
 from .model import SquaredLinearModel
+
+# Largest kernel residual, relative to max(1, max|y_i|), that a float model
+# point may carry before it is projected exactly onto ker(B).
+KERNEL_SLACK = 1e-9
+# Exact points per chamber region at which the type scan evaluates the
+# polytope: the witness plus interior samples drawn from random.Random(0).
+TYPE_SCAN_SAMPLES = 3
+# Width in the segment parameter down to which a Voronoi tag switch is bisected.
+REFINE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -129,12 +138,12 @@ def _face_layers(facet_sets, dim):
     return layers[:dim]
 
 
-def _check_kernel_point(model: SquaredLinearModel, y, slack: float = 1e-9):
+def _check_kernel_point(model: SquaredLinearModel, y):
     """Validate y in ker(B) with no zero coordinate, exactly.
 
     Floating input (e.g. from a numeric solve) is rationalized and then
-    projected exactly onto the kernel, provided its residual is below the
-    slack; the polytope combinatorics is locally constant, so the tiny
+    projected exactly onto the kernel, provided its residual is below
+    ``KERNEL_SLACK``; the polytope combinatorics is locally constant, so the tiny
     exact move is harmless and keeps a single exact code path.
     """
     y = tuple(ratlin.as_fraction(v) for v in y)
@@ -144,7 +153,7 @@ def _check_kernel_point(model: SquaredLinearModel, y, slack: float = 1e-9):
     residual = ratlin.matvec(B, y)
     if not ratlin.is_zero(residual):
         scale = max(1, *(abs(v) for v in y))
-        if max(abs(v) for v in residual) > Fraction(slack) * scale:
+        if max(abs(v) for v in residual) > Fraction(KERNEL_SLACK) * scale:
             raise ValidationError("y is not in the kernel of B")
         gram = ratlin.matmul(B, ratlin.transpose(B))
         u = ratlin.solve(gram, residual)
@@ -328,12 +337,13 @@ def swap_candidates(model: SquaredLinearModel, y) -> list:
     return out
 
 
-def combinatorial_type_scan(model: SquaredLinearModel, samples_per_region: int = 3, seed: int = 0):
+def combinatorial_type_scan(model: SquaredLinearModel):
     """Signature of the log-normal polytope across chamber regions.
 
     For every region of the chamber arrangement, the polytope is evaluated
-    at several exact interior points; the signature must not change inside a
-    region. Returns {region sign string: signature}.
+    at ``TYPE_SCAN_SAMPLES`` exact points (the witness and seeded interior
+    samples); the signature must not change inside a region. Returns
+    {region sign string: signature}.
     """
     import random
 
@@ -341,12 +351,12 @@ def combinatorial_type_scan(model: SquaredLinearModel, samples_per_region: int =
         raise RankDeficient("chamber-region scan is desk-scale: d must be 2 or 3")
     chamber = chamber_arrangement(model)
     regions = enumerate_regions(chamber.arrangement)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     report = {}
     for region in regions:
         points = [region.witness]
         points.extend(
-            interior_samples(chamber.arrangement, region, samples_per_region - 1, rng)
+            interior_samples(chamber.arrangement, region, TYPE_SCAN_SAMPLES - 1, rng)
         )
         signatures = set()
         for x in points:
@@ -366,22 +376,20 @@ def log_voronoi_scan(
     start,
     end,
     steps: int = 20,
-    refine_tol: float = 1e-4,
-    opts: SolveOptions | None = None,
+    tol: float = 1e-10,
 ) -> VoronoiProfile:
     """Which region owns the MLE along a data segment inside the polytope.
 
     The segment from ``start`` to ``end`` (both strictly positive points of
     the log-normal polytope of y) is sampled at steps+1 parameters; at each
     data point the global maximizer's region tag is recorded, and each tag
-    switch is localized by bisection down to ``refine_tol`` in the segment
-    parameter. Log-Voronoi boundaries are generally not algebraic, so
-    sampling plus bisection is the honest tool here.
+    switch is localized by bisection down to ``REFINE_TOL`` in the segment
+    parameter. ``tol`` is the solver tolerance of every solve. Log-Voronoi
+    boundaries are generally not algebraic, so sampling plus bisection is
+    the honest tool here.
     """
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
-    if not refine_tol > 0:  # NaN fails too
-        raise ValidationError(f"refine_tol must be positive, got {refine_tol}")
     y = _check_kernel_point(model, y)
     start = tuple(ratlin.as_fraction(v) for v in start)
     end = tuple(ratlin.as_fraction(v) for v in end)
@@ -394,10 +402,9 @@ def log_voronoi_scan(
             raise ValidationError(f"{name} point is outside the log-normal span")
     a, b = ratlin.to_floats(start, "start"), ratlin.to_floats(end, "end")
     regions = enumerate_regions(model.arr)
-    opts = opts or SolveOptions()
 
     def tag_at(t: float) -> str:
-        return str(solve_all(model, a + t * (b - a), opts, regions=regions).mle.region)
+        return str(solve_all(model, a + t * (b - a), tol, regions=regions).mle.region)
 
     params = [k / steps for k in range(steps + 1)]
     tags = [tag_at(t) for t in params]
@@ -406,7 +413,7 @@ def log_voronoi_scan(
         if tags[k] != tags[k + 1]:
             lo, hi = params[k], params[k + 1]
             tag_lo = tags[k]
-            while hi - lo > refine_tol:
+            while hi - lo > REFINE_TOL:
                 mid = (lo + hi) / 2
                 if tag_at(mid) == tag_lo:
                     lo = mid

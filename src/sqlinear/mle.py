@@ -15,6 +15,10 @@ Convergence is measured by the ambient gradient norm at the unit-norm
 representative, which is scale-free. Once it is small, likelihood
 comparisons are dominated by roundoff, so the last stretch runs plain
 sign-guarded Newton steps and keeps each row's best iterate.
+
+The solver has one setting, ``tol``: the gradient norm at which a point
+counts as found. The iteration caps ``MAX_ITER`` and ``POLISH_ITERS`` are
+fixed.
 """
 
 from __future__ import annotations
@@ -30,25 +34,12 @@ from .model import Likelihood, SquaredLinearModel, normalize_parameter
 
 
 # Smallest ridge, relative to the Hessian's largest diagonal entry, added to
-# a Hessian that is not negative definite; and the most halvings of a step.
+# a Hessian that is not negative definite; the most halvings of a step; and
+# the most iterations of the globalized and of the local phase per region.
 SHIFT_MARGIN = 1e-8
 MAX_BACKTRACKS = 50
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    tol: float = 1e-10
-    max_iter: int = 200
-    polish_iters: int = 20
-    # Accept the gradient-noise floor of double precision when it exceeds
-    # tol. Path tracking needs this: near-degenerate data makes some forms
-    # cancel catastrophically, which bounds the achievable gradient norm;
-    # tiny coordinates can then lose relative accuracy (see README).
-    adaptive_floor: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.tol < np.inf:  # NaN fails both comparisons
-            raise ValidationError(f"tol must be finite and nonnegative, got {self.tol}")
+MAX_ITER = 200
+POLISH_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -93,8 +84,8 @@ def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
 
 def rank_defect(matrix: LikelihoodMatrix, tol: float) -> int:
     """Row count minus numerical rank at relative SVD threshold ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:  # NaN fails both comparisons
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     sigma = np.linalg.svd(matrix.rows, compute_uv=False)
     if sigma[0] == 0.0:
         return matrix.rows.shape[0]
@@ -120,7 +111,7 @@ def solve_region(
     model: SquaredLinearModel,
     s,
     region: Region,
-    opts: SolveOptions | None = None,
+    tol: float = 1e-10,
     start=None,
 ) -> CriticalPoint:
     """Newton-solve the unique critical point inside one region.
@@ -130,7 +121,7 @@ def solve_region(
     This is the one-row case of the batch that :func:`solve_all` runs.
     """
     s = _check_positive_data(s, model.n)
-    (outcome,) = _solve_batch(model, s, [region], opts or SolveOptions(), [start])
+    (outcome,) = _solve_batch(model, s, [region], tol, [start])
     if not isinstance(outcome, CriticalPoint):
         raise outcome
     return outcome
@@ -139,7 +130,7 @@ def solve_region(
 def solve_all(
     model: SquaredLinearModel,
     s,
-    opts: SolveOptions | None = None,
+    tol: float = 1e-10,
     regions=None,
 ) -> SolveAllResult:
     """One critical point per region; the argmax of logL is the MLE.
@@ -152,7 +143,7 @@ def solve_all(
     s = _check_positive_data(s, model.n)
     if regions is None:
         regions = enumerate_regions(model.arr)
-    outcomes = _solve_batch(model, s, regions, opts or SolveOptions())
+    outcomes = _solve_batch(model, s, regions, tol)
     points = [out for out in outcomes if isinstance(out, CriticalPoint)]
     failures = [(r, out) for r, out in zip(regions, outcomes) if not isinstance(out, CriticalPoint)]
     if not points:
@@ -161,13 +152,21 @@ def solve_all(
     return SolveAllResult(points=points, mle_index=mle_index, failures=failures)
 
 
-def _solve_batch(model, s, regions, opts, starts=None) -> list:
+def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
     """Damped Newton for every region at once.
 
     Returns one outcome per region, in order: its CriticalPoint, or the
     NoConvergence that stopped it. ``starts`` optionally gives a start point
     per region (None keeps the witness). ``s`` must be checked data.
+
+    ``at_floor`` also accepts the gradient-noise floor of double precision
+    when it exceeds ``tol``. Path tracking needs this: near-degenerate data
+    makes some forms cancel catastrophically, which bounds the achievable
+    gradient norm; tiny coordinates can then lose relative accuracy (see
+    README).
     """
+    if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     A = model.A_float
     loglik = Likelihood(A, s)
     R, d = len(regions), model.d
@@ -263,14 +262,14 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
         polish_at = 1e-5 * max(1.0, loglik.total)
         globalized = live.copy()
         while True:
-            rows = np.flatnonzero(globalized & (iterations < opts.max_iter))
+            rows = np.flatnonzero(globalized & (iterations < MAX_ITER))
             if not rows.size:
                 break
             rechart(rows)
             norm = grad_norm(X[rows])
             record(rows, norm)
-            done = (norm <= opts.tol) | (norm <= polish_at)
-            if opts.adaptive_floor:
+            done = (norm <= tol) | (norm <= polish_at)
+            if at_floor:
                 done |= norm <= 8.0 * noise_floor(X[rows])  # at the roundoff floor
             globalized[rows[done]] = False
             rows = rows[~done]
@@ -293,8 +292,8 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
         best_norm = np.full(R, np.nan)
         best_norm[live] = grad_norm(X[live])
         polishing = live.copy()
-        for _ in range(opts.polish_iters):
-            rows = np.flatnonzero(polishing & ~(best_norm <= opts.tol))
+        for _ in range(POLISH_ITERS):
+            rows = np.flatnonzero(polishing & ~(best_norm <= tol))
             if not rows.size:
                 break
             rechart(rows)
@@ -312,12 +311,12 @@ def _solve_batch(model, s, regions, opts, starts=None) -> list:
             polishing[rows[~better & (norm > 10.0 * best_norm[rows])]] = False  # diverging
 
         # A NaN norm compares false, so it never counts as converged.
-        converged = best_norm <= opts.tol
-        if opts.adaptive_floor:
+        converged = best_norm <= tol
+        if at_floor:
             converged[live] |= best_norm[live] <= 8.0 * noise_floor(best_x[live])
         for k in np.flatnonzero(live & ~converged):
             outcomes[k] = NoConvergence(
-                f"gradient floor {best_norm[k]:.3e} above tolerance {opts.tol:.1e}",
+                f"gradient floor {best_norm[k]:.3e} above tolerance {tol:.1e}",
                 trace=traces[k],
             )
 

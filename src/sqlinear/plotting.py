@@ -4,8 +4,10 @@ Three-variable models are drawn in the affine chart where the first form
 equals one; the first hyperplane itself lives at infinity there and is
 rendered as the boundary circle of the view. Two-variable models are drawn
 as points on a horizontal chart axis. Overlays: critical points, tracked
-degeneration arcs with their limit markers, chamber walls, and (for three
-states) the probability triangle with a log-normal fiber segment.
+degeneration arcs with their limit markers, region labels, and (for three
+states) the probability triangle with a log-normal fiber segment. A point
+whose chart coordinates are not finite is drawn like a point at infinity:
+not at all.
 
 Output is plain SVG text assembled in a fixed order, so identical inputs
 give byte-identical documents.
@@ -32,7 +34,6 @@ class Overlays:
     critical_points: list = field(default_factory=list)  # parameter vectors
     arcs: list = field(default_factory=list)  # lists of parameter vectors
     limit_points: list = field(default_factory=list)  # parameter vectors
-    chamber: list = field(default_factory=list)  # extra normals in x-space
     region_labels: list = field(default_factory=list)  # (witness, text)
     lognormal: object = None  # Polytope with ambient_dim == 3
 
@@ -50,22 +51,21 @@ def _to_pixels(a: float, b: float):
 class _Chart3:
     """Coordinates on the plane {first form = 1} of a d = 3 model."""
 
-    def __init__(self, model: SquaredLinearModel):
-        a1 = model.A_float[0]
+    def __init__(self, A: np.ndarray):
+        a1 = self.a1 = A[0]
         self.origin = a1 / (a1 @ a1)
         basis = [v for v in np.linalg.svd(a1.reshape(1, 3))[2][1:]]
         self.frame = np.array(basis)
 
-    def coords(self, x) -> tuple:
+    def chart_point(self, x):
+        """Chart coordinates of x, or None for a point at infinity."""
         x = np.asarray(x, dtype=float)
-        return tuple((x - self.origin) @ self.frame.T)
-
-    def chart_point(self, model, x):
-        x = np.asarray(x, dtype=float)
-        l1 = float(model.A_float[0] @ x)
+        l1 = float(self.a1 @ x)
         if l1 == 0.0:
             return None
-        return self.coords(x / l1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            point = tuple((x / l1 - self.origin) @ self.frame.T)
+        return point if np.all(np.isfinite(point)) else None
 
     def line_segment(self, normal):
         """Clip {normal . x = 0} against the view box, in chart coordinates."""
@@ -101,18 +101,19 @@ def plot_arrangement(model: SquaredLinearModel, overlays: Overlays | None = None
         f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">',
         f'<rect width="{int(SIZE)}" height="{int(SIZE)}" fill="white"/>',
     ]
+    A = model.A_float
     if model.d == 3:
-        _draw_chart3(model, overlays, parts)
+        _draw_chart3(model, A, overlays, parts)
     else:
-        _draw_chart2(model, overlays, parts)
+        _draw_chart2(model, A, overlays, parts)
     if overlays.lognormal is not None:
         _draw_simplex_fiber(overlays.lognormal, parts)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _draw_chart3(model, overlays, parts):
-    chart = _Chart3(model)
+def _draw_chart3(model, A, overlays, parts):
+    chart = _Chart3(A)
     # First form = line at infinity of the chart: drawn as the boundary circle.
     parts.append(
         f'<circle class="hyperplane" data-label="{model.arr.label(0)}" '
@@ -120,7 +121,7 @@ def _draw_chart3(model, overlays, parts):
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     for i in range(1, model.n):
-        seg = chart.line_segment(model.A_float[i])
+        seg = chart.line_segment(A[i])
         if seg is None:
             continue
         (a0, b0), (a1, b1) = seg
@@ -132,22 +133,10 @@ def _draw_chart3(model, overlays, parts):
             f'x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
             f'stroke="{color}" stroke-width="1.2"/>'
         )
-    for normal in overlays.chamber:
-        seg = chart.line_segment([float(v) for v in normal])
-        if seg is None:
-            continue
-        (a0, b0), (a1, b1) = seg
-        x0, y0 = _to_pixels(a0, b0)
-        x1, y1 = _to_pixels(a1, b1)
-        parts.append(
-            f'<line class="chamber" x1="{_fmt(x0)}" y1="{_fmt(y0)}" '
-            f'x2="{_fmt(x1)}" y2="{_fmt(y1)}" stroke="#999999" '
-            'stroke-width="0.8" stroke-dasharray="4 3"/>'
-        )
     for arc in overlays.arcs:
         pieces = []
         for x in arc:
-            pt = chart.chart_point(model, x)
+            pt = chart.chart_point(x)
             if pt is None:
                 continue
             px, py = _to_pixels(*pt)
@@ -158,7 +147,7 @@ def _draw_chart3(model, overlays, parts):
                 'stroke="#0055cc" stroke-width="1.5"/>'
             )
     for x in overlays.critical_points:
-        pt = chart.chart_point(model, x)
+        pt = chart.chart_point(x)
         if pt is None:
             continue
         px, py = _to_pixels(*pt)
@@ -167,7 +156,7 @@ def _draw_chart3(model, overlays, parts):
             'r="3.5" fill="#d62728"/>'
         )
     for x in overlays.limit_points:
-        pt = chart.chart_point(model, x)
+        pt = chart.chart_point(x)
         if pt is None:
             continue
         px, py = _to_pixels(*pt)
@@ -176,7 +165,7 @@ def _draw_chart3(model, overlays, parts):
             'width="6" height="6" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
         )
     for witness, text in overlays.region_labels:
-        pt = chart.chart_point(model, [float(v) for v in witness])
+        pt = chart.chart_point([float(v) for v in witness])
         if pt is None:
             continue
         px, py = _to_pixels(*pt)
@@ -186,9 +175,8 @@ def _draw_chart3(model, overlays, parts):
         )
 
 
-def _draw_chart2(model, overlays, parts):
+def _draw_chart2(model, A, overlays, parts):
     """d = 2: the chart {first form = 1} is a line; hyperplanes are points."""
-    A = model.A_float
     axis_y = SIZE / 2
     parts.append(
         f'<line class="chart-axis" x1="8" y1="{_fmt(axis_y)}" x2="{_fmt(SIZE - 8)}" '
@@ -204,7 +192,9 @@ def _draw_chart2(model, overlays, parts):
         l1 = float(a1 @ x)
         if l1 == 0.0:
             return None
-        return float((x / l1 - origin) @ direction)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = float((x / l1 - origin) @ direction)
+        return a if np.isfinite(a) else None
 
     def to_px(a):
         a = max(-VIEW, min(VIEW, a))

@@ -1,8 +1,8 @@
 """Small exact linear algebra kernel over the rationals.
 
 Matrices are tuples/lists of row tuples of ``fractions.Fraction`` (ints are
-accepted too). ``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse`` and
-``det`` all read their answers off one integer Gauss-Jordan pass built on
+accepted too). ``rank``, ``nullspace``, ``solve``, ``inverse`` and ``det``
+all read their answers off one integer Gauss-Jordan pass built on
 :func:`row_update`. Everything here is deterministic; downstream modules rely
 on that for reproducible kernel bases and witnesses. :func:`to_floats` is
 the one place where exact values turn into doubles for the numeric layer.
@@ -152,17 +152,6 @@ def _gauss_jordan(rows, width=None):
                 den *= a
         pivots.append(c)
     return m, pivots, (num, den)
-
-
-def rref(rows):
-    """Reduced row echelon form. Returns (rref rows, pivot column indices)."""
-    if not rows:
-        return (), ()
-    m, pivots, _ = _gauss_jordan(rows)
-    ncols = len(m[0])
-    red = [tuple(Fraction(v, row[c]) for v in row) for row, c in zip(m, pivots)]
-    red += [(Fraction(0),) * ncols] * (len(m) - len(pivots))
-    return tuple(red), tuple(pivots)
 
 
 def rank(rows) -> int:

@@ -21,10 +21,11 @@ from sqlinear.arrangement import SignVector, enumerate_regions
 from sqlinear.errors import NoConvergence, NumericError, OnHyperplane, ZeroPoint
 from sqlinear.mle import (
     MAX_BACKTRACKS,
+    MAX_ITER,
+    POLISH_ITERS,
     SHIFT_MARGIN,
     CriticalPoint,
     SolveAllResult,
-    SolveOptions,
     _check_positive_data,
 )
 from sqlinear.model import normalize_parameter
@@ -140,9 +141,12 @@ class _Chart:
         return cand
 
 
-def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
-    """Newton-solve the unique critical point inside one region."""
-    opts = opts or SolveOptions()
+def solve_region(model, s, region, tol=1e-10, start=None, adaptive_floor=False) -> CriticalPoint:
+    """Newton-solve the unique critical point inside one region.
+
+    ``adaptive_floor`` also accepts the gradient-noise floor of double
+    precision, as path tracking does.
+    """
     s = _check_positive_data(s, model.n)
     chart = _Chart(model, s, region)
 
@@ -160,13 +164,13 @@ def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
     polish_at = 1e-5 * max(1.0, float(s.sum()))
 
     # Globalized phase: Newton direction with Armijo backtracking.
-    while iterations < opts.max_iter:
+    while iterations < MAX_ITER:
         x = chart.rechart(x)
         grad_norm = chart.grad_norm(x)
         trace.append((iterations, grad_norm))
-        if grad_norm <= opts.tol or grad_norm <= polish_at:
+        if grad_norm <= tol or grad_norm <= polish_at:
             break
-        if opts.adaptive_floor and grad_norm <= 8.0 * chart.noise_floor(x):
+        if adaptive_floor and grad_norm <= 8.0 * chart.noise_floor(x):
             break  # at the roundoff floor of this data vector
         step, slope = chart.newton_step(x)
         current = log_likelihood(model, s, x)
@@ -186,8 +190,8 @@ def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
     # Local phase: plain sign-guarded Newton, keep the best iterate.
     best_x = x.copy()
     best_norm = chart.grad_norm(x)
-    for _ in range(opts.polish_iters):
-        if best_norm <= opts.tol:
+    for _ in range(POLISH_ITERS):
+        if best_norm <= tol:
             break
         x = chart.rechart(x)
         step, _ = chart.newton_step(x)
@@ -209,13 +213,13 @@ def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
             best_x = x.copy()
         elif norm > 10.0 * best_norm:
             break  # diverging from the basin floor; stop polishing
-    if best_norm > opts.tol:
-        accept = opts.adaptive_floor and best_norm <= 8.0 * _gradient_noise_floor(
+    if best_norm > tol:
+        accept = adaptive_floor and best_norm <= 8.0 * _gradient_noise_floor(
             model, s, best_x / np.linalg.norm(best_x)
         )
         if not accept:
             raise NoConvergence(
-                f"gradient floor {best_norm:.3e} above tolerance {opts.tol:.1e}",
+                f"gradient floor {best_norm:.3e} above tolerance {tol:.1e}",
                 trace=trace,
             )
 
@@ -242,7 +246,7 @@ def solve_region(model, s, region, opts=None, start=None) -> CriticalPoint:
     )
 
 
-def solve_all(model, s, opts=None, regions=None) -> SolveAllResult:
+def solve_all(model, s, tol=1e-10, regions=None) -> SolveAllResult:
     """One region after another; NumericErrors are collected per region."""
     s = _check_positive_data(s, model.n)
     if regions is None:
@@ -251,7 +255,7 @@ def solve_all(model, s, opts=None, regions=None) -> SolveAllResult:
     failures = []
     for region in regions:
         try:
-            points.append(solve_region(model, s, region, opts))
+            points.append(solve_region(model, s, region, tol))
         except NumericError as err:
             failures.append((region, err))
     if not points:
@@ -260,16 +264,17 @@ def solve_all(model, s, opts=None, regions=None) -> SolveAllResult:
     return SolveAllResult(points=points, mle_index=mle_index, failures=failures)
 
 
-def track_slopes(model, w, anchor, eps_grid, opts):
-    """Per-region tracking down ``eps_grid`` for data eps**w: the least-squares
-    slope of log|y_j| against log eps for every coordinate, per region."""
+def track_slopes(model, w, anchor, eps_grid):
+    """Per-region tracking down ``eps_grid`` for data eps**w, accepting the
+    gradient-noise floor: the least-squares slope of log|y_j| against log eps
+    for every coordinate, per region."""
     w = np.asarray(w, dtype=float)
     slopes = {}
     for region in enumerate_regions(model.arr):
         start = None
         ys = []
         for eps in eps_grid:
-            point = solve_region(model, eps**w, region, opts, start=start)
+            point = solve_region(model, eps**w, region, start=start, adaptive_floor=True)
             start = point.x
             ys.append(point.y / point.y[anchor])
         logs = np.log(np.abs(np.array(ys)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import ratlin_oracle
 from sqlinear import ratlin
 from sqlinear.errors import EmptyPolytope
 from sqlinear.geometry import Polytope, _check_kernel_point, _data_rows
@@ -115,7 +116,7 @@ def polytope_from_points(points, ambient_dim=None) -> Polytope:
     if dim < ambient_dim:
         # Work in coordinates on the affine hull.
         diffs = [ratlin.sub(p, base) for p in points[1:]]
-        echelon, pivots = ratlin.rref(diffs)
+        echelon, pivots = ratlin_oracle.rref(diffs)
         frame = [echelon[r] for r in range(dim)]
         gram = [[ratlin.dot(u, v) for v in frame] for u in frame]
         coords = []

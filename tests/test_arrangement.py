@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import ratlin_oracle
 from sqlinear import ratlin
 from sqlinear.arrangement import (
     Arrangement,
@@ -22,7 +23,7 @@ from sqlinear.geometry import chamber_arrangement
 
 
 def row_span(rows):
-    reduced, _ = ratlin.rref(rows)
+    reduced, _ = ratlin_oracle.rref(ratlin.frac_matrix(rows))
     return tuple(r for r in reduced if not ratlin.is_zero(r))
 
 

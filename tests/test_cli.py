@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -223,6 +224,27 @@ class TestPlot:
         code, _ = run(tmp_path, "plot", doc)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[1, 0, 0], [0, 1, 0], [1, 1e-320, 0], [0, 0, 1], [1, 1, 1]],
+            [[1, 0], [1, 1e-320], [1, 2e-320], [0, 1]],
+        ],
+        ids=["d3", "d2"],
+    )
+    def test_subnormal_first_form_values_stay_off_the_chart(self, tmp_path, A):
+        # Dividing by a subnormal first-form value overflows the chart
+        # coordinates; such points are skipped like points at infinity.
+        svg = tmp_path / "figure.svg"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(tmp_path, "regions", {"A": A}, "--svg", str(svg))
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        text = svg.read_text()
+        assert text.startswith("<svg")
+        assert not re.search(r"nan|inf", text)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -328,10 +350,10 @@ class TestExitCodes:
         from sqlinear import cli, mle
         from sqlinear.arrangement import Region, enumerate_regions
 
-        def one_bad_witness(model, s, opts):
+        def one_bad_witness(model, s, tol):
             regions = enumerate_regions(model.arr)
             regions[2] = Region(sign=regions[2].sign, witness=regions[3].witness)
-            return mle.solve_all(model, s, opts, regions=regions)
+            return mle.solve_all(model, s, tol, regions=regions)
 
         monkeypatch.setattr(cli, "solve_all", one_bad_witness)
         code, _ = run(tmp_path, "mle", dict(STEINER, s=[0.4, 0.3, 0.2, 0.1]))

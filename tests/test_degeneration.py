@@ -93,7 +93,7 @@ class TestUnitDataSolutions:
 
         arr = Arrangement(A=((1, 0), (1, 1), (1, 2), (0, 1)))
         bogus = SquaredLinearModel(
-            arr=arr, B=KernelComplement(B=((1, -2, 1, 0),), n=4, d=2)
+            arr=arr, B=KernelComplement(B=((1, -2, 1, 0),))
         )
         model = make_model(arr)
         with pytest.raises(RankDeficient):

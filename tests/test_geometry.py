@@ -172,7 +172,7 @@ class TestChamberArrangement:
 
 class TestCombinatorialTypeScan:
     def test_six_points_wall(self, six_points):
-        report = combinatorial_type_scan(six_points, samples_per_region=3)
+        report = combinatorial_type_scan(six_points)
         y69 = six_points.arr.form_values((Fraction(69), Fraction(30)))
         y71 = six_points.arr.form_values((Fraction(71), Fraction(30)))
         sig69 = lognormal_polytope(six_points, y69).signature()
@@ -181,7 +181,7 @@ class TestCombinatorialTypeScan:
         assert sig69 in report.values() and sig71 in report.values()
 
     def test_steiner_scan_completes(self, steiner):
-        report = combinatorial_type_scan(steiner, samples_per_region=3)
+        report = combinatorial_type_scan(steiner)
         assert len(report) > 0
 
     def test_rejects_large_dimension(self, pyrng):
@@ -264,13 +264,12 @@ class TestLogVoronoiScan:
         with pytest.raises(ValidationError, match="steps"):
             log_voronoi_scan(four_points, QUAD_Y, s_star, s_star, steps=steps)
 
-    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, float("nan")])
-    def test_refine_tol_must_be_positive(self, four_points, refine_tol):
-        # Bisection never gets below a tolerance <= 0, and skips a NaN one.
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    def test_solver_tolerance_must_be_finite_and_nonnegative(self, four_points, tol):
         total = sum(v * v for v in QUAD_Y)
         s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
-        with pytest.raises(ValidationError, match="refine_tol"):
-            log_voronoi_scan(four_points, QUAD_Y, s_star, s_star, refine_tol=refine_tol)
+        with pytest.raises(ValidationError, match="tol must be finite and nonnegative"):
+            log_voronoi_scan(four_points, QUAD_Y, s_star, s_star, steps=2, tol=tol)
 
     def test_segment_validation(self, four_points):
         with pytest.raises(ValidationError):

@@ -16,7 +16,6 @@ from sqlinear.arrangement import (
 from sqlinear.catalog import random_arrangement
 from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError
 from sqlinear.mle import (
-    SolveOptions,
     likelihood_matrix,
     rank_defect,
     solve_all,
@@ -74,8 +73,9 @@ class TestRankDefect:
 
     def test_tol_validation(self, steiner, rng):
         M = likelihood_matrix(steiner, rng.uniform(0.1, 1, 4), rng.normal(size=3))
-        with pytest.raises(ValueError):
-            rank_defect(M, 0.0)
+        for tol in (0.0, -1.0, 1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                rank_defect(M, tol)
 
 
 class TestSolveRegion:
@@ -168,18 +168,17 @@ class TestSolveAll:
         assert tags == sorted(tags)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+    def test_tolerance_must_be_finite_and_nonnegative(self, steiner, tol):
         with pytest.raises(ValidationError, match="tol"):
-            SolveOptions(tol=tol)
+            solve_all(steiner, [0.4, 0.3, 0.2, 0.1], tol=tol)
 
     def test_impossible_tolerance_aggregates(self, steiner, rng):
         # tol = 0 is unreachable except by an exact floating-point zero of
         # the gradient; failing regions are collected without aborting the
         # rest, and the call raises only when no region converged at all.
         s = rng.uniform(0.1, 1.0, size=4)
-        opts = SolveOptions(tol=0.0, max_iter=5, polish_iters=2)
         try:
-            result = solve_all(steiner, s, opts)
+            result = solve_all(steiner, s, tol=0.0)
         except NoConvergence:
             return
         assert result.failures

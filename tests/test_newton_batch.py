@@ -17,7 +17,7 @@ from sqlinear import catalog
 from sqlinear.arrangement import enumerate_regions
 from sqlinear.degeneration import TropicalData, estimate_valuations
 from sqlinear.errors import NoConvergence
-from sqlinear.mle import SolveOptions, solve_all, solve_region
+from sqlinear.mle import solve_all, solve_region
 from sqlinear.model import make_model
 
 CATALOG = {
@@ -66,13 +66,12 @@ def test_random_arrangement_solves_match_oracle(d, n):
 
 def test_failing_tolerance_fails_the_same_regions(steiner):
     s = np.array([0.4, 0.3, 0.2, 0.1])
-    opts = SolveOptions(tol=1e-300)
     regions = enumerate_regions(steiner.arr)
     for region in regions:
         with pytest.raises(NoConvergence) as batch_err:
-            solve_region(steiner, s, region, opts)
+            solve_region(steiner, s, region, 1e-300)
         with pytest.raises(NoConvergence) as loop_err:
-            oracle.solve_region(steiner, s, region, opts)
+            oracle.solve_region(steiner, s, region, 1e-300)
         assert batch_err.value.trace and loop_err.value.trace
 
 
@@ -95,8 +94,7 @@ def test_warm_start_matches_oracle(braid4):
 def test_tracking_matches_oracle(name, w, grid):
     model = make_model(CATALOG[name]())
     trop = TropicalData(w=w, anchor=0)
-    opts = SolveOptions(adaptive_floor=True)
-    expected = oracle.track_slopes(model, w, 0, grid, opts)
+    expected = oracle.track_slopes(model, w, 0, grid)
     estimates = estimate_valuations(model, trop, eps_grid=grid)
     assert [str(e.region.sign) for e in estimates] == list(expected)
     for est in estimates:

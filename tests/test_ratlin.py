@@ -1,6 +1,6 @@
 """Differential tests: ratlin's integer Gauss-Jordan pass against the Fraction oracle.
 
-RREF, ranks, kernel bases (with the 1-in-the-free-column convention),
+Ranks, kernel bases (with the 1-in-the-free-column convention),
 solutions, determinants and inverses are unique, so the integer kernel must
 return exactly what the ``Fraction`` loops in tests/ratlin_oracle.py return.
 """
@@ -61,7 +61,6 @@ def matrices(seed, count, square=False):
 
 
 def test_empty_and_one_by_one():
-    assert ratlin.rref([]) == oracle.rref([]) == ((), ())
     assert ratlin.rank([]) == oracle.rank([]) == 0
     assert ratlin.nullspace([], ncols=2) == oracle.nullspace([], ncols=2)
     assert ratlin.solve([], []) == oracle.solve([], []) == ()
@@ -69,7 +68,6 @@ def test_empty_and_one_by_one():
     assert ratlin.inverse([]) == oracle.inverse([]) == ()
     for value in (Fraction(0), Fraction(3), Fraction(-2, 7)):
         rows = [(value,)]
-        assert ratlin.rref(rows) == oracle.rref(rows)
         assert ratlin.rank(rows) == oracle.rank(rows)
         assert ratlin.nullspace(rows) == oracle.nullspace(rows)
         assert ratlin.solve(rows, [Fraction(5)]) == oracle.solve(rows, [Fraction(5)])
@@ -80,12 +78,8 @@ def test_empty_and_one_by_one():
 def test_rref_rank_nullspace_match_oracle():
     for kind, rows in matrices(20251018, 600):
         exact = as_fractions(rows)
-        red, pivots = ratlin.rref(rows)
-        assert (red, pivots) == oracle.rref(exact), (kind, rows)
-        assert all(isinstance(v, Fraction) for row in red for v in row)
-        assert ratlin.rank(rows) == oracle.rank(exact)
+        assert ratlin.rank(rows) == oracle.rank(exact), (kind, rows)
         assert ratlin.nullspace(rows) == oracle.nullspace(exact)
-        assert ratlin.rref(exact) == (red, pivots)
 
 
 def test_square_kernels_match_oracle():
