@@ -8,68 +8,51 @@ maximum-likelihood problems numerically, produces the determinantal
 likelihood matrix, degenerate and tropical critical points, log-normal
 polytopes with their dual combinatorics, and determinantal-point-process
 instantiations. See README.md for the CLI.
+
+Names are served from their home modules on use (PEP 562), so importing the
+package loads no module, and numpy comes in only with a float module.
 """
 
-from .arrangement import (
-    Arrangement,
-    CharacteristicPolynomial,
-    Flat,
-    KernelComplement,
-    Region,
-    SignVector,
-    characteristic_polynomial,
-    enumerate_regions,
-    flats,
-    generic_ml_degree,
-    interior_samples,
-    kernel_complement,
-    ml_degree,
-    snc_check,
-)
-from .degeneration import (
-    DegenerateSolution,
-    TropicalData,
-    TropicalPoint,
-    ValuationEstimate,
-    estimate_valuations,
-    tropical_predictions,
-    unit_data_solutions,
-)
-from .dpp import (
-    DPPModel,
-    dpp_ml_degree_l2,
-    dpp_probabilities,
-    linear_projection_arrangement,
-)
-from .geometry import (
-    Polytope,
-    chamber_arrangement,
-    combinatorial_type_scan,
-    dual_polytope,
-    log_voronoi_scan,
-    lognormal_polytope,
-    swap_candidates,
-)
-from .mle import (
-    CriticalPoint,
-    LikelihoodMatrix,
-    likelihood_matrix,
-    rank_defect,
-    solve_all,
-    solve_region,
-)
-from .model import (
-    SquaredLinearModel,
-    VeroneseGenerators,
-    evaluate,
-    evaluate_exact,
-    gradient,
-    log_likelihood,
-    make_model,
-    minor_space_dimension,
-    singular_subspaces,
-    steiner_quartic,
-    veronese_generators,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# home module -> the public names the package serves from it
+_EXPORTS = {
+    "arrangement": (
+        "Arrangement CharacteristicPolynomial Flat KernelComplement Region SignVector "
+        "characteristic_polynomial enumerate_regions flats generic_ml_degree "
+        "interior_samples kernel_complement ml_degree snc_check"
+    ),
+    "degeneration": (
+        "DegenerateSolution TropicalData TropicalPoint ValuationEstimate "
+        "estimate_valuations tropical_predictions unit_data_solutions"
+    ),
+    "dpp": "DPPModel dpp_ml_degree_l2 dpp_probabilities linear_projection_arrangement",
+    "geometry": (
+        "Polytope chamber_arrangement combinatorial_type_scan dual_polytope "
+        "log_voronoi_scan lognormal_polytope swap_candidates"
+    ),
+    "mle": (
+        "CriticalPoint LikelihoodMatrix evaluate gradient likelihood_matrix "
+        "log_likelihood rank_defect solve_all solve_region"
+    ),
+    "model": (
+        "SquaredLinearModel VeroneseGenerators evaluate_exact make_model "
+        "minor_space_dimension singular_subspaces steiner_quartic veronese_generators"
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # Not cached in the module globals: every lookup reads the home module,
+    # so a name rebound there is seen here too.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -6,7 +6,9 @@ with a "schema": "slm/1" tag, figures as SVG. Exit codes: 0 success,
 (no convergence, lost path). Errors are reported as JSON on stderr.
 
 State indices (anchor, subsets J, DPP states) are 1-based on the command
-line and in emitted JSON, matching the labeling of the input rows.
+line and in emitted JSON, matching the labeling of the input rows. The float
+modules (:mod:`.mle`, :mod:`.degeneration`, :mod:`.plotting`) are imported
+by the handlers that use them, so the exact commands run without numpy.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ import argparse
 import json
 import sys
 
-from . import jsonio, ratlin
+from . import jsonio
 from .arrangement import characteristic_polynomial, enumerate_regions, ml_degree
-from .degeneration import (
-    DEFAULT_EPS_GRID,
-    TropicalData,
-    estimate_valuations,
-    tropical_predictions,
-    unit_data_solutions,
-)
 from .dpp import dpp_ml_degree_l2, dpp_probabilities, linear_projection_arrangement
 from .errors import NoConvergence, NumericError, SqlinearError, ValidationError
 from .geometry import (
@@ -34,14 +29,12 @@ from .geometry import (
     swap_candidates,
 )
 from .jsonio import SCHEMA
-from .mle import solve_all
 from .model import (
     minor_space_dimension,
     parameters_of,
     singular_subspaces,
     veronese_generators,
 )
-from .plotting import Overlays, plot_arrangement
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -124,6 +117,12 @@ def _write(path, text: str):
         sys.stdout.write(text)
 
 
+def _write_svg(path, model, **overlays):
+    from .plotting import Overlays, plot_arrangement
+
+    _write(path, plot_arrangement(model, Overlays(**overlays)))
+
+
 def _emit_error(kind: str, err: Exception):
     error = {"kind": kind, "type": type(err).__name__, "message": str(err)}
     if getattr(err, "trace", None):
@@ -151,6 +150,8 @@ def _anchor_index(args, n) -> int:
 
 
 def _eps_grid(args):
+    from .degeneration import DEFAULT_EPS_GRID
+
     if not args.eps_grid:
         return DEFAULT_EPS_GRID
     try:
@@ -177,9 +178,8 @@ def _cmd_regions(doc, args):
         "count": len(regions),
     }
     if args.svg:
-        model = jsonio.model_from_json(doc)
-        overlays = Overlays(region_labels=[(r.witness, str(r.sign)) for r in regions])
-        _write(args.svg, plot_arrangement(model, overlays))
+        labels = [(r.witness, str(r.sign)) for r in regions]
+        _write_svg(args.svg, jsonio.model_from_json(doc), region_labels=labels)
     return out
 
 
@@ -196,6 +196,8 @@ def _cmd_mldegree(doc, args):
 
 
 def _cmd_mle(doc, args):
+    from .mle import solve_all
+
     model = jsonio.model_from_json(doc)
     s = jsonio.parse_vector(_need(doc, "s"), "s")
     result = solve_all(model, s, _tol(args))
@@ -208,12 +210,13 @@ def _cmd_mle(doc, args):
         "ml_degree": len(result.points),
     }
     if args.svg:
-        overlays = Overlays(critical_points=[p.x for p in result.points])
-        _write(args.svg, plot_arrangement(model, overlays))
+        _write_svg(args.svg, model, critical_points=[p.x for p in result.points])
     return out
 
 
 def _cmd_degenerate(doc, args):
+    from .degeneration import unit_data_solutions
+
     model = jsonio.model_from_json(doc)
     anchor = _anchor_index(args, model.n)
     solutions = unit_data_solutions(model, anchor)
@@ -232,6 +235,8 @@ def _cmd_degenerate(doc, args):
 
 
 def _cmd_tropical(doc, args):
+    from .degeneration import TropicalData, estimate_valuations, tropical_predictions, unit_data_solutions
+
     model = jsonio.model_from_json(doc)
     w = jsonio.parse_vector(_need(doc, "w"), "w")
     anchor = _anchor_index(args, model.n)
@@ -256,8 +261,7 @@ def _cmd_tropical(doc, args):
         ],
     }
     if args.svg:
-        overlays = _plot_overlays_from_tracking(model, estimates, unit_data_solutions(model, anchor))
-        _write(args.svg, plot_arrangement(model, overlays))
+        _write_svg(args.svg, model, **_tracking_overlays(model, estimates, unit_data_solutions(model, anchor)))
     return out
 
 
@@ -370,6 +374,10 @@ def _cmd_singular(doc, args):
 
 
 def _cmd_plot(doc, args):
+    from .degeneration import TropicalData, estimate_valuations, unit_data_solutions
+    from .mle import solve_all
+    from .plotting import Overlays, plot_arrangement
+
     model = jsonio.model_from_json(doc)
     overlays = Overlays()
     if "w" in doc and args.anchor is not None:
@@ -377,7 +385,7 @@ def _cmd_plot(doc, args):
         trop = TropicalData(w=w, anchor=_anchor_index(args, model.n))
         estimates = estimate_valuations(model, trop, eps_grid=_eps_grid(args))
         solutions = unit_data_solutions(model, trop.anchor)
-        overlays = _plot_overlays_from_tracking(model, estimates, solutions)
+        overlays = Overlays(**_tracking_overlays(model, estimates, solutions))
     if "s" in doc:
         s = jsonio.parse_vector(doc["s"], "s")
         result = solve_all(model, s, _tol(args))
@@ -389,13 +397,16 @@ def _cmd_plot(doc, args):
     return plot_arrangement(model, overlays)
 
 
-def _plot_overlays_from_tracking(model, estimates, solutions):
+def _tracking_overlays(model, estimates, solutions):
+    """Tracked arcs and their closed-form limits, as Overlays fields."""
+    from .mle import to_floats
+
     def params_of(ys):
-        return ratlin.to_floats(parameters_of(model, ys), "parameters").tolist()
+        return to_floats(parameters_of(model, ys), "parameters").tolist()
 
     limits = params_of(sol.y for sol in solutions if sol.y)
-    arcs = [[ratlin.to_floats(est.region.witness, "witness").tolist()] + params_of(est.y_track) for est in estimates]
-    return Overlays(arcs=arcs, limit_points=limits)
+    arcs = [[to_floats(est.region.witness, "witness").tolist()] + params_of(est.y_track) for est in estimates]
+    return dict(arcs=arcs, limit_points=limits)
 
 
 # command -> (handler, help text, flags it reads)

@@ -22,7 +22,7 @@ import numpy as np
 from . import ratlin
 from .arrangement import enumerate_regions
 from .errors import AnchorNotUnique, PathLost, RankDeficient, ValidationError
-from .mle import CriticalPoint, _check_positive_data, _solve_batch
+from .mle import CriticalPoint, _check_positive_data, _solve_batch, to_floats
 from .model import SquaredLinearModel
 
 DEFAULT_EPS_GRID = (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5)
@@ -218,7 +218,7 @@ def estimate_valuations(
         a <= b for a, b in zip(eps_grid, eps_grid[1:])
     ):
         raise ValidationError("eps grid must be positive and strictly decreasing")
-    w = ratlin.to_floats(trop.w, "w")
+    w = to_floats(trop.w, "w")
     anchor = trop.anchor
     spread = float(w.max()) - float(w[anchor])  # inf when out of range; the check below rejects it
     if eps_grid[-1] ** spread < 1e-14:
@@ -239,7 +239,13 @@ def estimate_valuations(
                 raise PathLost(
                     f"tracking lost region {region.sign} at eps = {eps:g}: {point}"
                 ) from point
-            track.append(point.y / point.y[anchor])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                scaled = point.y / point.y[anchor]
+            if not np.all(np.isfinite(scaled)):
+                raise PathLost(
+                    f"tracking lost region {region.sign} at eps = {eps:g}: anchor value {point.y[anchor]:g}"
+                )
+            track.append(scaled)
         starts = [point.x for point in points]
 
     log_eps = np.log(np.array(eps_grid))
@@ -289,7 +295,7 @@ def match_supports(estimates, solutions) -> dict:
 def limit_distance(estimate: ValuationEstimate, solution: DegenerateSolution) -> float:
     """Distance between the tracked limit and the closed-form point,
     both scaled to anchor coordinate one."""
-    y_exact = ratlin.to_floats(solution.y, "y")
+    y_exact = to_floats(solution.y, "y")
     y_exact = y_exact / y_exact[solution.anchor]
     y_num = np.array(estimate.y_limit)
     return float(np.max(np.abs(y_exact - y_num)))

@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ratlin
 from .arrangement import Arrangement
 from .errors import RankDeficient, ReductionFailed, ValidationError
@@ -47,7 +45,7 @@ class DPPModel:
 @dataclass(frozen=True)
 class SubsetDistribution:
     states: tuple
-    probs: np.ndarray
+    probs: object  # float array, one probability per state
 
     def __getitem__(self, sigma):
         return self.probs[self.states.index(tuple(sigma))]
@@ -70,11 +68,6 @@ class DiscriminantalArrangement:
     column_permutation: tuple
 
 
-def _squared_minor_ratios(Theta, states):
-    minors = np.array([np.linalg.det(Theta[:, sigma]) for sigma in states])
-    return minors**2 / float(np.linalg.det(Theta @ Theta.T))
-
-
 def dpp_probabilities(Theta) -> SubsetDistribution:
     """Probabilities det(Theta_sigma)^2 / det(Theta Theta^T) over k-subsets.
 
@@ -86,7 +79,11 @@ def dpp_probabilities(Theta) -> SubsetDistribution:
     use the rows as given, and the scaled rows only where the given ones
     overflow or underflow, so well-scaled input keeps its exact floats.
     """
-    Theta = ratlin.to_floats(Theta, "Theta")
+    import numpy as np
+
+    from .mle import to_floats
+
+    Theta = to_floats(Theta, "Theta")
     k, n = Theta.shape
     top = np.abs(Theta).max(axis=1, initial=0.0)
     if k > n or not np.all(top > 0):
@@ -95,10 +92,15 @@ def dpp_probabilities(Theta) -> SubsetDistribution:
     if np.linalg.matrix_rank(scaled) < k:
         raise RankDeficient("parameter matrix must have full row rank k")
     states = tuple(itertools.combinations(range(n), k))
+
+    def squared_minor_ratios(M):
+        minors = np.array([np.linalg.det(M[:, sigma]) for sigma in states])
+        return minors**2 / float(np.linalg.det(M @ M.T))
+
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        probs = _squared_minor_ratios(Theta, states)
+        probs = squared_minor_ratios(Theta)
     if not np.isfinite(probs).all():
-        probs = _squared_minor_ratios(scaled, states)
+        probs = squared_minor_ratios(scaled)
     return SubsetDistribution(states=states, probs=probs)
 
 

@@ -41,7 +41,6 @@ from .errors import (
     ValidationError,
     ZeroCoordinate,
 )
-from .mle import solve_all
 from .model import SquaredLinearModel
 
 # Largest kernel residual, relative to max(1, max|y_i|), that a float model
@@ -388,6 +387,8 @@ def log_voronoi_scan(
     boundaries are generally not algebraic, so sampling plus bisection is
     the honest tool here.
     """
+    from .mle import solve_all, to_floats
+
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
     y = _check_kernel_point(model, y)
@@ -400,7 +401,7 @@ def log_voronoi_scan(
             raise ValidationError(f"{name} point must be strictly positive")
         if not _in_row_span(model, y, point):
             raise ValidationError(f"{name} point is outside the log-normal span")
-    a, b = ratlin.to_floats(start, "start"), ratlin.to_floats(end, "end")
+    a, b = to_floats(start, "start"), to_floats(end, "end")
     regions = enumerate_regions(model.arr)
 
     def tag_at(t: float) -> str:

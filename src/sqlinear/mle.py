@@ -1,13 +1,15 @@
-"""Maximum-likelihood solving in every region at once, and the determinantal
-rank test.
+"""The float side of the model: likelihood evaluation, maximum-likelihood
+solving in every region at once, and the determinantal rank test.
+
+:func:`to_floats` is the one place where exact values turn into doubles.
 
 Every region of the arrangement complement carries exactly one critical
 point of the log-likelihood, and it is a local maximum, so damped Newton
 with steps rejected whenever they would flip the sign of any form converges
 from any interior start of the region. All regions are solved as one (R, d)
 stack of iterates: each iteration evaluates the whole stack in a few numpy
-calls through :class:`sqlinear.model.Likelihood`, which holds the only copy
-of the log-likelihood, gradient and Hessian formulas, and every decision is
+calls through :class:`Likelihood`, which holds the only copy of the
+log-likelihood, gradient and Hessian formulas, and every decision is
 made per row through masks. A row's chart pins its largest coordinate and
 hops when another one takes over, so iterates stay bounded; the Hessian is
 ridged only when it is not negative definite.
@@ -23,14 +25,15 @@ fixed.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ratlin
 from .arrangement import Region, SignVector, enumerate_regions
-from .errors import BoundaryData, NoConvergence, ValidationError
-from .model import Likelihood, SquaredLinearModel, normalize_parameter
+from .errors import BoundaryData, NoConvergence, OnHyperplane, ValidationError, ZeroPoint
+from .model import SquaredLinearModel, VeroneseGenerators
 
 
 # Smallest ridge, relative to the Hessian's largest diagonal entry, added to
@@ -40,6 +43,117 @@ SHIFT_MARGIN = 1e-8
 MAX_BACKTRACKS = 50
 MAX_ITER = 200
 POLISH_ITERS = 20
+
+
+def to_floats(values, name: str) -> np.ndarray:
+    """Exact values (a vector or a matrix) as a float array; a value beyond
+    double range is invalid input, not an infinity."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as err:
+        raise ValidationError(f"field {name!r} holds a value beyond double range") from err
+
+
+def normalize_parameter(x) -> np.ndarray:
+    """Unit-norm representative with positive first nonzero coordinate."""
+    x = np.asarray(x, dtype=float)
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0:
+        raise ZeroPoint("zero vector is not a projective point")
+    x = x / norm
+    for v in x:
+        if abs(v) > 1e-12:
+            if v < 0:
+                x = -x
+            break
+    return x
+
+
+def evaluate(model: SquaredLinearModel, x) -> np.ndarray:
+    """Probability vector p(x); entries sum to one."""
+    x = np.asarray(x, dtype=float)
+    if not np.any(x):
+        raise ZeroPoint("zero vector is not a projective point")
+    squares = (model.A_float @ x) ** 2
+    return squares / squares.sum()
+
+
+class Likelihood:
+    """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
+    Hessian on every row y of an (R, d) stack Y.
+
+    The one copy of these formulas: the Newton batch below runs it and the
+    public one-point functions call it. Built once per (float A, s). States
+    of weight 0 drop out of the sums, also on their own hyperplanes; when
+    there are none, the form values are used without a copy.
+    """
+
+    def __init__(self, A: np.ndarray, s: np.ndarray):
+        self.A, self.total, self.gram = A, float(s.sum()), A.T @ A
+        self._keep = None if np.all(s != 0.0) else np.flatnonzero(s != 0.0)
+        self._s, self._A = (s, A) if self._keep is None else (s[self._keep], A[self._keep])
+
+    def _kept(self, V):
+        return V if self._keep is None else V[:, self._keep]
+
+    def __call__(self, Y):
+        V = Y @ self.A.T
+        return 2.0 * np.log(np.abs(self._kept(V))) @ self._s - self.total * np.log(np.einsum("ri,ri->r", V, V))
+
+    def gradient(self, Y):
+        """(G, V, q): the rows sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y,
+        the form values and q."""
+        V = Y @ self.A.T
+        q = np.einsum("ri,ri->r", V, V)
+        return (2.0 * self._s / self._kept(V)) @ self._A - (2.0 * self.total / q)[:, None] * (V @ self.A), V, q
+
+    def hessian(self, Y):
+        """(G, H): the gradient rows and the (R, d, d) stack of Hessians."""
+        G, V, q = self.gradient(Y)
+        U = V @ self.A
+        H = (
+            -np.einsum("ri,ij,ik->rjk", 2.0 * self._s / self._kept(V) ** 2, self._A, self._A)
+            - (2.0 * self.total / q)[:, None, None] * self.gram
+            + (4.0 * self.total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
+        )
+        return G, H
+
+
+def _one_point(model: SquaredLinearModel, s, x):
+    """(evaluator, (1, d) stack, whether x lies on a hyperplane of positive
+    weight) for one point; ZeroPoint when every form vanishes at x."""
+    A, s = model.A_float, to_floats(s, "s")
+    X = np.asarray(x, dtype=float)[None, :]
+    values = (X @ A.T)[0]
+    if not np.any(values):
+        raise ZeroPoint("zero vector is not a projective point")
+    return Likelihood(A, s), X, bool(np.any((values == 0.0) & (s != 0.0)))
+
+
+def log_likelihood(model: SquaredLinearModel, s, x) -> float:
+    """sum_i s_i log p_i(x), invariant under rescaling x; -inf when x sits on
+    a hyperplane with s_i > 0."""
+    loglik, X, on_hyperplane = _one_point(model, s, x)
+    return -math.inf if on_hyperplane else float(loglik(X)[0])
+
+
+def gradient(model: SquaredLinearModel, s, x) -> np.ndarray:
+    """Gradient of the log-likelihood in the ambient coordinates; orthogonal
+    to x by homogeneity."""
+    loglik, X, on_hyperplane = _one_point(model, s, x)
+    if on_hyperplane:
+        raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
+    return loglik.gradient(X)[0][0]
+
+
+def r_minors_residual(vg: VeroneseGenerators, p) -> float:
+    """Largest 2x2 minor of R at p, scale-free (p normalized to unit sum)."""
+    p = np.asarray(p, dtype=float)
+    p = p / p.sum()
+    R = to_floats(vg.R, "R") @ p[: len(vg.R[0][0])]
+    scale = max(1.0, float(np.abs(R).max()) ** 2)
+    pairs = list(itertools.combinations(range(len(vg.R)), 2))
+    return max(abs(R[i, j] * R[k, l] - R[i, l] * R[k, j]) for i, k in pairs for j, l in pairs) / scale
 
 
 @dataclass(frozen=True)
@@ -75,7 +189,7 @@ class SolveAllResult:
 
 
 def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
-    s = ratlin.to_floats(s, "s")
+    s = to_floats(s, "s")
     x = np.asarray(x, dtype=float)
     values = model.A_float @ x
     rows = np.vstack([s, values**2, model.B_float * values])
@@ -94,7 +208,7 @@ def rank_defect(matrix: LikelihoodMatrix, tol: float) -> int:
 
 
 def _check_positive_data(s, n):
-    s = ratlin.to_floats(s, "s")
+    s = to_floats(s, "s")
     if s.shape != (n,):
         raise ValidationError(f"data vector must have n = {n} entries, got shape {s.shape}")
     with np.errstate(over="ignore"):
@@ -171,7 +285,7 @@ def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
     loglik = Likelihood(A, s)
     R, d = len(regions), model.d
     signs = np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n)
-    X = ratlin.to_floats([r.witness for r in regions], "witness").reshape(R, d)
+    X = to_floats([r.witness for r in regions], "witness").reshape(R, d)
     chart = np.argmax(np.abs(X), axis=1)
     for k, start in enumerate(starts or ()):
         if start is not None:

@@ -1,31 +1,19 @@
-"""The squared linear model: evaluation, likelihood, implicit generators.
+"""The squared linear model: exact evaluation and implicit generators.
 
 State probabilities are p_i(x) = l_i(x)^2 / q(x) with q the sum of all
-squared forms. Numeric evaluation is done with numpy; the log-likelihood,
-its gradient and its Hessian are written once, in :class:`Likelihood`, which
-the Newton solver runs and the public one-point functions call. The
-implicit-ideal constructions (kernel of the squared-forms matrix, rank-one
-symmetric matrix of linear entries, singular subspaces) are exact rational.
+squared forms. Everything here is exact rational; the float evaluation, the
+log-likelihood and its derivatives live in :mod:`.mle`, which runs them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ratlin
 from .arrangement import Arrangement, KernelComplement, kernel_complement
-from .errors import (
-    DegenerateLeadingBlock,
-    OnHyperplane,
-    RankDeficient,
-    ValidationError,
-    ZeroPoint,
-)
+from .errors import DegenerateLeadingBlock, RankDeficient, ValidationError, ZeroPoint
 
 
 @dataclass(frozen=True)
@@ -53,31 +41,20 @@ class SquaredLinearModel:
         return self.d * (self.d + 1) // 2
 
     @property
-    def A_float(self) -> np.ndarray:
-        return ratlin.to_floats(self.arr.A, "A")
+    def A_float(self):
+        from .mle import to_floats
+
+        return to_floats(self.arr.A, "A")
 
     @property
-    def B_float(self) -> np.ndarray:
-        return ratlin.to_floats(self.B.B, "B")
+    def B_float(self):
+        from .mle import to_floats
+
+        return to_floats(self.B.B, "B")
 
 
 def make_model(arr: Arrangement) -> SquaredLinearModel:
     return SquaredLinearModel(arr=arr, B=kernel_complement(arr))
-
-
-def normalize_parameter(x) -> np.ndarray:
-    """Unit-norm representative with positive first nonzero coordinate."""
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ZeroPoint("zero vector is not a projective point")
-    x = x / norm
-    for v in x:
-        if abs(v) > 1e-12:
-            if v < 0:
-                x = -x
-            break
-    return x
 
 
 def parameters_of(model: SquaredLinearModel, ys):
@@ -91,15 +68,6 @@ def parameters_of(model: SquaredLinearModel, ys):
     ]
 
 
-def evaluate(model: SquaredLinearModel, x) -> np.ndarray:
-    """Probability vector p(x); entries sum to one."""
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ZeroPoint("zero vector is not a projective point")
-    squares = (model.A_float @ x) ** 2
-    return squares / squares.sum()
-
-
 def evaluate_exact(model: SquaredLinearModel, x):
     """Rational probability vector for rational x."""
     values = model.arr.form_values(tuple(ratlin.as_fraction(v) for v in x))
@@ -108,71 +76,6 @@ def evaluate_exact(model: SquaredLinearModel, x):
     if total == 0:
         raise ZeroPoint("zero vector is not a projective point")
     return tuple(v / total for v in squares)
-
-
-class Likelihood:
-    """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
-    Hessian on every row y of an (R, d) stack Y.
-
-    The one copy of these formulas: the Newton batch of :mod:`.mle` runs it
-    and the public one-point functions below call it. Built once per
-    (float A, s). States of weight 0 drop out of the sums, also on their own
-    hyperplanes.
-    """
-
-    def __init__(self, A: np.ndarray, s: np.ndarray):
-        self.A, self.total, self.gram = A, float(s.sum()), A.T @ A
-        keep = slice(None) if np.all(s != 0.0) else np.flatnonzero(s != 0.0)
-        self._keep, self._s, self._A = keep, s[keep], A[keep]
-
-    def __call__(self, Y):
-        V = Y @ self.A.T
-        return 2.0 * np.log(np.abs(V[:, self._keep])) @ self._s - self.total * np.log(np.einsum("ri,ri->r", V, V))
-
-    def gradient(self, Y):
-        """(G, V, q): the rows sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y,
-        the form values and q."""
-        V = Y @ self.A.T
-        q = np.einsum("ri,ri->r", V, V)
-        return (2.0 * self._s / V[:, self._keep]) @ self._A - (2.0 * self.total / q)[:, None] * (V @ self.A), V, q
-
-    def hessian(self, Y):
-        """(G, H): the gradient rows and the (R, d, d) stack of Hessians."""
-        G, V, q = self.gradient(Y)
-        U = V @ self.A
-        H = (
-            -np.einsum("ri,ij,ik->rjk", 2.0 * self._s / V[:, self._keep] ** 2, self._A, self._A)
-            - (2.0 * self.total / q)[:, None, None] * self.gram
-            + (4.0 * self.total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
-        )
-        return G, H
-
-
-def _one_point(model: SquaredLinearModel, s, x):
-    """(evaluator, (1, d) stack, whether x lies on a hyperplane of positive
-    weight) for one point; ZeroPoint when every form vanishes at x."""
-    A, s = model.A_float, ratlin.to_floats(s, "s")
-    X = np.asarray(x, dtype=float)[None, :]
-    values = (X @ A.T)[0]
-    if not np.any(values):
-        raise ZeroPoint("zero vector is not a projective point")
-    return Likelihood(A, s), X, bool(np.any((values == 0.0) & (s != 0.0)))
-
-
-def log_likelihood(model: SquaredLinearModel, s, x) -> float:
-    """sum_i s_i log p_i(x), invariant under rescaling x; -inf when x sits on
-    a hyperplane with s_i > 0."""
-    loglik, X, on_hyperplane = _one_point(model, s, x)
-    return -math.inf if on_hyperplane else float(loglik(X)[0])
-
-
-def gradient(model: SquaredLinearModel, s, x) -> np.ndarray:
-    """Gradient of the log-likelihood in the ambient coordinates; orthogonal
-    to x by homogeneity."""
-    loglik, X, on_hyperplane = _one_point(model, s, x)
-    if on_hyperplane:
-        raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
-    return loglik.gradient(X)[0][0]
 
 
 def quadric_monomials(d: int):
@@ -254,22 +157,6 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     return VeroneseGenerators(
         L=L, Lprime=Lprime, linear_forms=linear_forms, R=R, monomials=monomials
     )
-
-
-def r_minors_residual(vg: VeroneseGenerators, p) -> float:
-    """Largest 2x2 minor of R at p, scale-free (p normalized to unit sum)."""
-    p = np.asarray(p, dtype=float)
-    p = p / p.sum()
-    d = len(vg.R)
-    R = np.array(
-        [[np.dot(np.array(vg.R[i][j], dtype=float), p[: len(vg.R[0][0])]) for j in range(d)] for i in range(d)]
-    )
-    scale = max(1.0, float(np.abs(R).max()) ** 2)
-    worst = 0.0
-    for i, k in itertools.combinations(range(d), 2):
-        for j, l in itertools.combinations(range(d), 2):
-            worst = max(worst, abs(R[i, j] * R[k, l] - R[i, l] * R[k, j]) / scale)
-    return worst
 
 
 def steiner_quartic(p) -> float:

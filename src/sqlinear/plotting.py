@@ -238,6 +238,14 @@ def _draw_chart2(model, A, overlays, parts):
                 f'<polyline class="arc" points="{pieces}" fill="none" '
                 'stroke="#0055cc" stroke-width="1.2"/>'
             )
+    for witness, text in overlays.region_labels:
+        a = chart_coord([float(v) for v in witness])
+        if a is None:
+            continue
+        parts.append(
+            f'<text class="region-label" x="{_fmt(to_px(a))}" y="{_fmt(axis_y + 20)}" '
+            f'font-size="10" text-anchor="middle">{text}</text>'
+        )
 
 
 def _draw_simplex_fiber(polytope, parts):

@@ -7,7 +7,7 @@ per row; tests/test_newton_batch.py checks that both find the same critical
 points, fail on the same regions and track the same valuations.
 
 The oracle keeps its own scalar copies of the log-likelihood, its gradient
-and its Hessian, so it stays independent of :class:`sqlinear.model.Likelihood`,
+and its Hessian, so it stays independent of :class:`sqlinear.mle.Likelihood`,
 which the library evaluates them with; tests/test_model.py compares the two.
 """
 
@@ -27,8 +27,8 @@ from sqlinear.mle import (
     CriticalPoint,
     SolveAllResult,
     _check_positive_data,
+    normalize_parameter,
 )
-from sqlinear.model import normalize_parameter
 
 
 def log_likelihood(model, s, x) -> float:

@@ -219,6 +219,17 @@ class TestPlot:
         assert 'class="lognormal-fiber"' in text
         assert 'class="simplex"' in text
 
+    @pytest.mark.parametrize(
+        "A", [[[1, 0], [1, 1], [1, 2], [0, 1]], STEINER["A"]], ids=["d2", "d3"]
+    )
+    def test_one_region_label_per_region(self, tmp_path, A):
+        svg = tmp_path / "figure.svg"
+        code, text = run(tmp_path, "regions", {"A": A}, "--svg", str(svg))
+        assert code == 0
+        regions = json.loads(text)["regions"]
+        labels = re.findall(r'<text class="region-label"[^>]*>([+-]+)</text>', svg.read_text())
+        assert sorted(labels) == sorted(r["sign"] for r in regions)
+
     def test_dimension_unsupported(self, tmp_path):
         doc = {"A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]}
         code, _ = run(tmp_path, "plot", doc)
@@ -347,15 +358,17 @@ class TestExitCodes:
 
     def test_partial_failure_lists_only_failed_regions(self, tmp_path, capsys, monkeypatch):
         # One region gets a witness with the wrong signs, so it alone fails.
-        from sqlinear import cli, mle
+        from sqlinear import mle
         from sqlinear.arrangement import Region, enumerate_regions
+
+        solve_all = mle.solve_all
 
         def one_bad_witness(model, s, tol):
             regions = enumerate_regions(model.arr)
             regions[2] = Region(sign=regions[2].sign, witness=regions[3].witness)
-            return mle.solve_all(model, s, tol, regions=regions)
+            return solve_all(model, s, tol, regions=regions)
 
-        monkeypatch.setattr(cli, "solve_all", one_bad_witness)
+        monkeypatch.setattr(mle, "solve_all", one_bad_witness)
         code, _ = run(tmp_path, "mle", dict(STEINER, s=[0.4, 0.3, 0.2, 0.1]))
         assert code == 3
         err = json.loads(capsys.readouterr().err)["error"]

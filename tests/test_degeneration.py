@@ -1,8 +1,12 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
+from sqlinear import degeneration
 from sqlinear.catalog import random_arrangement
+from sqlinear.cli import main
 from sqlinear.degeneration import (
     TropicalData,
     admissible_supports,
@@ -13,7 +17,7 @@ from sqlinear.degeneration import (
     tropical_predictions,
     unit_data_solutions,
 )
-from sqlinear.errors import AnchorNotUnique, BoundaryData, RankDeficient, ValidationError
+from sqlinear.errors import AnchorNotUnique, BoundaryData, PathLost, RankDeficient, ValidationError
 from sqlinear.model import make_model
 
 STEINER_POINTS = {
@@ -226,6 +230,36 @@ class TestEstimateValuations:
         # eps**300 underflows to zero at the end of the default grid.
         with pytest.raises(BoundaryData):
             estimate_valuations(steiner, TropicalData(w=(300, 303, 304, 305), anchor=0))
+
+    @staticmethod
+    def anchor_coordinate_set_to(value, monkeypatch):
+        """Make every solved point carry ``value`` as its first coordinate."""
+        solve_batch = degeneration._solve_batch
+
+        def with_anchor(point):
+            y = point.y.copy()
+            y[0] = value
+            return dataclasses.replace(point, y=y)
+
+        def stubbed(*args, **kwargs):
+            return [with_anchor(point) for point in solve_batch(*args, **kwargs)]
+
+        monkeypatch.setattr(degeneration, "_solve_batch", stubbed)
+
+    @pytest.mark.parametrize("value", [0.0, 1e-310])
+    def test_vanishing_anchor_coordinate_loses_the_path(self, steiner, monkeypatch, value):
+        # Zero, or so small that scaling by it overflows: no finite track.
+        self.anchor_coordinate_set_to(value, monkeypatch)
+        with pytest.raises(PathLost, match="anchor value"):
+            estimate_valuations(steiner, TropicalData(w=(0, 3, 4, 5), anchor=0))
+
+    def test_vanishing_anchor_coordinate_exits_3(self, tmp_path, capsys, monkeypatch):
+        self.anchor_coordinate_set_to(0.0, monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "w": [0, 3, 4, 5]}))
+        assert main(["tropical", "--input", str(path), "--anchor", "1"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["kind"], error["type"]) == ("numeric", "PathLost")
 
     def test_anchor_invariance_of_canonical_form(self, steiner):
         trop = TropicalData(w=(Fraction(0), 3, 4, 5), anchor=0)

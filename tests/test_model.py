@@ -15,16 +15,12 @@ from sqlinear.errors import (
     ValidationError,
     ZeroPoint,
 )
+from sqlinear.mle import Likelihood, evaluate, gradient, log_likelihood, normalize_parameter
 from sqlinear.model import (
-    Likelihood,
-    evaluate,
     evaluate_exact,
-    gradient,
-    log_likelihood,
     make_model,
     minor_space_dimension,
     noninjectivity_witness,
-    normalize_parameter,
     quadric_monomials,
     singular_subspaces,
     steiner_quartic,
@@ -224,7 +220,7 @@ class TestVeroneseGenerators:
                     assert R[i][j] == x[i] * x[j]
 
     def test_numeric_vanishing(self, seven_lines, rng):
-        from sqlinear.model import r_minors_residual
+        from sqlinear.mle import r_minors_residual
 
         gens = veronese_generators(seven_lines)
         forms = [np.array([float(v) for v in f]) for f in gens.linear_forms]
