@@ -33,26 +33,27 @@ _EXPORTS = {
         "Polytope chamber_arrangement combinatorial_type_scan dual_polytope "
         "log_voronoi_scan lognormal_polytope swap_candidates"
     ),
-    "mle": (
-        "CriticalPoint LikelihoodMatrix evaluate gradient likelihood_matrix "
-        "log_likelihood rank_defect solve_all solve_region"
-    ),
+    "mle": "CriticalPoint LikelihoodMatrix likelihood_matrix rank_defect solve_all solve_region",
     "model": (
-        "SquaredLinearModel VeroneseGenerators evaluate_exact make_model "
-        "minor_space_dimension singular_subspaces steiner_quartic veronese_generators"
+        "SquaredLinearModel VeroneseGenerators evaluate evaluate_exact gradient log_likelihood "
+        "make_model minor_space_dimension singular_subspaces steiner_quartic veronese_generators"
     ),
 }
+# every submodule the package used to bind by importing it at start
+_MODULES = (*_EXPORTS, "errors", "ratlin", "simplex")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    # Not cached in the module globals: every lookup reads the home module,
-    # so a name rebound there is seen here too.
+    # Not cached in the module globals: every lookup reads the home module, so
+    # a name rebound there is seen here; a submodule is imported on first use.
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_HOME))
+    return sorted(set(globals()) | set(_HOME) | set(_MODULES))

@@ -7,8 +7,9 @@ with a "schema": "slm/1" tag, figures as SVG. Exit codes: 0 success,
 
 State indices (anchor, subsets J, DPP states) are 1-based on the command
 line and in emitted JSON, matching the labeling of the input rows. The float
-modules (:mod:`.mle`, :mod:`.degeneration`, :mod:`.plotting`) are imported
-by the handlers that use them, so the exact commands run without numpy.
+modules (:mod:`.mle`, :mod:`.degeneration`) are imported by the handlers
+that use them, and :mod:`.plotting` loads numpy only to draw, so the exact
+commands run without numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .model import (
     singular_subspaces,
     veronese_generators,
 )
+from .plotting import Overlays, plot_arrangement
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -117,12 +119,6 @@ def _write(path, text: str):
         sys.stdout.write(text)
 
 
-def _write_svg(path, model, **overlays):
-    from .plotting import Overlays, plot_arrangement
-
-    _write(path, plot_arrangement(model, Overlays(**overlays)))
-
-
 def _emit_error(kind: str, err: Exception):
     error = {"kind": kind, "type": type(err).__name__, "message": str(err)}
     if getattr(err, "trace", None):
@@ -178,8 +174,9 @@ def _cmd_regions(doc, args):
         "count": len(regions),
     }
     if args.svg:
-        labels = [(r.witness, str(r.sign)) for r in regions]
-        _write_svg(args.svg, jsonio.model_from_json(doc), region_labels=labels)
+        model = jsonio.model_from_json(doc)
+        overlays = Overlays(region_labels=[(r.witness, str(r.sign)) for r in regions])
+        _write(args.svg, plot_arrangement(model, overlays))
     return out
 
 
@@ -210,7 +207,8 @@ def _cmd_mle(doc, args):
         "ml_degree": len(result.points),
     }
     if args.svg:
-        _write_svg(args.svg, model, critical_points=[p.x for p in result.points])
+        overlays = Overlays(critical_points=[p.x for p in result.points])
+        _write(args.svg, plot_arrangement(model, overlays))
     return out
 
 
@@ -261,7 +259,8 @@ def _cmd_tropical(doc, args):
         ],
     }
     if args.svg:
-        _write_svg(args.svg, model, **_tracking_overlays(model, estimates, unit_data_solutions(model, anchor)))
+        overlays = _plot_overlays_from_tracking(model, estimates, unit_data_solutions(model, anchor))
+        _write(args.svg, plot_arrangement(model, overlays))
     return out
 
 
@@ -376,7 +375,6 @@ def _cmd_singular(doc, args):
 def _cmd_plot(doc, args):
     from .degeneration import TropicalData, estimate_valuations, unit_data_solutions
     from .mle import solve_all
-    from .plotting import Overlays, plot_arrangement
 
     model = jsonio.model_from_json(doc)
     overlays = Overlays()
@@ -385,7 +383,7 @@ def _cmd_plot(doc, args):
         trop = TropicalData(w=w, anchor=_anchor_index(args, model.n))
         estimates = estimate_valuations(model, trop, eps_grid=_eps_grid(args))
         solutions = unit_data_solutions(model, trop.anchor)
-        overlays = Overlays(**_tracking_overlays(model, estimates, solutions))
+        overlays = _plot_overlays_from_tracking(model, estimates, solutions)
     if "s" in doc:
         s = jsonio.parse_vector(doc["s"], "s")
         result = solve_all(model, s, _tol(args))
@@ -397,8 +395,7 @@ def _cmd_plot(doc, args):
     return plot_arrangement(model, overlays)
 
 
-def _tracking_overlays(model, estimates, solutions):
-    """Tracked arcs and their closed-form limits, as Overlays fields."""
+def _plot_overlays_from_tracking(model, estimates, solutions):
     from .mle import to_floats
 
     def params_of(ys):
@@ -406,7 +403,7 @@ def _tracking_overlays(model, estimates, solutions):
 
     limits = params_of(sol.y for sol in solutions if sol.y)
     arcs = [[to_floats(est.region.witness, "witness").tolist()] + params_of(est.y_track) for est in estimates]
-    return dict(arcs=arcs, limit_points=limits)
+    return Overlays(arcs=arcs, limit_points=limits)
 
 
 # command -> (handler, help text, flags it reads)

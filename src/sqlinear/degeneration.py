@@ -242,9 +242,7 @@ def estimate_valuations(
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 scaled = point.y / point.y[anchor]
             if not np.all(np.isfinite(scaled)):
-                raise PathLost(
-                    f"tracking lost region {region.sign} at eps = {eps:g}: anchor value {point.y[anchor]:g}"
-                )
+                raise PathLost(f"lost region {region.sign} at eps = {eps:g}: anchor value {point.y[anchor]:g}")
             track.append(scaled)
         starts = [point.x for point in points]
 

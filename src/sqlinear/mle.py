@@ -1,4 +1,4 @@
-"""The float side of the model: likelihood evaluation, maximum-likelihood
+"""The float side of the model: the likelihood formulas, maximum-likelihood
 solving in every region at once, and the determinantal rank test.
 
 :func:`to_floats` is the one place where exact values turn into doubles.
@@ -25,15 +25,13 @@ fixed.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arrangement import Region, SignVector, enumerate_regions
-from .errors import BoundaryData, NoConvergence, OnHyperplane, ValidationError, ZeroPoint
-from .model import SquaredLinearModel, VeroneseGenerators
+from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
+from .model import SquaredLinearModel
 
 
 # Smallest ridge, relative to the Hessian's largest diagonal entry, added to
@@ -69,23 +67,15 @@ def normalize_parameter(x) -> np.ndarray:
     return x
 
 
-def evaluate(model: SquaredLinearModel, x) -> np.ndarray:
-    """Probability vector p(x); entries sum to one."""
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ZeroPoint("zero vector is not a projective point")
-    squares = (model.A_float @ x) ** 2
-    return squares / squares.sum()
-
-
 class Likelihood:
     """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
     Hessian on every row y of an (R, d) stack Y.
 
     The one copy of these formulas: the Newton batch below runs it and the
-    public one-point functions call it. Built once per (float A, s). States
-    of weight 0 drop out of the sums, also on their own hyperplanes; when
-    there are none, the form values are used without a copy.
+    one-point functions of :mod:`.model` call it. Built once per (float A,
+    s). States of weight 0 drop out of the sums, also on their own
+    hyperplanes; when there are none, the form values are used without a
+    copy.
     """
 
     def __init__(self, A: np.ndarray, s: np.ndarray):
@@ -117,43 +107,6 @@ class Likelihood:
             + (4.0 * self.total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
         )
         return G, H
-
-
-def _one_point(model: SquaredLinearModel, s, x):
-    """(evaluator, (1, d) stack, whether x lies on a hyperplane of positive
-    weight) for one point; ZeroPoint when every form vanishes at x."""
-    A, s = model.A_float, to_floats(s, "s")
-    X = np.asarray(x, dtype=float)[None, :]
-    values = (X @ A.T)[0]
-    if not np.any(values):
-        raise ZeroPoint("zero vector is not a projective point")
-    return Likelihood(A, s), X, bool(np.any((values == 0.0) & (s != 0.0)))
-
-
-def log_likelihood(model: SquaredLinearModel, s, x) -> float:
-    """sum_i s_i log p_i(x), invariant under rescaling x; -inf when x sits on
-    a hyperplane with s_i > 0."""
-    loglik, X, on_hyperplane = _one_point(model, s, x)
-    return -math.inf if on_hyperplane else float(loglik(X)[0])
-
-
-def gradient(model: SquaredLinearModel, s, x) -> np.ndarray:
-    """Gradient of the log-likelihood in the ambient coordinates; orthogonal
-    to x by homogeneity."""
-    loglik, X, on_hyperplane = _one_point(model, s, x)
-    if on_hyperplane:
-        raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
-    return loglik.gradient(X)[0][0]
-
-
-def r_minors_residual(vg: VeroneseGenerators, p) -> float:
-    """Largest 2x2 minor of R at p, scale-free (p normalized to unit sum)."""
-    p = np.asarray(p, dtype=float)
-    p = p / p.sum()
-    R = to_floats(vg.R, "R") @ p[: len(vg.R[0][0])]
-    scale = max(1.0, float(np.abs(R).max()) ** 2)
-    pairs = list(itertools.combinations(range(len(vg.R)), 2))
-    return max(abs(R[i, j] * R[k, l] - R[i, l] * R[k, j]) for i, k in pairs for j, l in pairs) / scale
 
 
 @dataclass(frozen=True)

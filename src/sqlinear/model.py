@@ -1,19 +1,21 @@
 """The squared linear model: exact evaluation and implicit generators.
 
 State probabilities are p_i(x) = l_i(x)^2 / q(x) with q the sum of all
-squared forms. Everything here is exact rational; the float evaluation, the
-log-likelihood and its derivatives live in :mod:`.mle`, which runs them.
+squared forms. The implicit-ideal constructions are exact rational; the
+one-point float functions import numpy when called and share the likelihood
+formulas of :class:`.mle.Likelihood` with the Newton solver.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
 from .arrangement import Arrangement, KernelComplement, kernel_complement
-from .errors import DegenerateLeadingBlock, RankDeficient, ValidationError, ZeroPoint
+from .errors import DegenerateLeadingBlock, OnHyperplane, RankDeficient, ValidationError, ZeroPoint
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,17 @@ def parameters_of(model: SquaredLinearModel, ys):
     ]
 
 
+def evaluate(model: SquaredLinearModel, x):
+    """Probability vector p(x); entries sum to one."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if not np.any(x):
+        raise ZeroPoint("zero vector is not a projective point")
+    squares = (model.A_float @ x) ** 2
+    return squares / squares.sum()
+
+
 def evaluate_exact(model: SquaredLinearModel, x):
     """Rational probability vector for rational x."""
     values = model.arr.form_values(tuple(ratlin.as_fraction(v) for v in x))
@@ -76,6 +89,37 @@ def evaluate_exact(model: SquaredLinearModel, x):
     if total == 0:
         raise ZeroPoint("zero vector is not a projective point")
     return tuple(v / total for v in squares)
+
+
+def _one_point(model: SquaredLinearModel, s, x):
+    """(evaluator, (1, d) stack, whether x lies on a hyperplane of positive
+    weight) for one point; ZeroPoint when every form vanishes at x."""
+    import numpy as np
+
+    from .mle import Likelihood, to_floats
+
+    A, s = model.A_float, to_floats(s, "s")
+    X = np.asarray(x, dtype=float)[None, :]
+    values = (X @ A.T)[0]
+    if not np.any(values):
+        raise ZeroPoint("zero vector is not a projective point")
+    return Likelihood(A, s), X, bool(np.any((values == 0.0) & (s != 0.0)))
+
+
+def log_likelihood(model: SquaredLinearModel, s, x) -> float:
+    """sum_i s_i log p_i(x), invariant under rescaling x; -inf when x sits on
+    a hyperplane with s_i > 0."""
+    loglik, X, on_hyperplane = _one_point(model, s, x)
+    return -math.inf if on_hyperplane else float(loglik(X)[0])
+
+
+def gradient(model: SquaredLinearModel, s, x):
+    """Gradient of the log-likelihood in the ambient coordinates; orthogonal
+    to x by homogeneity."""
+    loglik, X, on_hyperplane = _one_point(model, s, x)
+    if on_hyperplane:
+        raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
+    return loglik.gradient(X)[0][0]
 
 
 def quadric_monomials(d: int):

@@ -10,14 +10,13 @@ whose chart coordinates are not finite is drawn like a point at infinity:
 not at all.
 
 Output is plain SVG text assembled in a fixed order, so identical inputs
-give byte-identical documents.
+give byte-identical documents. numpy is imported by the drawing functions,
+so importing this module (as the CLI does) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DimensionUnsupported
 from .model import SquaredLinearModel
@@ -51,7 +50,9 @@ def _to_pixels(a: float, b: float):
 class _Chart3:
     """Coordinates on the plane {first form = 1} of a d = 3 model."""
 
-    def __init__(self, A: np.ndarray):
+    def __init__(self, A):
+        import numpy as np
+
         a1 = self.a1 = A[0]
         self.origin = a1 / (a1 @ a1)
         basis = [v for v in np.linalg.svd(a1.reshape(1, 3))[2][1:]]
@@ -59,6 +60,8 @@ class _Chart3:
 
     def chart_point(self, x):
         """Chart coordinates of x, or None for a point at infinity."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         l1 = float(self.a1 @ x)
         if l1 == 0.0:
@@ -69,6 +72,8 @@ class _Chart3:
 
     def line_segment(self, normal):
         """Clip {normal . x = 0} against the view box, in chart coordinates."""
+        import numpy as np
+
         n_chart = np.asarray(normal, dtype=float) @ self.frame.T
         c0 = float(np.asarray(normal, dtype=float) @ self.origin)
         # Line: c0 + n_chart . (a, b) = 0.
@@ -177,6 +182,8 @@ def _draw_chart3(model, A, overlays, parts):
 
 def _draw_chart2(model, A, overlays, parts):
     """d = 2: the chart {first form = 1} is a line; hyperplanes are points."""
+    import numpy as np
+
     axis_y = SIZE / 2
     parts.append(
         f'<line class="chart-axis" x1="8" y1="{_fmt(axis_y)}" x2="{_fmt(SIZE - 8)}" '

@@ -44,9 +44,12 @@ from sqlinear.geometry import (
     swap_candidates,
 )
 from sqlinear.geometry import chamber_forms
-from sqlinear.mle import evaluate, gradient, likelihood_matrix, log_likelihood, solve_all
+from sqlinear.mle import likelihood_matrix, solve_all
 from sqlinear.model import (
+    evaluate,
     evaluate_exact,
+    gradient,
+    log_likelihood,
     make_model,
     minor_space_dimension,
     noninjectivity_witness,

@@ -3,8 +3,9 @@
 The exact side (regions, characteristic polynomial, polytopes, chamber
 arrangements, DPP reductions, the ideal, singular subspaces) needs only
 rational arithmetic, so neither ``import sqlinear`` nor those commands may
-load numpy or a float module. Each probe runs in a fresh interpreter and
-reads ``sys.modules`` afterwards; nothing is timed.
+load numpy or a float module. The CLI imports :mod:`sqlinear.plotting`,
+which loads numpy only when it draws. Each probe runs in a fresh
+interpreter and reads ``sys.modules`` afterwards; nothing is timed.
 """
 
 import json
@@ -22,7 +23,7 @@ from sqlinear.jsonio import arrangement_to_json, rationals_to_json
 
 SRC = Path(sqlinear.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
-FLOAT_MODULES = ("numpy", "sqlinear.mle", "sqlinear.degeneration", "sqlinear.plotting")
+FLOAT_MODULES = ("numpy", "sqlinear.mle", "sqlinear.degeneration")
 
 # Every name the package namespace served when it imported each module
 # eagerly, with the module that defines it now.
@@ -42,20 +43,23 @@ OLD_NAMESPACE = {
         "log_voronoi_scan", "lognormal_polytope", "swap_candidates",
     ),
     "mle": (
-        "CriticalPoint", "LikelihoodMatrix", "evaluate", "gradient", "likelihood_matrix",
-        "log_likelihood", "rank_defect", "solve_all", "solve_region",
+        "CriticalPoint", "LikelihoodMatrix", "likelihood_matrix", "rank_defect", "solve_all", "solve_region",
     ),
     "model": (
-        "SquaredLinearModel", "VeroneseGenerators", "evaluate_exact", "make_model",
-        "minor_space_dimension", "singular_subspaces", "steiner_quartic", "veronese_generators",
+        "SquaredLinearModel", "VeroneseGenerators", "evaluate", "evaluate_exact", "gradient",
+        "log_likelihood", "make_model", "minor_space_dimension", "singular_subspaces", "steiner_quartic",
+        "veronese_generators",
     ),
 }
+# The submodules the package bound as attributes when it imported eagerly.
+OLD_SUBMODULES = (*OLD_NAMESPACE, "errors", "ratlin", "simplex")
 
 
 def loaded_after(code):
     """The float modules in ``sys.modules`` after a fresh interpreter runs
     ``code``, and the value ``code`` leaves in ``result``."""
-    probe = code + f"\nimport json, sys\nprint(json.dumps([result, [m for m in {FLOAT_MODULES!r} if m in sys.modules]]))"
+    loaded = f"[m for m in {FLOAT_MODULES!r} if m in sys.modules]"
+    probe = code + f"\nimport json, sys\nprint(json.dumps([result, {loaded}]))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -82,7 +86,9 @@ EXACT_COMMANDS = {
     "regions": steiner,
     "charpoly": steiner,
     "mldegree": steiner,
-    "lognormal": lambda: dict(steiner(), y=rationals_to_json(catalog.steiner_arrangement().form_values((1, 2, 3)))),
+    "lognormal": lambda: dict(
+        steiner(), y=rationals_to_json(catalog.steiner_arrangement().form_values((1, 2, 3)))
+    ),
     "chamber": steiner,
     "dpp": lambda: {"Theta_fixed": [[1, 2, 3, 4, 5], [2, -1, 4, 1, -3]], "k": 3, "n": 5},
     "ideal": lambda: arrangement_to_json(catalog.seven_lines_arrangement()),
@@ -90,7 +96,9 @@ EXACT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("statement", ["import sqlinear", "import sqlinear.cli"])
+@pytest.mark.parametrize(
+    "statement", ["import sqlinear", "import sqlinear.cli", "from sqlinear import plotting"]
+)
 def test_import_loads_no_float_module(statement):
     assert loaded_after(f"{statement}\nresult = None") == [None, []]
 
@@ -121,6 +129,9 @@ def test_old_namespace_resolves_from_home_modules():
             namespace = {}
             exec(f"from sqlinear import {name}", namespace)
             assert namespace[name] is getattr(home, name), name
+    for module in OLD_SUBMODULES:
+        assert getattr(sqlinear, module) is importlib.import_module(f"sqlinear.{module}"), module
+        assert module in dir(sqlinear), module
     assert sqlinear.__version__ == "0.1.0"
     assert sorted(sqlinear.__all__) == sorted(n for names in OLD_NAMESPACE.values() for n in names)
     with pytest.raises(AttributeError):

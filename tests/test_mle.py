@@ -16,15 +16,12 @@ from sqlinear.arrangement import (
 from sqlinear.catalog import random_arrangement
 from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError
 from sqlinear.mle import (
-    evaluate,
-    gradient,
     likelihood_matrix,
-    log_likelihood,
     rank_defect,
     solve_all,
     solve_region,
 )
-from sqlinear.model import make_model
+from sqlinear.model import evaluate, gradient, log_likelihood, make_model
 
 
 class TestLikelihoodMatrix:

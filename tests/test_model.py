@@ -15,9 +15,12 @@ from sqlinear.errors import (
     ValidationError,
     ZeroPoint,
 )
-from sqlinear.mle import Likelihood, evaluate, gradient, log_likelihood, normalize_parameter
+from sqlinear.mle import Likelihood, normalize_parameter
 from sqlinear.model import (
+    evaluate,
     evaluate_exact,
+    gradient,
+    log_likelihood,
     make_model,
     minor_space_dimension,
     noninjectivity_witness,
@@ -177,6 +180,22 @@ class TestAgainstScalarOracle:
         assert on_zero_weight >= 1 and on_positive_weight >= 1
 
 
+def r_minors_residual(vg, p) -> float:
+    """Largest 2x2 minor of R at p, scale-free (p normalized to unit sum)."""
+    p = np.asarray(p, dtype=float)
+    p = p / p.sum()
+    d = len(vg.R)
+    R = np.array(
+        [[np.dot(np.array(vg.R[i][j], dtype=float), p[: len(vg.R[0][0])]) for j in range(d)] for i in range(d)]
+    )
+    scale = max(1.0, float(np.abs(R).max()) ** 2)
+    worst = 0.0
+    for i, k in itertools.combinations(range(d), 2):
+        for j, l in itertools.combinations(range(d), 2):
+            worst = max(worst, abs(R[i, j] * R[k, l] - R[i, l] * R[k, j]) / scale)
+    return worst
+
+
 class TestVeroneseGenerators:
     def test_conic_d2_n3(self, circle):
         gens = veronese_generators(circle)
@@ -220,8 +239,6 @@ class TestVeroneseGenerators:
                     assert R[i][j] == x[i] * x[j]
 
     def test_numeric_vanishing(self, seven_lines, rng):
-        from sqlinear.mle import r_minors_residual
-
         gens = veronese_generators(seven_lines)
         forms = [np.array([float(v) for v in f]) for f in gens.linear_forms]
         forms = [f / np.linalg.norm(f) for f in forms]
