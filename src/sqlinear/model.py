@@ -1,4 +1,4 @@
-"""The squared linear model: exact evaluation and implicit generators.
+"""The squared linear model: evaluation, likelihood, implicit generators.
 
 State probabilities are p_i(x) = l_i(x)^2 / q(x) with q the sum of all
 squared forms. The implicit-ideal constructions are exact rational; the
