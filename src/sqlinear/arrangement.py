@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 
 from . import ratlin
 from .errors import BudgetExceeded, ParallelRows, RankDeficient
-from .simplex import feasible_point
 
 SUBSET_BUDGET = 24
 
@@ -288,6 +287,12 @@ def _simplicial_start(rows, d):
     return chosen, [_ray(ratlin.cleared(col)[0]) for col in columns]
 
 
+def _orthant_rays(signs, chosen, base):
+    """Rays of the simplicial cone {s_i A_i x >= 0 : i in chosen}, s = ``signs``."""
+    full = sum(1 << i for i in chosen)
+    return [(tuple(signs[i] * v for v in ray), full & ~(1 << i)) for i, ray in zip(chosen, base)]
+
+
 def _cone_rays(signs, chosen, base, ints, d):
     """Extreme rays of the closed cone {s_i A_i x >= 0 : i < len(signs)}.
 
@@ -295,8 +300,7 @@ def _cone_rays(signs, chosen, base, ints, d):
     positive signs (see :func:`_simplicial_start`); the other rows are cut in
     one by one.
     """
-    full = sum(1 << i for i in chosen)
-    rays = [(tuple(signs[i] * v for v in ray), full & ~(1 << i)) for i, ray in zip(chosen, base)]
+    rays = _orthant_rays(signs, chosen, base)
     for i in range(len(signs)):
         if i not in chosen:
             rays = _split(rays, ints[i], 1 << i, d)[signs[i]]
@@ -306,62 +310,52 @@ def _cone_rays(signs, chosen, base, ints, d):
 def enumerate_regions(arr: Arrangement) -> list:
     """All regions of the projective complement, as canonical sign vectors.
 
-    Hyperplanes are inserted one at a time. A region survives unsplit when
-    the opposite side of the new hyperplane is empty for its cone. Once the
-    inserted rows reach rank d, every cone is pointed and carries its extreme
-    rays (primitive integer vectors with a bitmask of the rows vanishing on
-    them), started from one inverse of d independent rows and updated by the
-    double-description step of :func:`_split`. A side is empty exactly when
-    no ray enters it, so exact LPs from :mod:`.simplex` run only to produce
-    the witness of a new region, or while the rows have rank < d. Each LP
-    that runs is the one the unscreened loop would run (kept in
-    tests/lp_oracle.py as the oracle), so witnesses do not depend on the
-    screen. Regions come back sorted by sign string; the count always
-    equals ``ml_degree(arr)``.
+    Every cone carries its extreme rays (primitive integer vectors with a
+    bitmask of the rows vanishing on them). Enumeration starts from the
+    2^(d-1) orthants of the d independent rows of :func:`_simplicial_start`,
+    with row 0 positive, whose rays are the signed columns of one inverse.
+    Every other row is then inserted in index order by the double-description
+    step of :func:`_split`, keeping each half that some ray enters strictly.
+    No LP runs. A region's witness is the sum of its extreme rays, each first
+    scaled to largest absolute coordinate 1: a positive combination of all
+    extreme rays of a pointed cone lies in its interior, so the witness has
+    the region's signs exactly (Fukuda & Prodon 1996). Scaling the rays first
+    stops rays with huge integer entries from swamping the others, which put
+    plain sums numerically on a wall. Regions come back sorted by sign
+    string; the count always equals ``ml_degree(arr)``.
     """
     _require_essential(arr)
     pairs = _parallel_pairs(arr)
     if pairs:
         raise ParallelRows(pairs)
-    A, n, d = arr.A, arr.n, arr.d
-    # signed[i][s] is s * A[i], built once instead of once per cone.
-    signed = [{1: row, -1: ratlin.scale(row, -1)} for row in A]
-    ints = [_ray(ratlin.cleared(row)[0]) for row in A]
-    # Screening starts after the first prefix of rank d.
-    chosen, base = _simplicial_start(A, d)
-    start = chosen[-1] + 1
-    first = A[0]
-    w0 = ratlin.scale(first, 1 / ratlin.dot(first, first))
-    regions = [((1,), w0, None)]
-    for h in range(1, n):
-        if h == start:
-            regions = [(s, w, _cone_rays(s, chosen, base, ints, d)) for s, w, _ in regions]
+    n, d = arr.n, arr.d
+    ints = [_ray(ratlin.cleared(row)[0]) for row in arr.A]
+    chosen, base = _simplicial_start(arr.A, d)
+    regions = []
+    for orthant in itertools.product((1, -1), repeat=d - 1):
+        signs = [0] * n
+        for i, s in zip(chosen, (1, *orthant)):
+            signs[i] = s
+        regions.append((tuple(signs), _orthant_rays(signs, chosen, base)))
+    for h in range(n):
+        if h in chosen:
+            continue
         grown = []
-        for signs, witness, rays in regions:
-            parts = {1: None, -1: None} if rays is None else _split(rays, ints[h], 1 << h, d)
-            sides = [s for s in (1, -1) if rays is None or parts[s] is not None]
-            if len(sides) == 1:
-                # The rays leave one side empty: the witness is on the other.
-                grown.append((signs + (sides[0],), witness, parts[sides[0]]))
-                continue
-            value = ratlin.dot(A[h], witness)
-            if value != 0:
-                side = 1 if value > 0 else -1
-                grown.append((signs + (side,), witness, parts[side]))
-            # Probe the side(s) the witness misses. A witness on the new
-            # hyperplane is interior to the cone, so both sides are cut out.
-            cone = [signed[i][s] for i, s in enumerate(signs)]
-            for side in sides:
-                if side * value <= 0:
-                    point = feasible_point(cone + [signed[h][side]])
-                    if point is not None:
-                        grown.append((signs + (side,), point, parts[side]))
+        for signs, rays in regions:
+            for side, half in _split(rays, ints[h], 1 << h, d).items():
+                if half is not None:
+                    grown.append((signs[:h] + (side,) + signs[h + 1 :], half))
         regions = grown
     result = []
-    for signs, witness, _ in regions:
-        top = max(abs(v) for v in witness)
-        scaled = tuple(v / top for v in witness)
-        result.append(Region(sign=SignVector(signs), witness=scaled))
+    for signs, rays in regions:
+        # sum_j ray_j / top_j, over the common denominator of the tops.
+        tops = [max(map(abs, ray)) for ray, _ in rays]
+        common = lcm(*tops)
+        total = [0] * d
+        for (ray, _), top in zip(rays, tops):
+            total = [a + common // top * v for a, v in zip(total, ray)]
+        top = max(map(abs, total))
+        result.append(Region(sign=SignVector(signs), witness=tuple(Fraction(v, top) for v in total)))
     result.sort(key=Region.key)
     return result
 

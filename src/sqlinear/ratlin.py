@@ -94,7 +94,8 @@ def row_update(a, row, b, pivot_row):
 
     With ``a = pivot_row[c]`` and ``b = row[c]`` this clears column c in
     integers (fraction-free elimination, Bareiss 1968, dividing out the row
-    content). Every exact elimination here and in :mod:`.simplex` uses it.
+    content). Every exact elimination here uses it, and so does the exact LP
+    of :mod:`.simplex`.
     """
     line = [a * x - b * y for x, y in zip(row, pivot_row)]
     g = gcd(*line)

@@ -1,10 +1,11 @@
-"""Exact rational feasibility LP.
+"""Exact rational feasibility LP, kept as a test oracle.
 
-Region enumeration needs one primitive: given rows r_1,...,r_m, decide
-whether {x : r_i . x >= 1 for all i} is nonempty and produce a point in it.
-Since the sets we probe are open polyhedral cones, feasibility of the >= 1
-system is equivalent to the cone having interior, and any feasible point is
-strictly inside the cone.
+Given rows r_1,...,r_m, decide whether {x : r_i . x >= 1 for all i} is
+nonempty and produce a point in it. For open polyhedral cones, feasibility
+of the >= 1 system is equivalent to the cone having interior, and any
+feasible point is strictly inside the cone. Region enumeration no longer
+uses it (regions come from their extreme rays alone); it stays as the LP of
+the enumeration oracle in tests/lp_oracle.py and of the benchmark tracer.
 
 Phase-1 simplex on integer rows with Bland's rule, exact and gcd-normalized;
 the ``Fraction`` version is kept in the tests as the oracle. Each row is a

@@ -3,15 +3,16 @@
 :func:`feasible_point` is the phase-1 simplex over ``Fraction``s, the
 textbook form of :func:`sqlinear.simplex.feasible_point`: the same LP
 (x = u - v, slacks, artificials) and the same Bland pivots, with every basic
-variable normalized to coefficient 1. The library's kernel runs on integer
-rows instead; tests/test_simplex.py checks that both return the same exact
-point, LP by LP.
+variable normalized to coefficient 1. The integer kernel of
+:mod:`sqlinear.simplex` is kept for this oracle and the benchmark tracer;
+tests/test_simplex.py checks that both return the same exact point, LP by LP.
 
-:func:`enumerate_regions` is region enumeration without the extreme-ray
-screen: one LP per (region, inserted hyperplane), infeasible or not. It calls
-the LP as ``simplex.feasible_point`` so a test can count its calls;
-tests/test_regions_oracle.py checks that the screened enumeration of
-:mod:`sqlinear.arrangement` returns the same regions and witnesses.
+:func:`enumerate_regions` is region enumeration by LPs alone: one LP per
+(region, inserted hyperplane), infeasible or not. It calls the LP as
+``simplex.feasible_point`` so a test can swap the kernel;
+tests/test_regions_oracle.py checks that the ray-only enumeration of
+:mod:`sqlinear.arrangement` returns the same sign vectors in the same order.
+Its witnesses are LP vertices, not the library's ray sums.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ The exact side (regions, characteristic polynomial, polytopes, chamber
 arrangements, DPP reductions, the ideal, singular subspaces) needs only
 rational arithmetic, so neither ``import sqlinear`` nor those commands may
 load numpy or a float module. The CLI imports :mod:`sqlinear.plotting`,
-which loads numpy only when it draws. Each probe runs in a fresh
-interpreter and reads ``sys.modules`` afterwards; nothing is timed.
+which loads numpy only when it draws. Region enumeration runs no LP, so the
+``regions`` command does not load :mod:`sqlinear.simplex` either. Each probe
+runs in a fresh interpreter and reads ``sys.modules`` afterwards; nothing is
+timed.
 """
 
 import json
@@ -55,10 +57,10 @@ OLD_NAMESPACE = {
 OLD_SUBMODULES = (*OLD_NAMESPACE, "errors", "ratlin", "simplex")
 
 
-def loaded_after(code):
-    """The float modules in ``sys.modules`` after a fresh interpreter runs
-    ``code``, and the value ``code`` leaves in ``result``."""
-    loaded = f"[m for m in {FLOAT_MODULES!r} if m in sys.modules]"
+def loaded_after(code, modules=FLOAT_MODULES):
+    """Which of ``modules`` are in ``sys.modules`` after a fresh interpreter
+    runs ``code``, and the value ``code`` leaves in ``result``."""
+    loaded = f"[m for m in {modules!r} if m in sys.modules]"
     probe = code + f"\nimport json, sys\nprint(json.dumps([result, {loaded}]))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -71,11 +73,11 @@ def loaded_after(code):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def cli_probe(tmp_path, command, doc, *extra):
+def cli_probe(tmp_path, command, doc, *extra, modules=FLOAT_MODULES):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     argv = [command, "--input", str(path), "--output", str(tmp_path / "out"), *extra]
-    return loaded_after(f"from sqlinear import cli\nresult = cli.main({argv!r})")
+    return loaded_after(f"from sqlinear import cli\nresult = cli.main({argv!r})", modules)
 
 
 def steiner():
@@ -106,6 +108,10 @@ def test_import_loads_no_float_module(statement):
 @pytest.mark.parametrize("command", sorted(EXACT_COMMANDS))
 def test_exact_command_loads_no_float_module(tmp_path, command):
     assert cli_probe(tmp_path, command, EXACT_COMMANDS[command]()) == [0, []]
+
+
+def test_regions_command_loads_no_lp(tmp_path):
+    assert cli_probe(tmp_path, "regions", steiner(), modules=("sqlinear.simplex",)) == [0, []]
 
 
 def test_malformed_input_loads_no_float_module(tmp_path):

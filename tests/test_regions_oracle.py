@@ -1,13 +1,17 @@
-"""Screened region enumeration against the unscreened oracle.
+"""Ray-only region enumeration against the LP oracle.
 
-sqlinear.arrangement decides most splits from each region's extreme rays and
-runs an LP only for a new region's witness; tests/lp_oracle.py runs one LP
-per (region, inserted hyperplane). Both must return equal ``Region`` lists:
-the same sign vectors and the same exact witnesses, in the same order.
+sqlinear.arrangement enumerates regions from their extreme rays alone and
+takes each witness as the sum of the region's extreme rays, each scaled to
+largest absolute coordinate 1; tests/lp_oracle.py runs one LP per (region,
+inserted hyperplane). The two must return the same sign vectors in the same
+order, and every witness must be normalized, lie strictly inside its region
+(checked exactly) and equal the scaled sum of the brute-force extreme rays.
 """
 
+import functools
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,18 +57,18 @@ def late_start_arrangements(seed, count):
             continue  # a zero row, or rank < d
         if arrangement._parallel_pairs(arr):
             continue
-        # Screening starts after the shortest prefix of rank d: row d or later.
+        # The start rows of the enumeration end at row d or later.
         assert ratlin.IntEchelon.independent_rows(arr.A, d)[-1] >= d
         out.append(arr)
     return out
 
 
 def on_witness_arrangements(seed, count):
-    """Generic prefixes followed by a row through one of their region witnesses.
+    """Generic prefixes followed by a row through one of their LP-oracle witnesses.
 
-    Insertion keeps each region's witness until the region splits, and the
-    final witness is that point rescaled, so the extra row meets the witness
-    exactly when it is inserted.
+    The oracle keeps each region's witness until the region splits, and the
+    final witness is that point rescaled, so the extra row meets the oracle's
+    witness exactly when it is inserted.
     """
     rng = random.Random(seed)
     out = []
@@ -83,13 +87,53 @@ def on_witness_arrangements(seed, count):
     return out
 
 
+@functools.cache
+def kernel_lines(arr):
+    """The kernel of every rank d-1 set of rows as a primitive integer vector,
+    with the values of all forms on it (their signs are all that is needed)."""
+    d = arr.d
+    lines = set()
+    for subset in itertools.combinations(range(arr.n), d - 1):
+        kernel = ratlin.nullspace([arr.A[i] for i in subset], ncols=d)
+        if len(kernel) == 1:
+            lines.add(arrangement._ray(ratlin.cleared(kernel[0])[0]))
+    return [(line, arr.form_values(line)) for line in lines]
+
+
+def extreme_rays(arr, signs):
+    """Extreme rays of {s_i A_i x >= 0} by brute force: the kernel of every
+    rank d-1 set of rows, kept where it lies in the cone."""
+    found = set()
+    for line, values in kernel_lines(arr):
+        for side in (1, -1):
+            if all(side * s * v >= 0 for s, v in zip(signs, values)):
+                mask = sum(1 << i for i, v in enumerate(values) if v == 0)
+                found.add((tuple(side * v for v in line), mask))
+    return found
+
+
+def scaled_ray_sum(rays):
+    """sum_j r_j / max|r_j|, scaled to largest absolute coordinate 1."""
+    scaled = [[Fraction(v, max(map(abs, ray))) for v in ray] for ray, _ in rays]
+    total = [sum(column) for column in zip(*scaled)]
+    top = max(map(abs, total))
+    return tuple(v / top for v in total)
+
+
 def assert_same_regions(arr):
+    """The oracle's sign vectors in the oracle's order, and witnesses that are
+    normalized, exactly interior and the scaled sum of their extreme rays."""
     regions = arrangement.enumerate_regions(arr)
-    assert regions == oracle.enumerate_regions(arr)
+    assert [r.sign for r in regions] == [r.sign for r in oracle.enumerate_regions(arr)]
+    for region in regions:
+        signs = region.sign.signs
+        assert max(abs(v) for v in region.witness) == 1
+        assert all(s * v > 0 for s, v in zip(signs, arr.form_values(region.witness)))
+        assert region.witness == scaled_ray_sum(extreme_rays(arr, signs))
     return regions
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_random_generic_arrangements(d):
     rng = random.Random(f"screen/{d}")
     for _ in range(12 if d < 5 else 4):
@@ -112,56 +156,22 @@ def test_catalog(name):
     assert_same_regions(CATALOG[name]())
 
 
-def counted(lp, log):
-    def wrapper(rows):
-        point = lp(rows)
-        log.append((rows, point))
-        return point
-
-    return wrapper
-
-
-def test_lps_run_only_for_new_regions(monkeypatch):
-    """Once the inserted rows reach rank d, every LP finds a new region, and
-    the screened loop runs exactly the oracle's feasible LPs."""
+def test_enumeration_runs_no_lp(monkeypatch):
+    """Generic, late-start and on-witness arrangements all enumerate with the
+    exact LP patched to raise, in every package module that holds it."""
     rng = random.Random(13)
-    generic = [catalog.random_arrangement(d, d + 5, rng) for d in (2, 3, 4)]
-    cases = [(arr, True) for arr in generic]
-    cases += [(arr, False) for arr in late_start_arrangements(14, 6) + on_witness_arrangements(15, 6)]
-    saved = 0
-    for arr, is_generic in cases:
-        screened, unscreened = [], []
-        monkeypatch.setattr(arrangement, "feasible_point", counted(simplex.feasible_point, screened))
-        monkeypatch.setattr(simplex, "feasible_point", counted(simplex.feasible_point, unscreened))
-        arrangement.enumerate_regions(arr)
-        oracle.enumerate_regions(arr)
-        monkeypatch.undo()
-        # The last row of each LP is the new hyperplane; the rest is the cone.
-        assert all(ratlin.rank(rows[:-1]) < arr.d for rows, point in screened if point is None)
-        found = [rows for rows, point in screened if point is not None]
-        assert found == [rows for rows, point in unscreened if point is not None]
-        if is_generic:
-            assert len(screened) == len(found)
-        saved += len(unscreened) - len(screened)
-    assert saved > 0
+    cases = [catalog.random_arrangement(d, d + 5, rng) for d in (2, 3, 4)]
+    cases += late_start_arrangements(14, 6) + on_witness_arrangements(15, 6)
 
+    def no_lp(rows):
+        raise AssertionError("region enumeration ran an LP")
 
-def extreme_rays(arr, signs):
-    """Extreme rays of {s_i A_i x >= 0} by brute force: the kernel of every
-    rank d-1 set of rows, kept where it lies in the cone."""
-    d = arr.d
-    cone = [ratlin.scale(row, s) for row, s in zip(arr.A, signs)]
-    found = set()
-    for subset in itertools.combinations(range(arr.n), d - 1):
-        kernel = ratlin.nullspace([arr.A[i] for i in subset], ncols=d)
-        if len(kernel) != 1:
-            continue
-        for vec in (kernel[0], ratlin.scale(kernel[0], -1)):
-            values = [ratlin.dot(row, vec) for row in cone]
-            if all(v >= 0 for v in values):
-                ray = arrangement._ray(ratlin.cleared(vec)[0])
-                found.add((ray, sum(1 << i for i, v in enumerate(values) if v == 0)))
-    return found
+    lp = simplex.feasible_point
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sqlinear") and vars(module).get("feasible_point") is lp:
+            monkeypatch.setattr(module, "feasible_point", no_lp)
+    for arr in cases:
+        assert len(arrangement.enumerate_regions(arr)) == arrangement.ml_degree(arr)
 
 
 @pytest.mark.parametrize("kind", ["generic", "late_start"])

@@ -1,9 +1,9 @@
 """Differential tests: the integer simplex against the Fraction oracle.
 
 The two kernels run the same LP with the same Bland pivots, so they must
-agree exactly: ``None`` for both, or the same tuple of Fractions. Region
-enumeration built on either must therefore give identical sign vectors and
-witnesses.
+agree exactly: ``None`` for both, or the same tuple of Fractions. The LP
+region enumeration of tests/lp_oracle.py built on either must therefore
+give identical sign vectors and witnesses.
 """
 
 import random
@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+import lp_oracle
 from conftest import CATALOG
 from lp_oracle import feasible_point as oracle_point
-from sqlinear import arrangement, catalog, ratlin
+from sqlinear import arrangement, catalog, ratlin, simplex
 from sqlinear.errors import ValidationError
 from sqlinear.simplex import feasible_point
 
@@ -94,8 +95,8 @@ def test_degenerate_systems(rows, feasible):
 
 def regions_with(lp, arr, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(arrangement, "feasible_point", lp)
-        return [(r.sign, r.witness) for r in arrangement.enumerate_regions(arr)]
+        patch.setattr(simplex, "feasible_point", lp)
+        return [(r.sign, r.witness) for r in lp_oracle.enumerate_regions(arr)]
 
 
 def assert_same_regions(arr, monkeypatch):
