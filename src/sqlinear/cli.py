@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 # Flags a command may take, beyond --input and --output.
 FLAGS = {
-    "--tol": dict(type=float, default=1e-10, help="solver tolerance"),
+    "--tol": dict(type=float, default=1e-10, help="stop once Newton decrement / sqrt(sum s) is below this, in (0, 1)"),
     "--anchor": dict(type=int, help="1-based anchor state index"),
     "--eps-grid": dict(help="comma-separated decreasing eps values for tracking"),
     "--samples": dict(type=int, default=20, help="sample count"),
@@ -122,7 +122,7 @@ def _write(path, text: str):
 def _emit_error(kind: str, err: Exception):
     error = {"kind": kind, "type": type(err).__name__, "message": str(err)}
     if getattr(err, "trace", None):
-        error["trace"] = err.trace  # (iteration, gradient norm) pairs
+        error["trace"] = err.trace  # (iteration, Newton decrement) pairs
     if getattr(err, "failures", None):
         error["failures"] = [
             {"region": str(r.sign), "type": type(e).__name__, "message": str(e), "trace": e.trace}

@@ -233,7 +233,7 @@ def estimate_valuations(
     starts = [None] * len(regions)
     for eps in eps_grid:
         s = _check_positive_data(eps**w, model.n)
-        points = _solve_batch(model, s, regions, tol=1e-10, starts=starts, at_floor=True)
+        points = _solve_batch(model, s, regions, tol=1e-10, starts=starts)
         for region, point, track in zip(regions, points, tracks):
             if not isinstance(point, CriticalPoint):
                 raise PathLost(

@@ -54,10 +54,11 @@ class DegenerateLeadingBlock(ValidationError):
 
 
 class NoConvergence(NumericError):
-    """Newton solve exceeded the iteration budget.
+    """Newton solve found no critical point in a region.
 
-    ``trace`` holds (iteration, gradient norm) pairs for diagnosis, and
-    ``failures`` the (region, error) pairs when it stands for several regions.
+    ``trace`` holds (iteration, lambda / sqrt(sum(s))) pairs for diagnosis,
+    lambda being the Newton decrement that ``tol`` bounds, and ``failures``
+    the (region, error) pairs when it stands for several regions.
     """
 
     def __init__(self, message, trace=None, failures=None):

@@ -13,13 +13,11 @@ log-likelihood, gradient and Hessian formulas, and every decision is
 made per row through masks. A row's chart pins its largest coordinate and
 hops when another one takes over, so iterates stay bounded; the Hessian is
 ridged only when it is not negative definite.
-Convergence is measured by the ambient gradient norm at the unit-norm
-representative, which is scale-free. Once it is small, likelihood
-comparisons are dominated by roundoff, so the last stretch runs plain
-sign-guarded Newton steps and keeps each row's best iterate.
 
-The solver has one setting, ``tol``: the gradient norm at which a point
-counts as found. The iteration caps ``MAX_ITER`` and ``POLISH_ITERS`` are
+The solver has one setting, ``tol``: a row is found when its Newton
+decrement lambda, which is affine-invariant and counts in units of logL
+(Boyd & Vandenberghe 2004, section 9.5.1), satisfies lambda / sqrt(sum(s))
+< tol, whatever the scale of the data. The iteration cap ``MAX_ITER`` is
 fixed.
 """
 
@@ -36,11 +34,10 @@ from .model import SquaredLinearModel
 
 # Smallest ridge, relative to the Hessian's largest diagonal entry, added to
 # a Hessian that is not negative definite; the most halvings of a step; and
-# the most iterations of the globalized and of the local phase per region.
+# the most iterations per region.
 SHIFT_MARGIN = 1e-8
 MAX_BACKTRACKS = 50
 MAX_ITER = 200
-POLISH_ITERS = 20
 
 
 def to_floats(values, name: str) -> np.ndarray:
@@ -219,21 +216,25 @@ def solve_all(
     return SolveAllResult(points=points, mle_index=mle_index, failures=failures)
 
 
-def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
+def _solve_batch(model, s, regions, tol, starts=None) -> list:
     """Damped Newton for every region at once.
 
     Returns one outcome per region, in order: its CriticalPoint, or the
     NoConvergence that stopped it. ``starts`` optionally gives a start point
     per region (None keeps the witness). ``s`` must be checked data.
 
-    ``at_floor`` also accepts the gradient-noise floor of double precision
-    when it exceeds ``tol``. Path tracking needs this: near-degenerate data
-    makes some forms cancel catastrophically, which bounds the achievable
-    gradient norm; tiny coordinates can then lose relative accuracy (see
-    README).
+    A row is found when lambda^2 = g . solve(-H, g) on its chart, with H
+    not ridged, is below ``tol**2 * sum(s)``; it then takes that last Newton
+    step if the step keeps the signs. Other rows backtrack until the step
+    keeps the signs and passes Armijo; once lambda^2 is below
+    ``1e-5 * max(1, sum(s))``, likelihood comparisons are roundoff and the
+    sign guard alone decides. A row whose backtracking finds no step, or
+    that runs out of iterations, fails.
     """
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
         raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+    if tol >= 1.0:
+        raise ValidationError(f"tol must be below 1, got {tol}")
     A = model.A_float
     loglik = Likelihood(A, s)
     R, d = len(regions), model.d
@@ -250,17 +251,6 @@ def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
     def inside(Y, rows=slice(None)):
         return np.all(signs[rows] * (Y @ A.T) > 0.0, axis=1)
 
-    def grad_norm(Y):
-        # Degree-0 homogeneity: the gradient at y/|y| is |y| * gradient at y.
-        return np.linalg.norm(loglik.gradient(Y)[0], axis=1) * np.linalg.norm(Y, axis=1)
-
-    def noise_floor(Y):
-        # Gradient roundoff at Y/|Y|: each term 2 s_i / l_i inherits the error
-        # of l_i, about eps * |A_i|_1 * max|y|, divided by l_i once more.
-        Y = Y / np.linalg.norm(Y, axis=1)[:, None]
-        scale = np.abs(A).sum(axis=1) * np.abs(Y).max(axis=1)[:, None]
-        return np.finfo(float).eps * np.sum(2.0 * s * scale**2 / (Y @ A.T) ** 2, axis=1)
-
     def free_hessian(rows, Y):
         """Gradient and Hessian on the free coordinates of each row's chart."""
         g, H = loglik.hessian(Y)
@@ -271,9 +261,10 @@ def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
 
     def newton_step(rows):
         """Ascent direction solve(-H, g) on the free coordinates (zero on the
-        pinned one) and its slope, ridging H only when not negative definite.
-        A definite Hessian, however stiff, gets the pure Newton step; shifting
-        it would wreck the soft directions during tracking."""
+        pinned one), its slope and the rows whose H was ridged, which happens
+        only when H is not negative definite. A definite Hessian, however
+        stiff, gets the pure Newton step, whose slope is the decrement;
+        shifting it would wreck the soft directions during tracking."""
         g, H, free = free_hessian(rows, X[rows])
         finite = np.all(np.isfinite(H), axis=(1, 2))
         H[~finite] = -np.eye(d - 1)  # keeps eigh going; the step is discarded
@@ -291,7 +282,7 @@ def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
         step[~finite] = np.nan
         full = np.zeros((len(rows), d))
         np.put_along_axis(full, free, step, 1)
-        return full, np.einsum("ri,ri->r", g, step)
+        return full, np.einsum("ri,ri->r", g, step), ridge > 0.0
 
     def backtrack(rows, step, accept):
         """Halve each row's step from t = 1 until ``accept(sub, cand, t)``
@@ -314,9 +305,9 @@ def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
         chart[rows] = np.argmax(np.abs(X[rows]), axis=1)
         X[rows] /= np.abs(X[rows, chart[rows]])[:, None]
 
-    def record(rows, norms):
-        for k, it, norm in zip(rows.tolist(), iterations[rows].tolist(), norms.tolist()):
-            traces[k].append((it, norm))
+    def record(rows, values):
+        for k, it, value in zip(rows.tolist(), iterations[rows].tolist(), values.tolist()):
+            traces[k].append((it, value))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         flip = ~inside(X) & inside(-X)
@@ -325,70 +316,51 @@ def _solve_batch(model, s, regions, tol, starts=None, at_floor=False) -> list:
         for k in np.flatnonzero(~live):
             outcomes[k] = NoConvergence("start point does not satisfy the region signs")
 
-        # Globalized phase: Newton direction with Armijo backtracking.
-        polish_at = 1e-5 * max(1.0, loglik.total)
-        globalized = live.copy()
+        found_below = tol**2 * loglik.total
+        flat_below = 1e-5 * max(1.0, loglik.total)
+        running = live.copy()
+        converged = np.zeros(R, dtype=bool)
         while True:
-            rows = np.flatnonzero(globalized & (iterations < MAX_ITER))
+            rows = np.flatnonzero(running & (iterations < MAX_ITER))
             if not rows.size:
                 break
             rechart(rows)
-            norm = grad_norm(X[rows])
-            record(rows, norm)
-            done = (norm <= tol) | (norm <= polish_at)
-            if at_floor:
-                done |= norm <= 8.0 * noise_floor(X[rows])  # at the roundoff floor
-            globalized[rows[done]] = False
-            rows = rows[~done]
-            step, slope = newton_step(rows)
+            step, slope, ridged = newton_step(rows)
+            decrement = np.where(ridged, np.inf, slope)
+            record(rows, np.sqrt(slope / loglik.total))
+
+            # Found rows take the last Newton step where it keeps the signs.
+            done = decrement < found_below  # NaN compares false
+            last = rows[done]
+            cand = X[last] + step[done]
+            keep = inside(cand, last)
+            X[last[keep]] = cand[keep]
+            converged[last] = True
+            running[last] = False
+
+            rest = ~done
+            rows, step, slope, flat = rows[rest], step[rest], slope[rest], decrement[rest] <= flat_below
             current = loglik(X[rows])
 
-            def armijo(sub, cand, t):
-                gain = current[sub] + 1e-4 * t * slope[sub]
-                return inside(cand, rows[sub]) & (loglik(cand) >= gain)
+            def accept(sub, cand, t):
+                rises = loglik(cand) >= current[sub] + 1e-4 * t * slope[sub]
+                return inside(cand, rows[sub]) & (rises | flat[sub])
 
-            cand, found = backtrack(rows, step, armijo)
+            cand, found = backtrack(rows, step, accept)
             # A step too short to change x would repeat forever; it counts as none.
             found &= np.any(cand != X[rows], axis=1)
             X[rows[found]] = cand[found]
             iterations[rows] += 1
-            globalized[rows[~found]] = False  # comparisons hit roundoff; polish below
+            running[rows[~found]] = False
 
-        # Local phase: plain sign-guarded Newton, keep each row's best iterate.
-        best_x = X.copy()
-        best_norm = np.full(R, np.nan)
-        best_norm[live] = grad_norm(X[live])
-        polishing = live.copy()
-        for _ in range(POLISH_ITERS):
-            rows = np.flatnonzero(polishing & ~(best_norm <= tol))
-            if not rows.size:
-                break
-            rechart(rows)
-            step, _ = newton_step(rows)
-            cand, found = backtrack(rows, step, lambda sub, cand, t: inside(cand, rows[sub]))
-            polishing[rows[~found]] = False
-            rows = rows[found]
-            X[rows] = cand[found]
-            iterations[rows] += 1
-            norm = grad_norm(X[rows])
-            record(rows, norm)
-            better = norm < best_norm[rows]
-            best_norm[rows[better]] = norm[better]
-            best_x[rows[better]] = X[rows[better]]
-            polishing[rows[~better & (norm > 10.0 * best_norm[rows])]] = False  # diverging
-
-        # A NaN norm compares false, so it never counts as converged.
-        converged = best_norm <= tol
-        if at_floor:
-            converged[live] |= best_norm[live] <= 8.0 * noise_floor(best_x[live])
         for k in np.flatnonzero(live & ~converged):
             outcomes[k] = NoConvergence(
-                f"gradient floor {best_norm[k]:.3e} above tolerance {tol:.1e}",
+                f"Newton decrement {traces[k][-1][1]:.3e} not below tolerance {tol:.1e}",
                 trace=traces[k],
             )
 
         rows = np.flatnonzero(live & converged)
-        xn = np.array([normalize_parameter(x) for x in best_x[rows]]).reshape(-1, d)
+        xn = np.array([normalize_parameter(x) for x in X[rows]]).reshape(-1, d)
         y = xn @ A.T
         top_eig = np.linalg.eigvalsh(free_hessian(rows, xn)[1])[:, -1]
         final_norm = np.linalg.norm(loglik.gradient(xn)[0], axis=1)

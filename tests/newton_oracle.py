@@ -22,7 +22,6 @@ from sqlinear.errors import NoConvergence, NumericError, OnHyperplane, ZeroPoint
 from sqlinear.mle import (
     MAX_BACKTRACKS,
     MAX_ITER,
-    POLISH_ITERS,
     SHIFT_MARGIN,
     CriticalPoint,
     SolveAllResult,
@@ -107,18 +106,12 @@ class _Chart:
     def in_region(self, x) -> bool:
         return bool(np.all(self.signs * (self.A @ x) > 0.0))
 
-    def grad_norm(self, x) -> float:
-        # Degree-0 homogeneity: the gradient at x/|x| is |x| * gradient at x.
-        return float(np.linalg.norm(gradient(self.model, self.s, x)) * np.linalg.norm(x))
-
-    def noise_floor(self, x) -> float:
-        xn = x / np.linalg.norm(x)
-        return _gradient_noise_floor(self.model, self.s, xn)
-
     def newton_step(self, x):
-        """Ascent direction solve(-H, g), ridging H only when not negative
-        definite. A definite Hessian, however stiff, gets the pure Newton
-        step; shifting it would wreck the soft directions during tracking."""
+        """Ascent direction solve(-H, g), its slope and whether H was ridged,
+        which happens only when H is not negative definite. A definite
+        Hessian, however stiff, gets the pure Newton step, whose slope is the
+        decrement; shifting it would wreck the soft directions during
+        tracking."""
         H = hessian(self.model, self.s, x)[np.ix_(self.free, self.free)]
         g_free = gradient(self.model, self.s, x)[self.free]
         ridge = 0.0
@@ -133,7 +126,7 @@ class _Chart:
             step = np.linalg.solve(-(H - ridge * np.eye(len(self.free))), g_free)
         except np.linalg.LinAlgError as err:
             raise NoConvergence(f"Newton system unsolvable: {err}") from err
-        return step, float(g_free @ step)
+        return step, float(g_free @ step), ridge > 0.0
 
     def advance(self, x, step, t):
         cand = x.copy()
@@ -141,12 +134,8 @@ class _Chart:
         return cand
 
 
-def solve_region(model, s, region, tol=1e-10, start=None, adaptive_floor=False) -> CriticalPoint:
-    """Newton-solve the unique critical point inside one region.
-
-    ``adaptive_floor`` also accepts the gradient-noise floor of double
-    precision, as path tracking does.
-    """
+def solve_region(model, s, region, tol=1e-10, start=None) -> CriticalPoint:
+    """Newton-solve the unique critical point inside one region."""
     s = _check_positive_data(s, model.n)
     chart = _Chart(model, s, region)
 
@@ -161,69 +150,44 @@ def solve_region(model, s, region, tol=1e-10, start=None, adaptive_floor=False) 
 
     trace = []
     iterations = 0
-    polish_at = 1e-5 * max(1.0, float(s.sum()))
-
-    # Globalized phase: Newton direction with Armijo backtracking.
+    total = float(s.sum())
+    flat_below = 1e-5 * max(1.0, total)
+    converged = False
     while iterations < MAX_ITER:
         x = chart.rechart(x)
-        grad_norm = chart.grad_norm(x)
-        trace.append((iterations, grad_norm))
-        if grad_norm <= tol or grad_norm <= polish_at:
+        step, slope, ridged = chart.newton_step(x)
+        trace.append((iterations, math.sqrt(max(slope, 0.0) / total)))
+        decrement = math.inf if ridged else slope
+        if decrement < tol**2 * total:
+            # Found: take the last Newton step if it keeps the signs.
+            cand = chart.advance(x, step, 1.0)
+            if chart.in_region(cand):
+                x = cand
+            converged = True
             break
-        if adaptive_floor and grad_norm <= 8.0 * chart.noise_floor(x):
-            break  # at the roundoff floor of this data vector
-        step, slope = chart.newton_step(x)
+        # Below flat_below, likelihood comparisons are roundoff: signs decide.
         current = log_likelihood(model, s, x)
         t = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = chart.advance(x, step, t)
-            if chart.in_region(cand) and log_likelihood(model, s, cand) >= current + 1e-4 * t * slope:
-                x = cand
-                accepted = True
+            if chart.in_region(cand) and (
+                decrement <= flat_below or log_likelihood(model, s, cand) >= current + 1e-4 * t * slope
+            ):
+                accepted = not np.array_equal(cand, x)
                 break
             t *= 0.5
         iterations += 1
         if not accepted:
-            break  # likelihood comparisons hit roundoff; polish below
-
-    # Local phase: plain sign-guarded Newton, keep the best iterate.
-    best_x = x.copy()
-    best_norm = chart.grad_norm(x)
-    for _ in range(POLISH_ITERS):
-        if best_norm <= tol:
-            break
-        x = chart.rechart(x)
-        step, _ = chart.newton_step(x)
-        t = 1.0
-        cand = chart.advance(x, step, t)
-        for _ in range(MAX_BACKTRACKS):
-            if chart.in_region(cand):
-                break
-            t *= 0.5
-            cand = chart.advance(x, step, t)
-        else:
             break
         x = cand
-        iterations += 1
-        norm = chart.grad_norm(x)
-        trace.append((iterations, norm))
-        if norm < best_norm:
-            best_norm = norm
-            best_x = x.copy()
-        elif norm > 10.0 * best_norm:
-            break  # diverging from the basin floor; stop polishing
-    if best_norm > tol:
-        accept = adaptive_floor and best_norm <= 8.0 * _gradient_noise_floor(
-            model, s, best_x / np.linalg.norm(best_x)
+    if not converged:
+        raise NoConvergence(
+            f"Newton decrement {trace[-1][1]:.3e} not below tolerance {tol:.1e}",
+            trace=trace,
         )
-        if not accept:
-            raise NoConvergence(
-                f"gradient floor {best_norm:.3e} above tolerance {tol:.1e}",
-                trace=trace,
-            )
 
-    xn = normalize_parameter(best_x)
+    xn = normalize_parameter(x)
     y = model.A_float @ xn
     try:
         converged_signs = SignVector.from_values(y).signs
@@ -265,8 +229,7 @@ def solve_all(model, s, tol=1e-10, regions=None) -> SolveAllResult:
 
 
 def track_slopes(model, w, anchor, eps_grid):
-    """Per-region tracking down ``eps_grid`` for data eps**w, accepting the
-    gradient-noise floor: the least-squares slope of log|y_j| against log eps
+    """Per-region tracking down ``eps_grid`` for data eps**w: the least-squares slope of log|y_j| against log eps
     for every coordinate, per region."""
     w = np.asarray(w, dtype=float)
     slopes = {}
@@ -274,7 +237,7 @@ def track_slopes(model, w, anchor, eps_grid):
         start = None
         ys = []
         for eps in eps_grid:
-            point = solve_region(model, eps**w, region, start=start, adaptive_floor=True)
+            point = solve_region(model, eps**w, region, start=start)
             start = point.x
             ys.append(point.y / point.y[anchor])
         logs = np.log(np.abs(np.array(ys)))
@@ -283,11 +246,3 @@ def track_slopes(model, w, anchor, eps_grid):
         slopes[str(region.sign)] = fit
     return slopes
 
-
-def _gradient_noise_floor(model, s, x) -> float:
-    """Backward-error bound on the gradient roundoff at unit-norm x."""
-    A = model.A_float
-    values = A @ x
-    row_scale = np.abs(A).sum(axis=1) * float(np.abs(x).max())
-    u = float(np.finfo(float).eps)
-    return u * float(np.sum(2.0 * s * row_scale**2 / values**2))

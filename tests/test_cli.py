@@ -403,7 +403,7 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValidationError" and "steps" in err["message"]
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1", "1e300"])
     def test_mle_tolerance_not_finite_positive(self, tmp_path, capsys, tol):
         code, text = run(tmp_path, "mle", dict(STEINER, s=[4, 3, 2, 1]), "--tol", tol)
         assert code == 2 and text == ""

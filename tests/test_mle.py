@@ -173,8 +173,8 @@ class TestSolveAll:
             solve_all(steiner, [0.4, 0.3, 0.2, 0.1], tol=tol)
 
     def test_impossible_tolerance_aggregates(self, steiner, rng):
-        # tol = 0 is unreachable except by an exact floating-point zero of
-        # the gradient; failing regions are collected without aborting the
+        # tol = 0 is unreachable: the Newton decrement never falls strictly
+        # below zero; failing regions are collected without aborting the
         # rest, and the call raises only when no region converged at all.
         s = rng.uniform(0.1, 1.0, size=4)
         try:
@@ -236,3 +236,31 @@ class TestPaperInvariants:
             for point in result.points:
                 assert point.hessian_max_eig < 0
                 assert rank_defect(likelihood_matrix(model, s, point.x), 1e-8) >= 1
+
+    @pytest.mark.parametrize("d, n", [(4, 9), (5, 12)])
+    def test_integer_data_finds_every_region(self, d, n):
+        # Integer data puts sum(s) in the hundreds, where an absolute
+        # gradient test lost regions whose iterates had converged.
+        model = make_model(random_arrangement(d, n, random.Random(7)))
+        regions = enumerate_regions(model.arr)
+        chi = characteristic_polynomial(model.arr)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            result = solve_all(model, rng.integers(1, 51, n), regions=regions)
+            assert not result.failures
+            assert len(result.points) == abs(chi(-1)) // 2
+
+    def test_scaled_data_gives_the_same_points(self):
+        # logL(c s) = c logL(s): scaling the data must change neither the
+        # points nor the path taken to them.
+        model = make_model(random_arrangement(4, 9, random.Random(7)))
+        regions = enumerate_regions(model.arr)
+        s = np.random.default_rng(0).integers(1, 51, 9).astype(float)
+        base = solve_all(model, s, regions=regions)
+        assert not base.failures
+        for scale in (1e3, 1e6):
+            result = solve_all(model, scale * s, regions=regions)
+            assert not result.failures
+            assert [p.region for p in result.points] == [p.region for p in base.points]
+            assert [p.iterations for p in result.points] == [p.iterations for p in base.points]
+            assert all(np.abs(p.x - q.x).max() <= 1e-12 for p, q in zip(result.points, base.points))
