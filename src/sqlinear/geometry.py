@@ -37,6 +37,7 @@ from .arrangement import (
 )
 from .errors import (
     DegenerateMinor,
+    NoConvergence,
     RankDeficient,
     ValidationError,
     ZeroCoordinate,
@@ -383,11 +384,15 @@ def log_voronoi_scan(
     the log-normal polytope of y) is sampled at steps+1 parameters; at each
     data point the global maximizer's region tag is recorded, and each tag
     switch is localized by bisection down to ``REFINE_TOL`` in the segment
-    parameter. ``tol`` is the solver tolerance of every solve. Log-Voronoi
-    boundaries are generally not algebraic, so sampling plus bisection is
-    the honest tool here.
+    parameter. Every region at every sample is solved in one Newton batch;
+    each bisection round solves the midpoints of all open brackets in one
+    more, each region started from its critical point at the bracket's
+    lower end. ``tol`` is the solver tolerance of every solve; a parameter
+    at which no region converges raises NoConvergence carrying every
+    region's failure there. Log-Voronoi boundaries are generally not
+    algebraic, so sampling plus bisection is the honest tool here.
     """
-    from .mle import solve_all, to_floats
+    from .mle import CriticalPoint, _check_positive_data, _solve_batch, to_floats
 
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
@@ -403,24 +408,36 @@ def log_voronoi_scan(
             raise ValidationError(f"{name} point is outside the log-normal span")
     a, b = to_floats(start, "start"), to_floats(end, "end")
     regions = enumerate_regions(model.arr)
+    R = len(regions)
 
-    def tag_at(t: float) -> str:
-        return str(solve_all(model, a + t * (b - a), tol, regions=regions).mle.region)
+    def solve(params, starts=None):
+        """Every region's outcome at each parameter, from one batch."""
+        data = [_check_positive_data(a + t * (b - a), model.n) for t in params]
+        outcomes = _solve_batch(model, data, regions, tol, starts)
+        return [outcomes[k * R : (k + 1) * R] for k in range(len(params))]
+
+    def tag(row) -> str:
+        points = [p for p in row if isinstance(p, CriticalPoint)]
+        if not points:
+            raise NoConvergence("no region converged", trace=[], failures=list(zip(regions, row)))
+        return str(max(points, key=lambda p: p.logL).region)
 
     params = [k / steps for k in range(steps + 1)]
-    tags = [tag_at(t) for t in params]
-    crossings = []
-    for k in range(steps):
-        if tags[k] != tags[k + 1]:
-            lo, hi = params[k], params[k + 1]
-            tag_lo = tags[k]
-            while hi - lo > REFINE_TOL:
-                mid = (lo + hi) / 2
-                if tag_at(mid) == tag_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            crossings.append(((lo + hi) / 2, tags[k], tags[k + 1]))
+    rows = solve(params)
+    tags = [tag(row) for row in rows]
+    # [lo, hi, outcomes at lo, tag at lo, tag at hi] per tag switch; all
+    # brackets still wider than REFINE_TOL are bisected in one batch.
+    switches = [k for k in range(steps) if tags[k] != tags[k + 1]]
+    brackets = [[params[k], params[k + 1], rows[k], tags[k], tags[k + 1]] for k in switches]
+    while active := [br for br in brackets if br[1] - br[0] > REFINE_TOL]:
+        mids = [(br[0] + br[1]) / 2 for br in active]
+        starts = [p.x if isinstance(p, CriticalPoint) else None for br in active for p in br[2]]
+        for br, mid, row in zip(active, mids, solve(mids, starts)):
+            if tag(row) == br[3]:
+                br[0], br[2] = mid, row
+            else:
+                br[1] = mid
+    crossings = [((lo + hi) / 2, before, after) for lo, hi, _, before, after in brackets]
     return VoronoiProfile(
         parameters=tuple(params), tags=tuple(tags), crossings=tuple(crossings)
     )

@@ -10,15 +10,18 @@ from any interior start of the region. All regions are solved as one (R, d)
 stack of iterates: each iteration evaluates the whole stack in a few numpy
 calls through :class:`Likelihood`, which holds the only copy of the
 log-likelihood, gradient and Hessian formulas, and every decision is
-made per row through masks. A row's chart pins its largest coordinate and
-hops when another one takes over, so iterates stay bounded; the Hessian is
-ridged only when it is not negative definite.
+made per row through masks. Rows may carry their own data: for a (K, n)
+stack of data vectors the batch solves every region for each of them, which
+is how a log-Voronoi scan solves all its samples at once. A row's chart
+pins its largest coordinate and hops when another one takes over, so
+iterates stay bounded; the Hessian is ridged only when it is not negative
+definite.
 
 The solver has one setting, ``tol``: a row is found when its Newton
 decrement lambda, which is affine-invariant and counts in units of logL
 (Boyd & Vandenberghe 2004, section 9.5.1), satisfies lambda / sqrt(sum(s))
-< tol, whatever the scale of the data. The iteration cap ``MAX_ITER`` is
-fixed.
+< tol, whatever the scale of the data; the test is unsquared, so no tiny
+tol underflows to 0. The iteration cap ``MAX_ITER`` is fixed.
 """
 
 from __future__ import annotations
@@ -70,38 +73,52 @@ class Likelihood:
 
     The one copy of these formulas: the Newton batch below runs it and the
     one-point functions of :mod:`.model` call it. Built once per (float A,
-    s). States of weight 0 drop out of the sums, also on their own
-    hyperplanes; when there are none, the form values are used without a
-    copy.
+    s), where s is one data vector or a (K, n) stack of them; ``which``
+    names each row's data vector (by default the first, for every row).
+    States of weight 0 in every data vector drop out of the sums, also on
+    their own hyperplanes; when there are none, the form values are used
+    without a copy.
     """
 
     def __init__(self, A: np.ndarray, s: np.ndarray):
-        self.A, self.total, self.gram = A, float(s.sum()), A.T @ A
-        self._keep = None if np.all(s != 0.0) else np.flatnonzero(s != 0.0)
-        self._s, self._A = (s, A) if self._keep is None else (s[self._keep], A[self._keep])
+        S = np.atleast_2d(s)
+        self.A, self.totals, self.gram = A, S.sum(axis=1), A.T @ A
+        weighted = np.any(S != 0.0, axis=0)
+        self._keep = None if weighted.all() else np.flatnonzero(weighted)
+        self._S, self._A = (S, A) if self._keep is None else (S[:, self._keep], A[self._keep])
 
     def _kept(self, V):
         return V if self._keep is None else V[:, self._keep]
 
-    def __call__(self, Y):
-        V = Y @ self.A.T
-        return 2.0 * np.log(np.abs(self._kept(V))) @ self._s - self.total * np.log(np.einsum("ri,ri->r", V, V))
+    def _data(self, which):
+        """(which, weights, totals) per row; when there is one data vector,
+        which is 0 and its weights and total serve every row as they are."""
+        which = which if len(self._S) > 1 else 0
+        return which, self._S[which], self.totals[which]
 
-    def gradient(self, Y):
+    def __call__(self, Y, which=0):
+        which, _, total = self._data(which)
+        V = Y @ self.A.T
+        weighted = 2.0 * np.log(np.abs(self._kept(V))) @ self._S.T
+        return weighted[np.arange(len(Y)), which] - total * np.log(np.einsum("ri,ri->r", V, V))
+
+    def gradient(self, Y, which=0):
         """(G, V, q): the rows sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y,
         the form values and q."""
+        _, s, total = self._data(which)
         V = Y @ self.A.T
         q = np.einsum("ri,ri->r", V, V)
-        return (2.0 * self._s / self._kept(V)) @ self._A - (2.0 * self.total / q)[:, None] * (V @ self.A), V, q
+        return (2.0 * s / self._kept(V)) @ self._A - (2.0 * total / q)[:, None] * (V @ self.A), V, q
 
-    def hessian(self, Y):
+    def hessian(self, Y, which=0):
         """(G, H): the gradient rows and the (R, d, d) stack of Hessians."""
-        G, V, q = self.gradient(Y)
+        _, s, total = self._data(which)
+        G, V, q = self.gradient(Y, which)
         U = V @ self.A
         H = (
-            -np.einsum("ri,ij,ik->rjk", 2.0 * self._s / self._kept(V) ** 2, self._A, self._A)
-            - (2.0 * self.total / q)[:, None, None] * self.gram
-            + (4.0 * self.total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
+            -np.einsum("ri,ij,ik->rjk", 2.0 * s / self._kept(V) ** 2, self._A, self._A)
+            - (2.0 * total / q)[:, None, None] * self.gram
+            + (4.0 * total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
         )
         return G, H
 
@@ -217,15 +234,18 @@ def solve_all(
 
 
 def _solve_batch(model, s, regions, tol, starts=None) -> list:
-    """Damped Newton for every region at once.
+    """Damped Newton for every region at once, for one data vector ``s`` or
+    for each row of a (K, n) stack of them.
 
-    Returns one outcome per region, in order: its CriticalPoint, or the
-    NoConvergence that stopped it. ``starts`` optionally gives a start point
-    per region (None keeps the witness). ``s`` must be checked data.
+    Returns one outcome per (data vector, region) pair, data vector by data
+    vector and regions in order: its CriticalPoint, or the NoConvergence
+    that stopped it. ``starts`` optionally gives a start point per pair
+    (None keeps the witness). ``s`` must be checked data.
 
-    A row is found when lambda^2 = g . solve(-H, g) on its chart, with H
-    not ridged, is below ``tol**2 * sum(s)``; it then takes that last Newton
-    step if the step keeps the signs. Other rows backtrack until the step
+    A row is found when its Newton decrement lambda, with lambda^2 =
+    g . solve(-H, g) on its chart and H not ridged, satisfies
+    lambda / sqrt(sum(s)) < ``tol``; it then takes that last Newton step if
+    the step keeps the signs. Other rows backtrack until the step
     keeps the signs and passes Armijo; once lambda^2 is below
     ``1e-5 * max(1, sum(s))``, likelihood comparisons are roundoff and the
     sign guard alone decides. A row whose backtracking finds no step, or
@@ -237,23 +257,26 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
         raise ValidationError(f"tol must be below 1, got {tol}")
     A = model.A_float
     loglik = Likelihood(A, s)
-    R, d = len(regions), model.d
-    signs = np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n)
-    X = to_floats([r.witness for r in regions], "witness").reshape(R, d)
+    K, R, d = len(loglik.totals), len(regions), model.d
+    N = K * R
+    which = np.arange(N) // R  # each row's data vector
+    totals = loglik.totals[which]
+    signs = np.tile(np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n), (K, 1))
+    X = np.tile(to_floats([r.witness for r in regions], "witness").reshape(R, d), (K, 1))
     chart = np.argmax(np.abs(X), axis=1)
     for k, start in enumerate(starts or ()):
         if start is not None:
             X[k] = start
-    iterations = np.zeros(R, dtype=int)
-    traces = [[] for _ in range(R)]
-    outcomes = [None] * R
+    iterations = np.zeros(N, dtype=int)
+    traces = [[] for _ in range(N)]
+    outcomes = [None] * N
 
     def inside(Y, rows=slice(None)):
         return np.all(signs[rows] * (Y @ A.T) > 0.0, axis=1)
 
     def free_hessian(rows, Y):
         """Gradient and Hessian on the free coordinates of each row's chart."""
-        g, H = loglik.hessian(Y)
+        g, H = loglik.hessian(Y, which[rows])
         lane = np.arange(d - 1)
         free = lane + (lane >= chart[rows, None])
         H = np.take_along_axis(np.take_along_axis(H, free[:, :, None], 1), free[:, None, :], 2)
@@ -316,10 +339,9 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
         for k in np.flatnonzero(~live):
             outcomes[k] = NoConvergence("start point does not satisfy the region signs")
 
-        found_below = tol**2 * loglik.total
-        flat_below = 1e-5 * max(1.0, loglik.total)
+        flat_below = 1e-5 * np.maximum(1.0, totals)
         running = live.copy()
-        converged = np.zeros(R, dtype=bool)
+        converged = np.zeros(N, dtype=bool)
         while True:
             rows = np.flatnonzero(running & (iterations < MAX_ITER))
             if not rows.size:
@@ -327,10 +349,11 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
             rechart(rows)
             step, slope, ridged = newton_step(rows)
             decrement = np.where(ridged, np.inf, slope)
-            record(rows, np.sqrt(slope / loglik.total))
+            lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
+            record(rows, lam)
 
             # Found rows take the last Newton step where it keeps the signs.
-            done = decrement < found_below  # NaN compares false
+            done = ~ridged & (lam < tol)  # NaN compares false
             last = rows[done]
             cand = X[last] + step[done]
             keep = inside(cand, last)
@@ -339,11 +362,12 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
             running[last] = False
 
             rest = ~done
-            rows, step, slope, flat = rows[rest], step[rest], slope[rest], decrement[rest] <= flat_below
-            current = loglik(X[rows])
+            rows, step, slope = rows[rest], step[rest], slope[rest]
+            flat = decrement[rest] <= flat_below[rows]
+            current = loglik(X[rows], which[rows])
 
             def accept(sub, cand, t):
-                rises = loglik(cand) >= current[sub] + 1e-4 * t * slope[sub]
+                rises = loglik(cand, which[rows[sub]]) >= current[sub] + 1e-4 * t * slope[sub]
                 return inside(cand, rows[sub]) & (rises | flat[sub])
 
             cand, found = backtrack(rows, step, accept)
@@ -363,8 +387,8 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
         xn = np.array([normalize_parameter(x) for x in X[rows]]).reshape(-1, d)
         y = xn @ A.T
         top_eig = np.linalg.eigvalsh(free_hessian(rows, xn)[1])[:, -1]
-        final_norm = np.linalg.norm(loglik.gradient(xn)[0], axis=1)
-        logL = loglik(xn)
+        final_norm = np.linalg.norm(loglik.gradient(xn, which[rows])[0], axis=1)
+        logL = loglik(xn, which[rows])
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = np.any(y == 0.0, axis=1)
         sides = np.where(y > 0.0, 1.0, -1.0)
@@ -378,7 +402,7 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
             outcomes[k] = NoConvergence("converged point left its region", trace=traces[k])
         else:
             outcomes[k] = CriticalPoint(
-                region=regions[k].sign,
+                region=regions[k % R].sign,
                 x=xn[i],
                 y=y[i],
                 p=p[i],

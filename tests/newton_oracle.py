@@ -156,9 +156,10 @@ def solve_region(model, s, region, tol=1e-10, start=None) -> CriticalPoint:
     while iterations < MAX_ITER:
         x = chart.rechart(x)
         step, slope, ridged = chart.newton_step(x)
-        trace.append((iterations, math.sqrt(max(slope, 0.0) / total)))
+        lam = math.sqrt(max(slope, 0.0) / total)
+        trace.append((iterations, lam))
         decrement = math.inf if ridged else slope
-        if decrement < tol**2 * total:
+        if not ridged and lam < tol:
             # Found: take the last Newton step if it keeps the signs.
             cand = chart.advance(x, step, 1.0)
             if chart.in_region(cand):

@@ -345,8 +345,21 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
 
-    def test_every_region_failing_lists_all_failures(self, tmp_path, capsys):
-        code, text = run(tmp_path, "mle", dict(STEINER, s=[0.4, 0.3, 0.2, 0.1]), "--tol", "1e-300")
+    @pytest.fixture
+    def unreachable_tol(self, monkeypatch):
+        """Every solve runs at tol = 0, which no Newton decrement passes; the
+        CLI accepts only tol in (0, 1)."""
+        from sqlinear import mle
+
+        solve_batch = mle._solve_batch
+
+        def at_zero_tol(model, s, regions, tol, starts=None):
+            return solve_batch(model, s, regions, 0.0, starts)
+
+        monkeypatch.setattr(mle, "_solve_batch", at_zero_tol)
+
+    def test_every_region_failing_lists_all_failures(self, tmp_path, capsys, unreachable_tol):
+        code, text = run(tmp_path, "mle", dict(STEINER, s=[0.4, 0.3, 0.2, 0.1]))
         assert code == 3 and text == ""
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "NoConvergence"
@@ -355,6 +368,18 @@ class TestExitCodes:
         for failure in err["failures"]:
             assert failure["type"] == "NoConvergence"
             assert failure["trace"] and all(len(step) == 2 for step in failure["trace"])
+
+    def test_voronoi_with_no_region_converging(self, tmp_path, capsys, unreachable_tol):
+        doc = dict(
+            {"A": [[1, 0], [1, 1], [1, 2], [0, 1]], "y": [3, 2, 1, -1]},
+            segment={"start": ["3/5", "4/15", "1/15", "1/15"], "end": ["3/50", "2/75", "11/30", "41/75"]},
+        )
+        code, text = run(tmp_path, "voronoi", doc, "--samples", "4")
+        assert code == 3 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"], err["message"]) == ("numeric", "NoConvergence", "no region converged")
+        assert [f["region"] for f in err["failures"]] == ["++++", "+++-", "++--", "+---"]
+        assert all(f["type"] == "NoConvergence" and f["trace"] for f in err["failures"])
 
     def test_partial_failure_lists_only_failed_regions(self, tmp_path, capsys, monkeypatch):
         # One region gets a witness with the wrong signs, so it alone fails.

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from sqlinear import ratlin
+from sqlinear.arrangement import enumerate_regions
 from sqlinear.catalog import random_arrangement
-from sqlinear.errors import ValidationError, ZeroCoordinate
+from sqlinear.errors import NoConvergence, ValidationError, ZeroCoordinate
 from sqlinear.geometry import (
+    REFINE_TOL,
     chamber_arrangement,
     combinatorial_type_scan,
     dual_polytope,
@@ -14,11 +17,48 @@ from sqlinear.geometry import (
     swap_candidates,
     _in_row_span,
 )
+from sqlinear.mle import solve_all, to_floats
 from sqlinear.model import make_model
 
 from conftest import sample_kernel_point, sample_wall_point
 
 QUAD_Y = (3, 2, 1, -1)
+
+
+def scan_oracle(model, start, end, steps, tol=1e-10):
+    """The Voronoi scan one parameter at a time: a cold solve_all at every
+    sample and every bisection midpoint, and the argmax of logL as the tag."""
+    a, b = to_floats(start, "start"), to_floats(end, "end")
+    regions = enumerate_regions(model.arr)
+
+    def tag_at(t):
+        return str(solve_all(model, a + t * (b - a), tol, regions=regions).mle.region)
+
+    params = [k / steps for k in range(steps + 1)]
+    tags = [tag_at(t) for t in params]
+    crossings = []
+    for k in range(steps):
+        if tags[k] != tags[k + 1]:
+            lo, hi = params[k], params[k + 1]
+            while hi - lo > REFINE_TOL:
+                mid = (lo + hi) / 2
+                if tag_at(mid) == tags[k]:
+                    lo = mid
+                else:
+                    hi = mid
+            crossings.append(((lo + hi) / 2, tags[k], tags[k + 1]))
+    return tuple(tags), tuple(crossings)
+
+
+def session_segment(model, pyrng, index, fraction):
+    """From s* of a kernel point toward the boundary along a row of
+    B diag(y), ``fraction`` of the way."""
+    y = sample_kernel_point(model, pyrng)
+    total = sum(v * v for v in y)
+    start = tuple(v * v / total for v in y)
+    row = [b * v for b, v in zip(model.B.B[index % len(model.B.B)], y)]
+    t_max = min(s / -r for s, r in zip(start, row) if r < 0)
+    return y, start, tuple(s + fraction * t_max * r for s, r in zip(start, row))
 
 
 class TestLognormalPolytope:
@@ -256,6 +296,42 @@ class TestLogVoronoiScan:
         profile = log_voronoi_scan(four_points, QUAD_Y, s_star, nearby, steps=6)
         assert profile.crossings == ()
         assert set(profile.tags) == {"+++-"}
+
+    def assert_matches_oracle(self, model, y, start, end, steps):
+        profile = log_voronoi_scan(model, y, start, end, steps=steps)
+        assert (profile.tags, profile.crossings) == scan_oracle(model, start, end, steps)
+        return profile
+
+    @pytest.mark.parametrize("steps", [8, 12])
+    def test_example_65_matches_per_parameter_oracle(self, four_points, steps):
+        start = (Fraction(3, 5), Fraction(4, 15), Fraction(1, 15), Fraction(1, 15))
+        end = (Fraction(3, 50), Fraction(2, 75), Fraction(11, 30), Fraction(41, 75))
+        profile = self.assert_matches_oracle(four_points, QUAD_Y, start, end, steps)
+        assert profile.crossings
+
+    @pytest.mark.parametrize("fraction", [Fraction(1, 4), Fraction(3, 4)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_segments_match_per_parameter_oracle(self, seed, fraction):
+        pyrng = random.Random(f"voronoi-diff/{seed}")
+        model = make_model(random_arrangement(3, 6, pyrng))
+        y, start, end = session_segment(model, pyrng, seed, fraction)
+        self.assert_matches_oracle(model, y, start, end, 12)
+
+    def test_two_brackets_bisected_together_match_oracle(self):
+        pyrng = random.Random("voronoi-diff/15")
+        model = make_model(random_arrangement(3, 6, pyrng))
+        y, start, end = session_segment(model, pyrng, 15, Fraction(19, 20))
+        profile = self.assert_matches_oracle(model, y, start, end, 12)
+        assert len(profile.crossings) == 2
+
+    def test_no_region_converging_raises_with_every_failure(self, four_points):
+        total = sum(v * v for v in QUAD_Y)
+        s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
+        with pytest.raises(NoConvergence, match="no region converged") as err:
+            log_voronoi_scan(four_points, QUAD_Y, s_star, s_star, steps=3, tol=0.0)
+        regions = enumerate_regions(four_points.arr)
+        assert [region for region, _ in err.value.failures] == regions
+        assert all(isinstance(e, NoConvergence) and e.trace for _, e in err.value.failures)
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_rejected(self, four_points, steps):

@@ -174,16 +174,26 @@ class TestSolveAll:
 
     def test_impossible_tolerance_aggregates(self, steiner, rng):
         # tol = 0 is unreachable: the Newton decrement never falls strictly
-        # below zero; failing regions are collected without aborting the
-        # rest, and the call raises only when no region converged at all.
-        s = rng.uniform(0.1, 1.0, size=4)
-        try:
-            result = solve_all(steiner, s, tol=0.0)
-        except NoConvergence:
-            return
-        assert result.failures
-        assert len(result.points) + len(result.failures) == 7
-        assert all(isinstance(err, NoConvergence) for _, err in result.failures)
+        # below zero, so no region converges, and the NoConvergence raised
+        # carries every region's failure with its trace.
+        for s in ([4, 3, 2, 1], [1, 50, 7, 20], rng.uniform(0.1, 1.0, size=4)):
+            with pytest.raises(NoConvergence, match="no region converged") as err:
+                solve_all(steiner, s, tol=0.0)
+            assert len(err.value.failures) == 7
+            assert all(failure.trace for _, failure in err.value.failures)
+
+    def test_tiny_tolerance_accepts_a_zero_decrement(self, steiner):
+        # At tol = 1e-200, tol**2 underflows to 0; the decrement is compared
+        # unsquared, so the row whose decrement reaches exactly 0 converges.
+        s = [4, 3, 2, 1]
+        region = enumerate_regions(steiner.arr)[0]
+        with pytest.raises(NoConvergence) as err:
+            solve_region(steiner, s, region, tol=0.0)
+        last_iteration, last_decrement = err.value.trace[-1]
+        assert last_decrement == 0.0
+        point = solve_region(steiner, s, region, tol=1e-200)
+        assert point.iterations == last_iteration
+        assert point.hessian_max_eig < 0.0
 
     def test_numeric_error_in_one_region_is_recorded(self, steiner, rng):
         # Region 2 gets the witness of region 3, which has the wrong signs

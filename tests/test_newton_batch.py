@@ -14,10 +14,10 @@ import pytest
 
 import newton_oracle as oracle
 from sqlinear import catalog
-from sqlinear.arrangement import enumerate_regions
+from sqlinear.arrangement import characteristic_polynomial, enumerate_regions
 from sqlinear.degeneration import TropicalData, estimate_valuations
 from sqlinear.errors import NoConvergence
-from sqlinear.mle import solve_all, solve_region
+from sqlinear.mle import CriticalPoint, _solve_batch, solve_all, solve_region
 from sqlinear.model import make_model
 
 CATALOG = {
@@ -64,14 +64,42 @@ def test_random_arrangement_solves_match_oracle(d, n):
         compare_solves(model, data, same_failures=False)
 
 
+def test_stacked_data_rows_match_separate_solves():
+    """One batch holds k data vectors on a random (4,9); every row finds the
+    local max that a separate solve_all on its data finds, and each data
+    vector converges in all |chi(-1)|/2 regions."""
+    model = make_model(catalog.random_arrangement(4, 9, random.Random("batch/stacked")))
+    regions = enumerate_regions(model.arr)
+    chi = characteristic_polynomial(model.arr)
+    data = np.random.default_rng(49).uniform(0.05, 1.0, size=(5, model.n))
+    data[1] *= 40.0
+    data[3] = np.arange(1.0, model.n + 1)
+    outcomes = _solve_batch(model, data, regions, 1e-10)
+    assert len(outcomes) == len(data) * len(regions)
+    for k, s in enumerate(data):
+        rows = outcomes[k * len(regions) : (k + 1) * len(regions)]
+        assert all(isinstance(p, CriticalPoint) for p in rows)
+        assert len(rows) == abs(chi(-1)) // 2
+        separate = solve_all(model, s, regions=regions)
+        assert not separate.failures
+        for point, other in zip(rows, separate.points):
+            assert point.region == other.region
+            assert point.hessian_max_eig < 0.0
+            assert np.abs(point.x - other.x).max() <= 1e-9
+            assert point.logL == pytest.approx(other.logL, rel=1e-12)
+
+
 def test_failing_tolerance_fails_the_same_regions(steiner):
+    # Only tol = 0 fails every region: a decrement of exactly 0 passes any
+    # positive tol, and below roundoff the two solvers part ways on which
+    # rows reach 0.
     s = np.array([0.4, 0.3, 0.2, 0.1])
     regions = enumerate_regions(steiner.arr)
     for region in regions:
         with pytest.raises(NoConvergence) as batch_err:
-            solve_region(steiner, s, region, 1e-300)
+            solve_region(steiner, s, region, 0.0)
         with pytest.raises(NoConvergence) as loop_err:
-            oracle.solve_region(steiner, s, region, 1e-300)
+            oracle.solve_region(steiner, s, region, 0.0)
         assert batch_err.value.trace and loop_err.value.trace
 
 
