@@ -276,15 +276,17 @@ def _split(rays, row, bit, d):
 
 
 def _simplicial_start(rows, d):
-    """The first d independent rows (greedy, as indices) and their cone's rays.
+    """The first d independent integer rows (greedy, as indices) and their cone's rays.
 
     The simplicial cone {M_j x >= 0} of d independent rows M has the extreme
     rays (M^-1)_{:,j}, returned as primitive integer vectors; ray j vanishes
-    on every chosen row but the j-th.
+    on every chosen row but the j-th. They are read off one integer
+    Gauss-Jordan pass of [M | I]: row r ends as c_r (e_r | (M^-1)_{r,:}).
     """
     chosen = ratlin.IntEchelon.independent_rows(rows, d)
-    columns = ratlin.transpose(ratlin.inverse([rows[i] for i in chosen]))
-    return chosen, [_ray(ratlin.cleared(col)[0]) for col in columns]
+    m, _, _ = ratlin._gauss_jordan([[*rows[i], *(int(i == j) for j in chosen)] for i in chosen], d)
+    top = lcm(*(row[r] for r, row in enumerate(m)))
+    return chosen, [_ray([row[d + j] * (top // row[r]) for r, row in enumerate(m)]) for j in range(d)]
 
 
 def _orthant_rays(signs, chosen, base):
@@ -330,7 +332,7 @@ def enumerate_regions(arr: Arrangement) -> list:
         raise ParallelRows(pairs)
     n, d = arr.n, arr.d
     ints = [_ray(ratlin.cleared(row)[0]) for row in arr.A]
-    chosen, base = _simplicial_start(arr.A, d)
+    chosen, base = _simplicial_start(ints, d)
     regions = []
     for orthant in itertools.product((1, -1), repeat=d - 1):
         signs = [0] * n
@@ -427,28 +429,30 @@ def interior_samples(arr: Arrangement, region: Region, count: int, rng) -> list:
     """Extra exact interior points of a region, for start-independence tests
     and per-region sampling. Steps from the witness stop halfway to the first
     hyperplane crossing, so every sample keeps the region's sign vector.
+
+    The line steps run in integers: with the witness W / D and s_i a_i the
+    signed integer rows, the crossing along a direction u is at
+    t_i = (s_i a_i . W) / (D * -(s_i a_i . u)), and the sample is
+    (2 den W + num u) / (2 D den) for the smallest t = num / (D den).
     """
     samples = []
-    witness = region.witness
-    signs = region.sign.signs
+    W, D = ratlin.cleared(region.witness)
+    rows = [[s * v for v in ratlin.cleared(row)[0]] for s, row in zip(region.sign.signs, arr.A)]
+    slacks = [sum(map(mul, row, W)) for row in rows]
     attempts = 0
     while len(samples) < count and attempts < 50 * count:
         attempts += 1
-        direction = tuple(Fraction(rng.randint(-9, 9)) for _ in range(arr.d))
-        if ratlin.is_zero(direction):
+        direction = [rng.randint(-9, 9) for _ in range(arr.d)]
+        if not any(direction):
             continue
-        bound = None
-        for i, row in enumerate(arr.A):
-            move = signs[i] * ratlin.dot(row, direction)
-            if move < 0:
-                slack = signs[i] * ratlin.dot(row, witness)
-                t = -slack / move
-                bound = t if bound is None else min(bound, t)
-        step = Fraction(1) if bound is None else bound / 2
-        point = ratlin.add(witness, ratlin.scale(direction, step))
-        values = arr.form_values(point)
-        if any(v == 0 for v in values):
-            continue
-        if tuple(1 if signs[i] * values[i] > 0 else -1 for i in range(arr.n)) == tuple([1] * arr.n):
-            samples.append(point)
+        num, den = D, 0  # first crossing t = num / (D den); den = 0: no wall ahead
+        for row, slack in zip(rows, slacks):
+            move = -sum(map(mul, row, direction))
+            if move > 0 and (not den or slack * den < num * move):
+                num, den = slack, move
+        # Step t / 2 toward the first wall, or t = 1 = D / (D * 1) with none ahead.
+        den = 2 * den if den else 1
+        point = [den * w + num * u for w, u in zip(W, direction)]
+        if all(sum(map(mul, row, point)) > 0 for row in rows):
+            samples.append(tuple(Fraction(v, den * D) for v in point))
     return samples

@@ -8,14 +8,14 @@ B diag(y)^(-1), and stays constant while y moves inside a region of the
 chamber arrangement (the original hyperplanes plus one determinantal
 hyperplane per column subset of size n-d+1).
 
-All polytopes here are desk-scale. Exact arithmetic runs only where
-vertices and facets are found, and both come from one set of extreme rays:
-those of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}, cut out row by row
-with the integer double-description step of region enumeration. A ray maps
-to a vertex of the log-normal polytope and, by polarity, is a facet of the
-hull of the columns of B diag(y)^(-1). Every other face, with its dimension,
-is read off the vertex-facet incidences alone by walking down from the
-facets, so no rank is taken per face.
+All polytopes here are desk-scale, and their combinatorics runs in ints.
+Vertices and facets come from the extreme rays of the data cone
+{z : z^T [1; B diag(y)^(-1)] >= 0}, cut out row by row with the integer
+double-description step of region enumeration, each with a bitmask of the
+rows vanishing on it. A ray maps to a vertex of the log-normal polytope P
+and, by polarity, is a facet of the hull Q of the columns of B diag(y)^(-1).
+Every other face comes from one walk over int bitmasks down from P's at most
+n facets; Q's face lattice is P's reversed, and no rank is taken per face.
 """
 
 from __future__ import annotations
@@ -76,11 +76,7 @@ class Polytope:
 
     def vertex_facet_degrees(self):
         """Sorted multiset: how many facets each vertex lies on."""
-        degrees = [0] * len(self.V_rep)
-        for facet in self.incidence:
-            for v in facet:
-                degrees[v] += 1
-        return tuple(sorted(degrees))
+        return tuple(sorted(sum(v in facet for facet in self.incidence) for v in range(len(self.V_rep))))
 
     def signature(self):
         """Combinatorial-type fingerprint: (f-vector, facet-degree multiset)."""
@@ -120,20 +116,23 @@ class VoronoiProfile:
     crossings: tuple  # (t_refined, tag_before, tag_after)
 
 
-def _face_layers(facet_sets, dim):
-    """Proper nonempty faces as vertex sets, one layer per dimension.
+def _face_layers(facets, dim):
+    """Proper nonempty faces as int bitmasks of vertices, one layer per dimension.
 
     Layer dim-1 holds the facets, and the faces one dimension below a face H
-    are the inclusion-maximal nonempty sets H & f over the facets f not
+    are the inclusion-maximal nonempty meets H & f over the facets f not
     containing H (Kaibel & Pfetsch 2002, "Computing the face lattice of a
     polytope from its vertex-facet incidences"). A point has no layers.
     """
-    layers = [set(facet_sets)]
+    layers = [set(facets)]
     while len(layers) < dim:
         below = set()
         for face in layers[0]:
-            meets = {face & facet for facet in facet_sets} - {face, frozenset()}
-            below.update(m for m in meets if not any(m < other for other in meets))
+            kept = []  # the maximal meets; a strict superset has more bits, so it comes first
+            for meet in sorted({face & facet for facet in facets} - {face, 0}, key=int.bit_count, reverse=True):
+                if not any(meet & o == meet for o in kept):
+                    kept.append(meet)
+            below.update(kept)
         layers.insert(0, below)
     return layers[:dim]
 
@@ -163,58 +162,54 @@ def _check_kernel_point(model: SquaredLinearModel, y):
     return y
 
 
-def _data_cone_rays(model: SquaredLinearModel, y):
-    """Extreme rays of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}.
+def _data_cone(B, y):
+    """Extreme rays of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}, and P's faces.
 
-    Row i of the cone is (1, q_i) for the column point q_i = B_{:,i} / y_i,
-    and ``y`` must already be checked. The cone is pointed, because
-    [1; B diag(y)^(-1)] has full row rank (the ones row is not in the row
-    span of B diag(y)^(-1), as B y = 0), and z = (1, 0, ..., 0) is interior.
-    Returns (rays, rows): the (primitive integer ray, bitmask of the rows
-    vanishing on it) pairs, and the rows as primitive integer vectors, each a
-    positive multiple row[0] of (1, q_i).
+    Row i is (1, q_i), q_i = B_{:,i} / y_i, as the primitive integers of
+    (|y_i|, sign(y_i) B_{:,i}); y is any positive multiple of a model point,
+    checked exactly here. The cone is pointed ([1; B diag(y)^(-1)] has full
+    row rank, as B y = 0) with (1, 0, ..., 0) inside. Returns the (primitive
+    ray, bitmask of its zero rows) pairs, the rows, {i: bitmask of the rays on
+    row i} for P's facet rows i, and P's f-vector; ray k is P's vertex k.
     """
-    rows = [_ray(ratlin.cleared((Fraction(1),) + tuple(v / yi for v in col))[0])
-            for col, yi in zip(ratlin.transpose(model.B.B), y)]
-    dim = model.n - model.d + 1
-    chosen, base = _simplicial_start(rows, dim)
-    return _cone_rays((1,) * model.n, chosen, base, rows, dim), rows
+    if any(sum(map(mul, row, y)) for row in B):
+        raise ValidationError("y is not in the kernel of B")
+    if not all(y):
+        raise ZeroCoordinate("model point has a zero coordinate")
+    dim = len(B)
+    rows = [_ray(ratlin.cleared([abs(v), *(c if v > 0 else -c for c in col)])[0]) for col, v in zip(zip(*B), y)]
+    rays = _cone_rays((1,) * len(y), *_simplicial_start(rows, dim + 1), rows, dim + 1)
+    zero = [sum(1 << k for k, (_, mask) in enumerate(rays) if mask >> i & 1) for i in range(len(y))]
+    facets = {i: z for i, z in enumerate(zero) if z and not any(z & o == z != o for o in zero)}
+    return rays, rows, facets, tuple(len(layer) for layer in _face_layers(facets.values(), dim))
 
 
 def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
     """Data polytope of the model point with square roots y.
 
-    Realized through the data cone of :func:`_data_cone_rays`: an extreme ray
-    z maps to data space by s = z^T [y^2; B Y], and the vertex is s over its
-    coordinate sum. Since sum_i y_i^2 (1, q_i) = (sum(y^2), 0), that sum is
-    z_0 sum(y^2), positive because z_0 > 0 on every nonzero point of the
-    cone; so every ray gives a vertex and the polytope is never empty.
-    The polytope has dimension n-d: it holds s* = y^2 / sum(y^2) > 0, and the
-    rows [y^2; B Y] are independent. Its facets are the inclusion-maximal
-    nonempty zero sets {vertices with s_i = 0}, listed by i (two coordinates
-    with one zero set give the facet twice); none holds every vertex, as
-    s* > 0. The other faces follow from these vertex-facet incidences.
+    Realized through the data cone of :func:`_data_cone`: an extreme ray z
+    maps to data space by s = z^T [y^2; B Y], and the vertex is s over its
+    coordinate sum z_0 sum(y^2) (as sum_i y_i^2 (1, q_i) = (sum(y^2), 0)),
+    positive because z_0 > 0 on the cone minus 0: the polytope is never empty.
+    It has dimension n-d: it holds s* = y^2 / sum(y^2) > 0, and the rows
+    [y^2; B Y] are independent. Its facets are the inclusion-maximal nonempty
+    zero sets {vertices with s_i = 0}, listed by i (two coordinates with one
+    zero set give the facet twice); none holds every vertex, as s* > 0.
     """
     y = _check_kernel_point(model, y)
-    n, d = model.n, model.d
-    rays, rows = _data_cone_rays(model, y)
-    weights = [v * v / row[0] for v, row in zip(y, rows)]
+    n = model.n
+    rays, rows, facets, f_vector = _data_cone(model.B.B, y)
     total = sum(v * v for v in y)
-    vertices = sorted({
-        tuple(w * sum(map(mul, row, ray)) / (ray[0] * total) for w, row in zip(weights, rows))
-        for ray, _ in rays
-    })
-    dim = n - d
-    zero_sets = [frozenset(k for k, v in enumerate(vertices) if v[i] == 0) for i in range(n)]
-    facets = [i for i, z in enumerate(zero_sets) if z and not any(z < other for other in zero_sets)]
-    incidence = tuple(zero_sets[i] for i in facets)
+    weights = [v * v / (row[0] * total) for v, row in zip(y, rows)]
+    vertices = [tuple(w * sum(map(mul, row, ray)) / ray[0] for w, row in zip(weights, rows)) for ray, _ in rays]
+    order = sorted(range(len(rays)), key=vertices.__getitem__)
     return Polytope(
         ambient_dim=n,
-        dim=dim,
-        V_rep=tuple(vertices),
+        dim=n - model.d,
+        V_rep=tuple(vertices[k] for k in order),
         H_rep=tuple((tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0)) for i in facets),
-        f_vector=tuple(len(layer) for layer in _face_layers(incidence, dim)),
-        incidence=incidence,
+        f_vector=f_vector,
+        incidence=tuple(frozenset(v for v, k in enumerate(order) if z >> k & 1) for z in facets.values()),
     )
 
 
@@ -223,32 +218,28 @@ def dual_polytope(model: SquaredLinearModel, y) -> Polytope:
 
     Q is (n-d)-dimensional with the origin inside, as sum_i y_i^2 q_i = B y
     = 0. By polarity its facets are the extreme rays (z_0, z) of the data
-    cone of :func:`_data_cone_rays`: a ray is the facet z . q >= -z_0, on the
+    cone of :func:`_data_cone`: a ray is the facet z . q >= -z_0, on the
     points whose row vanishes on it. The normal is scaled to z / |z_f| for
     the last nonzero entry z_f, and the offset to -z_0 / |z_f|. Facets are
-    listed by their sorted point sets, and the vertices are the points on
-    the zero-dimensional faces. The reversed f-vector of Q equals the
-    f-vector of the log-normal polytope at the same point, and for y off the
-    chamber arrangement Q is simplicial.
+    listed by their sorted point sets. Q's face lattice is the log-normal
+    polytope's reversed: its f-vector is P's reversed and its vertices are
+    the q_i on P's facet rows. For y off the chamber arrangement Q is simplicial.
     """
     y = _check_kernel_point(model, y)
-    n, dim = model.n, model.n - model.d
-    rays, _ = _data_cone_rays(model, y)
+    rays, _, vertices, f_vector = _data_cone(model.B.B, y)
     cols = ratlin.transpose(model.B.B)
-    points = [ratlin.scale(cols[i], 1 / y[i]) for i in range(n)]
     facets = {}
     for (z0, *z), mask in rays:
         last = abs(next(v for v in reversed(z) if v))
         normal = tuple(Fraction(v, last) for v in z)
-        facets[frozenset(i for i in range(n) if mask >> i & 1)] = (normal, Fraction(-z0, last))
+        facets[frozenset(i for i in range(model.n) if mask >> i & 1)] = (normal, Fraction(-z0, last))
     incidence = sorted(facets, key=sorted)
-    layers = _face_layers(incidence, dim)
     return Polytope(
-        ambient_dim=dim,
-        dim=dim,
-        V_rep=tuple(points[k] for k in sorted(set().union(*layers[0]))),
+        ambient_dim=model.n - model.d,
+        dim=model.n - model.d,
+        V_rep=tuple(ratlin.scale(cols[i], 1 / y[i]) for i in vertices),
         H_rep=tuple(facets[m] for m in incidence),
-        f_vector=tuple(len(layer) for layer in layers),
+        f_vector=f_vector[::-1],
         incidence=tuple(incidence),
     )
 
@@ -316,24 +307,33 @@ def swap_candidates(model: SquaredLinearModel, y) -> list:
 
     A candidate certifies that the swapped-and-signed vector squares into
     the model; only sign vectors different from y's are reported, since
-    those are the ones that can bound the log-Voronoi cell linearly.
+    those are the ones that can bound the log-Voronoi cell linearly. An image
+    lies in ker B iff it is A x', and x' is fixed by its values on d independent
+    rows (row 0 among them, sigma_0 = 1): 2^(d-1) exact solves per swap
+    (i < j). Sigmas come sorted, + before -.
     """
     y = _check_kernel_point(model, y)
-    n = model.n
-    B = model.B.B
-    base_sign = SignVector.from_values(y)
+    A, n, d = model.arr.A, model.n, model.d
+    chosen = ratlin.IntEchelon.independent_rows(A, d)
+    # l(x') = (G / g) rhs for the values rhs of x' on the chosen rows, in units of y's lcd.
+    flat, g = ratlin.cleared([v for row in ratlin.matmul(A, ratlin.inverse([A[i] for i in chosen])) for v in row])
+    G = [flat[k : k + d] for k in range(0, len(flat), d)]
+    Y, _ = ratlin.cleared(y)
+    base_sign = SignVector.from_values(y).signs
     out = []
     for i, j in itertools.combinations(range(n), 2):
-        swapped = list(y)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        for bits in itertools.product((1, -1), repeat=n - 1):
-            sigma = (1,) + bits
+        perm = [j if k == i else i if k == j else k for k in range(n)]
+        swapped, target = [y[k] for k in perm], [Y[k] for k in perm]
+        found = []
+        for signs in itertools.product((1, -1), repeat=d - 1):
+            rhs = [s * target[k] for s, k in zip((1, *signs), chosen)]
+            values = [sum(map(mul, row, rhs)) for row in G]
+            if all(abs(v) == g * abs(w) for v, w in zip(values, target)):
+                found.append(tuple(1 if v * w > 0 else -1 for v, w in zip(values, target)))
+        for sigma in sorted(found, key=lambda sigma: [-s for s in sigma]):
             image = tuple(s * v for s, v in zip(sigma, swapped))
-            if not ratlin.is_zero(ratlin.matvec(B, image)):
-                continue
-            if SignVector.from_values(image).signs == base_sign.signs:
-                continue
-            out.append(SwapCandidate(i=i, j=j, sigma=sigma, image=image))
+            if SignVector.from_values(image).signs != base_sign:
+                out.append(SwapCandidate(i=i, j=j, sigma=sigma, image=image))
     return out
 
 
@@ -343,7 +343,9 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     For every region of the chamber arrangement, the polytope is evaluated
     at ``TYPE_SCAN_SAMPLES`` exact points (the witness and seeded interior
     samples); the signature must not change inside a region. Returns
-    {region sign string: signature}.
+    {region sign string: signature}, read off the ray masks of :func:`_data_cone`
+    at y = A x (A, x scaled to integers). Off the chamber walls each q_i on Q's
+    boundary is a vertex, so a vertex's degree is the size of its ray's mask.
     """
     import random
 
@@ -351,21 +353,19 @@ def combinatorial_type_scan(model: SquaredLinearModel):
         raise RankDeficient("chamber-region scan is desk-scale: d must be 2 or 3")
     chamber = chamber_arrangement(model)
     regions = enumerate_regions(chamber.arrangement)
+    flat, _ = ratlin.cleared([v for row in model.arr.A for v in row])
+    A = [flat[k : k + model.d] for k in range(0, len(flat), model.d)]
+    B = [ratlin.cleared(row)[0] for row in model.B.B]
     rng = random.Random(0)
     report = {}
     for region in regions:
-        points = [region.witness]
-        points.extend(
-            interior_samples(chamber.arrangement, region, TYPE_SCAN_SAMPLES - 1, rng)
-        )
         signatures = set()
-        for x in points:
-            yvec = model.arr.form_values(x)
-            signatures.add(lognormal_polytope(model, yvec).signature())
+        for x in [region.witness, *interior_samples(chamber.arrangement, region, TYPE_SCAN_SAMPLES - 1, rng)]:
+            x, _ = ratlin.cleared(x)
+            rays, _, _, f_vector = _data_cone(B, [sum(map(mul, row, x)) for row in A])
+            signatures.add((f_vector, tuple(sorted(mask.bit_count() for _, mask in rays))))
         if len(signatures) != 1:
-            raise AssertionError(
-                f"signature not constant on chamber region {region.key()}"
-            )
+            raise AssertionError(f"signature not constant on chamber region {region.key()}")
         report[region.key()] = signatures.pop()
     return report
 

@@ -238,7 +238,7 @@ class IntEchelon:
         for i, row in enumerate(rows):
             if len(chosen) == count:
                 break
-            if echelon.insert(primitive(row)):
+            if echelon.insert(cleared(row)[0]):
                 chosen.append(i)
         return chosen if len(chosen) == count else None
 

@@ -1,12 +1,16 @@
 """Golden CLI outputs: every command on the catalog models, plus error inputs.
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [NAME ...]
 
 runs each case of :func:`cases` through ``sqlinear.cli.main`` and writes
 ``tests/golden/golden.json``: per case the exit code, the ``--output`` text,
 the stderr text and, when the case asks for one, the SVG figure.
 ``tests/test_golden.py`` replays the same cases and compares them with the
 file. Regenerate only when an output is meant to change.
+
+With case names, only those cases are run and rewritten; every other case
+keeps its record byte for byte. Without names, every case is regenerated,
+which also rewrites float last digits that differ from machine to machine.
 """
 
 from __future__ import annotations
@@ -156,14 +160,21 @@ def run_case(command, doc, extra, workdir):
     return record
 
 
-def main():
+def main(names=()):
+    todo = cases()
     golden = {}
+    if names:
+        unknown = sorted(set(names) - {case[0] for case in todo})
+        if unknown:
+            sys.exit(f"unknown golden cases: {', '.join(unknown)}")
+        golden = json.loads(GOLDEN.read_text())
+        todo = [case for case in todo if case[0] in names]
     with tempfile.TemporaryDirectory() as workdir:
-        for name, command, doc, extra in cases():
+        for name, command, doc, extra in todo:
             golden[name] = dict(command=command, args=extra, **run_case(command, doc, extra, workdir))
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(todo)} of {len(golden)} cases to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -8,6 +8,11 @@ points. Every face is found by closing the facet sets under intersection,
 and each face's dimension, each log-normal facet and each hull vertex is
 decided by an exact affine rank. tests/test_polytope_oracle.py checks that
 both give the same polytopes.
+
+It also keeps the rules that the polytope layer's helpers followed before
+they ran in integers: ``simplicial_start`` (rays from one Fraction inverse),
+``interior_samples`` (Fraction line steps) and ``swap_candidates`` (every
+one of the 2^(n-1) sign vectors per swap).
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from fractions import Fraction
 
 import ratlin_oracle
 from sqlinear import ratlin
+from sqlinear.arrangement import SignVector, _ray
 from sqlinear.errors import EmptyPolytope
-from sqlinear.geometry import Polytope, _check_kernel_point, _data_rows
+from sqlinear.geometry import Polytope, SwapCandidate, _check_kernel_point, _data_rows
 
 
 def _affine_rank(points) -> int:
@@ -173,3 +179,58 @@ def dual_polytope(model, y) -> Polytope:
     cols = ratlin.transpose(model.B.B)
     points = [ratlin.scale(cols[i], 1 / y[i]) for i in range(model.n)]
     return polytope_from_points(points, ambient_dim=model.n - model.d)
+
+
+def simplicial_start(rows, d):
+    """The first d independent rows and the primitive columns of their inverse."""
+    chosen = ratlin.IntEchelon.independent_rows(rows, d)
+    columns = ratlin.transpose(ratlin.inverse([rows[i] for i in chosen]))
+    return chosen, [_ray(ratlin.cleared(col)[0]) for col in columns]
+
+
+def interior_samples(arr, region, count, rng):
+    """Steps from the witness halfway to the first wall, in Fractions."""
+    samples = []
+    witness = region.witness
+    signs = region.sign.signs
+    attempts = 0
+    while len(samples) < count and attempts < 50 * count:
+        attempts += 1
+        direction = tuple(Fraction(rng.randint(-9, 9)) for _ in range(arr.d))
+        if ratlin.is_zero(direction):
+            continue
+        bound = None
+        for i, row in enumerate(arr.A):
+            move = signs[i] * ratlin.dot(row, direction)
+            if move < 0:
+                slack = signs[i] * ratlin.dot(row, witness)
+                t = -slack / move
+                bound = t if bound is None else min(bound, t)
+        step = Fraction(1) if bound is None else bound / 2
+        point = ratlin.add(witness, ratlin.scale(direction, step))
+        values = arr.form_values(point)
+        if any(v == 0 for v in values):
+            continue
+        if tuple(1 if signs[i] * values[i] > 0 else -1 for i in range(arr.n)) == tuple([1] * arr.n):
+            samples.append(point)
+    return samples
+
+
+def swap_candidates(model, y):
+    """Every swap (i < j) with every sign vector sigma (sigma_0 = 1) whose
+    image lies in ker B with a sign vector other than y's."""
+    y = _check_kernel_point(model, y)
+    base_sign = SignVector.from_values(y)
+    out = []
+    for i, j in itertools.combinations(range(model.n), 2):
+        swapped = list(y)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for bits in itertools.product((1, -1), repeat=model.n - 1):
+            sigma = (1,) + bits
+            image = tuple(s * v for s, v in zip(sigma, swapped))
+            if not ratlin.is_zero(ratlin.matvec(model.B.B, image)):
+                continue
+            if SignVector.from_values(image).signs == base_sign.signs:
+                continue
+            out.append(SwapCandidate(i=i, j=j, sigma=sigma, image=image))
+    return out
