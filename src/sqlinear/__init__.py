@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 # home module -> the public names the package serves from it
 _EXPORTS = {
     "arrangement": (
-        "Arrangement CharacteristicPolynomial Flat KernelComplement Region SignVector "
-        "characteristic_polynomial enumerate_regions flats generic_ml_degree "
-        "interior_samples kernel_complement ml_degree snc_check"
+        "Arrangement CharacteristicPolynomial KernelComplement Region SignVector "
+        "characteristic_polynomial enumerate_regions generic_ml_degree "
+        "interior_samples kernel_complement ml_degree"
     ),
     "degeneration": (
         "DegenerateSolution TropicalData TropicalPoint ValuationEstimate "

@@ -2,9 +2,9 @@
 
 An arrangement is an n x d rational matrix A whose rows are the coefficient
 vectors of linear forms l_1, ..., l_n. Everything in this module is computed
-in exact rational (or integer) arithmetic: kernel complements, subset ranks,
-characteristic polynomials, flats, and region enumeration with interior
-witness points.
+in exact rational (or integer) arithmetic: kernel complements,
+characteristic polynomials, and region enumeration with interior witness
+points.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from . import ratlin
-from .errors import BudgetExceeded, ParallelRows, RankDeficient
-
-SUBSET_BUDGET = 24
+from .errors import ParallelRows, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -135,18 +133,6 @@ class CharacteristicPolynomial:
         return value
 
 
-@dataclass(frozen=True)
-class Flat:
-    """Closed subset of row indices together with its intersection subspace."""
-
-    subset: frozenset
-    rank: int
-    basis: tuple
-
-    def sort_key(self):
-        return (self.rank, tuple(sorted(self.subset)))
-
-
 def _require_essential(arr: Arrangement):
     if not arr.is_essential():
         raise RankDeficient(
@@ -183,27 +169,30 @@ def kernel_complement(arr: Arrangement) -> KernelComplement:
 def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
     """chi(t) = sum over subsets S of (-1)^|S| t^(d - rank S) (Whitney).
 
-    Subsets are walked depth-first while an integer echelon form of the
-    included rows is carried along, so each subset costs one row reduction.
-    Once the included rows reach rank d, every extension also has rank d and
-    their 2^(rows left) signed terms cancel, so that branch is cut.
+    Subsets are walked depth-first on one integer echelon form of the
+    included rows, so each subset costs one row reduction. When row i lies in
+    the span of the rows already included, including it or leaving it out
+    gives the same rank in every extension, so the two branches' terms cancel
+    one for one and the walk drops the node. The leaves that survive are the
+    no-broken-circuit sets (Bjorner 1982; Orlik & Terao 1992, ch. 3), and the
+    nodes at depth j are the no-broken-circuit sets of the first j rows.
+    Adding a row never removes a region, so the walk does at most
+    n |chi(-1)| echelon inserts.
     """
-    n, d = arr.n, arr.d
-    if n > SUBSET_BUDGET:
-        raise BudgetExceeded(f"n = {n} exceeds the 2^n enumeration budget ({SUBSET_BUDGET})")
+    n = arr.n
     rows = [ratlin.primitive(row) for row in arr.A]
-    acc = [0] * (d + 1)
-
-    def walk(i, echelon, sign):
+    acc = [0] * (arr.d + 1)
+    echelon = ratlin.IntEchelon()
+    # (depth i, sign, rank): a node's included rows are the first ``rank``
+    # rows of the echelon when it is popped, so truncating restores them.
+    stack = [(0, 1, 0)]
+    while stack:
+        i, sign, rank = stack.pop()
+        echelon.truncate(rank)
         if i == n:
-            acc[echelon.rank] += sign
-        elif echelon.rank < d:
-            walk(i + 1, echelon, sign)
-            grown = echelon.copy()
-            grown.insert(rows[i])
-            walk(i + 1, grown, -sign)
-
-    walk(0, ratlin.IntEchelon(), 1)
+            acc[rank] += sign
+        elif echelon.insert(rows[i]):
+            stack += ((i + 1, sign, rank), (i + 1, -sign, rank + 1))
     # acc[r] is the coefficient of t^(d - r): descending order already.
     return CharacteristicPolynomial(coeffs=tuple(acc))
 
@@ -360,69 +349,6 @@ def enumerate_regions(arr: Arrangement) -> list:
         result.append(Region(sign=SignVector(signs), witness=tuple(Fraction(v, top) for v in total)))
     result.sort(key=Region.key)
     return result
-
-
-def flats(arr: Arrangement, max_codim: int) -> list:
-    """All closure-closed subsets of rank <= max_codim.
-
-    Every rank-r flat is the closure of r independent rows, so it suffices
-    to close all subsets of size <= max_codim. The basis field spans the
-    intersection of the flat's hyperplanes (all of R^d for the empty flat).
-    """
-    A = arr.A
-    n, d = arr.n, arr.d
-    seen = {}
-    for size in range(0, max_codim + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub_rows = [A[i] for i in subset]
-            r = ratlin.rank(sub_rows)
-            if r != size or r > max_codim:
-                continue
-            closure = frozenset(
-                i for i in range(n) if ratlin.rank(sub_rows + [A[i]]) == r
-            )
-            if closure in seen:
-                continue
-            if sub_rows:
-                basis = ratlin.nullspace(sub_rows, ncols=d)
-            else:
-                basis = tuple(
-                    tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
-                )
-            seen[closure] = Flat(subset=closure, rank=r, basis=basis)
-    return sorted(seen.values(), key=Flat.sort_key)
-
-
-@dataclass(frozen=True)
-class SncReport:
-    """Per-flat transversality verdicts for the partition-function quadric."""
-
-    verdicts: tuple  # pairs (Flat, bool)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok in self.verdicts)
-
-
-def snc_check(arr: Arrangement) -> SncReport:
-    """Check the sum-of-squares quadric against every flat of codim <= d-1.
-
-    For a flat with subspace basis V the quadric restricts to V^T (A^T A) V;
-    transversality of the quadric hypersurface with the flat amounts to that
-    symmetric matrix being nondegenerate, which we decide by an exact
-    determinant. Over the reals this passes for every essential arrangement,
-    because the restricted form is positive definite.
-    """
-    _require_essential(arr)
-    gram = ratlin.matmul(ratlin.transpose(arr.A), arr.A)
-    verdicts = []
-    for flat in flats(arr, arr.d - 1):
-        basis = flat.basis
-        restricted = [
-            [ratlin.dot(u, ratlin.matvec(gram, v)) for v in basis] for u in basis
-        ]
-        verdicts.append((flat, ratlin.det(restricted) != 0))
-    return SncReport(verdicts=tuple(verdicts))
 
 
 def interior_samples(arr: Arrangement, region: Region, count: int, rng) -> list:

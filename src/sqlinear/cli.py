@@ -332,7 +332,12 @@ def _cmd_dpp(doc, args):
     if dpp.n - dpp.k == 2:
         out["ml_degree_formula"] = dpp_ml_degree_l2(dpp.n)
     if "Theta" in doc:
-        dist = dpp_probabilities(jsonio.parse_matrix(doc["Theta"], "Theta"))
+        theta = jsonio.parse_matrix(doc["Theta"], "Theta")
+        if (len(theta), len(theta[0])) != (dpp.k, dpp.n):
+            raise ValidationError(
+                f"Theta must be k x n = {dpp.k} x {dpp.n}, got {len(theta)} x {len(theta[0])}"
+            )
+        dist = dpp_probabilities(theta)
         out["distribution"] = [
             {"sigma": [i + 1 for i in sigma], "prob": float(p)}
             for sigma, p in zip(dist.states, dist.probs)

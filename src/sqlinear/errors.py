@@ -29,10 +29,6 @@ class ParallelRows(ValidationError):
         super().__init__(f"parallel coefficient rows: {self.pairs}")
 
 
-class BudgetExceeded(ValidationError):
-    """Subset-enumeration budget (n <= 24) exceeded."""
-
-
 class ZeroPoint(ValidationError):
     """The zero vector does not represent a projective point."""
 

@@ -245,6 +245,14 @@ def _draw_chart2(model, A, overlays, parts):
                 f'<polyline class="arc" points="{pieces}" fill="none" '
                 'stroke="#0055cc" stroke-width="1.2"/>'
             )
+    for x in overlays.limit_points:
+        a = chart_coord(x)
+        if a is None:
+            continue
+        parts.append(
+            f'<rect class="limit-point" x="{_fmt(to_px(a) - 3)}" y="{_fmt(axis_y - 3)}" '
+            'width="6" height="6" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
+        )
     for witness, text in overlays.region_labels:
         a = chart_coord([float(v) for v in witness])
         if a is None:

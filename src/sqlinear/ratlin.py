@@ -200,7 +200,8 @@ class IntEchelon:
     """Incremental integer echelon form used for subset-rank enumeration.
 
     Rows are reduced with :func:`row_update`, so no fractions appear.
-    ``copy()`` is cheap enough for a depth-first subset walk.
+    ``truncate(rank)`` undoes the inserts made since the rank was ``rank``,
+    so a depth-first walk can share one instance.
     """
 
     __slots__ = ("rows", "lead")
@@ -209,14 +210,16 @@ class IntEchelon:
         self.rows = []
         self.lead = []
 
-    def copy(self):
-        other = IntEchelon.__new__(IntEchelon)
-        other.rows = list(self.rows)
-        other.lead = list(self.lead)
-        return other
+    def truncate(self, rank):
+        del self.rows[rank:], self.lead[rank:]
 
     def insert(self, row) -> bool:
-        """Reduce the integer ``row`` against the current basis; True if rank grew."""
+        """Reduce the integer ``row`` against the current basis; True if rank grew.
+
+        A basis as wide as ``row`` spans it, so that case returns at once.
+        """
+        if len(self.rows) == len(row):
+            return False
         for basis, lead in zip(self.rows, self.lead):
             if row[lead] != 0:
                 row, _ = row_update(basis[lead], row, row[lead], basis)

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -11,15 +13,16 @@ from sqlinear.arrangement import (
     SignVector,
     characteristic_polynomial,
     enumerate_regions,
-    flats,
     generic_ml_degree,
     kernel_complement,
     ml_degree,
-    snc_check,
 )
-from sqlinear.catalog import random_arrangement
-from sqlinear.errors import BudgetExceeded, ParallelRows, RankDeficient
+from sqlinear.catalog import braid_arrangement, random_arrangement
+from sqlinear.errors import ParallelRows, RankDeficient
 from sqlinear.geometry import chamber_arrangement
+from sqlinear.model import make_model
+
+from conftest import CATALOG
 
 
 def row_span(rows):
@@ -69,6 +72,126 @@ def subset_rank_charpoly(arr):
     return tuple(coeffs)
 
 
+def rank_cut_walk(arr):
+    """Oracle: the subset walk with only the rank-d cut.
+
+    It returns early only once the included rows reach rank d, so a pencil
+    or a non-essential arrangement costs it up to 2^n row reductions.
+    """
+    n, d = arr.n, arr.d
+    rows = [ratlin.primitive(row) for row in arr.A]
+    acc = [0] * (d + 1)
+
+    def walk(i, echelon, sign):
+        if i == n:
+            acc[echelon.rank] += sign
+        elif echelon.rank < d:
+            walk(i + 1, echelon, sign)
+            grown = ratlin.IntEchelon()
+            grown.rows, grown.lead = list(echelon.rows), list(echelon.lead)
+            grown.insert(rows[i])
+            walk(i + 1, grown, -sign)
+
+    walk(0, ratlin.IntEchelon(), 1)
+    return tuple(acc)
+
+
+Flat = namedtuple("Flat", "subset rank basis")
+
+
+def flats(arr, max_codim):
+    """All flats of rank <= max_codim, each with a basis of its intersection.
+
+    Every rank-r flat is the closure of r independent rows, so closing all
+    subsets of size <= max_codim finds them all (all of R^d for the empty
+    flat).
+    """
+    A, n, d = arr.A, arr.n, arr.d
+    seen = {}
+    for size in range(max_codim + 1):
+        for subset in itertools.combinations(range(n), size):
+            sub_rows = [A[i] for i in subset]
+            r = ratlin.rank(sub_rows)
+            if r != size:
+                continue
+            closure = frozenset(i for i in range(n) if ratlin.rank(sub_rows + [A[i]]) == r)
+            if closure in seen:
+                continue
+            if sub_rows:
+                basis = ratlin.nullspace(sub_rows, ncols=d)
+            else:
+                basis = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+            seen[closure] = Flat(subset=closure, rank=r, basis=basis)
+    return sorted(seen.values(), key=lambda f: (f.rank, sorted(f.subset)))
+
+
+def d3_region_count(arr):
+    """1 + sum over rank-2 flats X of (m_X - 1), m_X the rows through X.
+
+    For an essential arrangement in d = 3 this is |chi(-1)|/2: chi(t) =
+    t^3 - n t^2 + c t - (c - n + 1) with c the sum, as chi(1) = 0.
+    """
+    return 1 + sum(len(f.subset) - 1 for f in flats(arr, 2) if f.rank == 2)
+
+
+def degenerate_arrangement(rng, d, n, essential):
+    """n nonzero integer rows in d unknowns built to collide: repeated,
+    negated or scaled copies and combinations of two earlier rows, among
+    fresh ones; with ``essential`` False the last column is zero."""
+    width = d if essential else d - 1
+    rows = [tuple(rng.randint(-3, 3) for _ in range(width)) for _ in range(rng.randint(1, width))]
+    rows = [row for row in rows if any(row)] or [(1,) + (0,) * (width - 1)]
+    while len(rows) < n:
+        a, b = rng.choice(rows), rng.choice(rows)
+        kind = rng.randrange(4)
+        if kind == 0:
+            row = a
+        elif kind == 1:
+            row = tuple(rng.choice((-2, -1, 2, 3)) * x for x in a)
+        elif kind == 2:
+            row = tuple(rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b))
+        else:
+            row = tuple(rng.randint(-3, 3) for _ in range(width))
+        if any(row):
+            rows.append(row)
+    return Arrangement(A=tuple(row + (0,) * (d - width) for row in rows))
+
+
+def pencil(rng, n):
+    """n planes in d = 3: n - 2 through one line, in distinct directions,
+    and two more; redrawn until no two rows are parallel."""
+    directions = [(p, q) for p in range(-4, 5) for q in range(1, 6) if math.gcd(p, q) == 1]
+    while True:
+        line = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2)]
+        rows = [tuple(p * a + q * b for a, b in zip(*line)) for p, q in rng.sample(directions, n - 2)]
+        rows += [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2)]
+        if all(any(row) for row in rows) and len({ratlin.primitive(row) for row in rows}) == n:
+            arr = Arrangement(A=tuple(rows))
+            if arr.is_essential():
+                return arr
+
+
+def regions_if_accepted(arr):
+    """The region count, or None where enumeration refuses the input."""
+    try:
+        return len(enumerate_regions(arr))
+    except (ParallelRows, RankDeficient):
+        return None
+
+
+def count_inserts(monkeypatch):
+    """Patch ``IntEchelon.insert`` to count its calls; returns the counter."""
+    calls = [0]
+    insert = ratlin.IntEchelon.insert
+
+    def counted(self, row):
+        calls[0] += 1
+        return insert(self, row)
+
+    monkeypatch.setattr(ratlin.IntEchelon, "insert", counted)
+    return calls
+
+
 class TestCharacteristicPolynomial:
     def test_steiner(self, steiner):
         chi = characteristic_polynomial(steiner.arr)
@@ -98,8 +221,9 @@ class TestCharacteristicPolynomial:
         assert characteristic_polynomial(permuted).coeffs == chi.coeffs
 
     def test_matches_subset_oracle_on_degenerate_arrangements(self, pyrng):
-        # Repeated, parallel and dependent rows reach full rank early, where
-        # the walk cuts its branch; non-essential ones never do.
+        # Repeated, parallel and dependent rows are in the span of the rows
+        # before them, where the walk cuts its branch; non-essential ones
+        # never reach rank d.
         for trial in range(8):
             d = 2 + trial % 3
             rows = [tuple(pyrng.randint(-3, 3) for _ in range(d)) for _ in range(3)]
@@ -112,10 +236,61 @@ class TestCharacteristicPolynomial:
             arr = Arrangement(A=rows)
             assert characteristic_polynomial(arr).coeffs == subset_rank_charpoly(arr)
 
-    def test_budget(self):
-        arr = Arrangement(A=tuple((1, i) for i in range(25)))
-        with pytest.raises(BudgetExceeded):
-            characteristic_polynomial(arr)
+    def test_matches_rank_cut_walk_on_random_degenerate_arrangements(self, pyrng):
+        accepted = 0
+        for trial in range(60):
+            d, n = 2 + trial % 3, pyrng.randint(3, 14)
+            arr = degenerate_arrangement(pyrng, d, n, essential=trial % 4 != 3)
+            chi = characteristic_polynomial(arr)
+            assert chi.coeffs == rank_cut_walk(arr), arr.A
+            if n <= 7:
+                assert chi.coeffs == subset_rank_charpoly(arr), arr.A
+            count = regions_if_accepted(arr)
+            if count is not None:
+                accepted += 1
+                assert count == abs(chi(-1)) // 2, arr.A
+        assert accepted >= 5
+
+    @pytest.mark.parametrize("d, n", [(2, 6), (3, 8), (4, 9), (5, 11), (6, 14)])
+    def test_matches_rank_cut_walk_on_random_generic_arrangements(self, pyrng, d, n):
+        arr = random_arrangement(d, n, pyrng)
+        chi = characteristic_polynomial(arr)
+        assert chi.coeffs == rank_cut_walk(arr)
+        assert abs(chi(-1)) // 2 == generic_ml_degree(d, n) == len(enumerate_regions(arr))
+
+    @pytest.mark.parametrize("name", ["steiner", "braid4", "circle", "four_points", "six_points"])
+    def test_matches_rank_cut_walk_on_catalog_chamber_arrangements(self, name):
+        arr = chamber_arrangement(make_model(CATALOG[name]())).arrangement
+        assert arr.n <= 24
+        chi = characteristic_polynomial(arr)
+        assert chi.coeffs == rank_cut_walk(arr)
+        assert abs(chi(-1)) // 2 == len(enumerate_regions(arr))
+
+    def test_pencils_match_rank2_flat_count(self, pyrng, monkeypatch):
+        """n = 15..25, past where the rank-d cut stops paying: 2^(n-2)
+        subsets of the pencil never reach rank 3. The walk inserts at most
+        n |chi(-1)| rows, since the nodes at depth j are the no-broken-circuit
+        sets of the first j rows and adding a row never removes a region."""
+        for n in range(15, 26):
+            arr = pencil(pyrng, n)
+            calls = count_inserts(monkeypatch)
+            chi = characteristic_polynomial(arr)
+            monkeypatch.undo()
+            assert chi(1) == 0 and chi.coeffs[:2] == (1, -n)
+            assert abs(chi(-1)) // 2 == d3_region_count(arr) == len(enumerate_regions(arr))
+            assert calls[0] <= n * abs(chi(-1))
+
+    def test_thousands_of_rows(self):
+        # All rows of a d = 1 arrangement are parallel: 2n inserts, depth n.
+        arr = Arrangement(A=tuple((k,) for k in range(1, 3001)))
+        assert characteristic_polynomial(arr).coeffs == (1, -1)
+
+    def test_insert_count_bound_on_braid6(self, monkeypatch):
+        arr = braid_arrangement(6)
+        calls = count_inserts(monkeypatch)
+        chi = characteristic_polynomial(arr)
+        assert abs(chi(-1)) // 2 == 360
+        assert calls[0] <= arr.n * abs(chi(-1))
 
 
 class TestMlDegree:
@@ -197,16 +372,18 @@ class TestEnumerateRegions:
                 arr = random_arrangement(d, n, pyrng)
                 assert len(enumerate_regions(arr)) == generic_ml_degree(d, n)
 
-    def test_chamber_arrangement_past_charpoly_budget(self, seven_lines):
-        """28 planes in d = 3: chi is out of budget, but for d = 3 the region
-        count |chi(-1)|/2 equals 1 + sum over rank-2 flats X of (m_X - 1)."""
+    def test_chamber_arrangement_past_charpoly_budget(self, seven_lines, monkeypatch):
+        """28 planes in d = 3, past the 24-row budget chi once had: chi, the
+        rank-2 flat count and the regions all give 300."""
         arr = chamber_arrangement(seven_lines).arrangement
         assert (arr.n, arr.d) == (28, 3)
-        with pytest.raises(BudgetExceeded):
-            characteristic_polynomial(arr)
-        expected = 1 + sum(len(f.subset) - 1 for f in flats(arr, 2) if f.rank == 2)
+        calls = count_inserts(monkeypatch)
+        chi = characteristic_polynomial(arr)
+        monkeypatch.undo()
+        assert chi.coeffs == (1, -28, 299, -272)
+        assert calls[0] <= arr.n * abs(chi(-1))
         regions = enumerate_regions(arr)
-        assert len(regions) == expected == 300
+        assert len(regions) == d3_region_count(arr) == abs(chi(-1)) // 2 == ml_degree(arr) == 300
         for region in regions:
             signs = tuple(1 if v > 0 else -1 for v in arr.form_values(region.witness))
             assert signs == region.sign.signs
@@ -235,6 +412,8 @@ def closure_oracle(arr, max_codim):
 
 
 class TestFlats:
+    """The test-side :func:`flats` that :func:`d3_region_count` reads."""
+
     def test_steiner_counts(self, steiner):
         result = flats(steiner.arr, 2)
         by_rank = {}
@@ -267,24 +446,6 @@ class TestFlats:
             for vec in flat.basis:
                 for i in flat.subset:
                     assert ratlin.dot(steiner.arr.A[i], vec) == 0
-
-
-class TestSncCheck:
-    def test_steiner_all_pass(self, steiner):
-        report = snc_check(steiner.arr)
-        assert report.all_pass
-        assert len(report.verdicts) == 11
-
-    def test_braid_all_pass(self, braid4):
-        assert snc_check(braid4.arr).all_pass
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            snc_check(Arrangement(A=((1, 0), (2, 0), (3, 0))))
-
-    def test_random_real_arrangements_pass(self, pyrng):
-        for d, n in ((2, 5), (3, 6)):
-            assert snc_check(random_arrangement(d, n, pyrng)).all_pass
 
 
 class TestSignVector:

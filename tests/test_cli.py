@@ -5,7 +5,9 @@ import warnings
 
 import pytest
 
+from sqlinear.catalog import four_points_arrangement, seven_lines_arrangement
 from sqlinear.cli import main
+from sqlinear.jsonio import arrangement_to_json
 
 STEINER = {
     "schema": "slm/1",
@@ -104,6 +106,19 @@ class TestBasicCommands:
         assert out["count"] == 12
         assert ["3", "-7"] in out["forms"]
 
+    def test_exact_commands_on_seven_lines_chamber_forms(self, tmp_path):
+        # 28 rows: past the 24-row budget chi once had.
+        code, text = run(tmp_path, "chamber", arrangement_to_json(seven_lines_arrangement()))
+        assert code == 0
+        forms = {"A": json.loads(text)["forms"]}
+        assert len(forms["A"]) == 28
+        code, text = run(tmp_path, "charpoly", forms)
+        assert code == 0
+        assert json.loads(text)["char_poly"] == [1, -28, 299, -272]
+        code, text = run(tmp_path, "mldegree", forms)
+        assert code == 0
+        assert json.loads(text)["ml_degree"] == 300
+
     def test_voronoi(self, tmp_path):
         doc = {
             "A": [[1, 0], [1, 1], [1, 2], [0, 1]],
@@ -155,6 +170,14 @@ class TestBasicCommands:
         assert all(math.isfinite(p) for p in probs)
         assert abs(sum(probs) - 1.0) <= 1e-12
 
+    def test_dpp_theta_of_wrong_shape_rejected(self, tmp_path, capsys):
+        doc = {"Theta_fixed": [[1, 2, 3, 4, 5], [2, -1, 4, 1, -3]], "k": 3, "n": 5, "Theta": [[1, 2], [3, 4]]}
+        code, text = run(tmp_path, "dpp", doc)
+        assert code == 2 and text == ""
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert "3 x 5" in error["message"]
+
     def test_dpp_dependent_theta_rejected(self, tmp_path, capsys):
         doc = {"Theta_fixed": [[1, 1, 1, 1]], "k": 2, "n": 4, "Theta": [[1, 2, 3, 4], [2, 4, 6, 8]]}
         code, text = run(tmp_path, "dpp", doc)
@@ -203,6 +226,17 @@ class TestPlot:
         assert len(re.findall('class="arc"', text)) == 7
         assert len(re.findall('class="limit-point"', text)) == 7
         assert len(re.findall('class="critical-point"', text)) == 7
+
+    @pytest.mark.parametrize("command", ["tropical", "plot"])
+    def test_d2_figure_draws_limit_markers(self, tmp_path, command):
+        doc = dict(arrangement_to_json(four_points_arrangement()), w=[0, 1, 2, 3])
+        svg = tmp_path / "figure.svg"
+        extra = ["--svg", str(svg)] if command == "tropical" else []
+        code, text = run(tmp_path, command, doc, "--anchor", "1", *extra)
+        assert code == 0
+        figure = svg.read_text() if command == "tropical" else text
+        assert len(re.findall('class="arc"', figure)) == 4
+        assert len(re.findall('class="limit-point"', figure)) == 4
 
     def test_plain_arrangement_only(self, tmp_path):
         code, text = run(tmp_path, "plot", STEINER)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sqlinear import ratlin
-from sqlinear.arrangement import enumerate_regions
+from sqlinear.arrangement import enumerate_regions, ml_degree
 from sqlinear.catalog import random_arrangement
 from sqlinear.errors import NoConvergence, ValidationError, ZeroCoordinate
 from sqlinear.geometry import (
@@ -219,6 +219,11 @@ class TestCombinatorialTypeScan:
         sig71 = lognormal_polytope(six_points, y71).signature()
         assert sig69 != sig71
         assert sig69 in report.values() and sig71 in report.values()
+
+    def test_one_signature_per_chamber_region(self, seven_lines):
+        # The scan visits every region of the chamber arrangement once.
+        report = combinatorial_type_scan(seven_lines)
+        assert len(report) == ml_degree(chamber_arrangement(seven_lines).arrangement) == 300
 
     def test_steiner_scan_completes(self, steiner):
         report = combinatorial_type_scan(steiner)

@@ -28,12 +28,13 @@ README = SRC.parent / "README.md"
 FLOAT_MODULES = ("numpy", "sqlinear.mle", "sqlinear.degeneration")
 
 # Every name the package namespace served when it imported each module
-# eagerly, with the module that defines it now.
+# eagerly, with the module that defines it now (less `Flat`, `flats` and
+# `snc_check`, which were removed).
 OLD_NAMESPACE = {
     "arrangement": (
-        "Arrangement", "CharacteristicPolynomial", "Flat", "KernelComplement", "Region", "SignVector",
-        "characteristic_polynomial", "enumerate_regions", "flats", "generic_ml_degree",
-        "interior_samples", "kernel_complement", "ml_degree", "snc_check",
+        "Arrangement", "CharacteristicPolynomial", "KernelComplement", "Region", "SignVector",
+        "characteristic_polynomial", "enumerate_regions", "generic_ml_degree",
+        "interior_samples", "kernel_complement", "ml_degree",
     ),
     "degeneration": (
         "DegenerateSolution", "TropicalData", "TropicalPoint", "ValuationEstimate",
