@@ -132,6 +132,21 @@ class CharacteristicPolynomial:
             value = value * t + c
         return value
 
+    def ml_degree(self) -> int:
+        """|chi(-1)| / 2 for an essential arrangement, see :func:`ml_degree`.
+
+        The coefficient of t^(d - r) is nonzero exactly for r up to the rank
+        of the arrangement, so the index of the last nonzero one is the rank.
+        """
+        d = self.degree
+        rank = max(r for r, c in enumerate(self.coeffs) if c)
+        if rank != d:
+            raise RankDeficient(f"operation needs rank(A) = d = {d}, got rank {rank}")
+        value = abs(self(-1))
+        if value % 2 != 0:
+            raise RankDeficient("chi(-1) odd; arrangement cannot be central and essential")
+        return value // 2
+
 
 def _require_essential(arr: Arrangement):
     if not arr.is_essential():
@@ -199,12 +214,7 @@ def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
 
 def ml_degree(arr: Arrangement) -> int:
     """|chi(-1)| / 2: the number of projective regions, hence of critical points."""
-    _require_essential(arr)
-    chi = characteristic_polynomial(arr)
-    value = abs(chi(-1))
-    if value % 2 != 0:
-        raise RankDeficient("chi(-1) odd; arrangement cannot be central and essential")
-    return value // 2
+    return characteristic_polynomial(arr).ml_degree()
 
 
 def generic_ml_degree(d: int, n: int) -> int:

@@ -2,8 +2,9 @@
 
 One JSON input file per job; results go to --output (or stdout) as JSON
 with a "schema": "slm/1" tag, figures as SVG. Exit codes: 0 success,
-2 validation problem (bad input, violated precondition), 3 numeric failure
-(no convergence, lost path). Errors are reported as JSON on stderr.
+2 validation problem (bad input, violated precondition, unwritable output),
+3 numeric failure (no convergence, lost path). Errors are reported as JSON
+on stderr.
 
 State indices (anchor, subsets J, DPP states) are 1-based on the command
 line and in emitted JSON, matching the labeling of the input rows. The float
@@ -24,7 +25,6 @@ from .dpp import dpp_ml_degree_l2, dpp_probabilities, linear_projection_arrangem
 from .errors import NoConvergence, NumericError, SqlinearError, ValidationError
 from .geometry import (
     chamber_arrangement,
-    dual_polytope,
     lognormal_polytope,
     log_voronoi_scan,
     swap_candidates,
@@ -81,6 +81,10 @@ def main(argv=None) -> int:
         doc = _load_input(args.input)
         handler = COMMANDS[args.command][0]
         result = handler(doc, args)
+        if not isinstance(result, str):
+            result["schema"] = SCHEMA
+            result = jsonio.dumps(result)
+        _write(args.output, result)
     except ValidationError as err:
         _emit_error("validation", err)
         return EXIT_VALIDATION
@@ -90,11 +94,6 @@ def main(argv=None) -> int:
     except SqlinearError as err:
         _emit_error("error", err)
         return EXIT_VALIDATION
-    if isinstance(result, str):
-        _write(args.output, result)
-    else:
-        result["schema"] = SCHEMA
-        _write(args.output, jsonio.dumps(result))
     return EXIT_OK
 
 
@@ -113,8 +112,11 @@ def _load_input(path: str) -> dict:
 
 def _write(path, text: str):
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ValidationError(f"cannot write output: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -189,7 +191,7 @@ def _cmd_charpoly(doc, args):
 def _cmd_mldegree(doc, args):
     arr = jsonio.arrangement_from_json(doc)
     chi = characteristic_polynomial(arr)
-    return {"ml_degree": ml_degree(arr), "char_poly": list(chi.coeffs)}
+    return {"ml_degree": chi.ml_degree(), "char_poly": list(chi.coeffs)}
 
 
 def _cmd_mle(doc, args):
@@ -268,12 +270,11 @@ def _cmd_lognormal(doc, args):
     model = jsonio.model_from_json(doc)
     y = jsonio.parse_vector(_need(doc, "y"), "y")
     poly = lognormal_polytope(model, y)
-    dual = dual_polytope(model, y)
     swaps = swap_candidates(model, y)
     return {
         "y": jsonio.rationals_to_json(y),
         "polytope": jsonio.polytope_to_json(poly),
-        "dual_f_vector": list(dual.f_vector),
+        "dual_f_vector": list(poly.f_vector[::-1]),
         "swap_candidates": [
             {
                 "i": c.i + 1,

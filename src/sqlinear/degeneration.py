@@ -214,10 +214,11 @@ def estimate_valuations(
     eps_grid = tuple(float(e) for e in eps_grid)
     if len(eps_grid) < 3:
         raise ValidationError("need at least three eps values for a slope fit")
-    if any(e <= 0 for e in eps_grid) or any(
+    # NaN fails the first test too: every comparison with it is false.
+    if not all(0 < e < np.inf for e in eps_grid) or any(
         a <= b for a, b in zip(eps_grid, eps_grid[1:])
     ):
-        raise ValidationError("eps grid must be positive and strictly decreasing")
+        raise ValidationError("eps grid must be finite, positive and strictly decreasing")
     w = to_floats(trop.w, "w")
     anchor = trop.anchor
     spread = float(w.max()) - float(w[anchor])  # inf when out of range; the check below rejects it

@@ -1,13 +1,14 @@
 """Deterministic SVG figures for d = 2 or 3.
 
-Three-variable models are drawn in the affine chart where the first form
-equals one; the first hyperplane itself lives at infinity there and is
-rendered as the boundary circle of the view. Two-variable models are drawn
-as points on a horizontal chart axis. Overlays: critical points, tracked
-degeneration arcs with their limit markers, region labels, and (for three
-states) the probability triangle with a log-normal fiber segment. A point
-whose chart coordinates are not finite is drawn like a point at infinity:
-not at all.
+Both are drawn in the affine chart {first form = 1}, computed by one chart
+class; the first hyperplane lies at infinity there. For d = 3 the chart is a
+plane: hyperplanes are lines, the first one the boundary circle of the view.
+For d = 2 it is a horizontal axis: hyperplanes are points, the first one a
+mark at both ends. One drawer puts the overlays on either chart in one marker
+style: tracked degeneration arcs, critical points, limit markers and region
+labels. A point whose chart coordinates are not finite is drawn like a point
+at infinity: not at all. Three-state models also get the probability
+triangle with a log-normal fiber segment.
 
 Output is plain SVG text assembled in a fixed order, so identical inputs
 give byte-identical documents. numpy is imported by the drawing functions,
@@ -47,19 +48,27 @@ def _to_pixels(a: float, b: float):
     return x, y
 
 
-class _Chart3:
-    """Coordinates on the plane {first form = 1} of a d = 3 model."""
+class _Chart:
+    """Coordinates on the chart {first form = 1}: d - 1 numbers per parameter vector.
+
+    The d = 3 frame is the SVD complement of the first form. The d = 2 frame
+    is (-a1[1], a1[0]) / |a1|: the SVD's sign varies with the input and would
+    mirror some figures.
+    """
 
     def __init__(self, A):
         import numpy as np
 
         a1 = self.a1 = A[0]
         self.origin = a1 / (a1 @ a1)
-        basis = [v for v in np.linalg.svd(a1.reshape(1, 3))[2][1:]]
-        self.frame = np.array(basis)
+        if len(a1) == 3:
+            self.frame = np.linalg.svd(a1.reshape(1, 3))[2][1:]
+        else:
+            direction = np.array([-a1[1], a1[0]])
+            self.frame = (direction / np.linalg.norm(direction)).reshape(1, 2)
 
-    def chart_point(self, x):
-        """Chart coordinates of x, or None for a point at infinity."""
+    def point(self, x):
+        """Chart coordinates of x, or None at infinity or beyond double range."""
         import numpy as np
 
         x = np.asarray(x, dtype=float)
@@ -71,7 +80,7 @@ class _Chart3:
         return point if np.all(np.isfinite(point)) else None
 
     def line_segment(self, normal):
-        """Clip {normal . x = 0} against the view box, in chart coordinates."""
+        """Clip {normal . x = 0} against the view box, in d = 3 chart coordinates."""
         import numpy as np
 
         n_chart = np.asarray(normal, dtype=float) @ self.frame.T
@@ -106,114 +115,55 @@ def plot_arrangement(model: SquaredLinearModel, overlays: Overlays | None = None
         f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">',
         f'<rect width="{int(SIZE)}" height="{int(SIZE)}" fill="white"/>',
     ]
-    A = model.A_float
-    if model.d == 3:
-        _draw_chart3(model, A, overlays, parts)
-    else:
-        _draw_chart2(model, A, overlays, parts)
+    chart = _Chart(model.A_float)
+    draw_hyperplanes = _draw_chart3 if model.d == 3 else _draw_chart2
+    _draw_overlays(chart, overlays, draw_hyperplanes(model, chart, parts), parts)
     if overlays.lognormal is not None:
         _draw_simplex_fiber(overlays.lognormal, parts)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _draw_chart3(model, A, overlays, parts):
-    chart = _Chart3(A)
+def _draw_chart3(model, chart, parts):
+    """d = 3: hyperplanes are lines of the chart. Returns the pixel map."""
     # First form = line at infinity of the chart: drawn as the boundary circle.
     parts.append(
         f'<circle class="hyperplane" data-label="{model.arr.label(0)}" '
         f'cx="{_fmt(SIZE / 2)}" cy="{_fmt(SIZE / 2)}" r="{_fmt(SIZE / 2 - 1)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
+    A = model.A_float
     for i in range(1, model.n):
-        seg = chart.line_segment(A[i])
-        if seg is None:
+        if (seg := chart.line_segment(A[i])) is None:
             continue
-        (a0, b0), (a1, b1) = seg
-        x0, y0 = _to_pixels(a0, b0)
-        x1, y1 = _to_pixels(a1, b1)
+        (x0, y0), (x1, y1) = (_to_pixels(*p) for p in seg)
         color = PALETTE[i % len(PALETTE)]
         parts.append(
             f'<line class="hyperplane" data-label="{model.arr.label(i)}" '
             f'x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
             f'stroke="{color}" stroke-width="1.2"/>'
         )
-    for arc in overlays.arcs:
-        pieces = []
-        for x in arc:
-            pt = chart.chart_point(x)
-            if pt is None:
-                continue
-            px, py = _to_pixels(*pt)
-            pieces.append(f"{_fmt(px)},{_fmt(py)}")
-        if len(pieces) >= 2:
-            parts.append(
-                f'<polyline class="arc" points="{" ".join(pieces)}" fill="none" '
-                'stroke="#0055cc" stroke-width="1.5"/>'
-            )
-    for x in overlays.critical_points:
-        pt = chart.chart_point(x)
-        if pt is None:
-            continue
-        px, py = _to_pixels(*pt)
-        parts.append(
-            f'<circle class="critical-point" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-            'r="3.5" fill="#d62728"/>'
-        )
-    for x in overlays.limit_points:
-        pt = chart.chart_point(x)
-        if pt is None:
-            continue
-        px, py = _to_pixels(*pt)
-        parts.append(
-            f'<rect class="limit-point" x="{_fmt(px - 3)}" y="{_fmt(py - 3)}" '
-            'width="6" height="6" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
-        )
-    for witness, text in overlays.region_labels:
-        pt = chart.chart_point([float(v) for v in witness])
-        if pt is None:
-            continue
-        px, py = _to_pixels(*pt)
-        parts.append(
-            f'<text class="region-label" x="{_fmt(px)}" y="{_fmt(py)}" '
-            f'font-size="10" text-anchor="middle">{text}</text>'
-        )
+    return lambda point, row: _to_pixels(*point)
 
 
-def _draw_chart2(model, A, overlays, parts):
-    """d = 2: the chart {first form = 1} is a line; hyperplanes are points."""
-    import numpy as np
-
+def _draw_chart2(model, chart, parts):
+    """d = 2: hyperplanes are points of the axis. Returns the pixel map,
+    which clamps to the view and puts each overlay kind in its own row."""
     axis_y = SIZE / 2
+
+    def to_px(point, row):
+        a = max(-VIEW, min(VIEW, point[0]))
+        return (a + VIEW) / (2 * VIEW) * (SIZE - 16) + 8, axis_y + row
+
     parts.append(
         f'<line class="chart-axis" x1="8" y1="{_fmt(axis_y)}" x2="{_fmt(SIZE - 8)}" '
         f'y2="{_fmt(axis_y)}" stroke="#333333" stroke-width="1"/>'
     )
-    a1 = A[0]
-    origin = a1 / (a1 @ a1)
-    direction = np.array([-a1[1], a1[0]])
-    direction = direction / np.linalg.norm(direction)
-
-    def chart_coord(x):
-        x = np.asarray(x, dtype=float)
-        l1 = float(a1 @ x)
-        if l1 == 0.0:
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = float((x / l1 - origin) @ direction)
-        return a if np.isfinite(a) else None
-
-    def to_px(a):
-        a = max(-VIEW, min(VIEW, a))
-        return (a + VIEW) / (2 * VIEW) * (SIZE - 16) + 8
-
-    for i in range(model.n):
-        if i == 0:
+    A = model.A_float
+    for i in range(1, model.n):
+        if (root := chart.point((-A[i][1], A[i][0]))) is None:
             continue
-        root = chart_coord(np.array([-A[i][1], A[i][0]]))
-        if root is None:
-            continue
-        px = to_px(root)
+        px, _ = to_px(root, 0)
         color = PALETTE[i % len(PALETTE)]
         parts.append(
             f'<circle class="hyperplane" data-label="{model.arr.label(i)}" '
@@ -226,41 +176,45 @@ def _draw_chart2(model, A, overlays, parts):
         f'M {_fmt(SIZE - 4)} {_fmt(axis_y - 6)} L {_fmt(SIZE - 4)} {_fmt(axis_y + 6)}" '
         'stroke="#333333" stroke-width="1" fill="none"/>'
     )
-    for x in overlays.critical_points:
-        a = chart_coord(x)
-        if a is None:
-            continue
-        parts.append(
-            f'<circle class="critical-point" cx="{_fmt(to_px(a))}" '
-            f'cy="{_fmt(axis_y - 12)}" r="3" fill="#d62728"/>'
-        )
+    return to_px
+
+
+def _draw_overlays(chart, overlays, to_px, parts):
+    """Arcs, critical points, limit markers and region labels, in that order.
+
+    ``to_px(point, row)`` maps chart coordinates to pixels; ``row`` is the
+    kind's offset from the d = 2 axis, which the d = 3 map ignores.
+    """
     for arc in overlays.arcs:
-        coords = [chart_coord(x) for x in arc]
-        coords = [c for c in coords if c is not None]
-        if len(coords) >= 2:
-            pieces = " ".join(
-                f"{_fmt(to_px(c))},{_fmt(axis_y - 24 - 2 * k)}" for k, c in enumerate(coords)
-            )
+        points = [p for p in map(chart.point, arc) if p is not None]
+        if len(points) >= 2:
+            pixels = (to_px(p, -24 - 2 * k) for k, p in enumerate(points))
+            pieces = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pixels)
             parts.append(
                 f'<polyline class="arc" points="{pieces}" fill="none" '
-                'stroke="#0055cc" stroke-width="1.2"/>'
+                'stroke="#0055cc" stroke-width="1.5"/>'
+            )
+    for x in overlays.critical_points:
+        if (point := chart.point(x)) is not None:
+            px, py = to_px(point, -12)
+            parts.append(
+                f'<circle class="critical-point" cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                'r="3.5" fill="#d62728"/>'
             )
     for x in overlays.limit_points:
-        a = chart_coord(x)
-        if a is None:
-            continue
-        parts.append(
-            f'<rect class="limit-point" x="{_fmt(to_px(a) - 3)}" y="{_fmt(axis_y - 3)}" '
-            'width="6" height="6" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
-        )
+        if (point := chart.point(x)) is not None:
+            px, py = to_px(point, 0)
+            parts.append(
+                f'<rect class="limit-point" x="{_fmt(px - 3)}" y="{_fmt(py - 3)}" '
+                'width="6" height="6" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
+            )
     for witness, text in overlays.region_labels:
-        a = chart_coord([float(v) for v in witness])
-        if a is None:
-            continue
-        parts.append(
-            f'<text class="region-label" x="{_fmt(to_px(a))}" y="{_fmt(axis_y + 20)}" '
-            f'font-size="10" text-anchor="middle">{text}</text>'
-        )
+        if (point := chart.point(witness)) is not None:
+            px, py = to_px(point, 20)
+            parts.append(
+                f'<text class="region-label" x="{_fmt(px)}" y="{_fmt(py)}" '
+                f'font-size="10" text-anchor="middle">{text}</text>'
+            )
 
 
 def _draw_simplex_fiber(polytope, parts):

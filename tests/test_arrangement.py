@@ -303,6 +303,22 @@ class TestMlDegree:
         assert ml_degree(arr) == 11
         assert len(enumerate_regions(arr)) == 11
 
+    def test_rank_read_off_chi_matches_exact_rank(self, pyrng):
+        """ml_degree takes the rank from chi's last nonzero coefficient, so
+        it walks once; the message names the rank ratlin computes."""
+        deficient = 0
+        for trial in range(80):
+            d, n = 2 + trial % 3, pyrng.randint(2, 12)
+            arr = degenerate_arrangement(pyrng, d, n, essential=trial % 2 == 0)
+            if arr.is_essential():
+                assert ml_degree(arr) == abs(characteristic_polynomial(arr)(-1)) // 2
+                continue
+            deficient += 1
+            with pytest.raises(RankDeficient) as info:
+                ml_degree(arr)
+            assert str(info.value) == f"operation needs rank(A) = d = {d}, got rank {arr.rank()}"
+        assert deficient >= 40
+
 
 class TestGenericMlDegree:
     @pytest.mark.parametrize(

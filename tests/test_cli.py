@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from sqlinear.arrangement import characteristic_polynomial
 from sqlinear.catalog import four_points_arrangement, seven_lines_arrangement
 from sqlinear.cli import main
 from sqlinear.jsonio import arrangement_to_json
@@ -37,6 +38,20 @@ class TestBasicCommands:
         assert doc["ml_degree"] == 7
         assert doc["char_poly"] == [1, -4, 6, -3]
         assert doc["schema"] == "slm/1"
+
+    def test_mldegree_walks_chi_once(self, tmp_path, monkeypatch):
+        from sqlinear import arrangement, cli
+
+        walks = []
+
+        def counted(arr):
+            walks.append(arr)
+            return characteristic_polynomial(arr)
+
+        monkeypatch.setattr(arrangement, "characteristic_polynomial", counted)
+        monkeypatch.setattr(cli, "characteristic_polynomial", counted)
+        code, text = run(tmp_path, "mldegree", STEINER)
+        assert (code, len(walks), json.loads(text)["ml_degree"]) == (0, 1, 7)
 
     def test_charpoly(self, tmp_path):
         code, text = run(tmp_path, "charpoly", STEINER)
@@ -97,6 +112,30 @@ class TestBasicCommands:
         assert out["dual_f_vector"] == [4, 4]
         swaps = {(c["i"], c["j"], c["sigma"]) for c in out["swap_candidates"]}
         assert (1, 3, "+++-") in swaps and (2, 4, "+---") in swaps
+
+    def test_lognormal_builds_one_data_cone(self, tmp_path, monkeypatch):
+        """The dual f-vector is P's reversed, so Q's data cone is not built;
+        braid(4) at y = A (1, 3, -2) has a 3-dimensional P, where reversal shows."""
+        from sqlinear import geometry
+        from sqlinear.catalog import braid_arrangement
+        from sqlinear.model import make_model
+
+        arr = braid_arrangement(4)
+        y = arr.form_values((1, 3, -2))
+        cones = []
+        data_cone = geometry._data_cone
+
+        def counted(B, y):
+            cones.append(y)
+            return data_cone(B, y)
+
+        monkeypatch.setattr(geometry, "_data_cone", counted)
+        code, text = run(tmp_path, "lognormal", dict(arrangement_to_json(arr), y=[str(v) for v in y]))
+        assert code == 0 and len(cones) == 1
+        out = json.loads(text)
+        monkeypatch.undo()
+        dual = geometry.dual_polytope(make_model(arr), y)
+        assert out["dual_f_vector"] == list(dual.f_vector) != out["polytope"]["f_vector"]
 
     def test_chamber(self, tmp_path):
         doc = {"A": [[1, i] for i in range(1, 7)]}
@@ -216,6 +255,20 @@ class TestBasicCommands:
         assert all(sub["projective_dimension"] == 1 for sub in out["subspaces"])
 
 
+# chart -> (input with data s and valuations w, its region count)
+CHARTS = {
+    "d2": (dict(arrangement_to_json(four_points_arrangement()), s=[1, 2, 3, 4], w=[0, 1, 2, 3]), 4),
+    "d3": (dict(STEINER, s=[1, 0.027, 0.0081, 0.00243], w=[0, 3, 4, 5]), 7),
+}
+# command -> (arguments besides --svg, the overlay kinds its figure draws)
+FIGURES = {
+    "regions": ([], {"region-label"}),
+    "mle": ([], {"critical-point"}),
+    "tropical": (["--anchor", "1"], {"arc", "limit-point"}),
+    "plot": (["--anchor", "1"], {"arc", "critical-point", "limit-point"}),
+}
+
+
 class TestPlot:
     def test_steiner_figure_contents(self, tmp_path):
         doc = dict(STEINER, w=[0, 3, 4, 5], s=[1, 0.027, 0.0081, 0.00243])
@@ -226,17 +279,6 @@ class TestPlot:
         assert len(re.findall('class="arc"', text)) == 7
         assert len(re.findall('class="limit-point"', text)) == 7
         assert len(re.findall('class="critical-point"', text)) == 7
-
-    @pytest.mark.parametrize("command", ["tropical", "plot"])
-    def test_d2_figure_draws_limit_markers(self, tmp_path, command):
-        doc = dict(arrangement_to_json(four_points_arrangement()), w=[0, 1, 2, 3])
-        svg = tmp_path / "figure.svg"
-        extra = ["--svg", str(svg)] if command == "tropical" else []
-        code, text = run(tmp_path, command, doc, "--anchor", "1", *extra)
-        assert code == 0
-        figure = svg.read_text() if command == "tropical" else text
-        assert len(re.findall('class="arc"', figure)) == 4
-        assert len(re.findall('class="limit-point"', figure)) == 4
 
     def test_plain_arrangement_only(self, tmp_path):
         code, text = run(tmp_path, "plot", STEINER)
@@ -253,16 +295,23 @@ class TestPlot:
         assert 'class="lognormal-fiber"' in text
         assert 'class="simplex"' in text
 
-    @pytest.mark.parametrize(
-        "A", [[[1, 0], [1, 1], [1, 2], [0, 1]], STEINER["A"]], ids=["d2", "d3"]
-    )
-    def test_one_region_label_per_region(self, tmp_path, A):
+    @pytest.mark.parametrize("chart", sorted(CHARTS))
+    @pytest.mark.parametrize("command", sorted(FIGURES))
+    def test_each_overlay_drawn_once_on_both_charts(self, tmp_path, chart, command):
+        """Every overlay kind on the d = 2 and the d = 3 chart: one element
+        per input, and none of the kinds the command does not draw. Each
+        kind has one input per region here (the anchor-1 limit points too)."""
+        doc, count = CHARTS[chart]
+        extra, drawn = FIGURES[command]
         svg = tmp_path / "figure.svg"
-        code, text = run(tmp_path, "regions", {"A": A}, "--svg", str(svg))
+        code, text = run(tmp_path, command, doc, *extra, *(["--svg", str(svg)] if command != "plot" else []))
         assert code == 0
-        regions = json.loads(text)["regions"]
-        labels = re.findall(r'<text class="region-label"[^>]*>([+-]+)</text>', svg.read_text())
-        assert sorted(labels) == sorted(r["sign"] for r in regions)
+        figure = text if command == "plot" else svg.read_text()
+        for kind in ("arc", "critical-point", "limit-point", "region-label"):
+            assert len(re.findall(f'class="{kind}"', figure)) == (count if kind in drawn else 0), kind
+        if command == "regions":
+            labels = re.findall(r'<text class="region-label"[^>]*>([+-]+)</text>', figure)
+            assert sorted(labels) == sorted(r["sign"] for r in json.loads(text)["regions"])
 
     def test_dimension_unsupported(self, tmp_path):
         doc = {"A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]}
@@ -478,9 +527,13 @@ class TestExitCodes:
             (["mldegree", "--input", "x.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
             (["degenerate", "--input", "x.json", "--anchor", "one"], "invalid int value"),
             ([], "command"),
+            (["charpoly", "--input", "{input}", "--output", "{tmp}/missing/out.json"], "cannot write output"),
+            (["regions", "--input", "{input}", "--svg", "{tmp}/missing/f.svg"], "cannot write output"),
         ],
     )
-    def test_usage_errors_are_json(self, capsys, argv, fragment):
+    def test_usage_errors_are_json(self, tmp_path, capsys, argv, fragment):
+        input_path = write_json(tmp_path / "input.json", STEINER)
+        argv = [a.format(input=input_path, tmp=tmp_path) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,9 @@ class TestEstimateValuations:
             estimate_valuations(steiner, trop, eps_grid=(1e-2, 1e-1, 1e-3))
         with pytest.raises(ValidationError):
             estimate_valuations(steiner, trop, eps_grid=(1e-1, 1e-2, -1e-3))
+        for grid in [(math.inf, 0.1, 0.01), (0.1, math.nan, 0.01), (0.1, 0.05, math.nan)]:
+            with pytest.raises(ValidationError, match="eps grid must be finite"):
+                estimate_valuations(steiner, trop, eps_grid=grid)
 
     def test_valuation_spread_beyond_double_range_rejected(self, steiner):
         # Each entry is a double, but their difference is not.
