@@ -7,10 +7,11 @@ with a "schema": "slm/1" tag, figures as SVG. Exit codes: 0 success,
 on stderr.
 
 State indices (anchor, subsets J, DPP states) are 1-based on the command
-line and in emitted JSON, matching the labeling of the input rows. The float
-modules (:mod:`.mle`, :mod:`.degeneration`) are imported by the handlers
-that use them, and :mod:`.plotting` loads numpy only to draw, so the exact
-commands run without numpy.
+line and in emitted JSON, matching the labeling of the input rows. The
+handlers import :mod:`.mle` and :mod:`.degeneration` when they use them, so
+that ``import sqlinear.cli`` stays cheap; :mod:`.degeneration` and
+:mod:`.plotting` load numpy only to track and to draw, so the exact
+commands, ``degenerate`` among them, run without numpy.
 """
 
 from __future__ import annotations
@@ -165,6 +166,46 @@ def _tol(args) -> float:
     return args.tol
 
 
+def _solve(model, doc, args):
+    """Critical points for the input's "s", shared by `mle` and `plot`: an s of
+    the wrong length fails before numpy loads, and a failed region fails the
+    command with every region's failure listed."""
+    tol = _tol(args)
+    s = jsonio.parse_vector(_need(doc, "s"), "s")
+    if len(s) != model.n:
+        raise ValidationError(f"data vector must have n = {model.n} entries, got shape ({len(s)},)")
+    from .mle import solve_all
+
+    result = solve_all(model, s, tol)
+    if result.failures:
+        tags = ", ".join(str(region.sign) for region, _ in result.failures)
+        raise NoConvergence(f"regions failed to converge: {tags}", failures=result.failures)
+    return result
+
+
+def _track(model, doc, args):
+    """Valuation estimates tracked for the input's "w" at --anchor, shared by
+    `tropical` and `plot`; returns (TropicalData, estimates)."""
+    from .degeneration import TropicalData, estimate_valuations
+
+    w = jsonio.parse_vector(_need(doc, "w"), "w")
+    trop = TropicalData(w=w, anchor=_anchor_index(args, model.n))
+    return trop, estimate_valuations(model, trop, eps_grid=_eps_grid(args))
+
+
+def _tracking_overlays(model, trop, estimates):
+    """Each region's tracked arc from its witness, and the closed-form limits."""
+    from .degeneration import unit_data_solutions
+    from .mle import to_floats
+
+    def params_of(ys):
+        return to_floats(parameters_of(model, ys), "parameters").tolist()
+
+    limits = params_of(sol.y for sol in unit_data_solutions(model, trop.anchor) if sol.y)
+    arcs = [[to_floats(est.region.witness, "witness").tolist()] + params_of(est.y_track) for est in estimates]
+    return Overlays(arcs=arcs, limit_points=limits)
+
+
 def _cmd_regions(doc, args):
     arr = jsonio.arrangement_from_json(doc)
     regions = enumerate_regions(arr)
@@ -195,14 +236,8 @@ def _cmd_mldegree(doc, args):
 
 
 def _cmd_mle(doc, args):
-    from .mle import solve_all
-
     model = jsonio.model_from_json(doc)
-    s = jsonio.parse_vector(_need(doc, "s"), "s")
-    result = solve_all(model, s, _tol(args))
-    if result.failures:
-        tags = ", ".join(str(region.sign) for region, _ in result.failures)
-        raise NoConvergence(f"regions failed to converge: {tags}", failures=result.failures)
+    result = _solve(model, doc, args)
     out = {
         "critical_points": [jsonio.critical_point_to_json(p) for p in result.points],
         "mle_index": result.mle_index,
@@ -235,17 +270,14 @@ def _cmd_degenerate(doc, args):
 
 
 def _cmd_tropical(doc, args):
-    from .degeneration import TropicalData, estimate_valuations, tropical_predictions, unit_data_solutions
+    from .degeneration import tropical_predictions
 
     model = jsonio.model_from_json(doc)
-    w = jsonio.parse_vector(_need(doc, "w"), "w")
-    anchor = _anchor_index(args, model.n)
-    trop = TropicalData(w=w, anchor=anchor)
+    trop, estimates = _track(model, doc, args)
     predictions = tropical_predictions(model, trop, check_generic=False)
-    estimates = estimate_valuations(model, trop, eps_grid=_eps_grid(args))
     out = {
-        "w": jsonio.rationals_to_json(w),
-        "anchor": anchor + 1,
+        "w": jsonio.rationals_to_json(trop.w),
+        "anchor": trop.anchor + 1,
         "predictions": [
             {"J": [j + 1 for j in p.J], "z": jsonio.rationals_to_json(p.z)}
             for p in predictions
@@ -261,7 +293,7 @@ def _cmd_tropical(doc, args):
         ],
     }
     if args.svg:
-        overlays = _plot_overlays_from_tracking(model, estimates, unit_data_solutions(model, anchor))
+        overlays = _tracking_overlays(model, trop, estimates)
         _write(args.svg, plot_arrangement(model, overlays))
     return out
 
@@ -379,37 +411,17 @@ def _cmd_singular(doc, args):
 
 
 def _cmd_plot(doc, args):
-    from .degeneration import TropicalData, estimate_valuations, unit_data_solutions
-    from .mle import solve_all
-
     model = jsonio.model_from_json(doc)
     overlays = Overlays()
-    if "w" in doc and args.anchor is not None:
-        w = jsonio.parse_vector(doc["w"], "w")
-        trop = TropicalData(w=w, anchor=_anchor_index(args, model.n))
-        estimates = estimate_valuations(model, trop, eps_grid=_eps_grid(args))
-        solutions = unit_data_solutions(model, trop.anchor)
-        overlays = _plot_overlays_from_tracking(model, estimates, solutions)
+    if args.anchor is not None:
+        overlays = _tracking_overlays(model, *_track(model, doc, args))
     if "s" in doc:
-        s = jsonio.parse_vector(doc["s"], "s")
-        result = solve_all(model, s, _tol(args))
-        overlays.critical_points = [p.x for p in result.points]
+        overlays.critical_points = [p.x for p in _solve(model, doc, args).points]
     if "y" in doc and model.n == 3:
         overlays.lognormal = lognormal_polytope(
             model, jsonio.parse_vector(doc["y"], "y")
         )
     return plot_arrangement(model, overlays)
-
-
-def _plot_overlays_from_tracking(model, estimates, solutions):
-    from .mle import to_floats
-
-    def params_of(ys):
-        return to_floats(parameters_of(model, ys), "parameters").tolist()
-
-    limits = params_of(sol.y for sol in solutions if sol.y)
-    arcs = [[to_floats(est.region.witness, "witness").tolist()] + params_of(est.y_track) for est in estimates]
-    return Overlays(arcs=arcs, limit_points=limits)
 
 
 # command -> (handler, help text, flags it reads)

@@ -8,21 +8,25 @@ strict minimum at i map to critical-point valuations z = sum_{j in J}
 (w_j - w_i) e_j. Both facts are checked numerically by tracking each
 region's solution along a data curve s(eps) = (eps^w_1, ..., eps^w_n)
 and fitting the decay slopes.
+
+The module splits at the float boundary. The closed forms
+(:func:`unit_data_solutions`, :func:`tropical_predictions`) are exact
+rational arithmetic and load no numpy; :func:`estimate_valuations` and
+:func:`limit_distance` import numpy and :mod:`.mle` when called.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from . import ratlin
 from .arrangement import enumerate_regions
 from .errors import AnchorNotUnique, PathLost, RankDeficient, ValidationError
-from .mle import CriticalPoint, _check_positive_data, _solve_batch, to_floats
 from .model import SquaredLinearModel
 
 DEFAULT_EPS_GRID = (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5)
@@ -87,18 +91,15 @@ class ValuationEstimate:
 def admissible_supports(n: int, anchor: int, d: int):
     """Subsets J of [n] - {anchor} with |J| <= d-1, largest first, lex within."""
     others = [j for j in range(n) if j != anchor]
-    out = []
-    for size in range(d - 1, -1, -1):
-        out.extend(itertools.combinations(others, size))
-    return out
+    return [J for size in range(d - 1, -1, -1) for J in itertools.combinations(others, size)]
 
 
 def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
     """All degenerate critical points for data s = e_anchor, exactly.
 
-    For each admissible support J the remaining coordinates are the unique
-    combination of the kernel rows hitting -b_anchor, computed through the
-    Gram matrix of the selected columns. ``generic_flag`` is False on an
+    For each admissible support J, with K the coordinates outside J and the
+    anchor, the Gram system (B_K B_K^T) u = b_anchor is solved exactly and
+    y_K = -B_K^T u, y_anchor = 1, so B y = 0. ``generic_flag`` is False on an
     entry when its free coordinates contain an unexpected zero or when it
     collides with another entry, which is exactly the failure of the
     genericity hypothesis for distinct supports.
@@ -110,50 +111,32 @@ def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
     if not 0 <= anchor < n:
         raise RankDeficient(f"anchor {anchor} out of range for n = {n}")
     B = model.B.B
-    Bcols = ratlin.transpose(B)
     solutions = []
     for J in admissible_supports(n, anchor, d):
         keep = [k for k in range(n) if k != anchor and k not in J]
-        BK = ratlin.transpose(tuple(Bcols[k] for k in keep))
-        gram = ratlin.matmul(BK, ratlin.transpose(BK))
-        rhs = Bcols[anchor]
-        u = ratlin.solve(gram, rhs) if gram else None
+        gram = [[sum(r[k] * c[k] for k in keep) for c in B] for r in B]
+        u = ratlin.solve(gram, [r[anchor] for r in B])
         if u is None:
             solutions.append(
-                DegenerateSolution(
-                    J=J, y=(), anchor=anchor, generic_flag=False,
-                    error="singular Gram matrix",
-                )
+                DegenerateSolution(J=J, y=(), anchor=anchor, generic_flag=False, error="singular Gram matrix")
             )
             continue
-        yK = ratlin.matvec(ratlin.transpose(BK), ratlin.scale(u, Fraction(-1)))
         y = [Fraction(0)] * n
         y[anchor] = Fraction(1)
-        for k, value in zip(keep, yK):
-            y[k] = value
-        assert ratlin.is_zero(ratlin.matvec(B, y)), "kernel constraint violated"
-        flag = all(y[k] != 0 for k in keep)
+        for k in keep:
+            y[k] = -sum(c * r[k] for c, r in zip(u, B))
         prim = ratlin.primitive(y)
         if prim[anchor] < 0:
             prim = tuple(-v for v in prim)
         solutions.append(
-            DegenerateSolution(J=J, y=prim, anchor=anchor, generic_flag=flag)
+            DegenerateSolution(J=J, y=prim, anchor=anchor, generic_flag=all(y[k] != 0 for k in keep))
         )
     # Collisions between supports break genericity for all involved entries.
-    groups = {}
-    for idx, sol in enumerate(solutions):
-        if sol.y:
-            groups.setdefault(sol.y, []).append(idx)
-    flagged = list(solutions)
-    for idxs in groups.values():
-        if len(idxs) > 1:
-            for idx in idxs:
-                sol = flagged[idx]
-                flagged[idx] = DegenerateSolution(
-                    J=sol.J, y=sol.y, anchor=sol.anchor, generic_flag=False,
-                    error=sol.error or "support collision",
-                )
-    return flagged
+    counts = Counter(sol.y for sol in solutions if sol.y)
+    return [
+        replace(sol, generic_flag=False, error="support collision") if counts[sol.y] > 1 else sol
+        for sol in solutions
+    ]
 
 
 def tropical_predictions(
@@ -166,22 +149,17 @@ def tropical_predictions(
     only supports whose ``generic_flag`` holds.
     """
     _check_length(model, trop)
-    n, d = model.n, model.d
-    w = trop.w
-    anchor = trop.anchor
+    w, anchor = trop.w, trop.anchor
     if check_generic and not model_is_generic(model, anchor):
         warnings.warn(
             "model is not generic for degenerate data: some predicted "
             "valuations may not be realized",
             stacklevel=2,
         )
-    points = []
-    for J in admissible_supports(n, anchor, d):
-        z = [Fraction(0)] * n
-        for j in J:
-            z[j] = w[j] - w[anchor]
-        points.append(TropicalPoint(z=tuple(z), J=J))
-    return points
+    return [
+        TropicalPoint(z=tuple(w[j] - w[anchor] if j in J else Fraction(0) for j in range(model.n)), J=J)
+        for J in admissible_supports(model.n, anchor, model.d)
+    ]
 
 
 def _check_length(model: SquaredLinearModel, trop: TropicalData):
@@ -210,14 +188,16 @@ def estimate_valuations(
     namely 0 or w_j - w_anchor, and the largest pre-rounding deviation is
     reported as the residual.
     """
+    import numpy as np
+
+    from .mle import CriticalPoint, _check_positive_data, _solve_batch, to_floats
+
     _check_length(model, trop)
     eps_grid = tuple(float(e) for e in eps_grid)
     if len(eps_grid) < 3:
         raise ValidationError("need at least three eps values for a slope fit")
     # NaN fails the first test too: every comparison with it is false.
-    if not all(0 < e < np.inf for e in eps_grid) or any(
-        a <= b for a, b in zip(eps_grid, eps_grid[1:])
-    ):
+    if not all(0 < e < math.inf for e in eps_grid) or any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValidationError("eps grid must be finite, positive and strictly decreasing")
     w = to_floats(trop.w, "w")
     anchor = trop.anchor
@@ -237,9 +217,7 @@ def estimate_valuations(
         points = _solve_batch(model, s, regions, tol=1e-10, starts=starts)
         for region, point, track in zip(regions, points, tracks):
             if not isinstance(point, CriticalPoint):
-                raise PathLost(
-                    f"tracking lost region {region.sign} at eps = {eps:g}: {point}"
-                ) from point
+                raise PathLost(f"tracking lost region {region.sign} at eps = {eps:g}: {point}") from point
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 scaled = point.y / point.y[anchor]
             if not np.all(np.isfinite(scaled)):
@@ -247,27 +225,24 @@ def estimate_valuations(
             track.append(scaled)
         starts = [point.x for point in points]
 
-    log_eps = np.log(np.array(eps_grid))
+    # One slope fit: each (region, coordinate) pair is a column of the right-hand side.
+    ys = np.array(tracks)  # (region, eps, coordinate)
+    R, G, n = ys.shape
+    logs = np.log(np.abs(ys)).transpose(1, 0, 2).reshape(G, R * n)
+    fitted = np.polyfit(np.log(np.array(eps_grid)), logs, 1)[0].reshape(R, n).tolist()
+    allowed = [v - trop.w[anchor] for v in trop.w]
     estimates = []
-    for region, track in zip(regions, tracks):
-        ys = np.array(track)
-        slopes = np.polyfit(log_eps, np.log(np.abs(ys)), 1)[0].tolist()
+    for region, track, slopes in zip(regions, ys.tolist(), fitted):
         slopes[anchor] = 0.0
-        z = []
-        residual = 0.0
-        for j, slope in enumerate(slopes):
-            targets = {Fraction(0), trop.w[j] - trop.w[anchor]}
-            best = min(targets, key=lambda t: abs(slope - float(t)))
-            residual = max(residual, abs(slope - float(best)))
-            z.append(best)
-        J = tuple(j for j, v in enumerate(z) if v != 0)
+        # The nearer of 0 and w_j - w_anchor; a tie rounds to 0.
+        z = tuple(t if abs(v - float(t)) < abs(v) else Fraction(0) for v, t in zip(slopes, allowed))
         estimates.append(
             ValuationEstimate(
                 region=region,
                 slopes=tuple(slopes),
-                point=TropicalPoint(z=tuple(z), J=J),
-                residual=residual,
-                y_track=tuple(tuple(float(v) for v in row) for row in ys),
+                point=TropicalPoint(z=z, J=tuple(j for j, v in enumerate(z) if v != 0)),
+                residual=max(0.0, *(abs(v - float(t)) for v, t in zip(slopes, z))),
+                y_track=tuple(map(tuple, track)),
             )
         )
     return estimates
@@ -294,6 +269,10 @@ def match_supports(estimates, solutions) -> dict:
 def limit_distance(estimate: ValuationEstimate, solution: DegenerateSolution) -> float:
     """Distance between the tracked limit and the closed-form point,
     both scaled to anchor coordinate one."""
+    import numpy as np
+
+    from .mle import to_floats
+
     y_exact = to_floats(solution.y, "y")
     y_exact = y_exact / y_exact[solution.anchor]
     y_num = np.array(estimate.y_limit)

@@ -76,8 +76,7 @@ def dpp_probabilities(Theta) -> SubsetDistribution:
     leaves the probabilities unchanged, so the rank test runs on rows scaled
     to max |entry| = 1: its tolerance is relative to the largest singular
     value, and would take a badly scaled row for a dependent one. The minors
-    use the rows as given, and the scaled rows only where the given ones
-    overflow or underflow, so well-scaled input keeps its exact floats.
+    use the same scaled rows, so they neither overflow nor underflow.
     """
     import numpy as np
 
@@ -92,16 +91,8 @@ def dpp_probabilities(Theta) -> SubsetDistribution:
     if np.linalg.matrix_rank(scaled) < k:
         raise RankDeficient("parameter matrix must have full row rank k")
     states = tuple(itertools.combinations(range(n), k))
-
-    def squared_minor_ratios(M):
-        minors = np.array([np.linalg.det(M[:, sigma]) for sigma in states])
-        return minors**2 / float(np.linalg.det(M @ M.T))
-
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        probs = squared_minor_ratios(Theta)
-    if not np.isfinite(probs).all():
-        probs = squared_minor_ratios(scaled)
-    return SubsetDistribution(states=states, probs=probs)
+    minors = np.array([np.linalg.det(scaled[:, sigma]) for sigma in states])
+    return SubsetDistribution(states=states, probs=minors**2 / float(np.linalg.det(scaled @ scaled.T)))
 
 
 def reduced_points(dpp: DPPModel):
@@ -121,9 +112,7 @@ def reduced_points(dpp: DPPModel):
         columns = ratlin.transpose(dpp.Theta_fixed)[::-1]
         chosen = ratlin.IntEchelon.independent_rows(columns, k - 1)
         if chosen is None:
-            raise ReductionFailed(
-                "no column order makes the trailing block invertible", block=block
-            )
+            raise ReductionFailed("no column order makes the trailing block invertible")
         chosen = sorted(n - 1 - i for i in chosen)
         perm = tuple([c for c in range(n) if c not in chosen] + chosen)
         inverse = ratlin.inverse([[row[c] for c in chosen] for row in dpp.Theta_fixed])
@@ -164,10 +153,7 @@ def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:
             sign = -1 if (k - 1 + pos) % 2 else 1
             coeffs[c] = sign * ratlin.det(sub) if sub else Fraction(sign)
         if all(v == 0 for v in coeffs):
-            raise ReductionFailed(
-                f"state {sigma} produced the zero form; fixed rows not generic",
-                block=None,
-            )
+            raise ReductionFailed(f"state {sigma} produced the zero form; fixed rows not generic")
         # Rows are NOT rescaled: the probability of each state must stay
         # proportional to the square of its form with one common constant.
         rows.append(tuple(coeffs))

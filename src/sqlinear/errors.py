@@ -79,23 +79,12 @@ class ZeroCoordinate(ValidationError):
     """Model point has a zero coordinate where a nonzero one is required."""
 
 
-class EmptyPolytope(NumericError):
-    """Vertex enumeration produced no vertices (should not happen for valid input)."""
-
-
 class DegenerateMinor(ValidationError):
     """A chamber determinant vanishes identically; the model is not generic."""
 
 
 class ReductionFailed(ValidationError):
-    """Row reduction of the fixed parameter block failed.
-
-    ``block`` records the offending submatrix.
-    """
-
-    def __init__(self, message, block=None):
-        self.block = block
-        super().__init__(message)
+    """Row reduction of the fixed parameter block failed."""
 
 
 class DimensionUnsupported(ValidationError):

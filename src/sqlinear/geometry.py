@@ -96,7 +96,6 @@ class ChamberHyperplane:
 @dataclass(frozen=True)
 class ChamberArrangement:
     arrangement: Arrangement
-    originals: tuple
     extras: tuple  # ChamberHyperplane records before deduplication
     duplicates: tuple  # groups of labels that collapsed to one hyperplane
 
@@ -245,26 +244,21 @@ def dual_polytope(model: SquaredLinearModel, y) -> Polytope:
 
 
 def chamber_forms(model: SquaredLinearModel):
-    """The determinantal linear forms (in x) indexed by (n-d+1)-subsets."""
+    """The determinantal linear forms (in x), one per (n-d+1)-subset S.
+
+    The form of S is sum_{j in S} c_j l_j for the c spanning the kernel of
+    B_S, the columns of B in S: the cofactor expansion of the determinant,
+    up to scale. It vanishes identically exactly when B_S has rank below
+    n - d, which is when that kernel is not one-dimensional.
+    """
     arr = model.arr
-    n, d = arr.n, arr.d
-    Bcols = ratlin.transpose(model.B.B)
     extras = []
-    for subset in itertools.combinations(range(n), n - d + 1):
-        normal = [Fraction(0)] * d
-        for t, j in enumerate(subset):
-            rest = [Bcols[k] for k in subset if k != j]
-            minor = ratlin.det(ratlin.transpose(rest)) if rest else Fraction(1)
-            sign = -1 if t % 2 else 1
-            coeff = sign * minor
-            if coeff != 0:
-                for c in range(d):
-                    normal[c] += coeff * arr.A[j][c]
-        if all(v == 0 for v in normal):
-            raise DegenerateMinor(
-                f"chamber determinant for subset {subset} vanishes identically"
-            )
-        extras.append(ChamberHyperplane(subset=subset, normal=tuple(normal)))
+    for subset in itertools.combinations(range(arr.n), arr.n - arr.d + 1):
+        kernel = ratlin.nullspace([[row[j] for j in subset] for row in model.B.B], len(subset))
+        if len(kernel) != 1:
+            raise DegenerateMinor(f"chamber determinant for subset {subset} vanishes identically")
+        normal = tuple(sum(c * arr.A[j][k] for c, j in zip(kernel[0], subset)) for k in range(arr.d))
+        extras.append(ChamberHyperplane(subset=subset, normal=normal))
     return extras
 
 
@@ -296,7 +290,6 @@ def chamber_arrangement(model: SquaredLinearModel) -> ChamberArrangement:
     )
     return ChamberArrangement(
         arrangement=deduped,
-        originals=arr.A,
         extras=tuple(extras),
         duplicates=dup_report,
     )

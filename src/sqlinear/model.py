@@ -153,7 +153,6 @@ class VeroneseGenerators:
     """
 
     L: tuple
-    Lprime: tuple
     linear_forms: tuple
     R: tuple
     monomials: tuple
@@ -179,8 +178,7 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
         raise ValidationError(f"need n >= d(d+1)/2 = {N}, got n = {n}")
     monomials = quadric_monomials(d)
     L = tuple(squared_form_row(row, monomials) for row in model.arr.A)
-    Lprime = tuple(L[:N])
-    inverse_rows = ratlin.inverse(Lprime)
+    inverse_rows = ratlin.inverse(L[:N])
     if inverse_rows is None:
         perm = ratlin.IntEchelon.independent_rows(L, N)
         if perm is not None:
@@ -189,7 +187,7 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
             "squares of the first N forms are linearly dependent",
             permutation=perm,
         )
-    # Entry (i,j) of R is the row of Lprime^{-1} attached to monomial x_i x_j,
+    # Entry (i,j) of R is the row of L[:N]^{-1} attached to monomial x_i x_j,
     # as a linear form in p_1..p_N.
     index = {mon: k for k, mon in enumerate(monomials)}
     R = tuple(
@@ -198,9 +196,7 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     )
     kernel = ratlin.nullspace(ratlin.transpose(L), ncols=n)
     linear_forms = tuple(tuple(Fraction(v) for v in ratlin.primitive(vec)) for vec in kernel)
-    return VeroneseGenerators(
-        L=L, Lprime=Lprime, linear_forms=linear_forms, R=R, monomials=monomials
-    )
+    return VeroneseGenerators(L=L, linear_forms=linear_forms, R=R, monomials=monomials)
 
 
 def steiner_quartic(p) -> float:

@@ -23,8 +23,12 @@ from fractions import Fraction
 import ratlin_oracle
 from sqlinear import ratlin
 from sqlinear.arrangement import SignVector, _ray
-from sqlinear.errors import EmptyPolytope
+from sqlinear.errors import NumericError
 from sqlinear.geometry import Polytope, SwapCandidate, _check_kernel_point, _data_rows
+
+
+class EmptyPolytope(NumericError):
+    """Vertex enumeration produced no vertices (should not happen for valid input)."""
 
 
 def _affine_rank(points) -> int:

@@ -484,6 +484,55 @@ class TestExitCodes:
         assert [f["region"] for f in err["failures"]] == ["++--"]
         assert err["failures"][0]["message"] == "start point does not satisfy the region signs"
 
+    def test_plot_fails_like_mle_on_a_partial_failure(self, tmp_path, capsys, monkeypatch):
+        # plot once drew the converged points and exited 0.
+        from sqlinear import mle
+        from sqlinear.arrangement import Region, enumerate_regions
+
+        solve_all = mle.solve_all
+
+        def one_bad_witness(model, s, tol):
+            regions = enumerate_regions(model.arr)
+            regions[2] = Region(sign=regions[2].sign, witness=regions[3].witness)
+            return solve_all(model, s, tol, regions=regions)
+
+        monkeypatch.setattr(mle, "solve_all", one_bad_witness)
+        doc = dict(STEINER, s=[0.4, 0.3, 0.2, 0.1])
+        outcomes = []
+        for command in ("mle", "plot"):
+            code, text = run(tmp_path, command, doc)
+            outcomes.append((code, text, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        code, text, err = outcomes[1]
+        assert (code, text) == (3, "")
+        assert [f["region"] for f in json.loads(err)["error"]["failures"]] == ["++--"]
+
+    def test_plot_anchor_needs_valuations(self, tmp_path, capsys):
+        # --anchor without "w" once drew no arcs; "w" without --anchor still draws none.
+        code, text = run(tmp_path, "plot", dict(STEINER, s=[4, 3, 2, 1]), "--anchor", "1")
+        assert (code, text) == (2, "")
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == ("ValidationError", "this command needs key 'w' in the input")
+        code, text = run(tmp_path, "plot", dict(STEINER, w=[0, 3, 4, 5]))
+        assert code == 0 and 'class="arc"' not in text
+
+    def test_plot_data_of_wrong_length(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "plot", dict(STEINER, s=[1, 2, 3]))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == ("ValidationError", "data vector must have n = 4 entries, got shape (3,)")
+
+    def test_chamber_determinant_vanishing_identically(self, tmp_path, capsys):
+        # Columns 1, 3 and 4 of B have rank 1, below n - d = 2.
+        doc = {"A": [[0, -1, 0], [1, 1, -1], [1, 0, -1], [-1, -1, 0], [-1, -1, 1]]}
+        code, text = run(tmp_path, "chamber", doc)
+        assert (code, text) == (2, "")
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == (
+            "DegenerateMinor",
+            "chamber determinant for subset (0, 2, 3) vanishes identically",
+        )
+
     def test_mle_data_of_wrong_length(self, tmp_path, capsys):
         code, _ = run(tmp_path, "mle", dict(STEINER, s=[1, 2, 3]))
         assert code == 2

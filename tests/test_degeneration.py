@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sqlinear import degeneration
+import degeneration_oracle
+from conftest import CATALOG
+from sqlinear import degeneration, mle
 from sqlinear.catalog import random_arrangement
 from sqlinear.cli import main
 from sqlinear.degeneration import (
@@ -103,6 +107,35 @@ class TestUnitDataSolutions:
         model = make_model(arr)
         with pytest.raises(RankDeficient):
             unit_data_solutions(model, 7)
+
+
+# Catalog models (braid(5) aside: its 10 anchors of 130 supports each take
+# seconds) and three seeded random models of each shape.
+ORACLE_CASES = [name for name in CATALOG if name != "braid5"] + [
+    f"random{d}x{n}-{k}" for d, n in ((3, 6), (3, 7), (4, 8), (4, 9)) for k in range(3)
+]
+
+
+def oracle_case_model(name):
+    if name in CATALOG:
+        return make_model(CATALOG[name]())
+    shape, k = name[len("random"):].split("-")
+    d, n = map(int, shape.split("x"))
+    return make_model(random_arrangement(d, n, random.Random(1800 + 10 * d + n + 1000 * int(k))))
+
+
+class TestUnitDataOracle:
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_records_equal_the_oracle_at_every_anchor(self, name):
+        model = oracle_case_model(name)
+        for anchor in range(model.n):
+            assert unit_data_solutions(model, anchor) == degeneration_oracle.unit_data_solutions(model, anchor)
+
+    def test_cases_reach_collisions_and_singular_gram_systems(self, four_points, braid4):
+        errors = {sol.error for sol in unit_data_solutions(four_points, 0)}
+        assert "support collision" in errors
+        errors = [sol.error for anchor in range(braid4.n) for sol in unit_data_solutions(braid4, anchor)]
+        assert "singular Gram matrix" in errors
 
 
 class TestTropicalPredictions:
@@ -238,7 +271,7 @@ class TestEstimateValuations:
     @staticmethod
     def anchor_coordinate_set_to(value, monkeypatch):
         """Make every solved point carry ``value`` as its first coordinate."""
-        solve_batch = degeneration._solve_batch
+        solve_batch = mle._solve_batch
 
         def with_anchor(point):
             y = point.y.copy()
@@ -248,7 +281,7 @@ class TestEstimateValuations:
         def stubbed(*args, **kwargs):
             return [with_anchor(point) for point in solve_batch(*args, **kwargs)]
 
-        monkeypatch.setattr(degeneration, "_solve_batch", stubbed)
+        monkeypatch.setattr(mle, "_solve_batch", stubbed)
 
     @pytest.mark.parametrize("value", [0.0, 1e-310])
     def test_vanishing_anchor_coordinate_loses_the_path(self, steiner, monkeypatch, value):
@@ -264,6 +297,33 @@ class TestEstimateValuations:
         assert main(["tropical", "--input", str(path), "--anchor", "1"]) == 3
         error = json.loads(capsys.readouterr().err)["error"]
         assert (error["kind"], error["type"]) == ("numeric", "PathLost")
+
+    @pytest.mark.parametrize(
+        "model, w, grid",
+        [
+            ("steiner", (0, 3, 4, 5), None),
+            ("braid4", (0, 1, 2, 3, 4, 5), tuple(10 ** (-1.5 - 0.375 * k) for k in range(4))),
+            ("circle", (0, 1, 2), None),
+            ("six_points", (0, 2, 1, 3, 1, 2), None),
+        ],
+    )
+    def test_one_fit_matches_a_fit_per_region(self, request, model, w, grid):
+        """Slopes within 1e-12 of one polyfit per region, rounded to the
+        same valuations by the nearest-target rule (0 on a tie)."""
+        model = request.getfixturevalue(model)
+        trop = TropicalData(w=w, anchor=0)
+        grid = grid or degeneration.DEFAULT_EPS_GRID
+        log_eps = np.log(np.array(grid))
+        for est in estimate_valuations(model, trop, eps_grid=grid):
+            slopes = np.polyfit(log_eps, np.log(np.abs(np.array(est.y_track))), 1)[0]
+            slopes[0] = 0.0
+            assert np.max(np.abs(np.array(est.slopes) - slopes)) <= 1e-12
+            z = tuple(
+                min({Fraction(0), w[j] - w[0]}, key=lambda t: abs(slope - float(t)))
+                for j, slope in enumerate(slopes)
+            )
+            assert est.point.z == z
+            assert est.point.J == tuple(j for j, v in enumerate(z) if v != 0)
 
     def test_anchor_invariance_of_canonical_form(self, steiner):
         trop = TropicalData(w=(Fraction(0), 3, 4, 5), anchor=0)

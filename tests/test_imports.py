@@ -1,10 +1,11 @@
 """What importing the package and running the exact commands loads.
 
 The exact side (regions, characteristic polynomial, polytopes, chamber
-arrangements, DPP reductions, the ideal, singular subspaces) needs only
-rational arithmetic, so neither ``import sqlinear`` nor those commands may
-load numpy or a float module. The CLI imports :mod:`sqlinear.plotting`,
-which loads numpy only when it draws. Region enumeration runs no LP, so the
+arrangements, DPP reductions, the ideal, singular subspaces, the closed-form
+degenerations) needs only rational arithmetic, so neither ``import sqlinear``
+nor those commands may load numpy or a float module. The CLI imports
+:mod:`sqlinear.plotting`, which loads numpy only when it draws, and
+:mod:`sqlinear.degeneration` loads numpy only when it tracks. Region enumeration runs no LP, so the
 ``regions`` command does not load :mod:`sqlinear.simplex` either. Each probe
 runs in a fresh interpreter and reads ``sys.modules`` afterwards; nothing is
 timed.
@@ -25,7 +26,7 @@ from sqlinear.jsonio import arrangement_to_json, rationals_to_json
 
 SRC = Path(sqlinear.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
-FLOAT_MODULES = ("numpy", "sqlinear.mle", "sqlinear.degeneration")
+FLOAT_MODULES = ("numpy", "sqlinear.mle")
 
 # Every name the package namespace served when it imported each module
 # eagerly, with the module that defines it now (less `Flat`, `flats` and
@@ -100,7 +101,8 @@ EXACT_COMMANDS = {
 
 
 @pytest.mark.parametrize(
-    "statement", ["import sqlinear", "import sqlinear.cli", "from sqlinear import plotting"]
+    "statement",
+    ["import sqlinear", "import sqlinear.cli", "from sqlinear import plotting", "import sqlinear.degeneration"],
 )
 def test_import_loads_no_float_module(statement):
     assert loaded_after(f"{statement}\nresult = None") == [None, []]
@@ -109,6 +111,21 @@ def test_import_loads_no_float_module(statement):
 @pytest.mark.parametrize("command", sorted(EXACT_COMMANDS))
 def test_exact_command_loads_no_float_module(tmp_path, command):
     assert cli_probe(tmp_path, command, EXACT_COMMANDS[command]()) == [0, []]
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, code",
+    [
+        ("degenerate", {}, ["--anchor", "1"], 0),
+        ("degenerate", {}, [], 2),
+        ("degenerate", {}, ["--anchor", "9"], 2),
+        ("mle", {"s": [1, 2, 3]}, [], 2),
+        ("plot", {"s": [1, 2, 3]}, [], 2),
+    ],
+    ids=["degenerate", "degenerate-no-anchor", "degenerate-anchor-range", "mle-length", "plot-length"],
+)
+def test_exact_path_of_a_float_command_loads_no_float_module(tmp_path, command, doc, extra, code):
+    assert cli_probe(tmp_path, command, dict(steiner(), **doc), *extra) == [code, []]
 
 
 def test_regions_command_loads_no_lp(tmp_path):
