@@ -7,11 +7,11 @@ with a "schema": "slm/1" tag, figures as SVG. Exit codes: 0 success,
 on stderr.
 
 State indices (anchor, subsets J, DPP states) are 1-based on the command
-line and in emitted JSON, matching the labeling of the input rows. The
-handlers import :mod:`.mle` and :mod:`.degeneration` when they use them, so
-that ``import sqlinear.cli`` stays cheap; :mod:`.degeneration` and
-:mod:`.plotting` load numpy only to track and to draw, so the exact
-commands, ``degenerate`` among them, run without numpy.
+line and in emitted JSON, matching the labeling of the input rows. Start-up
+is most of a call, so ``import sqlinear.cli`` loads only :mod:`.jsonio` and
+:mod:`.arrangement`; each handler imports the layers it runs when it runs.
+numpy comes in only with :mod:`.mle` or a drawing, so the exact commands,
+``degenerate`` among them, run without it.
 """
 
 from __future__ import annotations
@@ -21,23 +21,8 @@ import json
 import sys
 
 from . import jsonio
-from .arrangement import characteristic_polynomial, enumerate_regions, ml_degree
-from .dpp import dpp_ml_degree_l2, dpp_probabilities, linear_projection_arrangement
 from .errors import NoConvergence, NumericError, SqlinearError, ValidationError
-from .geometry import (
-    chamber_arrangement,
-    lognormal_polytope,
-    log_voronoi_scan,
-    swap_candidates,
-)
 from .jsonio import SCHEMA
-from .model import (
-    minor_space_dimension,
-    parameters_of,
-    singular_subspaces,
-    veronese_generators,
-)
-from .plotting import Overlays, plot_arrangement
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -166,14 +151,17 @@ def _tol(args) -> float:
     return args.tol
 
 
-def _solve(model, doc, args):
-    """Critical points for the input's "s", shared by `mle` and `plot`: an s of
-    the wrong length fails before numpy loads, and a failed region fails the
-    command with every region's failure listed."""
+def _data(model, doc, args):
+    """The input's "s" and --tol for `mle` and `plot`, checked before numpy loads."""
     tol = _tol(args)
     s = jsonio.parse_vector(_need(doc, "s"), "s")
     if len(s) != model.n:
         raise ValidationError(f"data vector must have n = {model.n} entries, got shape ({len(s)},)")
+    return s, tol
+
+
+def _solve(model, s, tol):
+    """Critical points; a failed region fails the command listing every failure."""
     from .mle import solve_all
 
     result = solve_all(model, s, tol)
@@ -197,6 +185,8 @@ def _tracking_overlays(model, trop, estimates):
     """Each region's tracked arc from its witness, and the closed-form limits."""
     from .degeneration import unit_data_solutions
     from .mle import to_floats
+    from .model import parameters_of
+    from .plotting import Overlays
 
     def params_of(ys):
         return to_floats(parameters_of(model, ys), "parameters").tolist()
@@ -207,6 +197,8 @@ def _tracking_overlays(model, trop, estimates):
 
 
 def _cmd_regions(doc, args):
+    from .arrangement import enumerate_regions
+
     arr = jsonio.arrangement_from_json(doc)
     regions = enumerate_regions(arr)
     out = {
@@ -217,6 +209,7 @@ def _cmd_regions(doc, args):
         "count": len(regions),
     }
     if args.svg:
+        from .plotting import Overlays, plot_arrangement
         model = jsonio.model_from_json(doc)
         overlays = Overlays(region_labels=[(r.witness, str(r.sign)) for r in regions])
         _write(args.svg, plot_arrangement(model, overlays))
@@ -224,26 +217,29 @@ def _cmd_regions(doc, args):
 
 
 def _cmd_charpoly(doc, args):
-    arr = jsonio.arrangement_from_json(doc)
-    chi = characteristic_polynomial(arr)
+    from .arrangement import characteristic_polynomial
+
+    chi = characteristic_polynomial(jsonio.arrangement_from_json(doc))
     return {"char_poly": list(chi.coeffs)}
 
 
 def _cmd_mldegree(doc, args):
-    arr = jsonio.arrangement_from_json(doc)
-    chi = characteristic_polynomial(arr)
+    from .arrangement import characteristic_polynomial
+
+    chi = characteristic_polynomial(jsonio.arrangement_from_json(doc))
     return {"ml_degree": chi.ml_degree(), "char_poly": list(chi.coeffs)}
 
 
 def _cmd_mle(doc, args):
     model = jsonio.model_from_json(doc)
-    result = _solve(model, doc, args)
+    result = _solve(model, *_data(model, doc, args))
     out = {
         "critical_points": [jsonio.critical_point_to_json(p) for p in result.points],
         "mle_index": result.mle_index,
         "ml_degree": len(result.points),
     }
     if args.svg:
+        from .plotting import Overlays, plot_arrangement
         overlays = Overlays(critical_points=[p.x for p in result.points])
         _write(args.svg, plot_arrangement(model, overlays))
     return out
@@ -293,12 +289,15 @@ def _cmd_tropical(doc, args):
         ],
     }
     if args.svg:
+        from .plotting import plot_arrangement
         overlays = _tracking_overlays(model, trop, estimates)
         _write(args.svg, plot_arrangement(model, overlays))
     return out
 
 
 def _cmd_lognormal(doc, args):
+    from .geometry import lognormal_polytope, swap_candidates
+
     model = jsonio.model_from_json(doc)
     y = jsonio.parse_vector(_need(doc, "y"), "y")
     poly = lognormal_polytope(model, y)
@@ -320,6 +319,8 @@ def _cmd_lognormal(doc, args):
 
 
 def _cmd_chamber(doc, args):
+    from .geometry import chamber_arrangement
+
     model = jsonio.model_from_json(doc)
     chamber = chamber_arrangement(model)
     return {
@@ -334,6 +335,8 @@ def _cmd_chamber(doc, args):
 
 
 def _cmd_voronoi(doc, args):
+    from .geometry import log_voronoi_scan
+
     model = jsonio.model_from_json(doc)
     y = jsonio.parse_vector(_need(doc, "y"), "y")
     segment = _need(doc, "segment")
@@ -355,6 +358,9 @@ def _cmd_voronoi(doc, args):
 
 
 def _cmd_dpp(doc, args):
+    from .arrangement import ml_degree
+    from .dpp import dpp_ml_degree_l2, dpp_probabilities, linear_projection_arrangement
+
     dpp = jsonio.dpp_from_json(doc)
     disc = linear_projection_arrangement(dpp)
     out = {
@@ -379,6 +385,8 @@ def _cmd_dpp(doc, args):
 
 
 def _cmd_ideal(doc, args):
+    from .model import minor_space_dimension, veronese_generators
+
     model = jsonio.model_from_json(doc)
     gens = veronese_generators(model)
     return {
@@ -394,6 +402,8 @@ def _cmd_ideal(doc, args):
 
 
 def _cmd_singular(doc, args):
+    from .model import singular_subspaces
+
     model = jsonio.model_from_json(doc)
     subspaces = singular_subspaces(model)
     return {
@@ -411,16 +421,18 @@ def _cmd_singular(doc, args):
 
 
 def _cmd_plot(doc, args):
+    from .plotting import Overlays, plot_arrangement
+
     model = jsonio.model_from_json(doc)
+    data = _data(model, doc, args) if "s" in doc else None
     overlays = Overlays()
     if args.anchor is not None:
         overlays = _tracking_overlays(model, *_track(model, doc, args))
-    if "s" in doc:
-        overlays.critical_points = [p.x for p in _solve(model, doc, args).points]
+    if data is not None:
+        overlays.critical_points = [p.x for p in _solve(model, *data).points]
     if "y" in doc and model.n == 3:
-        overlays.lognormal = lognormal_polytope(
-            model, jsonio.parse_vector(doc["y"], "y")
-        )
+        from .geometry import lognormal_polytope
+        overlays.lognormal = lognormal_polytope(model, jsonio.parse_vector(doc["y"], "y"))
     return plot_arrangement(model, overlays)
 
 

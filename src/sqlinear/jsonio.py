@@ -12,9 +12,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .arrangement import Arrangement
-from .dpp import DPPModel
 from .errors import ValidationError
-from .model import SquaredLinearModel, make_model
 
 SCHEMA = "slm/1"
 
@@ -83,11 +81,15 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     return doc
 
 
-def model_from_json(doc: dict) -> SquaredLinearModel:
+def model_from_json(doc: dict):
+    from .model import make_model
+
     return make_model(arrangement_from_json(doc))
 
 
-def dpp_from_json(doc: dict) -> DPPModel:
+def dpp_from_json(doc: dict):
+    from .dpp import DPPModel
+
     check_schema(doc)
     for key in ("Theta_fixed", "k", "n"):
         if key not in doc:

@@ -12,7 +12,7 @@ triangle with a log-normal fiber segment.
 
 Output is plain SVG text assembled in a fixed order, so identical inputs
 give byte-identical documents. numpy is imported by the drawing functions,
-so importing this module (as the CLI does) does not load it.
+so importing this module does not load it.
 """
 
 from __future__ import annotations

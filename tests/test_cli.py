@@ -40,7 +40,7 @@ class TestBasicCommands:
         assert doc["schema"] == "slm/1"
 
     def test_mldegree_walks_chi_once(self, tmp_path, monkeypatch):
-        from sqlinear import arrangement, cli
+        from sqlinear import arrangement
 
         walks = []
 
@@ -49,7 +49,6 @@ class TestBasicCommands:
             return characteristic_polynomial(arr)
 
         monkeypatch.setattr(arrangement, "characteristic_polynomial", counted)
-        monkeypatch.setattr(cli, "characteristic_polynomial", counted)
         code, text = run(tmp_path, "mldegree", STEINER)
         assert (code, len(walks), json.loads(text)["ml_degree"]) == (0, 1, 7)
 

@@ -1,14 +1,16 @@
-"""What importing the package and running the exact commands loads.
+"""What importing the package and running the commands loads.
 
 The exact side (regions, characteristic polynomial, polytopes, chamber
 arrangements, DPP reductions, the ideal, singular subspaces, the closed-form
 degenerations) needs only rational arithmetic, so neither ``import sqlinear``
-nor those commands may load numpy or a float module. The CLI imports
-:mod:`sqlinear.plotting`, which loads numpy only when it draws, and
-:mod:`sqlinear.degeneration` loads numpy only when it tracks. Region enumeration runs no LP, so the
-``regions`` command does not load :mod:`sqlinear.simplex` either. Each probe
-runs in a fresh interpreter and reads ``sys.modules`` afterwards; nothing is
-timed.
+nor those commands may load numpy or a float module. Start-up is most of a
+CLI call, so ``import sqlinear.cli`` and ``--help`` load none of the layers
+in ``LAYERS``: each command imports the layers it runs when it runs.
+:mod:`sqlinear.plotting` loads numpy only when it draws, and
+:mod:`sqlinear.degeneration` only when it tracks. Region enumeration runs no
+LP, so the ``regions`` command does not load :mod:`sqlinear.simplex` either.
+Each probe runs in a fresh interpreter and reads ``sys.modules`` afterwards;
+nothing is timed.
 """
 
 import json
@@ -27,6 +29,8 @@ from sqlinear.jsonio import arrangement_to_json, rationals_to_json
 SRC = Path(sqlinear.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
 FLOAT_MODULES = ("numpy", "sqlinear.mle")
+# The layers a command loads only when it runs them.
+LAYERS = ("sqlinear.geometry", "sqlinear.model", "sqlinear.dpp", "sqlinear.plotting", "sqlinear.degeneration")
 
 # Every name the package namespace served when it imported each module
 # eagerly, with the module that defines it now (less `Flat`, `flats` and
@@ -121,11 +125,52 @@ def test_exact_command_loads_no_float_module(tmp_path, command):
         ("degenerate", {}, ["--anchor", "9"], 2),
         ("mle", {"s": [1, 2, 3]}, [], 2),
         ("plot", {"s": [1, 2, 3]}, [], 2),
+        ("plot", {"s": [1, 2, 3], "w": [0, 3, 4, 5]}, ["--anchor", "1"], 2),
     ],
-    ids=["degenerate", "degenerate-no-anchor", "degenerate-anchor-range", "mle-length", "plot-length"],
+    ids=[
+        "degenerate", "degenerate-no-anchor", "degenerate-anchor-range", "mle-length", "plot-length",
+        "plot-anchor-length",
+    ],
 )
 def test_exact_path_of_a_float_command_loads_no_float_module(tmp_path, command, doc, extra, code):
     assert cli_probe(tmp_path, command, dict(steiner(), **doc), *extra) == [code, []]
+
+
+def test_cli_import_loads_no_layer():
+    assert loaded_after("import sqlinear.cli\nresult = None", LAYERS + FLOAT_MODULES) == [None, []]
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("charpoly", LAYERS),
+        ("mldegree", LAYERS),
+        ("regions", LAYERS),
+        ("ideal", ("sqlinear.geometry", "sqlinear.dpp")),
+        ("singular", ("sqlinear.geometry", "sqlinear.dpp")),
+    ],
+    ids=["charpoly", "mldegree", "regions", "ideal", "singular"],
+)
+def test_command_loads_only_its_layers(tmp_path, command, layers):
+    assert cli_probe(tmp_path, command, EXACT_COMMANDS[command](), modules=layers) == [0, []]
+
+
+def test_help_names_every_command_and_loads_no_layer():
+    from sqlinear.cli import COMMANDS
+
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sqlinear.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [name for name in COMMANDS if name not in proc.stdout] == []
+    # -X importtime writes one "import time: self | cumulative | name" line per module loaded
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert "argparse" in loaded
+    assert sorted(loaded & set(LAYERS + FLOAT_MODULES)) == []
 
 
 def test_regions_command_loads_no_lp(tmp_path):
