@@ -190,7 +190,7 @@ def estimate_valuations(
     """
     import numpy as np
 
-    from .mle import CriticalPoint, _check_positive_data, _solve_batch, to_floats
+    from .mle import CriticalPoint, _solve_batch, to_floats
 
     _check_length(model, trop)
     eps_grid = tuple(float(e) for e in eps_grid)
@@ -211,10 +211,9 @@ def estimate_valuations(
     regions = enumerate_regions(model.arr)
 
     tracks = [[] for _ in regions]
-    starts = [None] * len(regions)
+    starts = None
     for eps in eps_grid:
-        s = _check_positive_data(eps**w, model.n)
-        points = _solve_batch(model, s, regions, tol=1e-10, starts=starts)
+        (points,) = _solve_batch(model, [eps**w], regions, tol=1e-10, starts=starts)
         for region, point, track in zip(regions, points, tracks):
             if not isinstance(point, CriticalPoint):
                 raise PathLost(f"tracking lost region {region.sign} at eps = {eps:g}: {point}") from point
@@ -223,7 +222,7 @@ def estimate_valuations(
             if not np.all(np.isfinite(scaled)):
                 raise PathLost(f"lost region {region.sign} at eps = {eps:g}: anchor value {point.y[anchor]:g}")
             track.append(scaled)
-        starts = [point.x for point in points]
+        starts = [[point.x for point in points]]
 
     # One slope fit: each (region, coordinate) pair is a column of the right-hand side.
     ys = np.array(tracks)  # (region, eps, coordinate)

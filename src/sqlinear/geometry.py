@@ -37,7 +37,6 @@ from .arrangement import (
 )
 from .errors import (
     DegenerateMinor,
-    NoConvergence,
     RankDeficient,
     ValidationError,
     ZeroCoordinate,
@@ -96,7 +95,6 @@ class ChamberHyperplane:
 @dataclass(frozen=True)
 class ChamberArrangement:
     arrangement: Arrangement
-    extras: tuple  # ChamberHyperplane records before deduplication
     duplicates: tuple  # groups of labels that collapsed to one hyperplane
 
 
@@ -288,11 +286,7 @@ def chamber_arrangement(model: SquaredLinearModel) -> ChamberArrangement:
     dup_report = tuple(
         (kept, tuple(dropped)) for kept, dropped in sorted(duplicates.items())
     )
-    return ChamberArrangement(
-        arrangement=deduped,
-        extras=tuple(extras),
-        duplicates=dup_report,
-    )
+    return ChamberArrangement(arrangement=deduped, duplicates=dup_report)
 
 
 def swap_candidates(model: SquaredLinearModel, y) -> list:
@@ -385,7 +379,7 @@ def log_voronoi_scan(
     region's failure there. Log-Voronoi boundaries are generally not
     algebraic, so sampling plus bisection is the honest tool here.
     """
-    from .mle import CriticalPoint, _check_positive_data, _solve_batch, to_floats
+    from .mle import CriticalPoint, SolveAllResult, _solve_batch, to_floats
 
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
@@ -401,19 +395,13 @@ def log_voronoi_scan(
             raise ValidationError(f"{name} point is outside the log-normal span")
     a, b = to_floats(start, "start"), to_floats(end, "end")
     regions = enumerate_regions(model.arr)
-    R = len(regions)
 
     def solve(params, starts=None):
         """Every region's outcome at each parameter, from one batch."""
-        data = [_check_positive_data(a + t * (b - a), model.n) for t in params]
-        outcomes = _solve_batch(model, data, regions, tol, starts)
-        return [outcomes[k * R : (k + 1) * R] for k in range(len(params))]
+        return _solve_batch(model, [a + t * (b - a) for t in params], regions, tol, starts)
 
     def tag(row) -> str:
-        points = [p for p in row if isinstance(p, CriticalPoint)]
-        if not points:
-            raise NoConvergence("no region converged", trace=[], failures=list(zip(regions, row)))
-        return str(max(points, key=lambda p: p.logL).region)
+        return str(SolveAllResult.of(regions, row).mle.region)
 
     params = [k / steps for k in range(steps + 1)]
     rows = solve(params)
@@ -424,7 +412,7 @@ def log_voronoi_scan(
     brackets = [[params[k], params[k + 1], rows[k], tags[k], tags[k + 1]] for k in switches]
     while active := [br for br in brackets if br[1] - br[0] > REFINE_TOL]:
         mids = [(br[0] + br[1]) / 2 for br in active]
-        starts = [p.x if isinstance(p, CriticalPoint) else None for br in active for p in br[2]]
+        starts = [[p.x if isinstance(p, CriticalPoint) else None for p in br[2]] for br in active]
         for br, mid, row in zip(active, mids, solve(mids, starts)):
             if tag(row) == br[3]:
                 br[0], br[2] = mid, row

@@ -10,12 +10,16 @@ from any interior start of the region. All regions are solved as one (R, d)
 stack of iterates: each iteration evaluates the whole stack in a few numpy
 calls through :class:`Likelihood`, which holds the only copy of the
 log-likelihood, gradient and Hessian formulas, and every decision is
-made per row through masks. Rows may carry their own data: for a (K, n)
-stack of data vectors the batch solves every region for each of them, which
-is how a log-Voronoi scan solves all its samples at once. A row's chart
-pins its largest coordinate and hops when another one takes over, so
-iterates stay bounded; the Hessian is ridged only when it is not negative
-definite.
+made per row through masks. Rows may carry their own data: the batch
+takes a sequence of data vectors, checks each, solves every region for each
+of them and returns one row of outcomes per data vector, which is how a
+log-Voronoi scan solves all its samples at once; :meth:`SolveAllResult.of`
+is the one rule that turns a row into the converged points, the MLE and the
+failures. A row's chart pins its largest coordinate and hops when another
+one takes over, so iterates stay bounded. The Hessian is ridged only when it
+is not negative definite, by one shift that moves the smallest eigenvalue of
+-H to ``SHIFT_MARGIN * scale``, scale being the largest |diagonal entry| of
+H (Nocedal & Wright 2006, section 3.4).
 
 The solver has one setting, ``tol``: a row is found when its Newton
 decrement lambda, which is affine-invariant and counts in units of logL
@@ -35,9 +39,9 @@ from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
 from .model import SquaredLinearModel
 
 
-# Smallest ridge, relative to the Hessian's largest diagonal entry, added to
-# a Hessian that is not negative definite; the most halvings of a step; and
-# the most iterations per region.
+# A Hessian H that is not negative definite is shifted so that the smallest
+# eigenvalue of -H becomes SHIFT_MARGIN times H's largest |diagonal entry|;
+# the most halvings of a step; and the most iterations per region.
 SHIFT_MARGIN = 1e-8
 MAX_BACKTRACKS = 50
 MAX_ITER = 200
@@ -54,7 +58,7 @@ def to_floats(values, name: str) -> np.ndarray:
 
 def normalize_parameter(x) -> np.ndarray:
     """Unit-norm representative with positive first nonzero coordinate."""
-    x = np.asarray(x, dtype=float)
+    x = to_floats(x, "x")
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         raise ZeroPoint("zero vector is not a projective point")
@@ -74,7 +78,8 @@ class Likelihood:
     The one copy of these formulas: the Newton batch below runs it and the
     one-point functions of :mod:`.model` call it. Built once per (float A,
     s), where s is one data vector or a (K, n) stack of them; ``which``
-    names each row's data vector (by default the first, for every row).
+    names each row's data vector, an array in the batch or the scalar 0
+    (the default) for the one data vector of a one-point call.
     States of weight 0 in every data vector drop out of the sums, also on
     their own hyperplanes; when there are none, the form values are used
     without a copy.
@@ -90,29 +95,22 @@ class Likelihood:
     def _kept(self, V):
         return V if self._keep is None else V[:, self._keep]
 
-    def _data(self, which):
-        """(which, weights, totals) per row; when there is one data vector,
-        which is 0 and its weights and total serve every row as they are."""
-        which = which if len(self._S) > 1 else 0
-        return which, self._S[which], self.totals[which]
-
     def __call__(self, Y, which=0):
-        which, _, total = self._data(which)
         V = Y @ self.A.T
         weighted = 2.0 * np.log(np.abs(self._kept(V))) @ self._S.T
-        return weighted[np.arange(len(Y)), which] - total * np.log(np.einsum("ri,ri->r", V, V))
+        return weighted[np.arange(len(Y)), which] - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
 
     def gradient(self, Y, which=0):
         """(G, V, q): the rows sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y,
         the form values and q."""
-        _, s, total = self._data(which)
+        s, total = self._S[which], self.totals[which]
         V = Y @ self.A.T
         q = np.einsum("ri,ri->r", V, V)
         return (2.0 * s / self._kept(V)) @ self._A - (2.0 * total / q)[:, None] * (V @ self.A), V, q
 
     def hessian(self, Y, which=0):
         """(G, H): the gradient rows and the (R, d, d) stack of Hessians."""
-        _, s, total = self._data(which)
+        s, total = self._S[which], self.totals[which]
         G, V, q = self.gradient(Y, which)
         U = V @ self.A
         H = (
@@ -154,10 +152,20 @@ class SolveAllResult:
     def mle(self) -> CriticalPoint:
         return self.points[self.mle_index]
 
+    @classmethod
+    def of(cls, regions, outcomes) -> SolveAllResult:
+        """The converged points in region order, the argmax of their logL and
+        the (region, error) failures; when none converged, NoConvergence
+        carrying every failure."""
+        points = [out for out in outcomes if isinstance(out, CriticalPoint)]
+        failures = [(r, out) for r, out in zip(regions, outcomes) if not isinstance(out, CriticalPoint)]
+        if not points:
+            raise NoConvergence("no region converged", trace=[], failures=failures)
+        return cls(points, max(range(len(points)), key=lambda i: points[i].logL), failures)
+
 
 def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
-    s = to_floats(s, "s")
-    x = np.asarray(x, dtype=float)
+    s, x = to_floats(s, "s"), to_floats(x, "x")
     values = model.A_float @ x
     rows = np.vstack([s, values**2, model.B_float * values])
     return LikelihoodMatrix(rows=rows)
@@ -201,8 +209,7 @@ def solve_region(
     warm starts during path tracking); it must already lie in the region.
     This is the one-row case of the batch that :func:`solve_all` runs.
     """
-    s = _check_positive_data(s, model.n)
-    (outcome,) = _solve_batch(model, s, [region], tol, [start])
+    ((outcome,),) = _solve_batch(model, [s], [region], tol, [[start]])
     if not isinstance(outcome, CriticalPoint):
         raise outcome
     return outcome
@@ -221,26 +228,20 @@ def solve_all(
     canonical region order. When no region converges, the NoConvergence
     raised carries every region's failure.
     """
-    s = _check_positive_data(s, model.n)
     if regions is None:
         regions = enumerate_regions(model.arr)
-    outcomes = _solve_batch(model, s, regions, tol)
-    points = [out for out in outcomes if isinstance(out, CriticalPoint)]
-    failures = [(r, out) for r, out in zip(regions, outcomes) if not isinstance(out, CriticalPoint)]
-    if not points:
-        raise NoConvergence("no region converged", trace=[], failures=failures)
-    mle_index = max(range(len(points)), key=lambda i: points[i].logL)
-    return SolveAllResult(points=points, mle_index=mle_index, failures=failures)
+    (outcomes,) = _solve_batch(model, [s], regions, tol)
+    return SolveAllResult.of(regions, outcomes)
 
 
-def _solve_batch(model, s, regions, tol, starts=None) -> list:
-    """Damped Newton for every region at once, for one data vector ``s`` or
-    for each row of a (K, n) stack of them.
+def _solve_batch(model, data, regions, tol, starts=None) -> list:
+    """Damped Newton for every region at once, for each of a sequence of
+    data vectors, each checked here to be positive and finite.
 
-    Returns one outcome per (data vector, region) pair, data vector by data
-    vector and regions in order: its CriticalPoint, or the NoConvergence
-    that stopped it. ``starts`` optionally gives a start point per pair
-    (None keeps the witness). ``s`` must be checked data.
+    Returns one row per data vector, holding one outcome per region in
+    order: its CriticalPoint, or the NoConvergence that stopped it.
+    ``starts`` optionally gives one row of start points per data vector,
+    one per region (None keeps the witness).
 
     A row is found when its Newton decrement lambda, with lambda^2 =
     g . solve(-H, g) on its chart and H not ridged, satisfies
@@ -251,24 +252,25 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
     sign guard alone decides. A row whose backtracking finds no step, or
     that runs out of iterations, fails.
     """
+    S = np.array([_check_positive_data(s, model.n) for s in data]).reshape(-1, model.n)
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
         raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     if tol >= 1.0:
         raise ValidationError(f"tol must be below 1, got {tol}")
     A = model.A_float
-    loglik = Likelihood(A, s)
-    K, R, d = len(loglik.totals), len(regions), model.d
+    loglik = Likelihood(A, S)
+    K, R, d = len(S), len(regions), model.d
     N = K * R
     which = np.arange(N) // R  # each row's data vector
     totals = loglik.totals[which]
     signs = np.tile(np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n), (K, 1))
     X = np.tile(to_floats([r.witness for r in regions], "witness").reshape(R, d), (K, 1))
     chart = np.argmax(np.abs(X), axis=1)
-    for k, start in enumerate(starts or ()):
+    for k, start in enumerate(x for row in starts or () for x in row):
         if start is not None:
             X[k] = start
     iterations = np.zeros(N, dtype=int)
-    traces = [[] for _ in range(N)]
+    history = np.empty((N, MAX_ITER))  # lambda / sqrt(sum(s)) at each evaluated iteration
     outcomes = [None] * N
 
     def inside(Y, rows=slice(None)):
@@ -294,18 +296,14 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
         lam, Q = np.linalg.eigh(-H)
         scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
         scale[scale == 0.0] = 1.0
-        ridge = np.zeros(len(rows))
-        for _ in range(80):
-            short = ~(lam[:, 0] + ridge > 0.0)
-            if not short.any():
-                break
-            ridge[short] = np.maximum(2.0 * ridge[short], SHIFT_MARGIN * scale[short])
-        coef = np.einsum("rji,rj->ri", Q, g) / (lam + ridge[:, None])
+        ridged = ~(lam[:, 0] > 0.0)
+        lam[ridged] = lam[ridged] - lam[ridged, :1] + SHIFT_MARGIN * scale[ridged, None]
+        coef = np.einsum("rji,rj->ri", Q, g) / lam
         step = np.einsum("rij,rj->ri", Q, coef)
         step[~finite] = np.nan
         full = np.zeros((len(rows), d))
         np.put_along_axis(full, free, step, 1)
-        return full, np.einsum("ri,ri->r", g, step), ridge > 0.0
+        return full, np.einsum("ri,ri->r", g, step), ridged
 
     def backtrack(rows, step, accept):
         """Halve each row's step from t = 1 until ``accept(sub, cand, t)``
@@ -328,9 +326,8 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
         chart[rows] = np.argmax(np.abs(X[rows]), axis=1)
         X[rows] /= np.abs(X[rows, chart[rows]])[:, None]
 
-    def record(rows, values):
-        for k, it, value in zip(rows.tolist(), iterations[rows].tolist(), values.tolist()):
-            traces[k].append((it, value))
+    def trace(k):
+        return list(enumerate(history[k, : iterations[k] + converged[k]].tolist()))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         flip = ~inside(X) & inside(-X)
@@ -350,7 +347,7 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
             step, slope, ridged = newton_step(rows)
             decrement = np.where(ridged, np.inf, slope)
             lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
-            record(rows, lam)
+            history[rows, iterations[rows]] = lam
 
             # Found rows take the last Newton step where it keeps the signs.
             done = ~ridged & (lam < tol)  # NaN compares false
@@ -379,8 +376,8 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
 
         for k in np.flatnonzero(live & ~converged):
             outcomes[k] = NoConvergence(
-                f"Newton decrement {traces[k][-1][1]:.3e} not below tolerance {tol:.1e}",
-                trace=traces[k],
+                f"Newton decrement {history[k, iterations[k] - 1]:.3e} not below tolerance {tol:.1e}",
+                trace=trace(k),
             )
 
         rows = np.flatnonzero(live & converged)
@@ -399,7 +396,7 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
                 "coordinate underflow at convergence: cannot take the sign vector of a zero value"
             )
         elif left[i]:
-            outcomes[k] = NoConvergence("converged point left its region", trace=traces[k])
+            outcomes[k] = NoConvergence("converged point left its region", trace=trace(k))
         else:
             outcomes[k] = CriticalPoint(
                 region=regions[k % R].sign,
@@ -411,4 +408,4 @@ def _solve_batch(model, s, regions, tol, starts=None) -> list:
                 iterations=int(iterations[k]),
                 hessian_max_eig=float(top_eig[i]),
             )
-    return outcomes
+    return [outcomes[k * R : (k + 1) * R] for k in range(K)]

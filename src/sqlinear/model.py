@@ -74,7 +74,9 @@ def evaluate(model: SquaredLinearModel, x):
     """Probability vector p(x); entries sum to one."""
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
+    from .mle import to_floats
+
+    x = to_floats(x, "x")
     if not np.any(x):
         raise ZeroPoint("zero vector is not a projective point")
     squares = (model.A_float @ x) ** 2
@@ -99,7 +101,7 @@ def _one_point(model: SquaredLinearModel, s, x):
     from .mle import Likelihood, to_floats
 
     A, s = model.A_float, to_floats(s, "s")
-    X = np.asarray(x, dtype=float)[None, :]
+    X = to_floats(x, "x")[None, :]
     values = (X @ A.T)[0]
     if not np.any(values):
         raise ZeroPoint("zero vector is not a projective point")

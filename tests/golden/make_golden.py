@@ -11,6 +11,9 @@ file. Regenerate only when an output is meant to change.
 With case names, only those cases are run and rewritten; every other case
 keeps its record byte for byte. Without names, every case is regenerated,
 which also rewrites float last digits that differ from machine to machine.
+For each rewritten case, stderr gets what changed against the old file: the
+changed leaves of a JSON output, path by path with old -> new values, and a
+note when the exit code, stderr text, SVG or non-JSON output changed.
 """
 
 from __future__ import annotations
@@ -160,18 +163,50 @@ def run_case(command, doc, extra, workdir):
     return record
 
 
+def _leaves(value, path="$"):
+    """(path, value) for every leaf of a JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def changes(old, new):
+    """Lines saying how record ``new`` of a case differs from ``old``."""
+    lines = [f"{key} changed" for key in ("exit", "stderr", "svg") if old.get(key) != new.get(key)]
+    if old["output"] != new["output"]:
+        try:
+            before, after = (dict(_leaves(json.loads(record["output"]))) for record in (old, new))
+        except (TypeError, ValueError):  # no output, or an SVG figure
+            return lines + ["output changed"]
+        absent = object()
+        for path in dict.fromkeys([*before, *after]):
+            a, b = before.get(path, absent), after.get(path, absent)
+            if a != b:
+                lines.append(f"{path}: {'absent' if a is absent else a} -> {'absent' if b is absent else b}")
+    return lines
+
+
 def main(names=()):
     todo = cases()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
     if names:
         unknown = sorted(set(names) - {case[0] for case in todo})
         if unknown:
             sys.exit(f"unknown golden cases: {', '.join(unknown)}")
-        golden = json.loads(GOLDEN.read_text())
+        golden = dict(old)
         todo = [case for case in todo if case[0] in names]
     with tempfile.TemporaryDirectory() as workdir:
         for name, command, doc, extra in todo:
             golden[name] = dict(command=command, args=extra, **run_case(command, doc, extra, workdir))
+            lines = changes(old[name], golden[name]) if name in old else ["new case"]
+            for line in lines or ["unchanged"]:
+                print(f"{name}: {line}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(todo)} of {len(golden)} cases to {GOLDEN}", file=sys.stderr)
 

@@ -435,8 +435,8 @@ class TestExitCodes:
 
         solve_batch = mle._solve_batch
 
-        def at_zero_tol(model, s, regions, tol, starts=None):
-            return solve_batch(model, s, regions, 0.0, starts)
+        def at_zero_tol(model, data, regions, tol, starts=None):
+            return solve_batch(model, data, regions, 0.0, starts)
 
         monkeypatch.setattr(mle, "_solve_batch", at_zero_tol)
 

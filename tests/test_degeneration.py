@@ -279,7 +279,7 @@ class TestEstimateValuations:
             return dataclasses.replace(point, y=y)
 
         def stubbed(*args, **kwargs):
-            return [with_anchor(point) for point in solve_batch(*args, **kwargs)]
+            return [[with_anchor(point) for point in row] for row in solve_batch(*args, **kwargs)]
 
         monkeypatch.setattr(mle, "_solve_batch", stubbed)
 

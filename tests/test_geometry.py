@@ -10,6 +10,7 @@ from sqlinear.errors import NoConvergence, ValidationError, ZeroCoordinate
 from sqlinear.geometry import (
     REFINE_TOL,
     chamber_arrangement,
+    chamber_forms,
     combinatorial_type_scan,
     dual_polytope,
     log_voronoi_scan,
@@ -193,7 +194,7 @@ class TestChamberArrangement:
 
         chamber = chamber_arrangement(six_points)
         assert chamber.arrangement.n == 12
-        assert len(chamber.extras) == comb(6, 1)  # n + C(n, d-1) before dedup
+        assert len(chamber_forms(six_points)) == comb(6, 1)  # C(n, n-d+1) walls before dedup
         prims = {ratlin.primitive(row) for row in chamber.arrangement.A}
         assert (3, -7) in prims
         assert chamber.duplicates == ()

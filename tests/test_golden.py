@@ -28,6 +28,17 @@ def test_case_list_matches_golden_file():
     assert sorted(CASES) == sorted(GOLDEN)
 
 
+def test_changes_name_what_a_rewrite_changed():
+    old = {"exit": 0, "stderr": "", "output": json.dumps({"a": [1, 2], "b": 1.0})}
+    new = {"exit": 0, "stderr": "x", "output": json.dumps({"a": [1, 3], "c": None})}
+    assert make_golden.changes(old, new) == [
+        "stderr changed", "$.a[1]: 2 -> 3", "$.b: 1.0 -> absent", "$.c: absent -> None"
+    ]
+    svg = dict(old, output="<svg/>", svg="<svg/>")
+    assert make_golden.changes(svg, dict(svg, output="<svg></svg>")) == ["output changed"]
+    assert make_golden.changes(svg, dict(svg, svg=None)) == ["svg changed"]
+
+
 def assert_close(got, want, path="$"):
     if isinstance(want, float) or isinstance(got, float):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want)), path

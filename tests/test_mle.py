@@ -17,6 +17,7 @@ from sqlinear.catalog import random_arrangement
 from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError
 from sqlinear.mle import (
     likelihood_matrix,
+    normalize_parameter,
     rank_defect,
     solve_all,
     solve_region,
@@ -227,6 +228,23 @@ class TestSolveAll:
             solve_all(steiner, [0.5, 0.3, 0.2])
         with pytest.raises(ValidationError, match="n = 4"):
             solve_region(steiner, [[0.4, 0.3, 0.2, 0.1]], region)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, x: likelihood_matrix(model, [4, 3, 2, 1], x),
+        evaluate,
+        lambda model, x: log_likelihood(model, [4, 3, 2, 1], x),
+        lambda model, x: gradient(model, [4, 3, 2, 1], x),
+        lambda model, x: normalize_parameter(x),
+    ],
+    ids=["likelihood_matrix", "evaluate", "log_likelihood", "gradient", "normalize_parameter"],
+)
+def test_exact_parameter_beyond_double_range_is_invalid(steiner, call):
+    # to_floats rejects it, as it does for the data; numpy alone raises OverflowError.
+    with pytest.raises(ValidationError, match="field 'x' holds a value beyond double range"):
+        call(steiner, (10**400, 1, 1))
 
 
 class TestPaperInvariants:
