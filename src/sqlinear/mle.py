@@ -57,23 +57,24 @@ def to_floats(values, name: str) -> np.ndarray:
 
 
 def normalize_parameter(x) -> np.ndarray:
-    """Unit-norm representative with positive first nonzero coordinate."""
+    """Unit-norm representative with positive first nonzero coordinate, of
+    one vector or of each row of a stack. Each norm is sqrt(x . x), which on
+    one vector is what np.linalg.norm takes, so a row normalizes bit for bit
+    alike alone and in a stack."""
     x = to_floats(x, "x")
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
+    norm = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+    if np.any(norm == 0.0):
         raise ZeroPoint("zero vector is not a projective point")
     x = x / norm
-    for v in x:
-        if abs(v) > 1e-12:
-            if v < 0:
-                x = -x
-            break
-    return x
+    lead = np.take_along_axis(x, np.argmax(np.abs(x) > 1e-12, axis=-1)[..., None], -1)
+    return np.where(lead < -1e-12, -x, x)
 
 
 class Likelihood:
     """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
-    Hessian on every row y of an (R, d) stack Y.
+    Hessian on every row y of an (R, d) stack, read from the stack's (R, n)
+    form values V = Y A^T, which every caller has already computed for its
+    sign or hyperplane test.
 
     The one copy of these formulas: the Newton batch below runs it and the
     one-point functions of :mod:`.model` call it. Built once per (float A,
@@ -95,30 +96,24 @@ class Likelihood:
     def _kept(self, V):
         return V if self._keep is None else V[:, self._keep]
 
-    def __call__(self, Y, which=0):
-        V = Y @ self.A.T
+    def __call__(self, V, which=0):
         weighted = 2.0 * np.log(np.abs(self._kept(V))) @ self._S.T
-        return weighted[np.arange(len(Y)), which] - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
+        return weighted[np.arange(len(V)), which] - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
 
-    def gradient(self, Y, which=0):
-        """(G, V, q): the rows sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y,
-        the form values and q."""
+    def hessian(self, V, which=0):
+        """(logL, G, H) from one pass: the log-likelihoods, the gradient rows
+        sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y and the (R, d, d)
+        stack of Hessians."""
         s, total = self._S[which], self.totals[which]
-        V = Y @ self.A.T
         q = np.einsum("ri,ri->r", V, V)
-        return (2.0 * s / self._kept(V)) @ self._A - (2.0 * total / q)[:, None] * (V @ self.A), V, q
-
-    def hessian(self, Y, which=0):
-        """(G, H): the gradient rows and the (R, d, d) stack of Hessians."""
-        s, total = self._S[which], self.totals[which]
-        G, V, q = self.gradient(Y, which)
-        U = V @ self.A
+        U = V @ self.A  # the rows A^T A y
+        G = (2.0 * s / self._kept(V)) @ self._A - (2.0 * total / q)[:, None] * U
         H = (
             -np.einsum("ri,ij,ik->rjk", 2.0 * s / self._kept(V) ** 2, self._A, self._A)
             - (2.0 * total / q)[:, None, None] * self.gram
             + (4.0 * total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
         )
-        return G, H
+        return self(V, which), G, H
 
 
 @dataclass(frozen=True)
@@ -273,24 +268,24 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     history = np.empty((N, MAX_ITER))  # lambda / sqrt(sum(s)) at each evaluated iteration
     outcomes = [None] * N
 
-    def inside(Y, rows=slice(None)):
-        return np.all(signs[rows] * (Y @ A.T) > 0.0, axis=1)
+    def inside(V, rows=slice(None)):
+        return np.all(signs[rows] * V > 0.0, axis=1)
 
-    def free_hessian(rows, Y):
-        """Gradient and Hessian on the free coordinates of each row's chart."""
-        g, H = loglik.hessian(Y, which[rows])
+    def free_hessian(rows, G, H):
+        """The gradient and Hessian restricted to the free coordinates of each
+        row's chart."""
         lane = np.arange(d - 1)
         free = lane + (lane >= chart[rows, None])
         H = np.take_along_axis(np.take_along_axis(H, free[:, :, None], 1), free[:, None, :], 2)
-        return np.take_along_axis(g, free, 1), H, free
+        return np.take_along_axis(G, free, 1), H, free
 
-    def newton_step(rows):
+    def newton_step(rows, G, H):
         """Ascent direction solve(-H, g) on the free coordinates (zero on the
         pinned one), its slope and the rows whose H was ridged, which happens
         only when H is not negative definite. A definite Hessian, however
         stiff, gets the pure Newton step, whose slope is the decrement;
         shifting it would wreck the soft directions during tracking."""
-        g, H, free = free_hessian(rows, X[rows])
+        g, H, free = free_hessian(rows, G, H)
         finite = np.all(np.isfinite(H), axis=(1, 2))
         H[~finite] = -np.eye(d - 1)  # keeps eigh going; the step is discarded
         lam, Q = np.linalg.eigh(-H)
@@ -330,9 +325,10 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         return list(enumerate(history[k, : iterations[k] + converged[k]].tolist()))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        flip = ~inside(X) & inside(-X)
-        X[flip] = -X[flip]  # antipodal representative of the same projective point
-        live = inside(X)
+        V = X @ A.T
+        flip = ~inside(V) & inside(-V)
+        X[flip], V[flip] = -X[flip], -V[flip]  # antipodal representative of the same projective point
+        live = inside(V)
         for k in np.flatnonzero(~live):
             outcomes[k] = NoConvergence("start point does not satisfy the region signs")
 
@@ -344,7 +340,8 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             if not rows.size:
                 break
             rechart(rows)
-            step, slope, ridged = newton_step(rows)
+            current, G, H = loglik.hessian(X[rows] @ A.T, which[rows])
+            step, slope, ridged = newton_step(rows, G, H)
             decrement = np.where(ridged, np.inf, slope)
             lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
             history[rows, iterations[rows]] = lam
@@ -353,19 +350,19 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             done = ~ridged & (lam < tol)  # NaN compares false
             last = rows[done]
             cand = X[last] + step[done]
-            keep = inside(cand, last)
+            keep = inside(cand @ A.T, last)
             X[last[keep]] = cand[keep]
             converged[last] = True
             running[last] = False
 
             rest = ~done
-            rows, step, slope = rows[rest], step[rest], slope[rest]
+            rows, step, slope, current = rows[rest], step[rest], slope[rest], current[rest]
             flat = decrement[rest] <= flat_below[rows]
-            current = loglik(X[rows], which[rows])
 
             def accept(sub, cand, t):
-                rises = loglik(cand, which[rows[sub]]) >= current[sub] + 1e-4 * t * slope[sub]
-                return inside(cand, rows[sub]) & (rises | flat[sub])
+                V = cand @ A.T
+                rises = loglik(V, which[rows[sub]]) >= current[sub] + 1e-4 * t * slope[sub]
+                return inside(V, rows[sub]) & (rises | flat[sub])
 
             cand, found = backtrack(rows, step, accept)
             # A step too short to change x would repeat forever; it counts as none.
@@ -381,11 +378,11 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             )
 
         rows = np.flatnonzero(live & converged)
-        xn = np.array([normalize_parameter(x) for x in X[rows]]).reshape(-1, d)
+        xn = normalize_parameter(X[rows])
         y = xn @ A.T
-        top_eig = np.linalg.eigvalsh(free_hessian(rows, xn)[1])[:, -1]
-        final_norm = np.linalg.norm(loglik.gradient(xn, which[rows])[0], axis=1)
-        logL = loglik(xn, which[rows])
+        logL, G, H = loglik.hessian(y, which[rows])
+        top_eig = np.linalg.eigvalsh(free_hessian(rows, G, H)[1])[:, -1]
+        final_norm = np.linalg.norm(G, axis=1)
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = np.any(y == 0.0, axis=1)
         sides = np.where(y > 0.0, 1.0, -1.0)

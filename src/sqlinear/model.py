@@ -94,34 +94,33 @@ def evaluate_exact(model: SquaredLinearModel, x):
 
 
 def _one_point(model: SquaredLinearModel, s, x):
-    """(evaluator, (1, d) stack, whether x lies on a hyperplane of positive
-    weight) for one point; ZeroPoint when every form vanishes at x."""
+    """(evaluator, (1, n) form values, whether x lies on a hyperplane of
+    positive weight) for one point; ZeroPoint when every form vanishes at x."""
     import numpy as np
 
     from .mle import Likelihood, to_floats
 
     A, s = model.A_float, to_floats(s, "s")
-    X = to_floats(x, "x")[None, :]
-    values = (X @ A.T)[0]
-    if not np.any(values):
+    V = to_floats(x, "x")[None, :] @ A.T
+    if not np.any(V):
         raise ZeroPoint("zero vector is not a projective point")
-    return Likelihood(A, s), X, bool(np.any((values == 0.0) & (s != 0.0)))
+    return Likelihood(A, s), V, bool(np.any((V[0] == 0.0) & (s != 0.0)))
 
 
 def log_likelihood(model: SquaredLinearModel, s, x) -> float:
     """sum_i s_i log p_i(x), invariant under rescaling x; -inf when x sits on
     a hyperplane with s_i > 0."""
-    loglik, X, on_hyperplane = _one_point(model, s, x)
-    return -math.inf if on_hyperplane else float(loglik(X)[0])
+    loglik, V, on_hyperplane = _one_point(model, s, x)
+    return -math.inf if on_hyperplane else float(loglik(V)[0])
 
 
 def gradient(model: SquaredLinearModel, s, x):
     """Gradient of the log-likelihood in the ambient coordinates; orthogonal
     to x by homogeneity."""
-    loglik, X, on_hyperplane = _one_point(model, s, x)
+    loglik, V, on_hyperplane = _one_point(model, s, x)
     if on_hyperplane:
         raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
-    return loglik.gradient(X)[0][0]
+    return loglik.hessian(V)[1][0]
 
 
 def quadric_monomials(d: int):

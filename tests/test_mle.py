@@ -14,7 +14,7 @@ from sqlinear.arrangement import (
     ml_degree,
 )
 from sqlinear.catalog import random_arrangement
-from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError
+from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError, ZeroPoint
 from sqlinear.mle import (
     likelihood_matrix,
     normalize_parameter,
@@ -228,6 +228,24 @@ class TestSolveAll:
             solve_all(steiner, [0.5, 0.3, 0.2])
         with pytest.raises(ValidationError, match="n = 4"):
             solve_region(steiner, [[0.4, 0.3, 0.2, 0.1]], region)
+
+
+def test_normalize_parameter_of_a_stack_is_each_row_alone(rng):
+    """A stack normalizes row by row, bit for bit as the one-vector rule:
+    divide by np.linalg.norm, then flip unless the first coordinate above
+    1e-12 in size is positive."""
+    X = rng.normal(size=(200, 4))
+    X[:50] *= np.where(rng.random((50, 4)) < 0.4, 0.0, 1.0)
+    X[0] = (0.0, 1e-13, -2.0, 1.0)
+    X = X[np.any(X != 0.0, axis=1)]
+    stacked = normalize_parameter(X)
+    for x, row in zip(X, stacked):
+        unit = x / float(np.linalg.norm(x))
+        lead = next(v for v in unit if abs(v) > 1e-12)
+        assert row.tobytes() == (-unit if lead < 0 else unit).tobytes() == normalize_parameter(x).tobytes()
+    assert stacked[0][2] > 0.0
+    with pytest.raises(ZeroPoint):
+        normalize_parameter(np.vstack([X[:3], np.zeros(4)]))
 
 
 @pytest.mark.parametrize(

@@ -174,7 +174,8 @@ class TestAgainstScalarOracle:
             g = oracle.gradient(model, s, x)
             assert np.linalg.norm(gradient(model, s, x) - g) <= 1e-12 * max(1.0, np.linalg.norm(g))
             H = oracle.hessian(model, s, x)
-            G, batch = Likelihood(model.A_float, s).hessian(x[None, :])
+            logL, G, batch = Likelihood(model.A_float, s).hessian(x[None, :] @ model.A_float.T)
+            assert logL[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert np.linalg.norm(batch[0] - H) <= 1e-12 * max(1.0, np.linalg.norm(H))
             assert np.linalg.norm(G[0] - g) <= 1e-12 * max(1.0, np.linalg.norm(g))
         assert on_zero_weight >= 1 and on_positive_weight >= 1
