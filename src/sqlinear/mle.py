@@ -291,14 +291,18 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         lam, Q = np.linalg.eigh(-H)
         scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
         scale[scale == 0.0] = 1.0
-        ridged = ~(lam[:, 0] > 0.0)
-        lam[ridged] = lam[ridged] - lam[ridged, :1] + SHIFT_MARGIN * scale[ridged, None]
-        coef = np.einsum("rji,rj->ri", Q, g) / lam
+        # ridge = base * 2^k for the least k >= 0 with lam_min + ridge > 0; the
+        # sign of that sum is exact, so two guards undo a rounded log2.
+        low, base = lam[:, 0], SHIFT_MARGIN * scale
+        ridge = np.where(low > 0.0, 0.0, base * 2.0 ** np.ceil(np.log2(np.maximum(-low, base) / base)))
+        ridge[(ridge > base) & (low + ridge / 2.0 > 0.0)] /= 2.0
+        ridge[~(low + ridge > 0.0)] *= 2.0
+        coef = np.einsum("rji,rj->ri", Q, g) / (lam + ridge[:, None])
         step = np.einsum("rij,rj->ri", Q, coef)
         step[~finite] = np.nan
         full = np.zeros((len(rows), d))
         np.put_along_axis(full, free, step, 1)
-        return full, np.einsum("ri,ri->r", g, step), ridged
+        return full, np.einsum("ri,ri->r", g, step), ridge > 0.0
 
     def backtrack(rows, step, accept):
         """Halve each row's step from t = 1 until ``accept(sub, cand, t)``

@@ -40,6 +40,7 @@ def compare_solves(model, data, same_failures):
         for point in both:
             other = by_region[point.region]
             assert np.abs(point.x - other.x).max() <= 1e-9, point.region
+            assert point.iterations == other.iterations, point.region
             assert point.hessian_max_eig == pytest.approx(other.hessian_max_eig, rel=1e-6)
         assert batch.mle.region == loop.mle.region
         if same_failures:
