@@ -70,6 +70,15 @@ def normalize_parameter(x) -> np.ndarray:
     return np.where(lead < -1e-12, -x, x)
 
 
+def _product(P, Q):
+    """P @ Q, with each row's bits independent of how many rows come along:
+    numpy multiplies a one-row P through BLAS gemv, which rounds otherwise
+    than gemm, so such a P is padded to two rows."""
+    if len(P) != 1:
+        return P @ Q
+    return (np.repeat(P, 2, axis=0) @ Q)[:1]
+
+
 class Likelihood:
     """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
     Hessian on every row y of an (R, d) stack, read from the stack's (R, n)
@@ -92,12 +101,15 @@ class Likelihood:
         weighted = np.any(S != 0.0, axis=0)
         self._keep = None if weighted.all() else np.flatnonzero(weighted)
         self._S, self._A = (S, A) if self._keep is None else (S[:, self._keep], A[self._keep])
+        # One data vector is one column, which numpy would multiply through
+        # gemv; a copy beside it keeps the product in gemm and is never read.
+        self._ST = np.repeat(self._S.T, 2, axis=1) if len(S) == 1 else self._S.T
 
     def _kept(self, V):
         return V if self._keep is None else V[:, self._keep]
 
     def __call__(self, V, which=0):
-        weighted = 2.0 * np.log(np.abs(self._kept(V))) @ self._S.T
+        weighted = _product(2.0 * np.log(np.abs(self._kept(V))), self._ST)
         return weighted[np.arange(len(V)), which] - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
 
     def hessian(self, V, which=0):
@@ -106,8 +118,8 @@ class Likelihood:
         stack of Hessians."""
         s, total = self._S[which], self.totals[which]
         q = np.einsum("ri,ri->r", V, V)
-        U = V @ self.A  # the rows A^T A y
-        G = (2.0 * s / self._kept(V)) @ self._A - (2.0 * total / q)[:, None] * U
+        U = _product(V, self.A)  # the rows A^T A y
+        G = _product(2.0 * s / self._kept(V), self._A) - (2.0 * total / q)[:, None] * U
         H = (
             -np.einsum("ri,ij,ik->rjk", 2.0 * s / self._kept(V) ** 2, self._A, self._A)
             - (2.0 * total / q)[:, None, None] * self.gram
@@ -329,7 +341,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         return list(enumerate(history[k, : iterations[k] + converged[k]].tolist()))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        V = X @ A.T
+        V = _product(X, A.T)
         flip = ~inside(V) & inside(-V)
         X[flip], V[flip] = -X[flip], -V[flip]  # antipodal representative of the same projective point
         live = inside(V)
@@ -344,7 +356,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             if not rows.size:
                 break
             rechart(rows)
-            current, G, H = loglik.hessian(X[rows] @ A.T, which[rows])
+            current, G, H = loglik.hessian(_product(X[rows], A.T), which[rows])
             step, slope, ridged = newton_step(rows, G, H)
             decrement = np.where(ridged, np.inf, slope)
             lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
@@ -354,7 +366,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             done = ~ridged & (lam < tol)  # NaN compares false
             last = rows[done]
             cand = X[last] + step[done]
-            keep = inside(cand @ A.T, last)
+            keep = inside(_product(cand, A.T), last)
             X[last[keep]] = cand[keep]
             converged[last] = True
             running[last] = False
@@ -364,7 +376,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             flat = decrement[rest] <= flat_below[rows]
 
             def accept(sub, cand, t):
-                V = cand @ A.T
+                V = _product(cand, A.T)
                 rises = loglik(V, which[rows[sub]]) >= current[sub] + 1e-4 * t * slope[sub]
                 return inside(V, rows[sub]) & (rises | flat[sub])
 
@@ -383,7 +395,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
 
         rows = np.flatnonzero(live & converged)
         xn = normalize_parameter(X[rows])
-        y = xn @ A.T
+        y = _product(xn, A.T)
         logL, G, H = loglik.hessian(y, which[rows])
         top_eig = np.linalg.eigvalsh(free_hessian(rows, G, H)[1])[:, -1]
         final_norm = np.linalg.norm(G, axis=1)

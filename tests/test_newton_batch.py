@@ -69,11 +69,10 @@ def test_stacked_data_rows_match_separate_solves():
     """One batch holds k data vectors on a random (4,9), each (data vector,
     region) pair started from that region's critical point for other data.
     Every row takes the iterations of a separate one-vector batch from the
-    same starts and lands on its x to roundoff, which pins that rows and
-    starts go data vector by data vector; each data vector converges in all
-    |chi(-1)|/2 regions, to the local max that a witness-started solve_all
-    finds. Bit for bit is too strict: where one row is left running, numpy
-    multiplies through BLAS gemv, not gemm, and rounds differently."""
+    same starts and lands on its x bit for bit, which pins that rows and
+    starts go data vector by data vector and that no row sees its
+    neighbours; each data vector converges in all |chi(-1)|/2 regions, to
+    the local max that a witness-started solve_all finds."""
     model = make_model(catalog.random_arrangement(4, 9, random.Random("batch/stacked")))
     regions = enumerate_regions(model.arr)
     chi = characteristic_polynomial(model.arr)
@@ -95,10 +94,28 @@ def test_stacked_data_rows_match_separate_solves():
         for point, other, witnessed in zip(row, alone, separate.points):
             assert point.region == other.region == witnessed.region
             assert point.iterations == other.iterations
-            assert np.abs(point.x - other.x).max() <= np.finfo(float).eps
+            assert np.array_equal(point.x, other.x)
             assert point.hessian_max_eig < 0.0
             assert np.abs(point.x - witnessed.x).max() <= 1e-9
             assert point.logL == pytest.approx(witnessed.logL, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(3, 7), (4, 8)])
+def test_one_region_alone_is_its_row_of_solve_all(d, n):
+    """solve_region runs a one-row batch; its point equals that region's
+    point in solve_all bit for bit, also where solve_all leaves one row
+    running."""
+    model = make_model(catalog.random_arrangement(d, n, random.Random(f"alone/{d}x{n}")))
+    regions = enumerate_regions(model.arr)
+    s = np.random.default_rng(d * 100 + n).uniform(0.05, 1.0, size=n)
+    everything = solve_all(model, s, regions=regions)
+    assert not everything.failures
+    for region, point in zip(regions, everything.points):
+        alone = solve_region(model, s, region)
+        for name in ("x", "y", "p"):
+            assert np.array_equal(getattr(alone, name), getattr(point, name)), (region.sign, name)
+        for name in ("logL", "grad_norm", "iterations", "hessian_max_eig"):
+            assert getattr(alone, name) == getattr(point, name), (region.sign, name)
 
 
 def test_failing_tolerance_fails_the_same_regions(steiner):
