@@ -56,6 +56,22 @@ def to_floats(values, name: str) -> np.ndarray:
         raise ValidationError(f"field {name!r} holds a value beyond double range") from err
 
 
+def _checked_point(model: SquaredLinearModel, x, s=None):
+    """(float A, form values A x, float s or None) for one parameter point of
+    the float entry points: ValidationError names a field of the wrong
+    shape, x needing d entries and s n, and ZeroPoint is raised when every
+    form vanishes at x."""
+    A, x = model.A_float, to_floats(x, "x")
+    s = None if s is None else to_floats(s, "s")
+    for name, values, size in (("x", x, model.d), ("s", s, model.n)):
+        if values is not None and values.shape != (size,):
+            raise ValidationError(f"field {name!r} needs {size} entries, got shape {values.shape}")
+    values = A @ x
+    if not np.any(values):
+        raise ZeroPoint("zero vector is not a projective point")
+    return A, values, s
+
+
 def normalize_parameter(x) -> np.ndarray:
     """Unit-norm representative with positive first nonzero coordinate, of
     one vector or of each row of a stack. Each norm is sqrt(x . x), which on
@@ -172,8 +188,7 @@ class SolveAllResult:
 
 
 def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
-    s, x = to_floats(s, "s"), to_floats(x, "x")
-    values = model.A_float @ x
+    _, values, s = _checked_point(model, x, s)
     rows = np.vstack([s, values**2, model.B_float * values])
     return LikelihoodMatrix(rows=rows)
 

@@ -72,14 +72,9 @@ def parameters_of(model: SquaredLinearModel, ys):
 
 def evaluate(model: SquaredLinearModel, x):
     """Probability vector p(x); entries sum to one."""
-    import numpy as np
+    from .mle import _checked_point
 
-    from .mle import to_floats
-
-    x = to_floats(x, "x")
-    if not np.any(x):
-        raise ZeroPoint("zero vector is not a projective point")
-    squares = (model.A_float @ x) ** 2
+    squares = _checked_point(model, x)[1] ** 2
     return squares / squares.sum()
 
 
@@ -95,16 +90,14 @@ def evaluate_exact(model: SquaredLinearModel, x):
 
 def _one_point(model: SquaredLinearModel, s, x):
     """(evaluator, (1, n) form values, whether x lies on a hyperplane of
-    positive weight) for one point; ZeroPoint when every form vanishes at x."""
+    positive weight) for one point, checked as :func:`.mle._checked_point`
+    checks it."""
     import numpy as np
 
-    from .mle import Likelihood, to_floats
+    from .mle import Likelihood, _checked_point
 
-    A, s = model.A_float, to_floats(s, "s")
-    V = to_floats(x, "x")[None, :] @ A.T
-    if not np.any(V):
-        raise ZeroPoint("zero vector is not a projective point")
-    return Likelihood(A, s), V, bool(np.any((V[0] == 0.0) & (s != 0.0)))
+    A, values, s = _checked_point(model, x, s)
+    return Likelihood(A, s), values[None, :], bool(np.any((values == 0.0) & (s != 0.0)))
 
 
 def log_likelihood(model: SquaredLinearModel, s, x) -> float:

@@ -265,6 +265,26 @@ def test_exact_parameter_beyond_double_range_is_invalid(steiner, call):
         call(steiner, (10**400, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda model: evaluate(model, [1, 2]), ValidationError, "field 'x' needs 3 entries"),
+        (lambda model: evaluate(model, [[1, 2, 3]]), ValidationError, "field 'x' needs 3 entries"),
+        (lambda model: log_likelihood(model, [1, 2, 3], (1, 2, 3)), ValidationError, "field 's' needs 4 entries"),
+        (lambda model: gradient(model, [1, 2, 3], (1, 2, 3)), ValidationError, "field 's' needs 4 entries"),
+        (lambda model: likelihood_matrix(model, [1, 2, 3], (1, 2, 3)), ValidationError, "field 's' needs 4 entries"),
+        (lambda model: likelihood_matrix(model, [4, 3, 2, 1], [1, 2]), ValidationError, "field 'x' needs 3 entries"),
+        (lambda model: likelihood_matrix(model, [4, 3, 2, 1], (0, 0, 0)), ZeroPoint, "projective point"),
+    ],
+    ids=["evaluate-x", "evaluate-x-matrix", "log_likelihood-s", "gradient-s", "likelihood_matrix-s",
+         "likelihood_matrix-x", "likelihood_matrix-zero"],
+)
+def test_float_entry_points_check_their_input(steiner, call, error, match):
+    # One shared check; numpy alone raises ValueError, or returns a matrix at x = 0.
+    with pytest.raises(error, match=match):
+        call(steiner)
+
+
 class TestPaperInvariants:
     """On random generic arrangements: one critical point per region, each a
     strict local maximum on which the likelihood matrix drops rank."""
