@@ -10,16 +10,19 @@ from any interior start of the region. All regions are solved as one (R, d)
 stack of iterates: each iteration evaluates the whole stack in a few numpy
 calls through :class:`Likelihood`, which holds the only copy of the
 log-likelihood, gradient and Hessian formulas, and every decision is
-made per row through masks. Rows may carry their own data: the batch
-takes a sequence of data vectors, checks each, solves every region for each
-of them and returns one row of outcomes per data vector, which is how a
-log-Voronoi scan solves all its samples at once; :meth:`SolveAllResult.of`
+made per row through masks. Each point visited (start, iterate, trial
+step, finish) is multiplied by A^T once and evaluated once, and a row's
+bits do not depend on how many rows ride with it (:func:`_product`). Rows
+may carry their own data: the batch takes a sequence of data vectors,
+checks each, solves every region for each of them and returns one row of
+outcomes per data vector, which is how a log-Voronoi scan solves all its
+samples at once; :meth:`SolveAllResult.of`
 is the one rule that turns a row into the converged points, the MLE and the
 failures. A row's chart pins its largest coordinate and hops when another
 one takes over, so iterates stay bounded. The Hessian is ridged only when it
-is not negative definite, by one shift that moves the smallest eigenvalue of
--H to ``SHIFT_MARGIN * scale``, scale being the largest |diagonal entry| of
-H (Nocedal & Wright 2006, section 3.4).
+is not negative definite, by ``SHIFT_MARGIN * scale`` doubled until the
+smallest eigenvalue of -H plus the ridge is positive, scale being the
+largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4).
 
 The solver has one setting, ``tol``: a row is found when its Newton
 decrement lambda, which is affine-invariant and counts in units of logL
@@ -39,9 +42,9 @@ from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
 from .model import SquaredLinearModel
 
 
-# A Hessian H that is not negative definite is shifted so that the smallest
-# eigenvalue of -H becomes SHIFT_MARGIN times H's largest |diagonal entry|;
-# the most halvings of a step; and the most iterations per region.
+# A Hessian H that is not negative definite is ridged by SHIFT_MARGIN times
+# H's largest |diagonal entry|, doubled until -H plus the ridge is positive
+# definite; the most halvings of a step; and the most iterations per region.
 SHIFT_MARGIN = 1e-8
 MAX_BACKTRACKS = 50
 MAX_ITER = 200
@@ -99,7 +102,8 @@ class Likelihood:
     """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
     Hessian on every row y of an (R, d) stack, read from the stack's (R, n)
     form values V = Y A^T, which every caller has already computed for its
-    sign or hyperplane test.
+    sign or hyperplane test: calling it gives logL alone, and
+    :meth:`hessian` gives (logL, G, H) from one pass.
 
     The one copy of these formulas: the Newton batch below runs it and the
     one-point functions of :mod:`.model` call it. Built once per (float A,

@@ -1,10 +1,16 @@
-"""Differential tests: the batched Newton solver against the per-region oracle.
+"""Differential tests: the batched Newton solver against the per-region oracle,
+and the batch against itself.
 
-Both make the same decisions per region, but the batch sums in another order,
-so iterates agree to roundoff rather than bit for bit. Converged points must
-agree to 1e-9 in x, the MLE must sit in the same region, and on the catalog
-models the same regions must fail. Path tracking must round to the same
-valuations, with slopes agreeing to 1e-6.
+Both solvers make the same decisions per region, with the same ridge rule,
+but the batch sums in another order, so iterates agree to roundoff rather
+than bit for bit. Converged points must agree to 1e-9 in x and take the same
+number of iterations, the MLE must sit in the same region, and on the
+catalog models the same regions must fail. Path tracking must round to the
+same valuations, with slopes agreeing to 1e-6.
+
+Within the batch, a row's answer depends only on its own data, region and
+start: a region solved alone, or one data vector solved apart from the
+others, gives the same point bit for bit.
 """
 
 import random
