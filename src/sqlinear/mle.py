@@ -16,9 +16,8 @@ bits do not depend on how many rows ride with it (:func:`_product`). Rows
 may carry their own data: the batch takes a sequence of data vectors,
 checks each, solves every region for each of them and returns one row of
 outcomes per data vector, which is how a log-Voronoi scan solves all its
-samples at once; :meth:`SolveAllResult.of`
-is the one rule that turns a row into the converged points, the MLE and the
-failures. A row's chart pins its largest coordinate and hops when another
+samples at once; :meth:`SolveAllResult.of` is the one rule that turns a row
+into the converged points, the MLE and the failures. A row's chart pins its largest coordinate and hops when another
 one takes over, so iterates stay bounded. The Hessian is ridged only when it
 is not negative definite, by ``SHIFT_MARGIN * scale`` doubled until the
 smallest eigenvalue of -H plus the ridge is positive, scale being the
