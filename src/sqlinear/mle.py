@@ -21,7 +21,13 @@ into the converged points, the MLE and the failures. A row's chart pins its larg
 one takes over, so iterates stay bounded. The Hessian is ridged only when it
 is not negative definite, by ``SHIFT_MARGIN * scale`` doubled until the
 smallest eigenvalue of -H plus the ridge is positive, scale being the
-largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4).
+largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4). Each
+row's line search starts at t = min(1, TO_WALL * wall), wall being the
+step length at which the Newton step reaches the nearest hyperplane: near a
+degeneration the critical point sits close to a wall and the Newton step
+overshoots it, where each halving down from t = 1 would cost one
+evaluation (the fraction-to-the-boundary rule of interior-point methods;
+Nocedal & Wright 2006, section 19.2).
 
 The solver has one setting, ``tol``: a row is found when its Newton
 decrement lambda, which is affine-invariant and counts in units of logL
@@ -43,8 +49,12 @@ from .model import SquaredLinearModel
 
 # A Hessian H that is not negative definite is ridged by SHIFT_MARGIN times
 # H's largest |diagonal entry|, doubled until -H plus the ridge is positive
-# definite; the most halvings of a step; and the most iterations per region.
+# definite; the fraction of the way to the nearest hyperplane along the
+# Newton step at which the line search starts (near a degeneration the step
+# overshoots a wall, and halving down from t = 1 costs an evaluation per
+# halving); the most halvings of a step; and the most iterations per region.
 SHIFT_MARGIN = 1e-8
+TO_WALL = 0.9
 MAX_BACKTRACKS = 50
 MAX_ITER = 200
 
@@ -271,8 +281,11 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     A row is found when its Newton decrement lambda, with lambda^2 =
     g . solve(-H, g) on its chart and H not ridged, satisfies
     lambda / sqrt(sum(s)) < ``tol``; it then takes that last Newton step if
-    the step keeps the signs. Other rows backtrack until the step
-    keeps the signs and passes Armijo; once lambda^2 is below
+    the step keeps the signs. Other rows backtrack from t = min(1, TO_WALL
+    * wall), wall being the t at which the step reaches the nearest
+    hyperplane, until the step keeps the signs and passes Armijo: near a
+    degeneration the Newton step overshoots a wall, and its first trial
+    then stops short of it. Once lambda^2 is below
     ``1e-5 * max(1, sum(s))``, likelihood comparisons are roundoff and the
     sign guard alone decides. A row whose backtracking finds no step, or
     that runs out of iterations, fails.
@@ -334,10 +347,10 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         np.put_along_axis(full, free, step, 1)
         return full, np.einsum("ri,ri->r", g, step), ridge > 0.0
 
-    def backtrack(rows, step, accept):
-        """Halve each row's step from t = 1 until ``accept(sub, cand, t)``
-        holds, at most MAX_BACKTRACKS times: candidates and the found mask."""
-        t = np.ones(len(rows))
+    def backtrack(rows, step, t, accept):
+        """Halve each row's step from its first trial ``t`` until
+        ``accept(sub, cand, t)`` holds, at most MAX_BACKTRACKS times:
+        candidates and the found mask."""
         found = np.zeros(len(rows), dtype=bool)
         cand = np.empty((len(rows), d))
         for _ in range(MAX_BACKTRACKS):
@@ -374,7 +387,8 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             if not rows.size:
                 break
             rechart(rows)
-            current, G, H = loglik.hessian(_product(X[rows], A.T), which[rows])
+            V = _product(X[rows], A.T)
+            current, G, H = loglik.hessian(V, which[rows])
             step, slope, ridged = newton_step(rows, G, H)
             decrement = np.where(ridged, np.inf, slope)
             lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
@@ -390,15 +404,20 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             running[last] = False
 
             rest = ~done
-            rows, step, slope, current = rows[rest], step[rest], slope[rest], current[rest]
+            rows, step, slope, current, V = rows[rest], step[rest], slope[rest], current[rest], V[rest]
             flat = decrement[rest] <= flat_below[rows]
+            # The first trial stops TO_WALL of the way to the nearest hyperplane
+            # the step heads for: wall = min (s_i V_i) / -(s_i A_i step) over
+            # the forms whose signed value the step decreases.
+            along = signs[rows] * _product(step, A.T)
+            wall = np.where(along < 0.0, signs[rows] * V / -along, np.inf).min(axis=1)
 
             def accept(sub, cand, t):
                 V = _product(cand, A.T)
                 rises = loglik(V, which[rows[sub]]) >= current[sub] + 1e-4 * t * slope[sub]
                 return inside(V, rows[sub]) & (rises | flat[sub])
 
-            cand, found = backtrack(rows, step, accept)
+            cand, found = backtrack(rows, step, np.minimum(1.0, TO_WALL * wall), accept)
             # A step too short to change x would repeat forever; it counts as none.
             found &= np.any(cand != X[rows], axis=1)
             X[rows[found]] = cand[found]

@@ -23,6 +23,7 @@ from sqlinear.mle import (
     MAX_BACKTRACKS,
     MAX_ITER,
     SHIFT_MARGIN,
+    TO_WALL,
     CriticalPoint,
     SolveAllResult,
     _check_positive_data,
@@ -168,7 +169,10 @@ def solve_region(model, s, region, tol=1e-10, start=None) -> CriticalPoint:
             break
         # Below flat_below, likelihood comparisons are roundoff: signs decide.
         current = log_likelihood(model, s, x)
-        t = 1.0
+        # The first trial stops TO_WALL of the way to the nearest hyperplane the step heads for.
+        values = chart.signs * (chart.A @ x)
+        along = chart.signs * (chart.A @ chart.advance(np.zeros_like(x), step, 1.0))
+        t = min(1.0, TO_WALL * min((v / -a for v, a in zip(values, along) if a < 0.0), default=math.inf))
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = chart.advance(x, step, t)

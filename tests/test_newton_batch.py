@@ -11,6 +11,10 @@ same valuations, with slopes agreeing to 1e-6.
 Within the batch, a row's answer depends only on its own data, region and
 start: a region solved alone, or one data vector solved apart from the
 others, gives the same point bit for bit.
+
+The line search starts each row at TO_WALL of the way to the nearest
+hyperplane its Newton step heads for; a tracking step, whose Newton steps
+overshoot a wall, evaluates about one trial per row-iteration.
 """
 
 import random
@@ -19,8 +23,8 @@ import numpy as np
 import pytest
 
 import newton_oracle as oracle
-from sqlinear import catalog
-from sqlinear.arrangement import characteristic_polynomial, enumerate_regions
+from sqlinear import catalog, mle
+from sqlinear.arrangement import SignVector, characteristic_polynomial, enumerate_regions
 from sqlinear.degeneration import TropicalData, estimate_valuations
 from sqlinear.errors import NoConvergence
 from sqlinear.mle import CriticalPoint, _solve_batch, solve_all, solve_region
@@ -165,3 +169,58 @@ def test_tracking_matches_oracle(name, w, grid):
         assert np.abs(np.array(est.slopes) - slopes).max() <= 1e-6
         targets = [0.0 if abs(v) < abs(v - (wj - w[0])) else wj - w[0] for v, wj in zip(slopes, w)]
         assert [float(z) for z in est.point.z] == targets
+
+
+@pytest.mark.parametrize(
+    "name, w, before, after",
+    [
+        ("steiner", (0, 3, 4, 5), 1e-1, 10**-1.5),
+        ("braid4", (0, 1, 2, 3, 4, 5), 10**-1.5, 10**-1.875),
+    ],
+    ids=["steiner", "braid4"],
+)
+def test_tracking_step_line_search_starts_near_the_wall(monkeypatch, name, w, before, after):
+    """One warm-started tracking step: the data shrink, each region's Newton
+    step overshoots a hyperplane, and the first trial, TO_WALL of the way to
+    it, is nearly always taken. Line-search trials evaluate at most 1.1 rows
+    per row-iteration; halving from t = 1 evaluated 3.1 on Steiner and 2.0
+    on braid(4)."""
+    model = make_model(CATALOG[name]())
+    regions = enumerate_regions(model.arr)
+    w = np.array(w, dtype=float)
+    (points,) = _solve_batch(model, [before**w], regions, 1e-10)
+    call, hessian = mle.Likelihood.__call__, mle.Likelihood.hessian
+    trial_rows = []
+
+    def counted_call(self, V, which=0):
+        trial_rows.append(len(V))
+        return call(self, V, which)
+
+    def counted_hessian(self, V, which=0):
+        trial_rows.append(-len(V))  # cancels hessian's own call, which is no trial
+        return hessian(self, V, which)
+
+    monkeypatch.setattr(mle.Likelihood, "__call__", counted_call)
+    monkeypatch.setattr(mle.Likelihood, "hessian", counted_hessian)
+    (tracked,) = _solve_batch(model, [after**w], regions, 1e-10, [[p.x for p in points]])
+    assert all(isinstance(p, CriticalPoint) for p in tracked)
+    assert sum(trial_rows) <= 1.1 * sum(p.iterations for p in tracked)
+
+
+def test_every_region_holds_a_local_max_on_wide_range_data():
+    """The paper's one local max per region, on random instances with data
+    of wide dynamic range: s = eps^w with w_i in {0..3}, at eps = 1e-1 and
+    10^-2.5, on four random (3,8) and four (4,9) arrangements. Every region
+    converges, to a point with its region's signs and a negative definite
+    chart Hessian."""
+    rng = random.Random(5)
+    for d, n in [(3, 8)] * 4 + [(4, 9)] * 4:
+        model = make_model(catalog.random_arrangement(d, n, rng))
+        w = np.array([rng.randint(0, 3) for _ in range(n)], dtype=float)
+        regions = enumerate_regions(model.arr)
+        for row in _solve_batch(model, [1e-1**w, (10**-2.5) ** w], regions, 1e-10):
+            assert len(row) == abs(characteristic_polynomial(model.arr)(-1)) // 2
+            for region, point in zip(regions, row):
+                assert isinstance(point, CriticalPoint), (region.sign, point)
+                assert SignVector.from_values(point.y) == region.sign
+                assert point.hessian_max_eig < 0.0
