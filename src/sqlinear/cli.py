@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import jsonio
@@ -107,13 +108,19 @@ def _write(path, text: str):
         sys.stdout.write(text)
 
 
+def _json_trace(trace):
+    """(iteration, Newton decrement) pairs, a decrement that is NaN or
+    infinite written as null: JSON has no token for either."""
+    return [(i, lam if math.isfinite(lam) else None) for i, lam in trace]
+
+
 def _emit_error(kind: str, err: Exception):
     error = {"kind": kind, "type": type(err).__name__, "message": str(err)}
     if getattr(err, "trace", None):
-        error["trace"] = err.trace  # (iteration, Newton decrement) pairs
+        error["trace"] = _json_trace(err.trace)
     if getattr(err, "failures", None):
         error["failures"] = [
-            {"region": str(r.sign), "type": type(e).__name__, "message": str(e), "trace": e.trace}
+            {"region": str(r.sign), "type": type(e).__name__, "message": str(e), "trace": _json_trace(e.trace)}
             for r, e in err.failures
         ]
     sys.stderr.write(json.dumps({"schema": SCHEMA, "error": error}) + "\n")

@@ -126,7 +126,8 @@ class Likelihood:
 
     def __init__(self, A: np.ndarray, s: np.ndarray):
         S = np.atleast_2d(s)
-        self.A, self.totals, self.gram = A, S.sum(axis=1), A.T @ A
+        with np.errstate(over="ignore"):  # near double range A^T A overflows, and each row's step fails as non-finite
+            self.A, self.totals, self.gram = A, S.sum(axis=1), A.T @ A
         weighted = np.any(S != 0.0, axis=0)
         self._keep = None if weighted.all() else np.flatnonzero(weighted)
         self._S, self._A = (S, A) if self._keep is None else (S[:, self._keep], A[self._keep])

@@ -387,6 +387,22 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "numeric"
 
+    def test_non_finite_decrement_is_null_in_the_error_json(self, tmp_path, capsys):
+        # A^T A overflows, so every region's first decrement is NaN, for
+        # which JSON has no token: each trace writes it as null.
+        def not_json(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = {"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, "1e300"]], "s": [1, 2, 3, 4]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run(tmp_path, "mle", doc)
+        assert (code, text) == (3, "")
+        assert [str(w.message) for w in caught] == []
+        err = json.loads(capsys.readouterr().err, parse_constant=not_json)["error"]
+        assert len(err["failures"]) == 7
+        assert all(f["trace"] == [[0, None]] for f in err["failures"])
+
     @pytest.mark.parametrize("s", [[float("nan"), 1, 1, 1], [1e308, 1e308, 2, 3]])
     def test_mle_non_finite_data(self, tmp_path, capsys, s):
         code, text = run(tmp_path, "mle", dict(STEINER, s=s))
