@@ -25,8 +25,8 @@ largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4). Each
 row's line search starts at t = min(1, TO_WALL * wall), wall being the
 step length at which the Newton step reaches the nearest hyperplane: near a
 degeneration the critical point sits close to a wall and the Newton step
-overshoots it, where each halving down from t = 1 would cost one
-evaluation (the fraction-to-the-boundary rule of interior-point methods;
+overshoots it, and halving down from t = 1 would spend one evaluation per
+halving (the fraction-to-the-boundary rule of interior-point methods;
 Nocedal & Wright 2006, section 19.2).
 
 The solver has one setting, ``tol``: a row is found when its Newton
@@ -49,10 +49,10 @@ from .model import SquaredLinearModel
 
 # A Hessian H that is not negative definite is ridged by SHIFT_MARGIN times
 # H's largest |diagonal entry|, doubled until -H plus the ridge is positive
-# definite; the fraction of the way to the nearest hyperplane along the
-# Newton step at which the line search starts (near a degeneration the step
-# overshoots a wall, and halving down from t = 1 costs an evaluation per
-# halving); the most halvings of a step; and the most iterations per region.
+# definite; the fraction of the way along the Newton step to the nearest
+# hyperplane at which the line search starts, since near a degeneration the
+# step overshoots a wall; the most halvings of a step; and the most
+# iterations per region.
 SHIFT_MARGIN = 1e-8
 TO_WALL = 0.9
 MAX_BACKTRACKS = 50
@@ -126,7 +126,8 @@ class Likelihood:
 
     def __init__(self, A: np.ndarray, s: np.ndarray):
         S = np.atleast_2d(s)
-        with np.errstate(over="ignore"):  # near double range A^T A overflows, and each row's step fails as non-finite
+        # Near double range A^T A overflows; every row's step is then non-finite and fails.
+        with np.errstate(over="ignore"):
             self.A, self.totals, self.gram = A, S.sum(axis=1), A.T @ A
         weighted = np.any(S != 0.0, axis=0)
         self._keep = None if weighted.all() else np.flatnonzero(weighted)
