@@ -7,22 +7,24 @@ Every region of the arrangement complement carries exactly one critical
 point of the log-likelihood, and it is a local maximum, so damped Newton
 with steps rejected whenever they would flip the sign of any form converges
 from any interior start of the region. All regions are solved as one (R, d)
-stack of iterates: each iteration evaluates the whole stack in a few numpy
-calls through :class:`Likelihood`, which holds the only copy of the
-log-likelihood, gradient and Hessian formulas, and every decision is
-made per row through masks. Each point visited (start, iterate, trial
-step, finish) is multiplied by A^T once and evaluated once, and a row's
-bits do not depend on how many rows ride with it (:func:`_product`). Rows
-may carry their own data: the batch takes a sequence of data vectors,
-checks each, solves every region for each of them and returns one row of
-outcomes per data vector, which is how a log-Voronoi scan solves all its
-samples at once; :meth:`SolveAllResult.of` is the one rule that turns a row
-into the converged points, the MLE and the failures. A row's chart pins its largest coordinate and hops when another
-one takes over, so iterates stay bounded. The Hessian is ridged only when it
-is not negative definite, by ``SHIFT_MARGIN * scale`` doubled until the
-smallest eigenvalue of -H plus the ridge is positive, scale being the
-largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4). Each
-row's line search starts at t = min(1, TO_WALL * wall), wall being the
+stack of iterates: each pass evaluates the whole stack through
+:class:`Likelihood`, which holds the only copy of the log-likelihood,
+gradient and Hessian formulas, and every decision is made per row through
+masks. At these sizes a pass costs its numpy calls, not its arithmetic.
+Each point visited (start, iterate, trial step, finish) is multiplied by
+A^T once and evaluated once, and a row's bits do not depend on how many
+rows ride with it (:func:`_product`), nor on work a pass skips because no
+row of it needs it. Rows may carry their own data: the batch takes a
+sequence of data vectors, checks each, solves every region for each of
+them and returns one row of outcomes per data vector, which is how a
+log-Voronoi scan solves all its samples at once; :meth:`SolveAllResult.of`
+is the one rule that turns a row into the converged points, the MLE and
+the failures. A row's chart pins its largest coordinate and hops when
+another one takes over, so iterates stay bounded. The Hessian is ridged
+only when it is not negative definite, by ``SHIFT_MARGIN * scale`` doubled
+until the smallest eigenvalue of -H plus the ridge is positive, scale being
+the largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4).
+Each row's line search starts at t = min(1, TO_WALL * wall), wall being the
 step length at which the Newton step reaches the nearest hyperplane: near a
 degeneration the critical point sits close to a wall and the Newton step
 overshoots it, and halving down from t = 1 would spend one evaluation per
@@ -147,13 +149,14 @@ class Likelihood:
         """(logL, G, H) from one pass: the log-likelihoods, the gradient rows
         sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y and the (R, d, d)
         stack of Hessians."""
-        s, total = self._S[which], self.totals[which]
+        s, total, W = self._S[which], self.totals[which], self._kept(V)
         q = np.einsum("ri,ri->r", V, V)
         U = _product(V, self.A)  # the rows A^T A y
-        G = _product(2.0 * s / self._kept(V), self._A) - (2.0 * total / q)[:, None] * U
+        ratio = 2.0 * total / q
+        G = _product(2.0 * s / W, self._A) - ratio[:, None] * U
         H = (
-            -np.einsum("ri,ij,ik->rjk", 2.0 * s / self._kept(V) ** 2, self._A, self._A)
-            - (2.0 * total / q)[:, None, None] * self.gram
+            -np.einsum("ri,ij,ik->rjk", 2.0 * s / W**2, self._A, self._A)
+            - ratio[:, None, None] * self.gram
             + (4.0 * total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
         )
         return self(V, which), G, H
@@ -291,6 +294,10 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     ``1e-5 * max(1, sum(s))``, likelihood comparisons are roundoff and the
     sign guard alone decides. A row whose backtracking finds no step, or
     that runs out of iterations, fails.
+
+    A pass skips what none of its rows needs (the fix-up of a non-finite
+    Hessian, the ridge, the found rows' last step); for every other row the
+    skipped work is an exact no-op (lam + 0.0 is lam when lam > 0).
     """
     S = np.array([_check_positive_data(s, model.n) for s in data]).reshape(-1, model.n)
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
@@ -302,10 +309,12 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     K, R, d = len(S), len(regions), model.d
     N = K * R
     which = np.arange(N) // R  # each row's data vector
+    lanes = np.arange(N)[:, None]  # row positions, for gathers by row
+    frees = np.array([[j for j in range(d) if j != c] for c in range(d)])  # free coordinates of each chart
     totals = loglik.totals[which]
     signs = np.tile(np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n), (K, 1))
     X = np.tile(to_floats([r.witness for r in regions], "witness").reshape(R, d), (K, 1))
-    chart = np.argmax(np.abs(X), axis=1)
+    chart = np.zeros(N, dtype=int)  # each row's pinned coordinate, set on every pass
     for k, start in enumerate(x for row in starts or () for x in row):
         if start is not None:
             X[k] = start
@@ -314,15 +323,13 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     outcomes = [None] * N
 
     def inside(V, rows=slice(None)):
-        return np.all(signs[rows] * V > 0.0, axis=1)
+        return (signs[rows] * V > 0.0).all(axis=1)
 
     def free_hessian(rows, G, H):
         """The gradient and Hessian restricted to the free coordinates of each
         row's chart."""
-        lane = np.arange(d - 1)
-        free = lane + (lane >= chart[rows, None])
-        H = np.take_along_axis(np.take_along_axis(H, free[:, :, None], 1), free[:, None, :], 2)
-        return np.take_along_axis(G, free, 1), H, free
+        free, lane = frees[chart[rows]], lanes[: len(rows)]
+        return G[lane, free], H[lane[:, :, None], free[:, :, None], free[:, None, :]], free
 
     def newton_step(rows, G, H):
         """Ascent direction solve(-H, g) on the free coordinates (zero on the
@@ -331,44 +338,43 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         stiff, gets the pure Newton step, whose slope is the decrement;
         shifting it would wreck the soft directions during tracking."""
         g, H, free = free_hessian(rows, G, H)
-        finite = np.all(np.isfinite(H), axis=(1, 2))
-        H[~finite] = -np.eye(d - 1)  # keeps eigh going; the step is discarded
+        finite = np.isfinite(H).all(axis=(1, 2))
+        if not finite.all():
+            H[~finite] = -np.eye(d - 1)  # keeps eigh going; the step is discarded
         lam, Q = np.linalg.eigh(-H)
-        scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
-        scale[scale == 0.0] = 1.0
-        # ridge = base * 2^k for the least k >= 0 with lam_min + ridge > 0; the
-        # sign of that sum is exact, so two guards undo a rounded log2.
-        low, base = lam[:, 0], SHIFT_MARGIN * scale
-        ridge = np.where(low > 0.0, 0.0, base * 2.0 ** np.ceil(np.log2(np.maximum(-low, base) / base)))
-        ridge[(ridge > base) & (low + ridge / 2.0 > 0.0)] /= 2.0
-        ridge[~(low + ridge > 0.0)] *= 2.0
-        coef = np.einsum("rji,rj->ri", Q, g) / (lam + ridge[:, None])
-        step = np.einsum("rij,rj->ri", Q, coef)
+        low, ridged = lam[:, 0], np.zeros(len(rows), dtype=bool)
+        if not (low > 0.0).all():
+            scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
+            scale[scale == 0.0] = 1.0
+            # ridge = base * 2^k for the least k >= 0 with lam_min + ridge > 0; the
+            # sign of that sum is exact, so two guards undo a rounded log2.
+            base = SHIFT_MARGIN * scale
+            ridge = np.where(low > 0.0, 0.0, base * 2.0 ** np.ceil(np.log2(np.maximum(-low, base) / base)))
+            ridge[(ridge > base) & (low + ridge / 2.0 > 0.0)] /= 2.0
+            ridge[~(low + ridge > 0.0)] *= 2.0
+            lam, ridged = lam + ridge[:, None], ridge > 0.0
+        step = np.einsum("rij,rj->ri", Q, np.einsum("rji,rj->ri", Q, g) / lam)
         step[~finite] = np.nan
         full = np.zeros((len(rows), d))
-        np.put_along_axis(full, free, step, 1)
-        return full, np.einsum("ri,ri->r", g, step), ridge > 0.0
+        full[lanes[: len(rows)], free] = step
+        return full, np.einsum("ri,ri->r", g, step), ridged
 
-    def backtrack(rows, step, t, accept):
-        """Halve each row's step from its first trial ``t`` until
-        ``accept(sub, cand, t)`` holds, at most MAX_BACKTRACKS times:
+    def backtrack(x, step, t, accept):
+        """Halve each row's step from iterate ``x`` and first trial ``t``
+        until ``accept(sub, cand, t)`` holds, at most MAX_BACKTRACKS times:
         candidates and the found mask."""
-        found = np.zeros(len(rows), dtype=bool)
-        cand = np.empty((len(rows), d))
+        found = np.zeros(len(x), dtype=bool)
+        cand, sub = np.empty(x.shape), np.arange(len(x))  # sub: the rows still halving
         for _ in range(MAX_BACKTRACKS):
-            sub = np.flatnonzero(~found)
             if not sub.size:
                 break
-            trial = X[rows[sub]] + t[sub, None] * step[sub]
+            trial = x[sub] + t[sub, None] * step[sub]
             ok = accept(sub, trial, t[sub])
             cand[sub[ok]] = trial[ok]
             found[sub[ok]] = True
-            t[sub[~ok]] *= 0.5
+            sub = sub[~ok]
+            t[sub] *= 0.5
         return cand, found
-
-    def rechart(rows):
-        chart[rows] = np.argmax(np.abs(X[rows]), axis=1)
-        X[rows] /= np.abs(X[rows, chart[rows]])[:, None]
 
     def trace(k):
         return list(enumerate(history[k, : iterations[k] + converged[k]].tolist()))
@@ -378,18 +384,21 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         flip = ~inside(V) & inside(-V)
         X[flip], V[flip] = -X[flip], -V[flip]  # antipodal representative of the same projective point
         live = inside(V)
-        for k in np.flatnonzero(~live):
+        for k in (~live).nonzero()[0]:
             outcomes[k] = NoConvergence("start point does not satisfy the region signs")
 
         flat_below = 1e-5 * np.maximum(1.0, totals)
         running = live.copy()
         converged = np.zeros(N, dtype=bool)
         while True:
-            rows = np.flatnonzero(running & (iterations < MAX_ITER))
+            rows = (running & (iterations < MAX_ITER)).nonzero()[0]
             if not rows.size:
                 break
-            rechart(rows)
-            V = _product(X[rows], A.T)
+            x = X[rows]  # rechart: pin each row's largest coordinate at +-1
+            size = np.abs(x)
+            chart[rows] = size.argmax(axis=1)
+            X[rows] = x = x / size.max(axis=1)[:, None]
+            V = _product(x, A.T)
             current, G, H = loglik.hessian(V, which[rows])
             step, slope, ridged = newton_step(rows, G, H)
             decrement = np.where(ridged, np.inf, slope)
@@ -398,16 +407,16 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
 
             # Found rows take the last Newton step where it keeps the signs.
             done = ~ridged & (lam < tol)  # NaN compares false
-            last = rows[done]
-            cand = X[last] + step[done]
-            keep = inside(_product(cand, A.T), last)
-            X[last[keep]] = cand[keep]
-            converged[last] = True
-            running[last] = False
-
-            rest = ~done
-            rows, step, slope, current, V = rows[rest], step[rest], slope[rest], current[rest], V[rest]
-            flat = decrement[rest] <= flat_below[rows]
+            if done.any():
+                last = rows[done]
+                cand = x[done] + step[done]
+                keep = inside(_product(cand, A.T), last)
+                X[last[keep]] = cand[keep]
+                converged[last] = True
+                running[last] = False
+                rest = ~done
+                rows, x, step, slope, current, V, decrement = (a[rest] for a in (rows, x, step, slope, current, V, decrement))
+            flat = decrement <= flat_below[rows]
             # The first trial stops TO_WALL of the way to the nearest hyperplane
             # the step heads for: wall = min (s_i V_i) / -(s_i A_i step) over
             # the forms whose signed value the step decreases.
@@ -419,30 +428,31 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
                 rises = loglik(V, which[rows[sub]]) >= current[sub] + 1e-4 * t * slope[sub]
                 return inside(V, rows[sub]) & (rises | flat[sub])
 
-            cand, found = backtrack(rows, step, np.minimum(1.0, TO_WALL * wall), accept)
+            cand, found = backtrack(x, step, np.minimum(1.0, TO_WALL * wall), accept)
             # A step too short to change x would repeat forever; it counts as none.
-            found &= np.any(cand != X[rows], axis=1)
+            found &= (cand != x).any(axis=1)
             X[rows[found]] = cand[found]
             iterations[rows] += 1
             running[rows[~found]] = False
 
-        for k in np.flatnonzero(live & ~converged):
+        for k in (live & ~converged).nonzero()[0]:
             outcomes[k] = NoConvergence(
                 f"Newton decrement {history[k, iterations[k] - 1]:.3e} not below tolerance {tol:.1e}",
                 trace=trace(k),
             )
 
-        rows = np.flatnonzero(live & converged)
+        rows = (live & converged).nonzero()[0]
         xn = normalize_parameter(X[rows])
         y = _product(xn, A.T)
         logL, G, H = loglik.hessian(y, which[rows])
         top_eig = np.linalg.eigvalsh(free_hessian(rows, G, H)[1])[:, -1]
         final_norm = np.linalg.norm(G, axis=1)
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
-        underflow = np.any(y == 0.0, axis=1)
+        underflow = (y == 0.0).any(axis=1)
         sides = np.where(y > 0.0, 1.0, -1.0)
-        left = np.any(sides * sides[:, :1] != signs[rows], axis=1)
-    for i, k in enumerate(rows):
+        left = (sides * sides[:, :1] != signs[rows]).any(axis=1)
+    logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), iterations.tolist()
+    for i, k in enumerate(rows.tolist()):
         if underflow[i]:
             outcomes[k] = NoConvergence(
                 "coordinate underflow at convergence: cannot take the sign vector of a zero value"
@@ -455,9 +465,9 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
                 x=xn[i],
                 y=y[i],
                 p=p[i],
-                logL=float(logL[i]),
-                grad_norm=float(final_norm[i]),
-                iterations=int(iterations[k]),
-                hessian_max_eig=float(top_eig[i]),
+                logL=logL[i],
+                grad_norm=final_norm[i],
+                iterations=counts[k],
+                hessian_max_eig=top_eig[i],
             )
     return [outcomes[k * R : (k + 1) * R] for k in range(K)]

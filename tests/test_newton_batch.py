@@ -128,6 +128,36 @@ def test_one_region_alone_is_its_row_of_solve_all(d, n):
             assert getattr(alone, name) == getattr(point, name), (region.sign, name)
 
 
+def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
+    """The ridge runs only in a pass that has a row whose Hessian is not
+    negative definite. On Steiner with s = (50, 1, 45, 29) the first of the
+    nine passes ridges one row of seven; each region of that batch still
+    equals its solve_region alone bit for bit, which a ridge that moved its
+    neighbours' rows would break."""
+    s = [50, 1, 45, 29]
+    regions = enumerate_regions(steiner.arr)
+    eigh, lowest = np.linalg.eigh, []
+
+    def recorded(a):
+        lam, Q = eigh(a)
+        lowest.append(lam[:, 0].copy())
+        return lam, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    everything = solve_all(steiner, s, regions=regions)
+    monkeypatch.undo()
+    assert len(lowest) == 9
+    assert [int((low <= 0.0).sum()) for low in lowest] == [1] + [0] * 8
+    assert len(lowest[0]) == len(regions) == 7
+    assert not everything.failures
+    for region, point in zip(regions, everything.points):
+        alone = solve_region(steiner, s, region)
+        for name in ("x", "y"):
+            assert np.array_equal(getattr(alone, name), getattr(point, name)), (region.sign, name)
+        for name in ("logL", "iterations", "hessian_max_eig"):
+            assert getattr(alone, name) == getattr(point, name), (region.sign, name)
+
+
 def test_failing_tolerance_fails_the_same_regions(steiner):
     # Only tol = 0 fails every region: a decrement of exactly 0 passes any
     # positive tol, and below roundoff the two solvers part ways on which
