@@ -92,6 +92,10 @@ def _load_input(path: str) -> dict:
         raise ValidationError(f"cannot read input: {err}") from err
     except json.JSONDecodeError as err:
         raise ValidationError(f"input is not valid JSON: {err}") from err
+    except ValueError as err:  # not UTF-8, or an integer past Python's digit limit
+        raise ValidationError(f"cannot read input: {err}") from err
+    except RecursionError as err:
+        raise ValidationError("cannot read input: arrays or objects nested too deeply") from err
     if not isinstance(doc, dict):
         raise ValidationError("input must be a JSON object")
     return doc
@@ -143,7 +147,7 @@ def _anchor_index(args, n) -> int:
 def _eps_grid(args):
     from .degeneration import DEFAULT_EPS_GRID
 
-    if not args.eps_grid:
+    if args.eps_grid is None:
         return DEFAULT_EPS_GRID
     try:
         values = tuple(float(v) for v in args.eps_grid.split(","))

@@ -8,6 +8,7 @@ Every emitted document carries a "schema": "slm/1" tag.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from . import ratlin
@@ -18,11 +19,19 @@ SCHEMA = "slm/1"
 
 
 def rational_to_json(value: Fraction) -> str:
-    """Rational-typed fields are always "p/q" strings (integers as "p")."""
+    """Rational-typed fields are always "p/q" strings (integers as "p"),
+    written in full: Python's limit on the digits of an integer string
+    bounds the input, not the exact answers computed from it."""
     value = ratlin.as_fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def rationals_to_json(values):

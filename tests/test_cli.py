@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 
 import pytest
@@ -624,6 +625,48 @@ class TestExitCodes:
             optional += len(flags)
         # With --output on every command: 13 + 12 = 25 optional values, was 13 x 7 = 91.
         assert optional == 12
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"A": [[1' + "0" * 4999 + ", 0], [0, 1], [1, 1]]}",
+            '{"A": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            b'{"A": [[1, 0], [0, 1], [1, 1]], "labels": ["\xff", "b", "c"]}',
+        ],
+        ids=["integer-past-digit-limit", "nested-past-recursion-limit", "not-utf8"],
+    )
+    def test_unreadable_input(self, tmp_path, capsys, text):
+        path = tmp_path / "input.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["regions", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ValidationError" and err["message"].startswith("cannot read input")
+
+    def test_exact_answer_past_the_digit_limit_is_written_in_full(self, tmp_path):
+        """The input's integers stay below Python's limit on the digits of an
+        integer string (4300 by default), but a witness of its regions does
+        not; the answer is written in full and the limit is left as it was."""
+        from sqlinear.arrangement import enumerate_regions
+        from sqlinear.jsonio import arrangement_from_json, rationals_to_json
+
+        doc = {"A": [["7" * 2500, "1" * 2400, 1], [1, "3" * 2500, "5"], [1, 1, "9" * 2300], [1, 2, 3]]}
+        limit = sys.get_int_max_str_digits()
+        code, text = run(tmp_path, "regions", doc)
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        regions = json.loads(text)["regions"]
+        assert max(len(v) for r in regions for v in r["witness"]) > limit
+        expected = enumerate_regions(arrangement_from_json(doc))
+        assert [r["sign"] for r in regions] == [str(r.sign) for r in expected]
+        assert [r["witness"] for r in regions] == [rationals_to_json(r.witness) for r in expected]
+
+    @pytest.mark.parametrize("command", ["tropical", "plot"])
+    def test_empty_eps_grid(self, tmp_path, capsys, command):
+        code, text = run(tmp_path, command, dict(STEINER, w=[0, 3, 4, 5]), "--anchor", "1", "--eps-grid", "")
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError" and "--eps-grid" in err["message"]
 
     @pytest.mark.parametrize("w", [[0, 4, 5], [0, 3, 4, 5, 6]])
     def test_tropical_valuations_of_wrong_length(self, tmp_path, capsys, w):
