@@ -1,6 +1,6 @@
 """Golden CLI outputs: every command on the catalog models, plus error inputs.
 
-    PYTHONPATH=src python tests/golden/make_golden.py [NAME ...]
+    PYTHONPATH=src python tests/golden/make_golden.py [--check] [NAME ...]
 
 runs each case of :func:`cases` through ``sqlinear.cli.main`` and writes
 ``tests/golden/golden.json``: per case the exit code, the ``--output`` text,
@@ -14,6 +14,10 @@ which also rewrites float last digits that differ from machine to machine.
 For each rewritten case, stderr gets what changed against the old file: the
 changed leaves of a JSON output, path by path with old -> new values, and a
 note when the exit code, stderr text, SVG or non-JSON output changed.
+
+``--check`` rewrites nothing: it reports, in the same form, each case
+whose record would change byte for byte (also a last float digit, which
+``tests/test_golden.py`` lets pass) and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -191,7 +195,10 @@ def changes(old, new):
     return lines
 
 
-def main(names=()):
+def main(names=(), check=False):
+    """Regenerate the named cases, or all of them; with ``check``, write
+    nothing and return 1 when some case's record would change byte for
+    byte, reporting only those cases."""
     todo = cases()
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
@@ -201,15 +208,24 @@ def main(names=()):
             sys.exit(f"unknown golden cases: {', '.join(unknown)}")
         golden = dict(old)
         todo = [case for case in todo if case[0] in names]
+    moved = 0
     with tempfile.TemporaryDirectory() as workdir:
         for name, command, doc, extra in todo:
             golden[name] = dict(command=command, args=extra, **run_case(command, doc, extra, workdir))
             lines = changes(old[name], golden[name]) if name in old else ["new case"]
-            for line in lines or ["unchanged"]:
-                print(f"{name}: {line}", file=sys.stderr)
+            differs = golden[name] != old.get(name)
+            moved += differs
+            if differs or not check:
+                for line in lines or (["command or args changed"] if differs else ["unchanged"]):
+                    print(f"{name}: {line}", file=sys.stderr)
+    if check:
+        print(f"{moved} of {len(todo)} checked cases would change", file=sys.stderr)
+        return 1 if moved else 0
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(todo)} of {len(golden)} cases to {GOLDEN}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    check = "--check" in sys.argv[1:]
+    sys.exit(main([name for name in sys.argv[1:] if name != "--check"], check=check))

@@ -39,6 +39,22 @@ def test_changes_name_what_a_rewrite_changed():
     assert make_golden.changes(svg, dict(svg, svg=None)) == ["svg changed"]
 
 
+def test_check_rewrites_nothing_and_names_each_moved_case(tmp_path, monkeypatch, capsys):
+    name = "regions-steiner"
+    text = json.dumps(dict(GOLDEN, **{name: dict(GOLDEN[name], stderr="old")}))
+    path = tmp_path / "golden.json"
+    path.write_text(text)
+    monkeypatch.setattr(make_golden, "GOLDEN", path)
+    assert make_golden.main([name, "charpoly-steiner"], check=True) == 1
+    assert make_golden.main(["charpoly-steiner"], check=True) == 0
+    assert path.read_text() == text
+    assert capsys.readouterr().err.splitlines() == [
+        f"{name}: stderr changed",
+        "1 of 2 checked cases would change",
+        "0 of 1 checked cases would change",
+    ]
+
+
 def assert_close(got, want, path="$"):
     if isinstance(want, float) or isinstance(got, float):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want)), path
