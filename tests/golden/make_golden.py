@@ -181,7 +181,8 @@ def _leaves(value, path="$"):
 
 def changes(old, new):
     """Lines saying how record ``new`` of a case differs from ``old``."""
-    lines = [f"{key} changed" for key in ("exit", "stderr", "svg") if old.get(key) != new.get(key)]
+    keys = ("command", "args", "exit", "stderr", "svg")
+    lines = [f"{key} changed" for key in keys if old.get(key) != new.get(key)]
     if old["output"] != new["output"]:
         try:
             before, after = (dict(_leaves(json.loads(record["output"]))) for record in (old, new))
@@ -216,7 +217,7 @@ def main(names=(), check=False):
             differs = golden[name] != old.get(name)
             moved += differs
             if differs or not check:
-                for line in lines or (["command or args changed"] if differs else ["unchanged"]):
+                for line in lines or ["output text changed" if differs else "unchanged"]:
                     print(f"{name}: {line}", file=sys.stderr)
     if check:
         print(f"{moved} of {len(todo)} checked cases would change", file=sys.stderr)
