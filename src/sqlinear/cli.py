@@ -22,7 +22,7 @@ import math
 import sys
 
 from . import jsonio
-from .errors import NoConvergence, NumericError, SqlinearError, ValidationError
+from .errors import NoConvergence, NumericError, ValidationError
 from .jsonio import SCHEMA
 
 EXIT_OK = 0
@@ -78,9 +78,6 @@ def main(argv=None) -> int:
     except NumericError as err:
         _emit_error("numeric", err)
         return EXIT_NUMERIC
-    except SqlinearError as err:
-        _emit_error("error", err)
-        return EXIT_VALIDATION
     return EXIT_OK
 
 
@@ -112,19 +109,13 @@ def _write(path, text: str):
         sys.stdout.write(text)
 
 
-def _json_trace(trace):
-    """(iteration, Newton decrement) pairs, a decrement that is NaN or
-    infinite written as null: JSON has no token for either."""
-    return [(i, lam if math.isfinite(lam) else None) for i, lam in trace]
-
-
 def _emit_error(kind: str, err: Exception):
     error = {"kind": kind, "type": type(err).__name__, "message": str(err)}
-    if getattr(err, "trace", None):
-        error["trace"] = _json_trace(err.trace)
     if getattr(err, "failures", None):
+        # A NaN or infinite Newton decrement in a trace is null: JSON has no token for either.
         error["failures"] = [
-            {"region": str(r.sign), "type": type(e).__name__, "message": str(e), "trace": _json_trace(e.trace)}
+            {"region": str(r.sign), "type": type(e).__name__, "message": str(e),
+             "trace": [(i, lam if math.isfinite(lam) else None) for i, lam in e.trace]}
             for r, e in err.failures
         ]
     sys.stderr.write(json.dumps({"schema": SCHEMA, "error": error}) + "\n")
@@ -185,32 +176,43 @@ def _solve(model, s, tol):
 def _track(model, doc, args):
     """Valuation estimates tracked for the input's "w" at --anchor, shared by
     `tropical` and `plot`; returns (TropicalData, estimates)."""
-    from .degeneration import TropicalData, estimate_valuations
+    from .degeneration import TropicalData, _check_length, estimate_valuations
 
     w = jsonio.parse_vector(_need(doc, "w"), "w")
+    _check_length(model, w)  # before TropicalData names the minimum of a w of the wrong length
     trop = TropicalData(w=w, anchor=_anchor_index(args, model.n))
     return trop, estimate_valuations(model, trop, eps_grid=_eps_grid(args))
 
 
 def _tracking_overlays(model, trop, estimates):
     """Each region's tracked arc from its witness, and the closed-form limits."""
+    import numpy as np
+
     from .degeneration import unit_data_solutions
     from .mle import to_floats
     from .model import parameters_of
     from .plotting import Overlays
 
-    def params_of(ys):
-        return to_floats(parameters_of(model, ys), "parameters").tolist()
+    ys = np.array([est.y_track for est in estimates])  # (region, eps, state)
+    xs = np.linalg.lstsq(model.A_float, ys.reshape(-1, model.n).T)[0].T.reshape(*ys.shape[:2], model.d)
+    starts = to_floats([est.region.witness for est in estimates], "witness").tolist()
+    arcs = [[start, *track] for start, track in zip(starts, xs.tolist())]
+    limits = parameters_of(model, [sol.y for sol in unit_data_solutions(model, trop.anchor) if sol.y])
+    return Overlays(arcs=arcs, limit_points=to_floats(limits, "parameters").tolist())
 
-    limits = params_of(sol.y for sol in unit_data_solutions(model, trop.anchor) if sol.y)
-    arcs = [[to_floats(est.region.witness, "witness").tolist()] + params_of(est.y_track) for est in estimates]
-    return Overlays(arcs=arcs, limit_points=limits)
+
+def _check_figure(arr, wanted):
+    """Plotting's dimension check, made before any work goes into a figure."""
+    if wanted:
+        from .plotting import _check_dimension
+        _check_dimension(arr.d)
 
 
 def _cmd_regions(doc, args):
     from .arrangement import enumerate_regions
 
     arr = jsonio.arrangement_from_json(doc)
+    _check_figure(arr, args.svg)
     regions = enumerate_regions(arr)
     out = {
         "regions": [
@@ -221,9 +223,8 @@ def _cmd_regions(doc, args):
     }
     if args.svg:
         from .plotting import Overlays, plot_arrangement
-        model = jsonio.model_from_json(doc)
         overlays = Overlays(region_labels=[(r.witness, str(r.sign)) for r in regions])
-        _write(args.svg, plot_arrangement(model, overlays))
+        _write(args.svg, plot_arrangement(arr, overlays))
     return out
 
 
@@ -243,6 +244,7 @@ def _cmd_mldegree(doc, args):
 
 def _cmd_mle(doc, args):
     model = jsonio.model_from_json(doc)
+    _check_figure(model.arr, args.svg)
     result = _solve(model, *_data(model, doc, args))
     out = {
         "critical_points": [jsonio.critical_point_to_json(p) for p in result.points],
@@ -252,7 +254,7 @@ def _cmd_mle(doc, args):
     if args.svg:
         from .plotting import Overlays, plot_arrangement
         overlays = Overlays(critical_points=[p.x for p in result.points])
-        _write(args.svg, plot_arrangement(model, overlays))
+        _write(args.svg, plot_arrangement(model.arr, overlays))
     return out
 
 
@@ -280,6 +282,7 @@ def _cmd_tropical(doc, args):
     from .degeneration import tropical_predictions
 
     model = jsonio.model_from_json(doc)
+    _check_figure(model.arr, args.svg)
     trop, estimates = _track(model, doc, args)
     predictions = tropical_predictions(model, trop, check_generic=False)
     out = {
@@ -302,7 +305,7 @@ def _cmd_tropical(doc, args):
     if args.svg:
         from .plotting import plot_arrangement
         overlays = _tracking_overlays(model, trop, estimates)
-        _write(args.svg, plot_arrangement(model, overlays))
+        _write(args.svg, plot_arrangement(model.arr, overlays))
     return out
 
 
@@ -432,9 +435,10 @@ def _cmd_singular(doc, args):
 
 
 def _cmd_plot(doc, args):
-    from .plotting import Overlays, plot_arrangement
+    from .plotting import Overlays, _check_dimension, plot_arrangement
 
     model = jsonio.model_from_json(doc)
+    _check_dimension(model.d)
     data = _data(model, doc, args) if "s" in doc else None
     overlays = Overlays()
     if args.anchor is not None:
@@ -444,7 +448,7 @@ def _cmd_plot(doc, args):
     if "y" in doc and model.n == 3:
         from .geometry import lognormal_polytope
         overlays.lognormal = lognormal_polytope(model, jsonio.parse_vector(doc["y"], "y"))
-    return plot_arrangement(model, overlays)
+    return plot_arrangement(model.arr, overlays)
 
 
 # command -> (handler, help text, flags it reads)

@@ -59,12 +59,11 @@ class TropicalData:
         object.__setattr__(self, "w", w)
         low = min(w)
         support = [i for i, v in enumerate(w) if v == low]
+        # States are named 1-based, as on the command line.
         if len(support) != 1:
-            raise AnchorNotUnique(f"minimum of w attained at positions {support}")
+            raise AnchorNotUnique(f"minimum of w attained at states {[i + 1 for i in support]}")
         if support[0] != self.anchor:
-            raise AnchorNotUnique(
-                f"anchor {self.anchor} is not the strict minimum of w"
-            )
+            raise AnchorNotUnique(f"anchor is not the strict minimum of w, which is at state {support[0] + 1}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def tropical_predictions(
     degenerations collide, a warning is attached and the caller should trust
     only supports whose ``generic_flag`` holds.
     """
-    _check_length(model, trop)
+    _check_length(model, trop.w)
     w, anchor = trop.w, trop.anchor
     if check_generic and not model_is_generic(model, anchor):
         warnings.warn(
@@ -162,9 +161,9 @@ def tropical_predictions(
     ]
 
 
-def _check_length(model: SquaredLinearModel, trop: TropicalData):
-    if len(trop.w) != model.n:
-        raise ValidationError(f"valuation vector must have n = {model.n} entries, got {len(trop.w)}")
+def _check_length(model: SquaredLinearModel, w):
+    if len(w) != model.n:
+        raise ValidationError(f"valuation vector must have n = {model.n} entries, got {len(w)}")
 
 
 def model_is_generic(model: SquaredLinearModel, anchor: int = 0) -> bool:
@@ -192,7 +191,7 @@ def estimate_valuations(
 
     from .mle import CriticalPoint, _solve_batch, to_floats
 
-    _check_length(model, trop)
+    _check_length(model, trop.w)
     eps_grid = tuple(float(e) for e in eps_grid)
     if len(eps_grid) < 3:
         raise ValidationError("need at least three eps values for a slope fit")

@@ -98,32 +98,22 @@ def dpp_probabilities(Theta) -> SubsetDistribution:
 def reduced_points(dpp: DPPModel):
     """Point configuration [I | -A1^T] from row-reducing the fixed block.
 
-    Pivots on the trailing (k-1) x (k-1) block of the standard normal
-    form; if that block is singular, a column permutation making it
-    invertible is searched for and reported with the result.
+    Pivots on k-1 independent columns, picked greedily from the right so as
+    to stay close to the standard normal form: they are the trailing block
+    whenever it is invertible, and otherwise the column permutation that
+    moves them last is reported with the result. They exist, as the fixed
+    rows are independent.
     """
     k, n = dpp.k, dpp.n
     m = n - k + 1  # surviving parameters, the ambient dimension of the points
-    perm = tuple(range(n))
-    block = [row[m:] for row in dpp.Theta_fixed]
-    inverse = ratlin.inverse(block)
-    if inverse is None:
-        # Prefer trailing columns to stay close to the standard normal form.
-        columns = ratlin.transpose(dpp.Theta_fixed)[::-1]
-        chosen = ratlin.IntEchelon.independent_rows(columns, k - 1)
-        if chosen is None:
-            raise ReductionFailed("no column order makes the trailing block invertible")
-        chosen = sorted(n - 1 - i for i in chosen)
-        perm = tuple([c for c in range(n) if c not in chosen] + chosen)
-        inverse = ratlin.inverse([[row[c] for c in chosen] for row in dpp.Theta_fixed])
+    columns = ratlin.transpose(dpp.Theta_fixed)[::-1]
+    chosen = sorted(n - 1 - i for i in ratlin.IntEchelon.independent_rows(columns, k - 1))
+    perm = tuple([c for c in range(n) if c not in chosen] + chosen)
+    inverse = ratlin.inverse([[row[c] for c in chosen] for row in dpp.Theta_fixed])
     fixed = [[dpp.Theta_fixed[r][c] for c in perm] for r in range(k - 1)]
     reduced = ratlin.matmul(inverse, fixed)  # [A1 | I]
-    a1 = [row[:m] for row in reduced]
-    points = []
-    for c in range(m):
-        points.append(tuple(Fraction(int(c == r)) for r in range(m)))
-    for r in range(k - 1):
-        points.append(tuple(-a1[r][c] for c in range(m)))
+    unit = [tuple(Fraction(int(c == r)) for r in range(m)) for c in range(m)]
+    points = unit + [tuple(-v for v in row[:m]) for row in reduced]
     return tuple(points), perm, tuple(tuple(row) for row in reduced)
 
 
@@ -144,11 +134,10 @@ def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:
     for sigma in dpp.states:
         sigma_perm = tuple(sorted(perm.index(c) for c in sigma))
         coeffs = [Fraction(0)] * m
-        cols = [c for c in sigma_perm]
-        for pos, c in enumerate(cols):
+        for pos, c in enumerate(sigma_perm):
             if c >= m:
                 continue  # parameter row has zeros beyond the first m columns
-            minor_cols = [cc for cc in cols if cc != c]
+            minor_cols = [cc for cc in sigma_perm if cc != c]
             sub = [[reduced[r][cc] for cc in minor_cols] for r in range(k - 1)]
             sign = -1 if (k - 1 + pos) % 2 else 1
             coeffs[c] = sign * ratlin.det(sub) if sub else Fraction(sign)

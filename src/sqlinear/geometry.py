@@ -163,16 +163,13 @@ def _data_cone(B, y):
     """Extreme rays of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}, and P's faces.
 
     Row i is (1, q_i), q_i = B_{:,i} / y_i, as the primitive integers of
-    (|y_i|, sign(y_i) B_{:,i}); y is any positive multiple of a model point,
-    checked exactly here. The cone is pointed ([1; B diag(y)^(-1)] has full
-    row rank, as B y = 0) with (1, 0, ..., 0) inside. Returns the (primitive
-    ray, bitmask of its zero rows) pairs, the rows, {i: bitmask of the rays on
-    row i} for P's facet rows i, and P's f-vector; ray k is P's vertex k.
+    (|y_i|, sign(y_i) B_{:,i}); y is any positive multiple of a model point
+    with no zero coordinate, as every caller ensures. The cone is pointed
+    ([1; B diag(y)^(-1)] has full row rank, as B y = 0) with (1, 0, ..., 0)
+    inside. Returns the (primitive ray, bitmask of its zero rows) pairs, the
+    rows, {i: bitmask of the rays on row i} for P's facet rows i, and P's
+    f-vector; ray k is P's vertex k.
     """
-    if any(sum(map(mul, row, y)) for row in B):
-        raise ValidationError("y is not in the kernel of B")
-    if not all(y):
-        raise ZeroCoordinate("model point has a zero coordinate")
     dim = len(B)
     rows = [_ray(ratlin.cleared([abs(v), *(c if v > 0 else -c for c in col)])[0]) for col, v in zip(zip(*B), y)]
     rays = _cone_rays((1,) * len(y), *_simplicial_start(rows, dim + 1), rows, dim + 1)

@@ -249,6 +249,8 @@ def solve_region(
     warm starts during path tracking); it must already lie in the region.
     This is the one-row case of the batch that :func:`solve_all` runs.
     """
+    if start is not None and np.shape(start) != (model.d,):
+        raise ValidationError(f"field 'start' needs {model.d} entries, got shape {np.shape(start)}")
     ((outcome,),) = _solve_batch(model, [s], [region], tol, [[start]])
     if not isinstance(outcome, CriticalPoint):
         raise outcome
@@ -281,7 +283,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     Returns one row per data vector, holding one outcome per region in
     order: its CriticalPoint, or the NoConvergence that stopped it.
     ``starts`` optionally gives one row of start points per data vector,
-    one per region (None keeps the witness).
+    one per region (None keeps the witness, converted to floats only then).
 
     A row is found when its Newton decrement lambda, with lambda^2 =
     g . solve(-H, g) on its chart and H not ridged, satisfies
@@ -313,11 +315,11 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     frees = np.array([[j for j in range(d) if j != c] for c in range(d)])  # free coordinates of each chart
     totals = loglik.totals[which]
     signs = np.tile(np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n), (K, 1))
-    X = np.tile(to_floats([r.witness for r in regions], "witness").reshape(R, d), (K, 1))
+    starts = [x for row in starts for x in row] if starts else [None] * N
+    cold = {k % R for k, x in enumerate(starts) if x is None}  # the regions whose witness a row starts from
+    witness = dict(zip(cold, to_floats([regions[r].witness for r in cold], "witness")))
+    X = to_floats([witness[k % R] if x is None else x for k, x in enumerate(starts)], "start").reshape(N, d)
     chart = np.zeros(N, dtype=int)  # each row's pinned coordinate, set on every pass
-    for k, start in enumerate(x for row in starts or () for x in row):
-        if start is not None:
-            X[k] = start
     iterations = np.zeros(N, dtype=int)
     history = np.empty((N, MAX_ITER))  # lambda / sqrt(sum(s)) at each evaluated iteration
     outcomes = [None] * N

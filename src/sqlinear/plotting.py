@@ -1,5 +1,7 @@
 """Deterministic SVG figures for d = 2 or 3.
 
+A figure is drawn from the arrangement alone (d, n, the labels and A,
+converted to floats once), so it takes every arrangement `regions` takes.
 Both are drawn in the affine chart {first form = 1}, computed by one chart
 class; the first hyperplane lies at infinity there. For d = 3 the chart is a
 plane: hyperplanes are lines, the first one the boundary circle of the view.
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arrangement import Arrangement
 from .errors import DimensionUnsupported
-from .model import SquaredLinearModel
 
 VIEW = 5.0  # chart coordinates clipped to [-VIEW, VIEW]^2
 SIZE = 480.0
@@ -80,11 +82,8 @@ class _Chart:
         return point if np.all(np.isfinite(point)) else None
 
     def line_segment(self, normal):
-        """Clip {normal . x = 0} against the view box, in d = 3 chart coordinates."""
-        import numpy as np
-
-        n_chart = np.asarray(normal, dtype=float) @ self.frame.T
-        c0 = float(np.asarray(normal, dtype=float) @ self.origin)
+        """Clip {normal . x = 0} (a float row of A) to the view box, in d = 3 chart coordinates."""
+        n_chart, c0 = normal @ self.frame.T, float(normal @ self.origin)
         # Line: c0 + n_chart . (a, b) = 0.
         points = []
         na, nb = float(n_chart[0]), float(n_chart[1])
@@ -106,47 +105,55 @@ class _Chart:
         return unique[0], unique[1]
 
 
-def plot_arrangement(model: SquaredLinearModel, overlays: Overlays | None = None) -> str:
-    if model.d not in (2, 3):
-        raise DimensionUnsupported(f"plotting supports d in (2, 3), got d = {model.d}")
+def _check_dimension(d: int):
+    """Reject a dimension no figure is drawn in; the CLI checks it before
+    computing a figure's overlays."""
+    if d not in (2, 3):
+        raise DimensionUnsupported(f"plotting supports d in (2, 3), got d = {d}")
+
+
+def plot_arrangement(arr: Arrangement, overlays: Overlays | None = None) -> str:
+    from .mle import to_floats
+
+    _check_dimension(arr.d)
     overlays = overlays or Overlays()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(SIZE)}" '
         f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">',
         f'<rect width="{int(SIZE)}" height="{int(SIZE)}" fill="white"/>',
     ]
-    chart = _Chart(model.A_float)
-    draw_hyperplanes = _draw_chart3 if model.d == 3 else _draw_chart2
-    _draw_overlays(chart, overlays, draw_hyperplanes(model, chart, parts), parts)
+    A = to_floats(arr.A, "A")
+    chart = _Chart(A)
+    draw_hyperplanes = _draw_chart3 if arr.d == 3 else _draw_chart2
+    _draw_overlays(chart, overlays, draw_hyperplanes(arr, A, chart, parts), parts)
     if overlays.lognormal is not None:
         _draw_simplex_fiber(overlays.lognormal, parts)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _draw_chart3(model, chart, parts):
+def _draw_chart3(arr, A, chart, parts):
     """d = 3: hyperplanes are lines of the chart. Returns the pixel map."""
     # First form = line at infinity of the chart: drawn as the boundary circle.
     parts.append(
-        f'<circle class="hyperplane" data-label="{model.arr.label(0)}" '
+        f'<circle class="hyperplane" data-label="{arr.label(0)}" '
         f'cx="{_fmt(SIZE / 2)}" cy="{_fmt(SIZE / 2)}" r="{_fmt(SIZE / 2 - 1)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    A = model.A_float
-    for i in range(1, model.n):
+    for i in range(1, arr.n):
         if (seg := chart.line_segment(A[i])) is None:
             continue
         (x0, y0), (x1, y1) = (_to_pixels(*p) for p in seg)
         color = PALETTE[i % len(PALETTE)]
         parts.append(
-            f'<line class="hyperplane" data-label="{model.arr.label(i)}" '
+            f'<line class="hyperplane" data-label="{arr.label(i)}" '
             f'x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
             f'stroke="{color}" stroke-width="1.2"/>'
         )
     return lambda point, row: _to_pixels(*point)
 
 
-def _draw_chart2(model, chart, parts):
+def _draw_chart2(arr, A, chart, parts):
     """d = 2: hyperplanes are points of the axis. Returns the pixel map,
     which clamps to the view and puts each overlay kind in its own row."""
     axis_y = SIZE / 2
@@ -159,19 +166,18 @@ def _draw_chart2(model, chart, parts):
         f'<line class="chart-axis" x1="8" y1="{_fmt(axis_y)}" x2="{_fmt(SIZE - 8)}" '
         f'y2="{_fmt(axis_y)}" stroke="#333333" stroke-width="1"/>'
     )
-    A = model.A_float
-    for i in range(1, model.n):
+    for i in range(1, arr.n):
         if (root := chart.point((-A[i][1], A[i][0]))) is None:
             continue
         px, _ = to_px(root, 0)
         color = PALETTE[i % len(PALETTE)]
         parts.append(
-            f'<circle class="hyperplane" data-label="{model.arr.label(i)}" '
+            f'<circle class="hyperplane" data-label="{arr.label(i)}" '
             f'cx="{_fmt(px)}" cy="{_fmt(axis_y)}" r="4" fill="{color}"/>'
         )
     # The first form sits at infinity: mark both ends of the axis.
     parts.append(
-        f'<path class="hyperplane" data-label="{model.arr.label(0)}" '
+        f'<path class="hyperplane" data-label="{arr.label(0)}" '
         f'd="M 4 {_fmt(axis_y - 6)} L 4 {_fmt(axis_y + 6)} '
         f'M {_fmt(SIZE - 4)} {_fmt(axis_y - 6)} L {_fmt(SIZE - 4)} {_fmt(axis_y + 6)}" '
         'stroke="#333333" stroke-width="1" fill="none"/>'

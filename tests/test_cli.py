@@ -339,6 +339,35 @@ class TestPlot:
         assert text.startswith("<svg")
         assert not re.search(r"nan|inf", text)
 
+    @pytest.mark.parametrize("A", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], ids=["d2", "d3"])
+    def test_regions_figure_takes_what_regions_takes(self, tmp_path, A):
+        # n = d is no model, and --svg once built one and exited 2.
+        svg = tmp_path / "figure.svg"
+        plain = run(tmp_path, "regions", {"A": A})
+        drawn = run(tmp_path, "regions", {"A": A}, "--svg", str(svg))
+        assert plain[0] == 0 and drawn == plain
+        labels = re.findall(r'<text class="region-label"[^>]*>([+-]+)</text>', svg.read_text())
+        assert sorted(labels) == sorted(r["sign"] for r in json.loads(plain[1])["regions"])
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("plot", ["--anchor", "1"]), ("mle", ["--svg", "figure.svg"]), ("tropical", ["--anchor", "1", "--svg", "figure.svg"])],
+    )
+    def test_figure_dimension_checked_before_any_work(self, tmp_path, capsys, monkeypatch, command, extra):
+        # These once solved every region and tracked every path before exiting 2.
+        from sqlinear import mle
+        from sqlinear.catalog import braid_arrangement
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a figure of d = 4 solved a batch")
+
+        monkeypatch.setattr(mle, "_solve_batch", no_solve)
+        doc = dict(arrangement_to_json(braid_arrangement(5)), s=list(range(1, 11)), w=list(range(10)))
+        code, text = run(tmp_path, command, doc, *extra)
+        assert (code, text) == (2, "")
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == ("DimensionUnsupported", "plotting supports d in (2, 3), got d = 4")
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -674,6 +703,33 @@ class TestExitCodes:
         assert code == 2 and text == ""
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValidationError" and "n = 4 entries" in err["message"]
+
+    @pytest.mark.parametrize("command", ["tropical", "plot"])
+    @pytest.mark.parametrize(
+        "w, anchor, error, message",
+        [
+            # Once "anchor 1 is not the strict minimum of w": the 0-based index of --anchor 2.
+            ([0, 3, 4, 5], "2", "AnchorNotUnique", "anchor is not the strict minimum of w, which is at state 1"),
+            ([0, 3, 3, 0], "1", "AnchorNotUnique", "minimum of w attained at states [1, 4]"),
+            # Once "anchor 3 is not the strict minimum of w", before the length check.
+            ([0, 3, 4], "4", "ValidationError", "valuation vector must have n = 4 entries, got 3"),
+        ],
+        ids=["not-the-minimum", "tied-minimum", "short-w"],
+    )
+    def test_anchor_errors_name_states_one_based(self, tmp_path, capsys, command, w, anchor, error, message):
+        code, text = run(tmp_path, command, dict(STEINER, w=w), "--anchor", anchor)
+        assert (code, text) == (2, "")
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == (error, message)
+
+    def test_every_package_error_is_validation_or_numeric(self):
+        # main maps the two families to exits 2 and 3 and catches nothing else.
+        from sqlinear import errors
+
+        classes = [value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, Exception)]
+        assert len(classes) == 16
+        assert all(issubclass(cls, (errors.ValidationError, errors.NumericError)) for cls in classes[1:])
+        assert classes[0] is errors.SqlinearError
 
     def test_voronoi_endpoint_of_wrong_length(self, tmp_path, capsys):
         doc = {"A": [[1, 0], [1, 1], [1, 2], [0, 1]], "y": [3, 2, 1, -1], "segment": {"start": [1, 2], "end": [9, 4, 1, 1]}}

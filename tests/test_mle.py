@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,43 @@ class TestSolveAll:
             solve_all(steiner, [0.5, 0.3, 0.2])
         with pytest.raises(ValidationError, match="n = 4"):
             solve_region(steiner, [[0.4, 0.3, 0.2, 0.1]], region)
+
+    @pytest.mark.parametrize(
+        "start, match",
+        [
+            ((Fraction(10**400), 1, 1), "field 'start' holds a value beyond double range"),
+            ((1, 1), r"field 'start' needs 3 entries, got shape \(2,\)"),
+            ([[1, 2, 3]], r"field 'start' needs 3 entries, got shape \(1, 3\)"),
+        ],
+        ids=["beyond-double-range", "too-short", "matrix"],
+    )
+    def test_start_is_checked(self, steiner, start, match):
+        # numpy alone raised OverflowError and ValueError.
+        region = enumerate_regions(steiner.arr)[0]
+        with pytest.raises(ValidationError, match=match):
+            solve_region(steiner, [4, 3, 2, 1], region, start=start)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ((1.0, 0.0, 0.0), "coordinate underflow at convergence: cannot take the sign vector of a zero value"),
+            ((1.0, 2.0, 3.0), "converged point left its region"),
+        ],
+        ids=["underflow", "left"],
+    )
+    def test_finish_rejects_a_point_off_its_region(self, steiner, monkeypatch, x, message):
+        # Every row's normalized finish is replaced by x: (1, 0, 0) lies on two
+        # Steiner hyperplanes, and (1, 2, 3) in region ++++ alone.
+        from sqlinear import mle
+
+        monkeypatch.setattr(mle, "normalize_parameter", lambda X: np.tile(normalize_parameter(x), (len(X), 1)))
+        regions = enumerate_regions(steiner.arr)
+        off = [r for r in regions if message.startswith("coordinate") or str(r.sign) != "++++"]
+        (outcomes,) = mle._solve_batch(steiner, [[4, 3, 2, 1]], regions, 1e-10)
+        failures = [(r, out) for r, out in zip(regions, outcomes) if isinstance(out, NoConvergence)]
+        assert [r for r, _ in failures] == off
+        assert all(str(err) == message for _, err in failures)
+        assert all(bool(err.trace) == message.startswith("converged") for _, err in failures)
 
 
 def test_normalize_parameter_of_a_stack_is_each_row_alone(rng):
