@@ -10,35 +10,84 @@ points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from . import ratlin
 from .errors import ParallelRows, RankDeficient
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Record:
+    """Base of the package's small immutable records. Importing
+    ``dataclasses`` loads ``inspect`` and ``ast``, several milliseconds of
+    every CLI call, so the records do without it.
+
+    A subclass names its fields once, in ``__slots__``. Records are built by
+    position or keyword, compare equal only within one class, hash as the
+    tuple of their fields, print as ``Name(field=value, ...)``, pickle and
+    copy through their constructor, and refuse assignment. A subclass with
+    defaults or checks writes an ``__init__`` that ends in this one; a
+    mutable one sets ``__setattr__ = object.__setattr__`` and
+    ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The slot descriptors' setters skip the refusing __setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        get = attrgetter(*cls.__slots__)
+        cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}, each once")
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Arrangement(Record):
     """Central arrangement given by rows of exact rational coefficients."""
 
-    A: tuple
-    labels: tuple | None = None
+    __slots__ = ("A", "labels")
 
-    def __post_init__(self):
-        rows = ratlin.frac_matrix(self.A)
-        object.__setattr__(self, "A", rows)
+    def __init__(self, A, labels=None):
+        rows = ratlin.frac_matrix(A)
         if not rows or not rows[0]:
             raise RankDeficient("arrangement needs at least one row and one column")
         for i, row in enumerate(rows):
             if ratlin.is_zero(row):
                 raise RankDeficient(f"row {i} of the coefficient matrix is zero")
-        if self.labels is not None:
-            labels = tuple(str(v) for v in self.labels)
+        if labels is not None:
+            labels = tuple(str(v) for v in labels)
             if len(labels) != len(rows):
                 raise RankDeficient("labels must match the number of rows")
-            object.__setattr__(self, "labels", labels)
+        super().__init__(rows, labels)
 
     @property
     def n(self) -> int:
@@ -64,18 +113,20 @@ class Arrangement:
         return f"l{i + 1}"
 
 
-@dataclass(frozen=True)
-class KernelComplement:
+class KernelComplement(Record):
     """(n-d) x n matrix B with B A = 0 and full row rank."""
 
-    B: tuple
+    __slots__ = ("B",)
 
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(Record):
     """Element of {+1,-1}^n modulo global negation, first entry fixed to +1."""
 
-    signs: tuple
+    __slots__ = ("signs",)
+
+    # Enumeration builds one per region, and Record's generic __init__ takes twice as long.
+    def __init__(self, signs: tuple):
+        object.__setattr__(self, "signs", signs)
 
     @staticmethod
     def canonical(signs):
@@ -101,26 +152,27 @@ class SignVector:
         return SignVector.canonical(tuple(1 if ch == "+" else -1 for ch in text))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Region of the projective arrangement complement with a rational witness.
 
     The witness satisfies sign(l_i(witness)) == sign_i exactly and is scaled
     so that its largest absolute coordinate equals 1.
     """
 
-    sign: SignVector
-    witness: tuple
+    __slots__ = ("sign", "witness")
+
+    def __init__(self, sign: SignVector, witness: tuple):  # one per region too
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "witness", witness)
 
     def key(self) -> str:
         return str(self.sign)
 
 
-@dataclass(frozen=True)
-class CharacteristicPolynomial:
+class CharacteristicPolynomial(Record):
     """chi(t) with integer coefficients, stored leading coefficient first."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     @property
     def degree(self) -> int:
@@ -356,7 +408,7 @@ def enumerate_regions(arr: Arrangement) -> list:
         for (ray, _), top in zip(rays, tops):
             total = [a + common // top * v for a, v in zip(total, ray)]
         top = max(map(abs, total))
-        result.append(Region(sign=SignVector(signs), witness=tuple(Fraction(v, top) for v in total)))
+        result.append(Region(SignVector(signs), tuple(Fraction(v, top) for v in total)))
     result.sort(key=Region.key)
     return result
 

@@ -10,8 +10,10 @@ State indices (anchor, subsets J, DPP states) are 1-based on the command
 line and in emitted JSON, matching the labeling of the input rows. Start-up
 is most of a call, so ``import sqlinear.cli`` loads only :mod:`.jsonio` and
 :mod:`.arrangement`; each handler imports the layers it runs when it runs.
-numpy comes in only with :mod:`.mle` or a drawing, so the exact commands,
-``degenerate`` among them, run without it.
+The records of every layer derive from :class:`.arrangement.Record`, not
+from dataclasses, so no command loads ``dataclasses`` (which imports
+``inspect`` and ``ast``). numpy comes in only with :mod:`.mle` or a drawing,
+so the exact commands, ``degenerate`` among them, run without it.
 """
 
 from __future__ import annotations
@@ -437,8 +439,10 @@ def _cmd_singular(doc, args):
 def _cmd_plot(doc, args):
     from .plotting import Overlays, _check_dimension, plot_arrangement
 
-    model = jsonio.model_from_json(doc)
-    _check_dimension(model.d)
+    # Only "s", "y" and --anchor need the model: the bare figure is the arrangement's, n = d too.
+    model = jsonio.model_from_json(doc) if "s" in doc or "y" in doc or args.anchor is not None else None
+    arr = jsonio.arrangement_from_json(doc) if model is None else model.arr
+    _check_dimension(arr.d)
     data = _data(model, doc, args) if "s" in doc else None
     overlays = Overlays()
     if args.anchor is not None:
@@ -448,7 +452,7 @@ def _cmd_plot(doc, args):
     if "y" in doc and model.n == 3:
         from .geometry import lognormal_polytope
         overlays.lognormal = lognormal_polytope(model, jsonio.parse_vector(doc["y"], "y"))
-    return plot_arrangement(model.arr, overlays)
+    return plot_arrangement(arr, overlays)
 
 
 # command -> (handler, help text, flags it reads)

@@ -21,66 +21,54 @@ import itertools
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import ratlin
-from .arrangement import enumerate_regions
+from .arrangement import Record, enumerate_regions
 from .errors import AnchorNotUnique, PathLost, RankDeficient, ValidationError
 from .model import SquaredLinearModel
 
 DEFAULT_EPS_GRID = (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5)
 
 
-@dataclass(frozen=True)
-class DegenerateSolution:
+class DegenerateSolution(Record):
     """Closed-form critical point for data e_anchor with support complement J.
 
     ``y`` is the primitive integer representative with positive anchor
     coordinate; B y = 0 holds exactly and y_j = 0 exactly on J.
     """
 
-    J: tuple
-    y: tuple
-    anchor: int
-    generic_flag: bool
-    error: str | None = None
+    __slots__ = ("J", "y", "anchor", "generic_flag", "error")
+
+    def __init__(self, J: tuple, y: tuple, anchor: int, generic_flag: bool, error: str | None = None):
+        super().__init__(J, y, anchor, generic_flag, error)
 
 
-@dataclass(frozen=True)
-class TropicalData:
+class TropicalData(Record):
     """Rational valuation vector w with a strict minimum at ``anchor``."""
 
-    w: tuple
-    anchor: int
+    __slots__ = ("w", "anchor")
 
-    def __post_init__(self):
-        w = tuple(ratlin.as_fraction(v) for v in self.w)
-        object.__setattr__(self, "w", w)
+    def __init__(self, w, anchor: int):
+        w = tuple(ratlin.as_fraction(v) for v in w)
         low = min(w)
         support = [i for i, v in enumerate(w) if v == low]
         # States are named 1-based, as on the command line.
         if len(support) != 1:
             raise AnchorNotUnique(f"minimum of w attained at states {[i + 1 for i in support]}")
-        if support[0] != self.anchor:
+        if support[0] != anchor:
             raise AnchorNotUnique(f"anchor is not the strict minimum of w, which is at state {support[0] + 1}")
+        super().__init__(w, anchor)
 
 
-@dataclass(frozen=True)
-class TropicalPoint:
+class TropicalPoint(Record):
     """Valuation vector modulo all-ones shifts, canonicalized by z_anchor = 0."""
 
-    z: tuple
-    J: tuple
+    __slots__ = ("z", "J")
 
 
-@dataclass(frozen=True)
-class ValuationEstimate:
-    region: object
-    slopes: tuple
-    point: TropicalPoint
-    residual: float
-    y_track: tuple  # anchor-normalized y at each eps, largest eps first
+class ValuationEstimate(Record):
+    __slots__ = ("region", "slopes", "point", "residual", "y_track")  # y_track: anchor-normalized y per eps, largest first
 
     @property
     def y_limit(self) -> tuple:
@@ -133,7 +121,7 @@ def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
     # Collisions between supports break genericity for all involved entries.
     counts = Counter(sol.y for sol in solutions if sol.y)
     return [
-        replace(sol, generic_flag=False, error="support collision") if counts[sol.y] > 1 else sol
+        DegenerateSolution(sol.J, sol.y, sol.anchor, False, "support collision") if counts[sol.y] > 1 else sol
         for sol in solutions
     ]
 

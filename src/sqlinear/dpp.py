@@ -11,48 +11,41 @@ from region counts, with a closed quartic formula in the codimension-2 case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Record
 from .errors import RankDeficient, ReductionFailed, ValidationError
 
 
-@dataclass(frozen=True)
-class DPPModel:
+class DPPModel(Record):
     """Linear projection DPP: fixed rows plus one symbolic parameter row."""
 
-    Theta_fixed: tuple
-    k: int
-    n: int
+    __slots__ = ("Theta_fixed", "k", "n")
 
-    def __post_init__(self):
-        rows = ratlin.frac_matrix(self.Theta_fixed)
-        object.__setattr__(self, "Theta_fixed", rows)
-        if not self.k < self.n:
-            raise ValidationError(f"need k < n, got k = {self.k}, n = {self.n}")
-        if len(rows) != self.k - 1 or (rows and len(rows[0]) != self.n):
+    def __init__(self, Theta_fixed, k: int, n: int):
+        rows = ratlin.frac_matrix(Theta_fixed)
+        if not k < n:
+            raise ValidationError(f"need k < n, got k = {k}, n = {n}")
+        if len(rows) != k - 1 or (rows and len(rows[0]) != n):
             raise ValidationError("Theta_fixed must be (k-1) x n")
-        if ratlin.rank(rows) != self.k - 1:
+        if ratlin.rank(rows) != k - 1:
             raise RankDeficient("fixed parameter rows are linearly dependent")
+        super().__init__(rows, k, n)
 
     @property
     def states(self):
         return tuple(itertools.combinations(range(self.n), self.k))
 
 
-@dataclass(frozen=True)
-class SubsetDistribution:
-    states: tuple
-    probs: object  # float array, one probability per state
+class SubsetDistribution(Record):
+    __slots__ = ("states", "probs")  # probs: a float array, one probability per state
 
     def __getitem__(self, sigma):
         return self.probs[self.states.index(tuple(sigma))]
 
 
-@dataclass(frozen=True)
-class DiscriminantalArrangement:
+class DiscriminantalArrangement(Record):
     """Reduction of a linear projection DPP to an arrangement in P^(n-k).
 
     Row i of ``arrangement`` is the linear form (in the surviving parameters)
@@ -62,10 +55,7 @@ class DiscriminantalArrangement:
     needed to invert the trailing block.
     """
 
-    arrangement: Arrangement
-    states: tuple
-    points: tuple
-    column_permutation: tuple
+    __slots__ = ("arrangement", "states", "points", "column_permutation")
 
 
 def dpp_probabilities(Theta) -> SubsetDistribution:

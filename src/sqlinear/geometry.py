@@ -21,13 +21,13 @@ n facets; Q's face lattice is P's reversed, and no rank is taken per face.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from . import ratlin
 from .arrangement import (
     Arrangement,
+    Record,
     SignVector,
     _cone_rays,
     _ray,
@@ -53,8 +53,7 @@ TYPE_SCAN_SAMPLES = 3
 REFINE_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Record):
     """Paired V/H description with the face-count vector.
 
     ``H_rep`` holds (normal, offset) pairs meaning normal . x >= offset;
@@ -62,12 +61,7 @@ class Polytope:
     ``f_vector[i]`` counts faces of dimension i for i = 0 .. dim-1.
     """
 
-    ambient_dim: int
-    dim: int
-    V_rep: tuple
-    H_rep: tuple
-    f_vector: tuple
-    incidence: tuple
+    __slots__ = ("ambient_dim", "dim", "V_rep", "H_rep", "f_vector", "incidence")
 
     @property
     def n_vertices(self) -> int:
@@ -86,31 +80,20 @@ class Polytope:
         return all(deg == codim for deg in self.vertex_facet_degrees())
 
 
-@dataclass(frozen=True)
-class ChamberHyperplane:
-    subset: tuple
-    normal: tuple
+class ChamberHyperplane(Record):
+    __slots__ = ("subset", "normal")
 
 
-@dataclass(frozen=True)
-class ChamberArrangement:
-    arrangement: Arrangement
-    duplicates: tuple  # groups of labels that collapsed to one hyperplane
+class ChamberArrangement(Record):
+    __slots__ = ("arrangement", "duplicates")  # duplicates: groups of labels that collapsed to one hyperplane
 
 
-@dataclass(frozen=True)
-class SwapCandidate:
-    i: int
-    j: int
-    sigma: tuple
-    image: tuple
+class SwapCandidate(Record):
+    __slots__ = ("i", "j", "sigma", "image")
 
 
-@dataclass(frozen=True)
-class VoronoiProfile:
-    parameters: tuple
-    tags: tuple
-    crossings: tuple  # (t_refined, tag_before, tag_after)
+class VoronoiProfile(Record):
+    __slots__ = ("parameters", "tags", "crossings")  # crossings: (t_refined, tag_before, tag_after)
 
 
 def _face_layers(facets, dim):

@@ -40,11 +40,9 @@ tol underflows to 0. The iteration cap ``MAX_ITER`` is fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .arrangement import Region, SignVector, enumerate_regions
+from .arrangement import Record, Region, enumerate_regions
 from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
 from .model import SquaredLinearModel
 
@@ -68,6 +66,8 @@ def to_floats(values, name: str) -> np.ndarray:
         return np.array(values, dtype=float)
     except OverflowError as err:
         raise ValidationError(f"field {name!r} holds a value beyond double range") from err
+    except ValueError as err:  # ragged nesting, or an entry that is no number
+        raise ValidationError(f"field {name!r} is not a rectangular array of numbers") from err
 
 
 def _checked_point(model: SquaredLinearModel, x, s=None):
@@ -162,32 +162,26 @@ class Likelihood:
         return self(V, which), G, H
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    region: SignVector
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-    logL: float
-    grad_norm: float
-    iterations: int
-    hessian_max_eig: float
+class CriticalPoint(Record):
+    # region is a SignVector; x, y and p are float arrays
+    __slots__ = ("region", "x", "y", "p", "logL", "grad_norm", "iterations", "hessian_max_eig")
 
 
-@dataclass(frozen=True)
-class LikelihoodMatrix:
+class LikelihoodMatrix(Record):
     """(n-d+2) x n matrix [s; l^2(x); B diag(l(x))] whose maximal minors
     present the likelihood correspondence. Row one depends only on the data,
     the rest only on the parameter point."""
 
-    rows: np.ndarray
+    __slots__ = ("rows",)
 
 
-@dataclass
-class SolveAllResult:
-    points: list
-    mle_index: int
-    failures: list = field(default_factory=list)
+class SolveAllResult(Record):
+    __slots__ = ("points", "mle_index", "failures")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, points: list, mle_index: int, failures: list | None = None):
+        super().__init__(points, mle_index, [] if failures is None else failures)
 
     @property
     def mle(self) -> CriticalPoint:
@@ -249,8 +243,8 @@ def solve_region(
     warm starts during path tracking); it must already lie in the region.
     This is the one-row case of the batch that :func:`solve_all` runs.
     """
-    if start is not None and np.shape(start) != (model.d,):
-        raise ValidationError(f"field 'start' needs {model.d} entries, got shape {np.shape(start)}")
+    if start is not None and (shape := to_floats(start, "start").shape) != (model.d,):
+        raise ValidationError(f"field 'start' needs {model.d} entries, got shape {shape}")
     ((outcome,),) = _solve_batch(model, [s], [region], tol, [[start]])
     if not isinstance(outcome, CriticalPoint):
         raise outcome
@@ -463,13 +457,6 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             outcomes[k] = NoConvergence("converged point left its region", trace=trace(k))
         else:
             outcomes[k] = CriticalPoint(
-                region=regions[k % R].sign,
-                x=xn[i],
-                y=y[i],
-                p=p[i],
-                logL=logL[i],
-                grad_norm=final_norm[i],
-                iterations=counts[k],
-                hessian_max_eig=top_eig[i],
+                regions[k % R].sign, xn[i], y[i], p[i], logL[i], final_norm[i], counts[k], top_eig[i]
             )
     return [outcomes[k * R : (k + 1) * R] for k in range(K)]

@@ -10,24 +10,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .arrangement import Arrangement, KernelComplement, kernel_complement
+from .arrangement import Arrangement, KernelComplement, Record, kernel_complement
 from .errors import DegenerateLeadingBlock, OnHyperplane, RankDeficient, ValidationError, ZeroPoint
 
 
-@dataclass(frozen=True)
-class SquaredLinearModel:
-    arr: Arrangement
-    B: KernelComplement
+class SquaredLinearModel(Record):
+    __slots__ = ("arr", "B")
 
-    def __post_init__(self):
-        if not self.arr.n > self.arr.d > 1:
-            raise RankDeficient(
-                f"model needs n > d > 1, got n = {self.arr.n}, d = {self.arr.d}"
-            )
+    def __init__(self, arr: Arrangement, B: KernelComplement):
+        if not arr.n > arr.d > 1:
+            raise RankDeficient(f"model needs n > d > 1, got n = {arr.n}, d = {arr.d}")
+        super().__init__(arr, B)
 
     @property
     def n(self) -> int:
@@ -136,8 +132,7 @@ def squared_form_row(row, monomials):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class VeroneseGenerators:
+class VeroneseGenerators(Record):
     """Implicit generators for n >= d(d+1)/2: linear forms plus 2x2 minors.
 
     ``linear_forms`` is a basis (length-n coefficient vectors) of the linear
@@ -146,10 +141,7 @@ class VeroneseGenerators:
     R has rank one on the model, so all its 2x2 minors vanish there.
     """
 
-    L: tuple
-    linear_forms: tuple
-    R: tuple
-    monomials: tuple
+    __slots__ = ("L", "linear_forms", "R", "monomials")
 
     def r_matrix_at(self, p):
         """Evaluate R at a probability vector (exact for rational input)."""
@@ -243,13 +235,10 @@ def minor_space_dimension(d: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class SingularSubspace:
+class SingularSubspace(Record):
     """Partition (I, J) of the states with the subspace ker(B A_{I,J})."""
 
-    I: frozenset
-    J: frozenset
-    basis: tuple
+    __slots__ = ("I", "J", "basis")
 
     @property
     def projective_dimension(self) -> int:

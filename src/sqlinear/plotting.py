@@ -19,9 +19,7 @@ so importing this module does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Record
 from .errors import DimensionUnsupported
 
 VIEW = 5.0  # chart coordinates clipped to [-VIEW, VIEW]^2
@@ -31,13 +29,19 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-@dataclass
-class Overlays:
-    critical_points: list = field(default_factory=list)  # parameter vectors
-    arcs: list = field(default_factory=list)  # lists of parameter vectors
-    limit_points: list = field(default_factory=list)  # parameter vectors
-    region_labels: list = field(default_factory=list)  # (witness, text)
-    lognormal: object = None  # Polytope with ambient_dim == 3
+class Overlays(Record):
+    """What a figure draws over the arrangement: critical points and limit
+    points (parameter vectors), arcs (lists of them), region labels
+    ((witness, text) pairs) and a log-normal Polytope with ambient_dim == 3.
+    A list not given starts empty."""
+
+    __slots__ = ("critical_points", "arcs", "limit_points", "region_labels", "lognormal")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, critical_points=None, arcs=None, limit_points=None, region_labels=None, lognormal=None):
+        lists = (critical_points, arcs, limit_points, region_labels)
+        super().__init__(*([] if v is None else v for v in lists), lognormal)
 
 
 def _fmt(value: float) -> str:

@@ -349,6 +349,15 @@ class TestPlot:
         labels = re.findall(r'<text class="region-label"[^>]*>([+-]+)</text>', svg.read_text())
         assert sorted(labels) == sorted(r["sign"] for r in json.loads(plain[1])["regions"])
 
+    @pytest.mark.parametrize("A", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], ids=["d2", "d3"])
+    def test_plot_takes_what_regions_takes(self, tmp_path, capsys, A):
+        # n = d is no model: the bare figure once built one and exited 2. Data still needs one.
+        code, text = run(tmp_path, "plot", {"A": A})
+        assert code == 0 and len(re.findall('class="hyperplane"', text)) == len(A)
+        assert run(tmp_path, "plot", {"A": A, "s": [1] * len(A)})[0] == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == ("RankDeficient", f"model needs n > d > 1, got n = {len(A)}, d = {len(A)}")
+
     @pytest.mark.parametrize(
         "command, extra",
         [("plot", ["--anchor", "1"]), ("mle", ["--svg", "figure.svg"]), ("tropical", ["--anchor", "1", "--svg", "figure.svg"])],

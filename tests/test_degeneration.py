@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -276,7 +275,9 @@ class TestEstimateValuations:
         def with_anchor(point):
             y = point.y.copy()
             y[0] = value
-            return dataclasses.replace(point, y=y)
+            return mle.CriticalPoint(
+                point.region, point.x, y, point.p, point.logL, point.grad_norm, point.iterations, point.hessian_max_eig
+            )
 
         def stubbed(*args, **kwargs):
             return [[with_anchor(point) for point in row] for row in solve_batch(*args, **kwargs)]

@@ -5,7 +5,10 @@ arrangements, DPP reductions, the ideal, singular subspaces, the closed-form
 degenerations) needs only rational arithmetic, so neither ``import sqlinear``
 nor those commands may load numpy or a float module. Start-up is most of a
 CLI call, so ``import sqlinear.cli`` and ``--help`` load none of the layers
-in ``LAYERS``: each command imports the layers it runs when it runs.
+in ``LAYERS``: each command imports the layers it runs when it runs. The
+records derive from :class:`sqlinear.arrangement.Record`, not from
+dataclasses, so no command loads ``dataclasses``, and the exact ones load
+no ``inspect`` either (numpy loads that).
 :mod:`sqlinear.plotting` loads numpy only when it draws, and
 :mod:`sqlinear.degeneration` only when it tracks. Region enumeration runs no
 LP, so the ``regions`` command does not load :mod:`sqlinear.simplex` either.
@@ -13,11 +16,13 @@ Each probe runs in a fresh interpreter and reads ``sys.modules`` afterwards;
 nothing is timed.
 """
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,6 +36,8 @@ README = SRC.parent / "README.md"
 FLOAT_MODULES = ("numpy", "sqlinear.mle")
 # The layers a command loads only when it runs them.
 LAYERS = ("sqlinear.geometry", "sqlinear.model", "sqlinear.dpp", "sqlinear.plotting", "sqlinear.degeneration")
+# What importing dataclasses loads, ~7 ms of start-up.
+MACHINERY = ("dataclasses", "inspect")
 
 # Every name the package namespace served when it imported each module
 # eagerly, with the module that defines it now (less `Flat`, `flats` and
@@ -104,17 +111,58 @@ EXACT_COMMANDS = {
 }
 
 
+def voronoi_doc():
+    # Example 6.5: from s* = y^2 / |y|^2 9/10 of the way to a point on an edge.
+    start = [Fraction(v * v, 15) for v in (3, 2, 1, -1)]
+    edge = [0, Fraction(12, 25), Fraction(4, 25), Fraction(9, 25)]
+    end = [a + Fraction(9, 10) * (b - a) for a, b in zip(start, edge)]
+    segment = {"start": rationals_to_json(start), "end": rationals_to_json(end)}
+    return dict(arrangement_to_json(catalog.four_points_arrangement()), y=[3, 2, 1, -1], segment=segment)
+
+
+# command -> (input, extra arguments); "{svg}" stands for a figure path.
+FLOAT_COMMANDS = {
+    "mle": (lambda: dict(steiner(), s=[4, 3, 2, 1]), ["--svg", "{svg}"]),
+    "tropical": (lambda: dict(steiner(), w=[0, 3, 4, 5]), ["--anchor", "1", "--svg", "{svg}"]),
+    "voronoi": (voronoi_doc, ["--samples", "2"]),
+    "plot": (lambda: dict(steiner(), s=[4, 3, 2, 1], w=[0, 3, 4, 5]), ["--anchor", "1"]),
+    "dpp": (lambda: dict(EXACT_COMMANDS["dpp"](), Theta=[[1, 2, 3, 4, 5], [2, -1, 4, 1, -3], [1, 0, 2, -1, 1]]), []),
+    "regions": (steiner, ["--svg", "{svg}"]),
+}
+
+
 @pytest.mark.parametrize(
     "statement",
     ["import sqlinear", "import sqlinear.cli", "from sqlinear import plotting", "import sqlinear.degeneration"],
 )
 def test_import_loads_no_float_module(statement):
-    assert loaded_after(f"{statement}\nresult = None") == [None, []]
+    assert loaded_after(f"{statement}\nresult = None", FLOAT_MODULES + MACHINERY) == [None, []]
 
 
 @pytest.mark.parametrize("command", sorted(EXACT_COMMANDS))
 def test_exact_command_loads_no_float_module(tmp_path, command):
-    assert cli_probe(tmp_path, command, EXACT_COMMANDS[command]()) == [0, []]
+    assert cli_probe(tmp_path, command, EXACT_COMMANDS[command](), modules=FLOAT_MODULES + MACHINERY) == [0, []]
+
+
+@pytest.mark.parametrize("command", sorted(FLOAT_COMMANDS))
+def test_float_command_loads_no_dataclasses(tmp_path, command):
+    doc, extra = FLOAT_COMMANDS[command]
+    extra = [str(tmp_path / "figure.svg") if a == "{svg}" else a for a in extra]
+    assert cli_probe(tmp_path, command, doc(), *extra, modules=("numpy", "dataclasses")) == [0, ["numpy"]]
+
+
+def test_no_source_file_imports_dataclasses():
+    importers = []
+    for path in sorted((SRC / "sqlinear").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            importers += [path.name for module in modules if module and module.split(".")[0] == "dataclasses"]
+    assert importers == []
 
 
 @pytest.mark.parametrize(
@@ -170,7 +218,7 @@ def test_help_names_every_command_and_loads_no_layer():
     # -X importtime writes one "import time: self | cumulative | name" line per module loaded
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line}
     assert "argparse" in loaded
-    assert sorted(loaded & set(LAYERS + FLOAT_MODULES)) == []
+    assert sorted(loaded & set(LAYERS + FLOAT_MODULES + MACHINERY)) == []
 
 
 def test_regions_command_loads_no_lp(tmp_path):

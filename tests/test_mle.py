@@ -236,8 +236,9 @@ class TestSolveAll:
             ((Fraction(10**400), 1, 1), "field 'start' holds a value beyond double range"),
             ((1, 1), r"field 'start' needs 3 entries, got shape \(2,\)"),
             ([[1, 2, 3]], r"field 'start' needs 3 entries, got shape \(1, 3\)"),
+            ([[1, 2], [3]], "field 'start' is not a rectangular array of numbers"),
         ],
-        ids=["beyond-double-range", "too-short", "matrix"],
+        ids=["beyond-double-range", "too-short", "matrix", "ragged"],
     )
     def test_start_is_checked(self, steiner, start, match):
         # numpy alone raised OverflowError and ValueError.
