@@ -202,21 +202,7 @@ class CharacteristicPolynomial(Record):
 
 def _require_essential(arr: Arrangement):
     if not arr.is_essential():
-        raise RankDeficient(
-            f"operation needs rank(A) = d = {arr.d}, got rank {arr.rank()}"
-        )
-
-
-def _parallel_pairs(arr: Arrangement):
-    prims = [ratlin.primitive(row) for row in arr.A]
-    seen = {}
-    pairs = []
-    for i, p in enumerate(prims):
-        if p in seen:
-            pairs.append((seen[p], i))
-        else:
-            seen[p] = i
-    return pairs
+        raise RankDeficient(f"operation needs rank(A) = d = {arr.d}, got rank {arr.rank()}")
 
 
 def kernel_complement(arr: Arrangement) -> KernelComplement:
@@ -236,30 +222,44 @@ def kernel_complement(arr: Arrangement) -> KernelComplement:
 def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
     """chi(t) = sum over subsets S of (-1)^|S| t^(d - rank S) (Whitney).
 
-    Subsets are walked depth-first on one integer echelon form of the
-    included rows, so each subset costs one row reduction. When row i lies in
-    the span of the rows already included, including it or leaving it out
-    gives the same rank in every extension, so the two branches' terms cancel
-    one for one and the walk drops the node. The leaves that survive are the
-    no-broken-circuit sets (Bjorner 1982; Orlik & Terao 1992, ch. 3), and the
-    nodes at depth j are the no-broken-circuit sets of the first j rows.
-    Adding a row never removes a region, so the walk does at most
-    n |chi(-1)| echelon inserts.
+    Subsets are walked depth-first. Each node carries the integer echelon
+    form of its included rows as a tuple of (lead column, row) pairs, shared
+    with its descendants, so a node costs one fraction-free reduction of its
+    next row and nothing is undone. A row's content is divided out once,
+    when it joins. When row i lies in the span of the rows already included,
+    including it or leaving it out gives the same rank in every extension,
+    so the two branches' terms cancel one for one and the walk drops the
+    node; a node of rank d spans every later row, so it is never pushed, and
+    the last row's two branches go straight into the sum. The leaves that
+    survive are the no-broken-circuit sets (Bjorner 1982; Orlik & Terao
+    1992, ch. 3), and the nodes at depth j are the no-broken-circuit sets of
+    the first j rows. Adding a row never removes a region, so the walk
+    reduces at most n |chi(-1)| rows.
     """
-    n = arr.n
-    rows = [ratlin.primitive(row) for row in arr.A]
-    acc = [0] * (arr.d + 1)
-    echelon = ratlin.IntEchelon()
-    # (depth i, sign, rank): a node's included rows are the first ``rank``
-    # rows of the echelon when it is popped, so truncating restores them.
-    stack = [(0, 1, 0)]
+    n, d = arr.n, arr.d
+    rows = [ratlin.cleared(row)[0] for row in arr.A]
+    acc = [0] * (d + 1)
+    stack = [(0, 1, ())]
     while stack:
-        i, sign, rank = stack.pop()
-        echelon.truncate(rank)
-        if i == n:
+        i, sign, basis = stack.pop()
+        row = rows[i]
+        for lead, pivot in basis:
+            c = row[lead]
+            if c:
+                a = pivot[lead]
+                row = [a * x - c * y for x, y in zip(row, pivot)]
+        first = next(filter(None, row), 0)
+        if not first:
+            continue
+        rank = len(basis)
+        if i == n - 1:
             acc[rank] += sign
-        elif echelon.insert(rows[i]):
-            stack += ((i + 1, sign, rank), (i + 1, -sign, rank + 1))
+            acc[rank + 1] -= sign
+            continue
+        stack.append((i + 1, sign, basis))
+        if rank + 1 < d:
+            g = gcd(*row)
+            stack.append((i + 1, -sign, (*basis, (row.index(first), [v // g for v in row]))))
     # acc[r] is the coefficient of t^(d - r): descending order already.
     return CharacteristicPolynomial(coeffs=tuple(acc))
 
@@ -292,40 +292,6 @@ def _ray(ints):
     return tuple(v // g for v in ints)
 
 
-def _split(rays, row, bit, d):
-    """One double-description step: the extreme rays of both halves of a cone.
-
-    ``rays`` are the (vector, zero mask) pairs of a pointed cone's extreme
-    rays, the mask holding the bits of the inserted rows that vanish on the
-    ray. Returns {1: rays of cone & {row >= 0}, -1: rays of cone & {row <= 0}},
-    with None for a half that no ray enters strictly: its open part is empty.
-    Rays on the hyperplane gain ``bit``; each adjacent pair across it adds
-    the ray where their 2-face meets it. Two rays are adjacent when their
-    common zero set has at least d - 2 rows and no third ray vanishes on all
-    of them (Fukuda & Prodon 1996). Region enumeration keeps both halves;
-    :mod:`.geometry` keeps only the positive one, cutting the data cone of a
-    log-normal polytope out row by row.
-    """
-    pos, neg, both = [], [], []
-    for ray, mask in rays:
-        value = sum(map(mul, row, ray))
-        if value > 0:
-            pos.append((value, ray, mask))
-        elif value < 0:
-            neg.append((value, ray, mask))
-        else:
-            both.append((ray, mask | bit))
-    for vp, p, mp in pos:
-        for vn, q, mq in neg:
-            common = mp & mq
-            if common.bit_count() >= d - 2 and sum(m & common == common for _, m in rays) == 2:
-                both.append((_ray([vp * b - vn * a for a, b in zip(p, q)]), common | bit))
-    return {
-        1: [(ray, mask) for _, ray, mask in pos] + both if pos else None,
-        -1: [(ray, mask) for _, ray, mask in neg] + both if neg else None,
-    }
-
-
 def _simplicial_start(rows, d):
     """The first d independent integer rows (greedy, as indices) and their cone's rays.
 
@@ -333,81 +299,126 @@ def _simplicial_start(rows, d):
     rays (M^-1)_{:,j}, returned as primitive integer vectors; ray j vanishes
     on every chosen row but the j-th. They are read off one integer
     Gauss-Jordan pass of [M | I]: row r ends as c_r (e_r | (M^-1)_{r,:}).
+    None when the rows have rank < d.
     """
-    chosen = ratlin.IntEchelon.independent_rows(rows, d)
+    echelon = ratlin.IntEchelon()
+    chosen = [i for i, row in enumerate(rows) if echelon.insert(row)]
+    if len(chosen) < d:
+        return None
     m, _, _ = ratlin._gauss_jordan([[*rows[i], *(int(i == j) for j in chosen)] for i in chosen], d)
     top = lcm(*(row[r] for r, row in enumerate(m)))
     return chosen, [_ray([row[d + j] * (top // row[r]) for r, row in enumerate(m)]) for j in range(d)]
 
 
-def _orthant_rays(signs, chosen, base):
-    """Rays of the simplicial cone {s_i A_i x >= 0 : i in chosen}, s = ``signs``."""
+def _cones(ints, d, chosen, base, signs=None):
+    """Double description of the regions of the primitive integer rows ``ints``.
+
+    All cones share one table of lines. A line is [v, mask, value]: a
+    primitive integer vector, the bitmask of the inserted rows vanishing on
+    it, and its value on the row being inserted. A cone is (bitmask of its
+    negative rows, [(line, sign), ...]), the extreme ray being sign * v. The
+    start cones are the orthants of the ``chosen`` rows, with rays the
+    signed ``base`` vectors (see :func:`_simplicial_start`) and row
+    ``chosen[0]`` positive. Each other row, in index order, is evaluated
+    once per line and splits every cone into the halves that some ray enters
+    strictly. A half keeps its rays strictly inside, then those on the row,
+    then one new ray per adjacent pair across the row, where their 2-face
+    meets it. Two rays are adjacent when their common zero set has at least
+    d - 2 rows and no third ray of the cone vanishes on all of them (Fukuda
+    & Prodon 1996). The new ray vanishes on that set and the row, of rank
+    d - 1, so a line another cone made on this row is found by that mask; a
+    line from an earlier row vanishes on more of the earlier rows. With
+    ``signs`` only the cone {s_i A_i x >= 0} is kept, and the table holds
+    just its lines. Returns (lines, cones).
+    """
     full = sum(1 << i for i in chosen)
-    return [(tuple(signs[i] * v for v in ray), full & ~(1 << i)) for i, ray in zip(chosen, base)]
+    lines = [[ray, full & ~(1 << i), 0] for i, ray in zip(chosen, base)]
+    orthants = [[signs[i] for i in chosen]] if signs else [(1, *o) for o in itertools.product((1, -1), repeat=d - 1)]
+    cones = [(sum(1 << i for i, s in zip(chosen, o) if s < 0), list(zip(lines, o))) for o in orthants]
+    for h, row in enumerate(ints):
+        if full >> h & 1:
+            continue
+        bit, side = 1 << h, signs[h] if signs else 0
+        for line in lines:
+            line[2] = value = sum(map(mul, row, line[0]))
+            if not value:
+                line[1] |= bit
+        onrow = {}  # the lines made on this row, by mask
+        grown = []
+        for neg, rays in cones:
+            pos, negs, both = [], [], []
+            for ray in rays:
+                value = ray[0][2] * ray[1]
+                (pos if value > 0 else negs if value else both).append(ray)
+            masks = [line[1] for line, _ in rays] if pos and negs else ()
+            for p, sp in pos:
+                for q, sq in negs:
+                    common = p[1] & q[1]
+                    if common.bit_count() >= d - 2 and sum(m & common == common for m in masks) == 2:
+                        # The new ray is sp sq r: value(p) q - value(q) p on the lines.
+                        r = [p[2] * b - q[2] * a for a, b in zip(p[0], q[0])]
+                        line = onrow.get(common | bit)
+                        if line is None:
+                            line = onrow[common | bit] = [_ray(r), common | bit, 0]
+                            lines.append(line)
+                            both.append((line, sp * sq))
+                        else:
+                            both.append((line, sp * sq if sum(map(mul, r, line[0])) > 0 else -sp * sq))
+            if pos and side >= 0:
+                grown.append((neg, pos + both))
+            if negs and side <= 0:
+                grown.append((neg | bit, negs + both))
+        cones = grown
+        if signs:
+            lines = [line for line, _ in cones[0][1]]
+    return lines, cones
 
 
 def _cone_rays(signs, chosen, base, ints, d):
-    """Extreme rays of the closed cone {s_i A_i x >= 0 : i < len(signs)}.
-
-    ``base`` holds the rays of the simplicial cone of the ``chosen`` rows with
-    positive signs (see :func:`_simplicial_start`); the other rows are cut in
-    one by one.
-    """
-    rays = _orthant_rays(signs, chosen, base)
-    for i in range(len(signs)):
-        if i not in chosen:
-            rays = _split(rays, ints[i], 1 << i, d)[signs[i]]
-    return rays
+    """(primitive vector, zero mask) of each extreme ray of the closed cone
+    {s_i A_i x >= 0 : i < len(signs)}, in the order of :func:`_cones`."""
+    _, [(_, rays)] = _cones(ints, d, chosen, base, signs)
+    return [(line[0] if s > 0 else tuple(-v for v in line[0]), line[1]) for line, s in rays]
 
 
 def enumerate_regions(arr: Arrangement) -> list:
     """All regions of the projective complement, as canonical sign vectors.
 
-    Every cone carries its extreme rays (primitive integer vectors with a
-    bitmask of the rows vanishing on them). Enumeration starts from the
-    2^(d-1) orthants of the d independent rows of :func:`_simplicial_start`,
-    with row 0 positive, whose rays are the signed columns of one inverse.
-    Every other row is then inserted in index order by the double-description
-    step of :func:`_split`, keeping each half that some ray enters strictly.
-    No LP runs. A region's witness is the sum of its extreme rays, each first
-    scaled to largest absolute coordinate 1: a positive combination of all
-    extreme rays of a pointed cone lies in its interior, so the witness has
-    the region's signs exactly (Fukuda & Prodon 1996). Scaling the rays first
-    stops rays with huge integer entries from swamping the others, which put
-    plain sums numerically on a wall. Regions come back sorted by sign
-    string; the count always equals ``ml_degree(arr)``.
+    The rows are cleared to primitive integers once. Their start rows (see
+    :func:`_simplicial_start`) show whether the arrangement is essential,
+    and the rows up to sign whether two are parallel. :func:`_cones` then
+    splits the 2^(d-1) orthants of the start rows by every other row, all
+    cones sharing one table of lines. No LP runs. A region's witness is the
+    sum of its extreme rays, each first scaled to largest absolute
+    coordinate 1, summed column by column over a common denominator: a
+    positive combination of all extreme rays of a pointed cone lies in its
+    interior, so the witness has the region's signs exactly (Fukuda &
+    Prodon 1996). Scaling the rays first stops rays with huge integer
+    entries from swamping the others, which put plain sums numerically on a
+    wall. Regions come back sorted by sign string; the count always equals
+    ``ml_degree(arr)``.
     """
-    _require_essential(arr)
-    pairs = _parallel_pairs(arr)
-    if pairs:
-        raise ParallelRows(pairs)
     n, d = arr.n, arr.d
     ints = [_ray(ratlin.cleared(row)[0]) for row in arr.A]
-    chosen, base = _simplicial_start(ints, d)
-    regions = []
-    for orthant in itertools.product((1, -1), repeat=d - 1):
-        signs = [0] * n
-        for i, s in zip(chosen, (1, *orthant)):
-            signs[i] = s
-        regions.append((tuple(signs), _orthant_rays(signs, chosen, base)))
-    for h in range(n):
-        if h in chosen:
-            continue
-        grown = []
-        for signs, rays in regions:
-            for side, half in _split(rays, ints[h], 1 << h, d).items():
-                if half is not None:
-                    grown.append((signs[:h] + (side,) + signs[h + 1 :], half))
-        regions = grown
+    start = _simplicial_start(ints, d)
+    if start is None:
+        _require_essential(arr)  # raises: the rank is below d
+    seen = {}
+    keys = (row if next(filter(None, row)) > 0 else tuple(-v for v in row) for row in ints)
+    pairs = [(seen[key], i) for i, key in enumerate(keys) if seen.setdefault(key, i) != i]
+    if pairs:
+        raise ParallelRows(pairs)
+    lines, cones = _cones(ints, d, *start)
+    for line in lines:
+        line.append(max(map(abs, line[0])))  # line[3]: the top of its rays
     result = []
-    for signs, rays in regions:
+    for neg, rays in cones:
         # sum_j ray_j / top_j, over the common denominator of the tops.
-        tops = [max(map(abs, ray)) for ray, _ in rays]
-        common = lcm(*tops)
-        total = [0] * d
-        for (ray, _), top in zip(rays, tops):
-            total = [a + common // top * v for a, v in zip(total, ray)]
+        common = lcm(*(line[3] for line, _ in rays))
+        factors = [s * (common // line[3]) for line, s in rays]
+        total = [sum(map(mul, factors, column)) for column in zip(*(line[0] for line, _ in rays))]
         top = max(map(abs, total))
+        signs = tuple(-1 if neg >> i & 1 else 1 for i in range(n))
         result.append(Region(SignVector(signs), tuple(Fraction(v, top) for v in total)))
     result.sort(key=Region.key)
     return result

@@ -197,11 +197,9 @@ def det(rows):
 
 
 class IntEchelon:
-    """Incremental integer echelon form used for subset-rank enumeration.
+    """Incremental integer echelon form, for greedy choices of independent rows.
 
     Rows are reduced with :func:`row_update`, so no fractions appear.
-    ``truncate(rank)`` undoes the inserts made since the rank was ``rank``,
-    so a depth-first walk can share one instance.
     """
 
     __slots__ = ("rows", "lead")
@@ -209,9 +207,6 @@ class IntEchelon:
     def __init__(self):
         self.rows = []
         self.lead = []
-
-    def truncate(self, rank):
-        del self.rows[rank:], self.lead[rank:]
 
     def insert(self, row) -> bool:
         """Reduce the integer ``row`` against the current basis; True if rank grew.

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from dd_oracle import parallel_pairs
 from sqlinear import ratlin, simplex
-from sqlinear.arrangement import Region, SignVector, _parallel_pairs, _require_essential
+from sqlinear.arrangement import Region, SignVector, _require_essential
 from sqlinear.errors import ParallelRows
 
 ZERO = Fraction(0)
@@ -99,7 +100,7 @@ def feasible_point(rows):
 def enumerate_regions(arr):
     """All regions of the projective complement, with one LP per split test."""
     _require_essential(arr)
-    pairs = _parallel_pairs(arr)
+    pairs = parallel_pairs(arr)
     if pairs:
         raise ParallelRows(pairs)
     A = arr.A

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import dd_oracle
 import lp_oracle as oracle
 from conftest import CATALOG
 from sqlinear import arrangement, catalog, ratlin, simplex
@@ -55,7 +56,7 @@ def late_start_arrangements(seed, count):
             arrangement._require_essential(arr)
         except ValidationError:
             continue  # a zero row, or rank < d
-        if arrangement._parallel_pairs(arr):
+        if dd_oracle.parallel_pairs(arr):
             continue
         # The start rows of the enumeration end at row d or later.
         assert ratlin.IntEchelon.independent_rows(arr.A, d)[-1] >= d
@@ -81,7 +82,7 @@ def on_witness_arrangements(seed, count):
         if ratlin.is_zero(row):
             continue
         arr = arrangement.Arrangement(A=prefix.A + (row,))
-        if arrangement._parallel_pairs(arr):
+        if dd_oracle.parallel_pairs(arr):
             continue
         out.append(arr)
     return out
@@ -192,3 +193,31 @@ def test_carried_rays_are_the_extreme_rays(kind):
             rays = arrangement._cone_rays(region.sign.signs, chosen, base, ints, arr.d)
             assert len(rays) == len(set(rays))
             assert set(rays) == extreme_rays(arr, region.sign.signs)
+
+
+def canonical(line):
+    """A line's vector up to sign: first nonzero entry positive."""
+    return line if next(v for v in line if v) > 0 else tuple(-v for v in line)
+
+
+@pytest.mark.parametrize("kind", ["generic", "late_start", "on_witness"])
+def test_line_table_holds_no_more_lines_than_the_arrangement(kind):
+    """Enumeration evaluates each row once per line of its shared table. The
+    table holds no more lines than kernel_lines finds, with no line twice, and
+    each line carries the mask of exactly the rows vanishing on it."""
+    if kind == "generic":
+        rng = random.Random(18)
+        cases = [catalog.random_arrangement(d, d + 4, rng) for d in (2, 3, 4, 5)]
+    elif kind == "late_start":
+        cases = late_start_arrangements(19, 5)
+    else:
+        cases = on_witness_arrangements(20, 5)
+    for arr in cases:
+        ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
+        lines, _ = arrangement._cones(ints, arr.d, *arrangement._simplicial_start(ints, arr.d))
+        kernel = {canonical(line): values for line, values in kernel_lines(arr)}
+        assert len(lines) <= len(kernel)
+        assert len({canonical(vector) for vector, _, _ in lines}) == len(lines)
+        for vector, mask, _ in lines:
+            values = kernel[canonical(vector)]
+            assert mask == sum(1 << i for i, v in enumerate(values) if v == 0)
