@@ -297,17 +297,18 @@ def _simplicial_start(rows, d):
 
     The simplicial cone {M_j x >= 0} of d independent rows M has the extreme
     rays (M^-1)_{:,j}, returned as primitive integer vectors; ray j vanishes
-    on every chosen row but the j-th. They are read off one integer
-    Gauss-Jordan pass of [M | I]: row r ends as c_r (e_r | (M^-1)_{r,:}).
-    None when the rows have rank < d.
+    on every chosen row but the j-th. Both come from one integer
+    Gauss-Jordan pass of [rows^T | I_d], reduced on its n = len(rows) left
+    columns: the pivot columns are the greedy rows, and row j ends as
+    c_j (e_j on the chosen columns | (M^-1)_{:,j}). None when the rows have
+    rank < d.
     """
-    echelon = ratlin.IntEchelon()
-    chosen = [i for i, row in enumerate(rows) if echelon.insert(row)]
+    n = len(rows)
+    augmented = [[*col, *(int(i == j) for j in range(d))] for i, col in enumerate(zip(*rows))]
+    m, chosen, _ = ratlin._gauss_jordan(augmented, n)
     if len(chosen) < d:
         return None
-    m, _, _ = ratlin._gauss_jordan([[*rows[i], *(int(i == j) for j in chosen)] for i in chosen], d)
-    top = lcm(*(row[r] for r, row in enumerate(m)))
-    return chosen, [_ray([row[d + j] * (top // row[r]) for r, row in enumerate(m)]) for j in range(d)]
+    return chosen, [_ray(row[n:] if row[c] > 0 else [-v for v in row[n:]]) for c, row in zip(chosen, m)]
 
 
 def _cones(ints, d, chosen, base, signs=None):

@@ -97,7 +97,7 @@ def reduced_points(dpp: DPPModel):
     k, n = dpp.k, dpp.n
     m = n - k + 1  # surviving parameters, the ambient dimension of the points
     columns = ratlin.transpose(dpp.Theta_fixed)[::-1]
-    chosen = sorted(n - 1 - i for i in ratlin.IntEchelon.independent_rows(columns, k - 1))
+    chosen = sorted(n - 1 - i for i in ratlin.independent_rows(columns, k - 1))
     perm = tuple([c for c in range(n) if c not in chosen] + chosen)
     inverse = ratlin.inverse([[row[c] for c in chosen] for row in dpp.Theta_fixed])
     fixed = [[dpp.Theta_fixed[r][c] for c in perm] for r in range(k - 1)]
@@ -144,19 +144,6 @@ def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:
         points=points,
         column_permutation=perm,
     )
-
-
-def hyperplane_through(points, subset):
-    """Primitive normal of the projective hyperplane spanned by the points.
-
-    Points are vectors in R^m read projectively, so the hyperplane through
-    them is the kernel of the matrix they form as rows.
-    """
-    chosen = [points[i] for i in subset]
-    kernel = ratlin.nullspace(chosen, ncols=len(points[0]))
-    if len(kernel) != 1:
-        raise ValidationError(f"points {subset} do not span a hyperplane")
-    return ratlin.primitive(kernel[0])
 
 
 def dpp_ml_degree_l2(n: int) -> int:

@@ -281,7 +281,7 @@ def swap_candidates(model: SquaredLinearModel, y) -> list:
     """
     y = _check_kernel_point(model, y)
     A, n, d = model.arr.A, model.n, model.d
-    chosen = ratlin.IntEchelon.independent_rows(A, d)
+    chosen = ratlin.independent_rows(A, d)
     # l(x') = (G / g) rhs for the values rhs of x' on the chosen rows, in units of y's lcd.
     flat, g = ratlin.cleared([v for row in ratlin.matmul(A, ratlin.inverse([A[i] for i in chosen])) for v in row])
     G = [flat[k : k + d] for k in range(0, len(flat), d)]

@@ -166,7 +166,7 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     L = tuple(squared_form_row(row, monomials) for row in model.arr.A)
     inverse_rows = ratlin.inverse(L[:N])
     if inverse_rows is None:
-        perm = ratlin.IntEchelon.independent_rows(L, N)
+        perm = ratlin.independent_rows(L, N)
         if perm is not None:
             perm = tuple(perm + [i for i in range(n) if i not in perm])
         raise DegenerateLeadingBlock(

@@ -48,6 +48,11 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}".rstrip("0").rstrip(".")
 
 
+def _escape(text: str) -> str:
+    """``text`` with the characters XML reserves in a quoted attribute value escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+
+
 def _to_pixels(a: float, b: float):
     x = (a + VIEW) / (2 * VIEW) * SIZE
     y = (VIEW - b) / (2 * VIEW) * SIZE
@@ -140,7 +145,7 @@ def _draw_chart3(arr, A, chart, parts):
     """d = 3: hyperplanes are lines of the chart. Returns the pixel map."""
     # First form = line at infinity of the chart: drawn as the boundary circle.
     parts.append(
-        f'<circle class="hyperplane" data-label="{arr.label(0)}" '
+        f'<circle class="hyperplane" data-label="{_escape(arr.label(0))}" '
         f'cx="{_fmt(SIZE / 2)}" cy="{_fmt(SIZE / 2)}" r="{_fmt(SIZE / 2 - 1)}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
@@ -150,7 +155,7 @@ def _draw_chart3(arr, A, chart, parts):
         (x0, y0), (x1, y1) = (_to_pixels(*p) for p in seg)
         color = PALETTE[i % len(PALETTE)]
         parts.append(
-            f'<line class="hyperplane" data-label="{arr.label(i)}" '
+            f'<line class="hyperplane" data-label="{_escape(arr.label(i))}" '
             f'x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
             f'stroke="{color}" stroke-width="1.2"/>'
         )
@@ -176,12 +181,12 @@ def _draw_chart2(arr, A, chart, parts):
         px, _ = to_px(root, 0)
         color = PALETTE[i % len(PALETTE)]
         parts.append(
-            f'<circle class="hyperplane" data-label="{arr.label(i)}" '
+            f'<circle class="hyperplane" data-label="{_escape(arr.label(i))}" '
             f'cx="{_fmt(px)}" cy="{_fmt(axis_y)}" r="4" fill="{color}"/>'
         )
     # The first form sits at infinity: mark both ends of the axis.
     parts.append(
-        f'<path class="hyperplane" data-label="{arr.label(0)}" '
+        f'<path class="hyperplane" data-label="{_escape(arr.label(0))}" '
         f'd="M 4 {_fmt(axis_y - 6)} L 4 {_fmt(axis_y + 6)} '
         f'M {_fmt(SIZE - 4)} {_fmt(axis_y - 6)} L {_fmt(SIZE - 4)} {_fmt(axis_y + 6)}" '
         'stroke="#333333" stroke-width="1" fill="none"/>'

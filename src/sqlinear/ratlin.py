@@ -1,11 +1,12 @@
 """Small exact linear algebra kernel over the rationals.
 
 Matrices are tuples/lists of row tuples of ``fractions.Fraction`` (ints are
-accepted too). ``rank``, ``nullspace``, ``solve``, ``inverse`` and ``det``
-all read their answers off one integer Gauss-Jordan pass built on
-:func:`row_update`. Everything here is deterministic; downstream modules rely
-on that for reproducible kernel bases and witnesses. Exact values turn
-into doubles in one place, :func:`sqlinear.mle.to_floats`.
+accepted too). ``rank``, ``nullspace``, ``solve``, ``inverse``, ``det`` and
+``independent_rows`` all read their answers off one integer Gauss-Jordan
+pass built on :func:`row_update`. Everything here is deterministic;
+downstream modules rely on that for reproducible kernel bases and
+witnesses. Exact values turn into doubles in one place,
+:func:`sqlinear.mle.to_floats`.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def row_update(a, row, b, pivot_row):
 
     With ``a = pivot_row[c]`` and ``b = row[c]`` this clears column c in
     integers (fraction-free elimination, Bareiss 1968, dividing out the row
-    content). Every exact elimination here uses it, and so does the exact LP
-    of :mod:`.simplex`.
+    content). It is the row step of :func:`_gauss_jordan`, the one
+    elimination pass here, and of the exact LP of :mod:`.simplex`.
     """
     line = [a * x - b * y for x, y in zip(row, pivot_row)]
     g = gcd(*line)
@@ -196,50 +197,11 @@ def det(rows):
     return Fraction(num, den)
 
 
-class IntEchelon:
-    """Incremental integer echelon form, for greedy choices of independent rows.
+def independent_rows(rows, count):
+    """Indices of the first ``count`` rows that each raise the rank, or None.
 
-    Rows are reduced with :func:`row_update`, so no fractions appear.
+    Greedy in the given order; the rows may be rational. They are the pivot
+    columns of the transpose.
     """
-
-    __slots__ = ("rows", "lead")
-
-    def __init__(self):
-        self.rows = []
-        self.lead = []
-
-    def insert(self, row) -> bool:
-        """Reduce the integer ``row`` against the current basis; True if rank grew.
-
-        A basis as wide as ``row`` spans it, so that case returns at once.
-        """
-        if len(self.rows) == len(row):
-            return False
-        for basis, lead in zip(self.rows, self.lead):
-            if row[lead] != 0:
-                row, _ = row_update(basis[lead], row, row[lead], basis)
-        leadpos = next((i for i, v in enumerate(row) if v != 0), None)
-        if leadpos is None:
-            return False
-        self.rows.append(row)
-        self.lead.append(leadpos)
-        return True
-
-    @staticmethod
-    def independent_rows(rows, count):
-        """Indices of the first ``count`` rows that each raise the rank, or None.
-
-        Greedy in the given order; the rows may be rational.
-        """
-        echelon = IntEchelon()
-        chosen = []
-        for i, row in enumerate(rows):
-            if len(chosen) == count:
-                break
-            if echelon.insert(cleared(row)[0]):
-                chosen.append(i)
-        return chosen if len(chosen) == count else None
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    pivots = _gauss_jordan(transpose(rows))[1]
+    return pivots[:count] if len(pivots) >= count else None

@@ -7,7 +7,7 @@ line table between all cones and walked chi on persistent echelons.
 evaluating a ray on the new row once per cone that holds it, and
 :func:`cone_rays` cuts one cone out row by row the same way.
 :func:`characteristic_polynomial` walks the no-broken-circuit tree on one
-shared integer echelon form, truncated back to each node's rank when the
+shared :class:`IntEchelon`, truncated back to each node's rank when the
 node is popped. tests/test_dd_oracle.py checks that the library returns the
 same regions, witnesses, ordered cone rays and chi.
 """
@@ -131,7 +131,40 @@ def enumerate_regions(arr):
     return result
 
 
-class TruncatingEchelon(ratlin.IntEchelon):
+class IntEchelon:
+    """Incremental integer echelon form, reduced with :func:`ratlin.row_update`:
+    the greedy independent-row picker that the library had beside its
+    Gauss-Jordan pass."""
+
+    __slots__ = ("rows", "lead")
+
+    def __init__(self):
+        self.rows = []
+        self.lead = []
+
+    def insert(self, row) -> bool:
+        """Reduce the integer ``row`` against the current basis; True if rank grew.
+
+        A basis as wide as ``row`` spans it, so that case returns at once.
+        """
+        if len(self.rows) == len(row):
+            return False
+        for basis, lead in zip(self.rows, self.lead):
+            if row[lead] != 0:
+                row, _ = ratlin.row_update(basis[lead], row, row[lead], basis)
+        leadpos = next((i for i, v in enumerate(row) if v != 0), None)
+        if leadpos is None:
+            return False
+        self.rows.append(row)
+        self.lead.append(leadpos)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+class TruncatingEchelon(IntEchelon):
     """The shared echelon form of the old walk, which it cut back per node."""
 
     __slots__ = ()

@@ -186,9 +186,12 @@ def dual_polytope(model, y) -> Polytope:
 
 
 def simplicial_start(rows, d):
-    """The first d independent rows and the primitive columns of their inverse."""
-    chosen = ratlin.IntEchelon.independent_rows(rows, d)
-    columns = ratlin.transpose(ratlin.inverse([rows[i] for i in chosen]))
+    """The first d independent Fraction rows, picked by Fraction ranks, and
+    the primitive columns of their Fraction inverse; None when the rank is < d."""
+    chosen = ratlin_oracle.independent_rows(rows, d)
+    if chosen is None:
+        return None
+    columns = ratlin.transpose(ratlin_oracle.inverse([rows[i] for i in chosen]))
     return chosen, [_ray(ratlin.cleared(col)[0]) for col in columns]
 
 

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 import ratlin_oracle
+from dd_oracle import IntEchelon
 from sqlinear import arrangement, ratlin
 from sqlinear.arrangement import (
     Arrangement,
@@ -87,12 +88,12 @@ def rank_cut_walk(arr):
             acc[echelon.rank] += sign
         elif echelon.rank < d:
             walk(i + 1, echelon, sign)
-            grown = ratlin.IntEchelon()
+            grown = IntEchelon()
             grown.rows, grown.lead = list(echelon.rows), list(echelon.lead)
             grown.insert(rows[i])
             walk(i + 1, grown, -sign)
 
-    walk(0, ratlin.IntEchelon(), 1)
+    walk(0, IntEchelon(), 1)
     return tuple(acc)
 
 

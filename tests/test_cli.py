@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import warnings
+from xml.etree import ElementTree
 
 import pytest
 
@@ -357,6 +358,20 @@ class TestPlot:
         assert run(tmp_path, "plot", {"A": A, "s": [1] * len(A)})[0] == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["type"], err["message"]) == ("RankDeficient", f"model needs n > d > 1, got n = {len(A)}, d = {len(A)}")
+
+    @pytest.mark.parametrize(
+        "command, A",
+        [("regions", [[1, 0], [0, 1], [1, 1]]), ("plot", STEINER["A"])],
+        ids=["regions-d2", "plot-d3"],
+    )
+    def test_labels_are_escaped(self, tmp_path, command, A):
+        # Labels went into data-label unescaped, and the figure did not parse.
+        labels = ["<a>", "a&b", 'say "hi"', "x4"][: len(A)]
+        svg = tmp_path / "figure.svg"
+        code, text = run(tmp_path, command, {"A": A, "labels": labels}, *(["--svg", str(svg)] if command != "plot" else []))
+        assert code == 0
+        root = ElementTree.fromstring(text if command == "plot" else svg.read_text())
+        assert sorted(e.get("data-label") for e in root.iter() if "data-label" in e.attrib) == sorted(labels)
 
     @pytest.mark.parametrize(
         "command, extra",

@@ -10,11 +10,18 @@ from sqlinear.dpp import (
     DPPModel,
     dpp_ml_degree_l2,
     dpp_probabilities,
-    hyperplane_through,
     linear_projection_arrangement,
     reduced_points,
 )
 from sqlinear.errors import RankDeficient, ValidationError
+
+
+def hyperplane_through(points, subset):
+    """Primitive normal of the projective hyperplane spanned by the points:
+    the kernel of the matrix they form as rows."""
+    kernel = ratlin.nullspace([points[i] for i in subset], ncols=len(points[0]))
+    assert len(kernel) == 1, f"points {subset} do not span a hyperplane"
+    return ratlin.primitive(kernel[0])
 
 
 def random_fixed(rows, n, rng):

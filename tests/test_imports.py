@@ -235,6 +235,43 @@ def test_float_command_loads_numpy(tmp_path):
     assert code == 0 and {"numpy", "sqlinear.mle"} <= set(loaded)
 
 
+# Top-level names that nothing in src/ refers to. Each should get a caller in
+# src/, become a check, or move into tests/; until then they stay because the
+# tests, the golden cases or the benchmark use them.
+NO_SRC_CALLER = {
+    # The example arrangements: inputs of the tests, golden cases and benchmark.
+    "catalog.braid_arrangement", "catalog.four_points_arrangement", "catalog.random_arrangement",
+    "catalog.seven_lines_arrangement", "catalog.six_points_arrangement", "catalog.steiner_arrangement",
+    # Library entry points that the benchmark runs or traces, and the tests call.
+    "geometry.combinatorial_type_scan", "geometry.dual_polytope", "mle.solve_region", "simplex.feasible_point",
+    "mle.likelihood_matrix", "mle.rank_defect", "model.evaluate", "model.gradient", "model.log_likelihood",
+    "jsonio.arrangement_to_json",
+    # Checked by the acceptance suite only.
+    "arrangement.generic_ml_degree", "catalog.braid_pair_index", "degeneration.limit_distance",
+    "degeneration.match_supports", "model.evaluate_exact", "model.noninjectivity_witness", "model.steiner_quartic",
+    # Tests only.
+    "catalog.circle_arrangement",
+}
+
+
+def test_src_names_without_a_src_caller():
+    """A new top-level function or class with no caller in src/ fails here,
+    and so does a listed name that gains one or is deleted. A name counts as
+    called when a Name or Attribute node outside its own definition carries
+    it; the strings of ``__init__._EXPORTS`` do not count."""
+    defined, referenced = [], set()
+    for path in sorted((SRC / "sqlinear").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("__"):
+                defined.append((path.stem, own))
+            nodes = list(ast.walk(stmt))
+            names = {node.id for node in nodes if isinstance(node, ast.Name)}
+            names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            referenced |= names - {own}
+    assert {f"{module}.{name}" for module, name in defined if name not in referenced} == NO_SRC_CALLER
+
+
 def test_old_namespace_resolves_from_home_modules():
     import importlib
 

@@ -79,15 +79,18 @@ def test_large_dual_matches_oracle():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_simplicial_rays_match_inverse(d):
     """Integer Gauss-Jordan rays equal the primitive columns of the inverse;
-    a dependent row in front checks the greedy choice."""
+    a dependent row in front checks the greedy choice, and rank < d gives None."""
     rng = random.Random(40 + d)
     for _ in range(5):
         rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)) for _ in range(d + 2)]
         rows.insert(1, ratlin.scale(rows[0], Fraction(-3, 2)))
-        if ratlin.rank(rows) < d or ratlin.is_zero(rows[0]):
+        if ratlin.is_zero(rows[0]):
             continue
         ints = [_ray(ratlin.cleared(row)[0]) for row in rows]
         assert _simplicial_start(ints, d) == oracle.simplicial_start(rows, d)
+        flat = [row[:-1] + (Fraction(0),) for row in rows]  # rank < d
+        assert _simplicial_start([ratlin.cleared(row)[0] for row in flat], d) is None
+        assert oracle.simplicial_start(flat, d) is None
 
 
 @pytest.mark.parametrize("name", ["steiner", "braid4", "circle", "four_points", "six_points", "halves"])

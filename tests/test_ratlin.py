@@ -114,7 +114,24 @@ def test_independent_rows_match_oracle():
     for _, rows in matrices(20251020, 300):
         exact = as_fractions(rows)
         for count in range(0, len(rows[0]) + 2):
-            assert ratlin.IntEchelon.independent_rows(rows, count) == oracle.independent_rows(exact, count)
+            assert ratlin.independent_rows(rows, count) == oracle.independent_rows(exact, count)
+
+
+@pytest.mark.parametrize(
+    "rows, count, chosen",
+    [
+        ([(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 1, 2)], 2, [0, 2]),
+        ([(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 1, 2)], 3, None),
+        ([(0, 0), (0, 5), (1, 0)], 1, [1]),
+        ([(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), 1), (0, Fraction(2, 7))], 2, [0, 2]),
+        ([], 0, []),
+        ([], 1, None),
+    ],
+    ids=["rank-deficient", "count-above-rank", "zero-row", "rational", "empty", "empty-count-above-rank"],
+)
+def test_independent_rows_cases(rows, count, chosen):
+    assert ratlin.independent_rows(rows, count) == chosen
+    assert oracle.independent_rows(as_fractions(rows), count) == chosen
 
 
 def old_leading_permutation(L, N):

@@ -59,7 +59,7 @@ def late_start_arrangements(seed, count):
         if dd_oracle.parallel_pairs(arr):
             continue
         # The start rows of the enumeration end at row d or later.
-        assert ratlin.IntEchelon.independent_rows(arr.A, d)[-1] >= d
+        assert ratlin.independent_rows(arr.A, d)[-1] >= d
         out.append(arr)
     return out
 
@@ -185,7 +185,7 @@ def test_carried_rays_are_the_extreme_rays(kind):
     else:
         cases = late_start_arrangements(17, 5)
     for arr in cases:
-        chosen = ratlin.IntEchelon.independent_rows(arr.A, arr.d)
+        chosen = ratlin.independent_rows(arr.A, arr.d)
         columns = ratlin.transpose(ratlin.inverse([arr.A[i] for i in chosen]))
         base = [arrangement._ray(ratlin.cleared(col)[0]) for col in columns]
         ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
