@@ -20,10 +20,12 @@ them and returns one row of outcomes per data vector, which is how a
 log-Voronoi scan solves all its samples at once; :meth:`SolveAllResult.of`
 is the one rule that turns a row into the converged points, the MLE and
 the failures. A row's chart pins its largest coordinate and hops when
-another one takes over, so iterates stay bounded. The Hessian is ridged
-only when it is not negative definite, by ``SHIFT_MARGIN * scale`` doubled
-until the smallest eigenvalue of -H plus the ridge is positive, scale being
-the largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4).
+another one takes over, so iterates stay bounded. A pass tests every
+row's chart Hessian for negative definiteness by Cholesky and solves every
+row's Newton system in one call; only a row that fails the test gets its
+eigenvalues and is ridged, by ``SHIFT_MARGIN * scale`` doubled until the
+smallest eigenvalue of -H plus the ridge is positive, scale being the
+largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4).
 Each row's line search starts at t = min(1, TO_WALL * wall), wall being the
 step length at which the Newton step reaches the nearest hyperplane: near a
 degeneration the critical point sits close to a wall and the Newton step
@@ -109,6 +111,53 @@ def _product(P, Q):
     return (np.repeat(P, 2, axis=0) @ Q)[:1]
 
 
+def _raises(f, M):
+    """Which matrices of the (R, m, m) stack M make ``f`` raise LinAlgError,
+    each as a call on it alone would: the stack is split in halves wherever
+    it raises."""
+    try:
+        f(M)
+        return np.zeros(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([_raises(f, M[: len(M) // 2]), _raises(f, M[len(M) // 2 :])])
+
+
+def _newton_step(g, H):
+    """Ascent direction solve(-H, g) for each row of an (R, m) stack of free
+    gradients and (R, m, m) Hessians, its slope g . step and the rows whose
+    H was ridged: only those failing the Cholesky test for negative
+    definiteness, which alone get their eigenvalues. A definite Hessian,
+    however stiff, gets the pure Newton step, whose slope is the decrement;
+    shifting it would wreck the soft directions during tracking. A row whose
+    H is not finite, or whose system is singular, gets a NaN step."""
+    M, eye = -H, np.eye(H.shape[-1])
+    bad = ~np.isfinite(M).all(axis=(1, 2))
+    M[bad] = eye  # keeps the factorizations going; the step is discarded
+    ridged = _raises(np.linalg.cholesky, M)
+    if ridged.any():
+        low = np.linalg.eigvalsh(M[ridged])[:, 0]
+        scale = np.abs(np.diagonal(M[ridged], axis1=1, axis2=2)).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        # ridge = base * 2^k for the least k >= 0 with lam_min + ridge > 0; the
+        # sign of that sum is exact, so two guards undo a rounded log2.
+        base = SHIFT_MARGIN * scale
+        ridge = np.where(low > 0.0, 0.0, base * 2.0 ** np.ceil(np.log2(np.maximum(-low, base) / base)))
+        ridge[(ridge > base) & (low + ridge / 2.0 > 0.0)] /= 2.0
+        ridge[~(low + ridge > 0.0)] *= 2.0
+        M[ridged] += ridge[:, None, None] * eye
+        ridged[ridged] = ridge > 0.0
+    try:
+        step = np.linalg.solve(M, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a singular row; inv factors as solve does
+        bad |= _raises(np.linalg.inv, M)
+        M[bad] = eye
+        step = np.linalg.solve(M, g[:, :, None])[:, :, 0]
+    step[bad] = np.nan
+    return step, np.einsum("ri,ri->r", g, step), ridged
+
+
 class Likelihood:
     """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
     Hessian on every row y of an (R, d) stack, read from the stack's (R, n)
@@ -128,12 +177,14 @@ class Likelihood:
 
     def __init__(self, A: np.ndarray, s: np.ndarray):
         S = np.atleast_2d(s)
-        # Near double range A^T A overflows; every row's step is then non-finite and fails.
-        with np.errstate(over="ignore"):
-            self.A, self.totals, self.gram = A, S.sum(axis=1), A.T @ A
         weighted = np.any(S != 0.0, axis=0)
         self._keep = None if weighted.all() else np.flatnonzero(weighted)
         self._S, self._A = (S, A) if self._keep is None else (S[:, self._keep], A[self._keep])
+        # Near double range A^T A and the outer products A_i A_i^T overflow;
+        # every row's step is then non-finite and fails.
+        with np.errstate(over="ignore"):
+            self.A, self.totals, self.gram = A, S.sum(axis=1), A.T @ A
+            self._outer = (self._A[:, :, None] * self._A[:, None, :]).reshape(len(self._A), -1)
         # One data vector is one column, which numpy would multiply through
         # gemv; a copy beside it keeps the product in gemm and is never read.
         self._ST = np.repeat(self._S.T, 2, axis=1) if len(S) == 1 else self._S.T
@@ -155,7 +206,7 @@ class Likelihood:
         ratio = 2.0 * total / q
         G = _product(2.0 * s / W, self._A) - ratio[:, None] * U
         H = (
-            -np.einsum("ri,ij,ik->rjk", 2.0 * s / W**2, self._A, self._A)
+            -_product(2.0 * s / W**2, self._outer).reshape(len(V), *self.gram.shape)
             - ratio[:, None, None] * self.gram
             + (4.0 * total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
         )
@@ -291,9 +342,8 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     sign guard alone decides. A row whose backtracking finds no step, or
     that runs out of iterations, fails.
 
-    A pass skips what none of its rows needs (the fix-up of a non-finite
-    Hessian, the ridge, the found rows' last step); for every other row the
-    skipped work is an exact no-op (lam + 0.0 is lam when lam > 0).
+    A pass skips what none of its rows needs (the ridge, the found rows'
+    last step), and the ridge touches only the rows that need it.
     """
     S = np.array([_check_positive_data(s, model.n) for s in data]).reshape(-1, model.n)
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
@@ -326,34 +376,6 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         row's chart."""
         free, lane = frees[chart[rows]], lanes[: len(rows)]
         return G[lane, free], H[lane[:, :, None], free[:, :, None], free[:, None, :]], free
-
-    def newton_step(rows, G, H):
-        """Ascent direction solve(-H, g) on the free coordinates (zero on the
-        pinned one), its slope and the rows whose H was ridged, which happens
-        only when H is not negative definite. A definite Hessian, however
-        stiff, gets the pure Newton step, whose slope is the decrement;
-        shifting it would wreck the soft directions during tracking."""
-        g, H, free = free_hessian(rows, G, H)
-        finite = np.isfinite(H).all(axis=(1, 2))
-        if not finite.all():
-            H[~finite] = -np.eye(d - 1)  # keeps eigh going; the step is discarded
-        lam, Q = np.linalg.eigh(-H)
-        low, ridged = lam[:, 0], np.zeros(len(rows), dtype=bool)
-        if not (low > 0.0).all():
-            scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
-            scale[scale == 0.0] = 1.0
-            # ridge = base * 2^k for the least k >= 0 with lam_min + ridge > 0; the
-            # sign of that sum is exact, so two guards undo a rounded log2.
-            base = SHIFT_MARGIN * scale
-            ridge = np.where(low > 0.0, 0.0, base * 2.0 ** np.ceil(np.log2(np.maximum(-low, base) / base)))
-            ridge[(ridge > base) & (low + ridge / 2.0 > 0.0)] /= 2.0
-            ridge[~(low + ridge > 0.0)] *= 2.0
-            lam, ridged = lam + ridge[:, None], ridge > 0.0
-        step = np.einsum("rij,rj->ri", Q, np.einsum("rji,rj->ri", Q, g) / lam)
-        step[~finite] = np.nan
-        full = np.zeros((len(rows), d))
-        full[lanes[: len(rows)], free] = step
-        return full, np.einsum("ri,ri->r", g, step), ridged
 
     def backtrack(x, step, t, accept):
         """Halve each row's step from iterate ``x`` and first trial ``t``
@@ -396,7 +418,10 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             X[rows] = x = x / size.max(axis=1)[:, None]
             V = _product(x, A.T)
             current, G, H = loglik.hessian(V, which[rows])
-            step, slope, ridged = newton_step(rows, G, H)
+            g, H, free = free_hessian(rows, G, H)
+            free_step, slope, ridged = _newton_step(g, H)
+            step = np.zeros((len(rows), d))
+            step[lanes[: len(rows)], free] = free_step
             decrement = np.where(ridged, np.inf, slope)
             lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
             history[rows, iterations[rows]] = lam

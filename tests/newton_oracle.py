@@ -79,6 +79,28 @@ def hessian(model, s, x) -> np.ndarray:
     return -(A.T * diag) @ A - (2.0 * total / q) * gram + (4.0 * total / q**2) * np.outer(u, u)
 
 
+def eigen_step(H, g):
+    """The batch's Newton step as it was before it tested definiteness by
+    Cholesky, kept as an oracle for :func:`sqlinear.mle._newton_step`: for
+    each row of an (R, m, m) stack of free Hessians and (R, m) gradients, the
+    eigendecomposition lam, Q of -H, the closed-form ridge (SHIFT_MARGIN times
+    the largest |diagonal entry| of H, doubled until lam_min plus the ridge is
+    positive) and the step Q diag(1 / (lam + ridge)) Q^T g. Returns the steps
+    and the mask of the rows whose ridge is positive."""
+    lam, Q = np.linalg.eigh(-H)
+    low = lam[:, 0]
+    scale = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    # ridge = base * 2^k for the least k >= 0 with lam_min + ridge > 0; the
+    # sign of that sum is exact, so two guards undo a rounded log2.
+    base = SHIFT_MARGIN * scale
+    ridge = np.where(low > 0.0, 0.0, base * 2.0 ** np.ceil(np.log2(np.maximum(-low, base) / base)))
+    ridge[(ridge > base) & (low + ridge / 2.0 > 0.0)] /= 2.0
+    ridge[~(low + ridge > 0.0)] *= 2.0
+    lam = lam + ridge[:, None]
+    return np.einsum("rij,rj->ri", Q, np.einsum("rji,rj->ri", Q, g) / lam), ridge > 0.0
+
+
 class _Chart:
     """Newton mechanics on the chart that pins one coordinate of x.
 

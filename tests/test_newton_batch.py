@@ -10,7 +10,12 @@ same valuations, with slopes agreeing to 1e-6.
 
 Within the batch, a row's answer depends only on its own data, region and
 start: a region solved alone, or one data vector solved apart from the
-others, gives the same point bit for bit.
+others, gives the same point bit for bit. That holds also for the Newton
+step, which tests each row's Hessian by Cholesky, gives only the rows that
+fail the test their eigenvalues and a ridge, and solves every row's system
+in one call: its steps match the eigendecomposition's step that the batch
+used to take (``newton_oracle.eigen_step``), and a singular system fails
+its own row alone.
 
 The line search starts each row at TO_WALL of the way to the nearest
 hyperplane its Newton step heads for; a tracking step, whose Newton steps
@@ -129,26 +134,57 @@ def test_one_region_alone_is_its_row_of_solve_all(d, n):
 
 
 def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
-    """The ridge runs only in a pass that has a row whose Hessian is not
-    negative definite. On Steiner with s = (50, 1, 45, 29) the first of the
-    nine passes ridges one row of seven; each region of that batch still
-    equals its solve_region alone bit for bit, which a ridge that moved its
-    neighbours' rows would break."""
+    """Only rows that fail the Cholesky test get their eigenvalues, and a
+    pass whose rows all pass it calls no eigenvalue routine. On Steiner with
+    s = (50, 1, 45, 29) the stack's Cholesky call raises in the first of the
+    nine passes only, and the eigenvalue call then sees that pass's one
+    ridged row of seven; the finish's call for the top chart eigenvalue is
+    the only other. Each region of that batch still equals its solve_region
+    alone bit for bit, which a ridge that moved its neighbours' rows would
+    break."""
     s = [50, 1, 45, 29]
     regions = enumerate_regions(steiner.arr)
-    eigh, lowest = np.linalg.eigh, []
+    cholesky, eigvalsh, eigh = np.linalg.cholesky, np.linalg.eigvalsh, np.linalg.eigh
+    hessian = mle.Likelihood.hessian
+    passes = []  # per Hessian evaluation, its linalg calls: (name, rows, raised or lowest eigenvalues)
 
-    def recorded(a):
-        lam, Q = eigh(a)
-        lowest.append(lam[:, 0].copy())
-        return lam, Q
+    def spied_hessian(self, V, which=0):
+        passes.append([])
+        return hessian(self, V, which)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    def spied_cholesky(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            passes[-1].append(("cholesky", len(a), True))
+            raise
+        passes[-1].append(("cholesky", len(a), False))
+        return factor
+
+    def spied_eigvalsh(a):
+        lam = eigvalsh(a)
+        passes[-1].append(("eigvalsh", len(a), lam[:, 0].tolist()))
+        return lam
+
+    def spied_eigh(a):
+        passes[-1].append(("eigh", len(a), None))
+        return eigh(a)
+
+    monkeypatch.setattr(mle.Likelihood, "hessian", spied_hessian)
+    monkeypatch.setattr(np.linalg, "cholesky", spied_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spied_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
     everything = solve_all(steiner, s, regions=regions)
     monkeypatch.undo()
-    assert len(lowest) == 9
-    assert [int((low <= 0.0).sum()) for low in lowest] == [1] + [0] * 8
-    assert len(lowest[0]) == len(regions) == 7
+    *newton, finish = passes
+    assert len(newton) == 9 and len(regions) == 7
+    first, *rest = newton
+    assert first[0] == ("cholesky", 7, True)
+    ((low,),) = [calls for name, rows, calls in first if name == "eigvalsh"]
+    assert low <= 0.0
+    assert [call for call in first if call[0] != "cholesky"] == [("eigvalsh", 1, [low])]
+    assert all(len(calls) == 1 and calls[0][0] == "cholesky" and not calls[0][2] for calls in rest)
+    assert [(name, rows) for name, rows, _ in finish] == [("eigvalsh", 7)]
     assert not everything.failures
     for region, point in zip(regions, everything.points):
         alone = solve_region(steiner, s, region)
@@ -156,6 +192,98 @@ def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
             assert np.array_equal(getattr(alone, name), getattr(point, name)), (region.sign, name)
         for name in ("logL", "iterations", "hessian_max_eig"):
             assert getattr(alone, name) == getattr(point, name), (region.sign, name)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_newton_step_matches_the_eigen_step(m):
+    """The Cholesky test and one batched solve give the eigendecomposition's
+    step: on random free Hessians, negative definite with eigenvalues over
+    four decades or with one to m of them flipped, the ridged rows are the
+    indefinite ones, both ways, and the steps agree within 1e-10 relative. A
+    row gives the same bits alone as in the stack."""
+    rng = np.random.default_rng(2900 + m)
+    R = 40
+    Q = np.linalg.qr(rng.normal(size=(R, m, m)))[0]
+    lam = 10.0 ** rng.uniform(-2.0, 2.0, size=(R, m)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(R, 1))
+    indefinite = np.arange(R) % 2 == 1
+    for r in indefinite.nonzero()[0]:
+        lam[r, rng.permutation(m)[: rng.integers(1, m + 1)]] *= -1.0
+    H = -np.einsum("rij,rj,rkj->rik", Q, lam, Q)
+    H = (H + H.transpose(0, 2, 1)) / 2.0
+    g = rng.normal(size=(R, m))
+    step, slope, ridged = mle._newton_step(g, H)
+    expected, eigen_ridged = oracle.eigen_step(H, g)
+    assert np.array_equal(ridged, indefinite) and np.array_equal(eigen_ridged, indefinite)
+    error = np.linalg.norm(step - expected, axis=1) / np.linalg.norm(expected, axis=1)
+    assert error.max() <= 1e-10
+    assert np.array_equal(slope, np.einsum("ri,ri->r", g, step))
+    for r in range(R):
+        alone, alone_slope, alone_ridged = mle._newton_step(g[r : r + 1], H[r : r + 1])
+        assert np.array_equal(alone[0], step[r]) and alone_slope[0] == slope[r] and alone_ridged[0] == ridged[r]
+
+
+SINGULAR = 2.0**40 + 0.5  # the diagonal that marks a system the patched solvers call singular
+
+
+def singular_when_marked(monkeypatch, marked):
+    """Patch the Hessians of the rows that ``marked(V)`` picks to
+    -SINGULAR * I, which passes the Cholesky test, and np.linalg.solve and
+    inv to raise LinAlgError on any stack holding such a row, as LAPACK does
+    on an exactly singular one."""
+    hessian = mle.Likelihood.hessian
+
+    def marked_hessian(self, V, which=0):
+        logL, G, H = hessian(self, V, which)
+        H[marked(V)] = -SINGULAR * np.eye(H.shape[-1])
+        return logL, G, H
+
+    def singular(f):
+        def patched(a, *rest):
+            if (a[..., 0, 0] == SINGULAR).any():
+                raise np.linalg.LinAlgError("Singular matrix")
+            return f(a, *rest)
+
+        return patched
+
+    monkeypatch.setattr(mle.Likelihood, "hessian", marked_hessian)
+    monkeypatch.setattr(np.linalg, "solve", singular(np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", singular(np.linalg.inv))
+
+
+def test_singular_system_fails_its_row_alone(steiner, monkeypatch):
+    """A row whose Newton system is singular gets a NaN step and fails, and
+    no LinAlgError leaves the batch; every other row keeps its bits."""
+    s = [4, 3, 2, 1]
+    regions = enumerate_regions(steiner.arr)
+    (plain,) = _solve_batch(steiner, [s], regions, 1e-10)
+    target = np.array(regions[2].sign.signs, dtype=float)
+    singular_when_marked(monkeypatch, lambda V: (target * V > 0.0).all(axis=1))
+    (forced,) = _solve_batch(steiner, [s], regions, 1e-10)
+    monkeypatch.undo()
+    assert isinstance(forced[2], NoConvergence) and "nan" in str(forced[2])
+    for k, (point, other) in enumerate(zip(plain, forced)):
+        if k == 2:
+            continue
+        for name in ("x", "y", "p"):
+            assert np.array_equal(getattr(point, name), getattr(other, name)), (k, name)
+        for name in ("logL", "grad_norm", "iterations", "hessian_max_eig"):
+            assert getattr(point, name) == getattr(other, name), (k, name)
+
+
+def test_every_system_singular_exits_3_in_the_cli(tmp_path, capsys, monkeypatch):
+    import json
+
+    from sqlinear.cli import main
+    from sqlinear.jsonio import arrangement_to_json
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(arrangement_to_json(catalog.steiner_arrangement()), s=[4, 3, 2, 1])))
+    singular_when_marked(monkeypatch, lambda V: np.ones(len(V), dtype=bool))
+    assert main(["mle", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["kind"], err["type"]) == ("numeric", "NoConvergence")
+    assert len(err["failures"]) == 7
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_failing_tolerance_fails_the_same_regions(steiner):
