@@ -327,44 +327,55 @@ def _cones(ints, d, chosen, base, signs=None):
     meets it. Two rays are adjacent when their common zero set has at least
     d - 2 rows and no third ray of the cone vanishes on all of them (Fukuda
     & Prodon 1996). The new ray vanishes on that set and the row, of rank
-    d - 1, so a line another cone made on this row is found by that mask; a
-    line from an earlier row vanishes on more of the earlier rows. With
-    ``signs`` only the cone {s_i A_i x >= 0} is kept, and the table holds
-    just its lines. Returns (lines, cones).
+    d - 1, so a line another cone made on this row is found by that mask and
+    oriented by one nonzero coordinate; a line from an earlier row vanishes
+    on more of the earlier rows. While every line is simple, with exactly
+    d - 1 zero rows (so independent ones), the scan of the third rays is
+    skipped: p, q across the row then share at most d - 2 zero rows (d - 1
+    would make them one line), and if d - 2, those cut out a pointed 2-face
+    whose only extreme rays are p and q. The start lines are simple, new
+    lines stay so, and the first row vanishing on a line ends the rule once
+    its own cones are split. With ``signs`` only the cone {s_i A_i x >= 0}
+    is kept, and the table holds just its lines. Returns (lines, cones).
     """
     full = sum(1 << i for i in chosen)
     lines = [[ray, full & ~(1 << i), 0] for i, ray in zip(chosen, base)]
     orthants = [[signs[i] for i in chosen]] if signs else [(1, *o) for o in itertools.product((1, -1), repeat=d - 1)]
     cones = [(sum(1 << i for i, s in zip(chosen, o) if s < 0), list(zip(lines, o))) for o in orthants]
+    simple = True
     for h, row in enumerate(ints):
         if full >> h & 1:
             continue
-        bit, side = 1 << h, signs[h] if signs else 0
+        bit, side, scan = 1 << h, signs[h] if signs else 0, not simple
         for line in lines:
             line[2] = value = sum(map(mul, row, line[0]))
             if not value:
                 line[1] |= bit
-        onrow = {}  # the lines made on this row, by mask
+                simple = False
+        onrow = {}  # the lines made on this row, by mask, with a nonzero coordinate
         grown = []
         for neg, rays in cones:
             pos, negs, both = [], [], []
             for ray in rays:
                 value = ray[0][2] * ray[1]
                 (pos if value > 0 else negs if value else both).append(ray)
-            masks = [line[1] for line, _ in rays] if pos and negs else ()
+            masks = [line[1] for line, _ in rays] if scan and pos and negs else ()
             for p, sp in pos:
                 for q, sq in negs:
                     common = p[1] & q[1]
-                    if common.bit_count() >= d - 2 and sum(m & common == common for m in masks) == 2:
+                    if common.bit_count() >= d - 2 and (not scan or sum(m & common == common for m in masks) == 2):
                         # The new ray is sp sq r: value(p) q - value(q) p on the lines.
-                        r = [p[2] * b - q[2] * a for a, b in zip(p[0], q[0])]
-                        line = onrow.get(common | bit)
-                        if line is None:
-                            line = onrow[common | bit] = [_ray(r), common | bit, 0]
+                        made = onrow.get(common | bit)
+                        if made is None:
+                            r = [p[2] * b - q[2] * a for a, b in zip(p[0], q[0])]
+                            line = [_ray(r), common | bit, 0]
+                            onrow[common | bit] = line, next(k for k, v in enumerate(r) if v)
                             lines.append(line)
                             both.append((line, sp * sq))
                         else:
-                            both.append((line, sp * sq if sum(map(mul, r, line[0])) > 0 else -sp * sq))
+                            line, k = made
+                            up = (p[2] * q[0][k] > q[2] * p[0][k]) == (line[0][k] > 0)
+                            both.append((line, sp * sq if up else -sp * sq))
             if pos and side >= 0:
                 grown.append((neg, pos + both))
             if negs and side <= 0:

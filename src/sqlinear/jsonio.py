@@ -77,9 +77,9 @@ def arrangement_from_json(doc: dict) -> Arrangement:
     rows = parse_matrix(doc["A"], "A")
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != len(rows):
+        if not isinstance(labels, list) or len(labels) != len(rows) or not all(isinstance(v, str) for v in labels):
             raise ValidationError("labels must be one string per row of A")
-        labels = tuple(str(v) for v in labels)
+        labels = tuple(labels)
     return Arrangement(A=rows, labels=labels)
 
 

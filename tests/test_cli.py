@@ -424,6 +424,15 @@ class TestExitCodes:
         code, _ = run(tmp_path, "mldegree", doc)
         assert code == 2
 
+    @pytest.mark.parametrize("label", [{"x": 1}, 7, None, ["x"], True], ids=["object", "number", "null", "list", "bool"])
+    def test_label_that_is_no_string(self, tmp_path, capsys, label):
+        # The label's Python str() went into the output, with exit 0.
+        doc = {"A": [[1, 0], [0, 1], [1, 1], [1, -1]], "labels": ["a", "b", label, "d"]}
+        code, text = run(tmp_path, "chamber", doc)
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationError" and err["message"] == "labels must be one string per row of A"
+
     def test_rank_deficient(self, tmp_path):
         doc = {"A": [[1, 0], [2, 0], [3, 0]], "s": [1, 1, 1]}
         code, _ = run(tmp_path, "mle", doc)

@@ -6,15 +6,20 @@ extreme rays and dependent rows are common), the catalog and the shapes of
 the exact-regions benchmark workload, both must return the same regions with
 the same sign strings and the same Fraction witnesses, the same ordered
 (ray, zero mask) lists for the regions' cones, and the same chi.
+
+Uniform arrangements, where every d rows are independent, run the whole
+double description on the simple-line rule of ``_cones`` (no scan of third
+rays); one extra row through an existing line ends the rule at that row.
 """
 
 import random
+from operator import mul
 
 import pytest
 
 import dd_oracle as oracle
-from conftest import CATALOG
-from sqlinear import arrangement, catalog, ratlin
+from conftest import CATALOG, make_model, sample_kernel_point, sample_wall_point
+from sqlinear import arrangement, catalog, geometry, ratlin
 from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.errors import ValidationError
 
@@ -103,6 +108,73 @@ def test_benchmark_shapes():
     for arr in benchmark_shapes():
         assert arrangement.characteristic_polynomial(arr) == oracle.characteristic_polynomial(arr)
         assert assert_same_enumeration(arr) == arrangement.ml_degree(arr)
+
+
+def uniform_draws(d):
+    """One seeded uniform arrangement for each n = d+2..d+8."""
+    return [catalog.random_arrangement(d, n, random.Random(f"dd/uniform/{d}x{n}")) for n in range(d + 2, d + 9)]
+
+
+def simple_lines(ints, d):
+    """The line table of ``_cones`` over ``ints``, checked to hold only
+    simple lines: exactly d - 1 zero rows each, so the rule held throughout."""
+    lines, _ = arrangement._cones(ints, d, *arrangement._simplicial_start(ints, d))
+    assert all(mask.bit_count() == d - 1 for _, mask, _ in lines)
+    return lines
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_uniform_arrangements(d):
+    """Every line stays simple, and regions, witnesses and cones match the scan."""
+    for arr in uniform_draws(d):
+        simple_lines([arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A], d)
+        assert assert_same_enumeration(arr) == arrangement.generic_ml_degree(d, arr.n)
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_row_through_a_line_ends_the_rule(d):
+    """The uniform draws up to n = d+5, with one extra row put at every index
+    after the start rows: an integer combination, coefficients -2..2, of
+    d - 1 rows before it, so that it vanishes on a line the rows before it
+    made and the scan takes over from that row on. Zero coefficients leave
+    combinations of d - 3 rows, whose d - 2 rows share a flat of rank d - 3:
+    from d = 5 on, two rays sharing d - 2 zero rows there need not be
+    adjacent, which only the scan tells."""
+    rng = random.Random(f"dd/through/{d}")
+    for arr in uniform_draws(d)[:4]:
+        rows = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
+        for at in range(d, len(rows) + 1):
+            while True:
+                combination = [rng.randint(-2, 2) for _ in range(d - 1)]
+                picked = rng.sample(rows[:at], d - 1)
+                extra = [sum(map(mul, combination, column)) for column in zip(*picked)]
+                if any(extra):
+                    drawn = arrangement.Arrangement(A=[*rows[:at], extra, *rows[at:]])
+                    if enumerable(drawn):
+                        break
+            lines = simple_lines(rows[:at], d)
+            assert any(not sum(map(mul, extra, vector)) for vector, _, _ in lines)
+            assert assert_same_enumeration(drawn) == arrangement.ml_degree(drawn)
+
+
+@pytest.mark.parametrize("on_wall", [False, True], ids=["off-wall", "on-wall"])
+def test_data_cone(on_wall):
+    """The log-normal data cone matches the scan off a chamber wall, where
+    every ray is simple, and on one, where some ray is not."""
+    rng = random.Random(f"dd/data-cone/{on_wall}")
+    checked = 0
+    while checked < 6:
+        model = make_model(catalog.random_arrangement(rng.choice([2, 3]), rng.randint(5, 8), rng, lo=-5, hi=5))
+        y = (sample_wall_point if on_wall else sample_kernel_point)(model, rng)
+        y, _ = ratlin.cleared(y)
+        rays, rows, _, _ = geometry._data_cone(model.B.B, y)
+        dim = len(rows[0])
+        simple = all(mask.bit_count() == dim - 1 for _, mask in rays)
+        if simple == on_wall:
+            continue  # a wall point where the polytope stays simple
+        ones = (1,) * len(y)
+        assert rays == oracle.cone_rays(ones, *arrangement._simplicial_start(rows, dim), rows, dim)
+        checked += 1
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from sqlinear.mle import (
     rank_defect,
     solve_all,
     solve_region,
+    to_floats,
 )
 from sqlinear.model import evaluate, gradient, log_likelihood, make_model
 
@@ -302,6 +303,18 @@ def test_exact_parameter_beyond_double_range_is_invalid(steiner, call):
     # to_floats rejects it, as it does for the data; numpy alone raises OverflowError.
     with pytest.raises(ValidationError, match="field 'x' holds a value beyond double range"):
         call(steiner, (10**400, 1, 1))
+
+
+def test_fractions_become_their_correctly_rounded_doubles():
+    """to_floats turns a Fraction into the integer quotient n / d, bit for
+    bit the double that numpy's float() conversion gives: ties, huge
+    terms, subnormals, underflow, and entries that are no Fraction."""
+    rng = random.Random(30)
+    edge = [Fraction(1, 3), Fraction(2**53 + 1), Fraction(-(2**54) - 2, 2), Fraction(17 * 10**307, 10)]
+    edge += [Fraction(1, 10**310), Fraction(-1, 10**400), Fraction(10**500 + 1, 10**500), 3, -0.5]
+    rows = [[Fraction(rng.randint(-(10**k), 10**k), rng.randint(1, 10 ** (300 - k))) for k in range(1, 300, 37)] for _ in range(20)]
+    for values in (edge, rows, tuple(map(tuple, rows))):
+        assert to_floats(values, "v").tobytes() == np.array(values, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize(
