@@ -21,6 +21,7 @@ n facets; Q's face lattice is P's reversed, and no rank is taken per face.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -49,7 +50,8 @@ KERNEL_SLACK = 1e-9
 # Exact points per chamber region at which the type scan evaluates the
 # polytope: the witness plus interior samples drawn from random.Random(0).
 TYPE_SCAN_SAMPLES = 3
-# Width in the segment parameter down to which a Voronoi tag switch is bisected.
+# Width in the segment parameter down to which a Voronoi tag switch is
+# bisected; the refinement reaches it in rounds of several levels each.
 REFINE_TOL = 1e-4
 
 
@@ -142,7 +144,7 @@ def _check_kernel_point(model: SquaredLinearModel, y):
     return y
 
 
-def _data_cone(B, y):
+def _data_cone(B, y, f_vectors=None):
     """Extreme rays of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}, and P's faces.
 
     Row i is (1, q_i), q_i = B_{:,i} / y_i, as the primitive integers of
@@ -151,14 +153,18 @@ def _data_cone(B, y):
     ([1; B diag(y)^(-1)] has full row rank, as B y = 0) with (1, 0, ..., 0)
     inside. Returns the (primitive ray, bitmask of its zero rows) pairs, the
     rows, {i: bitmask of the rays on row i} for P's facet rows i, and P's
-    f-vector; ray k is P's vertex k.
+    f-vector; ray k is P's vertex k. The f-vector depends on the facet masks
+    alone, and is kept in ``f_vectors`` (if given) under their tuple.
     """
     dim = len(B)
     rows = [_ray(ratlin.cleared([abs(v), *(c if v > 0 else -c for c in col)])[0]) for col, v in zip(zip(*B), y)]
     rays = _cone_rays((1,) * len(y), *_simplicial_start(rows, dim + 1), rows, dim + 1)
     zero = [sum(1 << k for k, (_, mask) in enumerate(rays) if mask >> i & 1) for i in range(len(y))]
     facets = {i: z for i, z in enumerate(zero) if z and not any(z & o == z != o for o in zero)}
-    return rays, rows, facets, tuple(len(layer) for layer in _face_layers(facets.values(), dim))
+    masks, f_vectors = tuple(facets.values()), {} if f_vectors is None else f_vectors
+    if masks not in f_vectors:
+        f_vectors[masks] = tuple(len(layer) for layer in _face_layers(masks, dim))
+    return rays, rows, facets, f_vectors[masks]
 
 
 def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
@@ -313,6 +319,8 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     {region sign string: signature}, read off the ray masks of :func:`_data_cone`
     at y = A x (A, x scaled to integers). Off the chamber walls each q_i on Q's
     boundary is a vertex, so a vertex's degree is the size of its ray's mask.
+    The face lattice is walked once per facet pattern (a region's samples
+    share theirs), though every sample builds its own data cone.
     """
     import random
 
@@ -324,12 +332,12 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     A = [flat[k : k + model.d] for k in range(0, len(flat), model.d)]
     B = [ratlin.cleared(row)[0] for row in model.B.B]
     rng = random.Random(0)
-    report = {}
+    report, f_vectors = {}, {}
     for region in regions:
         signatures = set()
         for x in [region.witness, *interior_samples(chamber.arrangement, region, TYPE_SCAN_SAMPLES - 1, rng)]:
             x, _ = ratlin.cleared(x)
-            rays, _, _, f_vector = _data_cone(B, [sum(map(mul, row, x)) for row in A])
+            rays, _, _, f_vector = _data_cone(B, [sum(map(mul, row, x)) for row in A], f_vectors)
             signatures.add((f_vector, tuple(sorted(mask.bit_count() for _, mask in rays))))
         if len(signatures) != 1:
             raise AssertionError(f"signature not constant on chamber region {region.key()}")
@@ -351,12 +359,16 @@ def log_voronoi_scan(
     the log-normal polytope of y) is sampled at steps+1 parameters; at each
     data point the global maximizer's region tag is recorded, and each tag
     switch is localized by bisection down to ``REFINE_TOL`` in the segment
-    parameter. Every region at every sample is solved in one Newton batch;
-    each bisection round solves the midpoints of all open brackets in one
-    more, each region started from its critical point at the bracket's
-    lower end. ``tol`` is the solver tolerance of every solve; a parameter
-    at which no region converges raises NoConvergence carrying every
-    region's failure there. Log-Voronoi boundaries are generally not
+    parameter. Every region at every sample is solved in one Newton batch.
+    Each bisection round solves in one more the midpoints of the next L
+    levels of every open bracket, each region started from its critical
+    point at the bracket's lower end, and each bracket bisects down through
+    them, tagging only the points on its path. L is the most levels whose
+    points fit in steps+1 data vectors, and at most the levels still needed.
+    Each midpoint is its interval's (lo + hi) / 2, as one level at a time
+    computes it. ``tol`` is the solver tolerance of every solve; a parameter
+    on a path at which no region converges raises NoConvergence carrying
+    every region's failure there. Log-Voronoi boundaries are generally not
     algebraic, so sampling plus bisection is the honest tool here.
     """
     from .mle import CriticalPoint, SolveAllResult, _solve_batch, to_floats
@@ -386,22 +398,37 @@ def log_voronoi_scan(
     params = [k / steps for k in range(steps + 1)]
     rows = solve(params)
     tags = [tag(row) for row in rows]
-    # [lo, hi, outcomes at lo, tag at lo, tag at hi] per tag switch; all
-    # brackets still wider than REFINE_TOL are bisected in one batch.
+    # [lo, hi, outcomes at lo, tag at lo, tag at hi] per tag switch.
     switches = [k for k in range(steps) if tags[k] != tags[k + 1]]
     brackets = [[params[k], params[k + 1], rows[k], tags[k], tags[k + 1]] for k in switches]
     while active := [br for br in brackets if br[1] - br[0] > REFINE_TOL]:
-        mids = [(br[0] + br[1]) / 2 for br in active]
+        fit = ((steps + 1) // len(active) + 1).bit_length() - 1
+        levels = min(fit, max(math.ceil(math.log2((br[1] - br[0]) / REFINE_TOL)) for br in active))
+        trees, size = [_midpoints(br[0], br[1], levels) for br in active], 2**levels - 1
         starts = [[p.x if isinstance(p, CriticalPoint) else None for p in br[2]] for br in active]
-        for br, mid, row in zip(active, mids, solve(mids, starts)):
-            if tag(row) == br[3]:
-                br[0], br[2] = mid, row
-            else:
-                br[1] = mid
+        solved = solve([t for tree in trees for t in tree], [x for x in starts for _ in range(size)])
+        for i, (br, tree) in enumerate(zip(active, trees)):
+            outcomes = solved[i * size : (i + 1) * size]
+            lo, hi = -1, size  # the tree indices of the bracket's ends
+            while hi - lo > 1 and br[1] - br[0] > REFINE_TOL:
+                mid = (lo + hi) // 2
+                if tag(outcomes[mid]) == br[3]:
+                    lo, br[0], br[2] = mid, tree[mid], outcomes[mid]
+                else:
+                    hi, br[1] = mid, tree[mid]
     crossings = [((lo + hi) / 2, before, after) for lo, hi, _, before, after in brackets]
     return VoronoiProfile(
         parameters=tuple(params), tags=tuple(tags), crossings=tuple(crossings)
     )
+
+
+def _midpoints(lo, hi, levels):
+    """The 2^levels - 1 points that ``levels`` bisection levels of [lo, hi]
+    can visit, in order, each the (lo + hi) / 2 of its interval."""
+    points = [lo, hi]
+    for _ in range(levels):
+        points = [v for lo, hi in zip(points, points[1:]) for v in (lo, (lo + hi) / 2)] + [points[-1]]
+    return points[1:-1]
 
 
 def _data_rows(model: SquaredLinearModel, y):

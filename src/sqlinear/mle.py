@@ -43,6 +43,7 @@ tol underflows to 0. The iteration cap ``MAX_ITER`` is fixed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from operator import truediv
 
 import numpy as np
@@ -478,7 +479,16 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         xn = normalize_parameter(X[rows])
         y = _product(xn, A.T)
         logL, G, H = loglik.hessian(y, which[rows])
-        top_eig = np.linalg.eigvalsh(free_hessian(rows, G, H)[1])[:, -1]
+        free_H = free_hessian(rows, G, H)[1]
+        try:
+            top_eig = np.linalg.eigvalsh(free_H)[:, -1]
+        except np.linalg.LinAlgError:  # a row's Hessian holds an infinity or a NaN
+            bad = ~np.isfinite(free_H).all(axis=(1, 2))
+            free_H[bad] = 0.0
+            bad |= _raises(np.linalg.eigvalsh, free_H)
+            free_H[bad] = 0.0
+            top_eig = np.linalg.eigvalsh(free_H)[:, -1]
+            top_eig[bad] = np.nan
         final_norm = np.linalg.norm(G, axis=1)
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = (y == 0.0).any(axis=1)
@@ -492,6 +502,8 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             )
         elif left[i]:
             outcomes[k] = NoConvergence("converged point left its region", trace=trace(k))
+        elif not isfinite(top_eig[i]):
+            outcomes[k] = NoConvergence("Hessian at convergence has no finite eigenvalues", trace=trace(k))
         else:
             outcomes[k] = CriticalPoint(
                 regions[k % R].sign, xn[i], y[i], p[i], logL[i], final_norm[i], counts[k], top_eig[i]

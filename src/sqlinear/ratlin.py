@@ -72,9 +72,11 @@ def is_zero(vec) -> bool:
 
 
 def cleared(row):
-    """(integer row, lcd): ``row`` times the lcm of its denominators."""
+    """(integer row, lcd): ``row`` times the lcm of its denominators; lcd 1 for a row of ints."""
+    if row and type(row[0]) is int and all(map(int.__instancecheck__, row)):  # a Fraction row stops at once
+        return list(row), 1
     ratios = [v.as_integer_ratio() for v in row]
-    lcd = lcm(*(q for _, q in ratios))
+    lcd = lcm(*[q for _, q in ratios])
     return [p * (lcd // q) for p, q in ratios], lcd
 
 

@@ -450,6 +450,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "numeric"
 
+    def test_form_value_underflow_at_convergence_exits_three(self, tmp_path, capsys):
+        # s_i = 1e-5^w_i spans 1e-15 to 1. One region converges to a point
+        # with a form value of exactly 0.0, whose Hessian holds an infinity;
+        # the stacked eigenvalue call of the batch's finish once raised
+        # LinAlgError for every row, and the command exited 1.
+        A = [
+            [-6, 7, 5, -2, 3], [5, 6, 1, -6, 7], [-9, 8, 3, -8, -5], [4, -2, -6, -7, 6],
+            [-3, -5, 3, 2, -2], [0, 1, 2, 3, 3], [-5, 2, 0, 4, 2], [7, -8, 9, 9, -3],
+            [-4, 3, -7, -6, -8], [-8, -4, -3, -3, -8], [6, 6, 2, -9, 4], [6, 0, 4, 1, 5],
+        ]
+        w = (3, 0, 1, 1, 1, 0, 2, 3, 3, 1, 2, 0)
+        code, text = run(tmp_path, "mle", {"A": A, "s": [1e-5**v for v in w]})
+        assert (code, text) == (3, "")
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("numeric", "NoConvergence")
+        assert sum("coordinate underflow" in f["message"] for f in err["failures"]) == 1
+
     def test_non_finite_decrement_is_null_in_the_error_json(self, tmp_path, capsys):
         # A^T A overflows, so every region's first decrement is NaN, for
         # which JSON has no token: each trace writes it as null.

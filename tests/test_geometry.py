@@ -18,7 +18,7 @@ from sqlinear.geometry import (
     swap_candidates,
     _in_row_span,
 )
-from sqlinear.mle import solve_all, to_floats
+from sqlinear.mle import CriticalPoint, SolveAllResult, _solve_batch, solve_all, to_floats
 from sqlinear.model import make_model
 
 from conftest import sample_kernel_point, sample_wall_point
@@ -49,6 +49,53 @@ def scan_oracle(model, start, end, steps, tol=1e-10):
                     hi = mid
             crossings.append(((lo + hi) / 2, tags[k], tags[k + 1]))
     return tuple(tags), tuple(crossings)
+
+
+def bisection_oracle(model, start, end, steps, tol=1e-10):
+    """The Voronoi scan as it refined one level per batch: every sample in
+    one batch, then one batch per bisection level with the midpoint of each
+    open bracket, started from the outcomes at the bracket's lo."""
+    a, b = to_floats(start, "start"), to_floats(end, "end")
+    regions = enumerate_regions(model.arr)
+
+    def solve(params, starts=None):
+        return _solve_batch(model, [a + t * (b - a) for t in params], regions, tol, starts)
+
+    def tag(row):
+        return str(SolveAllResult.of(regions, row).mle.region)
+
+    params = [k / steps for k in range(steps + 1)]
+    rows = solve(params)
+    tags = [tag(row) for row in rows]
+    brackets = [[params[k], params[k + 1], rows[k], tags[k], tags[k + 1]] for k in range(steps) if tags[k] != tags[k + 1]]
+    while active := [br for br in brackets if br[1] - br[0] > REFINE_TOL]:
+        mids = [(br[0] + br[1]) / 2 for br in active]
+        starts = [[p.x if isinstance(p, CriticalPoint) else None for p in br[2]] for br in active]
+        for br, mid, row in zip(active, mids, solve(mids, starts)):
+            if tag(row) == br[3]:
+                br[0], br[2] = mid, row
+            else:
+                br[1] = mid
+    return tuple(tags), tuple(((lo + hi) / 2, before, after) for lo, hi, _, before, after in brackets)
+
+
+def hex_crossings(crossings):
+    return [(t.hex(), before, after) for t, before, after in crossings]
+
+
+def chord(model, pyrng, index, fraction):
+    """A kernel point y and the chord of its log-normal polytope through s*
+    along a row of B diag(y), ``fraction`` of the way to the boundary on
+    either side."""
+    y = sample_kernel_point(model, pyrng)
+    total = sum(v * v for v in y)
+    s_star = tuple(v * v / total for v in y)
+    row = [b * v for b, v in zip(model.B.B[index % len(model.B.B)], y)]
+    ends = []
+    for sign in (-1, 1):
+        t_max = min(s / (-sign * r) for s, r in zip(s_star, row) if sign * r < 0)
+        ends.append(tuple(s + fraction * t_max * sign * r for s, r in zip(s_star, row)))
+    return y, *ends
 
 
 def session_segment(model, pyrng, index, fraction):
@@ -329,6 +376,61 @@ class TestLogVoronoiScan:
         y, start, end = session_segment(model, pyrng, 15, Fraction(19, 20))
         profile = self.assert_matches_oracle(model, y, start, end, 12)
         assert len(profile.crossings) == 2
+
+    @pytest.mark.parametrize("steps", [1, 3, 8, 12, 20])
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 6), (3, 7)])
+    def test_rounds_match_one_level_per_batch(self, d, n, steps):
+        """Rounds of several bisection levels give the tags and, bit for
+        bit, the crossings of one bisection level per batch."""
+        switches = []
+        for seed in range(5):
+            pyrng = random.Random(f"voronoi-rounds/{d}x{n}/{seed}")
+            model = make_model(random_arrangement(d, n, pyrng))
+            y, start, end = chord(model, pyrng, seed, Fraction(19, 20))
+            profile = log_voronoi_scan(model, y, start, end, steps=steps)
+            tags, crossings = bisection_oracle(model, start, end, steps)
+            assert profile.tags == tags
+            assert hex_crossings(profile.crossings) == hex_crossings(crossings)
+            switches.append(len(crossings))
+        # Every shape has a switch; past one step, the (3, 6) chords cross two walls.
+        assert max(switches) == (2 if (d, n) == (3, 6) and steps > 1 else 1)
+
+    def spy_batches(self, monkeypatch):
+        """The row count (data vectors times regions) of each batch solved."""
+        from sqlinear import mle
+
+        sizes, solve = [], mle._solve_batch
+
+        def spy(model, data, regions, tol, starts=None):
+            sizes.append(len(data) * len(regions))
+            return solve(model, data, regions, tol, starts)
+
+        monkeypatch.setattr(mle, "_solve_batch", spy)
+        return sizes
+
+    def test_four_points_refines_in_four_rounds(self, four_points, monkeypatch):
+        # From s* toward the edge between two vertices: one switch, whose
+        # bracket of width 1/12 needs 10 levels, solved as 3 + 3 + 3 + 1.
+        total = sum(v * v for v in QUAD_Y)
+        s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
+        va = (Fraction(0), Fraction(0), Fraction(2, 5), Fraction(3, 5))
+        vb = (Fraction(0), Fraction(4, 5), Fraction(0), Fraction(1, 5))
+        end = tuple(s + Fraction(9, 10) * (Fraction(2, 5) * a + Fraction(3, 5) * b - s) for s, a, b in zip(s_star, va, vb))
+        sizes = self.spy_batches(monkeypatch)
+        profile = log_voronoi_scan(four_points, QUAD_Y, s_star, end, steps=12)
+        R = len(enumerate_regions(four_points.arr))
+        assert len(profile.crossings) == 1
+        assert sizes == [13 * R, 7 * R, 7 * R, 7 * R, R]
+
+    def test_two_brackets_share_each_round(self, monkeypatch):
+        pyrng = random.Random("voronoi-diff/15")
+        model = make_model(random_arrangement(3, 6, pyrng))
+        y, start, end = session_segment(model, pyrng, 15, Fraction(19, 20))
+        sizes = self.spy_batches(monkeypatch)
+        profile = log_voronoi_scan(model, y, start, end, steps=12)
+        R = len(enumerate_regions(model.arr))
+        assert len(profile.crossings) == 2
+        assert sizes == [13 * R] + [2 * 3 * R] * 5
 
     def test_no_region_converging_raises_with_every_failure(self, four_points):
         total = sum(v * v for v in QUAD_Y)

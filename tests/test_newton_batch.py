@@ -29,7 +29,7 @@ import pytest
 
 import newton_oracle as oracle
 from sqlinear import catalog, mle
-from sqlinear.arrangement import SignVector, characteristic_polynomial, enumerate_regions
+from sqlinear.arrangement import Arrangement, SignVector, characteristic_polynomial, enumerate_regions
 from sqlinear.degeneration import TropicalData, estimate_valuations
 from sqlinear.errors import NoConvergence
 from sqlinear.mle import CriticalPoint, _solve_batch, solve_all, solve_region
@@ -264,6 +264,34 @@ def test_singular_system_fails_its_row_alone(steiner, monkeypatch):
     for k, (point, other) in enumerate(zip(plain, forced)):
         if k == 2:
             continue
+        for name in ("x", "y", "p"):
+            assert np.array_equal(getattr(point, name), getattr(other, name)), (k, name)
+        for name in ("logL", "grad_norm", "iterations", "hessian_max_eig"):
+            assert getattr(point, name) == getattr(other, name), (k, name)
+
+
+def test_infinite_hessian_at_convergence_fails_its_row_alone():
+    """On data spanning 1e-15 to 1, one region converges to a point with a
+    form value of exactly 0.0, where its Hessian holds an infinity and the
+    finish's stacked eigenvalue call raises LinAlgError. That row fails as
+    NoConvergence, and every other converged row keeps the bits it has in a
+    batch without it."""
+    A = [
+        [-6, 7, 5, -2, 3], [5, 6, 1, -6, 7], [-9, 8, 3, -8, -5], [4, -2, -6, -7, 6],
+        [-3, -5, 3, 2, -2], [0, 1, 2, 3, 3], [-5, 2, 0, 4, 2], [7, -8, 9, 9, -3],
+        [-4, 3, -7, -6, -8], [-8, -4, -3, -3, -8], [6, 6, 2, -9, 4], [6, 0, 4, 1, 5],
+    ]
+    model = make_model(Arrangement(A=A))
+    s = 1e-5 ** np.array([3, 0, 1, 1, 1, 0, 2, 3, 3, 1, 2, 0], dtype=float)
+    regions = enumerate_regions(model.arr)
+    (row,) = _solve_batch(model, [s], regions, 1e-10)
+    (bad,) = [k for k, out in enumerate(row) if "coordinate underflow" in str(out)]
+    ((alone,),) = _solve_batch(model, [s], [regions[bad]], 1e-10)
+    assert isinstance(row[bad], NoConvergence) and str(alone) == str(row[bad])
+    converged = [k for k, out in enumerate(row) if isinstance(out, CriticalPoint)]
+    (apart,) = _solve_batch(model, [s], [regions[k] for k in converged], 1e-10)
+    for k, other in zip(converged, apart):
+        point = row[k]
         for name in ("x", "y", "p"):
             assert np.array_equal(getattr(point, name), getattr(other, name)), (k, name)
         for name in ("logL", "grad_norm", "iterations", "hessian_max_eig"):

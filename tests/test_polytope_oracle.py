@@ -132,6 +132,43 @@ def test_type_scan_matches_per_point_oracle(name):
     assert combinatorial_type_scan(model) == type_scan_oracle(model)
 
 
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n", [6, 7])
+def test_type_scan_matches_per_point_oracle_on_random_models(n, seed):
+    # The scan walks each facet pattern's face lattice once; the oracle
+    # builds every sample's polytope in full. Off the chamber walls the
+    # polytope is simple, so in dimension 3 its facet count fixes its
+    # f-vector, and in dimension 4 (n = 7) it does not.
+    model = make_model(random_arrangement(3, n, random.Random(f"typescan/{n}/{seed}"), -5, 5))
+    assert combinatorial_type_scan(model) == type_scan_oracle(model)
+
+
+def test_type_scan_walks_each_facet_pattern_once(monkeypatch):
+    """Every sample builds its own data cone, and the face lattice is walked
+    once per distinct tuple of facet masks among them."""
+    import sqlinear.geometry as geometry
+
+    model = make_model(CATALOG["six_points"]())
+    patterns, walks = [], []
+    data_cone, face_layers = geometry._data_cone, geometry._face_layers
+
+    def cone_spy(*args):
+        cone = data_cone(*args)
+        patterns.append(tuple(cone[2].values()))
+        return cone
+
+    def walk_spy(facets, dim):
+        walks.append(tuple(facets))
+        return face_layers(facets, dim)
+
+    monkeypatch.setattr(geometry, "_data_cone", cone_spy)
+    monkeypatch.setattr(geometry, "_face_layers", walk_spy)
+    report = combinatorial_type_scan(model)
+    assert len(patterns) == TYPE_SCAN_SAMPLES * len(report) == 36
+    assert sorted(walks) == sorted(set(patterns))
+    assert len(walks) == 6
+
+
 def small_kernel_points(seed):
     """(model, y) on random (3, n) and (4, n) models, n <= 8, with entries in
     [-2, 2] and x in [-1, 1]^d: small entries make coordinates of equal size,
