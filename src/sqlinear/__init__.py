@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arrangement": (
         "Arrangement CharacteristicPolynomial KernelComplement Region SignVector "
-        "characteristic_polynomial enumerate_regions generic_ml_degree "
-        "interior_samples kernel_complement ml_degree"
+        "characteristic_polynomial enumerate_regions generic_ml_degree kernel_complement ml_degree"
     ),
     "degeneration": (
         "DegenerateSolution TropicalData TropicalPoint ValuationEstimate "

@@ -435,35 +435,3 @@ def enumerate_regions(arr: Arrangement) -> list:
     result.sort(key=Region.key)
     return result
 
-
-def interior_samples(arr: Arrangement, region: Region, count: int, rng) -> list:
-    """Extra exact interior points of a region, for start-independence tests
-    and per-region sampling. Steps from the witness stop halfway to the first
-    hyperplane crossing, so every sample keeps the region's sign vector.
-
-    The line steps run in integers: with the witness W / D and s_i a_i the
-    signed integer rows, the crossing along a direction u is at
-    t_i = (s_i a_i . W) / (D * -(s_i a_i . u)), and the sample is
-    (2 den W + num u) / (2 D den) for the smallest t = num / (D den).
-    """
-    samples = []
-    W, D = ratlin.cleared(region.witness)
-    rows = [[s * v for v in ratlin.cleared(row)[0]] for s, row in zip(region.sign.signs, arr.A)]
-    slacks = [sum(map(mul, row, W)) for row in rows]
-    attempts = 0
-    while len(samples) < count and attempts < 50 * count:
-        attempts += 1
-        direction = [rng.randint(-9, 9) for _ in range(arr.d)]
-        if not any(direction):
-            continue
-        num, den = D, 0  # first crossing t = num / (D den); den = 0: no wall ahead
-        for row, slack in zip(rows, slacks):
-            move = -sum(map(mul, row, direction))
-            if move > 0 and (not den or slack * den < num * move):
-                num, den = slack, move
-        # Step t / 2 toward the first wall, or t = 1 = D / (D * 1) with none ahead.
-        den = 2 * den if den else 1
-        point = [den * w + num * u for w, u in zip(W, direction)]
-        if all(sum(map(mul, row, point)) > 0 for row in rows):
-            samples.append(tuple(Fraction(v, den * D) for v in point))
-    return samples

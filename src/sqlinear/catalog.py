@@ -92,9 +92,9 @@ def random_arrangement(d: int, n: int, rng, lo: int = -9, hi: int = 9) -> Arrang
     from . import ratlin
 
     for _ in range(2000):
-        rows = tuple(
-            tuple(Fraction(rng.randint(lo, hi)) for _ in range(d)) for _ in range(n)
-        )
+        # Plain ints: ratlin.rank takes an int row as it is, and Arrangement
+        # turns the rows into Fractions once.
+        rows = tuple(tuple(rng.randint(lo, hi) for _ in range(d)) for _ in range(n))
         if any(ratlin.is_zero(row) for row in rows):
             continue
         prims = {ratlin.primitive(row) for row in rows}

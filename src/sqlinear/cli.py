@@ -2,9 +2,9 @@
 
 One JSON input file per job; results go to --output (or stdout) as JSON
 with a "schema": "slm/1" tag, figures as SVG. Exit codes: 0 success,
-2 validation problem (bad input, violated precondition, unwritable output),
-3 numeric failure (no convergence, lost path). Errors are reported as JSON
-on stderr.
+2 validation problem (bad input, violated precondition, unwritable output,
+an input too large for the memory at hand), 3 numeric failure (no
+convergence, lost path). Errors are reported as JSON on stderr.
 
 State indices (anchor, subsets J, DPP states) are 1-based on the command
 line and in emitted JSON, matching the labeling of the input rows. Start-up
@@ -80,6 +80,9 @@ def main(argv=None) -> int:
     except NumericError as err:
         _emit_error("numeric", err)
         return EXIT_NUMERIC
+    except MemoryError as err:  # an input too large for the memory at hand; numpy raises a subclass
+        _emit_error("validation", MemoryError(str(err) or "out of memory"))
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

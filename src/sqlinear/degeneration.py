@@ -219,17 +219,19 @@ def estimate_valuations(
     logs = np.log(np.abs(ys)).transpose(1, 0, 2).reshape(G, R * n)
     fitted = np.polyfit(np.log(np.array(eps_grid)), logs, 1)[0].reshape(R, n).tolist()
     allowed = [v - trop.w[anchor] for v in trop.w]
+    targets = to_floats(allowed, "w").tolist()
     estimates = []
     for region, track, slopes in zip(regions, ys.tolist(), fitted):
         slopes[anchor] = 0.0
         # The nearer of 0 and w_j - w_anchor; a tie rounds to 0.
-        z = tuple(t if abs(v - float(t)) < abs(v) else Fraction(0) for v, t in zip(slopes, allowed))
+        nearer = [abs(v - t) < abs(v) for v, t in zip(slopes, targets)]
+        z = tuple(t if near else Fraction(0) for t, near in zip(allowed, nearer))
         estimates.append(
             ValuationEstimate(
                 region=region,
                 slopes=tuple(slopes),
                 point=TropicalPoint(z=z, J=tuple(j for j, v in enumerate(z) if v != 0)),
-                residual=max(0.0, *(abs(v - float(t)) for v, t in zip(slopes, z))),
+                residual=max(0.0, *(abs(v - t if near else v) for v, t, near in zip(slopes, targets, nearer))),
                 y_track=tuple(map(tuple, track)),
             )
         )

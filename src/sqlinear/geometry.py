@@ -16,6 +16,8 @@ rows vanishing on it. A ray maps to a vertex of the log-normal polytope P
 and, by polarity, is a facet of the hull Q of the columns of B diag(y)^(-1).
 Every other face comes from one walk over int bitmasks down from P's at most
 n facets; Q's face lattice is P's reversed, and no rank is taken per face.
+As the combinatorics is constant on each chamber region, the type scan reads
+it once per region, at the region's witness, for any d.
 """
 
 from __future__ import annotations
@@ -34,22 +36,13 @@ from .arrangement import (
     _ray,
     _simplicial_start,
     enumerate_regions,
-    interior_samples,
 )
-from .errors import (
-    DegenerateMinor,
-    RankDeficient,
-    ValidationError,
-    ZeroCoordinate,
-)
+from .errors import DegenerateMinor, ValidationError, ZeroCoordinate
 from .model import SquaredLinearModel
 
 # Largest kernel residual, relative to max(1, max|y_i|), that a float model
 # point may carry before it is projected exactly onto ker(B).
 KERNEL_SLACK = 1e-9
-# Exact points per chamber region at which the type scan evaluates the
-# polytope: the witness plus interior samples drawn from random.Random(0).
-TYPE_SCAN_SAMPLES = 3
 # Width in the segment parameter down to which a Voronoi tag switch is
 # bisected; the refinement reaches it in rounds of several levels each.
 REFINE_TOL = 1e-4
@@ -311,37 +304,29 @@ def swap_candidates(model: SquaredLinearModel, y) -> list:
 
 
 def combinatorial_type_scan(model: SquaredLinearModel):
-    """Signature of the log-normal polytope across chamber regions.
+    """Signature of the log-normal polytope on every chamber region.
 
-    For every region of the chamber arrangement, the polytope is evaluated
-    at ``TYPE_SCAN_SAMPLES`` exact points (the witness and seeded interior
-    samples); the signature must not change inside a region. Returns
-    {region sign string: signature}, read off the ray masks of :func:`_data_cone`
-    at y = A x (A, x scaled to integers). Off the chamber walls each q_i on Q's
-    boundary is a vertex, so a vertex's degree is the size of its ray's mask.
-    The face lattice is walked once per facet pattern (a region's samples
-    share theirs), though every sample builds its own data cone.
+    The polytope's combinatorics is constant on each region of the chamber
+    arrangement, so it is read once per region, at the region's witness x.
+    Returns {region sign string: signature}, read off the ray masks of
+    :func:`_data_cone` at y = A x (A, x scaled to integers). The signature
+    is the f-vector and the sorted vertex-facet degrees, as
+    :meth:`Polytope.signature` gives them. Different signatures mean
+    different combinatorial types, but equal ones need not: the type is the
+    vertex-facet incidence up to relabelling (Ziegler, *Lectures on
+    Polytopes*, 1995), which the scan does not bring to a canonical form.
+    Off the chamber walls each q_i on Q's boundary is a vertex, so a
+    vertex's degree is the size of its ray's mask. The face lattice is
+    walked once per facet pattern.
     """
-    import random
-
-    if model.d not in (2, 3):
-        raise RankDeficient("chamber-region scan is desk-scale: d must be 2 or 3")
-    chamber = chamber_arrangement(model)
-    regions = enumerate_regions(chamber.arrangement)
     flat, _ = ratlin.cleared([v for row in model.arr.A for v in row])
     A = [flat[k : k + model.d] for k in range(0, len(flat), model.d)]
     B = [ratlin.cleared(row)[0] for row in model.B.B]
-    rng = random.Random(0)
     report, f_vectors = {}, {}
-    for region in regions:
-        signatures = set()
-        for x in [region.witness, *interior_samples(chamber.arrangement, region, TYPE_SCAN_SAMPLES - 1, rng)]:
-            x, _ = ratlin.cleared(x)
-            rays, _, _, f_vector = _data_cone(B, [sum(map(mul, row, x)) for row in A], f_vectors)
-            signatures.add((f_vector, tuple(sorted(mask.bit_count() for _, mask in rays))))
-        if len(signatures) != 1:
-            raise AssertionError(f"signature not constant on chamber region {region.key()}")
-        report[region.key()] = signatures.pop()
+    for region in enumerate_regions(chamber_arrangement(model).arrangement):
+        x, _ = ratlin.cleared(region.witness)
+        rays, _, _, f_vector = _data_cone(B, [sum(map(mul, row, x)) for row in A], f_vectors)
+        report[region.key()] = (f_vector, tuple(sorted(mask.bit_count() for _, mask in rays)))
     return report
 
 

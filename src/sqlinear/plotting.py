@@ -82,7 +82,9 @@ class _Chart:
         """Chart coordinates of x, or None at infinity or beyond double range."""
         import numpy as np
 
-        x = np.asarray(x, dtype=float)
+        from .mle import to_floats
+
+        x = to_floats(x, "x")
         l1 = float(self.a1 @ x)
         if l1 == 0.0:
             return None
@@ -234,12 +236,13 @@ def _draw_overlays(chart, overlays, to_px, parts):
 
 def _draw_simplex_fiber(polytope, parts):
     """Probability triangle with the log-normal fiber, for 3-state models."""
+    from .mle import to_floats
+
     if polytope.ambient_dim != 3:
         return
     corners = [(SIZE * 0.15, SIZE * 0.9), (SIZE * 0.85, SIZE * 0.9), (SIZE * 0.5, SIZE * 0.1)]
 
     def embed(s):
-        s = [float(v) for v in s]
         x = sum(si * cx for si, (cx, _) in zip(s, corners))
         y = sum(si * cy for si, (_, cy) in zip(s, corners))
         return x, y
@@ -250,7 +253,7 @@ def _draw_simplex_fiber(polytope, parts):
         'stroke="#555555" stroke-width="1"/>'
     )
     if polytope.V_rep:
-        pieces = [embed(v) for v in polytope.V_rep]
+        pieces = [embed(v) for v in to_floats(polytope.V_rep, "V_rep").tolist()]
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pieces)
         parts.append(
             f'<polyline class="lognormal-fiber" points="{coords}" fill="none" '

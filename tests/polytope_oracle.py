@@ -10,9 +10,11 @@ decided by an exact affine rank. tests/test_polytope_oracle.py checks that
 both give the same polytopes.
 
 It also keeps the rules that the polytope layer's helpers followed before
-they ran in integers: ``simplicial_start`` (rays from one Fraction inverse),
-``interior_samples`` (Fraction line steps) and ``swap_candidates`` (every
-one of the 2^(n-1) sign vectors per swap).
+they ran in integers: ``simplicial_start`` (rays from one Fraction inverse)
+and ``swap_candidates`` (every one of the 2^(n-1) sign vectors per swap).
+``interior_samples`` (Fraction line steps from a region's witness) gives the
+interior points at which the tests check that a region's polytope type and
+its critical point do not depend on the point chosen.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import namedtuple
 from fractions import Fraction
 
@@ -480,3 +481,28 @@ class TestSignVector:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             SignVector.from_values((1, 0, -1))
+
+
+# Seeded draws of catalog.random_arrangement that the benchmark's workloads
+# and the type-scan tests build on: (seed, d, n, lo, hi) -> rows.
+PINNED_DRAWS = {
+    ("numeric-mle/4x9/0", 4, 9, -9, 9): (
+        (-8, -4, -3, -4), (-7, 7, 1, 3), (9, 0, 6, -1), (-7, -5, -8, 1), (4, 4, -8, -5),
+        (-4, -5, -6, -1), (-8, 3, 2, 0), (-7, -5, 7, 3), (-4, -1, 3, -5),
+    ),
+    ("session/3x6/0", 3, 6, -9, 9): ((-6, 1, -9), (-4, 7, -8), (-3, -4, -6), (-5, 1, -5), (-7, 0, -8), (1, 5, 7)),
+    ("exact-regions/3x8/0", 3, 8, -9, 9): (
+        (0, 6, 2), (-2, -4, 8), (4, -3, -2), (8, -8, -4), (-4, -1, -6), (3, 7, -1), (5, 5, -4), (2, -3, 9),
+    ),
+    ("typescan/4/6", 4, 6, -5, 5): (
+        (5, 3, -5, 2), (4, -1, 0, -3), (4, 3, 5, 1), (4, 2, 5, -4), (1, -5, 3, 5), (4, 1, -3, -5),
+    ),
+}
+
+
+@pytest.mark.parametrize("draw", PINNED_DRAWS, ids=lambda draw: draw[0])
+def test_random_arrangement_keeps_seeded_draws(draw):
+    seed, d, n, lo, hi = draw
+    arr = random_arrangement(d, n, random.Random(seed), lo, hi)
+    assert arr.A == PINNED_DRAWS[draw]
+    assert all(type(v) is Fraction for row in arr.A for v in row)

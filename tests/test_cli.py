@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import resource
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
+import sqlinear
 from sqlinear.arrangement import characteristic_polynomial
 from sqlinear.catalog import four_points_arrangement, seven_lines_arrangement
 from sqlinear.cli import main
@@ -418,6 +423,30 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["mldegree", "--input", str(path)]) == 2
+
+    def test_out_of_memory(self, tmp_path):
+        """A run that exhausts memory exits 2 with a JSON error, not 1 with a
+        traceback. Only the child process gets the 500 MB address-space cap,
+        and one BLAS thread so that numpy's import fits under it."""
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (500 << 20, 500 << 20))
+
+        doc = {
+            "A": [[1, 0], [1, 1], [1, 2], [0, 1]],
+            "y": [3, 2, 1, -1],
+            "segment": {"start": ["3/5", "4/15", "1/15", "1/15"], "end": ["3/50", "2/75", "11/30", "41/75"]},
+        }
+        src = str(Path(sqlinear.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqlinear.cli", "voronoi", "--input", write_json(tmp_path / "in.json", doc),
+             "--samples", "10000000"],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        err = json.loads(proc.stderr)["error"]
+        assert (err["kind"], err["type"]) == ("validation", "MemoryError") and err["message"]
 
     def test_zero_row(self, tmp_path, capsys):
         doc = {"A": [[1, 0], [0, 0], [0, 1]]}

@@ -277,11 +277,6 @@ class TestCombinatorialTypeScan:
         report = combinatorial_type_scan(steiner)
         assert len(report) > 0
 
-    def test_rejects_large_dimension(self, pyrng):
-        model = make_model(random_arrangement(4, 6, pyrng))
-        with pytest.raises(Exception):
-            combinatorial_type_scan(model)
-
 
 class TestSwapCandidates:
     def test_example_65(self, four_points):

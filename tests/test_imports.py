@@ -40,13 +40,13 @@ LAYERS = ("sqlinear.geometry", "sqlinear.model", "sqlinear.dpp", "sqlinear.plott
 MACHINERY = ("dataclasses", "inspect")
 
 # Every name the package namespace served when it imported each module
-# eagerly, with the module that defines it now (less `Flat`, `flats` and
-# `snc_check`, which were removed).
+# eagerly, with the module that defines it now (less `Flat`, `flats`,
+# `snc_check` and `interior_samples`, which were removed).
 OLD_NAMESPACE = {
     "arrangement": (
         "Arrangement", "CharacteristicPolynomial", "KernelComplement", "Region", "SignVector",
         "characteristic_polynomial", "enumerate_regions", "generic_ml_degree",
-        "interior_samples", "kernel_complement", "ml_degree",
+        "kernel_complement", "ml_degree",
     ),
     "degeneration": (
         "DegenerateSolution", "TropicalData", "TropicalPoint", "ValuationEstimate",

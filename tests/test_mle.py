@@ -7,11 +7,11 @@ import pytest
 
 from conftest import canonical_x as canonical
 from conftest import grid_search_oracle
+from polytope_oracle import interior_samples
 from sqlinear.arrangement import (
     Region,
     characteristic_polynomial,
     enumerate_regions,
-    interior_samples,
     ml_degree,
 )
 from sqlinear.catalog import random_arrangement

@@ -2,9 +2,8 @@
 
 Both sides must return equal ``Polytope`` records: the same V_rep, H_rep,
 incidence, f_vector, dim and ambient_dim, in the same order. The integer
-helpers of the polytope layer (simplicial start, interior samples, swap
-candidates, the type scan's signatures) must give what the Fraction rules
-of the oracle give.
+helpers of the polytope layer (simplicial start, swap candidates, the type
+scan's signatures) must give what the Fraction rules of the oracle give.
 """
 
 import itertools
@@ -16,10 +15,9 @@ import pytest
 import polytope_oracle as oracle
 from conftest import CATALOG, sample_kernel_point, sample_wall_point
 from sqlinear import ratlin
-from sqlinear.arrangement import Arrangement, SignVector, _ray, _simplicial_start, enumerate_regions, interior_samples
+from sqlinear.arrangement import Arrangement, SignVector, _ray, _simplicial_start, enumerate_regions, ml_degree
 from sqlinear.catalog import random_arrangement
 from sqlinear.geometry import (
-    TYPE_SCAN_SAMPLES,
     chamber_arrangement,
     combinatorial_type_scan,
     dual_polytope,
@@ -93,30 +91,22 @@ def test_simplicial_rays_match_inverse(d):
         assert oracle.simplicial_start(flat, d) is None
 
 
-@pytest.mark.parametrize("name", ["steiner", "braid4", "circle", "four_points", "six_points", "halves"])
-def test_interior_samples_match_fraction_steps(name):
-    if name == "halves":
-        arr = Arrangement(A=((Fraction(1, 2), Fraction(1, 3)), (1, Fraction(-2, 7)), (Fraction(3, 5), 1)))
-    else:
-        arr = CATALOG[name]()
-    for region in enumerate_regions(arr):
-        got = interior_samples(arr, region, 4, random.Random(region.key()))
-        assert got == oracle.interior_samples(arr, region, 4, random.Random(region.key()))
-        assert len(got) == 4
-    chamber = chamber_arrangement(make_model(arr)).arrangement
-    for region in enumerate_regions(chamber):
-        assert interior_samples(chamber, region, 2, random.Random(1)) == oracle.interior_samples(
-            chamber, region, 2, random.Random(1)
-        )
+# Points per chamber region at which the oracle builds the polytope: the
+# witness and interior samples drawn from random.Random(0).
+ORACLE_SAMPLES = 3
 
 
-def type_scan_oracle(model):
-    """The scan point by point: Fraction samples, the full polytope's signature."""
+def type_scan_oracle(model, region_count=None):
+    """The scan point by point: at the witness and Fraction interior samples
+    of each chamber region, the full polytope's signature, which must not
+    change inside the region. With ``region_count``, only that many regions
+    are checked, drawn by the same seeded rng."""
     chamber = chamber_arrangement(model).arrangement
     rng = random.Random(0)
     report = {}
-    for region in enumerate_regions(chamber):
-        points = [region.witness] + oracle.interior_samples(chamber, region, TYPE_SCAN_SAMPLES - 1, rng)
+    regions = enumerate_regions(chamber)
+    for region in regions if region_count is None else rng.sample(regions, region_count):
+        points = [region.witness] + oracle.interior_samples(chamber, region, ORACLE_SAMPLES - 1, rng)
         signatures = {lognormal_polytope(model, model.arr.form_values(x)).signature() for x in points}
         assert len(signatures) == 1
         report[region.key()] = signatures.pop()
@@ -143,9 +133,19 @@ def test_type_scan_matches_per_point_oracle_on_random_models(n, seed):
     assert combinatorial_type_scan(model) == type_scan_oracle(model)
 
 
+def test_type_scan_matches_per_point_oracle_in_dimension_four():
+    """The scan reads every chamber region of a (4, 6) model (26 chamber
+    planes, 1622 regions), and the oracle checks a seeded 300 of them."""
+    model = make_model(random_arrangement(4, 6, random.Random("typescan/4/6"), -5, 5))
+    report = combinatorial_type_scan(model)
+    assert len(report) == ml_degree(chamber_arrangement(model).arrangement)
+    expected = type_scan_oracle(model, region_count=300)
+    assert {key: report[key] for key in expected} == expected
+
+
 def test_type_scan_walks_each_facet_pattern_once(monkeypatch):
-    """Every sample builds its own data cone, and the face lattice is walked
-    once per distinct tuple of facet masks among them."""
+    """Every chamber region builds one data cone, at its witness, and the
+    face lattice is walked once per distinct tuple of facet masks among them."""
     import sqlinear.geometry as geometry
 
     model = make_model(CATALOG["six_points"]())
@@ -164,7 +164,7 @@ def test_type_scan_walks_each_facet_pattern_once(monkeypatch):
     monkeypatch.setattr(geometry, "_data_cone", cone_spy)
     monkeypatch.setattr(geometry, "_face_layers", walk_spy)
     report = combinatorial_type_scan(model)
-    assert len(patterns) == TYPE_SCAN_SAMPLES * len(report) == 36
+    assert len(patterns) == len(report) == 12
     assert sorted(walks) == sorted(set(patterns))
     assert len(walks) == 6
 
