@@ -91,6 +91,27 @@ def test_simplicial_rays_match_inverse(d):
         assert oracle.simplicial_start(flat, d) is None
 
 
+def _strictly_inside(arr, region, point):
+    return all(s * v > 0 for s, v in zip(region.sign.signs, arr.form_values(point)))
+
+
+@pytest.mark.parametrize("name", ["steiner", "braid4", "circle", "four_points", "six_points", "halves"])
+def test_oracle_interior_samples_lie_inside_their_region(name):
+    """The type scan oracle checks a region's polytope type at these points,
+    so each must lie strictly inside its region and differ from the witness."""
+    if name == "halves":
+        arr = Arrangement(A=((Fraction(1, 2), Fraction(1, 3)), (1, Fraction(-2, 7)), (Fraction(3, 5), 1)))
+    else:
+        arr = CATALOG[name]()
+    chamber = chamber_arrangement(make_model(arr)).arrangement
+    for target, count in ((arr, 4), (chamber, 2)):
+        for region in enumerate_regions(target):
+            got = oracle.interior_samples(target, region, count, random.Random(region.key()))
+            assert len(set(got)) == count
+            assert region.witness not in got
+            assert all(_strictly_inside(target, region, x) for x in [region.witness] + got)
+
+
 # Points per chamber region at which the oracle builds the polytope: the
 # witness and interior samples drawn from random.Random(0).
 ORACLE_SAMPLES = 3
