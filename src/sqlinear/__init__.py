@@ -32,10 +32,10 @@ _EXPORTS = {
         "Polytope chamber_arrangement combinatorial_type_scan dual_polytope "
         "log_voronoi_scan lognormal_polytope swap_candidates"
     ),
-    "mle": "CriticalPoint LikelihoodMatrix likelihood_matrix rank_defect solve_all solve_region",
+    "mle": "CriticalPoint LikelihoodMatrix likelihood_matrix rank_defect solve_all",
     "model": (
-        "SquaredLinearModel VeroneseGenerators evaluate evaluate_exact gradient log_likelihood "
-        "make_model minor_space_dimension singular_subspaces steiner_quartic veronese_generators"
+        "SquaredLinearModel VeroneseGenerators evaluate_exact make_model minor_space_dimension "
+        "singular_subspaces steiner_quartic veronese_generators"
     ),
 }
 # every submodule the package used to bind by importing it at start

@@ -182,9 +182,10 @@ def estimate_valuations(
     from .mle import CriticalPoint, _solve_batch, to_floats
 
     _check_length(model, trop.w)
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if len(eps_grid) < 3:
-        raise ValidationError("need at least three eps values for a slope fit")
+    eps_grid = to_floats(eps_grid, "eps_grid")
+    if eps_grid.ndim != 1 or len(eps_grid) < 3:
+        raise ValidationError("need a flat sequence of at least three eps values for a slope fit")
+    eps_grid = eps_grid.tolist()
     # NaN fails the first test too: every comparison with it is false.
     if not all(0 < e < math.inf for e in eps_grid) or any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValidationError("eps grid must be finite, positive and strictly decreasing")

@@ -33,10 +33,6 @@ class ZeroPoint(ValidationError):
     """The zero vector does not represent a projective point."""
 
 
-class OnHyperplane(NumericError):
-    """Evaluation point lies on a model hyperplane with positive data weight."""
-
-
 class DegenerateLeadingBlock(ValidationError):
     """Leading block of the squared-forms matrix is singular.
 

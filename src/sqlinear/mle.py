@@ -48,7 +48,7 @@ from operator import truediv
 
 import numpy as np
 
-from .arrangement import Record, Region, enumerate_regions
+from .arrangement import Record, enumerate_regions
 from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
 from .model import SquaredLinearModel
 
@@ -74,7 +74,7 @@ def to_floats(values, name: str) -> np.ndarray:
         return np.array(_quotients(values), dtype=float)
     except OverflowError as err:
         raise ValidationError(f"field {name!r} holds a value beyond double range") from err
-    except ValueError as err:  # ragged nesting, or an entry that is no number
+    except (TypeError, ValueError) as err:  # ragged nesting, or an entry that is no real number
         raise ValidationError(f"field {name!r} is not a rectangular array of numbers") from err
 
 
@@ -83,22 +83,6 @@ def _quotients(values, depth=2):
     if not depth or not isinstance(values, (list, tuple)):
         return values
     return [truediv(*v.as_integer_ratio()) if type(v) is Fraction else _quotients(v, depth - 1) for v in values]
-
-
-def _checked_point(model: SquaredLinearModel, x, s=None):
-    """(float A, form values A x, float s or None) for one parameter point of
-    the float entry points: ValidationError names a field of the wrong
-    shape, x needing d entries and s n, and ZeroPoint is raised when every
-    form vanishes at x."""
-    A, x = model.A_float, to_floats(x, "x")
-    s = None if s is None else to_floats(s, "s")
-    for name, values, size in (("x", x, model.d), ("s", s, model.n)):
-        if values is not None and values.shape != (size,):
-            raise ValidationError(f"field {name!r} needs {size} entries, got shape {values.shape}")
-    values = A @ x
-    if not np.any(values):
-        raise ZeroPoint("zero vector is not a projective point")
-    return A, values, s
 
 
 def normalize_parameter(x) -> np.ndarray:
@@ -178,11 +162,10 @@ class Likelihood:
     sign or hyperplane test: calling it gives logL alone, and
     :meth:`hessian` gives (logL, G, H) from one pass.
 
-    The one copy of these formulas: the Newton batch below runs it and the
-    one-point functions of :mod:`.model` call it. Built once per (float A,
-    s), where s is one data vector or a (K, n) stack of them; ``which``
-    names each row's data vector, an array in the batch or the scalar 0
-    (the default) for the one data vector of a one-point call.
+    The one copy of these formulas, which the Newton batch below runs. Built
+    once per (float A, s), where s is one data vector or a (K, n) stack of
+    them; ``which`` names each row's data vector, an array in the batch or
+    the scalar 0 (the default) when there is one data vector.
     States of weight 0 in every data vector drop out of the sums, also on
     their own hyperplanes; when there are none, the form values are used
     without a copy.
@@ -264,7 +247,15 @@ class SolveAllResult(Record):
 
 
 def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
-    _, values, s = _checked_point(model, x, s)
+    """ValidationError names a field of the wrong shape, x needing d entries
+    and s n; ZeroPoint is raised when every form vanishes at x."""
+    x, s = to_floats(x, "x"), to_floats(s, "s")
+    for name, values, size in (("x", x, model.d), ("s", s, model.n)):
+        if values.shape != (size,):
+            raise ValidationError(f"field {name!r} needs {size} entries, got shape {values.shape}")
+    values = model.A_float @ x
+    if not np.any(values):
+        raise ZeroPoint("zero vector is not a projective point")
     rows = np.vstack([s, values**2, model.B_float * values])
     return LikelihoodMatrix(rows=rows)
 
@@ -292,27 +283,6 @@ def _check_positive_data(s, n):
             "data vector has nonpositive entries; use the degeneration module"
         )
     return s
-
-
-def solve_region(
-    model: SquaredLinearModel,
-    s,
-    region: Region,
-    tol: float = 1e-10,
-    start=None,
-) -> CriticalPoint:
-    """Newton-solve the unique critical point inside one region.
-
-    ``start`` overrides the region witness as the initial iterate (used for
-    warm starts during path tracking); it must already lie in the region.
-    This is the one-row case of the batch that :func:`solve_all` runs.
-    """
-    if start is not None and (shape := to_floats(start, "start").shape) != (model.d,):
-        raise ValidationError(f"field 'start' needs {model.d} entries, got shape {shape}")
-    ((outcome,),) = _solve_batch(model, [s], [region], tol, [[start]])
-    if not isinstance(outcome, CriticalPoint):
-        raise outcome
-    return outcome
 
 
 def solve_all(

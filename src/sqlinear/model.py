@@ -1,20 +1,19 @@
-"""The squared linear model: evaluation, likelihood, implicit generators.
+"""The squared linear model: exact evaluation, implicit generators.
 
 State probabilities are p_i(x) = l_i(x)^2 / q(x) with q the sum of all
-squared forms. The implicit-ideal constructions are exact rational; the
-one-point float functions import numpy when called and share the likelihood
-formulas of :class:`.mle.Likelihood` with the Newton solver.
+squared forms. The constructions here are exact rational; the float
+log-likelihood, its gradient and its Hessian are :class:`.mle.Likelihood`,
+which the Newton solver runs, and ``A_float`` imports numpy when read.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import ratlin
 from .arrangement import Arrangement, KernelComplement, Record, kernel_complement
-from .errors import DegenerateLeadingBlock, OnHyperplane, RankDeficient, ValidationError, ZeroPoint
+from .errors import DegenerateLeadingBlock, RankDeficient, ValidationError, ZeroPoint
 
 
 class SquaredLinearModel(Record):
@@ -66,14 +65,6 @@ def parameters_of(model: SquaredLinearModel, ys):
     ]
 
 
-def evaluate(model: SquaredLinearModel, x):
-    """Probability vector p(x); entries sum to one."""
-    from .mle import _checked_point
-
-    squares = _checked_point(model, x)[1] ** 2
-    return squares / squares.sum()
-
-
 def evaluate_exact(model: SquaredLinearModel, x):
     """Rational probability vector for rational x."""
     values = model.arr.form_values(tuple(ratlin.as_fraction(v) for v in x))
@@ -82,34 +73,6 @@ def evaluate_exact(model: SquaredLinearModel, x):
     if total == 0:
         raise ZeroPoint("zero vector is not a projective point")
     return tuple(v / total for v in squares)
-
-
-def _one_point(model: SquaredLinearModel, s, x):
-    """(evaluator, (1, n) form values, whether x lies on a hyperplane of
-    positive weight) for one point, checked as :func:`.mle._checked_point`
-    checks it."""
-    import numpy as np
-
-    from .mle import Likelihood, _checked_point
-
-    A, values, s = _checked_point(model, x, s)
-    return Likelihood(A, s), values[None, :], bool(np.any((values == 0.0) & (s != 0.0)))
-
-
-def log_likelihood(model: SquaredLinearModel, s, x) -> float:
-    """sum_i s_i log p_i(x), invariant under rescaling x; -inf when x sits on
-    a hyperplane with s_i > 0."""
-    loglik, V, on_hyperplane = _one_point(model, s, x)
-    return -math.inf if on_hyperplane else float(loglik(V)[0])
-
-
-def gradient(model: SquaredLinearModel, s, x):
-    """Gradient of the log-likelihood in the ambient coordinates; orthogonal
-    to x by homogeneity."""
-    loglik, V, on_hyperplane = _one_point(model, s, x)
-    if on_hyperplane:
-        raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
-    return loglik.hessian(V)[1][0]
 
 
 def quadric_monomials(d: int):

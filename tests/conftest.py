@@ -97,6 +97,12 @@ def grid_search_oracle(model, s, points=100_000):
     return best
 
 
+def float_probabilities(model, x):
+    """p = y^2 / sum(y^2) with y = A x in floats, for one point or each row of a stack."""
+    y = np.asarray(x, dtype=float) @ model.A_float.T
+    return y**2 / (y**2).sum(axis=-1, keepdims=True)
+
+
 def canonical_x(x):
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)

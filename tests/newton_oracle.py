@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from sqlinear.arrangement import SignVector, enumerate_regions
-from sqlinear.errors import NoConvergence, NumericError, OnHyperplane, ZeroPoint
+from sqlinear.errors import NoConvergence, NumericError, ZeroPoint
 from sqlinear.mle import (
     MAX_BACKTRACKS,
     MAX_ITER,
@@ -56,7 +56,7 @@ def gradient(model, s, x) -> np.ndarray:
     A = model.A_float
     values = A @ x
     if np.any((values == 0.0) & (s != 0.0)):
-        raise OnHyperplane("gradient undefined on a hyperplane with positive weight")
+        raise NumericError("gradient undefined on a hyperplane with positive weight")
     q = float(np.dot(values, values))
     weights = np.where(s != 0.0, 2.0 * s / np.where(values == 0.0, 1.0, values), 0.0)
     return weights @ A - (2.0 * s.sum() / q) * (A.T @ (A @ x))
@@ -69,7 +69,7 @@ def hessian(model, s, x) -> np.ndarray:
     A = model.A_float
     values = A @ x
     if np.any((values == 0.0) & (s != 0.0)):
-        raise OnHyperplane("hessian undefined on a hyperplane with positive weight")
+        raise NumericError("hessian undefined on a hyperplane with positive weight")
     q = float(np.dot(values, values))
     gram = A.T @ A
     u = gram @ x

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import canonical_x, grid_search_oracle
+from conftest import canonical_x, float_probabilities, grid_search_oracle
 from sqlinear import ratlin
 from sqlinear.arrangement import (
     characteristic_polynomial,
@@ -44,12 +44,9 @@ from sqlinear.geometry import (
     swap_candidates,
 )
 from sqlinear.geometry import chamber_forms
-from sqlinear.mle import likelihood_matrix, solve_all
+from sqlinear.mle import Likelihood, likelihood_matrix, solve_all
 from sqlinear.model import (
-    evaluate,
     evaluate_exact,
-    gradient,
-    log_likelihood,
     make_model,
     minor_space_dimension,
     noninjectivity_witness,
@@ -269,14 +266,14 @@ def test_criterion_10_implicit_generators(steiner, circle, braid4):
     start = time.perf_counter()
     rng = np.random.default_rng(10)
     for _ in range(100):
-        p = evaluate(steiner, rng.normal(size=3))
+        p = float_probabilities(steiner, rng.normal(size=3))
         assert abs(steiner_quartic(p / p.sum())) <= 1e-10
     for x in ((2, 3), (-1, 5), (7, 2), (3, -4)):
         p = evaluate_exact(circle, x)
         assert 4 * p[0] * p[1] == (p[2] - p[0] - p[1]) ** 2
     index = braid_pair_index(4)
     for _ in range(100):
-        p = evaluate(braid4, rng.normal(size=3))
+        p = float_probabilities(braid4, rng.normal(size=3))
         M = np.empty((3, 3))
         for i in range(1, 4):
             M[i - 1, i - 1] = 2 * p[index[(i, 4)]]
@@ -382,14 +379,11 @@ def test_criterion_14_gradient_correctness():
         if np.abs(model.A_float @ x).min() < 1e-2:
             continue
         s = nprng.uniform(0.1, 1.0, size=n)
-        g = gradient(model, s, x)
-        fd = np.zeros(d)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            fd[k] = (
-                log_likelihood(model, s, x + e) - log_likelihood(model, s, x - e)
-            ) / (2 * step)
+        loglik = Likelihood(model.A_float, s)
+        g = loglik.hessian((model.A_float @ x)[None, :])[1][0]
+        e = step * np.eye(d)
+        ahead, behind = loglik(np.vstack([x + e, x - e]) @ model.A_float.T).reshape(2, d)
+        fd = (ahead - behind) / (2 * step)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
         checked += 1
     elapsed = time.perf_counter() - start

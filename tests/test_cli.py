@@ -806,7 +806,7 @@ class TestExitCodes:
         from sqlinear import errors
 
         classes = [value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, Exception)]
-        assert len(classes) == 16
+        assert len(classes) == 15
         assert all(issubclass(cls, (errors.ValidationError, errors.NumericError)) for cls in classes[1:])
         assert classes[0] is errors.SqlinearError
 

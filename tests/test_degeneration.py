@@ -256,6 +256,18 @@ class TestEstimateValuations:
             with pytest.raises(ValidationError, match="eps grid must be finite"):
                 estimate_valuations(steiner, trop, eps_grid=grid)
 
+    def test_grid_converts_as_data_does(self, steiner):
+        # Through to_floats: float() alone raised ValueError on 'x' and
+        # TypeError on None. A Fraction grid tracks as its doubles do.
+        trop = TropicalData(w=(0, 3, 4, 5), anchor=0)
+        for grid in [(0.1, 0.01, "x"), (0.1, 0.01, None), (0.1, 0.01, {}), ((0.1, 0.01, 0.001),)]:
+            with pytest.raises(ValidationError):
+                estimate_valuations(steiner, trop, eps_grid=grid)
+        exact = (Fraction(1, 10), Fraction(1, 30), Fraction(1, 100))
+        by_fraction = estimate_valuations(steiner, trop, eps_grid=exact)
+        by_float = estimate_valuations(steiner, trop, eps_grid=[float(e) for e in exact])
+        assert [e.slopes for e in by_fraction] == [e.slopes for e in by_float]
+
     def test_valuation_spread_beyond_double_range_rejected(self, steiner):
         # Each entry is a double, but their difference is not.
         trop = TropicalData(w=("-1.7e308", "1.7e308", 0, 1), anchor=0)

@@ -41,7 +41,8 @@ MACHINERY = ("dataclasses", "inspect")
 
 # Every name the package namespace served when it imported each module
 # eagerly, with the module that defines it now (less `Flat`, `flats`,
-# `snc_check` and `interior_samples`, which were removed).
+# `snc_check`, `interior_samples`, `evaluate`, `log_likelihood`, `gradient`
+# and `solve_region`, which were removed).
 OLD_NAMESPACE = {
     "arrangement": (
         "Arrangement", "CharacteristicPolynomial", "KernelComplement", "Region", "SignVector",
@@ -57,13 +58,10 @@ OLD_NAMESPACE = {
         "Polytope", "chamber_arrangement", "combinatorial_type_scan", "dual_polytope",
         "log_voronoi_scan", "lognormal_polytope", "swap_candidates",
     ),
-    "mle": (
-        "CriticalPoint", "LikelihoodMatrix", "likelihood_matrix", "rank_defect", "solve_all", "solve_region",
-    ),
+    "mle": ("CriticalPoint", "LikelihoodMatrix", "likelihood_matrix", "rank_defect", "solve_all"),
     "model": (
-        "SquaredLinearModel", "VeroneseGenerators", "evaluate", "evaluate_exact", "gradient",
-        "log_likelihood", "make_model", "minor_space_dimension", "singular_subspaces", "steiner_quartic",
-        "veronese_generators",
+        "SquaredLinearModel", "VeroneseGenerators", "evaluate_exact", "make_model", "minor_space_dimension",
+        "singular_subspaces", "steiner_quartic", "veronese_generators",
     ),
 }
 # The submodules the package bound as attributes when it imported eagerly.
@@ -243,9 +241,8 @@ NO_SRC_CALLER = {
     "catalog.braid_arrangement", "catalog.four_points_arrangement", "catalog.random_arrangement",
     "catalog.seven_lines_arrangement", "catalog.six_points_arrangement", "catalog.steiner_arrangement",
     # Library entry points that the benchmark runs or traces, and the tests call.
-    "geometry.combinatorial_type_scan", "geometry.dual_polytope", "mle.solve_region", "simplex.feasible_point",
-    "mle.likelihood_matrix", "mle.rank_defect", "model.evaluate", "model.gradient", "model.log_likelihood",
-    "jsonio.arrangement_to_json",
+    "geometry.combinatorial_type_scan", "geometry.dual_polytope", "simplex.feasible_point",
+    "mle.likelihood_matrix", "mle.rank_defect", "jsonio.arrangement_to_json",
     # Checked by the acceptance suite only.
     "arrangement.generic_ml_degree", "catalog.braid_pair_index", "degeneration.limit_distance",
     "degeneration.match_supports", "model.evaluate_exact", "model.noninjectivity_witness", "model.steiner_quartic",

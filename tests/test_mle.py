@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import canonical_x as canonical
-from conftest import grid_search_oracle
+from conftest import float_probabilities, grid_search_oracle
 from polytope_oracle import interior_samples
 from sqlinear.arrangement import (
     Region,
@@ -17,14 +17,15 @@ from sqlinear.arrangement import (
 from sqlinear.catalog import random_arrangement
 from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError, ZeroPoint
 from sqlinear.mle import (
+    Likelihood,
+    _solve_batch,
     likelihood_matrix,
     normalize_parameter,
     rank_defect,
     solve_all,
-    solve_region,
     to_floats,
 )
-from sqlinear.model import evaluate, gradient, log_likelihood, make_model
+from sqlinear.model import make_model
 
 
 class TestLikelihoodMatrix:
@@ -85,8 +86,9 @@ class TestSolveRegion:
     def test_ascends_from_witness(self, steiner, rng):
         s = rng.uniform(0.1, 1.0, size=4)
         for region in enumerate_regions(steiner.arr):
-            point = solve_region(steiner, s, region)
-            start_value = log_likelihood(steiner, s, [float(v) for v in region.witness])
+            (point,) = solve_all(steiner, s, regions=[region]).points
+            witness = to_floats(region.witness, "witness")
+            (start_value,) = Likelihood(steiner.A_float, s)((steiner.A_float @ witness)[None, :])
             assert point.logL >= start_value
             assert point.grad_norm <= 1e-10
             assert point.hessian_max_eig <= 1e-8
@@ -124,17 +126,16 @@ class TestSolveRegion:
     def test_start_point_independence(self, steiner, pyrng, rng):
         s = rng.uniform(0.1, 1.0, size=4)
         for region in enumerate_regions(steiner.arr)[:3]:
-            base = solve_region(steiner, s, region)
-            for sample in interior_samples(steiner.arr, region, 5, pyrng):
-                other = solve_region(
-                    steiner, s, region, start=np.array([float(v) for v in sample])
-                )
+            (base,) = solve_all(steiner, s, regions=[region]).points
+            samples = interior_samples(steiner.arr, region, 5, pyrng)
+            (others,) = _solve_batch(steiner, [s], [region] * len(samples), 1e-10, [samples])
+            for other in others:
                 assert np.abs(canonical(other.x) - canonical(base.x)).max() <= 1e-8
 
     def test_boundary_data_rejected(self, steiner):
         region = enumerate_regions(steiner.arr)[0]
         with pytest.raises(BoundaryData):
-            solve_region(steiner, (1.0, 0.0, 0.5, 0.5), region)
+            solve_all(steiner, (1.0, 0.0, 0.5, 0.5), regions=[region])
 
 
 class TestSolveAll:
@@ -161,9 +162,12 @@ class TestSolveAll:
 
     def test_gradients_at_solutions(self, steiner, rng):
         s = rng.uniform(0.1, 1.0, size=4)
-        for point in solve_all(steiner, s).points:
-            assert np.linalg.norm(gradient(steiner, s, point.x)) <= 1e-8
-            assert np.allclose(point.p, evaluate(steiner, point.x), atol=1e-14)
+        points = solve_all(steiner, s).points
+        X = np.array([point.x for point in points])
+        G = Likelihood(steiner.A_float, s).hessian(X @ steiner.A_float.T)[1]
+        for point, g, p in zip(points, G, float_probabilities(steiner, X)):
+            assert np.linalg.norm(g) <= 1e-8
+            assert np.allclose(point.p, p, atol=1e-14)
 
     def test_region_order_is_canonical(self, steiner, rng):
         s = rng.uniform(0.1, 1.0, size=4)
@@ -191,10 +195,11 @@ class TestSolveAll:
         s = [4, 3, 2, 1]
         region = enumerate_regions(steiner.arr)[0]
         with pytest.raises(NoConvergence) as err:
-            solve_region(steiner, s, region, tol=0.0)
-        last_iteration, last_decrement = err.value.trace[-1]
+            solve_all(steiner, s, tol=0.0, regions=[region])
+        ((_, failure),) = err.value.failures
+        last_iteration, last_decrement = failure.trace[-1]
         assert last_decrement == 0.0
-        point = solve_region(steiner, s, region, tol=1e-200)
+        (point,) = solve_all(steiner, s, tol=1e-200, regions=[region]).points
         assert point.iterations == last_iteration
         assert point.hessian_max_eig < 0.0
 
@@ -218,34 +223,28 @@ class TestSolveAll:
     def test_non_finite_data_rejected(self, steiner, s):
         # NaN compares false with everything, and an overflowing sum made
         # the witnesses pass for critical points with a NaN gradient norm.
-        region = enumerate_regions(steiner.arr)[0]
         with pytest.raises(ValidationError, match="finite"):
             solve_all(steiner, s)
-        with pytest.raises(ValidationError, match="finite"):
-            solve_region(steiner, s, region)
 
     def test_data_of_wrong_length_rejected(self, steiner):
-        region = enumerate_regions(steiner.arr)[0]
         with pytest.raises(ValidationError, match="n = 4"):
             solve_all(steiner, [0.5, 0.3, 0.2])
         with pytest.raises(ValidationError, match="n = 4"):
-            solve_region(steiner, [[0.4, 0.3, 0.2, 0.1]], region)
+            solve_all(steiner, [[0.4, 0.3, 0.2, 0.1]])
 
     @pytest.mark.parametrize(
         "start, match",
         [
             ((Fraction(10**400), 1, 1), "field 'start' holds a value beyond double range"),
-            ((1, 1), r"field 'start' needs 3 entries, got shape \(2,\)"),
-            ([[1, 2, 3]], r"field 'start' needs 3 entries, got shape \(1, 3\)"),
             ([[1, 2], [3]], "field 'start' is not a rectangular array of numbers"),
         ],
-        ids=["beyond-double-range", "too-short", "matrix", "ragged"],
+        ids=["beyond-double-range", "ragged"],
     )
     def test_start_is_checked(self, steiner, start, match):
         # numpy alone raised OverflowError and ValueError.
         region = enumerate_regions(steiner.arr)[0]
         with pytest.raises(ValidationError, match=match):
-            solve_region(steiner, [4, 3, 2, 1], region, start=start)
+            _solve_batch(steiner, [[4, 3, 2, 1]], [region], 1e-10, [[start]])
 
     @pytest.mark.parametrize(
         "x, message",
@@ -292,12 +291,9 @@ def test_normalize_parameter_of_a_stack_is_each_row_alone(rng):
     "call",
     [
         lambda model, x: likelihood_matrix(model, [4, 3, 2, 1], x),
-        evaluate,
-        lambda model, x: log_likelihood(model, [4, 3, 2, 1], x),
-        lambda model, x: gradient(model, [4, 3, 2, 1], x),
         lambda model, x: normalize_parameter(x),
     ],
-    ids=["likelihood_matrix", "evaluate", "log_likelihood", "gradient", "normalize_parameter"],
+    ids=["likelihood_matrix", "normalize_parameter"],
 )
 def test_exact_parameter_beyond_double_range_is_invalid(steiner, call):
     # to_floats rejects it, as it does for the data; numpy alone raises OverflowError.
@@ -320,19 +316,19 @@ def test_fractions_become_their_correctly_rounded_doubles():
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda model: evaluate(model, [1, 2]), ValidationError, "field 'x' needs 3 entries"),
-        (lambda model: evaluate(model, [[1, 2, 3]]), ValidationError, "field 'x' needs 3 entries"),
-        (lambda model: log_likelihood(model, [1, 2, 3], (1, 2, 3)), ValidationError, "field 's' needs 4 entries"),
-        (lambda model: gradient(model, [1, 2, 3], (1, 2, 3)), ValidationError, "field 's' needs 4 entries"),
         (lambda model: likelihood_matrix(model, [1, 2, 3], (1, 2, 3)), ValidationError, "field 's' needs 4 entries"),
         (lambda model: likelihood_matrix(model, [4, 3, 2, 1], [1, 2]), ValidationError, "field 'x' needs 3 entries"),
+        (lambda model: likelihood_matrix(model, [4, 3, 2, 1], [[1, 2, 3]]), ValidationError, "field 'x' needs 3 entries"),
         (lambda model: likelihood_matrix(model, [4, 3, 2, 1], (0, 0, 0)), ZeroPoint, "projective point"),
+        (lambda model: solve_all(model, [1, 2, "x", 4]), ValidationError, "field 's' is not a rectangular array"),
+        (lambda model: solve_all(model, [1, 2, {}, 4]), ValidationError, "field 's' is not a rectangular array"),
+        (lambda model: solve_all(model, [1, 2, 3, 1 + 1j]), ValidationError, "field 's' is not a rectangular array"),
     ],
-    ids=["evaluate-x", "evaluate-x-matrix", "log_likelihood-s", "gradient-s", "likelihood_matrix-s",
-         "likelihood_matrix-x", "likelihood_matrix-zero"],
+    ids=["likelihood_matrix-s", "likelihood_matrix-x", "likelihood_matrix-x-matrix", "likelihood_matrix-zero",
+         "solve_all-s-string", "solve_all-s-dict", "solve_all-s-complex"],
 )
 def test_float_entry_points_check_their_input(steiner, call, error, match):
-    # One shared check; numpy alone raises ValueError, or returns a matrix at x = 0.
+    # numpy alone raises ValueError or TypeError, or returns a matrix at x = 0.
     with pytest.raises(error, match=match):
         call(steiner)
 

@@ -32,7 +32,7 @@ from sqlinear import catalog, mle
 from sqlinear.arrangement import Arrangement, SignVector, characteristic_polynomial, enumerate_regions
 from sqlinear.degeneration import TropicalData, estimate_valuations
 from sqlinear.errors import NoConvergence
-from sqlinear.mle import CriticalPoint, _solve_batch, solve_all, solve_region
+from sqlinear.mle import CriticalPoint, _solve_batch, solve_all
 from sqlinear.model import make_model
 
 CATALOG = {
@@ -117,16 +117,16 @@ def test_stacked_data_rows_match_separate_solves():
 
 @pytest.mark.parametrize("d, n", [(3, 7), (4, 8)])
 def test_one_region_alone_is_its_row_of_solve_all(d, n):
-    """solve_region runs a one-row batch; its point equals that region's
-    point in solve_all bit for bit, also where solve_all leaves one row
-    running."""
+    """A region solved alone runs a one-row batch; its point equals that
+    region's point in solve_all bit for bit, also where solve_all leaves one
+    row running."""
     model = make_model(catalog.random_arrangement(d, n, random.Random(f"alone/{d}x{n}")))
     regions = enumerate_regions(model.arr)
     s = np.random.default_rng(d * 100 + n).uniform(0.05, 1.0, size=n)
     everything = solve_all(model, s, regions=regions)
     assert not everything.failures
     for region, point in zip(regions, everything.points):
-        alone = solve_region(model, s, region)
+        (alone,) = solve_all(model, s, regions=[region]).points
         for name in ("x", "y", "p"):
             assert np.array_equal(getattr(alone, name), getattr(point, name)), (region.sign, name)
         for name in ("logL", "grad_norm", "iterations", "hessian_max_eig"):
@@ -139,8 +139,8 @@ def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
     s = (50, 1, 45, 29) the stack's Cholesky call raises in the first of the
     nine passes only, and the eigenvalue call then sees that pass's one
     ridged row of seven; the finish's call for the top chart eigenvalue is
-    the only other. Each region of that batch still equals its solve_region
-    alone bit for bit, which a ridge that moved its neighbours' rows would
+    the only other. Each region of that batch still equals its one-region
+    solve bit for bit, which a ridge that moved its neighbours' rows would
     break."""
     s = [50, 1, 45, 29]
     regions = enumerate_regions(steiner.arr)
@@ -187,7 +187,7 @@ def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
     assert [(name, rows) for name, rows, _ in finish] == [("eigvalsh", 7)]
     assert not everything.failures
     for region, point in zip(regions, everything.points):
-        alone = solve_region(steiner, s, region)
+        (alone,) = solve_all(steiner, s, regions=[region]).points
         for name in ("x", "y"):
             assert np.array_equal(getattr(alone, name), getattr(point, name)), (region.sign, name)
         for name in ("logL", "iterations", "hessian_max_eig"):
@@ -320,21 +320,23 @@ def test_failing_tolerance_fails_the_same_regions(steiner):
     # rows reach 0.
     s = np.array([0.4, 0.3, 0.2, 0.1])
     regions = enumerate_regions(steiner.arr)
-    for region in regions:
-        with pytest.raises(NoConvergence) as batch_err:
-            solve_region(steiner, s, region, 0.0)
+    with pytest.raises(NoConvergence) as batch_err:
+        solve_all(steiner, s, 0.0, regions=regions)
+    assert [region for region, _ in batch_err.value.failures] == regions
+    for region, failure in batch_err.value.failures:
         with pytest.raises(NoConvergence) as loop_err:
             oracle.solve_region(steiner, s, region, 0.0)
-        assert batch_err.value.trace and loop_err.value.trace
+        assert failure.trace and loop_err.value.trace
 
 
 def test_warm_start_matches_oracle(braid4):
     s = np.random.default_rng(3).uniform(0.1, 1.0, size=braid4.n)
-    for region in enumerate_regions(braid4.arr)[:4]:
-        start = oracle.solve_region(braid4, s * 0.5 + 0.2, region).x
-        batch = solve_region(braid4, s, region, start=-start)
-        loop = oracle.solve_region(braid4, s, region, start=-start)
-        assert np.abs(batch.x - loop.x).max() <= 1e-9
+    regions = enumerate_regions(braid4.arr)[:4]
+    starts = [-oracle.solve_region(braid4, s * 0.5 + 0.2, region).x for region in regions]
+    (batch,) = _solve_batch(braid4, [s], regions, 1e-10, [starts])
+    for region, start, point in zip(regions, starts, batch):
+        loop = oracle.solve_region(braid4, s, region, start=start)
+        assert np.abs(point.x - loop.x).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
