@@ -311,7 +311,8 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     Returns one row per data vector, holding one outcome per region in
     order: its CriticalPoint, or the NoConvergence that stopped it.
     ``starts`` optionally gives one row of start points per data vector,
-    one per region (None keeps the witness, converted to floats only then).
+    one per region (None keeps the witness, converted to floats only then);
+    a start of other than d entries is a ValidationError.
 
     A row is found when its Newton decrement lambda, with lambda^2 =
     g . solve(-H, g) on its chart and H not ridged, satisfies
@@ -345,7 +346,13 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     starts = [x for row in starts for x in row] if starts else [None] * N
     cold = {k % R for k, x in enumerate(starts) if x is None}  # the regions whose witness a row starts from
     witness = dict(zip(cold, to_floats([regions[r].witness for r in cold], "witness")))
-    X = to_floats([witness[k % R] if x is None else x for k, x in enumerate(starts)], "start").reshape(N, d)
+    X = to_floats([witness[k % R] if x is None else x for k, x in enumerate(starts)], "start")
+    if N and X.shape != (N, d):
+        shape = next((s for s in (np.shape(x) for x in starts if x is not None) if s != (d,)), None)
+        if shape is None:
+            raise ValidationError(f"field 'start' needs {N} points, got {len(starts)}")
+        raise ValidationError(f"field 'start' needs {d} entries, got shape {shape}")
+    X = X.reshape(N, d)
     chart = np.zeros(N, dtype=int)  # each row's pinned coordinate, set on every pass
     iterations = np.zeros(N, dtype=int)
     history = np.empty((N, MAX_ITER))  # lambda / sqrt(sum(s)) at each evaluated iteration

@@ -236,15 +236,23 @@ class TestSolveAll:
         "start, match",
         [
             ((Fraction(10**400), 1, 1), "field 'start' holds a value beyond double range"),
+            ((1, 1), r"field 'start' needs 3 entries, got shape \(2,\)"),
+            ([[1, 2, 3]], r"field 'start' needs 3 entries, got shape \(1, 3\)"),
             ([[1, 2], [3]], "field 'start' is not a rectangular array of numbers"),
         ],
-        ids=["beyond-double-range", "ragged"],
+        ids=["beyond-double-range", "too-short", "matrix", "ragged"],
     )
     def test_start_is_checked(self, steiner, start, match):
-        # numpy alone raised OverflowError and ValueError.
+        # numpy alone raised OverflowError and ValueError, and took a 1 x 3
+        # matrix for a start.
         region = enumerate_regions(steiner.arr)[0]
         with pytest.raises(ValidationError, match=match):
             _solve_batch(steiner, [[4, 3, 2, 1]], [region], 1e-10, [[start]])
+
+    def test_one_start_per_region(self, steiner):
+        regions = enumerate_regions(steiner.arr)[:2]
+        with pytest.raises(ValidationError, match="field 'start' needs 2 points, got 1"):
+            _solve_batch(steiner, [[4, 3, 2, 1]], regions, 1e-10, [[regions[0].witness]])
 
     @pytest.mark.parametrize(
         "x, message",
@@ -320,11 +328,14 @@ def test_fractions_become_their_correctly_rounded_doubles():
         (lambda model: likelihood_matrix(model, [4, 3, 2, 1], [1, 2]), ValidationError, "field 'x' needs 3 entries"),
         (lambda model: likelihood_matrix(model, [4, 3, 2, 1], [[1, 2, 3]]), ValidationError, "field 'x' needs 3 entries"),
         (lambda model: likelihood_matrix(model, [4, 3, 2, 1], (0, 0, 0)), ZeroPoint, "projective point"),
+        (lambda model: likelihood_matrix(model, [4, 3, "x", 1], (1, 2, 3)), ValidationError, "field 's' is not a rectangular array"),
+        (lambda model: normalize_parameter([[1, 2], [3]]), ValidationError, "field 'x' is not a rectangular array"),
         (lambda model: solve_all(model, [1, 2, "x", 4]), ValidationError, "field 's' is not a rectangular array"),
         (lambda model: solve_all(model, [1, 2, {}, 4]), ValidationError, "field 's' is not a rectangular array"),
         (lambda model: solve_all(model, [1, 2, 3, 1 + 1j]), ValidationError, "field 's' is not a rectangular array"),
     ],
     ids=["likelihood_matrix-s", "likelihood_matrix-x", "likelihood_matrix-x-matrix", "likelihood_matrix-zero",
+         "likelihood_matrix-s-string", "normalize_parameter-x-ragged",
          "solve_all-s-string", "solve_all-s-dict", "solve_all-s-complex"],
 )
 def test_float_entry_points_check_their_input(steiner, call, error, match):

@@ -133,6 +133,14 @@ class TestGradient:
         ((outcome,),) = _solve_batch(steiner, [(1, 1, 1, 1)], [region], 1e-10, [[(0, 0, 0)]])
         assert isinstance(outcome, NoConvergence) and "start point" in str(outcome)
 
+    def test_start_on_hyperplane_fails_its_row(self, steiner):
+        # (0, 1, 1) zeroes the first form: no region's signs hold there, and
+        # the row fails before any gradient is taken, while the others solve.
+        regions = enumerate_regions(steiner.arr)[:2]
+        ((on, off),) = _solve_batch(steiner, [(1, 1, 1, 1)], regions, 1e-10, [[(0, 1, 1), None]])
+        assert isinstance(on, NoConvergence) and "start point" in str(on)
+        assert off.region == regions[1].sign
+
 
 class TestAgainstScalarOracle:
     """``Likelihood`` evaluates the formulas the Newton batch runs; the
