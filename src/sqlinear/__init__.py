@@ -3,7 +3,8 @@
 A squared linear model assigns state probabilities proportional to the
 squares of n linear forms in d unknowns. This package computes the exact
 combinatorics of the underlying hyperplane arrangement (characteristic
-polynomial, ML degree, regions with witnesses), solves the per-region
+polynomial, ML degree, regions with witnesses), the implicit generators
+and singular subspaces of the model, solves the per-region
 maximum-likelihood problems numerically, produces the determinantal
 likelihood matrix, degenerate and tropical critical points, log-normal
 polytopes with their dual combinatorics, and determinantal-point-process
@@ -21,7 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arrangement": (
         "Arrangement CharacteristicPolynomial KernelComplement Region SignVector "
-        "characteristic_polynomial enumerate_regions generic_ml_degree kernel_complement ml_degree"
+        "characteristic_polynomial enumerate_regions kernel_complement ml_degree"
     ),
     "degeneration": (
         "DegenerateSolution TropicalData TropicalPoint ValuationEstimate "
@@ -34,8 +35,8 @@ _EXPORTS = {
     ),
     "mle": "CriticalPoint LikelihoodMatrix likelihood_matrix rank_defect solve_all",
     "model": (
-        "SquaredLinearModel VeroneseGenerators evaluate_exact make_model minor_space_dimension "
-        "singular_subspaces steiner_quartic veronese_generators"
+        "SquaredLinearModel VeroneseGenerators make_model minor_space_dimension singular_subspaces "
+        "veronese_generators"
     ),
 }
 # every submodule the package used to bind by importing it at start

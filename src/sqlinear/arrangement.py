@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 
 from . import ratlin
@@ -267,23 +267,6 @@ def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
 def ml_degree(arr: Arrangement) -> int:
     """|chi(-1)| / 2: the number of projective regions, hence of critical points."""
     return characteristic_polynomial(arr).ml_degree()
-
-
-def generic_ml_degree(d: int, n: int) -> int:
-    """Critical-point count for n generic hyperplanes in d unknowns.
-
-    Computed twice: as sum_{i<d} C(n-1, i) and as the z^(d-1) coefficient of
-    1 / ((1-z)^(n-d) (1-2z)); the two must agree.
-    """
-    if not n > d > 1:
-        raise RankDeficient(f"need n > d > 1, got (d, n) = ({d}, {n})")
-    binomial_sum = sum(comb(n - 1, i) for i in range(d))
-    coeff = sum(comb(d - 1 - b + n - d - 1, n - d - 1) * 2**b for b in range(d)) if n > d else 0
-    if binomial_sum != coeff:
-        raise AssertionError(
-            f"binomial sum {binomial_sum} disagrees with generating function {coeff}"
-        )
-    return binomial_sum
 
 
 def _ray(ints):

@@ -39,11 +39,6 @@ def braid_arrangement(c: int) -> Arrangement:
     return Arrangement(A=tuple(rows), labels=tuple(labels))
 
 
-def braid_pair_index(c: int):
-    """Map (i, j) -> row index in :func:`braid_arrangement`."""
-    return {pair: k for k, pair in enumerate(itertools.combinations(range(1, c + 1), 2))}
-
-
 def circle_arrangement() -> Arrangement:
     """Three points on the projective line: x1, x2, x1+x2 (inscribed-circle model)."""
     return Arrangement(A=((1, 0), (0, 1), (1, 1)), labels=("x1", "x2", "x1+x2"))

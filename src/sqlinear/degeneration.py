@@ -11,8 +11,8 @@ and fitting the decay slopes.
 
 The module splits at the float boundary. The closed forms
 (:func:`unit_data_solutions`, :func:`tropical_predictions`) are exact
-rational arithmetic and load no numpy; :func:`estimate_valuations` and
-:func:`limit_distance` import numpy and :mod:`.mle` when called.
+rational arithmetic and load no numpy; :func:`estimate_valuations` imports
+numpy and :mod:`.mle` when called.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class TropicalPoint(Record):
 
 class ValuationEstimate(Record):
     __slots__ = ("region", "slopes", "point", "residual", "y_track")  # y_track: anchor-normalized y per eps, largest first
-
-    @property
-    def y_limit(self) -> tuple:
-        return self.y_track[-1]
 
 
 def admissible_supports(n: int, anchor: int, d: int):
@@ -237,34 +233,3 @@ def estimate_valuations(
             )
         )
     return estimates
-
-
-def match_supports(estimates, solutions) -> dict:
-    """Map each tracked region to the degenerate solution with its support.
-
-    Returns {region sign string -> DegenerateSolution}; raises PathLost if a
-    tracked support has no closed-form counterpart (non-bijective matching).
-    """
-    by_support = {tuple(sol.J): sol for sol in solutions}
-    matched = {}
-    used = set()
-    for est in estimates:
-        key = est.point.J
-        if key not in by_support or key in used:
-            raise PathLost(f"tracked support {key} is not matched bijectively")
-        used.add(key)
-        matched[str(est.region.sign)] = by_support[key]
-    return matched
-
-
-def limit_distance(estimate: ValuationEstimate, solution: DegenerateSolution) -> float:
-    """Distance between the tracked limit and the closed-form point,
-    both scaled to anchor coordinate one."""
-    import numpy as np
-
-    from .mle import to_floats
-
-    y_exact = to_floats(solution.y, "y")
-    y_exact = y_exact / y_exact[solution.anchor]
-    y_num = np.array(estimate.y_limit)
-    return float(np.max(np.abs(y_exact - y_num)))

@@ -154,7 +154,4 @@ def dpp_ml_degree_l2(n: int) -> int:
     """
     if n < 4:
         raise ValidationError("the codimension-2 formula needs n >= 4")
-    value = (n - 1) * (n**3 - 5 * n**2 + 14 * n - 8)
-    if value % 8:
-        raise AssertionError("quartic formula must be divisible by 8")
-    return value // 8
+    return (n - 1) * (n**3 - 5 * n**2 + 14 * n - 8) // 8

@@ -1,4 +1,4 @@
-"""The squared linear model: exact evaluation, implicit generators.
+"""The squared linear model: implicit generators and the singular locus.
 
 State probabilities are p_i(x) = l_i(x)^2 / q(x) with q the sum of all
 squared forms. The constructions here are exact rational; the float
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .arrangement import Arrangement, KernelComplement, Record, kernel_complement
-from .errors import DegenerateLeadingBlock, RankDeficient, ValidationError, ZeroPoint
+from .errors import DegenerateLeadingBlock, RankDeficient, ValidationError
 
 
 class SquaredLinearModel(Record):
@@ -63,16 +63,6 @@ def parameters_of(model: SquaredLinearModel, ys):
         ratlin.matvec(gram_inverse, ratlin.matvec(At, tuple(ratlin.as_fraction(v) for v in y)))
         for y in ys
     ]
-
-
-def evaluate_exact(model: SquaredLinearModel, x):
-    """Rational probability vector for rational x."""
-    values = model.arr.form_values(tuple(ratlin.as_fraction(v) for v in x))
-    squares = [v * v for v in values]
-    total = sum(squares)
-    if total == 0:
-        raise ZeroPoint("zero vector is not a projective point")
-    return tuple(v / total for v in squares)
 
 
 def quadric_monomials(d: int):
@@ -148,54 +138,12 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     return VeroneseGenerators(L=L, linear_forms=linear_forms, R=R, monomials=monomials)
 
 
-def steiner_quartic(p) -> float:
-    """The degree-4 equation of the four-line model in P^3.
-
-    Accepts Fractions (exact) or floats. Symmetric in the coordinates;
-    vanishes on the model, takes the value 1 at unit vectors.
-    """
-    p = tuple(p)
-    if len(p) != 4:
-        raise ValidationError("the quartic lives on P^3: need a length-4 vector")
-    total = sum(v**4 for v in p)
-    total += 6 * sum(p[i] ** 2 * p[j] ** 2 for i, j in itertools.combinations(range(4), 2))
-    total -= 4 * sum(p[i] ** 3 * p[j] for i in range(4) for j in range(4) if i != j)
-    total += 4 * sum(
-        p[i] ** 2 * p[j] * p[k]
-        for i in range(4)
-        for j, k in itertools.combinations([t for t in range(4) if t != i], 2)
-    )
-    total -= 40 * p[0] * p[1] * p[2] * p[3]
-    return total
-
-
 def minor_space_dimension(d: int) -> int:
-    """Rank of the span of all 2x2 minors of a symmetric d x d matrix.
-
-    The minors' coefficient rows over the quadratic monomials in the matrix
-    entries go through the exact rank of :mod:`.ratlin`. The result equals
-    (d+1) d^2 (d-1) / 12.
-    """
+    """Dimension of the span of all 2x2 minors of a symmetric d x d matrix,
+    (d+1) d^2 (d-1) / 12."""
     if d < 2:
         raise ValidationError("need d >= 2")
-    var = {}
-    for i in range(d):
-        for j in range(i, d):
-            var[(i, j)] = var[(j, i)] = (i, j)
-    rows = []
-    for i, k in itertools.combinations(range(d), 2):
-        for j, l in itertools.combinations(range(d), 2):
-            row = {}
-            for sign, pair in ((1, (var[(i, j)], var[(k, l)])), (-1, (var[(i, l)], var[(k, j)]))):
-                monomial = tuple(sorted(pair))
-                row[monomial] = row.get(monomial, 0) + sign
-            rows.append(row)
-    monomials = sorted({m for row in rows for m in row})
-    rank = ratlin.rank([[row.get(m, 0) for m in monomials] for row in rows])
-    expected = (d + 1) * d**2 * (d - 1) // 12
-    if rank != expected:
-        raise AssertionError(f"minor-space rank {rank} != closed form {expected}")
-    return rank
+    return (d + 1) * d**2 * (d - 1) // 12
 
 
 class SingularSubspace(Record):
@@ -242,30 +190,3 @@ def singular_subspaces(model: SquaredLinearModel) -> list:
                 )
     out.sort(key=lambda s: tuple(sorted(s.J)))
     return out
-
-
-def noninjectivity_witness(subspace: SingularSubspace, model: SquaredLinearModel):
-    """Exact pair (x, x') with x != +-x' but identical probability vectors.
-
-    x is taken on the subspace; x' solves A x' = A_{I,J} x, which exists
-    because B A_{I,J} x = 0 puts A_{I,J} x in the image of A.
-    """
-    arr = model.arr
-    flipped = tuple(
-        tuple(-v for v in row) if i in subspace.J else row
-        for i, row in enumerate(arr.A)
-    )
-    for weights in itertools.chain(
-        [(1,) * len(subspace.basis)],
-        itertools.product((1, 2, 3), repeat=len(subspace.basis)),
-    ):
-        x = tuple(
-            sum(Fraction(w) * b[k] for w, b in zip(weights, subspace.basis))
-            for k in range(arr.d)
-        )
-        if ratlin.is_zero(x):
-            continue
-        (xp,) = parameters_of(model, [ratlin.matvec(flipped, x)])
-        if ratlin.primitive(x) != ratlin.primitive(xp):
-            return x, xp
-    raise ValidationError("no non-injectivity witness found on this subspace")

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,7 @@ from sqlinear.catalog import (
 )
 from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.geometry import chamber_forms
-from sqlinear.model import make_model
+from sqlinear.model import make_model, parameters_of
 
 
 # Named arrangements for the differential tests of region enumeration.
@@ -101,6 +103,62 @@ def float_probabilities(model, x):
     """p = y^2 / sum(y^2) with y = A x in floats, for one point or each row of a stack."""
     y = np.asarray(x, dtype=float) @ model.A_float.T
     return y**2 / (y**2).sum(axis=-1, keepdims=True)
+
+
+def exact_probabilities(model, x):
+    """p = y^2 / sum(y^2) with y = A x, exact for rational x."""
+    squares = [v * v for v in model.arr.form_values(x)]
+    total = sum(squares)
+    return tuple(v / total for v in squares)
+
+
+def steiner_quartic(p):
+    """The degree-4 equation of the four-line model in P^3: it vanishes on the
+    model and is 1 at each unit vector; exact on Fractions."""
+    total = sum(v**4 for v in p)
+    total += 6 * sum(p[i] ** 2 * p[j] ** 2 for i, j in itertools.combinations(range(4), 2))
+    total -= 4 * sum(p[i] ** 3 * p[j] for i, j in itertools.permutations(range(4), 2))
+    total += 4 * sum(
+        p[i] ** 2 * p[j] * p[k]
+        for i in range(4)
+        for j, k in itertools.combinations([t for t in range(4) if t != i], 2)
+    )
+    return total - 40 * p[0] * p[1] * p[2] * p[3]
+
+
+def minor_space_rank(d):
+    """Exact rank of the 2x2 minors of a symmetric d x d matrix, each written
+    as a row of coefficients over the quadratic monomials in its entries."""
+    def entry(i, j):
+        return min(i, j), max(i, j)
+
+    rows = []
+    for i, k in itertools.combinations(range(d), 2):
+        for j, l in itertools.combinations(range(d), 2):
+            row = Counter()
+            row[tuple(sorted((entry(i, j), entry(k, l))))] += 1
+            row[tuple(sorted((entry(i, l), entry(k, j))))] -= 1
+            rows.append(row)
+    monomials = sorted(set().union(*rows))
+    return ratlin.rank([[row[m] for m in monomials] for row in rows])
+
+
+def noninjectivity_witness(subspace, model):
+    """(x, x') with A x' = A_{I,J} x for x the sum of the subspace's basis:
+    the forms at x and x' agree up to the signs on J, so p(x) = p(x'). The
+    solve is least squares, so when A_{I,J} x is not in the image of A (the
+    subspace is wrong) the two probability vectors differ."""
+    x = tuple(map(sum, zip(*subspace.basis)))
+    flipped = [-v if i in subspace.J else v for i, v in enumerate(model.arr.form_values(x))]
+    (xp,) = parameters_of(model, [flipped])
+    return x, xp
+
+
+def limit_gap(estimate, solution):
+    """Largest coordinate gap between a tracked region's last point and a
+    closed-form degenerate solution, both scaled to anchor coordinate one."""
+    y = np.array(solution.y, dtype=float)
+    return np.abs(y / y[solution.anchor] - estimate.y_track[-1]).max()
 
 
 def canonical_x(x):

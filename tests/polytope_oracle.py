@@ -216,7 +216,7 @@ def interior_samples(arr, region, count, rng):
                 t = -slack / move
                 bound = t if bound is None else min(bound, t)
         step = Fraction(1) if bound is None else bound / 2
-        point = ratlin.add(witness, ratlin.scale(direction, step))
+        point = tuple(w + step * v for w, v in zip(witness, direction))
         values = arr.form_values(point)
         if any(v == 0 for v in values):
             continue

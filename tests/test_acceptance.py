@@ -9,29 +9,33 @@ every other clause of the criterion is covered by the passing test.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from conftest import canonical_x, float_probabilities, grid_search_oracle
+from conftest import (
+    canonical_x,
+    exact_probabilities,
+    float_probabilities,
+    grid_search_oracle,
+    limit_gap,
+    minor_space_rank,
+    noninjectivity_witness,
+    steiner_quartic,
+)
 from sqlinear import ratlin
 from sqlinear.arrangement import (
     characteristic_polynomial,
     enumerate_regions,
-    generic_ml_degree,
     ml_degree,
 )
-from sqlinear.catalog import (
-    braid_pair_index,
-    random_arrangement,
-)
+from sqlinear.catalog import random_arrangement
 from sqlinear.degeneration import (
     TropicalData,
     estimate_valuations,
-    limit_distance,
-    match_supports,
     tropical_predictions,
     unit_data_solutions,
 )
@@ -45,14 +49,7 @@ from sqlinear.geometry import (
 )
 from sqlinear.geometry import chamber_forms
 from sqlinear.mle import Likelihood, likelihood_matrix, solve_all
-from sqlinear.model import (
-    evaluate_exact,
-    make_model,
-    minor_space_dimension,
-    noninjectivity_witness,
-    singular_subspaces,
-    steiner_quartic,
-)
+from sqlinear.model import make_model, minor_space_dimension, singular_subspaces
 
 
 def report(number: int, text: str):
@@ -105,12 +102,9 @@ def test_criterion_03_braid(braid4):
 def test_criterion_04_generic_mu_counts():
     start = time.perf_counter()
     rng = random.Random(4)
-    gf_coefficient = lambda d, n: sum(
-        __import__("math").comb(d - 1 - b + n - d - 1, n - d - 1) * 2**b
-        for b in range(d)
-    )
+    gf_coefficient = lambda d, n: sum(math.comb(d - 1 - b + n - d - 1, n - d - 1) * 2**b for b in range(d))
     for d, n in ((2, 4), (3, 5), (3, 6), (4, 6), (4, 7)):
-        mu = generic_ml_degree(d, n)
+        mu = sum(math.comb(n - 1, i) for i in range(d))
         assert mu == gf_coefficient(d, n)
         for _ in range(20):
             arr = random_arrangement(d, n, rng)
@@ -151,10 +145,9 @@ def test_criterion_06_tropical_mle(steiner):
     estimates = estimate_valuations(steiner, trop)
     assert {e.point.z for e in estimates} == {p.z for p in predictions}
     assert max(e.residual for e in estimates) <= 0.1
-    matched = match_supports(estimates, unit_data_solutions(steiner, 0))
-    worst = max(
-        limit_distance(e, matched[str(e.region.sign)]) for e in estimates
-    )
+    solutions = {sol.J: sol for sol in unit_data_solutions(steiner, 0)}
+    assert sorted(e.point.J for e in estimates) == sorted(solutions)
+    worst = max(limit_gap(e, solutions[e.point.J]) for e in estimates)
     assert worst <= 1e-3
     elapsed = time.perf_counter() - start
     report(6, f"7 tropical predictions tracked; worst residual ok, limit gap {worst:.1e} ({elapsed:.1f}s)")
@@ -269,9 +262,9 @@ def test_criterion_10_implicit_generators(steiner, circle, braid4):
         p = float_probabilities(steiner, rng.normal(size=3))
         assert abs(steiner_quartic(p / p.sum())) <= 1e-10
     for x in ((2, 3), (-1, 5), (7, 2), (3, -4)):
-        p = evaluate_exact(circle, x)
+        p = exact_probabilities(circle, x)
         assert 4 * p[0] * p[1] == (p[2] - p[0] - p[1]) ** 2
-    index = braid_pair_index(4)
+    index = {pair: k for k, pair in enumerate(itertools.combinations(range(1, 5), 2))}
     for _ in range(100):
         p = float_probabilities(braid4, rng.normal(size=3))
         M = np.empty((3, 3))
@@ -288,7 +281,8 @@ def test_criterion_10_implicit_generators(steiner, circle, braid4):
                     - M[rows[0], cols[1]] * M[rows[1], cols[0]]
                 )
                 assert abs(minor) <= 1e-10
-    assert [minor_space_dimension(d) for d in (2, 3, 4, 5)] == [1, 6, 20, 50]
+    dims = [minor_space_dimension(d) for d in (2, 3, 4, 5)]
+    assert dims == [minor_space_rank(d) for d in (2, 3, 4, 5)] == [1, 6, 20, 50]
     elapsed = time.perf_counter() - start
     report(10, f"quartic, conic, braid minors vanish; minor dims 1,6,20,50 ({elapsed:.1f}s)")
 
@@ -305,9 +299,7 @@ def test_criterion_11_singular_locus(steiner):
     for model, subs in ((model46, subs46), (steiner, subs_steiner)):
         for sub in subs:
             x, xp = noninjectivity_witness(sub, model)
-            pa = np.array([float(v) for v in evaluate_exact(model, x)])
-            pb = np.array([float(v) for v in evaluate_exact(model, xp)])
-            assert np.abs(pa - pb).max() <= 1e-10
+            assert exact_probabilities(model, x) == exact_probabilities(model, xp)
             assert ratlin.primitive(x) != ratlin.primitive(xp)
     elapsed = time.perf_counter() - start
     report(11, f"10 lines (d=4,n=6), 3 lines (Steiner), witness pairs exact ({elapsed:.2f}s)")

@@ -15,7 +15,6 @@ from sqlinear.arrangement import (
     SignVector,
     characteristic_polynomial,
     enumerate_regions,
-    generic_ml_degree,
     kernel_complement,
     ml_degree,
 )
@@ -263,7 +262,7 @@ class TestCharacteristicPolynomial:
         arr = random_arrangement(d, n, pyrng)
         chi = characteristic_polynomial(arr)
         assert chi.coeffs == rank_cut_walk(arr)
-        assert abs(chi(-1)) // 2 == generic_ml_degree(d, n) == len(enumerate_regions(arr))
+        assert abs(chi(-1)) // 2 == sum(math.comb(n - 1, i) for i in range(d)) == len(enumerate_regions(arr))
 
     @pytest.mark.parametrize("name", ["steiner", "braid4", "circle", "four_points", "six_points"])
     def test_matches_rank_cut_walk_on_catalog_chamber_arrangements(self, name):
@@ -331,14 +330,10 @@ class TestGenericMlDegree:
     @pytest.mark.parametrize(
         "d, n, expected", [(3, 4, 7), (2, 3, 3), (3, 6, 16), (4, 7, 42)]
     )
-    def test_values(self, d, n, expected):
-        assert generic_ml_degree(d, n) == expected
-
-    def test_bad_input(self):
-        with pytest.raises(RankDeficient):
-            generic_ml_degree(1, 3)
-        with pytest.raises(RankDeficient):
-            generic_ml_degree(3, 3)
+    def test_values(self, pyrng, d, n, expected):
+        arr = random_arrangement(d, n, pyrng)
+        mu = sum(math.comb(n - 1, i) for i in range(d))
+        assert ml_degree(arr) == len(enumerate_regions(arr)) == mu == expected
 
 
 class TestEnumerateRegions:
@@ -393,7 +388,7 @@ class TestEnumerateRegions:
         for d, n in ((2, 4), (3, 5)):
             for _ in range(3):
                 arr = random_arrangement(d, n, pyrng)
-                assert len(enumerate_regions(arr)) == generic_ml_degree(d, n)
+                assert len(enumerate_regions(arr)) == sum(math.comb(n - 1, i) for i in range(d))
 
     def test_chamber_arrangement_past_charpoly_budget(self, seven_lines, monkeypatch):
         """28 planes in d = 3, past the 24-row budget chi once had: chi, the

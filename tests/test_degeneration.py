@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import degeneration_oracle
-from conftest import CATALOG
+from conftest import CATALOG, limit_gap
 from sqlinear import degeneration, mle
 from sqlinear.catalog import random_arrangement
 from sqlinear.cli import main
@@ -15,8 +15,6 @@ from sqlinear.degeneration import (
     TropicalData,
     admissible_supports,
     estimate_valuations,
-    limit_distance,
-    match_supports,
     model_is_generic,
     tropical_predictions,
     unit_data_solutions,
@@ -215,10 +213,10 @@ class TestEstimateValuations:
         predictions = tropical_predictions(steiner, trop)
         assert {e.point.z for e in estimates} == {p.z for p in predictions}
         assert max(e.residual for e in estimates) <= 0.1
-        solutions = unit_data_solutions(steiner, 0)
-        matched = match_supports(estimates, solutions)
+        solutions = {sol.J: sol for sol in unit_data_solutions(steiner, 0)}
+        assert sorted(e.point.J for e in estimates) == sorted(solutions)
         for est in estimates:
-            assert limit_distance(est, matched[str(est.region.sign)]) <= 1e-3
+            assert limit_gap(est, solutions[est.point.J]) <= 1e-3
 
     def test_leading_coefficient_of_series(self, steiner):
         # the arc limiting to (1:0:0:1) behaves like y_2 = 2 eps^3 + ...
@@ -242,7 +240,7 @@ class TestEstimateValuations:
         for est in realized:
             assert est.residual <= 0.1
             assert est.point.z == predictions[est.point.J].z
-            assert limit_distance(est, generic[est.point.J]) <= 1e-2
+            assert limit_gap(est, generic[est.point.J]) <= 1e-2
 
     def test_grid_validation(self, steiner):
         trop = TropicalData(w=(0, 3, 4, 5), anchor=0)

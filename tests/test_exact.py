@@ -1,9 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dd_oracle import IntEchelon
 from sqlinear import ratlin
+from sqlinear.arrangement import Arrangement
+from sqlinear.degeneration import TropicalData
+from sqlinear.geometry import lognormal_polytope
+from sqlinear.mle import solve_all
 from sqlinear.simplex import feasible_point
 
 
@@ -17,6 +22,22 @@ class TestCoercion:
             ratlin.as_fraction(True)
         with pytest.raises(TypeError):
             ratlin.as_fraction(None)
+        # numpy scalars convert as Python's numbers do
+        assert ratlin.as_fraction(np.float64(0.1)) == Fraction(1, 10)
+        three = ratlin.as_fraction(np.int64(-3))
+        assert three == -3 and type(three.numerator) is int
+        with pytest.raises(TypeError):
+            ratlin.as_fraction(np.bool_(True))
+
+    def test_arrangement_of_a_numpy_matrix(self):
+        assert Arrangement(np.array([[1, 0], [0, 1], [1, 1]])) == Arrangement(((1, 0), (0, 1), (1, 1)))
+
+    def test_tropical_data_of_a_numpy_vector(self):
+        assert TropicalData(w=np.array([0, 3, 4, 5]), anchor=0) == TropicalData(w=(0, 3, 4, 5), anchor=0)
+
+    def test_lognormal_polytope_at_a_solved_point(self, steiner):
+        y = solve_all(steiner, [4, 3, 2, 1]).mle.y  # an array of np.float64
+        assert lognormal_polytope(steiner, y) == lognormal_polytope(steiner, y.tolist())
 
     def test_primitive(self):
         assert ratlin.primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)

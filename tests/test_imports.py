@@ -41,13 +41,13 @@ MACHINERY = ("dataclasses", "inspect")
 
 # Every name the package namespace served when it imported each module
 # eagerly, with the module that defines it now (less `Flat`, `flats`,
-# `snc_check`, `interior_samples`, `evaluate`, `log_likelihood`, `gradient`
-# and `solve_region`, which were removed).
+# `snc_check`, `interior_samples`, `evaluate`, `log_likelihood`, `gradient`,
+# `solve_region`, `generic_ml_degree`, `evaluate_exact` and `steiner_quartic`,
+# which were removed).
 OLD_NAMESPACE = {
     "arrangement": (
         "Arrangement", "CharacteristicPolynomial", "KernelComplement", "Region", "SignVector",
-        "characteristic_polynomial", "enumerate_regions", "generic_ml_degree",
-        "kernel_complement", "ml_degree",
+        "characteristic_polynomial", "enumerate_regions", "kernel_complement", "ml_degree",
     ),
     "degeneration": (
         "DegenerateSolution", "TropicalData", "TropicalPoint", "ValuationEstimate",
@@ -60,8 +60,8 @@ OLD_NAMESPACE = {
     ),
     "mle": ("CriticalPoint", "LikelihoodMatrix", "likelihood_matrix", "rank_defect", "solve_all"),
     "model": (
-        "SquaredLinearModel", "VeroneseGenerators", "evaluate_exact", "make_model", "minor_space_dimension",
-        "singular_subspaces", "steiner_quartic", "veronese_generators",
+        "SquaredLinearModel", "VeroneseGenerators", "make_model", "minor_space_dimension", "singular_subspaces",
+        "veronese_generators",
     ),
 }
 # The submodules the package bound as attributes when it imported eagerly.
@@ -238,16 +238,12 @@ def test_float_command_loads_numpy(tmp_path):
 # tests, the golden cases or the benchmark use them.
 NO_SRC_CALLER = {
     # The example arrangements: inputs of the tests, golden cases and benchmark.
-    "catalog.braid_arrangement", "catalog.four_points_arrangement", "catalog.random_arrangement",
-    "catalog.seven_lines_arrangement", "catalog.six_points_arrangement", "catalog.steiner_arrangement",
+    "catalog.braid_arrangement", "catalog.circle_arrangement", "catalog.four_points_arrangement",
+    "catalog.random_arrangement", "catalog.seven_lines_arrangement", "catalog.six_points_arrangement",
+    "catalog.steiner_arrangement",
     # Library entry points that the benchmark runs or traces, and the tests call.
     "geometry.combinatorial_type_scan", "geometry.dual_polytope", "simplex.feasible_point",
     "mle.likelihood_matrix", "mle.rank_defect", "jsonio.arrangement_to_json",
-    # Checked by the acceptance suite only.
-    "arrangement.generic_ml_degree", "catalog.braid_pair_index", "degeneration.limit_distance",
-    "degeneration.match_supports", "model.evaluate_exact", "model.noninjectivity_witness", "model.steiner_quartic",
-    # Tests only.
-    "catalog.circle_arrangement",
 }
 
 
@@ -267,6 +263,18 @@ def test_src_names_without_a_src_caller():
             names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
             referenced |= names - {own}
     assert {f"{module}.{name}" for module, name in defined if name not in referenced} == NO_SRC_CALLER
+
+
+def test_src_has_no_assertion():
+    """No command may exit 1, and an AssertionError would: src/ has no
+    ``assert`` statement and names no AssertionError."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "sqlinear").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "AssertionError")
+    ]
+    assert found == []
 
 
 def test_old_namespace_resolves_from_home_modules():

@@ -8,54 +8,47 @@ import pytest
 
 from sqlinear import ratlin
 from sqlinear.arrangement import enumerate_regions
-from sqlinear.catalog import braid_pair_index, random_arrangement
-from conftest import float_probabilities
+from sqlinear.catalog import random_arrangement
+from conftest import (
+    exact_probabilities,
+    float_probabilities,
+    minor_space_rank,
+    noninjectivity_witness,
+    steiner_quartic,
+)
 from sqlinear.errors import DegenerateLeadingBlock, NoConvergence, ValidationError, ZeroPoint
 from sqlinear.mle import Likelihood, _solve_batch, likelihood_matrix, normalize_parameter
 from sqlinear.model import (
-    evaluate_exact,
     make_model,
     minor_space_dimension,
-    noninjectivity_witness,
     quadric_monomials,
     singular_subspaces,
-    steiner_quartic,
     veronese_generators,
 )
+
+BRAID4_INDEX = {pair: k for k, pair in enumerate(itertools.combinations(range(1, 5), 2))}
 
 
 class TestEvaluate:
     def test_steiner_direct_substitution(self, steiner):
-        p = evaluate_exact(steiner, (1, 1, 1))
+        p = exact_probabilities(steiner, (1, 1, 1))
         assert p == (Fraction(1, 12), Fraction(1, 12), Fraction(1, 12), Fraction(3, 4))
 
     def test_positive_on_witnesses(self, steiner):
         for region in enumerate_regions(steiner.arr):
-            assert min(evaluate_exact(steiner, region.witness)) > 0
+            assert min(exact_probabilities(steiner, region.witness)) > 0
 
     def test_braid_substitution(self, braid4):
-        x4 = (0.3, 1.1, 2.4, 3.9)
+        x4 = tuple(Fraction(v) for v in ("0.3", "1.1", "2.4", "3.9"))
         x = [v - x4[3] for v in x4[:3]]
-        p = evaluate_exact(braid4, x)
-        index = braid_pair_index(4)
+        p = exact_probabilities(braid4, x)
         raw = {
             (i, j): (x4[i - 1] - x4[j - 1]) ** 2
             for i, j in itertools.combinations(range(1, 5), 2)
         }
         total = sum(raw.values())
         for pair, value in raw.items():
-            assert float(p[index[pair]]) == pytest.approx(value / total, abs=1e-12)
-        assert sum(p) == 1
-
-    def test_normalization(self, steiner, pyrng):
-        for _ in range(50):
-            x = [Fraction(pyrng.randint(-99, 99), pyrng.randint(1, 99)) for _ in range(3)]
-            if any(x):
-                assert sum(evaluate_exact(steiner, x)) == 1
-
-    def test_zero_point(self, steiner):
-        with pytest.raises(ZeroPoint):
-            evaluate_exact(steiner, (0, 0, 0))
+            assert p[BRAID4_INDEX[pair]] == value / total
 
 
 def loglik(model, s, X):
@@ -209,7 +202,7 @@ class TestVeroneseGenerators:
         assert gens.L == ((1, 0, 0), (0, 0, 1), (1, 2, 1))
         assert gens.linear_forms == ()
         for x in ((2, 3), (-1, 5), (7, 2)):
-            p = evaluate_exact(circle, x)
+            p = exact_probabilities(circle, x)
             R = gens.r_matrix_at(p)
             minor = R[0][0] * R[1][1] - R[0][1] * R[1][0]
             assert minor == 0
@@ -226,7 +219,7 @@ class TestVeroneseGenerators:
         assert len(gens.linear_forms) == 1
         assert len(gens.linear_forms) == 7 - ratlin.rank(gens.L)
         for x in ((1, 2, -1), (3, -1, 2)):
-            p = evaluate_exact(seven_lines, x)
+            p = exact_probabilities(seven_lines, x)
             assert all(ratlin.dot(f, p) == 0 for f in gens.linear_forms)
             R = gens.r_matrix_at(p)
             for i, k in itertools.combinations(range(3), 2):
@@ -257,7 +250,7 @@ class TestVeroneseGenerators:
             assert r_minors_residual(gens, p) <= 1e-10
 
     def test_braid_symmetric_matrix(self, braid4, rng):
-        index = braid_pair_index(4)
+        index = BRAID4_INDEX
         for _ in range(100):
             x = rng.normal(size=3)
             p = float_probabilities(braid4, x)
@@ -294,7 +287,7 @@ class TestVeroneseGenerators:
 class TestSteinerQuartic:
     def test_vanishes_on_model_exactly(self, steiner):
         for x in ((3, -2, 5), (1, 1, 1), (2, -7, 1)):
-            p = evaluate_exact(steiner, x)
+            p = exact_probabilities(steiner, x)
             assert steiner_quartic(p) == 0
 
     def test_vanishes_numerically(self, steiner, rng):
@@ -315,7 +308,7 @@ class TestSteinerQuartic:
 class TestMinorSpaceDimension:
     @pytest.mark.parametrize("d, expected", [(2, 1), (3, 6), (4, 20), (5, 50), (6, 105)])
     def test_formula(self, d, expected):
-        assert minor_space_dimension(d) == expected
+        assert minor_space_dimension(d) == minor_space_rank(d) == expected
         assert expected == (d + 1) * d**2 * (d - 1) // 12
 
 
@@ -341,7 +334,7 @@ class TestSingularSubspaces:
             owner = model if len(sub.I) + len(sub.J) == 6 else steiner
             x, xp = noninjectivity_witness(sub, owner)
             assert ratlin.primitive(x) != ratlin.primitive(xp)
-            assert evaluate_exact(owner, x) == evaluate_exact(owner, xp)
+            assert exact_probabilities(owner, x) == exact_probabilities(owner, xp)
 
     def test_injectivity_spot_check(self, pyrng, rng):
         model = make_model(random_arrangement(3, 5, pyrng))  # n > 2d - 2
