@@ -147,10 +147,6 @@ class SignVector(Record):
     def __str__(self):
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
-    @staticmethod
-    def parse(text: str) -> "SignVector":
-        return SignVector.canonical(tuple(1 if ch == "+" else -1 for ch in text))
-
 
 class Region(Record):
     """Region of the projective arrangement complement with a rational witness.
@@ -215,8 +211,7 @@ def kernel_complement(arr: Arrangement) -> KernelComplement:
     """
     _require_essential(arr)
     basis = ratlin.nullspace(ratlin.transpose(arr.A), ncols=arr.n)
-    rows = tuple(tuple(Fraction(v) for v in ratlin.primitive(vec)) for vec in basis)
-    return KernelComplement(B=rows)
+    return KernelComplement(B=tuple(ratlin.primitive(vec) for vec in basis))
 
 
 def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:

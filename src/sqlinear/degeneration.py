@@ -82,9 +82,9 @@ def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
 
     For each admissible support J, with K the coordinates outside J and the
     anchor, the Gram system (B_K B_K^T) u = b_anchor is solved exactly and
-    y_K = -B_K^T u, y_anchor = 1, so B y = 0. B's rows are cleared to
-    integers first: scaling them by a diagonal D turns u into D^-1 u and
-    leaves y exactly as it is. ``generic_flag`` is False on an
+    y_K = -B_K^T u, y_anchor = 1, so B y = 0. B's rows are the primitive
+    integer rows of :func:`.arrangement.kernel_complement`, so the Gram
+    system has integer entries. ``generic_flag`` is False on an
     entry when its free coordinates contain an unexpected zero or when it
     collides with another entry, which is exactly the failure of the
     genericity hypothesis for distinct supports.
@@ -95,7 +95,7 @@ def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
         raise RankDeficient("degenerate solutions need an essential arrangement")
     if not 0 <= anchor < n:
         raise RankDeficient(f"anchor {anchor} out of range for n = {n}")
-    B = [ratlin.cleared(row)[0] for row in model.B.B]
+    B = model.B.B
     solutions = []
     for J in admissible_supports(n, anchor, d):
         keep = [k for k in range(n) if k != anchor and k not in J]

@@ -41,9 +41,6 @@ class DPPModel(Record):
 class SubsetDistribution(Record):
     __slots__ = ("states", "probs")  # probs: a float array, one probability per state
 
-    def __getitem__(self, sigma):
-        return self.probs[self.states.index(tuple(sigma))]
-
 
 class DiscriminantalArrangement(Record):
     """Reduction of a linear projection DPP to an arrangement in P^(n-k).

@@ -58,22 +58,6 @@ class Polytope(Record):
 
     __slots__ = ("ambient_dim", "dim", "V_rep", "H_rep", "f_vector", "incidence")
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.V_rep)
-
-    def vertex_facet_degrees(self):
-        """Sorted multiset: how many facets each vertex lies on."""
-        return tuple(sorted(sum(v in facet for facet in self.incidence) for v in range(len(self.V_rep))))
-
-    def signature(self):
-        """Combinatorial-type fingerprint: (f-vector, facet-degree multiset)."""
-        return (self.f_vector, self.vertex_facet_degrees())
-
-    def is_simple(self) -> bool:
-        codim = self.dim
-        return all(deg == codim for deg in self.vertex_facet_degrees())
-
 
 class ChamberHyperplane(Record):
     __slots__ = ("subset", "normal")
@@ -250,7 +234,7 @@ def chamber_arrangement(model: SquaredLinearModel) -> ChamberArrangement:
     for i, row in enumerate(arr.A):
         prim = ratlin.primitive(row)
         seen[prim] = arr.label(i)
-        rows.append(tuple(Fraction(v) for v in prim))
+        rows.append(prim)
         labels.append(arr.label(i))
     for extra in extras:
         prim = ratlin.primitive(extra.normal)
@@ -259,7 +243,7 @@ def chamber_arrangement(model: SquaredLinearModel) -> ChamberArrangement:
             duplicates.setdefault(seen[prim], []).append(label)
             continue
         seen[prim] = label
-        rows.append(tuple(Fraction(v) for v in prim))
+        rows.append(prim)
         labels.append(label)
     deduped = Arrangement(A=tuple(rows), labels=tuple(labels))
     dup_report = tuple(
@@ -310,8 +294,9 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     arrangement, so it is read once per region, at the region's witness x.
     Returns {region sign string: signature}, read off the ray masks of
     :func:`_data_cone` at y = A x (A, x scaled to integers). The signature
-    is the f-vector and the sorted vertex-facet degrees, as
-    :meth:`Polytope.signature` gives them. Different signatures mean
+    is the pair (f-vector, sorted multiset of how many facets each vertex
+    lies on); ``signature`` in ``tests/polytope_oracle.py`` reads the same
+    pair off a full :class:`Polytope`. Different signatures mean
     different combinatorial types, but equal ones need not: the type is the
     vertex-facet incidence up to relabelling (Ziegler, *Lectures on
     Polytopes*, 1995), which the scan does not bring to a canonical form.
@@ -321,11 +306,10 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     """
     flat, _ = ratlin.cleared([v for row in model.arr.A for v in row])
     A = [flat[k : k + model.d] for k in range(0, len(flat), model.d)]
-    B = [ratlin.cleared(row)[0] for row in model.B.B]
     report, f_vectors = {}, {}
     for region in enumerate_regions(chamber_arrangement(model).arrangement):
         x, _ = ratlin.cleared(region.witness)
-        rays, _, _, f_vector = _data_cone(B, [sum(map(mul, row, x)) for row in A], f_vectors)
+        rays, _, _, f_vector = _data_cone(model.B.B, [sum(map(mul, row, x)) for row in A], f_vectors)
         report[region.key()] = (f_vector, tuple(sorted(mask.bit_count() for _, mask in rays)))
     return report
 

@@ -256,7 +256,7 @@ def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
     values = model.A_float @ x
     if not np.any(values):
         raise ZeroPoint("zero vector is not a projective point")
-    rows = np.vstack([s, values**2, model.B_float * values])
+    rows = np.vstack([s, values**2, to_floats(model.B.B, "B") * values])
     return LikelihoodMatrix(rows=rows)
 
 

@@ -9,7 +9,6 @@ which the Newton solver runs, and ``A_float`` imports numpy when read.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import ratlin
 from .arrangement import Arrangement, KernelComplement, Record, kernel_complement
@@ -42,12 +41,6 @@ class SquaredLinearModel(Record):
         from .mle import to_floats
 
         return to_floats(self.arr.A, "A")
-
-    @property
-    def B_float(self):
-        from .mle import to_floats
-
-        return to_floats(self.B.B, "B")
 
 
 def make_model(arr: Arrangement) -> SquaredLinearModel:
@@ -88,21 +81,14 @@ def squared_form_row(row, monomials):
 class VeroneseGenerators(Record):
     """Implicit generators for n >= d(d+1)/2: linear forms plus 2x2 minors.
 
-    ``linear_forms`` is a basis (length-n coefficient vectors) of the linear
-    part of the ideal; ``R`` is the d x d symmetric matrix whose (i, j) entry
-    is a linear form in p_1..p_N, stored as its length-N coefficient vector.
-    R has rank one on the model, so all its 2x2 minors vanish there.
+    ``linear_forms`` is a basis (primitive integer vectors of length n) of
+    the linear part of the ideal; ``R`` is the d x d symmetric matrix whose
+    (i, j) entry is a linear form in p_1..p_N, stored as its length-N
+    coefficient vector. R has rank one on the model, so all its 2x2 minors
+    vanish there.
     """
 
     __slots__ = ("L", "linear_forms", "R", "monomials")
-
-    def r_matrix_at(self, p):
-        """Evaluate R at a probability vector (exact for rational input)."""
-        d = len(self.R)
-        return tuple(
-            tuple(sum(c * pv for c, pv in zip(self.R[i][j], p)) for j in range(d))
-            for i in range(d)
-        )
 
 
 def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
@@ -134,7 +120,7 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
         for i in range(d)
     )
     kernel = ratlin.nullspace(ratlin.transpose(L), ncols=n)
-    linear_forms = tuple(tuple(Fraction(v) for v in ratlin.primitive(vec)) for vec in kernel)
+    linear_forms = tuple(ratlin.primitive(vec) for vec in kernel)
     return VeroneseGenerators(L=L, linear_forms=linear_forms, R=R, monomials=monomials)
 
 

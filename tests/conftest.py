@@ -112,6 +112,12 @@ def exact_probabilities(model, x):
     return tuple(v / total for v in squares)
 
 
+def r_matrix_at(gens, p):
+    """The symmetric matrix R of :class:`sqlinear.model.VeroneseGenerators`
+    at a probability vector p; exact for rational p."""
+    return tuple(tuple(sum(c * v for c, v in zip(entry, p)) for entry in row) for row in gens.R)
+
+
 def steiner_quartic(p):
     """The degree-4 equation of the four-line model in P^3: it vanishes on the
     model and is 1 at each unit vector; exact on Fractions."""

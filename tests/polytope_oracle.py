@@ -7,7 +7,8 @@ per (n-d)-subset of columns, hull facets from one nullspace per subset of
 points. Every face is found by closing the facet sets under intersection,
 and each face's dimension, each log-normal facet and each hull vertex is
 decided by an exact affine rank. tests/test_polytope_oracle.py checks that
-both give the same polytopes.
+both give the same polytopes. ``signature`` and ``is_simple`` read a
+polytope's combinatorial type off its vertex-facet incidences.
 
 It also keeps the rules that the polytope layer's helpers followed before
 they ran in integers: ``simplicial_start`` (rays from one Fraction inverse)
@@ -185,6 +186,22 @@ def dual_polytope(model, y) -> Polytope:
     cols = ratlin.transpose(model.B.B)
     points = [ratlin.scale(cols[i], 1 / y[i]) for i in range(model.n)]
     return polytope_from_points(points, ambient_dim=model.n - model.d)
+
+
+def vertex_facet_degrees(poly):
+    """Sorted multiset: how many facets each vertex of ``poly`` lies on."""
+    return tuple(sorted(sum(v in facet for facet in poly.incidence) for v in range(len(poly.V_rep))))
+
+
+def signature(poly):
+    """Combinatorial-type fingerprint (f-vector, vertex-facet degrees): what
+    :func:`sqlinear.geometry.combinatorial_type_scan` reports per region."""
+    return poly.f_vector, vertex_facet_degrees(poly)
+
+
+def is_simple(poly) -> bool:
+    """Every vertex lies on exactly ``dim`` facets."""
+    return all(deg == poly.dim for deg in vertex_facet_degrees(poly))
 
 
 def simplicial_start(rows, d):

@@ -74,7 +74,7 @@ class TestUnitDataSolutions:
             s[anchor] = 1.0
             for sol in unit_data_solutions(owner, anchor):
                 y = np.array([float(v) for v in sol.y])
-                rows = np.vstack([s, y**2, owner.B_float * y])
+                rows = np.vstack([s, y**2, mle.to_floats(owner.B.B, "B") * y])
                 sigma = np.linalg.svd(rows, compute_uv=False)
                 assert sigma[-1] / sigma[0] <= 1e-12
 

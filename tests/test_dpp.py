@@ -58,7 +58,7 @@ class TestDppProbabilities:
             dets[sigma] = Theta[0, a] * Theta[1, b] - Theta[0, b] * Theta[1, a]
         total = sum(v**2 for v in dets.values())
         for sigma, value in dets.items():
-            assert dist[sigma] == pytest.approx(value**2 / total, abs=1e-13)
+            assert dist.probs[dist.states.index(sigma)] == pytest.approx(value**2 / total, abs=1e-13)
 
     def test_cauchy_binet_normalization(self, rng):
         for _ in range(100):

@@ -22,6 +22,7 @@ from sqlinear.mle import CriticalPoint, SolveAllResult, _solve_batch, solve_all,
 from sqlinear.model import make_model
 
 from conftest import sample_kernel_point, sample_wall_point
+from polytope_oracle import is_simple, signature
 
 QUAD_Y = (3, 2, 1, -1)
 
@@ -113,7 +114,7 @@ class TestLognormalPolytope:
     def test_example_65_quadrilateral(self, four_points):
         poly = lognormal_polytope(four_points, QUAD_Y)
         assert poly.dim == 2
-        assert poly.n_vertices == 4
+        assert len(poly.V_rep) == 4
         assert poly.f_vector == (4, 4)
         expected = {
             (Fraction(0), Fraction(0), Fraction(2, 5), Fraction(3, 5)),
@@ -147,7 +148,7 @@ class TestLognormalPolytope:
     def test_circle_segment(self, circle):
         poly = lognormal_polytope(circle, (1, 2, 3))
         assert poly.dim == 1
-        assert poly.n_vertices == 2
+        assert len(poly.V_rep) == 2
         assert poly.f_vector == (2,)
 
     def test_six_points_types(self, six_points):
@@ -156,7 +157,7 @@ class TestLognormalPolytope:
             y = six_points.arr.form_values((Fraction(x[0]), Fraction(x[1])))
             poly = lognormal_polytope(six_points, y)
             assert poly.dim == 4
-            seen.add(poly.n_vertices)
+            seen.add(len(poly.V_rep))
         assert seen <= {9, 8, 5}
         assert len(seen) >= 2
 
@@ -172,7 +173,7 @@ class TestLognormalPolytope:
         exact = lognormal_polytope(four_points, QUAD_Y)
         jitter = [float(v) + 1e-13 for v in QUAD_Y]
         as_float = lognormal_polytope(four_points, jitter)
-        assert as_float.signature() == exact.signature()
+        assert signature(as_float) == signature(exact)
 
     def test_dimension_generic(self, pyrng):
         model = make_model(random_arrangement(3, 6, pyrng))
@@ -185,7 +186,7 @@ class TestDualPolytope:
     def test_example_65(self, four_points):
         q = dual_polytope(four_points, QUAD_Y)
         assert q.dim == 2
-        assert q.n_vertices == 4
+        assert len(q.V_rep) == 4
         assert q.f_vector == (4, 4)
 
     def test_circle(self, circle):
@@ -205,7 +206,7 @@ class TestDualPolytope:
             pi = lognormal_polytope(model, y)
             q = dual_polytope(model, y)
             assert pi.f_vector == tuple(reversed(q.f_vector))
-            assert pi.is_simple()
+            assert is_simple(pi)
             # the model's own distribution is always a valid data point
             total = sum(v * v for v in y)
             s_star = tuple(v * v / total for v in y)
@@ -231,7 +232,7 @@ class TestDualPolytope:
             if all(len(facet & corners) == q.dim for facet in q.incidence):
                 continue
             assert pi.f_vector == tuple(reversed(q.f_vector))
-            assert pi.is_simple() is False
+            assert is_simple(pi) is False
             checked += 1
 
 
@@ -263,8 +264,8 @@ class TestCombinatorialTypeScan:
         report = combinatorial_type_scan(six_points)
         y69 = six_points.arr.form_values((Fraction(69), Fraction(30)))
         y71 = six_points.arr.form_values((Fraction(71), Fraction(30)))
-        sig69 = lognormal_polytope(six_points, y69).signature()
-        sig71 = lognormal_polytope(six_points, y71).signature()
+        sig69 = signature(lognormal_polytope(six_points, y69))
+        sig71 = signature(lognormal_polytope(six_points, y71))
         assert sig69 != sig71
         assert sig69 in report.values() and sig71 in report.values()
 

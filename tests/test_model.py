@@ -14,6 +14,7 @@ from conftest import (
     float_probabilities,
     minor_space_rank,
     noninjectivity_witness,
+    r_matrix_at,
     steiner_quartic,
 )
 from sqlinear.errors import DegenerateLeadingBlock, NoConvergence, ValidationError, ZeroPoint
@@ -203,7 +204,7 @@ class TestVeroneseGenerators:
         assert gens.linear_forms == ()
         for x in ((2, 3), (-1, 5), (7, 2)):
             p = exact_probabilities(circle, x)
-            R = gens.r_matrix_at(p)
+            R = r_matrix_at(gens, p)
             minor = R[0][0] * R[1][1] - R[0][1] * R[1][0]
             assert minor == 0
             assert 4 * p[0] * p[1] == (p[2] - p[0] - p[1]) ** 2
@@ -221,7 +222,7 @@ class TestVeroneseGenerators:
         for x in ((1, 2, -1), (3, -1, 2)):
             p = exact_probabilities(seven_lines, x)
             assert all(ratlin.dot(f, p) == 0 for f in gens.linear_forms)
-            R = gens.r_matrix_at(p)
+            R = r_matrix_at(gens, p)
             for i, k in itertools.combinations(range(3), 2):
                 for j, l in itertools.combinations(range(3), 2):
                     assert R[i][j] * R[k][l] - R[i][l] * R[k][j] == 0
@@ -233,7 +234,7 @@ class TestVeroneseGenerators:
         for x in ((Fraction(1), Fraction(2), Fraction(-3)), (Fraction(5), Fraction(-1), Fraction(2))):
             values = seven_lines.arr.form_values(x)
             p = tuple(v * v for v in values)
-            R = gens.r_matrix_at(p)
+            R = r_matrix_at(gens, p)
             for i in range(3):
                 for j in range(3):
                     assert R[i][j] == x[i] * x[j]

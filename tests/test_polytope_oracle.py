@@ -59,7 +59,7 @@ def test_lognormal_and_dual_match_oracle(d, on_wall):
         assert poly == oracle.lognormal_polytope(model, y)
         assert poly.dim == model.n - model.d
         assert dual_polytope(model, y) == oracle.dual_polytope(model, y)
-        non_simple += not poly.is_simple()
+        non_simple += not oracle.is_simple(poly)
     assert (non_simple > 0) == on_wall
 
 
@@ -128,7 +128,7 @@ def type_scan_oracle(model, region_count=None):
     regions = enumerate_regions(chamber)
     for region in regions if region_count is None else rng.sample(regions, region_count):
         points = [region.witness] + oracle.interior_samples(chamber, region, ORACLE_SAMPLES - 1, rng)
-        signatures = {lognormal_polytope(model, model.arr.form_values(x)).signature() for x in points}
+        signatures = {oracle.signature(lognormal_polytope(model, model.arr.form_values(x))) for x in points}
         assert len(signatures) == 1
         report[region.key()] = signatures.pop()
     return report
