@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, characteristic_polynomial
 from .errors import ValidationError
 
 
@@ -82,22 +83,26 @@ def seven_lines_arrangement() -> Arrangement:
 def random_arrangement(d: int, n: int, rng, lo: int = -9, hi: int = 9) -> Arrangement:
     """Random integer arrangement with uniform matroid (all d-subsets independent).
 
-    Rejection-sampled, so the result is deterministic for a seeded rng.
+    Rejection-sampled, so the result is deterministic for a seeded rng. Rows
+    that are nonzero are generic exactly when chi has rank d and the ML degree
+    equals Cover's bound B(n, d) = sum_{k<d} C(n-1, k) (Cover, IEEE Trans.
+    Electron. Comput. 1965; Zaslavsky, Mem. AMS 1975), so one chi walk decides
+    a draw. Parallel rows give chi of fewer hyperplanes, below the bound. For
+    n distinct ones, by induction on n, deletion and restriction to a row H
+    count regions as r(A) = r(A minus H) + r(A^H), A^H being at most n - 1
+    hyperplanes in dimension d - 1, and Pascal's rule splits B(n, d) the same
+    way, so equality forces A minus H and A^H to be generic, and so every
+    d-subset, with or without H, to be independent.
     """
-    from . import ratlin
-
+    if d < 1 or n < d or d == 1 < n:
+        raise ValidationError(f"no generic ({d}, {n}) arrangement: need 1 <= d <= n, and n = 1 when d = 1")
+    bound = sum(math.comb(n - 1, k) for k in range(d))
     for _ in range(2000):
-        # Plain ints: ratlin.rank takes an int row as it is, and Arrangement
-        # turns the rows into Fractions once.
         rows = tuple(tuple(rng.randint(lo, hi) for _ in range(d)) for _ in range(n))
-        if any(ratlin.is_zero(row) for row in rows):
+        if not all(map(any, rows)):  # Arrangement refuses a zero row
             continue
-        prims = {ratlin.primitive(row) for row in rows}
-        if len(prims) < n:
-            continue
-        if all(
-            ratlin.rank([rows[i] for i in sub]) == d
-            for sub in itertools.combinations(range(n), d)
-        ):
-            return Arrangement(A=rows)
+        arr = Arrangement(A=rows)
+        chi = characteristic_polynomial(arr)
+        if chi.coeffs[d] and chi.ml_degree() == bound:
+            return arr
     raise ValidationError(f"could not sample a generic ({d}, {n}) arrangement")

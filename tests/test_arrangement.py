@@ -9,7 +9,7 @@ import sympy
 
 import ratlin_oracle
 from dd_oracle import IntEchelon
-from sqlinear import arrangement, ratlin
+from sqlinear import arrangement, catalog, ratlin
 from sqlinear.arrangement import (
     Arrangement,
     SignVector,
@@ -19,7 +19,7 @@ from sqlinear.arrangement import (
     ml_degree,
 )
 from sqlinear.catalog import braid_arrangement, random_arrangement
-from sqlinear.errors import ParallelRows, RankDeficient
+from sqlinear.errors import ParallelRows, RankDeficient, ValidationError
 from sqlinear.geometry import chamber_arrangement
 from sqlinear.model import make_model
 
@@ -491,6 +491,19 @@ PINNED_DRAWS = {
     ("typescan/4/6", 4, 6, -5, 5): (
         (5, 3, -5, 2), (4, -1, 0, -3), (4, 3, 5, 1), (4, 2, 5, -4), (1, -5, 3, 5), (4, 1, -3, -5),
     ),
+    # The first three candidates of this one are rejected.
+    ("pinned/3x6/small", 3, 6, -2, 2): ((2, 1, 0), (-1, -1, -1), (2, -1, -2), (0, 1, -2), (-2, 2, -2), (-2, -2, 0)),
+    ("pinned/5x12/0", 5, 12, -9, 9): (
+        (5, 5, -5, 7, 5), (2, -8, -5, 4, 3), (-7, -1, -9, 7, -2), (-8, -4, 5, -6, 0), (-8, 0, 1, 7, 6),
+        (-1, -8, -1, 6, -2), (-3, -4, -7, -5, -6), (4, -6, -7, 2, -7), (-9, 5, -2, 5, -1), (-1, -6, -1, -4, 1),
+        (-7, -9, -5, -8, 7), (-8, -7, -9, -2, 5),
+    ),
+    ("pinned/6x14/0", 6, 14, -9, 9): (
+        (1, 7, 9, 0, 9, 2), (-2, -1, -5, -6, -9, 8), (3, -8, 4, -6, 2, 0), (2, -1, 8, -5, 7, 1),
+        (-4, -8, 3, 9, -8, -5), (5, 6, 0, 9, 4, 0), (-1, -3, -3, 4, 8, -5), (1, -4, -7, -1, -3, -6),
+        (1, -9, 5, 7, 7, -5), (-9, 3, 8, 3, -1, -3), (1, -3, -1, 9, 2, 6), (6, 4, 4, 3, 8, -2),
+        (4, 3, -8, -1, -7, 9), (2, 9, -3, 1, -1, -6),
+    ),
 }
 
 
@@ -500,3 +513,63 @@ def test_random_arrangement_keeps_seeded_draws(draw):
     arr = random_arrangement(d, n, random.Random(seed), lo, hi)
     assert arr.A == PINNED_DRAWS[draw]
     assert all(type(v) is Fraction for row in arr.A for v in row)
+
+
+def rank_check_sampler(d, n, rng, lo, hi, rejected):
+    """The sampler random_arrangement replaced, kept as its oracle: reject a
+    draw with a zero row, then one with parallel rows, then one with a
+    dependent d-subset, found by C(n, d) rank checks. ``rejected`` counts
+    the rejections by reason; None after 2000 candidates."""
+    for _ in range(2000):
+        rows = tuple(tuple(rng.randint(lo, hi) for _ in range(d)) for _ in range(n))
+        if any(ratlin.is_zero(row) for row in rows):
+            rejected["zero"] += 1
+        elif len({ratlin.primitive(row) for row in rows}) < n:
+            rejected["parallel"] += 1
+        elif not all(ratlin.rank([rows[i] for i in sub]) == d for sub in itertools.combinations(range(n), d)):
+            rejected["dependent"] += 1
+        else:
+            return rows
+    return None
+
+
+def test_random_arrangement_matches_rank_check_oracle():
+    """528 seeds, 11 on each shape d = 2..5, n = d..d+5, entries -2..2 and
+    -9..9: the chi test keeps every draw of the rank-check sampler. Its 7,194
+    rejected candidates (518 with a zero row, 2,333 with parallel rows and
+    4,343 with a dependent d-subset) pin that the non-generic branch runs."""
+    rejected = {"zero": 0, "parallel": 0, "dependent": 0}
+    shapes = [(d, n, lo) for lo in (-2, -9) for d in range(2, 6) for n in range(d, d + 6)]
+    for seed in range(11 * len(shapes)):
+        d, n, lo = shapes[seed % len(shapes)]
+        expected = rank_check_sampler(d, n, random.Random(f"oracle/{seed}"), lo, -lo, rejected)
+        assert random_arrangement(d, n, random.Random(f"oracle/{seed}"), lo, -lo).A == expected
+    assert rejected == {"zero": 518, "parallel": 2333, "dependent": 4343}
+
+
+def test_random_arrangement_walks_chi_once_per_candidate(monkeypatch):
+    """No rank check on a subset: one chi walk for each candidate without a
+    zero row, kept or rejected. The seeds draw 49 candidates: 4 with a zero
+    row, 9 with parallel rows and 28 with a dependent 3-subset."""
+    seeds = [f"walks/{seed}" for seed in range(8)]
+    rejected = {"zero": 0, "parallel": 0, "dependent": 0}
+    for seed in seeds:
+        rank_check_sampler(3, 6, random.Random(seed), -2, 2, rejected)
+    assert rejected == {"zero": 4, "parallel": 9, "dependent": 28}
+    rank_calls, walks = [], []
+    rank, walk = ratlin.rank, arrangement.characteristic_polynomial
+    monkeypatch.setattr(ratlin, "rank", lambda rows: rank_calls.append(rows) or rank(rows))
+    monkeypatch.setattr(catalog, "characteristic_polynomial", lambda arr: walks.append(arr) or walk(arr), raising=False)
+    for seed in seeds:
+        random_arrangement(3, 6, random.Random(seed), -2, 2)
+    assert rank_calls == []
+    assert len(walks) == len(seeds) + rejected["parallel"] + rejected["dependent"]
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (0, 2), (1, 3)], ids=["n<d", "d<1", "d=1<n"])
+def test_random_arrangement_refuses_shapes_without_a_generic_draw(d, n):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValidationError, match="no generic"):
+        random_arrangement(d, n, rng)
+    assert rng.getstate() == state
