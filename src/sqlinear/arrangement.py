@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from . import ratlin
 from .errors import ParallelRows, RankDeficient
@@ -149,17 +149,22 @@ class SignVector(Record):
 
 
 class Region(Record):
-    """Region of the projective arrangement complement with a rational witness.
+    """Region of the projective arrangement complement with an interior ray.
 
-    The witness satisfies sign(l_i(witness)) == sign_i exactly and is scaled
-    so that its largest absolute coordinate equals 1.
+    ``ray`` is a primitive integer vector with sign(l_i(ray)) == sign_i
+    exactly; ``witness`` is it scaled to largest absolute coordinate 1.
     """
 
-    __slots__ = ("sign", "witness")
+    __slots__ = ("sign", "ray")
 
-    def __init__(self, sign: SignVector, witness: tuple):  # one per region too
+    def __init__(self, sign: SignVector, ray: tuple):  # one per region too
         object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "ray", ray)
+
+    @property
+    def witness(self) -> tuple:
+        top = max(map(abs, self.ray))
+        return tuple(Fraction(v, top) for v in self.ray)
 
     def key(self) -> str:
         return str(self.sign)
@@ -378,15 +383,15 @@ def enumerate_regions(arr: Arrangement) -> list:
     :func:`_simplicial_start`) show whether the arrangement is essential,
     and the rows up to sign whether two are parallel. :func:`_cones` then
     splits the 2^(d-1) orthants of the start rows by every other row, all
-    cones sharing one table of lines. No LP runs. A region's witness is the
-    sum of its extreme rays, each first scaled to largest absolute
-    coordinate 1, summed column by column over a common denominator: a
+    cones sharing one table of lines. No LP runs. A region's ray is the sum
+    of its extreme rays, each first scaled to largest absolute coordinate 1,
+    summed column by column over a common denominator and made primitive: a
     positive combination of all extreme rays of a pointed cone lies in its
-    interior, so the witness has the region's signs exactly (Fukuda &
-    Prodon 1996). Scaling the rays first stops rays with huge integer
-    entries from swamping the others, which put plain sums numerically on a
-    wall. Regions come back sorted by sign string; the count always equals
-    ``ml_degree(arr)``.
+    interior, so the ray has the region's signs exactly (Fukuda & Prodon
+    1996). Scaling the rays first stops rays with huge integer entries from
+    swamping the others, which put plain sums numerically on a wall. All of
+    it is integer arithmetic; no Fraction is built. Regions come back sorted
+    by sign string; the count always equals ``ml_degree(arr)``.
     """
     n, d = arr.n, arr.d
     ints = [_ray(ratlin.cleared(row)[0]) for row in arr.A]
@@ -399,6 +404,7 @@ def enumerate_regions(arr: Arrangement) -> list:
     if pairs:
         raise ParallelRows(pairs)
     lines, cones = _cones(ints, d, *start)
+    sign_of = {"0": 1, "1": -1}.get
     for line in lines:
         line.append(max(map(abs, line[0])))  # line[3]: the top of its rays
     result = []
@@ -407,9 +413,9 @@ def enumerate_regions(arr: Arrangement) -> list:
         common = lcm(*(line[3] for line, _ in rays))
         factors = [s * (common // line[3]) for line, s in rays]
         total = [sum(map(mul, factors, column)) for column in zip(*(line[0] for line, _ in rays))]
-        top = max(map(abs, total))
-        signs = tuple(-1 if neg >> i & 1 else 1 for i in range(n))
-        result.append(Region(SignVector(signs), tuple(Fraction(v, top) for v in total)))
-    result.sort(key=Region.key)
-    return result
+        # Bit i of neg as character i: '0' < '1' sorts as '+' < '-' does.
+        bits = format(neg, f"0{n}b")[::-1]
+        result.append((bits, Region(SignVector(tuple(map(sign_of, bits))), _ray(total))))
+    result.sort(key=itemgetter(0))
+    return [region for _, region in result]
 

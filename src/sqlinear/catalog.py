@@ -83,8 +83,10 @@ def seven_lines_arrangement() -> Arrangement:
 def random_arrangement(d: int, n: int, rng, lo: int = -9, hi: int = 9) -> Arrangement:
     """Random integer arrangement with uniform matroid (all d-subsets independent).
 
-    Rejection-sampled, so the result is deterministic for a seeded rng. Rows
-    that are nonzero are generic exactly when chi has rank d and the ML degree
+    Rejection-sampled from entries in [lo, hi], so the result is
+    deterministic for a seeded rng; a few dozen rows need a range wider than
+    the default, such as -99..99, or all 2000 draws may fail. Rows that are
+    nonzero are generic exactly when chi has rank d and the ML degree
     equals Cover's bound B(n, d) = sum_{k<d} C(n-1, k) (Cover, IEEE Trans.
     Electron. Comput. 1965; Zaslavsky, Mem. AMS 1975), so one chi walk decides
     a draw. Parallel rows give chi of fewer hyperplanes, below the bound. For
@@ -96,6 +98,8 @@ def random_arrangement(d: int, n: int, rng, lo: int = -9, hi: int = 9) -> Arrang
     """
     if d < 1 or n < d or d == 1 < n:
         raise ValidationError(f"no generic ({d}, {n}) arrangement: need 1 <= d <= n, and n = 1 when d = 1")
+    if lo > hi:
+        raise ValidationError(f"empty entry range [{lo}, {hi}]")
     bound = sum(math.comb(n - 1, k) for k in range(d))
     for _ in range(2000):
         rows = tuple(tuple(rng.randint(lo, hi) for _ in range(d)) for _ in range(n))
@@ -105,4 +109,4 @@ def random_arrangement(d: int, n: int, rng, lo: int = -9, hi: int = 9) -> Arrang
         chi = characteristic_polynomial(arr)
         if chi.coeffs[d] and chi.ml_degree() == bound:
             return arr
-    raise ValidationError(f"could not sample a generic ({d}, {n}) arrangement")
+    raise ValidationError(f"could not sample a generic ({d}, {n}) arrangement from [{lo}, {hi}] in 2000 draws")

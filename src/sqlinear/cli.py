@@ -200,7 +200,7 @@ def _tracking_overlays(model, trop, estimates):
 
     ys = np.array([est.y_track for est in estimates])  # (region, eps, state)
     xs = np.linalg.lstsq(model.A_float, ys.reshape(-1, model.n).T)[0].T.reshape(*ys.shape[:2], model.d)
-    starts = to_floats([est.region.witness for est in estimates], "witness").tolist()
+    starts = to_floats([est.region for est in estimates], "witness").tolist()
     arcs = [[start, *track] for start, track in zip(starts, xs.tolist())]
     limits = parameters_of(model, [sol.y for sol in unit_data_solutions(model, trop.anchor) if sol.y])
     return Overlays(arcs=arcs, limit_points=to_floats(limits, "parameters").tolist())
@@ -228,7 +228,7 @@ def _cmd_regions(doc, args):
     }
     if args.svg:
         from .plotting import Overlays, plot_arrangement
-        overlays = Overlays(region_labels=[(r.witness, str(r.sign)) for r in regions])
+        overlays = Overlays(region_labels=[(r, str(r.sign)) for r in regions])
         _write(args.svg, plot_arrangement(arr, overlays))
     return out
 

@@ -17,7 +17,7 @@ and, by polarity, is a facet of the hull Q of the columns of B diag(y)^(-1).
 Every other face comes from one walk over int bitmasks down from P's at most
 n facets; Q's face lattice is P's reversed, and no rank is taken per face.
 As the combinatorics is constant on each chamber region, the type scan reads
-it once per region, at the region's witness, for any d.
+it once per region, at the region's ray, for any d.
 """
 
 from __future__ import annotations
@@ -291,9 +291,9 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     """Signature of the log-normal polytope on every chamber region.
 
     The polytope's combinatorics is constant on each region of the chamber
-    arrangement, so it is read once per region, at the region's witness x.
+    arrangement, so it is read once per region, at the region's ray x.
     Returns {region sign string: signature}, read off the ray masks of
-    :func:`_data_cone` at y = A x (A, x scaled to integers). The signature
+    :func:`_data_cone` at y = A x (A scaled to integers). The signature
     is the pair (f-vector, sorted multiset of how many facets each vertex
     lies on); ``signature`` in ``tests/polytope_oracle.py`` reads the same
     pair off a full :class:`Polytope`. Different signatures mean
@@ -308,8 +308,7 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     A = [flat[k : k + model.d] for k in range(0, len(flat), model.d)]
     report, f_vectors = {}, {}
     for region in enumerate_regions(chamber_arrangement(model).arrangement):
-        x, _ = ratlin.cleared(region.witness)
-        rays, _, _, f_vector = _data_cone(model.B.B, [sum(map(mul, row, x)) for row in A], f_vectors)
+        rays, _, _, f_vector = _data_cone(model.B.B, [sum(map(mul, row, region.ray)) for row in A], f_vectors)
         report[region.key()] = (f_vector, tuple(sorted(mask.bit_count() for _, mask in rays)))
     return report
 

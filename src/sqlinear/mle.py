@@ -48,7 +48,7 @@ from operator import truediv
 
 import numpy as np
 
-from .arrangement import Record, enumerate_regions
+from .arrangement import Record, Region, enumerate_regions
 from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
 from .model import SquaredLinearModel
 
@@ -69,7 +69,8 @@ def to_floats(values, name: str) -> np.ndarray:
     """Exact values (a vector or a matrix) as a float array; a value beyond
     double range is invalid input, not an infinity. A Fraction n / d turns
     into the integer quotient n / d: the same correctly rounded double as
-    float(), which costs three Python calls per entry."""
+    float(), which costs three Python calls per entry. A Region stands for
+    its witness: each entry is the quotient v / max|v| of its integer ray."""
     try:
         return np.array(_quotients(values), dtype=float)
     except OverflowError as err:
@@ -79,10 +80,15 @@ def to_floats(values, name: str) -> np.ndarray:
 
 
 def _quotients(values, depth=2):
-    """``values`` with each Fraction of its vector or matrix lists and tuples as n / d."""
-    if not depth or not isinstance(values, (list, tuple)):
+    """``values`` (a vector or a matrix) with each Fraction as n / d and each Region as its witness."""
+    if type(values) is Region:
+        top = max(map(abs, values.ray))
+        return [v / top for v in values.ray]
+    if not isinstance(values, (list, tuple)):
         return values
-    return [truediv(*v.as_integer_ratio()) if type(v) is Fraction else _quotients(v, depth - 1) for v in values]
+    if depth == 1:
+        return [truediv(*v.as_integer_ratio()) if type(v) is Fraction else v for v in values]
+    return [truediv(*v.as_integer_ratio()) if type(v) is Fraction else _quotients(v, 1) for v in values]
 
 
 def normalize_parameter(x) -> np.ndarray:
@@ -345,7 +351,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     signs = np.tile(np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n), (K, 1))
     starts = [x for row in starts for x in row] if starts else [None] * N
     cold = {k % R for k, x in enumerate(starts) if x is None}  # the regions whose witness a row starts from
-    witness = dict(zip(cold, to_floats([regions[r].witness for r in cold], "witness")))
+    witness = dict(zip(cold, to_floats([regions[r] for r in cold], "witness")))
     X = to_floats([witness[k % R] if x is None else x for k, x in enumerate(starts)], "start")
     if N and X.shape != (N, d):
         shape = next((s for s in (np.shape(x) for x in starts if x is not None) if s != (d,)), None)

@@ -32,7 +32,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 class Overlays(Record):
     """What a figure draws over the arrangement: critical points and limit
     points (parameter vectors), arcs (lists of them), region labels
-    ((witness, text) pairs) and a log-normal Polytope with ambient_dim == 3.
+    ((witness or Region, text) pairs) and a log-normal Polytope with ambient_dim == 3.
     A list not given starts empty."""
 
     __slots__ = ("critical_points", "arcs", "limit_points", "region_labels", "lognormal")

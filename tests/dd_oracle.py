@@ -8,13 +8,15 @@ evaluating a ray on the new row once per cone that holds it, and
 :func:`cone_rays` cuts one cone out row by row the same way.
 :func:`characteristic_polynomial` walks the no-broken-circuit tree on one
 shared :class:`IntEchelon`, truncated back to each node's rank when the
-node is popped. tests/test_dd_oracle.py checks that the library returns the
-same regions, witnesses, ordered cone rays and chi.
+node is popped. Regions keep the Fraction witnesses that enumeration built
+before it returned integer rays. tests/test_dd_oracle.py checks that the
+library returns the same regions, witnesses, ordered cone rays and chi.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -22,7 +24,6 @@ from operator import mul
 from sqlinear import ratlin
 from sqlinear.arrangement import (
     CharacteristicPolynomial,
-    Region,
     SignVector,
     _ray,
     _require_essential,
@@ -93,6 +94,11 @@ def cone_rays(signs, chosen, base, ints, d):
     return rays
 
 
+# A region as enumeration returned it before it kept the integer ray: the
+# sign vector and the Fraction witness, the ray sum over its largest |entry|.
+OracleRegion = namedtuple("OracleRegion", "sign witness")
+
+
 def enumerate_regions(arr):
     """Regions with the library's signs and witnesses, one cone split at a time."""
     _require_essential(arr)
@@ -126,8 +132,8 @@ def enumerate_regions(arr):
         for (ray, _), top in zip(rays, tops):
             total = [a + common // top * v for a, v in zip(total, ray)]
         top = max(map(abs, total))
-        result.append(Region(SignVector(signs), tuple(Fraction(v, top) for v in total)))
-    result.sort(key=Region.key)
+        result.append(OracleRegion(SignVector(signs), tuple(Fraction(v, top) for v in total)))
+    result.sort(key=lambda region: str(region.sign))
     return result
 
 

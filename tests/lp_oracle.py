@@ -12,7 +12,8 @@ tests/test_simplex.py checks that both return the same exact point, LP by LP.
 ``simplex.feasible_point`` so a test can swap the kernel;
 tests/test_regions_oracle.py checks that the ray-only enumeration of
 :mod:`sqlinear.arrangement` returns the same sign vectors in the same order.
-Its witnesses are LP vertices, not the library's ray sums.
+Its rays are LP vertices cleared to primitive integers, not the library's
+ray sums.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from dd_oracle import parallel_pairs
 from sqlinear import ratlin, simplex
-from sqlinear.arrangement import Region, SignVector, _require_essential
+from sqlinear.arrangement import Region, SignVector, _ray, _require_essential
 from sqlinear.errors import ParallelRows
 
 ZERO = Fraction(0)
@@ -130,8 +131,6 @@ def enumerate_regions(arr):
         regions = grown
     result = []
     for signs, witness in regions:
-        top = max(abs(v) for v in witness)
-        scaled = tuple(v / top for v in witness)
-        result.append(Region(sign=SignVector(signs), witness=scaled))
+        result.append(Region(sign=SignVector(signs), ray=_ray(ratlin.cleared(witness)[0])))
     result.sort(key=Region.key)
     return result

@@ -369,6 +369,20 @@ class TestEnumerateRegions:
             orderings.add(canon)
         assert len(orderings) == 12
 
+    def test_builds_no_fraction(self, monkeypatch):
+        """Regions carry integer rays; a Fraction is built only when a
+        witness is read."""
+        arrangements = (braid_arrangement(5), random_arrangement(5, 9, random.Random("fast-path")))
+        expected = [[r.witness for r in enumerate_regions(arr)] for arr in arrangements]
+
+        def refuse(*args):
+            raise AssertionError("enumerate_regions built a Fraction")
+
+        monkeypatch.setattr(arrangement, "Fraction", refuse)
+        got = [enumerate_regions(arr) for arr in arrangements]
+        monkeypatch.undo()
+        assert [[r.witness for r in regions] for regions in got] == expected
+
     def test_parallel_rows_rejected(self):
         arr = Arrangement(A=((1, 0), (2, 0), (0, 1)))
         with pytest.raises(ParallelRows):
@@ -564,6 +578,19 @@ def test_random_arrangement_walks_chi_once_per_candidate(monkeypatch):
         random_arrangement(3, 6, random.Random(seed), -2, 2)
     assert rank_calls == []
     assert len(walks) == len(seeds) + rejected["parallel"] + rejected["dependent"]
+
+
+def test_random_arrangement_refuses_an_empty_entry_range():
+    with pytest.raises(ValidationError, match=r"empty entry range \[5, 1\]"):
+        random_arrangement(3, 5, random.Random(0), lo=5, hi=1)
+
+
+def test_random_arrangement_names_the_range_when_it_gives_up():
+    """25 rows in d = 2 from -1..1 hold at most 4 directions, so every draw
+    has parallel rows; the message says where the draws came from."""
+    match = r"could not sample a generic \(2, 25\) arrangement from \[-1, 1\] in 2000 draws"
+    with pytest.raises(ValidationError, match=match):
+        random_arrangement(2, 25, random.Random(0), lo=-1, hi=1)
 
 
 @pytest.mark.parametrize("d, n", [(3, 2), (0, 2), (1, 3)], ids=["n<d", "d<1", "d=1<n"])

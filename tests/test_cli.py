@@ -597,7 +597,7 @@ class TestExitCodes:
 
         def one_bad_witness(model, s, tol):
             regions = enumerate_regions(model.arr)
-            regions[2] = Region(sign=regions[2].sign, witness=regions[3].witness)
+            regions[2] = Region(sign=regions[2].sign, ray=regions[3].ray)
             return solve_all(model, s, tol, regions=regions)
 
         monkeypatch.setattr(mle, "solve_all", one_bad_witness)
@@ -617,7 +617,7 @@ class TestExitCodes:
 
         def one_bad_witness(model, s, tol):
             regions = enumerate_regions(model.arr)
-            regions[2] = Region(sign=regions[2].sign, witness=regions[3].witness)
+            regions[2] = Region(sign=regions[2].sign, ray=regions[3].ray)
             return solve_all(model, s, tol, regions=regions)
 
         monkeypatch.setattr(mle, "solve_all", one_bad_witness)

@@ -14,13 +14,15 @@ rays); one extra row through an existing line ends the rule at that row.
 
 import math
 import random
+from fractions import Fraction
 from operator import mul
 
+import numpy as np
 import pytest
 
 import dd_oracle as oracle
 from conftest import CATALOG, make_model, sample_kernel_point, sample_wall_point
-from sqlinear import arrangement, catalog, geometry, ratlin
+from sqlinear import arrangement, catalog, geometry, mle, ratlin
 from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.errors import ValidationError
 
@@ -73,6 +75,11 @@ def assert_same_enumeration(arr):
     expected = oracle.enumerate_regions(arr)
     assert [str(r.sign) for r in regions] == [str(r.sign) for r in expected]
     assert [r.witness for r in regions] == [r.witness for r in expected]
+    for region, old in zip(regions, expected):
+        # The ray is primitive, and over its largest |entry| it is the oracle's Fraction witness.
+        ray = region.ray
+        assert all(type(v) is int for v in ray) and math.gcd(*ray) == 1
+        assert tuple(Fraction(v, max(map(abs, ray))) for v in ray) == old.witness
     ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
     chosen, base = arrangement._simplicial_start(ints, arr.d)
     if len(regions) > CONES_PER_ARRANGEMENT:
@@ -109,6 +116,40 @@ def test_benchmark_shapes():
     for arr in benchmark_shapes():
         assert arrangement.characteristic_polynomial(arr) == oracle.characteristic_polynomial(arr)
         assert assert_same_enumeration(arr) == arrangement.ml_degree(arr)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_rays_of_random_arrangements(d):
+    """Seeded uniform draws, n = d+1..d+4: each region's ray gives the
+    oracle's Fraction witness (see :func:`assert_same_enumeration`)."""
+    for n in range(d + 1, d + 5):
+        arr = catalog.random_arrangement(d, n, random.Random(f"dd/rays/{d}x{n}"))
+        assert assert_same_enumeration(arr) == sum(math.comb(n - 1, k) for k in range(d))
+
+
+def test_float_starts_beyond_two_to_the_53(monkeypatch):
+    """A line p x = q y with p, q near 2^58 puts entries above 2^53 into the
+    rays, where float(v) / float(top) rounds twice. The solver starts from
+    v / top, one correctly rounded division, which is float() of the
+    Fraction witness bit for bit."""
+    p, q = 167452843872785493, 510309175715956685
+    model = make_model(arrangement.Arrangement(A=((1, 0), (0, 1), (p, -q))))
+    regions = arrangement.enumerate_regions(model.arr)
+    assert max(abs(v) for r in regions for v in r.ray) > 2**53
+    expected = np.array([[float(w) for w in r.witness] for r in regions])
+    shortcut = np.array([[float(v) / float(max(map(abs, r.ray))) for v in r.ray] for r in regions])
+    assert not np.array_equal(shortcut, expected)  # the test tells the two apart
+    starts, to_floats = [], mle.to_floats
+
+    def recording(values, name):
+        out = to_floats(values, name)
+        if name == "start":
+            starts.append(out.copy())  # the solver iterates in place
+        return out
+
+    monkeypatch.setattr(mle, "to_floats", recording)
+    mle._solve_batch(model, [[1, 2, 3]], regions, 1e-10)
+    assert len(starts) == 1 and starts[0].tobytes() == expected.tobytes()
 
 
 def uniform_draws(d):

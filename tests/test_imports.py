@@ -341,6 +341,19 @@ def test_src_members_without_a_src_caller():
     assert members_without_a_caller(src_sources()) == NO_SRC_MEMBER_CALLER
 
 
+def test_region_ray_and_witness_have_src_readers():
+    """A Region's ray is a field, so the member rule above does not see it:
+    the float starts (mle) and the type scan (geometry) read it, and the
+    regions command (cli) reads the witness property built from it."""
+    readers = {
+        (module, node.attr)
+        for module, source in src_sources().items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("ray", "witness")
+    }
+    assert {("mle", "ray"), ("geometry", "ray"), ("cli", "witness")} <= readers
+
+
 def test_src_has_no_assertion():
     """No command may exit 1, and an AssertionError would: src/ has no
     ``assert`` statement and names no AssertionError."""

@@ -208,7 +208,7 @@ class TestSolveAll:
         # for it, so that region alone fails while the others solve.
         s = rng.uniform(0.1, 1.0, size=4)
         regions = enumerate_regions(steiner.arr)
-        bad = Region(sign=regions[2].sign, witness=regions[3].witness)
+        bad = Region(sign=regions[2].sign, ray=regions[3].ray)
         regions[2] = bad
         result = solve_all(steiner, s, regions=regions)
         assert [region for region, _ in result.failures] == [bad]

@@ -82,14 +82,29 @@ def test_construction_by_position_or_keyword(name):
 
 @pytest.mark.parametrize("name, action", [("assign to", setattr), ("delete", delattr)])
 def test_frozen_records_refuse_assignment(name, action):
-    region = Region(SignVector((1,)), (Fraction(1),))
-    reference = twin(Region)(region.sign, region.witness)
-    args = ("witness", ()) if action is setattr else ("witness",)
-    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot {name} field 'witness'") as expected:
+    region = Region(SignVector((1,)), (1,))
+    reference = twin(Region)(region.sign, region.ray)
+    args = ("ray", ()) if action is setattr else ("ray",)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot {name} field 'ray'") as expected:
         action(reference, *args)
     with pytest.raises(AttributeError, match=str(expected.value)):
         action(region, *args)
-    assert region.witness == (Fraction(1),)
+    # The witness is read off the ray, and cannot be set or deleted either.
+    with pytest.raises(AttributeError, match=f"cannot {name} field 'witness'"):
+        action(region, *(("witness", (Fraction(1),)) if action is setattr else ("witness",)))
+    assert region.ray == (1,) and region.witness == (Fraction(1),)
+
+
+def test_region_holds_its_ray_and_reads_the_witness_off_it():
+    sign = SignVector((1, -1, 1))
+    region = Region(sign, (4, -6, 3))
+    assert region == Region(sign=sign, ray=(4, -6, 3)) != Region(sign, (2, -3, 3))
+    assert hash(region) == hash((sign, (4, -6, 3)))
+    assert repr(region) == "Region(sign=SignVector(signs=(1, -1, 1)), ray=(4, -6, 3))"
+    assert region.witness == (Fraction(2, 3), Fraction(-1), Fraction(1, 2))
+    clone = pickle.loads(pickle.dumps(region))
+    assert clone == region and clone.ray == (4, -6, 3) and clone.witness == region.witness
+    assert "witness" not in Region.__slots__ and pickle.dumps(region) == pickle.dumps(clone)
 
 
 def test_mutable_records_assign_and_are_unhashable():
