@@ -27,9 +27,7 @@ class Record:
     position or keyword, compare equal only within one class, hash as the
     tuple of their fields, print as ``Name(field=value, ...)``, pickle and
     copy through their constructor, and refuse assignment. A subclass with
-    defaults or checks writes an ``__init__`` that ends in this one; a
-    mutable one sets ``__setattr__ = object.__setattr__`` and
-    ``__hash__ = None``.
+    defaults or checks writes an ``__init__`` that ends in this one.
     """
 
     __slots__ = ()

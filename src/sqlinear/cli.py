@@ -196,14 +196,13 @@ def _tracking_overlays(model, trop, estimates):
     from .degeneration import unit_data_solutions
     from .mle import to_floats
     from .model import parameters_of
-    from .plotting import Overlays
 
     ys = np.array([est.y_track for est in estimates])  # (region, eps, state)
     xs = np.linalg.lstsq(model.A_float, ys.reshape(-1, model.n).T)[0].T.reshape(*ys.shape[:2], model.d)
     starts = to_floats([est.region for est in estimates], "witness").tolist()
     arcs = [[start, *track] for start, track in zip(starts, xs.tolist())]
     limits = parameters_of(model, [sol.y for sol in unit_data_solutions(model, trop.anchor) if sol.y])
-    return Overlays(arcs=arcs, limit_points=to_floats(limits, "parameters").tolist())
+    return {"arcs": arcs, "limit_points": to_floats(limits, "parameters").tolist()}
 
 
 def _check_figure(arr, wanted):
@@ -227,9 +226,8 @@ def _cmd_regions(doc, args):
         "count": len(regions),
     }
     if args.svg:
-        from .plotting import Overlays, plot_arrangement
-        overlays = Overlays(region_labels=[(r, str(r.sign)) for r in regions])
-        _write(args.svg, plot_arrangement(arr, overlays))
+        from .plotting import plot_arrangement
+        _write(args.svg, plot_arrangement(arr, region_labels=[(r, str(r.sign)) for r in regions]))
     return out
 
 
@@ -257,9 +255,8 @@ def _cmd_mle(doc, args):
         "ml_degree": len(result.points),
     }
     if args.svg:
-        from .plotting import Overlays, plot_arrangement
-        overlays = Overlays(critical_points=[p.x for p in result.points])
-        _write(args.svg, plot_arrangement(model.arr, overlays))
+        from .plotting import plot_arrangement
+        _write(args.svg, plot_arrangement(model.arr, critical_points=[p.x for p in result.points]))
     return out
 
 
@@ -309,8 +306,7 @@ def _cmd_tropical(doc, args):
     }
     if args.svg:
         from .plotting import plot_arrangement
-        overlays = _tracking_overlays(model, trop, estimates)
-        _write(args.svg, plot_arrangement(model.arr, overlays))
+        _write(args.svg, plot_arrangement(model.arr, **_tracking_overlays(model, trop, estimates)))
     return out
 
 
@@ -440,22 +436,23 @@ def _cmd_singular(doc, args):
 
 
 def _cmd_plot(doc, args):
-    from .plotting import Overlays, _check_dimension, plot_arrangement
+    from .model import make_model
+    from .plotting import _check_dimension, plot_arrangement
 
-    # Only "s", "y" and --anchor need the model: the bare figure is the arrangement's, n = d too.
-    model = jsonio.model_from_json(doc) if "s" in doc or "y" in doc or args.anchor is not None else None
-    arr = jsonio.arrangement_from_json(doc) if model is None else model.arr
+    # Only "s", --anchor and a "y" that draws the fiber (n = 3) need the
+    # model: the bare figure is the arrangement's, n = d too.
+    arr = jsonio.arrangement_from_json(doc)
+    fiber = "y" in doc and arr.n == 3
+    model = make_model(arr) if "s" in doc or fiber or args.anchor is not None else None
     _check_dimension(arr.d)
     data = _data(model, doc, args) if "s" in doc else None
-    overlays = Overlays()
-    if args.anchor is not None:
-        overlays = _tracking_overlays(model, *_track(model, doc, args))
+    overlays = _tracking_overlays(model, *_track(model, doc, args)) if args.anchor is not None else {}
     if data is not None:
-        overlays.critical_points = [p.x for p in _solve(model, *data).points]
-    if "y" in doc and model.n == 3:
+        overlays["critical_points"] = [p.x for p in _solve(model, *data).points]
+    if fiber:
         from .geometry import lognormal_polytope
-        overlays.lognormal = lognormal_polytope(model, jsonio.parse_vector(doc["y"], "y"))
-    return plot_arrangement(arr, overlays)
+        overlays["lognormal"] = lognormal_polytope(model, jsonio.parse_vector(doc["y"], "y"))
+    return plot_arrangement(arr, **overlays)
 
 
 # command -> (handler, help text, flags it reads)

@@ -35,13 +35,12 @@ class DegenerateSolution(Record):
     """Closed-form critical point for data e_anchor with support complement J.
 
     ``y`` is the primitive integer representative with positive anchor
-    coordinate; B y = 0 holds exactly and y_j = 0 exactly on J.
+    coordinate; B y = 0 holds exactly and y_j = 0 exactly on J. The anchor is
+    the caller's: :func:`unit_data_solutions` takes it. ``error`` names why
+    ``y`` is empty or not generic, and is None otherwise.
     """
 
-    __slots__ = ("J", "y", "anchor", "generic_flag", "error")
-
-    def __init__(self, J: tuple, y: tuple, anchor: int, generic_flag: bool, error: str | None = None):
-        super().__init__(J, y, anchor, generic_flag, error)
+    __slots__ = ("J", "y", "generic_flag", "error")
 
 
 class TropicalData(Record):
@@ -102,9 +101,7 @@ def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
         gram = [[sum(r[k] * c[k] for k in keep) for c in B] for r in B]
         u = ratlin.solve(gram, [r[anchor] for r in B])
         if u is None:
-            solutions.append(
-                DegenerateSolution(J=J, y=(), anchor=anchor, generic_flag=False, error="singular Gram matrix")
-            )
+            solutions.append(DegenerateSolution(J=J, y=(), generic_flag=False, error="singular Gram matrix"))
             continue
         y = [Fraction(0)] * n
         y[anchor] = Fraction(1)
@@ -113,13 +110,11 @@ def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
         prim = ratlin.primitive(y)
         if prim[anchor] < 0:
             prim = tuple(-v for v in prim)
-        solutions.append(
-            DegenerateSolution(J=J, y=prim, anchor=anchor, generic_flag=all(y[k] != 0 for k in keep))
-        )
+        solutions.append(DegenerateSolution(J=J, y=prim, generic_flag=all(y[k] != 0 for k in keep), error=None))
     # Collisions between supports break genericity for all involved entries.
     counts = Counter(sol.y for sol in solutions if sol.y)
     return [
-        DegenerateSolution(sol.J, sol.y, sol.anchor, False, "support collision") if counts[sol.y] > 1 else sol
+        DegenerateSolution(sol.J, sol.y, False, "support collision") if counts[sol.y] > 1 else sol
         for sol in solutions
     ]
 

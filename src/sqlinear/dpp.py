@@ -47,12 +47,9 @@ class DiscriminantalArrangement(Record):
 
     Row i of ``arrangement`` is the linear form (in the surviving parameters)
     whose square is proportional to the probability of ``states[i]``.
-    ``points`` are the n reduced configuration points whose subset spans cut
-    out the same hyperplanes; ``column_permutation`` records any relabeling
-    needed to invert the trailing block.
     """
 
-    __slots__ = ("arrangement", "states", "points", "column_permutation")
+    __slots__ = ("arrangement", "states")
 
 
 def dpp_probabilities(Theta) -> SubsetDistribution:
@@ -83,25 +80,23 @@ def dpp_probabilities(Theta) -> SubsetDistribution:
 
 
 def reduced_points(dpp: DPPModel):
-    """Point configuration [I | -A1^T] from row-reducing the fixed block.
+    """The column permutation and the fixed block row-reduced to [A1 | I].
 
     Pivots on k-1 independent columns, picked greedily from the right so as
     to stay close to the standard normal form: they are the trailing block
-    whenever it is invertible, and otherwise the column permutation that
-    moves them last is reported with the result. They exist, as the fixed
-    rows are independent.
+    whenever it is invertible, and otherwise the permutation moves them
+    last. They exist, as the fixed rows are independent. The n points
+    [I | -A1^T] of the reduced configuration span the arrangement's
+    hyperplanes by (n-k)-subsets.
     """
     k, n = dpp.k, dpp.n
-    m = n - k + 1  # surviving parameters, the ambient dimension of the points
     columns = ratlin.transpose(dpp.Theta_fixed)[::-1]
     chosen = sorted(n - 1 - i for i in ratlin.independent_rows(columns, k - 1))
     perm = tuple([c for c in range(n) if c not in chosen] + chosen)
     inverse = ratlin.inverse([[row[c] for c in chosen] for row in dpp.Theta_fixed])
     fixed = [[dpp.Theta_fixed[r][c] for c in perm] for r in range(k - 1)]
     reduced = ratlin.matmul(inverse, fixed)  # [A1 | I]
-    unit = [tuple(Fraction(int(c == r)) for r in range(m)) for c in range(m)]
-    points = unit + [tuple(-v for v in row[:m]) for row in reduced]
-    return tuple(points), perm, tuple(tuple(row) for row in reduced)
+    return perm, tuple(tuple(row) for row in reduced)
 
 
 def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:
@@ -114,7 +109,7 @@ def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:
     """
     k, n = dpp.k, dpp.n
     m = n - k + 1
-    points, perm, reduced = reduced_points(dpp)
+    perm, reduced = reduced_points(dpp)
     # Reduced matrix with symbolic last row: [[A1 | I], [t | 0]].
     rows = []
     labels = []
@@ -134,13 +129,7 @@ def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:
         # proportional to the square of its form with one common constant.
         rows.append(tuple(coeffs))
         labels.append("{" + ",".join(str(i + 1) for i in sigma) + "}")
-    arrangement = Arrangement(A=tuple(rows), labels=tuple(labels))
-    return DiscriminantalArrangement(
-        arrangement=arrangement,
-        states=dpp.states,
-        points=points,
-        column_permutation=perm,
-    )
+    return DiscriminantalArrangement(Arrangement(A=tuple(rows), labels=tuple(labels)), dpp.states)
 
 
 def dpp_ml_degree_l2(n: int) -> int:

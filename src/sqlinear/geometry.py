@@ -51,12 +51,12 @@ REFINE_TOL = 1e-4
 class Polytope(Record):
     """Paired V/H description with the face-count vector.
 
-    ``H_rep`` holds (normal, offset) pairs meaning normal . x >= offset;
-    ``incidence[k]`` is the frozenset of vertex indices on facet k.
+    ``H_rep`` holds (normal, offset) pairs meaning normal . x >= offset; a
+    vertex v lies on the facet exactly when normal . v == offset.
     ``f_vector[i]`` counts faces of dimension i for i = 0 .. dim-1.
     """
 
-    __slots__ = ("ambient_dim", "dim", "V_rep", "H_rep", "f_vector", "incidence")
+    __slots__ = ("ambient_dim", "dim", "V_rep", "H_rep", "f_vector")
 
 
 class ChamberHyperplane(Record):
@@ -162,14 +162,12 @@ def lognormal_polytope(model: SquaredLinearModel, y) -> Polytope:
     total = sum(v * v for v in y)
     weights = [v * v / (row[0] * total) for v, row in zip(y, rows)]
     vertices = [tuple(w * sum(map(mul, row, ray)) / ray[0] for w, row in zip(weights, rows)) for ray, _ in rays]
-    order = sorted(range(len(rays)), key=vertices.__getitem__)
     return Polytope(
         ambient_dim=n,
         dim=n - model.d,
-        V_rep=tuple(vertices[k] for k in order),
+        V_rep=tuple(sorted(vertices)),
         H_rep=tuple((tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0)) for i in facets),
         f_vector=f_vector,
-        incidence=tuple(frozenset(v for v, k in enumerate(order) if z >> k & 1) for z in facets.values()),
     )
 
 
@@ -193,14 +191,12 @@ def dual_polytope(model: SquaredLinearModel, y) -> Polytope:
         last = abs(next(v for v in reversed(z) if v))
         normal = tuple(Fraction(v, last) for v in z)
         facets[frozenset(i for i in range(model.n) if mask >> i & 1)] = (normal, Fraction(-z0, last))
-    incidence = sorted(facets, key=sorted)
     return Polytope(
         ambient_dim=model.n - model.d,
         dim=model.n - model.d,
         V_rep=tuple(ratlin.scale(cols[i], 1 / y[i]) for i in vertices),
-        H_rep=tuple(facets[m] for m in incidence),
+        H_rep=tuple(facets[m] for m in sorted(facets, key=sorted)),
         f_vector=f_vector[::-1],
-        incidence=tuple(incidence),
     )
 
 

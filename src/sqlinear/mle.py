@@ -230,11 +230,6 @@ class LikelihoodMatrix(Record):
 
 class SolveAllResult(Record):
     __slots__ = ("points", "mle_index", "failures")
-    __setattr__ = object.__setattr__
-    __hash__ = None
-
-    def __init__(self, points: list, mle_index: int, failures: list | None = None):
-        super().__init__(points, mle_index, [] if failures is None else failures)
 
     @property
     def mle(self) -> CriticalPoint:

@@ -88,7 +88,7 @@ class VeroneseGenerators(Record):
     vanish there.
     """
 
-    __slots__ = ("L", "linear_forms", "R", "monomials")
+    __slots__ = ("linear_forms", "R", "monomials")
 
 
 def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
@@ -121,7 +121,7 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     )
     kernel = ratlin.nullspace(ratlin.transpose(L), ncols=n)
     linear_forms = tuple(ratlin.primitive(vec) for vec in kernel)
-    return VeroneseGenerators(L=L, linear_forms=linear_forms, R=R, monomials=monomials)
+    return VeroneseGenerators(linear_forms=linear_forms, R=R, monomials=monomials)
 
 
 def minor_space_dimension(d: int) -> int:

@@ -19,7 +19,7 @@ so importing this module does not load it.
 
 from __future__ import annotations
 
-from .arrangement import Arrangement, Record
+from .arrangement import Arrangement
 from .errors import DimensionUnsupported
 
 VIEW = 5.0  # chart coordinates clipped to [-VIEW, VIEW]^2
@@ -27,21 +27,6 @@ SIZE = 480.0
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
-
-
-class Overlays(Record):
-    """What a figure draws over the arrangement: critical points and limit
-    points (parameter vectors), arcs (lists of them), region labels
-    ((witness or Region, text) pairs) and a log-normal Polytope with ambient_dim == 3.
-    A list not given starts empty."""
-
-    __slots__ = ("critical_points", "arcs", "limit_points", "region_labels", "lognormal")
-    __setattr__ = object.__setattr__
-    __hash__ = None
-
-    def __init__(self, critical_points=None, arcs=None, limit_points=None, region_labels=None, lognormal=None):
-        lists = (critical_points, arcs, limit_points, region_labels)
-        super().__init__(*([] if v is None else v for v in lists), lognormal)
 
 
 def _fmt(value: float) -> str:
@@ -123,11 +108,16 @@ def _check_dimension(d: int):
         raise DimensionUnsupported(f"plotting supports d in (2, 3), got d = {d}")
 
 
-def plot_arrangement(arr: Arrangement, overlays: Overlays | None = None) -> str:
+def plot_arrangement(
+    arr: Arrangement, critical_points=(), arcs=(), limit_points=(), region_labels=(), lognormal=None
+) -> str:
+    """The figure of ``arr`` with its overlays: critical points and limit
+    points (parameter vectors), arcs (lists of them), region labels
+    ((witness or Region, text) pairs) and a log-normal Polytope with
+    ambient_dim == 3."""
     from .mle import to_floats
 
     _check_dimension(arr.d)
-    overlays = overlays or Overlays()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(SIZE)}" '
         f'height="{int(SIZE)}" viewBox="0 0 {int(SIZE)} {int(SIZE)}">',
@@ -136,9 +126,10 @@ def plot_arrangement(arr: Arrangement, overlays: Overlays | None = None) -> str:
     A = to_floats(arr.A, "A")
     chart = _Chart(A)
     draw_hyperplanes = _draw_chart3 if arr.d == 3 else _draw_chart2
-    _draw_overlays(chart, overlays, draw_hyperplanes(arr, A, chart, parts), parts)
-    if overlays.lognormal is not None:
-        _draw_simplex_fiber(overlays.lognormal, parts)
+    to_px = draw_hyperplanes(arr, A, chart, parts)
+    _draw_overlays(chart, critical_points, arcs, limit_points, region_labels, to_px, parts)
+    if lognormal is not None:
+        _draw_simplex_fiber(lognormal, parts)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -196,13 +187,13 @@ def _draw_chart2(arr, A, chart, parts):
     return to_px
 
 
-def _draw_overlays(chart, overlays, to_px, parts):
+def _draw_overlays(chart, critical_points, arcs, limit_points, region_labels, to_px, parts):
     """Arcs, critical points, limit markers and region labels, in that order.
 
     ``to_px(point, row)`` maps chart coordinates to pixels; ``row`` is the
     kind's offset from the d = 2 axis, which the d = 3 map ignores.
     """
-    for arc in overlays.arcs:
+    for arc in arcs:
         points = [p for p in map(chart.point, arc) if p is not None]
         if len(points) >= 2:
             pixels = (to_px(p, -24 - 2 * k) for k, p in enumerate(points))
@@ -211,21 +202,21 @@ def _draw_overlays(chart, overlays, to_px, parts):
                 f'<polyline class="arc" points="{pieces}" fill="none" '
                 'stroke="#0055cc" stroke-width="1.5"/>'
             )
-    for x in overlays.critical_points:
+    for x in critical_points:
         if (point := chart.point(x)) is not None:
             px, py = to_px(point, -12)
             parts.append(
                 f'<circle class="critical-point" cx="{_fmt(px)}" cy="{_fmt(py)}" '
                 'r="3.5" fill="#d62728"/>'
             )
-    for x in overlays.limit_points:
+    for x in limit_points:
         if (point := chart.point(x)) is not None:
             px, py = to_px(point, 0)
             parts.append(
                 f'<rect class="limit-point" x="{_fmt(px - 3)}" y="{_fmt(py - 3)}" '
                 'width="6" height="6" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
             )
-    for witness, text in overlays.region_labels:
+    for witness, text in region_labels:
         if (point := chart.point(witness)) is not None:
             px, py = to_px(point, 20)
             parts.append(

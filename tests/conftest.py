@@ -160,11 +160,12 @@ def noninjectivity_witness(subspace, model):
     return x, xp
 
 
-def limit_gap(estimate, solution):
+def limit_gap(estimate, solution, anchor):
     """Largest coordinate gap between a tracked region's last point and a
-    closed-form degenerate solution, both scaled to anchor coordinate one."""
+    closed-form degenerate solution at ``anchor``, both scaled to anchor
+    coordinate one."""
     y = np.array(solution.y, dtype=float)
-    return np.abs(y / y[solution.anchor] - estimate.y_track[-1]).max()
+    return np.abs(y / y[anchor] - estimate.y_track[-1]).max()
 
 
 def canonical_x(x):

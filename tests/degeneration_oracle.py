@@ -34,12 +34,7 @@ def unit_data_solutions(model, anchor: int) -> list:
         rhs = Bcols[anchor]
         u = ratlin.solve(gram, rhs) if gram else None
         if u is None:
-            solutions.append(
-                DegenerateSolution(
-                    J=J, y=(), anchor=anchor, generic_flag=False,
-                    error="singular Gram matrix",
-                )
-            )
+            solutions.append(DegenerateSolution(J=J, y=(), generic_flag=False, error="singular Gram matrix"))
             continue
         yK = ratlin.matvec(ratlin.transpose(BK), ratlin.scale(u, Fraction(-1)))
         y = [Fraction(0)] * n
@@ -52,7 +47,7 @@ def unit_data_solutions(model, anchor: int) -> list:
         if prim[anchor] < 0:
             prim = tuple(-v for v in prim)
         solutions.append(
-            DegenerateSolution(J=J, y=prim, anchor=anchor, generic_flag=flag)
+            DegenerateSolution(J=J, y=prim, generic_flag=flag, error=None)
         )
     # Collisions between supports break genericity for all involved entries.
     groups = {}
@@ -65,7 +60,7 @@ def unit_data_solutions(model, anchor: int) -> list:
             for idx in idxs:
                 sol = flagged[idx]
                 flagged[idx] = DegenerateSolution(
-                    J=sol.J, y=sol.y, anchor=sol.anchor, generic_flag=False,
+                    J=sol.J, y=sol.y, generic_flag=False,
                     error=sol.error or "support collision",
                 )
     return flagged

@@ -8,7 +8,8 @@ points. Every face is found by closing the facet sets under intersection,
 and each face's dimension, each log-normal facet and each hull vertex is
 decided by an exact affine rank. tests/test_polytope_oracle.py checks that
 both give the same polytopes. ``signature`` and ``is_simple`` read a
-polytope's combinatorial type off its vertex-facet incidences.
+polytope's combinatorial type off its vertex-facet incidences, which
+``facet_vertices`` derives from V_rep and H_rep.
 
 It also keeps the rules that the polytope layer's helpers followed before
 they ran in integers: ``simplicial_start`` (rays from one Fraction inverse)
@@ -116,7 +117,6 @@ def lognormal_polytope(model, y) -> Polytope:
         V_rep=tuple(vertices),
         H_rep=tuple(h_rep),
         f_vector=f_vec,
-        incidence=tuple(incidence),
     )
 
 
@@ -177,7 +177,6 @@ def polytope_from_points(points, ambient_dim=None) -> Polytope:
         V_rep=tuple(points[k] for k in sorted(vertex_set)),
         H_rep=h_rep,
         f_vector=f_vec,
-        incidence=tuple(incidence),
     )
 
 
@@ -188,9 +187,19 @@ def dual_polytope(model, y) -> Polytope:
     return polytope_from_points(points, ambient_dim=model.n - model.d)
 
 
+def facet_vertices(poly):
+    """Per facet (normal, offset) of ``poly``, the frozenset of the indices of
+    the vertices v on it, normal . v == offset exactly."""
+    return [
+        frozenset(k for k, v in enumerate(poly.V_rep) if ratlin.dot(normal, v) == offset)
+        for normal, offset in poly.H_rep
+    ]
+
+
 def vertex_facet_degrees(poly):
     """Sorted multiset: how many facets each vertex of ``poly`` lies on."""
-    return tuple(sorted(sum(v in facet for facet in poly.incidence) for v in range(len(poly.V_rep))))
+    facets = facet_vertices(poly)
+    return tuple(sorted(sum(k in facet for facet in facets) for k in range(len(poly.V_rep))))
 
 
 def signature(poly):

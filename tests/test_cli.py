@@ -364,6 +364,11 @@ class TestPlot:
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["type"], err["message"]) == ("RankDeficient", f"model needs n > d > 1, got n = {len(A)}, d = {len(A)}")
 
+    def test_plot_builds_no_model_for_a_fiber_it_does_not_draw(self, tmp_path):
+        # "y" draws the fiber only when n = 3; at n = d = 2 it once built a model and exited 2.
+        bare = run(tmp_path, "plot", {"A": [[1, 0], [0, 1]]})
+        assert bare[0] == 0 and run(tmp_path, "plot", {"A": [[1, 0], [0, 1]], "y": [1, 1]}) == bare
+
     @pytest.mark.parametrize(
         "command, A",
         [("regions", [[1, 0], [0, 1], [1, 1]]), ("plot", STEINER["A"])],

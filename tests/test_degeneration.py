@@ -216,7 +216,7 @@ class TestEstimateValuations:
         solutions = {sol.J: sol for sol in unit_data_solutions(steiner, 0)}
         assert sorted(e.point.J for e in estimates) == sorted(solutions)
         for est in estimates:
-            assert limit_gap(est, solutions[est.point.J]) <= 1e-3
+            assert limit_gap(est, solutions[est.point.J], 0) <= 1e-3
 
     def test_leading_coefficient_of_series(self, steiner):
         # the arc limiting to (1:0:0:1) behaves like y_2 = 2 eps^3 + ...
@@ -240,7 +240,7 @@ class TestEstimateValuations:
         for est in realized:
             assert est.residual <= 0.1
             assert est.point.z == predictions[est.point.J].z
-            assert limit_gap(est, generic[est.point.J]) <= 1e-2
+            assert limit_gap(est, generic[est.point.J], 0) <= 1e-2
 
     def test_grid_validation(self, steiner):
         trop = TropicalData(w=(0, 3, 4, 5), anchor=0)

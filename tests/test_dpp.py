@@ -24,6 +24,14 @@ def hyperplane_through(points, subset):
     return ratlin.primitive(kernel[0])
 
 
+def configuration(reduced):
+    """The n points [I | -A1^T] of the reduced fixed block [A1 | I], in P^(n-k):
+    their (n-k)-subsets span the discriminantal hyperplanes."""
+    m = len(reduced[0]) - len(reduced)
+    unit = [tuple(Fraction(int(c == r)) for r in range(m)) for c in range(m)]
+    return unit + [tuple(-v for v in row[:m]) for row in reduced]
+
+
 def random_fixed(rows, n, rng):
     while True:
         matrix = tuple(
@@ -97,18 +105,19 @@ class TestLinearProjectionArrangement:
 
         assert disc.arrangement.n == comb(n, k)
         assert disc.arrangement.d == n - k + 1
-        assert len(disc.points) == n
+        assert len(configuration(reduced_points(dpp)[1])) == n
 
     def test_forms_span_point_subsets(self, pyrng):
         n, k = 5, 3
         dpp = DPPModel(Theta_fixed=random_fixed(k - 1, n, pyrng), k=k, n=n)
         disc = linear_projection_arrangement(dpp)
-        perm = disc.column_permutation
+        perm, reduced = reduced_points(dpp)
+        points = configuration(reduced)
         for row, sigma in zip(disc.arrangement.A, disc.states):
             complement = tuple(
                 sorted(perm.index(c) for c in range(n) if c not in sigma)
             )
-            normal = hyperplane_through(disc.points, complement)
+            normal = hyperplane_through(points, complement)
             assert normal in (
                 ratlin.primitive(row),
                 ratlin.primitive(ratlin.scale(row, Fraction(-1))),
@@ -118,7 +127,7 @@ class TestLinearProjectionArrangement:
         n, k = 5, 3
         dpp = DPPModel(Theta_fixed=random_fixed(k - 1, n, pyrng), k=k, n=n)
         disc = linear_projection_arrangement(dpp)
-        _, perm, reduced = reduced_points(dpp)
+        perm, reduced = reduced_points(dpp)
         m = n - k + 1
         A1 = np.array([[float(reduced[r][c]) for c in range(m)] for r in range(k - 1)])
         for _ in range(5):
@@ -141,7 +150,7 @@ class TestLinearProjectionArrangement:
         fixed = ((1, 0, 2, 1, 1), (0, 1, 3, 2, 2))
         dpp = DPPModel(Theta_fixed=fixed, k=3, n=5)
         disc = linear_projection_arrangement(dpp)
-        assert disc.column_permutation != tuple(range(5))
+        assert reduced_points(dpp)[0] != tuple(range(5))
         from math import comb
 
         assert disc.arrangement.n == comb(5, 3)

@@ -22,7 +22,7 @@ from sqlinear.mle import CriticalPoint, SolveAllResult, _solve_batch, solve_all,
 from sqlinear.model import make_model
 
 from conftest import sample_kernel_point, sample_wall_point
-from polytope_oracle import is_simple, signature
+from polytope_oracle import facet_vertices, is_simple, signature
 
 QUAD_Y = (3, 2, 1, -1)
 
@@ -227,9 +227,7 @@ class TestDualPolytope:
                 continue
             pi = lognormal_polytope(model, y)
             q = dual_polytope(model, y)
-            points = [ratlin.scale(col, 1 / v) for col, v in zip(ratlin.transpose(model.B.B), y)]
-            corners = {k for k, p in enumerate(points) if p in q.V_rep}
-            if all(len(facet & corners) == q.dim for facet in q.incidence):
+            if all(len(facet) == q.dim for facet in facet_vertices(q)):
                 continue
             assert pi.f_vector == tuple(reversed(q.f_vector))
             assert is_simple(pi) is False

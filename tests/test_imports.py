@@ -273,13 +273,15 @@ def names_without_a_caller(sources):
     }
 
 
+def reads(node):
+    """How often each attribute name is read under ``node``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def members_without_a_caller(sources):
     """Methods and properties (dunders aside) of the top-level classes of
     ``{module: source}`` whose name no attribute read carries outside the
     member's own body."""
-    def reads(node):
-        return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum(map(reads, trees.values()), Counter())
     return {
@@ -291,6 +293,23 @@ def members_without_a_caller(sources):
         if isinstance(member, ast.FunctionDef)
         and not member.name.startswith("__")
         and total[member.name] == reads(member)[member.name]
+    }
+
+
+def fields_without_a_reader(sources):
+    """The ``__slots__`` fields of the top-level classes of ``{module: source}``
+    whose name no attribute read carries outside the class's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum(map(reads, trees.values()), Counter())
+    return {
+        f"{module}.{cls.name}.{field}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]
+        for field in ast.literal_eval(stmt.value)
+        if total[field] == reads(cls)[field]
     }
 
 
@@ -311,6 +330,22 @@ def test_a_name_counts_as_called_only_through_its_module(user, uncalled):
     assert names_without_a_caller({"m": helper + "\ndef g():\n    return helper()\n"}) == {"m.g"}
 
 
+@pytest.mark.parametrize(
+    "user, unread",
+    [
+        ("def f(r):\n    return r.other\n", {"m.R.field"}),
+        ("def f(r):\n    r.field = 1\n", {"m.R.field"}),
+        ("def f(r):\n    return r.field\n", set()),
+        ("class S:\n    def g(self, r):\n        return r.field\n", set()),
+    ],
+    ids=["other-name", "store", "function", "other-class"],
+)
+def test_a_field_counts_as_read_only_outside_its_class(user, unread):
+    record = 'class R:\n    __slots__ = ("field",)\n\n    def get(self):\n        return self.field\n'
+    assert fields_without_a_reader({"m": record, "user": user}) == unread  # reading itself does not count
+    assert fields_without_a_reader({"m": record + user}) == unread
+
+
 # Top-level names that nothing in src/ refers to. Each should get a caller in
 # src/, become a check, or move into tests/; until then they stay because the
 # tests, the golden cases or the benchmark use them.
@@ -326,6 +361,9 @@ NO_SRC_CALLER = {
 # Methods and properties that no attribute read in src/ names: the benchmark
 # and the golden cases read form_values, and so do the tests.
 NO_SRC_MEMBER_CALLER = {"arrangement.Arrangement.form_values"}
+# Record fields that no attribute read in src/ names: the benchmark's
+# numeric-mle check reads hessian_max_eig.
+NO_SRC_FIELD_READER = {"mle.CriticalPoint.hessian_max_eig"}
 
 
 def test_src_names_without_a_src_caller():
@@ -341,10 +379,20 @@ def test_src_members_without_a_src_caller():
     assert members_without_a_caller(src_sources()) == NO_SRC_MEMBER_CALLER
 
 
+def test_src_fields_without_a_src_reader():
+    """The same rule for the fields of src/'s records: a field is read when
+    an attribute read of its name occurs outside its own class. Types are
+    not resolved, so a read of any field or attribute of the same name
+    counts, and a field named like another record's hides: ``points`` (read
+    off a solve's result) and ``anchor`` (read off TropicalData) each hid
+    an unread field of another record, which were found by hand."""
+    assert fields_without_a_reader(src_sources()) == NO_SRC_FIELD_READER
+
+
 def test_region_ray_and_witness_have_src_readers():
-    """A Region's ray is a field, so the member rule above does not see it:
-    the float starts (mle) and the type scan (geometry) read it, and the
-    regions command (cli) reads the witness property built from it."""
+    """The field rule above counts a read of any ``ray``; these are the
+    Region's: the float starts (mle) and the type scan (geometry) read it,
+    and the regions command (cli) reads the witness property built from it."""
     readers = {
         (module, node.attr)
         for module, source in src_sources().items()
@@ -352,6 +400,44 @@ def test_region_ray_and_witness_have_src_readers():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("ray", "witness")
     }
     assert {("mle", "ray"), ("geometry", "ray"), ("cli", "witness")} <= readers
+
+
+def test_benchmark_surface_resolves():
+    """What perfbench's timed run reads off the package still exists: each
+    ``m.name`` read through ``from sqlinear import m [as alias]`` and each
+    name of a ``from sqlinear.m import ...`` in workloads.py, each module of
+    the tracer's LAYERS, and the A_float property the tracer wraps.
+    selftest.py reads a function the package no longer has (see ROADMAP),
+    so it is not parsed."""
+    import importlib
+
+    from sqlinear.model import SquaredLinearModel
+
+    bench = SRC.parent / "perfbench"
+    tree = ast.parse((bench / "workloads.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    aliases = {a.asname or a.name: a.name for node in imports if node.module == "sqlinear" for a in node.names}
+    read = {
+        (node.module.split(".", 1)[1], a.name)
+        for node in imports
+        if node.module.startswith("sqlinear.")
+        for a in node.names
+    }
+    read |= {
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases
+    }
+    assert len(read) == 29  # the names workloads.py reads today
+    assert [f"{m}.{name}" for m, name in sorted(read) if not hasattr(importlib.import_module(f"sqlinear.{m}"), name)] == []
+    (layers,) = (
+        ast.literal_eval(stmt.value)
+        for stmt in ast.parse((bench / "tracer.py").read_text()).body
+        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["LAYERS"]
+    )
+    for layer in layers:
+        importlib.import_module(f"sqlinear.{layer}")
+    assert isinstance(SquaredLinearModel.__dict__["A_float"], property)
 
 
 def test_src_has_no_assertion():

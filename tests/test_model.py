@@ -24,6 +24,7 @@ from sqlinear.model import (
     minor_space_dimension,
     quadric_monomials,
     singular_subspaces,
+    squared_form_row,
     veronese_generators,
 )
 
@@ -197,10 +198,15 @@ def r_minors_residual(vg, p) -> float:
     return worst
 
 
+def squared_rows(model, gens):
+    """The coefficients of each squared form in the monomials of ``gens``."""
+    return tuple(squared_form_row(row, gens.monomials) for row in model.arr.A)
+
+
 class TestVeroneseGenerators:
     def test_conic_d2_n3(self, circle):
         gens = veronese_generators(circle)
-        assert gens.L == ((1, 0, 0), (0, 0, 1), (1, 2, 1))
+        assert squared_rows(circle, gens) == ((1, 0, 0), (0, 0, 1), (1, 2, 1))
         assert gens.linear_forms == ()
         for x in ((2, 3), (-1, 5), (7, 2)):
             p = exact_probabilities(circle, x)
@@ -213,12 +219,13 @@ class TestVeroneseGenerators:
         gens = veronese_generators(seven_lines)
         # column order (x^2, xy, y^2, xz, yz, z^2): pairs grouped by larger index
         assert quadric_monomials(3) == ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
-        assert gens.L[4] == (1, 4, 4, 6, 12, 9)
-        assert gens.L[5] == (1, 10, 25, 14, 70, 49)
+        L = squared_rows(seven_lines, gens)
+        assert L[4] == (1, 4, 4, 6, 12, 9)
+        assert L[5] == (1, 10, 25, 14, 70, 49)
         # (x + 11y + 13z)^2 has xz coefficient 26
-        assert gens.L[6] == (1, 22, 121, 26, 286, 169)
+        assert L[6] == (1, 22, 121, 26, 286, 169)
         assert len(gens.linear_forms) == 1
-        assert len(gens.linear_forms) == 7 - ratlin.rank(gens.L)
+        assert len(gens.linear_forms) == 7 - ratlin.rank(L)
         for x in ((1, 2, -1), (3, -1, 2)):
             p = exact_probabilities(seven_lines, x)
             assert all(ratlin.dot(f, p) == 0 for f in gens.linear_forms)

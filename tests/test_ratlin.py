@@ -200,7 +200,7 @@ def test_degenerate_leading_block_permutation_matches_oracle():
     ],
 )
 def test_column_permutation(Theta_fixed, k, n, permutation):
-    assert reduced_points(DPPModel(Theta_fixed, k, n))[1] == permutation
+    assert reduced_points(DPPModel(Theta_fixed, k, n))[0] == permutation
 
 
 def test_column_permutation_matches_oracle():
@@ -214,7 +214,7 @@ def test_column_permutation_matches_oracle():
             row[-1] = 2 * row[-2] - row[n - k + 1] if k > 3 else 3 * row[-2]
         if oracle.rank(as_fractions(rows)) < k - 1:
             continue
-        perm, reduced = reduced_points(DPPModel(rows, k, n))[1:]
+        perm, reduced = reduced_points(DPPModel(rows, k, n))
         assert perm == old_column_permutation(rows, k, n)
         m = n - k + 1
         assert [list(row[m:]) for row in reduced] == [[int(i == j) for j in range(k - 1)] for i in range(k - 1)]

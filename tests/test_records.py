@@ -1,9 +1,8 @@
 """The package's records against the dataclasses they replace.
 
 Every record derives from :class:`sqlinear.arrangement.Record`. Each test
-compares one feature with the frozen (or, for the two mutable records,
-plain) dataclass of the same name and fields, which ``dataclasses`` builds
-here as the reference.
+compares one feature with the frozen dataclass of the same name and fields,
+which ``dataclasses`` builds here as the reference.
 """
 
 import copy
@@ -18,8 +17,7 @@ from sqlinear import catalog
 from sqlinear.arrangement import Arrangement, CharacteristicPolynomial, KernelComplement, Record, Region, SignVector
 from sqlinear.errors import AnchorNotUnique, RankDeficient, ValidationError
 
-MODULES = ("arrangement", "model", "geometry", "degeneration", "dpp", "mle", "plotting")
-MUTABLE = ("SolveAllResult", "Overlays")
+MODULES = ("arrangement", "model", "geometry", "degeneration", "dpp", "mle")
 # The records whose constructor checks or converts its arguments.
 CHECKED = ("Arrangement", "SquaredLinearModel", "TropicalData", "DPPModel")
 
@@ -36,15 +34,15 @@ def records():
 
 
 def twin(cls):
-    """The dataclass ``cls`` replaces: same name, fields and mutability."""
-    return dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=cls.__name__ not in MUTABLE)
+    """The frozen dataclass ``cls`` replaces: same name and fields."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
 
 
-PLAIN = [cls for cls in records() if cls.__name__ not in MUTABLE + CHECKED]
+PLAIN = [cls for cls in records() if cls.__name__ not in CHECKED]
 
 
 def test_every_layer_has_its_records():
-    assert len(records()) == 24
+    assert len(records()) == 23
     assert {cls.__module__.rsplit(".", 1)[1] for cls in records()} == set(MODULES)
     for cls in records():
         assert cls.__slots__ and cls.__dictoffset__ == 0, cls  # the fields are slots, and there is no __dict__
@@ -93,6 +91,13 @@ def test_frozen_records_refuse_assignment(name, action):
     with pytest.raises(AttributeError, match=f"cannot {name} field 'witness'"):
         action(region, *(("witness", (Fraction(1),)) if action is setattr else ("witness",)))
     assert region.ray == (1,) and region.witness == (Fraction(1),)
+    # So does the solve's result, the last record that assigned.
+    from sqlinear.mle import SolveAllResult
+
+    result = SolveAllResult([], 0, [])
+    with pytest.raises(AttributeError, match=f"cannot {name} field 'failures'"):
+        action(result, *(("failures", None) if action is setattr else ("failures",)))
+    assert result.failures == []
 
 
 def test_region_holds_its_ray_and_reads_the_witness_off_it():
@@ -107,32 +112,8 @@ def test_region_holds_its_ray_and_reads_the_witness_off_it():
     assert "witness" not in Region.__slots__ and pickle.dumps(region) == pickle.dumps(clone)
 
 
-def test_mutable_records_assign_and_are_unhashable():
-    from sqlinear.mle import SolveAllResult
-    from sqlinear.plotting import Overlays
-
-    overlays = Overlays()
-    overlays.critical_points = [(1.0, 2.0)]
-    assert overlays == Overlays(critical_points=[(1.0, 2.0)])
-    for record in (overlays, SolveAllResult([], 0)):
-        assert type(record).__hash__ is None is twin(type(record)).__hash__
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
-
-
 def test_defaults():
-    from sqlinear.degeneration import DegenerateSolution
-    from sqlinear.mle import SolveAllResult
-    from sqlinear.plotting import Overlays
-
     assert Arrangement(((1, 0), (0, 1))).labels is None
-    assert DegenerateSolution((), (1,), 0, True).error is None
-    first, second = SolveAllResult([], 0), SolveAllResult([], 0)
-    assert first.failures == [] and first.failures is not second.failures
-    overlays = Overlays()
-    lists = (overlays.critical_points, overlays.arcs, overlays.limit_points, overlays.region_labels)
-    assert lists == ([], [], [], []) and overlays.lognormal is None
-    assert Overlays().arcs is not overlays.arcs
 
 
 def test_validation_runs_at_construction():
