@@ -98,9 +98,6 @@ class Arrangement(Record):
     def rank(self) -> int:
         return ratlin.rank(self.A)
 
-    def is_essential(self) -> bool:
-        return self.rank() == self.d
-
     def form_values(self, x):
         """Values (l_1(x), ..., l_n(x)); exact when x is rational."""
         return tuple(ratlin.dot(row, x) for row in self.A)
@@ -127,20 +124,12 @@ class SignVector(Record):
         object.__setattr__(self, "signs", signs)
 
     @staticmethod
-    def canonical(signs):
-        signs = tuple(int(s) for s in signs)
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("sign vectors must have entries +-1")
-        if signs and signs[0] < 0:
-            signs = tuple(-s for s in signs)
-        return SignVector(signs)
-
-    @staticmethod
     def from_values(values):
-        """Canonical sign vector of a list of nonzero numbers."""
+        """Canonical sign vector of a list of nonzero numbers: the first entry is +1."""
         if any(v == 0 for v in values):
             raise ValueError("cannot take the sign vector of a zero value")
-        return SignVector.canonical(tuple(1 if v > 0 else -1 for v in values))
+        lead = 1 if values[0] > 0 else -1
+        return SignVector(tuple(lead if v > 0 else -lead for v in values))
 
     def __str__(self):
         return "".join("+" if s > 0 else "-" for s in self.signs)
@@ -163,9 +152,6 @@ class Region(Record):
     def witness(self) -> tuple:
         top = max(map(abs, self.ray))
         return tuple(Fraction(v, top) for v in self.ray)
-
-    def key(self) -> str:
-        return str(self.sign)
 
 
 class CharacteristicPolynomial(Record):
@@ -200,8 +186,8 @@ class CharacteristicPolynomial(Record):
 
 
 def _require_essential(arr: Arrangement):
-    if not arr.is_essential():
-        raise RankDeficient(f"operation needs rank(A) = d = {arr.d}, got rank {arr.rank()}")
+    if (rank := arr.rank()) != arr.d:
+        raise RankDeficient(f"operation needs rank(A) = d = {arr.d}, got rank {rank}")
 
 
 def kernel_complement(arr: Arrangement) -> KernelComplement:

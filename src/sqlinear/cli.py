@@ -190,19 +190,15 @@ def _track(model, doc, args):
 
 
 def _tracking_overlays(model, trop, estimates):
-    """Each region's tracked arc from its witness, and the closed-form limits."""
-    import numpy as np
-
+    """Each region's tracked arc, its witness then the solver's points, and
+    the exact closed-form limits; plotting turns both into floats."""
     from .degeneration import unit_data_solutions
-    from .mle import to_floats
     from .model import parameters_of
 
-    ys = np.array([est.y_track for est in estimates])  # (region, eps, state)
-    xs = np.linalg.lstsq(model.A_float, ys.reshape(-1, model.n).T)[0].T.reshape(*ys.shape[:2], model.d)
-    starts = to_floats([est.region for est in estimates], "witness").tolist()
-    arcs = [[start, *track] for start, track in zip(starts, xs.tolist())]
-    limits = parameters_of(model, [sol.y for sol in unit_data_solutions(model, trop.anchor) if sol.y])
-    return {"arcs": arcs, "limit_points": to_floats(limits, "parameters").tolist()}
+    return {
+        "arcs": [[est.region, *est.x_track] for est in estimates],
+        "limit_points": parameters_of(model, [sol.y for sol in unit_data_solutions(model, trop.anchor) if sol.y]),
+    }
 
 
 def _check_figure(arr, wanted):
@@ -379,7 +375,7 @@ def _cmd_dpp(doc, args):
     dpp = jsonio.dpp_from_json(doc)
     disc = linear_projection_arrangement(dpp)
     out = {
-        "states": [[i + 1 for i in sigma] for sigma in disc.states],
+        "states": [[i + 1 for i in sigma] for sigma in dpp.states],
         "hyperplanes": jsonio.matrix_to_json(disc.arrangement.A),
         "ml_degree": ml_degree(disc.arrangement),
     }

@@ -67,7 +67,7 @@ class TropicalPoint(Record):
 
 
 class ValuationEstimate(Record):
-    __slots__ = ("region", "slopes", "point", "residual", "y_track")  # y_track: anchor-normalized y per eps, largest first
+    __slots__ = ("region", "slopes", "point", "residual", "x_track")  # x_track: the solver's x per eps, largest first
 
 
 def admissible_supports(n: int, anchor: int, d: int):
@@ -130,7 +130,7 @@ def tropical_predictions(
     """
     _check_length(model, trop.w)
     w, anchor = trop.w, trop.anchor
-    if check_generic and not model_is_generic(model, anchor):
+    if check_generic and not all(sol.generic_flag for sol in unit_data_solutions(model, anchor)):
         warnings.warn(
             "model is not generic for degenerate data: some predicted "
             "valuations may not be realized",
@@ -145,10 +145,6 @@ def tropical_predictions(
 def _check_length(model: SquaredLinearModel, w):
     if len(w) != model.n:
         raise ValidationError(f"valuation vector must have n = {model.n} entries, got {len(w)}")
-
-
-def model_is_generic(model: SquaredLinearModel, anchor: int = 0) -> bool:
-    return all(sol.generic_flag for sol in unit_data_solutions(model, anchor))
 
 
 def estimate_valuations(
@@ -166,7 +162,8 @@ def estimate_valuations(
     suppresses next-order series terms) estimates the valuation of each
     coordinate; slopes are rounded to the only values the theory allows,
     namely 0 or w_j - w_anchor, and the largest pre-rounding deviation is
-    reported as the residual.
+    reported as the residual. ``x_track`` keeps the solver's own x at each
+    eps, the points a figure draws as the region's arc.
     """
     import numpy as np
 
@@ -191,11 +188,12 @@ def estimate_valuations(
         )
     regions = enumerate_regions(model.arr)
 
-    tracks = [[] for _ in regions]
+    tracks = [[] for _ in regions]  # anchor-scaled y per eps, for the fit
+    x_tracks = [[] for _ in regions]
     starts = None
     for eps in eps_grid:
         (points,) = _solve_batch(model, [eps**w], regions, tol=1e-10, starts=starts)
-        for region, point, track in zip(regions, points, tracks):
+        for region, point, track, x_track in zip(regions, points, tracks, x_tracks):
             if not isinstance(point, CriticalPoint):
                 raise PathLost(f"tracking lost region {region.sign} at eps = {eps:g}: {point}") from point
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -203,6 +201,7 @@ def estimate_valuations(
             if not np.all(np.isfinite(scaled)):
                 raise PathLost(f"lost region {region.sign} at eps = {eps:g}: anchor value {point.y[anchor]:g}")
             track.append(scaled)
+            x_track.append(tuple(point.x.tolist()))
         starts = [[point.x for point in points]]
 
     # One slope fit: each (region, coordinate) pair is a column of the right-hand side.
@@ -213,7 +212,7 @@ def estimate_valuations(
     allowed = [v - trop.w[anchor] for v in trop.w]
     targets = to_floats(allowed, "w").tolist()
     estimates = []
-    for region, track, slopes in zip(regions, ys.tolist(), fitted):
+    for region, x_track, slopes in zip(regions, x_tracks, fitted):
         slopes[anchor] = 0.0
         # The nearer of 0 and w_j - w_anchor; a tie rounds to 0.
         nearer = [abs(v - t) < abs(v) for v, t in zip(slopes, targets)]
@@ -224,7 +223,7 @@ def estimate_valuations(
                 slopes=tuple(slopes),
                 point=TropicalPoint(z=z, J=tuple(j for j, v in enumerate(z) if v != 0)),
                 residual=max(0.0, *(abs(v - t if near else v) for v, t, near in zip(slopes, targets, nearer))),
-                y_track=tuple(map(tuple, track)),
+                x_track=tuple(x_track),
             )
         )
     return estimates

@@ -46,10 +46,10 @@ class DiscriminantalArrangement(Record):
     """Reduction of a linear projection DPP to an arrangement in P^(n-k).
 
     Row i of ``arrangement`` is the linear form (in the surviving parameters)
-    whose square is proportional to the probability of ``states[i]``.
+    whose square is proportional to the probability of the DPP's ``states[i]``.
     """
 
-    __slots__ = ("arrangement", "states")
+    __slots__ = ("arrangement",)
 
 
 def dpp_probabilities(Theta) -> SubsetDistribution:
@@ -129,7 +129,7 @@ def linear_projection_arrangement(dpp: DPPModel) -> DiscriminantalArrangement:
         # proportional to the square of its form with one common constant.
         rows.append(tuple(coeffs))
         labels.append("{" + ",".join(str(i + 1) for i in sigma) + "}")
-    return DiscriminantalArrangement(Arrangement(A=tuple(rows), labels=tuple(labels)), dpp.states)
+    return DiscriminantalArrangement(Arrangement(A=tuple(rows), labels=tuple(labels)))
 
 
 def dpp_ml_degree_l2(n: int) -> int:

@@ -220,32 +220,27 @@ def chamber_forms(model: SquaredLinearModel):
 
 
 def chamber_arrangement(model: SquaredLinearModel) -> ChamberArrangement:
-    """Original hyperplanes plus the chamber walls, deduplicated with a report."""
+    """Original hyperplanes plus the chamber walls, deduplicated with a report.
+
+    Each primitive form keeps the first label it comes with, original rows
+    first; every later label of the same form, a parallel input row's too,
+    is reported as dropped under it.
+    """
     arr = model.arr
-    extras = chamber_forms(model)
-    rows = []
-    labels = []
-    seen = {}
-    duplicates = {}
-    for i, row in enumerate(arr.A):
-        prim = ratlin.primitive(row)
-        seen[prim] = arr.label(i)
-        rows.append(prim)
-        labels.append(arr.label(i))
-    for extra in extras:
-        prim = ratlin.primitive(extra.normal)
-        label = "ch{" + ",".join(str(j + 1) for j in extra.subset) + "}"
-        if prim in seen:
-            duplicates.setdefault(seen[prim], []).append(label)
-            continue
-        seen[prim] = label
-        rows.append(prim)
-        labels.append(label)
-    deduped = Arrangement(A=tuple(rows), labels=tuple(labels))
-    dup_report = tuple(
-        (kept, tuple(dropped)) for kept, dropped in sorted(duplicates.items())
+    pairs = [(arr.label(i), row) for i, row in enumerate(arr.A)] + [
+        ("ch{" + ",".join(str(j + 1) for j in extra.subset) + "}", extra.normal) for extra in chamber_forms(model)
+    ]
+    kept, duplicates = {}, {}
+    for label, form in pairs:
+        prim = ratlin.primitive(form)
+        if prim in kept:
+            duplicates.setdefault(kept[prim], []).append(label)
+        else:
+            kept[prim] = label
+    return ChamberArrangement(
+        Arrangement(A=tuple(kept), labels=tuple(kept.values())),
+        tuple((label, tuple(dropped)) for label, dropped in sorted(duplicates.items())),
     )
-    return ChamberArrangement(arrangement=deduped, duplicates=dup_report)
 
 
 def swap_candidates(model: SquaredLinearModel, y) -> list:
@@ -305,7 +300,7 @@ def combinatorial_type_scan(model: SquaredLinearModel):
     report, f_vectors = {}, {}
     for region in enumerate_regions(chamber_arrangement(model).arrangement):
         rays, _, _, f_vector = _data_cone(model.B.B, [sum(map(mul, row, region.ray)) for row in A], f_vectors)
-        report[region.key()] = (f_vector, tuple(sorted(mask.bit_count() for _, mask in rays)))
+        report[str(region.sign)] = (f_vector, tuple(sorted(mask.bit_count() for _, mask in rays)))
     return report
 
 
@@ -403,5 +398,8 @@ def _data_rows(model: SquaredLinearModel, y):
 
 
 def _in_row_span(model: SquaredLinearModel, y, s) -> bool:
+    """Whether s lies in the span of the rows [y^2; B diag(y)], which are
+    independent for a kernel point y with no zero coordinate: y^2 = c B diag(y)
+    would make y = B^T c, which B y = 0 forces to zero."""
     rows = _data_rows(model, y)
-    return ratlin.rank(rows + [tuple(s)]) == ratlin.rank(rows)
+    return ratlin.rank(rows + [tuple(s)]) == len(rows)

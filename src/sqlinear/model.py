@@ -97,6 +97,8 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     Needs n >= N = d(d+1)/2 and the squares of the first N forms linearly
     independent; otherwise a row permutation that repairs the leading block
     is reported rather than silently applied, so row labels stay meaningful.
+    The error's message names N and that row order, 1-based, or says that no
+    order repairs it; the error carries the order as ``permutation``.
     """
     d, n, N = model.d, model.n, model.N
     if n < N:
@@ -106,10 +108,12 @@ def veronese_generators(model: SquaredLinearModel) -> VeroneseGenerators:
     inverse_rows = ratlin.inverse(L[:N])
     if inverse_rows is None:
         perm = ratlin.independent_rows(L, N)
-        if perm is not None:
-            perm = tuple(perm + [i for i in range(n) if i not in perm])
+        message = f"squares of the first N = {N} forms are linearly dependent"
+        if perm is None:
+            raise DegenerateLeadingBlock(f"{message}, and no row order makes them independent")
+        perm = tuple(perm + [i for i in range(n) if i not in perm])
         raise DegenerateLeadingBlock(
-            "squares of the first N forms are linearly dependent",
+            f"{message}; reordering the rows as {', '.join(str(i + 1) for i in perm)} makes them independent",
             permutation=perm,
         )
     # Entry (i,j) of R is the row of L[:N]^{-1} attached to monomial x_i x_j,

@@ -160,12 +160,13 @@ def noninjectivity_witness(subspace, model):
     return x, xp
 
 
-def limit_gap(estimate, solution, anchor):
-    """Largest coordinate gap between a tracked region's last point and a
-    closed-form degenerate solution at ``anchor``, both scaled to anchor
-    coordinate one."""
+def limit_gap(model, estimate, solution, anchor):
+    """Largest coordinate gap between y = A x at a tracked region's last
+    point and a closed-form degenerate solution at ``anchor``, both scaled to
+    anchor coordinate one."""
     y = np.array(solution.y, dtype=float)
-    return np.abs(y / y[anchor] - estimate.y_track[-1]).max()
+    last = model.A_float @ np.array(estimate.x_track[-1])
+    return np.abs(y / y[anchor] - last / last[anchor]).max()
 
 
 def canonical_x(x):

@@ -132,5 +132,5 @@ def enumerate_regions(arr):
     result = []
     for signs, witness in regions:
         result.append(Region(sign=SignVector(signs), ray=_ray(ratlin.cleared(witness)[0])))
-    result.sort(key=Region.key)
+    result.sort(key=lambda region: str(region.sign))
     return result

@@ -148,7 +148,7 @@ def test_criterion_06_tropical_mle(steiner):
     assert max(e.residual for e in estimates) <= 0.1
     solutions = {sol.J: sol for sol in unit_data_solutions(steiner, 0)}
     assert sorted(e.point.J for e in estimates) == sorted(solutions)
-    worst = max(limit_gap(e, solutions[e.point.J], 0) for e in estimates)
+    worst = max(limit_gap(steiner, e, solutions[e.point.J], 0) for e in estimates)
     assert worst <= 1e-3
     elapsed = time.perf_counter() - start
     report(6, f"7 tropical predictions tracked; worst residual ok, limit gap {worst:.1e} ({elapsed:.1f}s)")

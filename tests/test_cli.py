@@ -151,6 +151,17 @@ class TestBasicCommands:
         assert out["count"] == 12
         assert ["3", "-7"] in out["forms"]
 
+    def test_chamber_drops_parallel_input_rows(self, tmp_path):
+        # l2 = 2 l1 and the wall ch{1,2} share one form, which keeps l1's label.
+        code, text = run(tmp_path, "chamber", {"A": [[1, 0], [2, 0], [0, 1]]})
+        assert code == 0
+        out = json.loads(text)
+        assert (out["count"], out["forms"], out["labels"]) == (2, [["1", "0"], ["0", "1"]], ["l1", "l3"])
+        assert out["duplicates"] == [
+            {"kept": "l1", "dropped": ["l2", "ch{1,2}"]},
+            {"kept": "l3", "dropped": ["ch{1,3}", "ch{2,3}"]},
+        ]
+
     def test_exact_commands_on_seven_lines_chamber_forms(self, tmp_path):
         # 28 rows: past the 24-row budget chi once had.
         code, text = run(tmp_path, "chamber", arrangement_to_json(seven_lines_arrangement()))
@@ -650,6 +661,24 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["type"], err["message"]) == ("ValidationError", "data vector must have n = 4 entries, got shape (3,)")
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ([0, 1, 1], "; reordering the rows as 1, 2, 3, 5, 6, 7, 4 makes them independent"),
+            ([1, 2, 0], ", and no row order makes them independent"),
+        ],
+        ids=["repairable", "unrepairable"],
+    )
+    def test_ideal_dependent_leading_block(self, tmp_path, capsys, last, message):
+        # The squares of the first four forms lie in the 3-dimensional span of x1^2, x1 x2, x2^2.
+        doc = {"A": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0], [0, 0, 1], [1, 0, 1], last]}
+        assert run(tmp_path, "ideal", doc) == (2, "")
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == (
+            "DegenerateLeadingBlock",
+            "squares of the first N = 6 forms are linearly dependent" + message,
+        )
 
     def test_chamber_determinant_vanishing_identically(self, tmp_path, capsys):
         # Columns 1, 3 and 4 of B have rank 1, below n - d = 2.

@@ -9,13 +9,13 @@ import pytest
 import degeneration_oracle
 from conftest import CATALOG, limit_gap
 from sqlinear import degeneration, mle
+from sqlinear.arrangement import enumerate_regions
 from sqlinear.catalog import random_arrangement
 from sqlinear.cli import main
 from sqlinear.degeneration import (
     TropicalData,
     admissible_supports,
     estimate_valuations,
-    model_is_generic,
     tropical_predictions,
     unit_data_solutions,
 )
@@ -85,7 +85,7 @@ class TestUnitDataSolutions:
         assert {sol.J for sol in flagged} == {(2,), ()}
         colliding = {tuple(int(v) for v in sol.y) for sol in flagged}
         assert colliding == {(2, 1, 0, -1)}
-        assert not model_is_generic(four_points, 0)
+        assert not all(sol.generic_flag for sol in solutions)
 
     def test_other_anchor(self, steiner):
         solutions = unit_data_solutions(steiner, 3)
@@ -216,7 +216,7 @@ class TestEstimateValuations:
         solutions = {sol.J: sol for sol in unit_data_solutions(steiner, 0)}
         assert sorted(e.point.J for e in estimates) == sorted(solutions)
         for est in estimates:
-            assert limit_gap(est, solutions[est.point.J], 0) <= 1e-3
+            assert limit_gap(steiner, est, solutions[est.point.J], 0) <= 1e-3
 
     def test_leading_coefficient_of_series(self, steiner):
         # the arc limiting to (1:0:0:1) behaves like y_2 = 2 eps^3 + ...
@@ -224,8 +224,36 @@ class TestEstimateValuations:
         estimates = estimate_valuations(steiner, trop)
         arc = next(e for e in estimates if e.point.J == (1, 2))
         eps = 1e-2  # grid point index 2
-        ratio = abs(arc.y_track[2][1]) / eps**3
+        y = steiner.A_float @ np.array(arc.x_track[2])
+        ratio = abs(y[1] / y[0]) / eps**3
         assert ratio == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "model, w, grid",
+        [
+            ("steiner", (0, 3, 4, 5), degeneration.DEFAULT_EPS_GRID),
+            ("braid4", (0, 1, 2, 3, 4, 5), tuple(10 ** (-1.5 - 0.375 * k) for k in range(4))),
+        ],
+        ids=["steiner", "braid4"],
+    )
+    def test_x_track_is_the_solver_chain(self, request, model, w, grid):
+        """Each x_track entry is, byte for byte, the x of a _solve_batch
+        chain warm-started down the grid: a figure's arc is the solver's own
+        points, as plain float tuples."""
+        model = request.getfixturevalue(model)
+        trop = TropicalData(w=w, anchor=0)
+        estimates = estimate_valuations(model, trop, eps_grid=grid)
+        regions = enumerate_regions(model.arr)
+        assert [est.region for est in estimates] == regions
+        w = mle.to_floats(trop.w, "w")
+        starts = None
+        for k, eps in enumerate(grid):
+            (points,) = mle._solve_batch(model, [eps**w], regions, tol=1e-10, starts=starts)
+            for est, point in zip(estimates, points):
+                assert np.array(est.x_track[k]).tobytes() == point.x.tobytes()
+            starts = [[point.x for point in points]]
+        assert {len(est.x_track) for est in estimates} == {len(grid)}
+        assert {type(v) for est in estimates for x in est.x_track for v in x} == {float}
 
     def test_braid_matches_where_generic(self, braid4):
         trop = TropicalData(w=(0, 1, 2, 3, 4, 5), anchor=0)
@@ -240,7 +268,7 @@ class TestEstimateValuations:
         for est in realized:
             assert est.residual <= 0.1
             assert est.point.z == predictions[est.point.J].z
-            assert limit_gap(est, generic[est.point.J], 0) <= 1e-2
+            assert limit_gap(braid4, est, generic[est.point.J], 0) <= 1e-2
 
     def test_grid_validation(self, steiner):
         trop = TropicalData(w=(0, 3, 4, 5), anchor=0)
@@ -326,7 +354,8 @@ class TestEstimateValuations:
         grid = grid or degeneration.DEFAULT_EPS_GRID
         log_eps = np.log(np.array(grid))
         for est in estimate_valuations(model, trop, eps_grid=grid):
-            slopes = np.polyfit(log_eps, np.log(np.abs(np.array(est.y_track))), 1)[0]
+            ys = np.array(est.x_track) @ model.A_float.T
+            slopes = np.polyfit(log_eps, np.log(np.abs(ys / ys[:, :1])), 1)[0]
             slopes[0] = 0.0
             assert np.max(np.abs(np.array(est.slopes) - slopes)) <= 1e-12
             z = tuple(

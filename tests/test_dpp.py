@@ -113,7 +113,7 @@ class TestLinearProjectionArrangement:
         disc = linear_projection_arrangement(dpp)
         perm, reduced = reduced_points(dpp)
         points = configuration(reduced)
-        for row, sigma in zip(disc.arrangement.A, disc.states):
+        for row, sigma in zip(disc.arrangement.A, dpp.states):
             complement = tuple(
                 sorted(perm.index(c) for c in range(n) if c not in sigma)
             )

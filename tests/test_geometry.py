@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sqlinear import ratlin
-from sqlinear.arrangement import enumerate_regions, ml_degree
+from sqlinear.arrangement import Arrangement, enumerate_regions, ml_degree
 from sqlinear.catalog import random_arrangement
 from sqlinear.errors import NoConvergence, ValidationError, ZeroCoordinate
 from sqlinear.geometry import (
@@ -16,6 +16,7 @@ from sqlinear.geometry import (
     log_voronoi_scan,
     lognormal_polytope,
     swap_candidates,
+    _data_rows,
     _in_row_span,
 )
 from sqlinear.mle import CriticalPoint, SolveAllResult, _solve_batch, solve_all, to_floats
@@ -145,6 +146,18 @@ class TestLognormalPolytope:
         assert _in_row_span(four_points, y, s_star)
         assert all(v > 0 for v in s_star)
 
+    def test_data_rows_are_independent(self, pyrng):
+        # _in_row_span compares one rank with the row count, so [y^2; B diag(y)]
+        # has full row rank at every kernel point with no zero coordinate.
+        for model in (make_model(random_arrangement(3, 6, pyrng)), make_model(random_arrangement(2, 5, pyrng))):
+            for _ in range(5):
+                y = sample_kernel_point(model, pyrng, avoid_chamber=False)
+                rows = _data_rows(model, y)
+                assert ratlin.rank(rows) == len(rows) == model.n - model.d + 1
+                inside = tuple(a + 2 * b for a, b in zip(rows[0], rows[-1]))
+                outside = tuple(pyrng.randint(1, 9) for _ in range(model.n))
+                assert _in_row_span(model, y, inside) and not _in_row_span(model, y, outside)
+
     def test_circle_segment(self, circle):
         poly = lognormal_polytope(circle, (1, 2, 3))
         assert poly.dim == 1
@@ -256,6 +269,13 @@ class TestChamberArrangement:
         prims = {ratlin.primitive(row) for row in chamber.arrangement.A}
         assert len(prims) == chamber.arrangement.n
 
+    def test_parallel_input_rows_deduplicated(self):
+        # Input rows parallel to an earlier one are dropped like the walls
+        # that repeat a form, each under the first label of its form.
+        chamber = chamber_arrangement(make_model(Arrangement(A=((1, 0), (2, 0), (0, 1)))))
+        assert chamber.arrangement == Arrangement(A=((1, 0), (0, 1)), labels=("l1", "l3"))
+        assert chamber.duplicates == (("l1", ("l2", "ch{1,2}")), ("l3", ("ch{1,3}", "ch{2,3}")))
+
 
 class TestCombinatorialTypeScan:
     def test_six_points_wall(self, six_points):
@@ -271,6 +291,12 @@ class TestCombinatorialTypeScan:
         # The scan visits every region of the chamber arrangement once.
         report = combinatorial_type_scan(seven_lines)
         assert len(report) == ml_degree(chamber_arrangement(seven_lines).arrangement) == 300
+
+    def test_parallel_input_rows_scan_the_deduplicated_chamber(self):
+        # The chamber arrangement once kept both parallel rows, and its
+        # enumeration raised ParallelRows.
+        report = combinatorial_type_scan(make_model(Arrangement(A=((1, 0), (2, 0), (0, 1)))))
+        assert report == {"++": ((2,), (1, 1)), "+-": ((2,), (1, 1))}
 
     def test_steiner_scan_completes(self, steiner):
         report = combinatorial_type_scan(steiner)

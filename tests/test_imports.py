@@ -296,6 +296,10 @@ def members_without_a_caller(sources):
     }
 
 
+def is_slots(stmt):
+    return isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]
+
+
 def fields_without_a_reader(sources):
     """The ``__slots__`` fields of the top-level classes of ``{module: source}``
     whose name no attribute read carries outside the class's own body."""
@@ -307,7 +311,7 @@ def fields_without_a_reader(sources):
         for cls in tree.body
         if isinstance(cls, ast.ClassDef)
         for stmt in cls.body
-        if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]
+        if is_slots(stmt)
         for field in ast.literal_eval(stmt.value)
         if total[field] == reads(cls)[field]
     }
@@ -438,6 +442,90 @@ def test_benchmark_surface_resolves():
     for layer in layers:
         importlib.import_module(f"sqlinear.{layer}")
     assert isinstance(SquaredLinearModel.__dict__["A_float"], property)
+
+
+# What workloads.py reads off the package's objects: class -> members. A
+# record field, property or method that is renamed or dropped fails here.
+BENCHMARK_MEMBERS = {
+    "arrangement.Arrangement": ("A", "form_values"),
+    "arrangement.CharacteristicPolynomial": ("coeffs",),
+    "arrangement.KernelComplement": ("B",),
+    "arrangement.Region": ("sign", "witness"),
+    "arrangement.SignVector": ("signs",),
+    "degeneration.DegenerateSolution": ("J", "generic_flag", "y"),
+    "degeneration.TropicalData": ("anchor",),
+    "degeneration.TropicalPoint": ("J", "z"),
+    "degeneration.ValuationEstimate": ("point",),
+    "dpp.DiscriminantalArrangement": ("arrangement",),
+    "geometry.ChamberHyperplane": ("normal",),
+    "geometry.Polytope": ("f_vector",),
+    "geometry.VoronoiProfile": ("crossings", "tags"),
+    "mle.CriticalPoint": ("hessian_max_eig", "logL", "region", "x"),
+    "mle.SolveAllResult": ("failures", "mle", "mle_index", "points"),
+    "model.SquaredLinearModel": ("B", "arr", "d", "n"),
+}
+
+
+def src_member_names():
+    """The names of the fields, methods and properties of src/'s top-level classes."""
+    names = set()
+    for source in src_sources().values():
+        for cls in ast.parse(source).body:
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        names.add(stmt.name)
+                    elif is_slots(stmt):
+                        names.update(ast.literal_eval(stmt.value))
+    return names
+
+
+def test_benchmark_members_resolve():
+    """Each member that workloads.py reads off a library object exists on
+    its class, and the list above holds every attribute name that
+    workloads.py reads off a value other than a module and that some class
+    of src/ defines. Types are not resolved, so the list says which class
+    each name is read from."""
+    import importlib
+
+    missing = []
+    for path, names in BENCHMARK_MEMBERS.items():
+        module, cls = path.split(".")
+        owner = getattr(importlib.import_module(f"sqlinear.{module}"), cls)
+        missing += [f"{path}.{name}" for name in names if not hasattr(owner, name)]
+    assert missing == []
+    tree = ast.parse((SRC.parent / "perfbench" / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and getattr(node.value, "id", None) not in modules
+    }
+    listed = {name for names in BENCHMARK_MEMBERS.values() for name in names}
+    assert read & src_member_names() == listed
+
+
+def test_cli_reads_floats_only_through_the_layers():
+    """cli.py imports no numpy and no to_floats: a figure's tracked arcs are
+    the solver's points and its limit points exact, so plotting converts
+    both, and nothing in the CLI works an x out again from y."""
+    tree = ast.parse((SRC / "sqlinear" / "cli.py").read_text())
+    imported = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+    }
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
+    assert "to_floats" not in imported
+    assert "lstsq" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def test_src_has_no_assertion():

@@ -106,7 +106,7 @@ def test_oracle_interior_samples_lie_inside_their_region(name):
     chamber = chamber_arrangement(make_model(arr)).arrangement
     for target, count in ((arr, 4), (chamber, 2)):
         for region in enumerate_regions(target):
-            got = oracle.interior_samples(target, region, count, random.Random(region.key()))
+            got = oracle.interior_samples(target, region, count, random.Random(str(region.sign)))
             assert len(set(got)) == count
             assert region.witness not in got
             assert all(_strictly_inside(target, region, x) for x in [region.witness] + got)
@@ -130,7 +130,7 @@ def type_scan_oracle(model, region_count=None):
         points = [region.witness] + oracle.interior_samples(chamber, region, ORACLE_SAMPLES - 1, rng)
         signatures = {oracle.signature(lognormal_polytope(model, model.arr.form_values(x))) for x in points}
         assert len(signatures) == 1
-        report[region.key()] = signatures.pop()
+        report[str(region.sign)] = signatures.pop()
     return report
 
 
