@@ -206,44 +206,42 @@ def kernel_complement(arr: Arrangement) -> KernelComplement:
 def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
     """chi(t) = sum over subsets S of (-1)^|S| t^(d - rank S) (Whitney).
 
-    Subsets are walked depth-first. Each node carries the integer echelon
-    form of its included rows as a tuple of (lead column, row) pairs, shared
-    with its descendants, so a node costs one fraction-free reduction of its
-    next row and nothing is undone. A row's content is divided out once,
-    when it joins. When row i lies in the span of the rows already included,
-    including it or leaving it out gives the same rank in every extension,
-    so the two branches' terms cancel one for one and the walk drops the
-    node; a node of rank d spans every later row, so it is never pushed, and
-    the last row's two branches go straight into the sum. The leaves that
-    survive are the no-broken-circuit sets (Bjorner 1982; Orlik & Terao
-    1992, ch. 3), and the nodes at depth j are the no-broken-circuit sets of
-    the first j rows. Adding a row never removes a region, so the walk
-    reduces at most n |chi(-1)| rows.
+    Subsets are walked depth first. A node at row i holds rows i.. reduced
+    against the integer echelon form of its included rows; leaving row i
+    out shares that list. Including it (a join) divides its content out and
+    reduces each later row by this one pivot, a fraction-free update where
+    the row is nonzero in the pivot's lead column. A row reduced to zero is
+    in the span of the included rows, so with or without it every
+    extension has the same rank and the terms cancel: the join stops and
+    is dropped. A join of rank d, spanning every later row, is never made.
+    Every node's rows are a no-broken-circuit set (Bjorner 1982; Orlik &
+    Terao 1992, ch. 3), fewer than |chi(-1)|. A join updating row j has
+    rows forming such a set of the first j rows, and adding a row never
+    removes a region: at most n|chi(-1)| updates.
     """
-    n, d = arr.n, arr.d
-    rows = [ratlin.cleared(row)[0] for row in arr.A]
+    d = arr.d
     acc = [0] * (d + 1)
-    stack = [(0, 1, ())]
+    stack = [(0, 1, 0, [ratlin.cleared(row)[0] for row in arr.A])]
     while stack:
-        i, sign, basis = stack.pop()
-        row = rows[i]
-        for lead, pivot in basis:
-            c = row[lead]
-            if c:
-                a = pivot[lead]
-                row = [a * x - c * y for x, y in zip(row, pivot)]
-        first = next(filter(None, row), 0)
-        if not first:
-            continue
-        rank = len(basis)
-        if i == n - 1:
+        i, sign, rank, later = stack.pop()
+        if i == len(later) - 1:
             acc[rank] += sign
             acc[rank + 1] -= sign
             continue
-        stack.append((i + 1, sign, basis))
+        stack.append((i + 1, sign, rank, later))
         if rank + 1 < d:
-            g = gcd(*row)
-            stack.append((i + 1, -sign, (*basis, (row.index(first), [v // g for v in row]))))
+            row = later[i]
+            lead, g = row.index(next(filter(None, row))), gcd(*row)
+            pivot = [v // g for v in row] if g > 1 else row
+            a, reduced = pivot[lead], []
+            for r in later[i + 1 :]:
+                if c := r[lead]:
+                    r = [a * x - c * y for x, y in zip(r, pivot)]
+                    if not any(r):
+                        break
+                reduced.append(r)
+            else:
+                stack.append((0, -sign, rank + 1, reduced))
     # acc[r] is the coefficient of t^(d - r): descending order already.
     return CharacteristicPolynomial(coeffs=tuple(acc))
 

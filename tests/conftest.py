@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from sqlinear import ratlin
+from sqlinear.arrangement import Arrangement
 from sqlinear.catalog import (
     braid_arrangement,
     circle_arrangement,
@@ -201,3 +203,42 @@ def sample_wall_point(model, pyrng):
         if all(t != 0 for t in y):
             return y
     raise AssertionError("could not sample a wall point")
+
+
+def degenerate_arrangement(rng, d, n, essential):
+    """n nonzero integer rows in d unknowns built to collide: repeated,
+    negated or scaled copies and combinations of two earlier rows, among
+    fresh ones; with ``essential`` False the last column is zero."""
+    width = d if essential else d - 1
+    rows = [tuple(rng.randint(-3, 3) for _ in range(width)) for _ in range(rng.randint(1, width))]
+    rows = [row for row in rows if any(row)] or [(1,) + (0,) * (width - 1)]
+    while len(rows) < n:
+        a, b = rng.choice(rows), rng.choice(rows)
+        kind = rng.randrange(4)
+        if kind == 0:
+            row = a
+        elif kind == 1:
+            row = tuple(rng.choice((-2, -1, 2, 3)) * x for x in a)
+        elif kind == 2:
+            row = tuple(rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b))
+        else:
+            row = tuple(rng.randint(-3, 3) for _ in range(width))
+        if any(row):
+            rows.append(row)
+    return Arrangement(A=tuple(row + (0,) * (d - width) for row in rows))
+
+
+def pencil(rng, n, spread=4):
+    """n planes in d = 3: n - 2 through one line, in distinct directions
+    p u + q v with |p| <= spread and 0 < q <= spread + 1, and two more;
+    redrawn until no two rows are parallel. The default spread has 31
+    directions."""
+    directions = [(p, q) for p in range(-spread, spread + 1) for q in range(1, spread + 2) if math.gcd(p, q) == 1]
+    while True:
+        line = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2)]
+        rows = [tuple(p * a + q * b for a, b in zip(*line)) for p, q in rng.sample(directions, n - 2)]
+        rows += [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2)]
+        if all(any(row) for row in rows) and len({ratlin.primitive(row) for row in rows}) == n:
+            arr = Arrangement(A=tuple(rows))
+            if arr.rank() == arr.d:
+                return arr

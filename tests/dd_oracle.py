@@ -1,14 +1,16 @@
-"""Test oracles: the per-cone double description and the truncating chi walk.
+"""Test oracles: the per-cone double description and two earlier chi walks.
 
 These are the rules :mod:`sqlinear.arrangement` followed before it shared one
-line table between all cones and walked chi on persistent echelons.
+line table between all cones and walked chi with each later row kept reduced.
 
 :func:`enumerate_regions` splits every cone on its own with :func:`_split`,
 evaluating a ray on the new row once per cone that holds it, and
 :func:`cone_rays` cuts one cone out row by row the same way.
 :func:`characteristic_polynomial` walks the no-broken-circuit tree on one
 shared :class:`IntEchelon`, truncated back to each node's rank when the
-node is popped. Regions keep the Fraction witnesses that enumeration built
+node is popped. :func:`persistent_characteristic_polynomial` walks it on
+persistent echelon forms, reducing each node's row against every pivot of
+its basis. Regions keep the Fraction witnesses that enumeration built
 before it returned integer rays. tests/test_dd_oracle.py checks that the
 library returns the same regions, witnesses, ordered cone rays and chi.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from sqlinear import ratlin
@@ -197,3 +199,40 @@ def characteristic_polynomial(arr):
             stack += ((i + 1, sign, rank), (i + 1, -sign, rank + 1))
     return CharacteristicPolynomial(coeffs=tuple(acc))
 
+
+def persistent_characteristic_polynomial(arr):
+    """chi(t) from the no-broken-circuit walk on persistent echelon forms.
+
+    Each node carries the integer echelon form of its included rows as a
+    tuple of (lead column, row) pairs, shared with its descendants, and
+    reduces its own row against every pivot of it when popped. A row in the
+    span of the included rows drops its node (the two branches cancel); a
+    node of rank d is never pushed; the last row's branches go straight into
+    the sum. The nodes at depth j are the no-broken-circuit sets of the
+    first j rows, so it reduces at most n |chi(-1)| rows.
+    """
+    n, d = arr.n, arr.d
+    rows = [ratlin.cleared(row)[0] for row in arr.A]
+    acc = [0] * (d + 1)
+    stack = [(0, 1, ())]
+    while stack:
+        i, sign, basis = stack.pop()
+        row = rows[i]
+        for lead, pivot in basis:
+            c = row[lead]
+            if c:
+                a = pivot[lead]
+                row = [a * x - c * y for x, y in zip(row, pivot)]
+        first = next(filter(None, row), 0)
+        if not first:
+            continue
+        rank = len(basis)
+        if i == n - 1:
+            acc[rank] += sign
+            acc[rank + 1] -= sign
+            continue
+        stack.append((i + 1, sign, basis))
+        if rank + 1 < d:
+            g = gcd(*row)
+            stack.append((i + 1, -sign, (*basis, (row.index(first), [v // g for v in row]))))
+    return CharacteristicPolynomial(coeffs=tuple(acc))

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import dd_oracle
 import ratlin_oracle
 from dd_oracle import IntEchelon
 from sqlinear import arrangement, catalog, ratlin
@@ -23,7 +24,7 @@ from sqlinear.errors import ParallelRows, RankDeficient, ValidationError
 from sqlinear.geometry import chamber_arrangement
 from sqlinear.model import make_model
 
-from conftest import CATALOG
+from conftest import CATALOG, degenerate_arrangement, pencil
 
 
 def row_span(rows):
@@ -135,43 +136,6 @@ def d3_region_count(arr):
     return 1 + sum(len(f.subset) - 1 for f in flats(arr, 2) if f.rank == 2)
 
 
-def degenerate_arrangement(rng, d, n, essential):
-    """n nonzero integer rows in d unknowns built to collide: repeated,
-    negated or scaled copies and combinations of two earlier rows, among
-    fresh ones; with ``essential`` False the last column is zero."""
-    width = d if essential else d - 1
-    rows = [tuple(rng.randint(-3, 3) for _ in range(width)) for _ in range(rng.randint(1, width))]
-    rows = [row for row in rows if any(row)] or [(1,) + (0,) * (width - 1)]
-    while len(rows) < n:
-        a, b = rng.choice(rows), rng.choice(rows)
-        kind = rng.randrange(4)
-        if kind == 0:
-            row = a
-        elif kind == 1:
-            row = tuple(rng.choice((-2, -1, 2, 3)) * x for x in a)
-        elif kind == 2:
-            row = tuple(rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b))
-        else:
-            row = tuple(rng.randint(-3, 3) for _ in range(width))
-        if any(row):
-            rows.append(row)
-    return Arrangement(A=tuple(row + (0,) * (d - width) for row in rows))
-
-
-def pencil(rng, n):
-    """n planes in d = 3: n - 2 through one line, in distinct directions,
-    and two more; redrawn until no two rows are parallel."""
-    directions = [(p, q) for p in range(-4, 5) for q in range(1, 6) if math.gcd(p, q) == 1]
-    while True:
-        line = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2)]
-        rows = [tuple(p * a + q * b for a, b in zip(*line)) for p, q in rng.sample(directions, n - 2)]
-        rows += [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2)]
-        if all(any(row) for row in rows) and len({ratlin.primitive(row) for row in rows}) == n:
-            arr = Arrangement(A=tuple(rows))
-            if arr.rank() == arr.d:
-                return arr
-
-
 def regions_if_accepted(arr):
     """The region count, or None where enumeration refuses the input."""
     try:
@@ -180,21 +144,23 @@ def regions_if_accepted(arr):
         return None
 
 
-def count_reductions(monkeypatch):
-    """Count the rows the chi walk reduces; returns the counter.
+def count_row_updates(monkeypatch, module=arrangement):
+    """Count the fraction-free row updates of the chi walk in ``module``;
+    returns the counter.
 
-    The walk finds the first nonzero entry of each row it reduces with one
-    call of ``next``, so a ``next`` shadowed in :mod:`sqlinear.arrangement`
-    counts the reductions. Callers assert the count positive, so a walk that
-    stops calling it fails instead of meeting its bound with a count of 0.
+    Both the library's walk and :func:`dd_oracle.persistent_characteristic_polynomial`
+    build each updated row from one call of ``zip`` and call it nowhere
+    else, so a ``zip`` shadowed in the module counts the updates. Callers
+    assert the count positive, so a walk that stops calling it fails
+    instead of meeting its bound with a count of 0.
     """
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return next(*args)
+        return zip(*args)
 
-    monkeypatch.setattr(arrangement, "next", counted, raising=False)
+    monkeypatch.setattr(module, "zip", counted, raising=False)
     return calls
 
 
@@ -243,9 +209,11 @@ class TestCharacteristicPolynomial:
             assert characteristic_polynomial(arr).coeffs == subset_rank_charpoly(arr)
 
     def test_matches_rank_cut_walk_on_random_degenerate_arrangements(self, pyrng):
-        accepted = 0
-        for trial in range(60):
-            d, n = 2 + trial % 3, pyrng.randint(3, 14)
+        """60 draws at d = 2..4, then 40 at d = 5 and 6; where enumeration
+        accepts a draw, its regions number |chi(-1)|/2."""
+        accepted = Counter()
+        for trial in range(100):
+            d, n = (2 + trial % 3 if trial < 60 else 5 + trial % 2), pyrng.randint(3, 14)
             arr = degenerate_arrangement(pyrng, d, n, essential=trial % 4 != 3)
             chi = characteristic_polynomial(arr)
             assert chi.coeffs == rank_cut_walk(arr), arr.A
@@ -253,9 +221,9 @@ class TestCharacteristicPolynomial:
                 assert chi.coeffs == subset_rank_charpoly(arr), arr.A
             count = regions_if_accepted(arr)
             if count is not None:
-                accepted += 1
+                accepted[d] += 1
                 assert count == abs(chi(-1)) // 2, arr.A
-        assert accepted >= 5
+        assert accepted[2] + accepted[3] + accepted[4] >= 5 and min(accepted[5], accepted[6]) >= 2
 
     @pytest.mark.parametrize("d, n", [(2, 6), (3, 8), (4, 9), (5, 11), (6, 14)])
     def test_matches_rank_cut_walk_on_random_generic_arrangements(self, pyrng, d, n):
@@ -274,29 +242,66 @@ class TestCharacteristicPolynomial:
 
     def test_pencils_match_rank2_flat_count(self, pyrng, monkeypatch):
         """n = 15..25, past where the rank-d cut stops paying: 2^(n-2)
-        subsets of the pencil never reach rank 3. The walk reduces at most
-        n |chi(-1)| rows, since the nodes at depth j are the no-broken-circuit
-        sets of the first j rows and adding a row never removes a region."""
+        subsets of the pencil never reach rank 3. The walk makes at most
+        n |chi(-1)| row updates. A join at row i that reaches row j found no
+        row between them in the span of its rows, so they form a
+        no-broken-circuit set of the first j rows. Each update is one such
+        (set, row j) pair, and the first j rows have at most |chi(-1)| of
+        those sets, since adding a row never removes a region. (A kept join
+        reaches every row, so its rows are a no-broken-circuit set of the
+        whole arrangement: fewer than |chi(-1)| joins are kept.)"""
         for n in range(15, 26):
             arr = pencil(pyrng, n)
-            calls = count_reductions(monkeypatch)
+            calls = count_row_updates(monkeypatch)
             chi = characteristic_polynomial(arr)
             monkeypatch.undo()
             assert chi(1) == 0 and chi.coeffs[:2] == (1, -n)
             assert abs(chi(-1)) // 2 == d3_region_count(arr) == len(enumerate_regions(arr))
             assert 0 < calls[0] <= n * abs(chi(-1))
 
+    def test_wide_pencil_stops_each_join_at_its_first_zero_row(self, pyrng, monkeypatch):
+        """45 planes, 43 through one line: each join of two pencil rows puts
+        every later pencil row in its span. Joins that reduced all their
+        later rows anyway would make about n^3/6 updates, past n |chi(-1)| =
+        n (6n - 10) from n = 35 on (15,177 here, against the bound 11,700);
+        stopping each join at its first zero row leaves 1,975."""
+        arr = pencil(pyrng, 45, spread=9)
+        calls = count_row_updates(monkeypatch)
+        chi = characteristic_polynomial(arr)
+        monkeypatch.undo()
+        assert chi.coeffs == dd_oracle.persistent_characteristic_polynomial(arr).coeffs
+        assert abs(chi(-1)) == 6 * 45 - 10
+        assert 0 < calls[0] <= 45 * abs(chi(-1))
+
     def test_thousands_of_rows(self):
-        # All rows of a d = 1 arrangement are parallel: one reduction per row, depth n.
+        # All rows of a d = 1 arrangement are parallel: no join, and a walk n rows deep.
         arr = Arrangement(A=tuple((k,) for k in range(1, 3001)))
         assert characteristic_polynomial(arr).coeffs == (1, -1)
 
-    def test_reduction_count_bound_on_braid6(self, monkeypatch):
+    def test_row_update_bound_on_braid6(self, monkeypatch):
+        """At most n |chi(-1)| row updates, by the argument in
+        :meth:`test_pencils_match_rank2_flat_count`."""
         arr = braid_arrangement(6)
-        calls = count_reductions(monkeypatch)
+        calls = count_row_updates(monkeypatch)
         chi = characteristic_polynomial(arr)
         assert abs(chi(-1)) // 2 == 360
         assert 0 < calls[0] <= arr.n * abs(chi(-1))
+
+    @pytest.mark.parametrize("d, n, members", [(4, 9, 32), (5, 9, 32), (6, 14, 4)])
+    def test_fewer_row_updates_than_persistent_echelon_walk(self, monkeypatch, d, n, members):
+        """Pool members of the exact-regions benchmark shapes, drawn as it
+        draws them, and (6,14). Every update the walk makes is one the
+        persistent-echelon walk makes too, and that walk reduces a row again
+        at every node that reaches it, so on these generic shapes it makes
+        strictly more."""
+        for k in range(members):
+            arr = random_arrangement(d, n, random.Random(f"exact-regions/{d}x{n}/{k}"))
+            ours = count_row_updates(monkeypatch)
+            chi = characteristic_polynomial(arr)
+            theirs = count_row_updates(monkeypatch, dd_oracle)
+            assert dd_oracle.persistent_characteristic_polynomial(arr) == chi
+            monkeypatch.undo()
+            assert 0 < ours[0] < theirs[0]
 
 
 class TestMlDegree:
@@ -406,10 +411,12 @@ class TestEnumerateRegions:
 
     def test_chamber_arrangement_past_charpoly_budget(self, seven_lines, monkeypatch):
         """28 planes in d = 3, past the 24-row budget chi once had: chi, the
-        rank-2 flat count and the regions all give 300."""
+        rank-2 flat count and the regions all give 300, and the walk makes
+        at most n |chi(-1)| row updates (argued in
+        :meth:`TestCharacteristicPolynomial.test_pencils_match_rank2_flat_count`)."""
         arr = chamber_arrangement(seven_lines).arrangement
         assert (arr.n, arr.d) == (28, 3)
-        calls = count_reductions(monkeypatch)
+        calls = count_row_updates(monkeypatch)
         chi = characteristic_polynomial(arr)
         monkeypatch.undo()
         assert chi.coeffs == (1, -28, 299, -272)

@@ -1,5 +1,6 @@
-"""The shared-line double description and the persistent chi walk against
-the per-cone step and the truncating walk they replaced (tests/dd_oracle.py).
+"""The shared-line double description and the chi walk that keeps each later
+row reduced, against the per-cone step and the truncating and
+persistent-echelon walks they replaced (tests/dd_oracle.py).
 
 Over random arrangements with small entries (so triple points, rows through
 extreme rays and dependent rows are common), the catalog and the shapes of
@@ -21,10 +22,11 @@ import numpy as np
 import pytest
 
 import dd_oracle as oracle
-from conftest import CATALOG, make_model, sample_kernel_point, sample_wall_point
+from conftest import CATALOG, degenerate_arrangement, make_model, pencil, sample_kernel_point, sample_wall_point
 from sqlinear import arrangement, catalog, geometry, mle, ratlin
 from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.errors import ValidationError
+from sqlinear.geometry import chamber_arrangement
 
 # Cones checked per arrangement: every region's for arrangements up to this
 # many regions, a seeded sample of this many for larger ones.
@@ -47,16 +49,16 @@ def enumerable(arr):
     return arr.rank() == arr.d and not oracle.parallel_pairs(arr)
 
 
-def benchmark_shapes():
-    """The first four pool members of each exact-regions shape, drawn as the
+def benchmark_shapes(members=4):
+    """The first pool members of each exact-regions shape, drawn as the
     workload draws them (a DPP's fixed rows are redrawn until its
     arrangement has no parallel rows)."""
     out = [
         catalog.random_arrangement(d, n, random.Random(f"exact-regions/{d}x{n}/{k}"))
         for d, n in ((3, 8), (4, 9), (5, 9), (3, 12))
-        for k in range(4)
+        for k in range(members)
     ]
-    for k in range(4):
+    for k in range(members):
         rng = random.Random(f"exact-regions/dpp5/{k}")
         while True:
             theta = tuple(tuple(rng.randint(-9, 9) for _ in range(5)) for _ in range(2))
@@ -232,3 +234,38 @@ def test_chi_past_enumeration(arr):
     """chi where enumeration is slow or refuses: 720 regions, thousands of
     parallel rows, rank 2 in d = 3 with two parallel rows."""
     assert arrangement.characteristic_polynomial(arr) == oracle.characteristic_polynomial(arr)
+
+
+def degenerate_draws(rng):
+    """100 draws of :func:`conftest.degenerate_arrangement`, d = 2..6 in turn."""
+    return [degenerate_arrangement(rng, 2 + k % 5, rng.randint(3, 14), essential=k % 4 != 3) for k in range(100)]
+
+
+PERSISTENT_WALK_CASES = {
+    "generic": lambda: [
+        catalog.random_arrangement(d, n, random.Random(f"dd/chi/{d}x{n}")) for d in range(2, 7) for n in range(d, d + 7)
+    ],
+    "benchmark-pool": lambda: benchmark_shapes(members=8),
+    "degenerate": lambda: degenerate_draws(random.Random("dd/chi/degenerate")),
+    "pencils": lambda: [pencil(random.Random(f"dd/chi/pencil/{n}"), n) for n in range(15, 26)],
+    "d1-3000-rows": lambda: [arrangement.Arrangement(A=tuple((k,) for k in range(1, 3001)))],
+    "catalog": lambda: [CATALOG[name]() for name in sorted(CATALOG)],
+    # braid(5) has no chamber arrangement: a minor of its kernel basis vanishes.
+    "chambers": lambda: [
+        chamber_arrangement(make_model(CATALOG[name]())).arrangement for name in sorted(CATALOG) if name != "braid5"
+    ],
+    "braid6": lambda: [catalog.braid_arrangement(6)],
+}
+
+
+@pytest.mark.parametrize("family", PERSISTENT_WALK_CASES)
+def test_chi_matches_persistent_echelon_walk(family):
+    """The walk that keeps each later row reduced gives the coefficients of
+    the walk that reduced each node's row against its whole basis: generic
+    draws at d = 2..6 (n = d..d+6), pool members of every exact-regions
+    shape and DPP n = 5 reductions, degenerate draws at d = 2..6, pencils
+    with n = 15..25, 3,000 parallel rows in d = 1, the catalog, its chamber
+    arrangements (all but braid(5)'s, which has none) and braid(6)."""
+    for arr in PERSISTENT_WALK_CASES[family]():
+        expected = oracle.persistent_characteristic_polynomial(arr).coeffs
+        assert arrangement.characteristic_polynomial(arr).coeffs == expected, arr.A
