@@ -33,7 +33,7 @@ _EXPORTS = {
         "Polytope chamber_arrangement combinatorial_type_scan dual_polytope "
         "log_voronoi_scan lognormal_polytope swap_candidates"
     ),
-    "mle": "CriticalPoint LikelihoodMatrix likelihood_matrix rank_defect solve_all",
+    "mle": "CriticalPoint likelihood_matrix rank_defect solve_all",
     "model": (
         "SquaredLinearModel VeroneseGenerators make_model minor_space_dimension singular_subspaces "
         "veronese_generators"

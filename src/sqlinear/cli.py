@@ -282,7 +282,7 @@ def _cmd_tropical(doc, args):
     model = jsonio.model_from_json(doc)
     _check_figure(model.arr, args.svg)
     trop, estimates = _track(model, doc, args)
-    predictions = tropical_predictions(model, trop, check_generic=False)
+    predictions = tropical_predictions(model, trop)
     out = {
         "w": jsonio.rationals_to_json(trop.w),
         "anchor": trop.anchor + 1,
@@ -294,8 +294,8 @@ def _cmd_tropical(doc, args):
             {
                 "region": str(e.region.sign),
                 "z_hat": jsonio.rationals_to_json(e.point.z),
-                "slopes": [float(v) for v in e.slopes],
-                "residual": float(e.residual),
+                "slopes": list(e.slopes),
+                "residual": e.residual,
             }
             for e in estimates
         ],
@@ -358,11 +358,11 @@ def _cmd_voronoi(doc, args):
     profile = log_voronoi_scan(model, y, start, end, steps=args.samples, tol=_tol(args))
     return {
         "profile": [
-            {"t": float(t), "region": tag}
+            {"t": t, "region": tag}
             for t, tag in zip(profile.parameters, profile.tags)
         ],
         "crossings": [
-            {"t": float(t), "from": before, "to": after}
+            {"t": t, "from": before, "to": after}
             for t, before, after in profile.crossings
         ],
     }
@@ -389,8 +389,8 @@ def _cmd_dpp(doc, args):
             )
         dist = dpp_probabilities(theta)
         out["distribution"] = [
-            {"sigma": [i + 1 for i in sigma], "prob": float(p)}
-            for sigma, p in zip(dist.states, dist.probs)
+            {"sigma": [i + 1 for i in sigma], "prob": p}
+            for sigma, p in zip(dist.states, dist.probs.tolist())
         ]
     return out
 

@@ -120,13 +120,16 @@ def unit_data_solutions(model: SquaredLinearModel, anchor: int) -> list:
 
 
 def tropical_predictions(
-    model: SquaredLinearModel, trop: TropicalData, check_generic: bool = True
+    model: SquaredLinearModel, trop: TropicalData, check_generic: bool = False
 ) -> list:
     """The mu predicted valuation vectors z = sum_{j in J} (w_j - w_anchor) e_j.
 
-    The formula is proved for generic kernel pairs only; when the closed-form
-    degenerations collide, a warning is attached and the caller should trust
-    only supports whose ``generic_flag`` holds.
+    The formula is proved for generic kernel pairs only. The genericity test
+    is opt-in, as it solves every degenerate system: with
+    ``check_generic=True`` a warning is attached when the closed-form
+    degenerations collide. Each support's own verdict is the ``generic_flag``
+    of ``unit_data_solutions(model, trop.anchor)``, and the caller should
+    trust only supports where it holds.
     """
     _check_length(model, trop.w)
     w, anchor = trop.w, trop.anchor

@@ -113,12 +113,12 @@ def dpp_from_json(doc: dict):
 def critical_point_to_json(point) -> dict:
     return {
         "region": str(point.region),
-        "x": [float(v) for v in point.x],
-        "y": [float(v) for v in point.y],
-        "p": [float(v) for v in point.p],
-        "logL": float(point.logL),
-        "grad_norm": float(point.grad_norm),
-        "iterations": int(point.iterations),
+        "x": point.x.tolist(),
+        "y": point.y.tolist(),
+        "p": point.p.tolist(),
+        "logL": point.logL,
+        "grad_norm": point.grad_norm,
+        "iterations": point.iterations,
     }
 
 

@@ -12,9 +12,10 @@ stack of iterates: each pass evaluates the whole stack through
 gradient and Hessian formulas, and every decision is made per row through
 masks. At these sizes a pass costs its numpy calls, not its arithmetic.
 Each point visited (start, iterate, trial step, finish) is multiplied by
-A^T once and evaluated once, and a row's bits do not depend on how many
-rows ride with it (:func:`_product`), nor on work a pass skips because no
-row of it needs it. Rows may carry their own data: the batch takes a
+A^T once and evaluated once; a row's bits do not depend on work a pass
+skips because no row needs it, nor, for n < 16, on how many rows ride with
+it (:func:`_product` gives a (3,20) draw where 34 of 191 rows move when
+solved in 7-row blocks). Rows may carry their own data: the batch takes a
 sequence of data vectors, checks each, solves every region for each of
 them and returns one row of outcomes per data vector, which is how a
 log-Voronoi scan solves all its samples at once; :meth:`SolveAllResult.of`
@@ -106,9 +107,16 @@ def normalize_parameter(x) -> np.ndarray:
 
 
 def _product(P, Q):
-    """P @ Q, with each row's bits independent of how many rows come along:
-    numpy multiplies a one-row P through BLAS gemv, which rounds otherwise
-    than gemm, so such a P is padded to two rows."""
+    """P @ Q, with a one-row P padded to two rows: numpy multiplies a one-row
+    P through BLAS gemv, which rounds otherwise than gemm.
+
+    That makes each row's bits independent of how many rows come along only
+    while Q has fewer than 16 rows. From 16 on, OpenBLAS 0.3.31 (Haswell
+    kernels) can round a row of gemm otherwise as the row count changes:
+    on the (3,20) draw of random.Random(1) (entries -99..99, data
+    randint(1, 50) drawn after it, 191 regions), solving in 7-row blocks
+    gives 34 rows another x than the whole batch, and one region at a time
+    67, by at most 2.2e-16 and with equal iteration counts."""
     if len(P) != 1:
         return P @ Q
     return (np.repeat(P, 2, axis=0) @ Q)[:1]
@@ -220,14 +228,6 @@ class CriticalPoint(Record):
     __slots__ = ("region", "x", "y", "p", "logL", "grad_norm", "iterations", "hessian_max_eig")
 
 
-class LikelihoodMatrix(Record):
-    """(n-d+2) x n matrix [s; l^2(x); B diag(l(x))] whose maximal minors
-    present the likelihood correspondence. Row one depends only on the data,
-    the rest only on the parameter point."""
-
-    __slots__ = ("rows",)
-
-
 class SolveAllResult(Record):
     __slots__ = ("points", "mle_index", "failures")
 
@@ -247,8 +247,12 @@ class SolveAllResult(Record):
         return cls(points, max(range(len(points)), key=lambda i: points[i].logL), failures)
 
 
-def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
-    """ValidationError names a field of the wrong shape, x needing d entries
+def likelihood_matrix(model: SquaredLinearModel, s, x) -> np.ndarray:
+    """The (n-d+2) x n float matrix [s; l^2(x); B diag(l(x))] whose maximal
+    minors present the likelihood correspondence. Row one depends only on
+    the data, the rest only on the parameter point.
+
+    ValidationError names a field of the wrong shape, x needing d entries
     and s n; ZeroPoint is raised when every form vanishes at x."""
     x, s = to_floats(x, "x"), to_floats(s, "s")
     for name, values, size in (("x", x, model.d), ("s", s, model.n)):
@@ -257,19 +261,17 @@ def likelihood_matrix(model: SquaredLinearModel, s, x) -> LikelihoodMatrix:
     values = model.A_float @ x
     if not np.any(values):
         raise ZeroPoint("zero vector is not a projective point")
-    rows = np.vstack([s, values**2, to_floats(model.B.B, "B") * values])
-    return LikelihoodMatrix(rows=rows)
+    return np.vstack([s, values**2, to_floats(model.B.B, "B") * values])
 
 
-def rank_defect(matrix: LikelihoodMatrix, tol: float) -> int:
+def rank_defect(matrix: np.ndarray, tol: float) -> int:
     """Row count minus numerical rank at relative SVD threshold ``tol``."""
     if not 0.0 < tol < 1.0:  # NaN fails both comparisons
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
-    sigma = np.linalg.svd(matrix.rows, compute_uv=False)
+    sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[0] == 0.0:
-        return matrix.rows.shape[0]
-    numerical_rank = int(np.sum(sigma > tol * sigma[0]))
-    return matrix.rows.shape[0] - numerical_rank
+        return matrix.shape[0]
+    return matrix.shape[0] - int(np.sum(sigma > tol * sigma[0]))
 
 
 def _check_positive_data(s, n):
@@ -368,23 +370,6 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         free, lane = frees[chart[rows]], lanes[: len(rows)]
         return G[lane, free], H[lane[:, :, None], free[:, :, None], free[:, None, :]], free
 
-    def backtrack(x, step, t, accept):
-        """Halve each row's step from iterate ``x`` and first trial ``t``
-        until ``accept(sub, cand, t)`` holds, at most MAX_BACKTRACKS times:
-        candidates and the found mask."""
-        found = np.zeros(len(x), dtype=bool)
-        cand, sub = np.empty(x.shape), np.arange(len(x))  # sub: the rows still halving
-        for _ in range(MAX_BACKTRACKS):
-            if not sub.size:
-                break
-            trial = x[sub] + t[sub, None] * step[sub]
-            ok = accept(sub, trial, t[sub])
-            cand[sub[ok]] = trial[ok]
-            found[sub[ok]] = True
-            sub = sub[~ok]
-            t[sub] *= 0.5
-        return cand, found
-
     def trace(k):
         return list(enumerate(history[k, : iterations[k] + converged[k]].tolist()))
 
@@ -413,7 +398,6 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             free_step, slope, ridged = _newton_step(g, H)
             step = np.zeros((len(rows), d))
             step[lanes[: len(rows)], free] = free_step
-            decrement = np.where(ridged, np.inf, slope)
             lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
             history[rows, iterations[rows]] = lam
 
@@ -427,25 +411,33 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
                 converged[last] = True
                 running[last] = False
                 rest = ~done
-                rows, x, step, slope, current, V, decrement = (a[rest] for a in (rows, x, step, slope, current, V, decrement))
-            flat = decrement <= flat_below[rows]
+                rows, x, step, slope, current, V, ridged = (a[rest] for a in (rows, x, step, slope, current, V, ridged))
+            flat = ~ridged & (slope <= flat_below[rows])
             # The first trial stops TO_WALL of the way to the nearest hyperplane
             # the step heads for: wall = min (s_i V_i) / -(s_i A_i step) over
             # the forms whose signed value the step decreases.
             along = signs[rows] * _product(step, A.T)
             wall = np.where(along < 0.0, signs[rows] * V / -along, np.inf).min(axis=1)
-
-            def accept(sub, cand, t):
-                V = _product(cand, A.T)
-                rises = loglik(V, which[rows[sub]]) >= current[sub] + 1e-4 * t * slope[sub]
-                return inside(V, rows[sub]) & (rises | flat[sub])
-
-            cand, found = backtrack(x, step, np.minimum(1.0, TO_WALL * wall), accept)
-            # A step too short to change x would repeat forever; it counts as none.
-            found &= (cand != x).any(axis=1)
-            X[rows[found]] = cand[found]
+            t = np.minimum(1.0, TO_WALL * wall)
+            # Halve each row's t until its trial keeps the signs and passes
+            # Armijo or the row is flat, at most MAX_BACKTRACKS times. A step
+            # too short to change x would repeat forever; it counts as none.
+            moved = np.zeros(len(rows), dtype=bool)
+            sub = np.arange(len(rows))  # the rows still halving
+            for _ in range(MAX_BACKTRACKS):
+                if not sub.size:
+                    break
+                trial = x[sub] + t[sub, None] * step[sub]
+                V = _product(trial, A.T)
+                rises = loglik(V, which[rows[sub]]) >= current[sub] + 1e-4 * t[sub] * slope[sub]
+                ok = inside(V, rows[sub]) & (rises | flat[sub])
+                took = ok & (trial != x[sub]).any(axis=1)
+                X[rows[sub[took]]] = trial[took]
+                moved[sub[took]] = True
+                sub = sub[~ok]
+                t[sub] *= 0.5
             iterations[rows] += 1
-            running[rows[~found]] = False
+            running[rows[~moved]] = False
 
         for k in (live & ~converged).nonzero()[0]:
             outcomes[k] = NoConvergence(

@@ -79,7 +79,7 @@ def test_criterion_02_per_region_solving(steiner):
             assert point.p.min() > 1e-12
             assert point.grad_norm <= 1e-8
             sigma = np.linalg.svd(
-                likelihood_matrix(steiner, s, point.x).rows, compute_uv=False
+                likelihood_matrix(steiner, s, point.x), compute_uv=False
             )
             assert sigma[-1] / sigma[0] <= 1e-7
     elapsed = time.perf_counter() - start

@@ -196,7 +196,7 @@ class TestTropicalPredictions:
 
     def test_nongeneric_warns(self, four_points):
         with pytest.warns(UserWarning):
-            tropical_predictions(four_points, TropicalData(w=(0, 1, 2, 3), anchor=0))
+            tropical_predictions(four_points, TropicalData(w=(0, 1, 2, 3), anchor=0), check_generic=True)
 
 
 class TestAdmissibleSupports:

@@ -32,7 +32,7 @@ class TestLikelihoodMatrix:
     def test_steiner_structure(self, steiner):
         s = np.array([0.4, 0.3, 0.2, 0.1])
         x = np.array([1.0, 2.0, -0.5])
-        M = likelihood_matrix(steiner, s, x).rows
+        M = likelihood_matrix(steiner, s, x)
         values = steiner.A_float @ x
         assert M.shape == (3, 4)
         assert np.array_equal(M[0], s)
@@ -41,15 +41,15 @@ class TestLikelihoodMatrix:
 
     def test_braid_shape(self, braid4):
         s = np.linspace(0.1, 0.6, 6)
-        M = likelihood_matrix(braid4, s, np.array([1.0, 2.0, 3.5])).rows
+        M = likelihood_matrix(braid4, s, np.array([1.0, 2.0, 3.5]))
         assert M.shape == (5, 6)
 
     def test_bilinear_split(self, pyrng, rng):
         model = make_model(random_arrangement(3, 6, pyrng))
         x = rng.normal(size=3)
         s1, s2 = rng.uniform(0.1, 1, size=(2, 6))
-        M1 = likelihood_matrix(model, s1, x).rows
-        M2 = likelihood_matrix(model, s2, x).rows
+        M1 = likelihood_matrix(model, s1, x)
+        M2 = likelihood_matrix(model, s2, x)
         assert np.array_equal(M1[1:], M2[1:])
         assert M1.shape == (6 - 3 + 2, 6)
 
@@ -72,7 +72,7 @@ class TestRankDefect:
         for point in solve_all(steiner, s).points:
             M = likelihood_matrix(steiner, s, point.x)
             assert rank_defect(M, 1e-8) >= 1
-            sigma = np.linalg.svd(M.rows, compute_uv=False)
+            sigma = np.linalg.svd(M, compute_uv=False)
             assert sigma[-1] / sigma[0] <= 1e-7
 
     def test_tol_validation(self, steiner, rng):

@@ -42,7 +42,7 @@ PLAIN = [cls for cls in records() if cls.__name__ not in CHECKED]
 
 
 def test_every_layer_has_its_records():
-    assert len(records()) == 23
+    assert len(records()) == 22
     assert {cls.__module__.rsplit(".", 1)[1] for cls in records()} == set(MODULES)
     for cls in records():
         assert cls.__slots__ and cls.__dictoffset__ == 0, cls  # the fields are slots, and there is no __dict__
