@@ -7,7 +7,9 @@ kernel constraints in closed form. Tropically, data valuations w with a
 strict minimum at i map to critical-point valuations z = sum_{j in J}
 (w_j - w_i) e_j. Both facts are checked numerically by tracking each
 region's solution along a data curve s(eps) = (eps^w_1, ..., eps^w_n)
-and fitting the decay slopes.
+and fitting the decay slopes. The curve is solved as s(eps) / eps^w_i,
+which has the same critical points, so a track depends on w only through
+w - w_i.
 
 The module splits at the float boundary. The closed forms
 (:func:`unit_data_solutions`, :func:`tropical_predictions`) are exact
@@ -158,15 +160,17 @@ def estimate_valuations(
     """Estimate critical-point valuations by tracking solutions in eps.
 
     For each region, the critical point of s(eps) = (eps^w_1, ..., eps^w_n)
-    is solved with warm starts down the decreasing eps grid; all regions are
+    is solved with warm starts down the decreasing eps grid, as the data
+    eps^(w - w_anchor), which have the same critical points; all regions are
     solved in one batch per eps, each started from its previous point. The
     first region to fail, in canonical order, raises PathLost. The slope of
     log|y_j| against log eps (least squares over the whole grid, which
     suppresses next-order series terms) estimates the valuation of each
     coordinate; slopes are rounded to the only values the theory allows,
-    namely 0 or w_j - w_anchor, and the largest pre-rounding deviation is
-    reported as the residual. ``x_track`` keeps the solver's own x at each
-    eps, the points a figure draws as the region's arc.
+    namely 0 or w_j - w_anchor. One float array, w - w_anchor, gives the
+    data, the depth check and these targets; the rounded point is exact.
+    The largest pre-rounding deviation is reported as the residual. ``x_track`` keeps the solver's own x at each eps, the
+    points a figure draws as the region's arc.
     """
     import numpy as np
 
@@ -180,9 +184,10 @@ def estimate_valuations(
     # NaN fails the first test too: every comparison with it is false.
     if not all(0 < e < math.inf for e in eps_grid) or any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValidationError("eps grid must be finite, positive and strictly decreasing")
-    w = to_floats(trop.w, "w")
-    anchor = trop.anchor
-    spread = float(w.max()) - float(w[anchor])  # inf when out of range; the check below rejects it
+    w, anchor = to_floats(trop.w, "w"), trop.anchor
+    with np.errstate(over="ignore"):  # a spread beyond double range is inf, which the depth check rejects
+        shifted = w - w[anchor]
+    spread = float(shifted.max())
     if eps_grid[-1] ** spread < 1e-14:
         raise ValidationError(
             "grid too deep for double precision: the smallest coordinate "
@@ -195,7 +200,7 @@ def estimate_valuations(
     x_tracks = [[] for _ in regions]
     starts = None
     for eps in eps_grid:
-        (points,) = _solve_batch(model, [eps**w], regions, tol=1e-10, starts=starts)
+        (points,) = _solve_batch(model, [eps**shifted], regions, tol=1e-10, starts=starts)
         for region, point, track, x_track in zip(regions, points, tracks, x_tracks):
             if not isinstance(point, CriticalPoint):
                 raise PathLost(f"tracking lost region {region.sign} at eps = {eps:g}: {point}") from point
@@ -213,7 +218,7 @@ def estimate_valuations(
     logs = np.log(np.abs(ys)).transpose(1, 0, 2).reshape(G, R * n)
     fitted = np.polyfit(np.log(np.array(eps_grid)), logs, 1)[0].reshape(R, n).tolist()
     allowed = [v - trop.w[anchor] for v in trop.w]
-    targets = to_floats(allowed, "w").tolist()
+    targets = shifted.tolist()
     estimates = []
     for region, x_track, slopes in zip(regions, x_tracks, fitted):
         slopes[anchor] = 0.0

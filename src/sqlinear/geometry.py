@@ -315,20 +315,23 @@ def log_voronoi_scan(
     """Which region owns the MLE along a data segment inside the polytope.
 
     The segment from ``start`` to ``end`` (both strictly positive points of
-    the log-normal polytope of y) is sampled at steps+1 parameters; at each
-    data point the global maximizer's region tag is recorded, and each tag
-    switch is localized by bisection down to ``REFINE_TOL`` in the segment
-    parameter. Every region at every sample is solved in one Newton batch.
-    Each bisection round solves in one more the midpoints of the next L
-    levels of every open bracket, each region started from its critical
-    point at the bracket's lower end, and each bracket bisects down through
-    them, tagging only the points on its path. L is the most levels whose
-    points fit in steps+1 data vectors, and at most the levels still needed.
-    Each midpoint is its interval's (lo + hi) / 2, as one level at a time
-    computes it. ``tol`` is the solver tolerance of every solve; a parameter
-    on a path at which no region converges raises NoConvergence carrying
-    every region's failure there. Log-Voronoi boundaries are generally not
-    algebraic, so sampling plus bisection is the honest tool here.
+    the log-normal polytope of y) is sampled at steps+1 parameters t, the
+    data at t being (1 - t) * start + t * end, so that t = 1 gives end
+    itself; at each data point the global maximizer's region tag is
+    recorded, and each tag switch is localized by bisection down to
+    ``REFINE_TOL`` in the segment parameter. Every region at every sample is
+    solved in one Newton batch. Each bisection round solves in one more the
+    midpoints of the next L levels of every open bracket, each region
+    started from its critical point at the bracket's lower end, and each
+    bracket bisects down through them, tagging only the points on its path;
+    a region that failed at the lower end starts from its region's witness.
+    L is the most levels whose points fit in steps+1 data vectors, and at
+    most the levels still needed. Each midpoint is its interval's
+    (lo + hi) / 2, as one level at a time computes it. ``tol`` is the solver tolerance
+    of every solve; a parameter on a path at which no region converges
+    raises NoConvergence carrying every region's failure there. Log-Voronoi
+    boundaries are generally not algebraic, so sampling plus bisection is
+    the honest tool here.
     """
     from .mle import CriticalPoint, SolveAllResult, _solve_batch, to_floats
 
@@ -349,7 +352,7 @@ def log_voronoi_scan(
 
     def solve(params, starts=None):
         """Every region's outcome at each parameter, from one batch."""
-        return _solve_batch(model, [a + t * (b - a) for t in params], regions, tol, starts)
+        return _solve_batch(model, [(1.0 - t) * a + t * b for t in params], regions, tol, starts)
 
     def tag(row) -> str:
         return str(SolveAllResult.of(regions, row).mle.region)
@@ -364,7 +367,7 @@ def log_voronoi_scan(
         fit = ((steps + 1) // len(active) + 1).bit_length() - 1
         levels = min(fit, max(math.ceil(math.log2((br[1] - br[0]) / REFINE_TOL)) for br in active))
         trees, size = [_midpoints(br[0], br[1], levels) for br in active], 2**levels - 1
-        starts = [[p.x if isinstance(p, CriticalPoint) else None for p in br[2]] for br in active]
+        starts = [[p.x if isinstance(p, CriticalPoint) else r for p, r in zip(br[2], regions)] for br in active]
         solved = solve([t for tree in trees for t in tree], [x for x in starts for _ in range(size)])
         for i, (br, tree) in enumerate(zip(active, trees)):
             outcomes = solved[i * size : (i + 1) * size]

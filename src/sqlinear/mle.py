@@ -274,14 +274,16 @@ def rank_defect(matrix: np.ndarray, tol: float) -> int:
     return matrix.shape[0] - int(np.sum(sigma > tol * sigma[0]))
 
 
-def _check_positive_data(s, n):
-    s = to_floats(s, "s")
+def _check_positive_data(given, n):
+    s = to_floats(given, "s")
     if s.shape != (n,):
         raise ValidationError(f"data vector must have n = {n} entries, got shape {s.shape}")
     with np.errstate(over="ignore"):
         if not np.isfinite(s.sum()):  # also catches NaN and infinite entries
             raise ValidationError("data vector must be finite, and so must its sum")
     if np.any(s <= 0.0):
+        if all(v > 0 for v in given):
+            raise ValidationError(f"data entry {s.tolist().index(0.0) + 1} underflows to 0 in double precision")
         raise BoundaryData(
             "data vector has nonpositive entries; use the degeneration module"
         )
@@ -313,9 +315,11 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
 
     Returns one row per data vector, holding one outcome per region in
     order: its CriticalPoint, or the NoConvergence that stopped it.
-    ``starts`` optionally gives one row of start points per data vector,
-    one per region (None keeps the witness, converted to floats only then);
-    a start of other than d entries is a ValidationError.
+    ``starts`` optionally gives one row of starts per data vector, one per
+    region: float points, or Regions standing for their witnesses, each
+    converted for every row it starts; without them every row starts from
+    its region's witness, each region converted once for all the data
+    vectors. A start of other than d entries is a ValidationError.
 
     A row is found when its Newton decrement lambda, with lambda^2 =
     g . solve(-H, g) on its chart and H not ridged, satisfies
@@ -346,12 +350,10 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     frees = np.array([[j for j in range(d) if j != c] for c in range(d)])  # free coordinates of each chart
     totals = loglik.totals[which]
     signs = np.tile(np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n), (K, 1))
-    starts = [x for row in starts for x in row] if starts else [None] * N
-    cold = {k % R for k, x in enumerate(starts) if x is None}  # the regions whose witness a row starts from
-    witness = dict(zip(cold, to_floats([regions[r] for r in cold], "witness")))
-    X = to_floats([witness[k % R] if x is None else x for k, x in enumerate(starts)], "start")
+    starts = [x for row in starts or () for x in row]
+    X = to_floats(starts, "start") if starts else np.tile(to_floats(regions, "start").reshape(R, d), (K, 1))
     if N and X.shape != (N, d):
-        shape = next((s for s in (np.shape(x) for x in starts if x is not None) if s != (d,)), None)
+        shape = next((s for s in (np.shape(x) for x in starts if type(x) is not Region) if s != (d,)), None)
         if shape is None:
             raise ValidationError(f"field 'start' needs {N} points, got {len(starts)}")
         raise ValidationError(f"field 'start' needs {d} entries, got shape {shape}")
@@ -462,8 +464,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         final_norm = np.linalg.norm(G, axis=1)
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = (y == 0.0).any(axis=1)
-        sides = np.where(y > 0.0, 1.0, -1.0)
-        left = (sides * sides[:, :1] != signs[rows]).any(axis=1)
+        left = ~(inside(y, rows) | inside(-y, rows))
     logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), iterations.tolist()
     for i, k in enumerate(rows.tolist()):
         if underflow[i]:

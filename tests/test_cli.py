@@ -528,7 +528,7 @@ class TestExitCodes:
         assert len(err["failures"]) == 7
         assert all(f["trace"] == [[0, None]] for f in err["failures"])
 
-    @pytest.mark.parametrize("s", [[float("nan"), 1, 1, 1], [1e308, 1e308, 2, 3]])
+    @pytest.mark.parametrize("s", [[float("nan"), 1, 1, 1], [1e308, 1e308, 2, 3], ["1e-400", 1, 1, 1]])
     def test_mle_non_finite_data(self, tmp_path, capsys, s):
         code, text = run(tmp_path, "mle", dict(STEINER, s=s))
         assert code == 2 and text == ""

@@ -19,7 +19,7 @@ from sqlinear.degeneration import (
     tropical_predictions,
     unit_data_solutions,
 )
-from sqlinear.errors import AnchorNotUnique, BoundaryData, PathLost, RankDeficient, ValidationError
+from sqlinear.errors import AnchorNotUnique, PathLost, RankDeficient, ValidationError
 from sqlinear.model import make_model
 
 STEINER_POINTS = {
@@ -300,10 +300,42 @@ class TestEstimateValuations:
         with pytest.raises(ValidationError, match="too deep"):
             estimate_valuations(steiner, trop)
 
-    def test_underflowing_data_rejected(self, steiner):
-        # eps**300 underflows to zero at the end of the default grid.
-        with pytest.raises(BoundaryData):
-            estimate_valuations(steiner, TropicalData(w=(300, 303, 304, 305), anchor=0))
+    @pytest.mark.parametrize("shift", [300, -400, Fraction(5, 2)], ids=["300", "-400", "5/2"])
+    @pytest.mark.parametrize(
+        "model, w, grid",
+        [
+            ("steiner", (0, 3, 4, 5), degeneration.DEFAULT_EPS_GRID),
+            ("braid4", (0, 1, 2, 3, 4, 5), tuple(10 ** (-1.5 - 0.375 * k) for k in range(4))),
+            ("four_points", (0, 1, 2, 3), degeneration.DEFAULT_EPS_GRID),
+        ],
+        ids=["steiner", "braid4", "four_points"],
+    )
+    def test_shifted_valuations_give_the_same_estimates(self, request, model, w, grid, shift):
+        """s(eps) and eps^c s(eps) have the same critical points, and the
+        data are formed from w - w_anchor, so a common shift of w changes no
+        bit of an estimate. At eps = 10^-2.5, eps^300 would underflow to 0
+        and eps^-400 overflow."""
+        model = request.getfixturevalue(model)
+        base = estimate_valuations(model, TropicalData(w=w, anchor=0), eps_grid=grid)
+        moved = estimate_valuations(model, TropicalData(w=[v + shift for v in w], anchor=0), eps_grid=grid)
+        for est, other in zip(base, moved, strict=True):
+            assert est.region == other.region and est.point == other.point
+            assert np.array(est.slopes).tobytes() == np.array(other.slopes).tobytes()
+            assert np.float64(est.residual).tobytes() == np.float64(other.residual).tobytes()
+            assert np.array(est.x_track).tobytes() == np.array(other.x_track).tobytes()
+
+    def test_shifted_valuations_through_the_cli(self, tmp_path, capsys):
+        outputs = []
+        for w in ([0, 3, 4, 5], [300, 303, 304, 305]):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps({"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "w": w}))
+            assert main(["tropical", "--input", str(path), "--anchor", "1"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            outputs.append(json.loads(out))
+        base, moved = outputs
+        assert moved.pop("w") == ["300", "303", "304", "305"] and base.pop("w") == ["0", "3", "4", "5"]
+        assert moved == base
 
     @staticmethod
     def anchor_coordinate_set_to(value, monkeypatch):

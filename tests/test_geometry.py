@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from sqlinear import ratlin
 from sqlinear.arrangement import Arrangement, enumerate_regions, ml_degree
 from sqlinear.catalog import random_arrangement
+from sqlinear.cli import main
 from sqlinear.errors import NoConvergence, ValidationError, ZeroCoordinate
 from sqlinear.geometry import (
     REFINE_TOL,
@@ -61,7 +63,7 @@ def bisection_oracle(model, start, end, steps, tol=1e-10):
     regions = enumerate_regions(model.arr)
 
     def solve(params, starts=None):
-        return _solve_batch(model, [a + t * (b - a) for t in params], regions, tol, starts)
+        return _solve_batch(model, [(1.0 - t) * a + t * b for t in params], regions, tol, starts)
 
     def tag(row):
         return str(SolveAllResult.of(regions, row).mle.region)
@@ -72,7 +74,7 @@ def bisection_oracle(model, start, end, steps, tol=1e-10):
     brackets = [[params[k], params[k + 1], rows[k], tags[k], tags[k + 1]] for k in range(steps) if tags[k] != tags[k + 1]]
     while active := [br for br in brackets if br[1] - br[0] > REFINE_TOL]:
         mids = [(br[0] + br[1]) / 2 for br in active]
-        starts = [[p.x if isinstance(p, CriticalPoint) else None for p in br[2]] for br in active]
+        starts = [[p.x if isinstance(p, CriticalPoint) else r for p, r in zip(br[2], regions)] for br in active]
         for br, mid, row in zip(active, mids, solve(mids, starts)):
             if tag(row) == br[3]:
                 br[0], br[2] = mid, row
@@ -346,6 +348,24 @@ class TestLogVoronoiScan:
         exact = Fraction(100, 117)  # where s1(t) = s3(t)
         assert abs(t_cross - float(exact)) <= 1.0 / steps
         assert abs(t_cross - float(exact)) <= 1e-3
+
+    @pytest.mark.parametrize("gap", [Fraction(1, 10**17), Fraction(1, 10**12)], ids=["1e-17", "1e-12"])
+    def test_segment_end_is_its_end(self, four_points, tmp_path, capsys, gap):
+        """The data at t are (1 - t) * start + t * end, so at t = 1 they are
+        end itself: end's first coordinate, 6e-18 at a gap of 1e-17, would
+        round to 0 as start + 1.0 * (end - start)."""
+        total = sum(v * v for v in QUAD_Y)
+        s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
+        target = (Fraction(0), Fraction(12, 25), Fraction(4, 25), Fraction(9, 25))
+        end = tuple(s + (1 - gap) * (v - s) for s, v in zip(s_star, target))
+        crossing = (0.769256591796875, "+++-", "++++")
+        assert log_voronoi_scan(four_points, QUAD_Y, s_star, end, steps=8).crossings == (crossing,)
+        path = tmp_path / "input.json"
+        segment = {"start": [str(v) for v in s_star], "end": [str(v) for v in end]}
+        path.write_text(json.dumps({"A": [[1, 0], [1, 1], [1, 2], [0, 1]], "y": list(QUAD_Y), "segment": segment}))
+        assert main(["voronoi", "--input", str(path), "--samples", "8"]) == 0
+        crossings = json.loads(capsys.readouterr().out)["crossings"]
+        assert [(c["t"], c["from"], c["to"]) for c in crossings] == [crossing]
 
     def test_circle_weyl_wall(self, circle):
         y = (1, 2, 3)

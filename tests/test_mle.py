@@ -137,6 +137,14 @@ class TestSolveRegion:
         with pytest.raises(BoundaryData):
             solve_all(steiner, (1.0, 0.0, 0.5, 0.5), regions=[region])
 
+    def test_underflowing_data_named(self, steiner):
+        # Every given entry is positive, so the zero is the double's, not the data's.
+        with pytest.raises(ValidationError, match="data entry 3 underflows to 0 in double precision") as err:
+            solve_all(steiner, (1, 2, Fraction(1, 10**400), 4))
+        assert type(err.value) is ValidationError
+        with pytest.raises(BoundaryData):
+            solve_all(steiner, (0, 2, Fraction(1, 10**400), 4))
+
 
 class TestSolveAll:
     def test_steiner_twenty_random(self, steiner, rng):

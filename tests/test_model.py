@@ -132,7 +132,7 @@ class TestGradient:
         # (0, 1, 1) zeroes the first form: no region's signs hold there, and
         # the row fails before any gradient is taken, while the others solve.
         regions = enumerate_regions(steiner.arr)[:2]
-        ((on, off),) = _solve_batch(steiner, [(1, 1, 1, 1)], regions, 1e-10, [[(0, 1, 1), None]])
+        ((on, off),) = _solve_batch(steiner, [(1, 1, 1, 1)], regions, 1e-10, [[(0, 1, 1), regions[1]]])
         assert isinstance(on, NoConvergence) and "start point" in str(on)
         assert off.region == regions[1].sign
 

@@ -115,6 +115,23 @@ def test_stacked_data_rows_match_separate_solves():
             assert point.logL == pytest.approx(witnessed.logL, rel=1e-12)
 
 
+def test_regions_as_starts_are_the_cold_batch():
+    """A Region among the starts stands for its witness: two data vectors
+    started from every region as given starts solve bit for bit as the
+    batch without starts."""
+    model = make_model(catalog.random_arrangement(4, 9, random.Random("batch/stacked")))
+    regions = enumerate_regions(model.arr)
+    data = np.random.default_rng(50).uniform(0.05, 1.0, size=(2, model.n))
+    cold = _solve_batch(model, data, regions, 1e-10)
+    given = _solve_batch(model, data, regions, 1e-10, [regions, regions])
+    points = [(p, q) for row, other in zip(cold, given, strict=True) for p, q in zip(row, other, strict=True)]
+    assert all(isinstance(p, CriticalPoint) for pair in points for p in pair)
+    for p, q in points:
+        assert p.region == q.region and p.iterations == q.iterations
+        for name in ("x", "y", "p", "logL", "grad_norm", "hessian_max_eig"):
+            assert np.array(getattr(p, name)).tobytes() == np.array(getattr(q, name)).tobytes(), name
+
+
 @pytest.mark.parametrize("d, n", [(3, 7), (4, 8)])
 def test_one_region_alone_is_its_row_of_solve_all(d, n):
     """A region solved alone runs a one-row batch, and a block of seven
