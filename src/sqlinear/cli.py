@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 FLAGS = {
     "--tol": dict(type=float, default=1e-10, help="stop once Newton decrement / sqrt(sum s) is below this, in (0, 1)"),
     "--anchor": dict(type=int, help="1-based anchor state index"),
-    "--eps-grid": dict(help="comma-separated decreasing eps values for tracking"),
+    "--eps-grid": dict(help="comma-separated decreasing eps values in (0, 1] for tracking"),
     "--samples": dict(type=int, default=20, help="sample count"),
     "--svg": dict(help="also write an SVG figure to this path"),
 }

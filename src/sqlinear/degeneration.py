@@ -20,7 +20,6 @@ numpy and :mod:`.mle` when called.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -181,9 +180,10 @@ def estimate_valuations(
     if eps_grid.ndim != 1 or len(eps_grid) < 3:
         raise ValidationError("need a flat sequence of at least three eps values for a slope fit")
     eps_grid = eps_grid.tolist()
-    # NaN fails the first test too: every comparison with it is false.
-    if not all(0 < e < math.inf for e in eps_grid) or any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValidationError("eps grid must be finite, positive and strictly decreasing")
+    # Valuations are limits as eps -> 0, with the anchor's eps^0 the largest
+    # datum, so eps stays in (0, 1]; NaN fails that test too.
+    if not all(0 < e <= 1 for e in eps_grid) or any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ValidationError("eps grid must be finite, in (0, 1] and strictly decreasing")
     w, anchor = to_floats(trop.w, "w"), trop.anchor
     with np.errstate(over="ignore"):  # a spread beyond double range is inf, which the depth check rejects
         shifted = w - w[anchor]

@@ -10,25 +10,27 @@ from any interior start of the region. All regions are solved as one (R, d)
 stack of iterates: each pass evaluates the whole stack through
 :class:`Likelihood`, which holds the only copy of the log-likelihood,
 gradient and Hessian formulas, and every decision is made per row through
-masks. At these sizes a pass costs its numpy calls, not its arithmetic.
-Each point visited (start, iterate, trial step, finish) is multiplied by
-A^T once and evaluated once; a row's bits do not depend on work a pass
-skips because no row needs it, nor, for n < 16, on how many rows ride with
-it (:func:`_product` gives a (3,20) draw where 34 of 191 rows move when
-solved in 7-row blocks). Rows may carry their own data: the batch takes a
-sequence of data vectors, checks each, solves every region for each of
-them and returns one row of outcomes per data vector, which is how a
-log-Voronoi scan solves all its samples at once; :meth:`SolveAllResult.of`
-is the one rule that turns a row into the converged points, the MLE and
-the failures. A row's chart pins its largest coordinate and hops when
-another one takes over, so iterates stay bounded. A pass tests every
-row's chart Hessian for negative definiteness by Cholesky and solves every
-row's Newton system in one call; only a row that fails the test gets its
+masks. At these sizes a pass costs its numpy calls, not its arithmetic. A
+pass multiplies its iterates by A^T and evaluates them once, and each trial
+point once, so an accepted trial point is multiplied and evaluated again at
+the top of the next pass, as the start is for the live test and in the first
+pass. A row's bits do not depend on work a pass skips because no row needs
+it, nor, for n < 16, on how many rows ride with it (:func:`_product` gives a
+(3,20) draw where 34 of 191 rows move when solved in 7-row blocks). Rows may
+carry their own data: the batch takes a sequence of data vectors, checks
+each, solves every region for each of them and returns one row of outcomes
+per data vector, which is how a log-Voronoi scan solves all its samples at
+once; :meth:`SolveAllResult.of` is the one rule that turns a row into the
+converged points, the MLE and the failures. A row's chart pins its largest
+coordinate and hops when another one takes over, so iterates stay bounded. A
+pass tests every row's chart Hessian for negative definiteness by Cholesky
+and solves every row's Newton system, each in one stacked call that returns
+NaN for the rows LAPACK fails on; only a row that fails the test gets its
 eigenvalues and is ridged, by ``SHIFT_MARGIN * scale`` doubled until the
 smallest eigenvalue of -H plus the ridge is positive, scale being the
-largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4).
-Each row's line search starts at t = min(1, TO_WALL * wall), wall being the
-step length at which the Newton step reaches the nearest hyperplane: near a
+largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4). Each
+row's line search starts at t = min(1, TO_WALL * wall), wall being the step
+length at which the Newton step reaches the nearest hyperplane: near a
 degeneration the critical point sits close to a wall and the Newton step
 overshoots it, and halving down from t = 1 would spend one evaluation per
 halving (the fraction-to-the-boundary rule of interior-point methods;
@@ -48,6 +50,10 @@ from math import isfinite
 from operator import truediv
 
 import numpy as np
+# The LAPACK gufuncs that np.linalg.cholesky, solve and eigvalsh call. Each
+# works on every matrix of a stack alone and, where np.linalg would raise,
+# sets the invalid flag and returns NaN for the matrices LAPACK fails on.
+from numpy.linalg import _umath_linalg
 
 from .arrangement import Record, Region, enumerate_regions
 from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
@@ -107,8 +113,10 @@ def normalize_parameter(x) -> np.ndarray:
 
 
 def _product(P, Q):
-    """P @ Q, with a one-row P padded to two rows: numpy multiplies a one-row
-    P through BLAS gemv, which rounds otherwise than gemm.
+    """P @ Q, with a one-row P padded to two rows and a one-column Q to two
+    columns: numpy multiplies either through BLAS gemv, which rounds otherwise
+    than gemm. An operand is copied only when it is padded; copying a
+    transposed view sends gemm down another kernel.
 
     That makes each row's bits independent of how many rows come along only
     while Q has fewer than 16 rows. From 16 on, OpenBLAS 0.3.31 (Haswell
@@ -117,24 +125,15 @@ def _product(P, Q):
     randint(1, 50) drawn after it, 191 regions), solving in 7-row blocks
     gives 34 rows another x than the whole batch, and one region at a time
     67, by at most 2.2e-16 and with equal iteration counts."""
-    if len(P) != 1:
-        return P @ Q
-    return (np.repeat(P, 2, axis=0) @ Q)[:1]
+    rows, cols = len(P), Q.shape[1]
+    if rows == 1:
+        P = np.repeat(P, 2, axis=0)
+    if cols == 1:
+        Q = np.repeat(Q, 2, axis=1)
+    return (P @ Q)[:rows, :cols]
 
 
-def _raises(f, M):
-    """Which matrices of the (R, m, m) stack M make ``f`` raise LinAlgError,
-    each as a call on it alone would: the stack is split in halves wherever
-    it raises."""
-    try:
-        f(M)
-        return np.zeros(len(M), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return np.ones(1, dtype=bool)
-        return np.concatenate([_raises(f, M[: len(M) // 2]), _raises(f, M[len(M) // 2 :])])
-
-
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _newton_step(g, H):
     """Ascent direction solve(-H, g) for each row of an (R, m) stack of free
     gradients and (R, m, m) Hessians, its slope g . step and the rows whose
@@ -142,13 +141,14 @@ def _newton_step(g, H):
     definiteness, which alone get their eigenvalues. A definite Hessian,
     however stiff, gets the pure Newton step, whose slope is the decrement;
     shifting it would wreck the soft directions during tracking. A row whose
-    H is not finite, or whose system is singular, gets a NaN step."""
+    H is not finite, or whose eigenvalues or system LAPACK fails on (its
+    stacked calls return NaN for those matrices), gets a NaN step."""
     M, eye = -H, np.eye(H.shape[-1])
     bad = ~np.isfinite(M).all(axis=(1, 2))
     M[bad] = eye  # keeps the factorizations going; the step is discarded
-    ridged = _raises(np.linalg.cholesky, M)
+    ridged = np.isnan(_umath_linalg.cholesky_lo(M, signature="d->d")).any(axis=(1, 2))
     if ridged.any():
-        low = np.linalg.eigvalsh(M[ridged])[:, 0]
+        low = _umath_linalg.eigvalsh_lo(M[ridged], signature="d->d")[:, 0]
         scale = np.abs(np.diagonal(M[ridged], axis1=1, axis2=2)).max(axis=1)
         scale[scale == 0.0] = 1.0
         # ridge = base * 2^k for the least k >= 0 with lam_min + ridge > 0; the
@@ -159,12 +159,7 @@ def _newton_step(g, H):
         ridge[~(low + ridge > 0.0)] *= 2.0
         M[ridged] += ridge[:, None, None] * eye
         ridged[ridged] = ridge > 0.0
-    try:
-        step = np.linalg.solve(M, g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # a singular row; inv factors as solve does
-        bad |= _raises(np.linalg.inv, M)
-        M[bad] = eye
-        step = np.linalg.solve(M, g[:, :, None])[:, :, 0]
+    step = _umath_linalg.solve(M, g[:, :, None], signature="dd->d")[:, :, 0]
     step[bad] = np.nan
     return step, np.einsum("ri,ri->r", g, step), ridged
 
@@ -195,15 +190,12 @@ class Likelihood:
         with np.errstate(over="ignore"):
             self.A, self.totals, self.gram = A, S.sum(axis=1), A.T @ A
             self._outer = (self._A[:, :, None] * self._A[:, None, :]).reshape(len(self._A), -1)
-        # One data vector is one column, which numpy would multiply through
-        # gemv; a copy beside it keeps the product in gemm and is never read.
-        self._ST = np.repeat(self._S.T, 2, axis=1) if len(S) == 1 else self._S.T
 
     def _kept(self, V):
         return V if self._keep is None else V[:, self._keep]
 
     def __call__(self, V, which=0):
-        weighted = _product(2.0 * np.log(np.abs(self._kept(V))), self._ST)
+        weighted = _product(2.0 * np.log(np.abs(self._kept(V))), self._S.T)
         return weighted[np.arange(len(V)), which] - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
 
     def hessian(self, V, which=0):
@@ -452,15 +444,11 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         y = _product(xn, A.T)
         logL, G, H = loglik.hessian(y, which[rows])
         free_H = free_hessian(rows, G, H)[1]
-        try:
-            top_eig = np.linalg.eigvalsh(free_H)[:, -1]
-        except np.linalg.LinAlgError:  # a row's Hessian holds an infinity or a NaN
-            bad = ~np.isfinite(free_H).all(axis=(1, 2))
-            free_H[bad] = 0.0
-            bad |= _raises(np.linalg.eigvalsh, free_H)
-            free_H[bad] = 0.0
-            top_eig = np.linalg.eigvalsh(free_H)[:, -1]
-            top_eig[bad] = np.nan
+        # A Hessian holding an infinity or a NaN fails its row unseen by LAPACK.
+        bad = ~np.isfinite(free_H).all(axis=(1, 2))
+        free_H[bad] = 0.0
+        top_eig = _umath_linalg.eigvalsh_lo(free_H, signature="d->d")[:, -1]
+        top_eig[bad] = np.nan
         final_norm = np.linalg.norm(G, axis=1)
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = (y == 0.0).any(axis=1)

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,9 +282,27 @@ class TestEstimateValuations:
             estimate_valuations(steiner, trop, eps_grid=(1e-2, 1e-1, 1e-3))
         with pytest.raises(ValidationError):
             estimate_valuations(steiner, trop, eps_grid=(1e-1, 1e-2, -1e-3))
-        for grid in [(math.inf, 0.1, 0.01), (0.1, math.nan, 0.01), (0.1, 0.05, math.nan)]:
+        # Valuations are limits as eps -> 0: an eps above 1 overflowed the data
+        # of a wide w, or lost a path.
+        for grid in [(math.inf, 0.1, 0.01), (0.1, math.nan, 0.01), (0.1, 0.05, math.nan), (100, 10, 2), (2, 1.5, 1.1)]:
             with pytest.raises(ValidationError, match="eps grid must be finite"):
                 estimate_valuations(steiner, trop, eps_grid=grid)
+
+    def test_grid_above_one_through_the_cli(self, tmp_path):
+        """Once a bare RuntimeWarning line on stderr, then exit 2 with a
+        message about data the user never gave; now one JSON error line."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "w": [0, 100, 200, 400]}))
+        src = str(Path(degeneration.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqlinear.cli", "tropical", "--input", str(path), "--anchor", "1",
+             "--eps-grid", "100,10,2"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        err = json.loads(line)["error"]
+        assert err["type"] == "ValidationError" and err["message"].startswith("eps grid must be finite")
 
     def test_grid_converts_as_data_does(self, steiner):
         # Through to_floats: float() alone raised ValueError on 'x' and

@@ -238,6 +238,13 @@ def src_sources():
     return {path.stem: path.read_text() for path in sorted((SRC / "sqlinear").glob("*.py"))}
 
 
+def test_no_source_file_names_linalgerror():
+    """The Newton batch reads each row's LAPACK verdict from the NaNs of one
+    stacked call, so no module under src/ catches, raises or names the error
+    np.linalg raises for a whole stack."""
+    assert [module for module, source in src_sources().items() if "LinAlgError" in source] == []
+
+
 def names_without_a_caller(sources):
     """Top-level functions and classes (dunders aside) of ``{module: source}``
     that nothing calls. A name of module m counts as called when m reads it

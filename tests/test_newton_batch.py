@@ -23,6 +23,7 @@ overshoot a wall, evaluates about one trial per row-iteration.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,55 +157,50 @@ def test_one_region_alone_is_its_row_of_solve_all(d, n):
 def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
     """Only rows that fail the Cholesky test get their eigenvalues, and a
     pass whose rows all pass it calls no eigenvalue routine. On Steiner with
-    s = (50, 1, 45, 29) the stack's Cholesky call raises in the first of the
-    nine passes only, and the eigenvalue call then sees that pass's one
-    ridged row of seven; the finish's call for the top chart eigenvalue is
-    the only other. Each region of that batch still equals its one-region
-    solve bit for bit, which a ridge that moved its neighbours' rows would
-    break."""
+    s = (50, 1, 45, 29) each of the nine passes makes one stacked Cholesky
+    call and one stacked solve; the Cholesky factor comes back NaN in the
+    first pass only, for one row of seven, and the eigenvalue call then sees
+    that row alone; the finish's call for the top chart eigenvalue is the
+    only other. Each region of that batch still equals its one-region solve
+    bit for bit, which a ridge that moved its neighbours' rows would break."""
     s = [50, 1, 45, 29]
     regions = enumerate_regions(steiner.arr)
-    cholesky, eigvalsh, eigh = np.linalg.cholesky, np.linalg.eigvalsh, np.linalg.eigh
+    lapack = mle._umath_linalg
     hessian = mle.Likelihood.hessian
-    passes = []  # per Hessian evaluation, its linalg calls: (name, rows, raised or lowest eigenvalues)
+    passes = []  # per Hessian evaluation, its LAPACK calls: (name, rows, NaN rows or lowest eigenvalues)
 
     def spied_hessian(self, V, which=0):
         passes.append([])
         return hessian(self, V, which)
 
-    def spied_cholesky(a):
-        try:
-            factor = cholesky(a)
-        except np.linalg.LinAlgError:
-            passes[-1].append(("cholesky", len(a), True))
-            raise
-        passes[-1].append(("cholesky", len(a), False))
+    def spied_cholesky_lo(a, signature):
+        factor = lapack.cholesky_lo(a, signature=signature)
+        passes[-1].append(("cholesky_lo", len(a), int(np.isnan(factor).any(axis=(1, 2)).sum())))
         return factor
 
-    def spied_eigvalsh(a):
-        lam = eigvalsh(a)
-        passes[-1].append(("eigvalsh", len(a), lam[:, 0].tolist()))
+    def spied_eigvalsh_lo(a, signature):
+        lam = lapack.eigvalsh_lo(a, signature=signature)
+        passes[-1].append(("eigvalsh_lo", len(a), lam[:, 0].tolist()))
         return lam
 
-    def spied_eigh(a):
-        passes[-1].append(("eigh", len(a), None))
-        return eigh(a)
+    def spied_solve(a, b, signature):
+        step = lapack.solve(a, b, signature=signature)
+        passes[-1].append(("solve", len(a), int(np.isnan(step).any(axis=(1, 2)).sum())))
+        return step
 
+    spies = SimpleNamespace(cholesky_lo=spied_cholesky_lo, eigvalsh_lo=spied_eigvalsh_lo, solve=spied_solve)
     monkeypatch.setattr(mle.Likelihood, "hessian", spied_hessian)
-    monkeypatch.setattr(np.linalg, "cholesky", spied_cholesky)
-    monkeypatch.setattr(np.linalg, "eigvalsh", spied_eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+    monkeypatch.setattr(mle, "_umath_linalg", spies)
     everything = solve_all(steiner, s, regions=regions)
     monkeypatch.undo()
     *newton, finish = passes
     assert len(newton) == 9 and len(regions) == 7
     first, *rest = newton
-    assert first[0] == ("cholesky", 7, True)
-    ((low,),) = [calls for name, rows, calls in first if name == "eigvalsh"]
+    ((low,),) = [lows for name, rows, lows in first if name == "eigvalsh_lo"]
     assert low <= 0.0
-    assert [call for call in first if call[0] != "cholesky"] == [("eigvalsh", 1, [low])]
-    assert all(len(calls) == 1 and calls[0][0] == "cholesky" and not calls[0][2] for calls in rest)
-    assert [(name, rows) for name, rows, _ in finish] == [("eigvalsh", 7)]
+    assert first == [("cholesky_lo", 7, 1), ("eigvalsh_lo", 1, [low]), ("solve", 7, 0)]
+    assert all([(name, nan) for name, _, nan in calls] == [("cholesky_lo", 0), ("solve", 0)] for calls in rest)
+    assert [(name, rows) for name, rows, _ in finish] == [("eigvalsh_lo", 7)]
     assert not everything.failures
     for region, point in zip(regions, everything.points):
         (alone,) = solve_all(steiner, s, regions=[region]).points
@@ -242,32 +238,77 @@ def test_newton_step_matches_the_eigen_step(m):
         assert np.array_equal(alone[0], step[r]) and alone_slope[0] == slope[r] and alone_ridged[0] == ridged[r]
 
 
-SINGULAR = 2.0**40 + 0.5  # the diagonal that marks a system the patched solvers call singular
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_stacked_lapack_calls_give_each_matrix_its_own_verdict(m):
+    """The batch reads each row's LAPACK verdict from one stacked call of the
+    gufuncs that np.linalg.cholesky, solve and eigvalsh call. On a seeded
+    stack of definite, indefinite, exactly singular positive semidefinite
+    (a zero row and column) and rounded rank-deficient matrices, a row of
+    each call's output is NaN exactly when the one-matrix np.linalg call
+    raises, and every other row has that call's bits."""
+    rng = np.random.default_rng(4300 + m)
+    R = 48
+    Q = np.linalg.qr(rng.normal(size=(R, m, m)))[0]
+    lam = 10.0 ** rng.uniform(-2.0, 2.0, size=(R, m))
+    kind = np.arange(R) % 4  # definite, indefinite, exactly singular, rounded rank-deficient
+    for r in range(R):
+        if kind[r] == 1:
+            lam[r, rng.permutation(m)[: rng.integers(1, m + 1)]] *= -1.0
+        elif kind[r] == 3:
+            lam[r, rng.permutation(m)[: rng.integers(1, m + 1)]] = 0.0
+    M = np.einsum("rij,rj,rkj->rik", Q, lam, Q)
+    M = (M + M.transpose(0, 2, 1)) / 2.0
+    for r in (kind == 2).nonzero()[0]:
+        j = rng.integers(m)
+        M[r, j, :] = M[r, :, j] = 0.0
+    b = rng.normal(size=(R, m, 1))
+    lapack = mle._umath_linalg
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        calls = [
+            (lapack.cholesky_lo(M, signature="d->d"), np.linalg.cholesky, (M,)),
+            (lapack.solve(M, b, signature="dd->d"), np.linalg.solve, (M, b)),
+            (lapack.eigvalsh_lo(M, signature="d->d"), np.linalg.eigvalsh, (M,)),
+        ]
+    failed = []
+    for stacked, alone, args in calls:
+        failed.append(np.isnan(stacked).any(axis=tuple(range(1, stacked.ndim))))
+        for r in range(R):
+            try:
+                expected = alone(*(a[r] for a in args))
+            except np.linalg.LinAlgError:
+                assert failed[-1][r] and np.isnan(stacked[r]).all(), (alone.__name__, r)
+            else:
+                assert not failed[-1][r] and stacked[r].tobytes() == expected.tobytes(), (alone.__name__, r)
+    cholesky_failed, solve_failed, eigvalsh_failed = failed
+    assert not cholesky_failed[kind == 0].any() and cholesky_failed[(kind == 1) | (kind == 2)].all()
+    assert solve_failed[kind == 2].all() and not solve_failed[kind < 2].any() and not eigvalsh_failed.any()
+
+
+SINGULAR = 2.0**40 + 0.5  # the diagonal that marks a system the patched solve calls singular
 
 
 def singular_when_marked(monkeypatch, marked):
     """Patch the Hessians of the rows that ``marked(V)`` picks to
-    -SINGULAR * I, which passes the Cholesky test, and np.linalg.solve and
-    inv to raise LinAlgError on any stack holding such a row, as LAPACK does
-    on an exactly singular one."""
+    -SINGULAR * I, which passes the Cholesky test, and the batch's stacked
+    LAPACK solve to return NaN for each such matrix, as LAPACK does on an
+    exactly singular one."""
     hessian = mle.Likelihood.hessian
+    lapack = mle._umath_linalg
 
     def marked_hessian(self, V, which=0):
         logL, G, H = hessian(self, V, which)
         H[marked(V)] = -SINGULAR * np.eye(H.shape[-1])
         return logL, G, H
 
-    def singular(f):
-        def patched(a, *rest):
-            if (a[..., 0, 0] == SINGULAR).any():
-                raise np.linalg.LinAlgError("Singular matrix")
-            return f(a, *rest)
-
-        return patched
+    def solve(a, b, signature):
+        step = lapack.solve(a, b, signature=signature)
+        step[a[:, 0, 0] == SINGULAR] = np.nan
+        return step
 
     monkeypatch.setattr(mle.Likelihood, "hessian", marked_hessian)
-    monkeypatch.setattr(np.linalg, "solve", singular(np.linalg.solve))
-    monkeypatch.setattr(np.linalg, "inv", singular(np.linalg.inv))
+    monkeypatch.setattr(
+        mle, "_umath_linalg", SimpleNamespace(cholesky_lo=lapack.cholesky_lo, eigvalsh_lo=lapack.eigvalsh_lo, solve=solve)
+    )
 
 
 def test_singular_system_fails_its_row_alone(steiner, monkeypatch):
@@ -292,8 +333,8 @@ def test_singular_system_fails_its_row_alone(steiner, monkeypatch):
 
 def test_infinite_hessian_at_convergence_fails_its_row_alone():
     """On data spanning 1e-15 to 1, one region converges to a point with a
-    form value of exactly 0.0, where its Hessian holds an infinity and the
-    finish's stacked eigenvalue call raises LinAlgError. That row fails as
+    form value of exactly 0.0, where its Hessian holds an infinity, which the
+    finish keeps from its stacked eigenvalue call. That row fails as
     NoConvergence, and every other converged row keeps the bits it has in a
     batch without it."""
     A = [
