@@ -20,21 +20,22 @@ it, nor, for n < 16, on how many rows ride with it (:func:`_product` gives a
 carry their own data: the batch takes a sequence of data vectors, checks
 each, solves every region for each of them and returns one row of outcomes
 per data vector, which is how a log-Voronoi scan solves all its samples at
-once; :meth:`SolveAllResult.of` is the one rule that turns a row into the
-converged points, the MLE and the failures. A row's chart pins its largest
-coordinate and hops when another one takes over, so iterates stay bounded. A
-pass tests every row's chart Hessian for negative definiteness by Cholesky
-and solves every row's Newton system, each in one stacked call that returns
-NaN for the rows LAPACK fails on; only a row that fails the test gets its
-eigenvalues and is ridged, by ``SHIFT_MARGIN * scale`` doubled until the
-smallest eigenvalue of -H plus the ridge is positive, scale being the
-largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4). Each
-row's line search starts at t = min(1, TO_WALL * wall), wall being the step
-length at which the Newton step reaches the nearest hyperplane: near a
-degeneration the critical point sits close to a wall and the Newton step
-overshoots it, and halving down from t = 1 would spend one evaluation per
-halving (the fraction-to-the-boundary rule of interior-point methods;
-Nocedal & Wright 2006, section 19.2).
+once; each row reads its own data vector alone, so at any n its logL from
+given form values ignores the others. :meth:`SolveAllResult.of` is the one
+rule that turns a row into the converged points, the MLE and the failures. A
+row's chart pins its largest coordinate and hops when another one takes
+over, so iterates stay bounded. A pass tests every row's chart Hessian for
+negative definiteness by Cholesky and solves every row's Newton system, each
+in one stacked call that returns NaN for the rows LAPACK fails on; only a
+row that fails the test gets its eigenvalues and is ridged, by
+``SHIFT_MARGIN * scale`` doubled until the smallest eigenvalue of -H plus
+the ridge is positive, scale being the largest |diagonal entry| of H
+(Nocedal & Wright 2006, section 3.4). Each row's line search starts at
+t = min(1, TO_WALL * wall), wall being the step length at which the Newton step
+reaches the nearest hyperplane: near a degeneration the critical point sits
+close to a wall and the Newton step overshoots it, and halving down from
+t = 1 would spend one evaluation per halving (the fraction-to-the-boundary
+rule of interior-point methods; Nocedal & Wright 2006, section 19.2).
 
 The solver has one setting, ``tol``: a row is found when its Newton
 decrement lambda, which is affine-invariant and counts in units of logL
@@ -113,10 +114,10 @@ def normalize_parameter(x) -> np.ndarray:
 
 
 def _product(P, Q):
-    """P @ Q, with a one-row P padded to two rows and a one-column Q to two
-    columns: numpy multiplies either through BLAS gemv, which rounds otherwise
-    than gemm. An operand is copied only when it is padded; copying a
-    transposed view sends gemm down another kernel.
+    """P @ Q, with a one-row P padded to two rows: numpy multiplies a one-row
+    P through BLAS gemv, which rounds otherwise than gemm. P is copied only
+    when it is padded; copying a transposed view sends gemm down another
+    kernel.
 
     That makes each row's bits independent of how many rows come along only
     while Q has fewer than 16 rows. From 16 on, OpenBLAS 0.3.31 (Haswell
@@ -125,12 +126,9 @@ def _product(P, Q):
     randint(1, 50) drawn after it, 191 regions), solving in 7-row blocks
     gives 34 rows another x than the whole batch, and one region at a time
     67, by at most 2.2e-16 and with equal iteration counts."""
-    rows, cols = len(P), Q.shape[1]
-    if rows == 1:
-        P = np.repeat(P, 2, axis=0)
-    if cols == 1:
-        Q = np.repeat(Q, 2, axis=1)
-    return (P @ Q)[:rows, :cols]
+    if len(P) != 1:
+        return P @ Q
+    return (np.repeat(P, 2, axis=0) @ Q)[:1]
 
 
 @np.errstate(invalid="ignore", over="ignore", divide="ignore")
@@ -173,8 +171,9 @@ class Likelihood:
 
     The one copy of these formulas, which the Newton batch below runs. Built
     once per (float A, s), where s is one data vector or a (K, n) stack of
-    them; ``which`` names each row's data vector, an array in the batch or
-    the scalar 0 (the default) when there is one data vector.
+    them; each row reads only the data vector ``which`` names (an array in
+    the batch, or the scalar 0, the default, for one data vector), so at any
+    n its logL ignores the others and no (rows, K) array forms.
     States of weight 0 in every data vector drop out of the sums, also on
     their own hyperplanes; when there are none, the form values are used
     without a copy.
@@ -195,8 +194,8 @@ class Likelihood:
         return V if self._keep is None else V[:, self._keep]
 
     def __call__(self, V, which=0):
-        weighted = _product(2.0 * np.log(np.abs(self._kept(V))), self._S.T)
-        return weighted[np.arange(len(V)), which] - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
+        weighted = (2.0 * np.log(np.abs(self._kept(V))) * self._S[which]).sum(axis=1)
+        return weighted - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
 
     def hessian(self, V, which=0):
         """(logL, G, H) from one pass: the log-likelihoods, the gradient rows

@@ -152,7 +152,9 @@ def singular_subspaces(model: SquaredLinearModel) -> list:
     One subspace for each unordered partition I | J of the states with
     |I|, |J| <= d-1 and ker(B A_{I,J}) nontrivial; empty when n > 2d-2.
     Sign-flipping the forms indexed by J maps each subspace point to a
-    different parameter with the same probability vector.
+    different parameter with the same probability vector. As B A = 0,
+    flipping the rows J of A gives B A_{I,J} = -2 B_{:,J} A_J, whose kernel
+    is the subspace; J leaves out state 0, one of (I,J) ~ (J,I).
     """
     arr = model.arr
     n, d = arr.n, arr.d
@@ -162,20 +164,13 @@ def singular_subspaces(model: SquaredLinearModel) -> list:
         return []
     out = []
     for size in range(n - (d - 1), d):
-        for J in itertools.combinations(range(n), size):
-            Jset = frozenset(J)
-            if 0 in Jset:
-                continue  # fix 0 in I to pick one representative of (I,J) ~ (J,I)
-            rows = tuple(
-                tuple(-v for v in row) if i in Jset else row
-                for i, row in enumerate(arr.A)
-            )
-            product = ratlin.matmul(model.B.B, rows)
-            kernel = ratlin.nullspace(product, ncols=d)
+        for J in itertools.combinations(range(1, n), size):
+            columns = tuple(tuple(row[j] for j in J) for row in model.B.B)
+            kernel = ratlin.nullspace(ratlin.matmul(columns, [arr.A[j] for j in J]), ncols=d)
             if kernel:
                 out.append(
                     SingularSubspace(
-                        I=frozenset(range(n)) - Jset, J=Jset, basis=kernel
+                        I=frozenset(range(n)) - frozenset(J), J=frozenset(J), basis=kernel
                     )
                 )
     out.sort(key=lambda s: tuple(sorted(s.J)))

@@ -1,0 +1,167 @@
+"""Record the Newton batch's outcomes bit for bit, and compare two records.
+
+    python tests/golden/solver_bits.py record OUT
+    python tests/golden/solver_bits.py compare A B
+
+``record`` wraps ``sqlinear.mle._solve_batch`` and runs it over a fixed
+sweep: every job of perfbench's ``numeric-mle`` pool, 16 ``session``
+cycles (``setup_session(1, 16)``), and three seeded draws of
+``random_arrangement(d, n, rng, -99, 99)`` for each shape in ``SHAPES``,
+each solved at data eps^w (w_i in 0..3) for every eps in ``EPS`` and at two
+integer data vectors in one batch. Each outcome is stored as two strings:
+its path (the bytes of x, y and p; grad_norm, iterations and
+hessian_max_eig; a failure's type, message and trace) and its logL, both
+with floats in hex. The record also holds ``mle_index`` of braid(4),
+braid(5) and Steiner at uniform data.
+
+``compare`` prints the outcomes whose path differs, the count of logL
+differences with the largest in ulps, and any moved ``mle_index``; it exits
+1 when a path differs or the two sweeps do not line up.
+
+Run one checkout's copy of this script against that checkout: perfbench's
+pools are read as ``tests/test_benchmark_gate.py`` reads them, from the
+``perfbench/`` and ``src/`` next to this ``tests/``. OpenBLAS is held to one
+thread, since its threaded kernels may round otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import struct
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+ROOT = Path(__file__).resolve().parents[2]
+SHAPES = ((3, 8), (3, 12), (4, 9), (4, 12), (4, 16), (3, 16), (3, 20), (5, 16), (5, 20))
+EPS = (0.1, 10**-2.5, 1e-4)
+TOL = 1e-10
+
+
+def _hex(value):
+    return float(value).hex()
+
+
+def _path(out, found):
+    """Everything of one outcome but its logL, as one string; ``found``
+    tells a CriticalPoint from a failure."""
+    if found:
+        arrays = " ".join(a.tobytes().hex() for a in (out.x, out.y, out.p))
+        return f"{out.region} {arrays} {_hex(out.grad_norm)} {out.iterations} {_hex(out.hessian_max_eig)}"
+    trace = [(k, _hex(v)) for k, v in out.trace]
+    return f"{type(out).__name__}: {out} {trace}"
+
+
+def _draws():
+    """(label, model, regions, batches) for the seeded draws, each batch a
+    list of data vectors solved together."""
+    import numpy as np
+
+    from sqlinear import catalog
+    from sqlinear.arrangement import enumerate_regions
+    from sqlinear.model import make_model
+
+    for d, n in SHAPES:
+        for k in range(3):
+            rng = random.Random(f"solver-bits/{d}x{n}/{k}")
+            model = make_model(catalog.random_arrangement(d, n, rng, -99, 99))
+            w = np.array([rng.randint(0, 3) for _ in range(n)], dtype=float)
+            pair = [[float(rng.randint(1, 50)) for _ in range(n)] for _ in range(2)]
+            yield f"{d}x{n}/{k}", model, enumerate_regions(model.arr), [[eps**w] for eps in EPS] + [pair]
+
+
+def record(out_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+
+    run.import_package()
+    import numpy as np
+    import workloads
+
+    from sqlinear import catalog, mle
+    from sqlinear.model import make_model
+
+    outcomes = []  # [label, path, logL hex or None]
+    solve_batch, label = mle._solve_batch, [""]
+
+    def recorded(*args, **kwargs):
+        rows = solve_batch(*args, **kwargs)
+        for k, row in enumerate(rows):
+            for r, out in enumerate(row):
+                found = isinstance(out, mle.CriticalPoint)
+                logL = _hex(out.logL) if found else None
+                outcomes.append([f"{label[0]} #{len(outcomes)} data {k} region {r}", _path(out, found), logL])
+        return rows
+
+    mle._solve_batch = recorded
+    try:
+        label[0] = "numeric-mle"
+        for job in workloads.mle_pool_jobs():
+            job.run()
+        label[0] = "session"
+        for cycle in workloads.setup_session(1, 16):
+            for bundled in cycle:
+                for job in bundled.parts or (bundled,):
+                    job.run()
+        for name, model, regions, batches in _draws():
+            label[0] = name
+            for data in batches:
+                mle._solve_batch(model, data, regions, TOL)
+    finally:
+        mle._solve_batch = solve_batch
+    uniform = {
+        name: mle.solve_all(make_model(arr), np.ones(arr.n)).mle_index
+        for name, arr in (
+            ("braid4", catalog.braid_arrangement(4)),
+            ("braid5", catalog.braid_arrangement(5)),
+            ("steiner", catalog.steiner_arrangement()),
+        )
+    }
+    Path(out_path).write_text(json.dumps({"outcomes": outcomes, "uniform_mle_index": uniform}))
+    failures = sum(logL is None for _, _, logL in outcomes)
+    print(f"{len(outcomes)} outcomes ({failures} failures); uniform-data mle_index {uniform}")
+
+
+def _ordered(value):
+    """The double's bits as an integer that counts ulps across zero."""
+    bits = struct.unpack("<q", struct.pack("<d", value))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def compare(a_path, b_path):
+    a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
+    old, new = a["outcomes"], b["outcomes"]
+    paths, logls = [], []
+    for (label, path, logL), (other_label, other_path, other_logL) in zip(old, new):
+        if label != other_label or path != other_path:
+            paths.append(label if label == other_label else f"{label} / {other_label}")
+        elif logL != other_logL:
+            ulps = abs(_ordered(float.fromhex(logL)) - _ordered(float.fromhex(other_logL)))
+            logls.append((ulps, label))
+    for label in paths[:20]:
+        print(f"path differs: {label}")
+    if len(old) != len(new):
+        print(f"outcome counts differ: {len(old)} against {len(new)}")
+    print(f"{len(old)} outcomes: {len(paths)} path differences, {len(logls)} logL differences", end="")
+    print(f", largest {max(logls)[0]} ulps ({max(logls)[1]})" if logls else "")
+    for name, index in a["uniform_mle_index"].items():
+        moved = b["uniform_mle_index"].get(name)
+        print(f"uniform-data mle_index {name}: {index}" + ("" if moved == index else f" -> {moved}"))
+    return 1 if paths or len(old) != len(new) else 0
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "record":
+        record(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
