@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter, itemgetter, mul
 
 from . import ratlin
@@ -139,7 +139,10 @@ class Region(Record):
     """Region of the projective arrangement complement with an interior ray.
 
     ``ray`` is a primitive integer vector with sign(l_i(ray)) == sign_i
-    exactly; ``witness`` is it scaled to largest absolute coordinate 1.
+    exactly: the sum of the m extreme rays of the region's cone, ray j
+    weighted 2^(e - e_j), e_j being the bit length of its largest |entry|
+    and e the largest e_j, so no entry has more than e + bit_length(m) bits.
+    ``witness`` is it scaled to largest absolute coordinate 1.
     """
 
     __slots__ = ("sign", "ray")
@@ -213,35 +216,36 @@ def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
     the row is nonzero in the pivot's lead column. A row reduced to zero is
     in the span of the included rows, so with or without it every
     extension has the same rank and the terms cancel: the join stops and
-    is dropped. A join of rank d, spanning every later row, is never made.
-    Every node's rows are a no-broken-circuit set (Bjorner 1982; Orlik &
-    Terao 1992, ch. 3), fewer than |chi(-1)|. A join updating row j has
-    rows forming such a set of the first j rows, and adding a row never
-    removes a region: at most n|chi(-1)| updates.
+    is dropped. A join of rank d spans every later row, so only a join of
+    the last row survives: a node of rank d - 1 adds that leaf at once
+    instead of walking its exclusion chain. Every node's rows are a
+    no-broken-circuit set (Bjorner 1982; Orlik & Terao 1992, ch. 3), fewer
+    than |chi(-1)|. A join updating row j has rows forming such a set of
+    the first j rows, and adding a row never removes a region: at most
+    n|chi(-1)| updates.
     """
     d = arr.d
     acc = [0] * (d + 1)
     stack = [(0, 1, 0, [ratlin.cleared(row)[0] for row in arr.A])]
     while stack:
         i, sign, rank, later = stack.pop()
-        if i == len(later) - 1:
+        if i == len(later) - 1 or rank + 1 == d:
             acc[rank] += sign
             acc[rank + 1] -= sign
             continue
         stack.append((i + 1, sign, rank, later))
-        if rank + 1 < d:
-            row = later[i]
-            lead, g = row.index(next(filter(None, row))), gcd(*row)
-            pivot = [v // g for v in row] if g > 1 else row
-            a, reduced = pivot[lead], []
-            for r in later[i + 1 :]:
-                if c := r[lead]:
-                    r = [a * x - c * y for x, y in zip(r, pivot)]
-                    if not any(r):
-                        break
-                reduced.append(r)
-            else:
-                stack.append((0, -sign, rank + 1, reduced))
+        row = later[i]
+        lead, g = row.index(next(filter(None, row))), gcd(*row)
+        pivot = [v // g for v in row] if g > 1 else row
+        a, reduced = pivot[lead], []
+        for r in later[i + 1 :]:
+            if c := r[lead]:
+                r = [a * x - c * y for x, y in zip(r, pivot)]
+                if not any(r):
+                    break
+            reduced.append(r)
+        else:
+            stack.append((0, -sign, rank + 1, reduced))
     # acc[r] is the coefficient of t^(d - r): descending order already.
     return CharacteristicPolynomial(coeffs=tuple(acc))
 
@@ -366,14 +370,17 @@ def enumerate_regions(arr: Arrangement) -> list:
     and the rows up to sign whether two are parallel. :func:`_cones` then
     splits the 2^(d-1) orthants of the start rows by every other row, all
     cones sharing one table of lines. No LP runs. A region's ray is the sum
-    of its extreme rays, each first scaled to largest absolute coordinate 1,
-    summed column by column over a common denominator and made primitive: a
-    positive combination of all extreme rays of a pointed cone lies in its
-    interior, so the ray has the region's signs exactly (Fukuda & Prodon
-    1996). Scaling the rays first stops rays with huge integer entries from
-    swamping the others, which put plain sums numerically on a wall. All of
-    it is integer arithmetic; no Fraction is built. Regions come back sorted
-    by sign string; the count always equals ``ml_degree(arr)``.
+    of its extreme rays, ray j weighted 2^(e - e_j), e_j being the bit
+    length of its largest |entry| (its top) and e the largest e_j in the
+    cone, and made primitive: a positive combination of all extreme rays of
+    a pointed cone lies in its interior, so the ray has the region's signs
+    exactly (Fukuda & Prodon 1996). Every weighted top lies in
+    [2^(e-1), 2^e), so rays with huge integer entries do not swamp the
+    others, which put plain sums numerically on a wall, and the m rays of a
+    cone sum to entries of at most e + bit_length(m) bits, however the tops
+    differ. All of it is integer arithmetic; no Fraction is built. Regions
+    come back sorted by sign string; the count always equals
+    ``ml_degree(arr)``.
     """
     n, d = arr.n, arr.d
     ints = [_ray(ratlin.cleared(row)[0]) for row in arr.A]
@@ -388,12 +395,12 @@ def enumerate_regions(arr: Arrangement) -> list:
     lines, cones = _cones(ints, d, *start)
     sign_of = {"0": 1, "1": -1}.get
     for line in lines:
-        line.append(max(map(abs, line[0])))  # line[3]: the top of its rays
+        line.append(max(map(abs, line[0])).bit_length())  # line[3]: the bit length of its top
     result = []
     for neg, rays in cones:
-        # sum_j ray_j / top_j, over the common denominator of the tops.
-        common = lcm(*(line[3] for line, _ in rays))
-        factors = [s * (common // line[3]) for line, s in rays]
+        # sum_j 2^(e - e_j) ray_j, each scaled top in [2^(e-1), 2^e).
+        e = max(line[3] for line, _ in rays)
+        factors = [s << (e - line[3]) for line, s in rays]
         total = [sum(map(mul, factors, column)) for column in zip(*(line[0] for line, _ in rays))]
         # Bit i of neg as character i: '0' < '1' sorts as '+' < '-' does.
         bits = format(neg, f"0{n}b")[::-1]

@@ -351,7 +351,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     X = X.reshape(N, d)
     chart = np.zeros(N, dtype=int)  # each row's pinned coordinate, set on every pass
     iterations = np.zeros(N, dtype=int)
-    history = np.empty((N, MAX_ITER))  # lambda / sqrt(sum(s)) at each evaluated iteration
+    passes = []  # (rows, lambda / sqrt(sum(s))) of every pass, in order
     outcomes = [None] * N
 
     def inside(V, rows=slice(None)):
@@ -363,8 +363,19 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         free, lane = frees[chart[rows]], lanes[: len(rows)]
         return G[lane, free], H[lane[:, :, None], free[:, :, None], free[:, None, :]], free
 
-    def trace(k):
-        return list(enumerate(history[k, : iterations[k] + converged[k]].tolist()))
+    def traces(ks):
+        """The (iteration, decrement) trace of each row of ``ks``, read off
+        the passes: a row runs in consecutive passes from the first, each
+        pass's rows sorted."""
+        out = [[] for _ in ks]
+        for rows, lam in passes:
+            at = np.searchsorted(rows, ks)
+            ran = (rows.take(at, mode="clip") == ks).nonzero()[0]
+            if not ran.size:
+                break
+            for i, value in zip(ran.tolist(), lam[at[ran]].tolist()):
+                out[i].append((len(out[i]), value))
+        return out
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         V = _product(X, A.T)
@@ -392,7 +403,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             step = np.zeros((len(rows), d))
             step[lanes[: len(rows)], free] = free_step
             lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
-            history[rows, iterations[rows]] = lam
+            passes.append((rows, lam))
 
             # Found rows take the last Newton step where it keeps the signs.
             done = ~ridged & (lam < tol)  # NaN compares false
@@ -432,10 +443,10 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             iterations[rows] += 1
             running[rows[~moved]] = False
 
-        for k in (live & ~converged).nonzero()[0]:
+        stalled = (live & ~converged).nonzero()[0]
+        for k, trace in zip(stalled.tolist(), traces(stalled)):
             outcomes[k] = NoConvergence(
-                f"Newton decrement {history[k, iterations[k] - 1]:.3e} not below tolerance {tol:.1e}",
-                trace=trace(k),
+                f"Newton decrement {trace[-1][1]:.3e} not below tolerance {tol:.1e}", trace=trace
             )
 
         rows = (live & converged).nonzero()[0]
@@ -452,6 +463,8 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = (y == 0.0).any(axis=1)
         left = ~(inside(y, rows) | inside(-y, rows))
+        failed = rows[~underflow & (left | ~np.isfinite(top_eig))]
+        traced = dict(zip(failed.tolist(), traces(failed)))
     logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), iterations.tolist()
     for i, k in enumerate(rows.tolist()):
         if underflow[i]:
@@ -459,9 +472,9 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
                 "coordinate underflow at convergence: cannot take the sign vector of a zero value"
             )
         elif left[i]:
-            outcomes[k] = NoConvergence("converged point left its region", trace=trace(k))
+            outcomes[k] = NoConvergence("converged point left its region", trace=traced[k])
         elif not isfinite(top_eig[i]):
-            outcomes[k] = NoConvergence("Hessian at convergence has no finite eigenvalues", trace=trace(k))
+            outcomes[k] = NoConvergence("Hessian at convergence has no finite eigenvalues", trace=traced[k])
         else:
             outcomes[k] = CriticalPoint(
                 regions[k % R].sign, xn[i], y[i], p[i], logL[i], final_norm[i], counts[k], top_eig[i]

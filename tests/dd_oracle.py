@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from sqlinear import ratlin
@@ -97,7 +97,8 @@ def cone_rays(signs, chosen, base, ints, d):
 
 
 # A region as enumeration returned it before it kept the integer ray: the
-# sign vector and the Fraction witness, the ray sum over its largest |entry|.
+# sign vector and the Fraction witness, the weighted ray sum over its largest
+# |entry|.
 OracleRegion = namedtuple("OracleRegion", "sign witness")
 
 
@@ -127,12 +128,13 @@ def enumerate_regions(arr):
         regions = grown
     result = []
     for signs, rays in regions:
-        # sum_j ray_j / top_j, over the common denominator of the tops.
-        tops = [max(map(abs, ray)) for ray, _ in rays]
-        common = lcm(*tops)
+        # sum_j 2^(e - e_j) ray_j, e_j the bit length of ray j's largest
+        # |entry| and e the largest e_j.
+        exponents = [max(map(abs, ray)).bit_length() for ray, _ in rays]
+        e = max(exponents)
         total = [0] * d
-        for (ray, _), top in zip(rays, tops):
-            total = [a + common // top * v for a, v in zip(total, ray)]
+        for (ray, _), exponent in zip(rays, exponents):
+            total = [a + (v << (e - exponent)) for a, v in zip(total, ray)]
         top = max(map(abs, total))
         result.append(OracleRegion(SignVector(signs), tuple(Fraction(v, top) for v in total)))
     result.sort(key=lambda region: str(region.sign))

@@ -16,7 +16,11 @@ braid(5) and Steiner at uniform data.
 
 ``compare`` prints the outcomes whose path differs, the count of logL
 differences with the largest in ulps, and any moved ``mle_index``; it exits
-1 when a path differs or the two sweeps do not line up.
+1 when a path differs or the two sweeps do not line up. When paths differ it
+also prints the outcomes whose region or found/failed state differs, the
+largest relative difference in x of the points found on both sides (max
+|x_a - x_b| over max |x_a|), and each side's total and mean iterations over
+its found points, which tell a moved start from a moved answer.
 
 Run one checkout's copy of this script against that checkout: perfbench's
 pools are read as ``tests/test_benchmark_gate.py`` reads them, from the
@@ -31,6 +35,7 @@ import os
 import random
 import struct
 import sys
+from array import array
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -131,6 +136,30 @@ def _ordered(value):
     return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
 
 
+def _point(path):
+    """(region, x, iterations) of a found outcome's path."""
+    region, x, _, _, _, iterations, _ = path.split(" ")
+    return region, array("d", bytes.fromhex(x)), int(iterations)
+
+
+def _moved_points(old, new):
+    """The outcomes whose region or found/failed state differs, the largest
+    relative x difference of the points found in the same region on both
+    sides, and each side's [iterations, found points]."""
+    moved, largest, totals = [], 0.0, [[0, 0], [0, 0]]
+    for (label, path, logL), (_, other_path, other_logL) in zip(old, new):
+        a, b = (_point(p) if found is not None else None for p, found in ((path, logL), (other_path, other_logL)))
+        for total, point in zip(totals, (a, b)):
+            if point:
+                total[0] += point[2]
+                total[1] += 1
+        if (a is None) != (b is None) or a and a[0] != b[0]:
+            moved.append(label)
+        elif a:
+            largest = max(largest, max(abs(u - v) for u, v in zip(a[1], b[1])) / max(map(abs, a[1])))
+    return moved, largest, totals
+
+
 def compare(a_path, b_path):
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
     old, new = a["outcomes"], b["outcomes"]
@@ -147,6 +176,14 @@ def compare(a_path, b_path):
         print(f"outcome counts differ: {len(old)} against {len(new)}")
     print(f"{len(old)} outcomes: {len(paths)} path differences, {len(logls)} logL differences", end="")
     print(f", largest {max(logls)[0]} ulps ({max(logls)[1]})" if logls else "")
+    if paths:
+        moved, largest, totals = _moved_points(old, new)
+        for label in moved[:20]:
+            print(f"region or found/failed state differs: {label}")
+        print(f"{len(moved)} outcomes change region or found/failed state; largest relative x difference {largest:.3e}")
+        (a_iters, a_found), (b_iters, b_found) = totals
+        print(f"iterations {a_iters} over {a_found} found ({a_iters / max(a_found, 1):.4f} each)", end="")
+        print(f" against {b_iters} over {b_found} ({b_iters / max(b_found, 1):.4f} each)")
     for name, index in a["uniform_mle_index"].items():
         moved = b["uniform_mle_index"].get(name)
         print(f"uniform-data mle_index {name}: {index}" + ("" if moved == index else f" -> {moved}"))

@@ -129,6 +129,39 @@ def test_rays_of_random_arrangements(d):
         assert assert_same_enumeration(arr) == sum(math.comb(n - 1, k) for k in range(d))
 
 
+def regions_with_rays(arr):
+    """Each region of ``arr`` with the (vector, zero mask) extreme rays of its cone."""
+    ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
+    chosen, base = arrangement._simplicial_start(ints, arr.d)
+    for region in arrangement.enumerate_regions(arr):
+        yield region, arrangement._cone_rays(region.sign.signs, chosen, base, ints, arr.d)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_ray_bits_stay_near_the_largest_ray_top(d):
+    """Each region's ray sums its m extreme rays weighted 2^(e - e_j), e_j
+    the bit length of ray j's largest |entry| and e the largest, so every
+    entry is below m 2^e: at most e + bit_length(m) bits. A sum over the
+    lcm of the tops grows with their product instead."""
+    for k in range(2):
+        arr = catalog.random_arrangement(d, 12, random.Random(f"dd/bits/{d}/{k}"), -99, 99)
+        for region, rays in regions_with_rays(arr):
+            e = max(max(map(abs, ray)).bit_length() for ray, _ in rays)
+            assert max(map(abs, region.ray)).bit_length() <= e + len(rays).bit_length(), region.sign
+
+
+@pytest.mark.parametrize("name", ["steiner", "braid3", "braid4", "braid5", "four_points", "circle"])
+def test_power_of_two_weights_keep_the_lcm_witnesses(name):
+    """Where every ray top is c 2^k for one c, the weights 2^(e - e_j) are
+    proportional to 1 / top_j, so each witness is still the sum of the rays
+    scaled to largest |entry| 1, over its largest |entry|."""
+    arr = catalog.braid_arrangement(3) if name == "braid3" else CATALOG[name]()
+    for region, rays in regions_with_rays(arr):
+        total = [sum(column) for column in zip(*([Fraction(v, max(map(abs, ray))) for v in ray] for ray, _ in rays))]
+        top = max(map(abs, total))
+        assert region.witness == tuple(v / top for v in total), region.sign
+
+
 def test_float_starts_beyond_two_to_the_53(monkeypatch):
     """A line p x = q y with p, q near 2^58 puts entries above 2^53 into the
     rays, where float(v) / float(top) rounds twice. The solver starts from

@@ -1,11 +1,12 @@
 """Ray-only region enumeration against the LP oracle.
 
 sqlinear.arrangement enumerates regions from their extreme rays alone and
-takes each witness as the sum of the region's extreme rays, each scaled to
-largest absolute coordinate 1; tests/lp_oracle.py runs one LP per (region,
-inserted hyperplane). The two must return the same sign vectors in the same
-order, and every witness must be normalized, lie strictly inside its region
-(checked exactly) and equal the scaled sum of the brute-force extreme rays.
+takes each witness as the sum of the region's extreme rays, each divided by
+the power of two just above its largest absolute coordinate;
+tests/lp_oracle.py runs one LP per (region, inserted hyperplane). The two
+must return the same sign vectors in the same order, and every witness must
+be normalized, lie strictly inside its region (checked exactly) and equal
+that scaled sum of the brute-force extreme rays.
 """
 
 import functools
@@ -114,8 +115,9 @@ def extreme_rays(arr, signs):
 
 
 def scaled_ray_sum(rays):
-    """sum_j r_j / max|r_j|, scaled to largest absolute coordinate 1."""
-    scaled = [[Fraction(v, max(map(abs, ray))) for v in ray] for ray, _ in rays]
+    """sum_j r_j / 2^e_j, e_j the bit length of max|r_j|, scaled to largest
+    absolute coordinate 1."""
+    scaled = [[Fraction(v, 2 ** max(map(abs, ray)).bit_length()) for v in ray] for ray, _ in rays]
     total = [sum(column) for column in zip(*scaled)]
     top = max(map(abs, total))
     return tuple(v / top for v in total)
