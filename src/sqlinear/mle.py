@@ -12,30 +12,32 @@ stack of iterates: each pass evaluates the whole stack through
 gradient and Hessian formulas, and every decision is made per row through
 masks. At these sizes a pass costs its numpy calls, not its arithmetic. A
 pass multiplies its iterates by A^T and evaluates them once, and each trial
-point once, so an accepted trial point is multiplied and evaluated again at
-the top of the next pass, as the start is for the live test and in the first
-pass. A row's bits do not depend on work a pass skips because no row needs
-it, nor, for n < 16, on how many rows ride with it (:func:`_product` gives a
-(3,20) draw where 34 of 191 rows move when solved in 7-row blocks). Rows may
-carry their own data: the batch takes a sequence of data vectors, checks
-each, solves every region for each of them and returns one row of outcomes
-per data vector, which is how a log-Voronoi scan solves all its samples at
-once; each row reads its own data vector alone, so at any n its logL from
-given form values ignores the others. :meth:`SolveAllResult.of` is the one
-rule that turns a row into the converged points, the MLE and the failures. A
-row's chart pins its largest coordinate and hops when another one takes
-over, so iterates stay bounded. A pass tests every row's chart Hessian for
-negative definiteness by Cholesky and solves every row's Newton system, each
-in one stacked call that returns NaN for the rows LAPACK fails on; only a
-row that fails the test gets its eigenvalues and is ridged, by
-``SHIFT_MARGIN * scale`` doubled until the smallest eigenvalue of -H plus
-the ridge is positive, scale being the largest |diagonal entry| of H
-(Nocedal & Wright 2006, section 3.4). Each row's line search starts at
-t = min(1, TO_WALL * wall), wall being the step length at which the Newton step
-reaches the nearest hyperplane: near a degeneration the critical point sits
-close to a wall and the Newton step overshoots it, and halving down from
-t = 1 would spend one evaluation per halving (the fraction-to-the-boundary
-rule of interior-point methods; Nocedal & Wright 2006, section 19.2).
+point once, taking its logL only where Armijo decides, so an accepted trial
+point is multiplied and evaluated again at the top of the next pass, as the
+start is for the live test and in the first pass. A row's bits do not depend
+on work a pass skips because no row needs it, nor, for n < 16, on how many
+rows ride with it (:func:`_product` gives a (3,20) draw where 34 of 191 rows
+move when solved in 7-row blocks). Rows may carry their own data: the batch
+takes a sequence of data vectors, checks each, solves every region for each
+of them and returns one row of outcomes per data vector, which is how a
+log-Voronoi scan solves all its samples at once; each row reads its own data
+vector alone, so at any n its logL from given form values ignores the
+others. :meth:`SolveAllResult.of` is the one rule that turns a row into the
+converged points, the MLE and the failures. A row's chart pins its largest
+coordinate and hops when another one takes over, so iterates stay bounded. A
+pass tests every row's chart Hessian for negative definiteness by Cholesky
+and solves every row's Newton system, each in one stacked call that returns
+NaN for the rows LAPACK fails on; only a row that fails the test gets its
+eigenvalues and is ridged, by ``SHIFT_MARGIN * scale`` doubled until the
+smallest eigenvalue of -H plus the ridge is positive, scale being the
+largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4). A found
+row's one trial is its last Newton step; any other row's line search starts
+at t = min(1, TO_WALL * wall), wall being the step length at which the
+Newton step reaches the nearest hyperplane: near a degeneration the critical
+point sits close to a wall and the Newton step overshoots it, and halving
+down from t = 1 would spend one evaluation per halving (the
+fraction-to-the-boundary rule of interior-point methods; Nocedal & Wright
+2006, section 19.2).
 
 The solver has one setting, ``tol``: a row is found when its Newton
 decrement lambda, which is affine-invariant and counts in units of logL
@@ -313,19 +315,19 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     vectors. A start of other than d entries is a ValidationError.
 
     A row is found when its Newton decrement lambda, with lambda^2 =
-    g . solve(-H, g) on its chart and H not ridged, satisfies
-    lambda / sqrt(sum(s)) < ``tol``; it then takes that last Newton step if
-    the step keeps the signs. Other rows backtrack from t = min(1, TO_WALL
-    * wall), wall being the t at which the step reaches the nearest
-    hyperplane, until the step keeps the signs and passes Armijo: near a
-    degeneration the Newton step overshoots a wall, and its first trial
-    then stops short of it. Once lambda^2 is below
-    ``1e-5 * max(1, sum(s))``, likelihood comparisons are roundoff and the
-    sign guard alone decides. A row whose backtracking finds no step, or
-    that runs out of iterations, fails.
+    g . solve(-H, g) >= 0 on its chart and H not ridged, satisfies
+    lambda / sqrt(sum(s)) < ``tol``; that last Newton step is then its one
+    trial, kept if it keeps the signs. Other rows halve t from the module's
+    min(1, TO_WALL * wall) until the step keeps the signs and passes Armijo,
+    which once lambda^2 is below ``1e-5 * max(1, sum(s))`` is roundoff and
+    left to the sign guard. A row fails when its backtracking finds no step,
+    when it runs out of iterations, when its step descends on an H that
+    passed the Cholesky test (numerically singular; the trace then ends in
+    NaN), or when its chart Hessian where it is found is not negative
+    definite.
 
-    A pass skips what none of its rows needs (the ridge, the found rows'
-    last step), and the ridge touches only the rows that need it.
+    A pass skips what none of its rows needs (the ridge, a logL Armijo does
+    not decide), and the ridge touches only the rows that need it.
     """
     S = np.array([_check_positive_data(s, model.n) for s in data]).reshape(-1, model.n)
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
@@ -352,6 +354,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     chart = np.zeros(N, dtype=int)  # each row's pinned coordinate, set on every pass
     iterations = np.zeros(N, dtype=int)
     passes = []  # (rows, lambda / sqrt(sum(s))) of every pass, in order
+    descended = {}  # row -> the failure of its step descending on a Cholesky-tested H
     outcomes = [None] * N
 
     def inside(V, rows=slice(None)):
@@ -389,7 +392,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         running = live.copy()
         converged = np.zeros(N, dtype=bool)
         while True:
-            rows = (running & (iterations < MAX_ITER)).nonzero()[0]
+            rows = (running & ~converged & (iterations < MAX_ITER)).nonzero()[0]
             if not rows.size:
                 break
             x = X[rows]  # rechart: pin each row's largest coordinate at +-1
@@ -402,52 +405,46 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             free_step, slope, ridged = _newton_step(g, H)
             step = np.zeros((len(rows), d))
             step[lanes[: len(rows)], free] = free_step
-            lam = np.sqrt(np.maximum(slope, 0.0) / totals[rows])
+            lam = np.sqrt(slope / totals[rows])  # NaN for a negative slope
             passes.append((rows, lam))
-
-            # Found rows take the last Newton step where it keeps the signs.
-            done = ~ridged & (lam < tol)  # NaN compares false
-            if done.any():
-                last = rows[done]
-                cand = x[done] + step[done]
-                keep = inside(_product(cand, A.T), last)
-                X[last[keep]] = cand[keep]
-                converged[last] = True
-                running[last] = False
-                rest = ~done
-                rows, x, step, slope, current, V, ridged = (a[rest] for a in (rows, x, step, slope, current, V, ridged))
-            flat = ~ridged & (slope <= flat_below[rows])
-            # The first trial stops TO_WALL of the way to the nearest hyperplane
-            # the step heads for: wall = min (s_i V_i) / -(s_i A_i step) over
-            # the forms whose signed value the step decreases.
+            descends = ~ridged & (slope < 0.0)  # H passed the Cholesky test yet is singular
+            for k, value in zip(rows[descends].tolist(), slope[descends].tolist()):
+                descended[k] = f"Newton step has negative slope {value:.3e} on a Cholesky-tested Hessian"
+            # A found row's one trial is its last step, at t = 1. Any other
+            # row's first trial stops TO_WALL of the way to the nearest
+            # hyperplane the step heads for: wall = min (s_i V_i) / -(s_i A_i
+            # step) over i with s_i A_i step < 0.
+            found = ~ridged & (lam < tol)  # NaN compares false
+            flat = found | (~ridged & (slope <= flat_below[rows]))
             along = signs[rows] * _product(step, A.T)
             wall = np.where(along < 0.0, signs[rows] * V / -along, np.inf).min(axis=1)
-            t = np.minimum(1.0, TO_WALL * wall)
-            # Halve each row's t until its trial keeps the signs and passes
-            # Armijo or the row is flat, at most MAX_BACKTRACKS times. A step
-            # too short to change x would repeat forever; it counts as none.
-            moved = np.zeros(len(rows), dtype=bool)
-            sub = np.arange(len(rows))  # the rows still halving
+            t = np.where(found, 1.0, np.minimum(1.0, TO_WALL * wall))
+            # Halve t until the trial keeps the signs and passes Armijo or the row
+            # is found or flat; a trial equal to x is no step, as it would repeat.
+            running[rows] = False  # until the row takes a step
+            sub = (~descends).nonzero()[0]  # the rows still halving
             for _ in range(MAX_BACKTRACKS):
                 if not sub.size:
                     break
                 trial = x[sub] + t[sub, None] * step[sub]
                 V = _product(trial, A.T)
-                rises = loglik(V, which[rows[sub]]) >= current[sub] + 1e-4 * t[sub] * slope[sub]
-                ok = inside(V, rows[sub]) & (rises | flat[sub])
+                ok = inside(V, rows[sub])
+                armijo = ok & ~flat[sub]
+                if armijo.any():
+                    j = sub[armijo]
+                    ok[armijo] = loglik(V[armijo], which[rows[j]]) >= current[j] + 1e-4 * t[j] * slope[j]
                 took = ok & (trial != x[sub]).any(axis=1)
                 X[rows[sub[took]]] = trial[took]
-                moved[sub[took]] = True
-                sub = sub[~ok]
+                running[rows[sub[took]]] = True
+                sub = sub[~ok & ~found[sub]]
                 t[sub] *= 0.5
-            iterations[rows] += 1
-            running[rows[~moved]] = False
+            iterations[rows[~found]] += 1
+            converged[rows[found]] = True
 
         stalled = (live & ~converged).nonzero()[0]
         for k, trace in zip(stalled.tolist(), traces(stalled)):
-            outcomes[k] = NoConvergence(
-                f"Newton decrement {trace[-1][1]:.3e} not below tolerance {tol:.1e}", trace=trace
-            )
+            message = f"Newton decrement {trace[-1][1]:.3e} not below tolerance {tol:.1e}"
+            outcomes[k] = NoConvergence(descended.get(k, message), trace=trace)
 
         rows = (live & converged).nonzero()[0]
         xn = normalize_parameter(X[rows])
@@ -463,20 +460,22 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = (y == 0.0).any(axis=1)
         left = ~(inside(y, rows) | inside(-y, rows))
-        failed = rows[~underflow & (left | ~np.isfinite(top_eig))]
+        failed = rows[~underflow & (left | ~(top_eig < 0.0))]
         traced = dict(zip(failed.tolist(), traces(failed)))
     logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), iterations.tolist()
     for i, k in enumerate(rows.tolist()):
         if underflow[i]:
-            outcomes[k] = NoConvergence(
-                "coordinate underflow at convergence: cannot take the sign vector of a zero value"
-            )
+            message = "coordinate underflow at convergence: cannot take the sign vector of a zero value"
         elif left[i]:
-            outcomes[k] = NoConvergence("converged point left its region", trace=traced[k])
+            message = "converged point left its region"
         elif not isfinite(top_eig[i]):
-            outcomes[k] = NoConvergence("Hessian at convergence has no finite eigenvalues", trace=traced[k])
+            message = "Hessian at convergence has no finite eigenvalues"
+        elif top_eig[i] >= 0.0:
+            message = f"Hessian at convergence is not negative definite: largest eigenvalue {top_eig[i]:.3e}"
         else:
             outcomes[k] = CriticalPoint(
                 regions[k % R].sign, xn[i], y[i], p[i], logL[i], final_norm[i], counts[k], top_eig[i]
             )
+            continue
+        outcomes[k] = NoConvergence(message, trace=traced.get(k))  # an underflow has no trace
     return [outcomes[k * R : (k + 1) * R] for k in range(K)]

@@ -12,7 +12,10 @@ integer data vectors in one batch. Each outcome is stored as two strings:
 its path (the bytes of x, y and p; grad_norm, iterations and
 hessian_max_eig; a failure's type, message and trace) and its logL, both
 with floats in hex. The record also holds ``mle_index`` of braid(4),
-braid(5) and Steiner at uniform data.
+braid(5) and Steiner at uniform data, and the trial likelihood work of each
+sweep part (``numeric-mle``, ``session`` and the seeded ``draws``): the
+calls of ``Likelihood.__call__`` and the rows they evaluate, without the
+call ``Likelihood.hessian`` makes for its own logL.
 
 ``compare`` prints the outcomes whose path differs, the count of logL
 differences with the largest in ulps, and any moved ``mle_index``; it exits
@@ -20,7 +23,9 @@ differences with the largest in ulps, and any moved ``mle_index``; it exits
 also prints the outcomes whose region or found/failed state differs, the
 largest relative difference in x of the points found on both sides (max
 |x_a - x_b| over max |x_a|), and each side's total and mean iterations over
-its found points, which tell a moved start from a moved answer.
+its found points, which tell a moved start from a moved answer. It always
+prints both sides' trial likelihood work per sweep part and each side's
+count of found points whose ``hessian_max_eig`` is not negative.
 
 Run one checkout's copy of this script against that checkout: perfbench's
 pools are read as ``tests/test_benchmark_gate.py`` reads them, from the
@@ -90,7 +95,9 @@ def record(out_path):
     from sqlinear.model import make_model
 
     outcomes = []  # [label, path, logL hex or None]
-    solve_batch, label = mle._solve_batch, [""]
+    work = {}  # sweep part -> [trial Likelihood calls, rows]
+    solve_batch, label, part = mle._solve_batch, [""], [""]
+    call, hessian = mle.Likelihood.__call__, mle.Likelihood.hessian
 
     def recorded(*args, **kwargs):
         rows = solve_batch(*args, **kwargs)
@@ -101,22 +108,38 @@ def record(out_path):
                 outcomes.append([f"{label[0]} #{len(outcomes)} data {k} region {r}", _path(out, found), logL])
         return rows
 
+    def counted(calls, rows):
+        total = work.setdefault(part[0], [0, 0])
+        total[0] += calls
+        total[1] += rows
+
+    def counted_call(self, V, which=0):
+        counted(1, len(V))
+        return call(self, V, which)
+
+    def counted_hessian(self, V, which=0):
+        counted(-1, -len(V))  # cancels hessian's own call, which is no trial
+        return hessian(self, V, which)
+
     mle._solve_batch = recorded
+    mle.Likelihood.__call__, mle.Likelihood.hessian = counted_call, counted_hessian
     try:
-        label[0] = "numeric-mle"
+        label[0] = part[0] = "numeric-mle"
         for job in workloads.mle_pool_jobs():
             job.run()
-        label[0] = "session"
+        label[0] = part[0] = "session"
         for cycle in workloads.setup_session(1, 16):
             for bundled in cycle:
                 for job in bundled.parts or (bundled,):
                     job.run()
+        part[0] = "draws"
         for name, model, regions, batches in _draws():
             label[0] = name
             for data in batches:
                 mle._solve_batch(model, data, regions, TOL)
     finally:
         mle._solve_batch = solve_batch
+        mle.Likelihood.__call__, mle.Likelihood.hessian = call, hessian
     uniform = {
         name: mle.solve_all(make_model(arr), np.ones(arr.n)).mle_index
         for name, arr in (
@@ -125,9 +148,11 @@ def record(out_path):
             ("steiner", catalog.steiner_arrangement()),
         )
     }
-    Path(out_path).write_text(json.dumps({"outcomes": outcomes, "uniform_mle_index": uniform}))
+    Path(out_path).write_text(json.dumps({"outcomes": outcomes, "uniform_mle_index": uniform, "work": work}))
     failures = sum(logL is None for _, _, logL in outcomes)
     print(f"{len(outcomes)} outcomes ({failures} failures); uniform-data mle_index {uniform}")
+    for name, (calls, rows) in work.items():
+        print(f"trial likelihood work {name}: {calls} calls, {rows} rows")
 
 
 def _ordered(value):
@@ -160,6 +185,11 @@ def _moved_points(old, new):
     return moved, largest, totals
 
 
+def _not_maxima(outcomes):
+    """How many found points have a hessian_max_eig that is not negative."""
+    return sum(logL is not None and not float.fromhex(path.rsplit(" ", 1)[1]) < 0.0 for _, path, logL in outcomes)
+
+
 def compare(a_path, b_path):
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
     old, new = a["outcomes"], b["outcomes"]
@@ -187,6 +217,11 @@ def compare(a_path, b_path):
     for name, index in a["uniform_mle_index"].items():
         moved = b["uniform_mle_index"].get(name)
         print(f"uniform-data mle_index {name}: {index}" + ("" if moved == index else f" -> {moved}"))
+    works = a.get("work", {}), b.get("work", {})
+    for name in dict.fromkeys([*works[0], *works[1]]):
+        sides = (f"{w[name][0]} calls, {w[name][1]} rows" if name in w else "not recorded" for w in works)
+        print(f"trial likelihood work {name}: {' against '.join(sides)}")
+    print(f"found points whose hessian_max_eig is not negative: {_not_maxima(old)} against {_not_maxima(new)}")
     return 1 if paths or len(old) != len(new) else 0
 
 

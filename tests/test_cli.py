@@ -501,11 +501,11 @@ class TestExitCodes:
         # the stacked eigenvalue call of the batch's finish once raised
         # LinAlgError for every row, and the command exited 1.
         A = [
-            [-6, 7, 5, -2, 3], [5, 6, 1, -6, 7], [-9, 8, 3, -8, -5], [4, -2, -6, -7, 6],
-            [-3, -5, 3, 2, -2], [0, 1, 2, 3, 3], [-5, 2, 0, 4, 2], [7, -8, 9, 9, -3],
-            [-4, 3, -7, -6, -8], [-8, -4, -3, -3, -8], [6, 6, 2, -9, 4], [6, 0, 4, 1, 5],
+            [6, -1, 7, 1, 1], [2, -5, 8, -1, 6], [1, 2, 0, 4, -3], [-9, -2, -7, 8, -7],
+            [-5, 3, -8, -8, 8], [-9, -1, 0, -9, -3], [-4, -7, 9, 7, -4], [1, -3, -9, -8, -7],
+            [1, -4, 4, -5, 2], [-7, 0, -7, -3, -5], [-2, 1, 9, -1, -4], [-6, 9, 7, -7, -2],
         ]
-        w = (3, 0, 1, 1, 1, 0, 2, 3, 3, 1, 2, 0)
+        w = (2, 1, 0, 1, 1, 0, 3, 0, 0, 2, 0, 3)
         code, text = run(tmp_path, "mle", {"A": A, "s": [1e-5**v for v in w]})
         assert (code, text) == (3, "")
         err = json.loads(capsys.readouterr().err)["error"]

@@ -266,13 +266,14 @@ class TestSolveAll:
         "x, message",
         [
             ((1.0, 0.0, 0.0), "coordinate underflow at convergence: cannot take the sign vector of a zero value"),
-            ((1.0, 2.0, 3.0), "converged point left its region"),
+            ((3.0, 2.0, 1.0), "converged point left its region"),
         ],
         ids=["underflow", "left"],
     )
     def test_finish_rejects_a_point_off_its_region(self, steiner, monkeypatch, x, message):
         # Every row's normalized finish is replaced by x: (1, 0, 0) lies on two
-        # Steiner hyperplanes, and (1, 2, 3) in region ++++ alone.
+        # Steiner hyperplanes, and (3, 2, 1) in region ++++ alone, where the
+        # chart Hessian is negative definite.
         from sqlinear import mle
 
         monkeypatch.setattr(mle, "normalize_parameter", lambda X: np.tile(normalize_parameter(x), (len(X), 1)))

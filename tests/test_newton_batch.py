@@ -18,8 +18,12 @@ used to take (``newton_oracle.eigen_step``), and a singular system fails
 its own row alone.
 
 The line search starts each row at TO_WALL of the way to the nearest
-hyperplane its Newton step heads for; a tracking step, whose Newton steps
-overshoot a wall, evaluates about one trial per row-iteration.
+hyperplane its Newton step heads for, and takes the logL of a trial only
+when it keeps the signs and its row is neither found nor flat; a tracking
+step, whose Newton steps overshoot a wall, evaluates at most half a trial
+row per row-iteration. A step that descends on a Hessian that passed the
+Cholesky test, and a found point whose chart Hessian is not negative
+definite, fail their rows.
 """
 
 import random
@@ -408,12 +412,12 @@ def test_infinite_hessian_at_convergence_fails_its_row_alone():
     NoConvergence, and every other converged row keeps the bits it has in a
     batch without it."""
     A = [
-        [-6, 7, 5, -2, 3], [5, 6, 1, -6, 7], [-9, 8, 3, -8, -5], [4, -2, -6, -7, 6],
-        [-3, -5, 3, 2, -2], [0, 1, 2, 3, 3], [-5, 2, 0, 4, 2], [7, -8, 9, 9, -3],
-        [-4, 3, -7, -6, -8], [-8, -4, -3, -3, -8], [6, 6, 2, -9, 4], [6, 0, 4, 1, 5],
+        [6, -1, 7, 1, 1], [2, -5, 8, -1, 6], [1, 2, 0, 4, -3], [-9, -2, -7, 8, -7],
+        [-5, 3, -8, -8, 8], [-9, -1, 0, -9, -3], [-4, -7, 9, 7, -4], [1, -3, -9, -8, -7],
+        [1, -4, 4, -5, 2], [-7, 0, -7, -3, -5], [-2, 1, 9, -1, -4], [-6, 9, 7, -7, -2],
     ]
     model = make_model(Arrangement(A=A))
-    s = 1e-5 ** np.array([3, 0, 1, 1, 1, 0, 2, 3, 3, 1, 2, 0], dtype=float)
+    s = 1e-5 ** np.array([2, 1, 0, 1, 1, 0, 3, 0, 0, 2, 0, 3], dtype=float)
     regions = enumerate_regions(model.arr)
     (row,) = _solve_batch(model, [s], regions, 1e-10)
     (bad,) = [k for k, out in enumerate(row) if "coordinate underflow" in str(out)]
@@ -427,6 +431,86 @@ def test_infinite_hessian_at_convergence_fails_its_row_alone():
             assert np.array_equal(getattr(point, name), getattr(other, name)), (k, name)
         for name in ("logL", "grad_norm", "iterations", "hessian_max_eig"):
             assert getattr(point, name) == getattr(other, name), (k, name)
+
+
+def test_wide_range_rows_whose_steps_descend_fail_alone():
+    """On data spanning 1e-15 to 1, rows of a (5,12) arrangement reach a
+    Hessian that passes the Cholesky test but solves to a Newton step of
+    negative slope g . step. Read as a decrement of 0, such a slope made 29
+    of them found points with gradient norms from 1.6 to 233. Each fails,
+    naming its slope, with a trace that ends in NaN; every found point has a
+    negative definite chart Hessian, and keeps its bits in a batch without
+    the failing rows."""
+    A = [
+        [-6, 7, 5, -2, 3], [5, 6, 1, -6, 7], [-9, 8, 3, -8, -5], [4, -2, -6, -7, 6],
+        [-3, -5, 3, 2, -2], [0, 1, 2, 3, 3], [-5, 2, 0, 4, 2], [7, -8, 9, 9, -3],
+        [-4, 3, -7, -6, -8], [-8, -4, -3, -3, -8], [6, 6, 2, -9, 4], [6, 0, 4, 1, 5],
+    ]
+    model = make_model(Arrangement(A=A))
+    s = 1e-5 ** np.array([3, 0, 1, 1, 1, 0, 2, 3, 3, 1, 2, 0], dtype=float)
+    regions = enumerate_regions(model.arr)
+    (row,) = _solve_batch(model, [s], regions, 1e-10)
+    descended = [out for out in row if "negative slope" in str(out)]
+    assert descended
+    for out in descended:
+        assert str(out).startswith("Newton step has negative slope -") and np.isnan(out.trace[-1][1])
+    converged = [k for k, out in enumerate(row) if isinstance(out, CriticalPoint)]
+    assert all(row[k].hessian_max_eig < 0.0 for k in converged)
+    (apart,) = _solve_batch(model, [s], [regions[k] for k in converged], 1e-10)
+    for k, other in zip(converged, apart):
+        point = row[k]
+        for name in ("x", "y", "p"):
+            assert np.array_equal(getattr(point, name), getattr(other, name)), (k, name)
+        for name in ("logL", "grad_norm", "iterations", "hessian_max_eig"):
+            assert getattr(point, name) == getattr(other, name), (k, name)
+
+
+def test_step_descending_on_a_cholesky_tested_hessian_fails_its_row():
+    """The 4x16/2 draw of tests/golden/solver_bits.py at data 1e-4^w: in
+    region 455 the Hessian passes the Cholesky test at the 111th pass, but
+    its Newton system solves to a step of slope g . step = -1.8e4. Read as a
+    decrement of 0 that made the row found, at a point with gradient norm
+    2.06 and a positive top chart eigenvalue. The row fails, naming the
+    slope, and its trace ends in NaN, not 0; every point found in the
+    batch has a negative definite chart Hessian."""
+    rng = random.Random("solver-bits/4x16/2")
+    model = make_model(catalog.random_arrangement(4, 16, rng, -99, 99))
+    w = np.array([rng.randint(0, 3) for _ in range(16)], dtype=float)
+    regions = enumerate_regions(model.arr)
+    (row,) = _solve_batch(model, [1e-4**w], regions, 1e-10)
+    assert str(regions[455].sign) == "+--+--++++--++-+"
+    failure = row[455]
+    assert isinstance(failure, NoConvergence)
+    assert str(failure) == "Newton step has negative slope -1.794e+04 on a Cholesky-tested Hessian"
+    assert len(failure.trace) == 111 and np.isnan(failure.trace[-1][1])
+    assert all(p.hessian_max_eig < 0.0 for p in row if isinstance(p, CriticalPoint))
+
+
+def test_found_point_without_negative_definite_hessian_fails(steiner, monkeypatch):
+    """With every Newton step zero, each row is found at its start. From
+    seeded starts inside Steiner's regions at data (1, 1e-3, 1e-3, 1e-3),
+    the rows whose chart Hessian there is not negative definite fail with
+    their trace and a message naming the largest eigenvalue; the others are
+    points with a negative hessian_max_eig."""
+    rng = np.random.default_rng(0)
+    regions = enumerate_regions(steiner.arr)
+    starts = []
+    for region in regions:
+        signs = np.array(region.sign.signs, dtype=float)
+        x = rng.normal(size=3)
+        while not (signs * (steiner.A_float @ x) > 0.0).all():
+            x = rng.normal(size=3)
+        starts.append(x)
+    zero = lambda g, H: (np.zeros_like(g), np.zeros(len(g)), np.zeros(len(g), dtype=bool))
+    monkeypatch.setattr(mle, "_newton_step", zero)
+    (row,) = _solve_batch(steiner, [[1.0, 1e-3, 1e-3, 1e-3]], regions, 1e-10, [starts])
+    failures = [out for out in row if isinstance(out, NoConvergence)]
+    assert failures
+    for out in failures:
+        message = "Hessian at convergence is not negative definite: largest eigenvalue "
+        assert str(out).startswith(message) and float(str(out)[len(message):]) > 0.0
+        assert out.trace == [(0, 0.0)]
+    assert all(out.hessian_max_eig < 0.0 for out in row if isinstance(out, CriticalPoint))
 
 
 def test_every_system_singular_exits_3_in_the_cli(tmp_path, capsys, monkeypatch):
@@ -501,9 +585,12 @@ def test_tracking_matches_oracle(name, w, grid):
 def test_tracking_step_line_search_starts_near_the_wall(monkeypatch, name, w, before, after):
     """One warm-started tracking step: the data shrink, each region's Newton
     step overshoots a hyperplane, and the first trial, TO_WALL of the way to
-    it, is nearly always taken. Line-search trials evaluate at most 1.1 rows
-    per row-iteration; halving from t = 1 evaluated 3.1 on Steiner and 2.0
-    on braid(4)."""
+    it, is nearly always taken. Only a trial that keeps the signs and is not
+    flat has its logL taken, so line-search trials evaluate at most 0.5 rows
+    per row-iteration: 21 over 51 iterations on Steiner and 37 over 84 on
+    braid(4). Taking every trial's logL evaluated 52 and 86, and halving
+    from t = 1 evaluated 3.1 rows per row-iteration on Steiner and 2.0 on
+    braid(4)."""
     model = make_model(CATALOG[name]())
     regions = enumerate_regions(model.arr)
     w = np.array(w, dtype=float)
@@ -523,7 +610,7 @@ def test_tracking_step_line_search_starts_near_the_wall(monkeypatch, name, w, be
     monkeypatch.setattr(mle.Likelihood, "hessian", counted_hessian)
     (tracked,) = _solve_batch(model, [after**w], regions, 1e-10, [[p.x for p in points]])
     assert all(isinstance(p, CriticalPoint) for p in tracked)
-    assert sum(trial_rows) <= 1.1 * sum(p.iterations for p in tracked)
+    assert sum(trial_rows) <= 0.5 * sum(p.iterations for p in tracked)
 
 
 def test_every_region_holds_a_local_max_on_wide_range_data():

@@ -1,0 +1,79 @@
+"""``tests/golden/solver_bits.py compare``, the bit-identity check of the
+Newton batch between two checkouts, on small hand-built records: identical
+records exit 0, a changed path exits 1 and is named, a found point that
+fails is listed, and each side's trial likelihood work and count of found
+points that are no maximum are printed."""
+
+import importlib.util
+import json
+import os
+from array import array
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+TOOL = Path(__file__).parent / "golden" / "solver_bits.py"
+
+
+@pytest.fixture(scope="module")
+def solver_bits():
+    spec = importlib.util.spec_from_file_location("solver_bits", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the tool pins OpenBLAS threads for its own runs
+        spec.loader.exec_module(module)
+    return module
+
+
+def found(region, x, top=-1.0):
+    """A found outcome's path, as ``record`` writes it."""
+    arrays = " ".join(array("d", x).tobytes().hex() for _ in "xyp")
+    return f"{region} {arrays} {(1e-12).hex()} 5 {float(top).hex()}"
+
+
+def failed(message):
+    return f"NoConvergence: {message} [(0, '{(0.5).hex()}')]"
+
+
+def outcomes():
+    return [
+        ["draw #0 data 0 region 0", found("++-", [1.0, 0.5, -0.25]), (-3.5).hex()],
+        ["draw #1 data 0 region 1", found("+-+", [1.0, -0.5, 0.75], top=0.25), (-4.0).hex()],
+        ["draw #2 data 0 region 2", failed("Newton decrement 5.000e-01 not below tolerance 1.0e-10"), None],
+    ]
+
+
+def compare(solver_bits, tmp_path, old, new, work=({"draws": [7, 30]}, {"draws": [4, 12]})):
+    paths = []
+    for name, rows, counts in zip("ab", (old, new), work):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"outcomes": rows, "uniform_mle_index": {"steiner": 1}, "work": counts}))
+    return solver_bits.compare(*paths)
+
+
+def test_identical_records_exit_0_and_print_work_and_maxima(solver_bits, tmp_path, capsys):
+    assert compare(solver_bits, tmp_path, outcomes(), outcomes()) == 0
+    out = capsys.readouterr().out
+    assert "3 outcomes: 0 path differences, 0 logL differences" in out
+    assert "trial likelihood work draws: 7 calls, 30 rows against 4 calls, 12 rows" in out
+    assert "found points whose hessian_max_eig is not negative: 1 against 1" in out
+
+
+def test_changed_path_exits_1_and_is_named(solver_bits, tmp_path, capsys):
+    new = outcomes()
+    new[0][1] = found("++-", [1.0, 0.5, -0.125])
+    assert compare(solver_bits, tmp_path, outcomes(), new) == 1
+    out = capsys.readouterr().out
+    assert "path differs: draw #0 data 0 region 0" in out
+    assert "largest relative x difference 1.250e-01" in out
+
+
+def test_found_point_that_fails_is_listed(solver_bits, tmp_path, capsys):
+    new = outcomes()
+    new[1][1:] = [failed("Hessian at convergence is not negative definite: largest eigenvalue 2.500e-01"), None]
+    assert compare(solver_bits, tmp_path, outcomes(), new, work=({"draws": [7, 30]}, {})) == 1
+    out = capsys.readouterr().out
+    assert "region or found/failed state differs: draw #1 data 0 region 1" in out
+    assert "1 outcomes change region or found/failed state" in out
+    assert "trial likelihood work draws: 7 calls, 30 rows against not recorded" in out
+    assert "found points whose hessian_max_eig is not negative: 1 against 0" in out
