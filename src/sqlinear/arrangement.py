@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter, mul, neg
 
 from . import ratlin
 from .errors import ParallelRows, RankDeficient
@@ -141,8 +141,9 @@ class Region(Record):
     ``ray`` is a primitive integer vector with sign(l_i(ray)) == sign_i
     exactly: the sum of the m extreme rays of the region's cone, ray j
     weighted 2^(e - e_j), e_j being the bit length of its largest |entry|
-    and e the largest e_j, so no entry has more than e + bit_length(m) bits.
-    ``witness`` is it scaled to largest absolute coordinate 1.
+    and e the largest e_j (2^(E - e_j), E > e, gives the same ray), so no
+    entry has more than e + bit_length(m) bits. ``witness`` is it scaled to
+    largest absolute coordinate 1.
     """
 
     __slots__ = ("sign", "ray")
@@ -216,19 +217,29 @@ def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
     the row is nonzero in the pivot's lead column. A row reduced to zero is
     in the span of the included rows, so with or without it every
     extension has the same rank and the terms cancel: the join stops and
-    is dropped. A join of rank d spans every later row, so only a join of
-    the last row survives: a node of rank d - 1 adds that leaf at once
-    instead of walking its exclusion chain. Every node's rows are a
-    no-broken-circuit set (Bjorner 1982; Orlik & Terao 1992, ch. 3), fewer
-    than |chi(-1)|. A join updating row j has rows forming such a set of
-    the first j rows, and adding a row never removes a region: at most
-    n|chi(-1)| updates.
+    is dropped. A node with one row left adds its two terms at once, as
+    does the root at d = 1. A node of rank d - 2 closes its subtree at
+    once: its rows are zero in its pivots' lead columns, so they lie in two
+    columns, and with k directions among them up to sign their subsets sum
+    to t^2 - k t + (k - 1) (those within one direction give -1). Every node's
+    rows are a no-broken-circuit set (Bjorner 1982; Orlik & Terao 1992,
+    ch. 3), fewer than |chi(-1)|. A join updating row j has rows forming
+    such a set of the first j rows, and adding a row never removes a
+    region: at most n|chi(-1)| updates, and at d = 3, where only the root's
+    joins make any, at most n(n - 1)/2.
     """
     d = arr.d
     acc = [0] * (d + 1)
     stack = [(0, 1, 0, [ratlin.cleared(row)[0] for row in arr.A])]
     while stack:
         i, sign, rank, later = stack.pop()
+        if rank + 2 == d:  # t^2 - k t + (k - 1), k the directions of the rows up to sign
+            signed = ((r, gcd(*r) if next(filter(None, r)) > 0 else -gcd(*r)) for r in later)
+            k = len({tuple(v // g for v in r) for r, g in signed})
+            acc[rank] += sign
+            acc[rank + 1] -= k * sign
+            acc[rank + 2] += (k - 1) * sign
+            continue
         if i == len(later) - 1 or rank + 1 == d:
             acc[rank] += sign
             acc[rank + 1] -= sign
@@ -378,7 +389,10 @@ def enumerate_regions(arr: Arrangement) -> list:
     [2^(e-1), 2^e), so rays with huge integer entries do not swamp the
     others, which put plain sums numerically on a wall, and the m rays of a
     cone sum to entries of at most e + bit_length(m) bits, however the tops
-    differ. All of it is integer arithmetic; no Fraction is built. Regions
+    differ. Each line is scaled once, by 2^(E - e_j) with E the largest top
+    of all lines, its negation kept in its spent value slot: a cone's plain
+    sum of them is 2^(E - e) times the weighted one, with the same gcd-free
+    ray. All of it is integer arithmetic; no Fraction is built. Regions
     come back sorted by sign string; the count always equals
     ``ml_degree(arr)``.
     """
@@ -394,16 +408,17 @@ def enumerate_regions(arr: Arrangement) -> list:
         raise ParallelRows(pairs)
     lines, cones = _cones(ints, d, *start)
     sign_of = {"0": 1, "1": -1}.get
-    for line in lines:
-        line.append(max(map(abs, line[0])).bit_length())  # line[3]: the bit length of its top
+    tops = [max(map(abs, line[0])).bit_length() for line in lines]
+    top = max(tops)
+    for line, e in zip(lines, tops):  # each top scaled into [2^(top-1), 2^top)
+        line[0] = vector = tuple(map((top - e).__rlshift__, line[0]))
+        line[2] = tuple(map(neg, vector))
     result = []
-    for neg, rays in cones:
-        # sum_j 2^(e - e_j) ray_j, each scaled top in [2^(e-1), 2^e).
-        e = max(line[3] for line, _ in rays)
-        factors = [s << (e - line[3]) for line, s in rays]
-        total = [sum(map(mul, factors, column)) for column in zip(*(line[0] for line, _ in rays))]
-        # Bit i of neg as character i: '0' < '1' sorts as '+' < '-' does.
-        bits = format(neg, f"0{n}b")[::-1]
+    while cones:  # each cone freed as its region is made
+        mask, rays = cones.pop()
+        total = [sum(column) for column in zip(*(line[0] if s > 0 else line[2] for line, s in rays))]
+        # Bit i of the negative rows' mask as character i: '0' < '1' sorts as '+' < '-' does.
+        bits = format(mask, f"0{n}b")[::-1]
         result.append((bits, Region(SignVector(tuple(map(sign_of, bits))), _ray(total))))
     result.sort(key=itemgetter(0))
     return [region for _, region in result]

@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sqlinear import ratlin
+from sqlinear import arrangement, ratlin
 from sqlinear.arrangement import Arrangement
 from sqlinear.catalog import (
     braid_arrangement,
@@ -242,3 +243,25 @@ def pencil(rng, n, spread=4):
             arr = Arrangement(A=tuple(rows))
             if arr.rank() == arr.d:
                 return arr
+
+
+def count_row_updates(monkeypatch, module=arrangement):
+    """Count the fraction-free row updates of the chi walk in ``module``;
+    returns the counter.
+
+    Both the library's walk and :func:`dd_oracle.persistent_characteristic_polynomial`
+    build each updated row from one call of ``zip`` in their own frame, so
+    a ``zip`` shadowed in the module counts the updates as the calls made
+    from a function of the walk's name; the record the walk returns zips
+    its fields in ``Record.__init__``, which is not counted. Callers assert
+    the count positive, so a walk that stops calling it fails instead of
+    meeting its bound with a count of 0.
+    """
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += sys._getframe(1).f_code.co_name.endswith("characteristic_polynomial")
+        return zip(*args)
+
+    monkeypatch.setattr(module, "zip", counted, raising=False)
+    return calls

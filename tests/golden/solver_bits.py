@@ -15,11 +15,16 @@ with floats in hex. The record also holds ``mle_index`` of braid(4),
 braid(5) and Steiner at uniform data, and the trial likelihood work of each
 sweep part (``numeric-mle``, ``session`` and the seeded ``draws``): the
 calls of ``Likelihood.__call__`` and the rows they evaluate, without the
-call ``Likelihood.hessian`` makes for its own logL.
+call ``Likelihood.hessian`` makes for its own logL. For each seeded draw it
+holds the sha256 of its regions (each sign string and ray) and of its chi
+coefficients, the exact inputs of its batches.
 
-``compare`` prints the outcomes whose path differs, the count of logL
-differences with the largest in ulps, and any moved ``mle_index``; it exits
-1 when a path differs or the two sweeps do not line up. When paths differ it
+``compare`` first prints the draws whose regions or chi differ, since a
+moved ray moves every start of its draw; a record without these digests
+is reported as such. It then prints the outcomes whose path differs, the
+count of logL differences with the largest in ulps, and any moved
+``mle_index``. It exits 1 when a draw's regions or chi or an outcome's
+path differ, or the two sweeps do not line up. When paths differ it
 also prints the outcomes whose region or found/failed state differs, the
 largest relative difference in x of the points found on both sides (max
 |x_a - x_b| over max |x_a|), and each side's total and mean iterations over
@@ -35,6 +40,7 @@ thread, since its threaded kernels may round otherwise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -83,6 +89,17 @@ def _draws():
             yield f"{d}x{n}/{k}", model, enumerate_regions(model.arr), [[eps**w] for eps in EPS] + [pair]
 
 
+def _exact(model, regions):
+    """sha256 of a draw's regions, each sign string and ray, and of its chi coefficients."""
+    from sqlinear.arrangement import characteristic_polynomial
+
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    chi = characteristic_polynomial(model.arr).coeffs
+    return {"regions": digest([(str(r.sign), r.ray) for r in regions]), "chi": digest(chi)}
+
+
 def record(out_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run
@@ -95,6 +112,7 @@ def record(out_path):
     from sqlinear.model import make_model
 
     outcomes = []  # [label, path, logL hex or None]
+    exact = {}  # draw label -> sha256 of its regions and of its chi
     work = {}  # sweep part -> [trial Likelihood calls, rows]
     solve_batch, label, part = mle._solve_batch, [""], [""]
     call, hessian = mle.Likelihood.__call__, mle.Likelihood.hessian
@@ -135,6 +153,7 @@ def record(out_path):
         part[0] = "draws"
         for name, model, regions, batches in _draws():
             label[0] = name
+            exact[name] = _exact(model, regions)
             for data in batches:
                 mle._solve_batch(model, data, regions, TOL)
     finally:
@@ -148,7 +167,9 @@ def record(out_path):
             ("steiner", catalog.steiner_arrangement()),
         )
     }
-    Path(out_path).write_text(json.dumps({"outcomes": outcomes, "uniform_mle_index": uniform, "work": work}))
+    Path(out_path).write_text(
+        json.dumps({"outcomes": outcomes, "uniform_mle_index": uniform, "work": work, "exact": exact})
+    )
     failures = sum(logL is None for _, _, logL in outcomes)
     print(f"{len(outcomes)} outcomes ({failures} failures); uniform-data mle_index {uniform}")
     for name, (calls, rows) in work.items():
@@ -190,9 +211,30 @@ def _not_maxima(outcomes):
     return sum(logL is not None and not float.fromhex(path.rsplit(" ", 1)[1]) < 0.0 for _, path, logL in outcomes)
 
 
+def _exact_differences(a, b):
+    """'draw part' for each draw whose regions or chi digest differs, or
+    None when a record holds no digests."""
+    if "exact" not in a or "exact" not in b:
+        return None
+    old, new = a["exact"], b["exact"]
+    return [
+        f"{name} {part}"
+        for name in dict.fromkeys([*old, *new])
+        for part in ("regions", "chi")
+        if old.get(name, {}).get(part) != new.get(name, {}).get(part)
+    ]
+
+
 def compare(a_path, b_path):
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
     old, new = a["outcomes"], b["outcomes"]
+    exact = _exact_differences(a, b)
+    if exact is None:
+        print("regions and chi digests: not recorded on both sides")
+    else:
+        for moved in exact:
+            print(f"regions or chi differ: {moved}")
+        print(f"{len(a['exact'])} draws: {len(exact)} regions or chi differences")
     paths, logls = [], []
     for (label, path, logL), (other_label, other_path, other_logL) in zip(old, new):
         if label != other_label or path != other_path:
@@ -222,7 +264,7 @@ def compare(a_path, b_path):
         sides = (f"{w[name][0]} calls, {w[name][1]} rows" if name in w else "not recorded" for w in works)
         print(f"trial likelihood work {name}: {' against '.join(sides)}")
     print(f"found points whose hessian_max_eig is not negative: {_not_maxima(old)} against {_not_maxima(new)}")
-    return 1 if paths or len(old) != len(new) else 0
+    return 1 if exact or paths or len(old) != len(new) else 0
 
 
 def main(argv):

@@ -24,7 +24,7 @@ from sqlinear.errors import ParallelRows, RankDeficient, ValidationError
 from sqlinear.geometry import chamber_arrangement
 from sqlinear.model import make_model
 
-from conftest import CATALOG, degenerate_arrangement, pencil
+from conftest import CATALOG, count_row_updates, degenerate_arrangement, pencil
 
 
 def row_span(rows):
@@ -142,26 +142,6 @@ def regions_if_accepted(arr):
         return len(enumerate_regions(arr))
     except (ParallelRows, RankDeficient):
         return None
-
-
-def count_row_updates(monkeypatch, module=arrangement):
-    """Count the fraction-free row updates of the chi walk in ``module``;
-    returns the counter.
-
-    Both the library's walk and :func:`dd_oracle.persistent_characteristic_polynomial`
-    build each updated row from one call of ``zip`` and call it nowhere
-    else, so a ``zip`` shadowed in the module counts the updates. Callers
-    assert the count positive, so a walk that stops calling it fails
-    instead of meeting its bound with a count of 0.
-    """
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return zip(*args)
-
-    monkeypatch.setattr(module, "zip", counted, raising=False)
-    return calls
 
 
 class TestCharacteristicPolynomial:

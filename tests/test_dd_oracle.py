@@ -22,7 +22,15 @@ import numpy as np
 import pytest
 
 import dd_oracle as oracle
-from conftest import CATALOG, degenerate_arrangement, make_model, pencil, sample_kernel_point, sample_wall_point
+from conftest import (
+    CATALOG,
+    count_row_updates,
+    degenerate_arrangement,
+    make_model,
+    pencil,
+    sample_kernel_point,
+    sample_wall_point,
+)
 from sqlinear import arrangement, catalog, geometry, mle, ratlin
 from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.errors import ValidationError
@@ -49,15 +57,11 @@ def enumerable(arr):
     return arr.rank() == arr.d and not oracle.parallel_pairs(arr)
 
 
-def benchmark_shapes(members=4):
-    """The first pool members of each exact-regions shape, drawn as the
-    workload draws them (a DPP's fixed rows are redrawn until its
-    arrangement has no parallel rows)."""
-    out = [
-        catalog.random_arrangement(d, n, random.Random(f"exact-regions/{d}x{n}/{k}"))
-        for d, n in ((3, 8), (4, 9), (5, 9), (3, 12))
-        for k in range(members)
-    ]
+def dpp5_members(members):
+    """The first pool members of the exact-regions DPP n = 5 shape, drawn as
+    the workload draws them: a DPP's fixed rows are redrawn until its
+    arrangement has no parallel rows."""
+    out = []
     for k in range(members):
         rng = random.Random(f"exact-regions/dpp5/{k}")
         while True:
@@ -70,6 +74,16 @@ def benchmark_shapes(members=4):
                 out.append(arr)
                 break
     return out
+
+
+def benchmark_shapes(members=4):
+    """The first pool members of each exact-regions shape, drawn as the
+    workload draws them."""
+    return [
+        catalog.random_arrangement(d, n, random.Random(f"exact-regions/{d}x{n}/{k}"))
+        for d, n in ((3, 8), (4, 9), (5, 9), (3, 12))
+        for k in range(members)
+    ] + dpp5_members(members)
 
 
 def assert_same_enumeration(arr):
@@ -274,6 +288,37 @@ def degenerate_draws(rng):
     return [degenerate_arrangement(rng, 2 + k % 5, rng.randint(3, 14), essential=k % 4 != 3) for k in range(100)]
 
 
+def rank2_tails(rng, d):
+    """Three arrangements for each k = 1..4 whose rows after a leading block
+    of d - 2 rows lie in k quotient directions: each is an integer
+    combination of the block plus a nonzero multiple of one of k vectors in
+    the last two columns, every vector used. The block is independent on
+    its first d - 2 columns, so the join of all of it has rank d - 2 and
+    leaves the tail rows in the last two columns; the vectors (1, 0) and
+    (0, 1) make rows that vanish in one of them. Every draw repeats one of
+    its tail rows."""
+    pool = [(1, 0), (0, 1), (1, 1), (2, -3), (1, -2), (3, 1)]
+    out = []
+    for k in range(1, 5):
+        for _ in range(3):
+            while True:
+                block = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d - 2)]
+                if ratlin.rank([row[: d - 2] for row in block]) == d - 2:
+                    break
+            directions = rng.sample(pool, k)
+            tail = directions + [rng.choice(directions) for _ in range(rng.randint(0, 5))]
+            rng.shuffle(tail)
+            rows = [*block]
+            for u in tail:
+                lam = rng.choice((-3, -2, -1, 1, 2, 3))
+                coefficients = [rng.randint(-2, 2) for _ in block]
+                rows.append([sum(map(mul, coefficients, column)) for column in zip(*block)] if block else [0] * d)
+                rows[-1][-2:] = [x + lam * v for x, v in zip(rows[-1][-2:], u)]
+            rows.insert(rng.randint(d - 2, len(rows)), list(rng.choice(rows[d - 2 :])))
+            out.append(arrangement.Arrangement(A=rows))
+    return out
+
+
 PERSISTENT_WALK_CASES = {
     "generic": lambda: [
         catalog.random_arrangement(d, n, random.Random(f"dd/chi/{d}x{n}")) for d in range(2, 7) for n in range(d, d + 7)
@@ -288,6 +333,7 @@ PERSISTENT_WALK_CASES = {
         chamber_arrangement(make_model(CATALOG[name]())).arrangement for name in sorted(CATALOG) if name != "braid5"
     ],
     "braid6": lambda: [catalog.braid_arrangement(6)],
+    "rank2-tails": lambda: [arr for d in range(2, 7) for arr in rank2_tails(random.Random(f"dd/chi/tails/{d}"), d)],
 }
 
 
@@ -298,7 +344,26 @@ def test_chi_matches_persistent_echelon_walk(family):
     draws at d = 2..6 (n = d..d+6), pool members of every exact-regions
     shape and DPP n = 5 reductions, degenerate draws at d = 2..6, pencils
     with n = 15..25, 3,000 parallel rows in d = 1, the catalog, its chamber
-    arrangements (all but braid(5)'s, which has none) and braid(6)."""
+    arrangements (all but braid(5)'s, which has none), braid(6), and
+    :func:`rank2_tails` at d = 2..6, where the rank-(d - 2) closing rule
+    counts few directions."""
     for arr in PERSISTENT_WALK_CASES[family]():
         expected = oracle.persistent_characteristic_polynomial(arr).coeffs
         assert arrangement.characteristic_polynomial(arr).coeffs == expected, arr.A
+
+
+def test_d3_walk_updates_rows_only_in_the_roots_joins(monkeypatch):
+    """At d = 3 a join of the root has rank 1 = d - 2 and closes its subtree
+    at once, so only the root's joins update rows: at most n(n - 1)/2, on
+    seeded generic (3, n), n = 8..40 (entries -99..99), and the
+    exact-regions DPP n = 5 pool members. Over the first 32 exact-regions
+    (3,12) pool members, a walk of those subtrees makes 279 updates on
+    average and the closing rule 63."""
+    arrs = [catalog.random_arrangement(3, n, random.Random(f"dd/d3-updates/{n}"), -99, 99) for n in range(8, 41)]
+    for arr in arrs + dpp5_members(8):
+        assert arr.d == 3
+        calls = count_row_updates(monkeypatch)
+        chi = arrangement.characteristic_polynomial(arr)
+        monkeypatch.undo()
+        assert chi == oracle.persistent_characteristic_polynomial(arr)
+        assert 0 < calls[0] <= arr.n * (arr.n - 1) // 2, arr.A

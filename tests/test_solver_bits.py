@@ -2,7 +2,8 @@
 Newton batch between two checkouts, on small hand-built records: identical
 records exit 0, a changed path exits 1 and is named, a found point that
 fails is listed, and each side's trial likelihood work and count of found
-points that are no maximum are printed."""
+points that are no maximum are printed. A draw whose regions or chi
+digest differs exits 1 and is named before any path difference."""
 
 import importlib.util
 import json
@@ -43,12 +44,19 @@ def outcomes():
     ]
 
 
-def compare(solver_bits, tmp_path, old, new, work=({"draws": [7, 30]}, {"draws": [4, 12]})):
+def compare(solver_bits, tmp_path, old, new, work=({"draws": [7, 30]}, {"draws": [4, 12]}), exact=None):
     paths = []
-    for name, rows, counts in zip("ab", (old, new), work):
+    for name, rows, counts, digests in zip("ab", (old, new), work, exact or ({}, {})):
         paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps({"outcomes": rows, "uniform_mle_index": {"steiner": 1}, "work": counts}))
+        record = {"outcomes": rows, "uniform_mle_index": {"steiner": 1}, "work": counts}
+        if exact:
+            record["exact"] = digests
+        paths[-1].write_text(json.dumps(record))
     return solver_bits.compare(*paths)
+
+
+def digests():
+    return {"draw": {"regions": "aa", "chi": "bb"}, "other": {"regions": "cc", "chi": "dd"}}
 
 
 def test_identical_records_exit_0_and_print_work_and_maxima(solver_bits, tmp_path, capsys):
@@ -57,6 +65,30 @@ def test_identical_records_exit_0_and_print_work_and_maxima(solver_bits, tmp_pat
     assert "3 outcomes: 0 path differences, 0 logL differences" in out
     assert "trial likelihood work draws: 7 calls, 30 rows against 4 calls, 12 rows" in out
     assert "found points whose hessian_max_eig is not negative: 1 against 1" in out
+    assert "regions and chi digests: not recorded on both sides" in out
+
+
+def test_same_digests_exit_0(solver_bits, tmp_path, capsys):
+    assert compare(solver_bits, tmp_path, outcomes(), outcomes(), exact=(digests(), digests())) == 0
+    assert "2 draws: 0 regions or chi differences" in capsys.readouterr().out
+
+
+def test_changed_regions_exit_1_and_are_named_before_paths(solver_bits, tmp_path, capsys):
+    new, moved = outcomes(), digests()
+    new[0][1] = found("++-", [1.0, 0.5, -0.125])
+    moved["draw"]["regions"] = "ab"
+    assert compare(solver_bits, tmp_path, outcomes(), new, exact=(digests(), moved)) == 1
+    out = capsys.readouterr().out
+    assert "regions or chi differ: draw regions\n2 draws: 1 regions or chi differences" in out
+    assert out.index("regions or chi differ: draw regions") < out.index("path differs: draw #0 data 0 region 0")
+
+
+def test_changed_chi_alone_exits_1(solver_bits, tmp_path, capsys):
+    moved = digests()
+    moved["other"]["chi"] = "de"
+    assert compare(solver_bits, tmp_path, outcomes(), outcomes(), exact=(digests(), moved)) == 1
+    out = capsys.readouterr().out
+    assert "regions or chi differ: other chi" in out and "0 path differences" in out
 
 
 def test_changed_path_exits_1_and_is_named(solver_bits, tmp_path, capsys):
