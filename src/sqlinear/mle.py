@@ -14,7 +14,7 @@ masks. At these sizes a pass costs its numpy calls, not its arithmetic. A
 pass multiplies its iterates by A^T and evaluates them once, and each trial
 point once, taking its logL only where Armijo decides, so an accepted trial
 point is multiplied and evaluated again at the top of the next pass, as the
-start is for the live test and in the first pass. A row's bits do not depend
+start is for its sign test and in the first pass. A row's bits do not depend
 on work a pass skips because no row needs it, nor, for n < 16, on how many
 rows ride with it (:func:`_product` gives a (3,20) draw where 34 of 191 rows
 move when solved in 7-row blocks). Rows may carry their own data: the batch
@@ -320,11 +320,27 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     trial, kept if it keeps the signs. Other rows halve t from the module's
     min(1, TO_WALL * wall) until the step keeps the signs and passes Armijo,
     which once lambda^2 is below ``1e-5 * max(1, sum(s))`` is roundoff and
-    left to the sign guard. A row fails when its backtracking finds no step,
-    when it runs out of iterations, when its step descends on an H that
-    passed the Cholesky test (numerically singular; the trace then ends in
-    NaN), or when its chart Hessian where it is found is not negative
-    definite.
+    left to the sign guard.
+
+    A row that finds no CriticalPoint ends in a NoConvergence whose message
+    names which of seven ways it ended:
+
+    - "start point does not satisfy the region signs": its start lies
+      outside its region, and so does the antipodal point;
+    - "Newton decrement ... not below tolerance ...": it stalled, its
+      backtracking finding no step or its iterations running out;
+    - "Newton step has negative slope ... on a Cholesky-tested Hessian": its
+      step descends on an H that passed the Cholesky test yet is
+      numerically singular, and its trace ends in NaN;
+    - "coordinate underflow at convergence: ...": a form value is 0 where
+      it is found, so the point has no sign vector;
+    - "converged point left its region";
+    - "Hessian at convergence has no finite eigenvalues";
+    - "Hessian at convergence is not negative definite: ...", the chart
+      Hessian where it is found.
+
+    Each carries the row's (iteration, lambda / sqrt(sum(s))) trace, save
+    that a start outside its region and an underflow carry none.
 
     A pass skips what none of its rows needs (the ridge, a logL Armijo does
     not decide), and the ridge touches only the rows that need it.
@@ -354,7 +370,6 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     chart = np.zeros(N, dtype=int)  # each row's pinned coordinate, set on every pass
     iterations = np.zeros(N, dtype=int)
     passes = []  # (rows, lambda / sqrt(sum(s))) of every pass, in order
-    descended = {}  # row -> the failure of its step descending on a Cholesky-tested H
     outcomes = [None] * N
 
     def inside(V, rows=slice(None)):
@@ -366,30 +381,15 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         free, lane = frees[chart[rows]], lanes[: len(rows)]
         return G[lane, free], H[lane[:, :, None], free[:, :, None], free[:, None, :]], free
 
-    def traces(ks):
-        """The (iteration, decrement) trace of each row of ``ks``, read off
-        the passes: a row runs in consecutive passes from the first, each
-        pass's rows sorted."""
-        out = [[] for _ in ks]
-        for rows, lam in passes:
-            at = np.searchsorted(rows, ks)
-            ran = (rows.take(at, mode="clip") == ks).nonzero()[0]
-            if not ran.size:
-                break
-            for i, value in zip(ran.tolist(), lam[at[ran]].tolist()):
-                out[i].append((len(out[i]), value))
-        return out
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         V = _product(X, A.T)
         flip = ~inside(V) & inside(-V)
         X[flip], V[flip] = -X[flip], -V[flip]  # antipodal representative of the same projective point
-        live = inside(V)
-        for k in (~live).nonzero()[0]:
-            outcomes[k] = NoConvergence("start point does not satisfy the region signs")
+        running = inside(V)
+        # Each row's failure message once known; a stalled row's is told by its last decrement.
+        why = [None if ok else "start point does not satisfy the region signs" for ok in running.tolist()]
 
         flat_below = 1e-5 * np.maximum(1.0, totals)
-        running = live.copy()
         converged = np.zeros(N, dtype=bool)
         while True:
             rows = (running & ~converged & (iterations < MAX_ITER)).nonzero()[0]
@@ -409,7 +409,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             passes.append((rows, lam))
             descends = ~ridged & (slope < 0.0)  # H passed the Cholesky test yet is singular
             for k, value in zip(rows[descends].tolist(), slope[descends].tolist()):
-                descended[k] = f"Newton step has negative slope {value:.3e} on a Cholesky-tested Hessian"
+                why[k] = f"Newton step has negative slope {value:.3e} on a Cholesky-tested Hessian"
             # A found row's one trial is its last step, at t = 1. Any other
             # row's first trial stops TO_WALL of the way to the nearest
             # hyperplane the step heads for: wall = min (s_i V_i) / -(s_i A_i
@@ -441,12 +441,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             iterations[rows[~found]] += 1
             converged[rows[found]] = True
 
-        stalled = (live & ~converged).nonzero()[0]
-        for k, trace in zip(stalled.tolist(), traces(stalled)):
-            message = f"Newton decrement {trace[-1][1]:.3e} not below tolerance {tol:.1e}"
-            outcomes[k] = NoConvergence(descended.get(k, message), trace=trace)
-
-        rows = (live & converged).nonzero()[0]
+        rows = converged.nonzero()[0]
         xn = normalize_parameter(X[rows])
         y = _product(xn, A.T)
         logL, G, H = loglik.hessian(y, which[rows])
@@ -460,22 +455,32 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = (y == 0.0).any(axis=1)
         left = ~(inside(y, rows) | inside(-y, rows))
-        failed = rows[~underflow & (left | ~(top_eig < 0.0))]
-        traced = dict(zip(failed.tolist(), traces(failed)))
     logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), iterations.tolist()
     for i, k in enumerate(rows.tolist()):
-        if underflow[i]:
-            message = "coordinate underflow at convergence: cannot take the sign vector of a zero value"
+        if underflow[i]:  # built here, so it carries no trace
+            outcomes[k] = NoConvergence(
+                "coordinate underflow at convergence: cannot take the sign vector of a zero value"
+            )
         elif left[i]:
-            message = "converged point left its region"
+            why[k] = "converged point left its region"
         elif not isfinite(top_eig[i]):
-            message = "Hessian at convergence has no finite eigenvalues"
+            why[k] = "Hessian at convergence has no finite eigenvalues"
         elif top_eig[i] >= 0.0:
-            message = f"Hessian at convergence is not negative definite: largest eigenvalue {top_eig[i]:.3e}"
+            why[k] = f"Hessian at convergence is not negative definite: largest eigenvalue {top_eig[i]:.3e}"
         else:
             outcomes[k] = CriticalPoint(
                 regions[k % R].sign, xn[i], y[i], p[i], logL[i], final_norm[i], counts[k], top_eig[i]
             )
-            continue
-        outcomes[k] = NoConvergence(message, trace=traced.get(k))  # an underflow has no trace
+    # Every row still without an outcome failed. A row runs in consecutive passes
+    # from the first, so once a pass holds none of these rows no later one does.
+    trail = {k: [] for k, out in enumerate(outcomes) if out is None}
+    for ran, lam in passes:
+        hit = np.isin(ran, list(trail))
+        if not hit.any():
+            break
+        for k, value in zip(ran[hit].tolist(), lam[hit].tolist()):
+            trail[k].append((len(trail[k]), value))
+    for k, trace in trail.items():
+        message = why[k] or f"Newton decrement {trace[-1][1]:.3e} not below tolerance {tol:.1e}"
+        outcomes[k] = NoConvergence(message, trace)
     return [outcomes[k * R : (k + 1) * R] for k in range(K)]

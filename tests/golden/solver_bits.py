@@ -29,8 +29,10 @@ also prints the outcomes whose region or found/failed state differs, the
 largest relative difference in x of the points found on both sides (max
 |x_a - x_b| over max |x_a|), and each side's total and mean iterations over
 its found points, which tell a moved start from a moved answer. It always
-prints both sides' trial likelihood work per sweep part and each side's
-count of found points whose ``hessian_max_eig`` is not negative.
+prints both sides' trial likelihood work per sweep part, each side's
+count of found points whose ``hessian_max_eig`` is not negative, and each
+side's failures by reason: the failure's message with its numbers masked
+as ``#``, read from its path.
 
 Run one checkout's copy of this script against that checkout: perfbench's
 pools are read as ``tests/test_benchmark_gate.py`` reads them, from the
@@ -44,6 +46,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import struct
 import sys
 from array import array
@@ -211,6 +214,17 @@ def _not_maxima(outcomes):
     return sum(logL is not None and not float.fromhex(path.rsplit(" ", 1)[1]) < 0.0 for _, path, logL in outcomes)
 
 
+def _reasons(outcomes):
+    """How many failures each masked message has, most first."""
+    counts = {}
+    for _, path, logL in outcomes:
+        if logL is None:
+            message = path.split(": ", 1)[1].rsplit(" [", 1)[0]
+            reason = re.sub(r"-?\b(?:\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf)\b", "#", message)
+            counts[reason] = counts.get(reason, 0) + 1
+    return dict(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
+
+
 def _exact_differences(a, b):
     """'draw part' for each draw whose regions or chi digest differs, or
     None when a record holds no digests."""
@@ -264,6 +278,10 @@ def compare(a_path, b_path):
         sides = (f"{w[name][0]} calls, {w[name][1]} rows" if name in w else "not recorded" for w in works)
         print(f"trial likelihood work {name}: {' against '.join(sides)}")
     print(f"found points whose hessian_max_eig is not negative: {_not_maxima(old)} against {_not_maxima(new)}")
+    reasons = _reasons(old), _reasons(new)
+    print(f"failures: {sum(reasons[0].values())} against {sum(reasons[1].values())}")
+    for reason in dict.fromkeys([*reasons[0], *reasons[1]]):
+        print(f"failures {reason!r}: {reasons[0].get(reason, 0)} against {reasons[1].get(reason, 0)}")
     return 1 if exact or paths or len(old) != len(new) else 0
 
 

@@ -156,6 +156,10 @@ class TestCharacteristicPolynomial:
         expected = sympy.Poly((t - 1) * (t - 2) * (t - 3), t).all_coeffs()
         assert list(chi.coeffs) == [int(c) for c in expected]
 
+    def test_braid_needs_three_items(self):
+        with pytest.raises(ValidationError, match="braid arrangement needs c >= 3"):
+            braid_arrangement(2)
+
     def test_boolean_two_lines(self):
         arr = Arrangement(A=((1, 0), (0, 1)))
         assert characteristic_polynomial(arr).coeffs == (1, -2, 1)

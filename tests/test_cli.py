@@ -240,6 +240,12 @@ class TestBasicCommands:
         assert code == 2 and text == ""
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "RankDeficient"
 
+    def test_dpp_input_missing_a_key_rejected(self, tmp_path, capsys):
+        code, text = run(tmp_path, "dpp", {"Theta_fixed": [[1, 1, 1, 1]], "n": 4})
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == ("ValidationError", "DPP input needs key 'k'")
+
     def test_rational_string_input(self, tmp_path):
         doc = {"A": [["1/2", "0"], ["0", "1/3"], ["1/2", "1/3"]]}
         code, text = run(tmp_path, "mldegree", doc)
@@ -375,6 +381,19 @@ class TestPlot:
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["type"], err["message"]) == ("RankDeficient", f"model needs n > d > 1, got n = {len(A)}, d = {len(A)}")
 
+    def test_overlays_off_the_figure_are_not_drawn(self, steiner):
+        # (0, 1, 1) lies on the first form, at infinity on the chart {first
+        # form = 1}; Steiner's log-normal polytope lives in R^4, and only a
+        # 3-state one has a probability triangle to draw in.
+        from sqlinear.geometry import lognormal_polytope
+        from sqlinear.plotting import plot_arrangement
+
+        figure = plot_arrangement(steiner.arr, critical_points=[(0, 1, 1), (3, 2, 1)])
+        assert len(re.findall('class="critical-point"', figure)) == 1
+        polytope = lognormal_polytope(steiner, [3, 2, 1, 6])
+        assert polytope.ambient_dim == 4
+        assert plot_arrangement(steiner.arr, lognormal=polytope) == plot_arrangement(steiner.arr)
+
     def test_plot_builds_no_model_for_a_fiber_it_does_not_draw(self, tmp_path):
         # "y" draws the fiber only when n = 3; at n = d = 2 it once built a model and exited 2.
         bare = run(tmp_path, "plot", {"A": [[1, 0], [0, 1]]})
@@ -465,9 +484,28 @@ class TestExitCodes:
         assert (err["kind"], err["type"]) == ("validation", "MemoryError") and err["message"]
 
     def test_zero_row(self, tmp_path, capsys):
-        doc = {"A": [[1, 0], [0, 0], [0, 1]]}
-        code, _ = run(tmp_path, "mldegree", doc)
-        assert code == 2
+        for A, message in (
+            ([[1, 0], [0, 0], [0, 1]], "row 1 of the coefficient matrix is zero"),
+            ([[]], "arrangement needs at least one row and one column"),
+        ):
+            code, _ = run(tmp_path, "mldegree", {"A": A})
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["error"]["message"] == message
+
+    def test_out_of_memory_in_a_command(self, tmp_path, capsys, monkeypatch):
+        # A bare MemoryError has no message; the error JSON gives one.
+        from sqlinear import cli
+
+        def exhausted(doc, args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.COMMANDS, "mldegree", (exhausted, *cli.COMMANDS["mldegree"][1:]))
+        code, text = run(tmp_path, "mldegree", STEINER)
+        assert (code, text) == (2, "")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["kind"], err["type"], err["message"]) == ("validation", "MemoryError", "out of memory")
 
     @pytest.mark.parametrize("label", [{"x": 1}, 7, None, ["x"], True], ids=["object", "number", "null", "list", "bool"])
     def test_label_that_is_no_string(self, tmp_path, capsys, label):

@@ -79,6 +79,8 @@ class TestDppProbabilities:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             dpp_probabilities(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
+        with pytest.raises(RankDeficient, match="parameter matrix must have full row rank k"):
+            dpp_probabilities(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))  # a zero row has no scale
 
 
 class TestLinearProjectionArrangement:

@@ -63,6 +63,8 @@ class TestElimination:
     def test_nullspace_of_nothing_is_identity(self):
         basis = ratlin.nullspace([], ncols=3)
         assert len(basis) == 3
+        with pytest.raises(ValueError, match="ncols required for an empty row list"):
+            ratlin.nullspace([])
 
     def test_solve(self):
         A = ratlin.frac_matrix([[2, 1], [1, 3]])

@@ -504,6 +504,10 @@ class TestLogVoronoiScan:
                 (Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)),
                 steps=4,
             )
+        total = sum(v * v for v in QUAD_Y)
+        s_star = tuple(Fraction(v * v, total) for v in QUAD_Y)
+        with pytest.raises(ValidationError, match="end point must be strictly positive"):
+            log_voronoi_scan(four_points, QUAD_Y, s_star, (Fraction(1, 2), Fraction(1, 2), 0, 0), steps=4)
 
     @pytest.mark.parametrize("which", ["start", "end"])
     def test_endpoint_of_wrong_length_rejected(self, four_points, which):

@@ -27,6 +27,8 @@ from sqlinear.mle import (
 )
 from sqlinear.model import make_model
 
+UNDERFLOW = "coordinate underflow at convergence: cannot take the sign vector of a zero value"
+
 
 class TestLikelihoodMatrix:
     def test_steiner_structure(self, steiner):
@@ -74,6 +76,9 @@ class TestRankDefect:
             assert rank_defect(M, 1e-8) >= 1
             sigma = np.linalg.svd(M, compute_uv=False)
             assert sigma[-1] / sigma[0] <= 1e-7
+
+    def test_zero_matrix_lacks_every_row(self):
+        assert rank_defect(np.zeros((3, 4)), 1e-8) == 3
 
     def test_tol_validation(self, steiner, rng):
         M = likelihood_matrix(steiner, rng.uniform(0.1, 1, 4), rng.normal(size=3))
@@ -263,27 +268,33 @@ class TestSolveAll:
             _solve_batch(steiner, [[4, 3, 2, 1]], regions, 1e-10, [[regions[0].witness]])
 
     @pytest.mark.parametrize(
-        "x, message",
+        "x, inside, outside",
         [
-            ((1.0, 0.0, 0.0), "coordinate underflow at convergence: cannot take the sign vector of a zero value"),
-            ((3.0, 2.0, 1.0), "converged point left its region"),
+            ((1.0, 0.0, 0.0), UNDERFLOW, UNDERFLOW),
+            ((3.0, 2.0, 1.0), None, "converged point left its region"),
+            ((1.0, 1e-170, 1e-170), "Hessian at convergence has no finite eigenvalues", "converged point left its region"),
         ],
-        ids=["underflow", "left"],
+        ids=["underflow", "left", "no-finite-eigenvalues"],
     )
-    def test_finish_rejects_a_point_off_its_region(self, steiner, monkeypatch, x, message):
+    def test_finish_rejects_a_point_off_its_region(self, steiner, monkeypatch, x, inside, outside):
         # Every row's normalized finish is replaced by x: (1, 0, 0) lies on two
-        # Steiner hyperplanes, and (3, 2, 1) in region ++++ alone, where the
-        # chart Hessian is negative definite.
+        # Steiner hyperplanes; (3, 2, 1) lies in region ++++ alone, where the
+        # chart Hessian is negative definite, and so does (1, 1e-170, 1e-170),
+        # where l_i^2 underflows to 0 and the Hessian holds an infinity. Each
+        # failure of a row that ran carries the trace of its passes, which ends
+        # below tol as the row was found; an underflow carries none.
         from sqlinear import mle
 
         monkeypatch.setattr(mle, "normalize_parameter", lambda X: np.tile(normalize_parameter(x), (len(X), 1)))
         regions = enumerate_regions(steiner.arr)
-        off = [r for r in regions if message.startswith("coordinate") or str(r.sign) != "++++"]
         (outcomes,) = mle._solve_batch(steiner, [[4, 3, 2, 1]], regions, 1e-10)
-        failures = [(r, out) for r, out in zip(regions, outcomes) if isinstance(out, NoConvergence)]
-        assert [r for r, _ in failures] == off
-        assert all(str(err) == message for _, err in failures)
-        assert all(bool(err.trace) == message.startswith("converged") for _, err in failures)
+        expected = [inside if str(r.sign) == "++++" else outside for r in regions]
+        assert [str(out) if isinstance(out, NoConvergence) else None for out in outcomes] == expected
+        for trace, message in ((out.trace, str(out)) for out in outcomes if isinstance(out, NoConvergence)):
+            if message == UNDERFLOW:
+                assert trace == []
+            else:
+                assert [k for k, _ in trace] == list(range(len(trace))) and trace[-1][1] < 1e-10
 
 
 def test_normalize_parameter_of_a_stack_is_each_row_alone(rng):

@@ -319,6 +319,10 @@ class TestMinorSpaceDimension:
         assert minor_space_dimension(d) == minor_space_rank(d) == expected
         assert expected == (d + 1) * d**2 * (d - 1) // 12
 
+    def test_d_below_2_rejected(self):
+        with pytest.raises(ValidationError, match="need d >= 2"):
+            minor_space_dimension(1)
+
 
 class TestSingularSubspaces:
     def test_steiner_three_lines(self, steiner):

@@ -1,9 +1,10 @@
 """``tests/golden/solver_bits.py compare``, the bit-identity check of the
 Newton batch between two checkouts, on small hand-built records: identical
 records exit 0, a changed path exits 1 and is named, a found point that
-fails is listed, and each side's trial likelihood work and count of found
-points that are no maximum are printed. A draw whose regions or chi
-digest differs exits 1 and is named before any path difference."""
+fails is listed, and each side's trial likelihood work, count of found
+points that are no maximum and failures by reason are printed. A draw
+whose regions or chi digest differs exits 1 and is named before any path
+difference."""
 
 import importlib.util
 import json
@@ -32,8 +33,8 @@ def found(region, x, top=-1.0):
     return f"{region} {arrays} {(1e-12).hex()} 5 {float(top).hex()}"
 
 
-def failed(message):
-    return f"NoConvergence: {message} [(0, '{(0.5).hex()}')]"
+def failed(message, trace=((0, 0.5),)):
+    return f"NoConvergence: {message} {[(k, v.hex()) for k, v in trace]}"
 
 
 def outcomes():
@@ -66,6 +67,7 @@ def test_identical_records_exit_0_and_print_work_and_maxima(solver_bits, tmp_pat
     assert "trial likelihood work draws: 7 calls, 30 rows against 4 calls, 12 rows" in out
     assert "found points whose hessian_max_eig is not negative: 1 against 1" in out
     assert "regions and chi digests: not recorded on both sides" in out
+    assert "failures: 1 against 1\nfailures 'Newton decrement # not below tolerance #': 1 against 1\n" in out
 
 
 def test_same_digests_exit_0(solver_bits, tmp_path, capsys):
@@ -109,3 +111,20 @@ def test_found_point_that_fails_is_listed(solver_bits, tmp_path, capsys):
     assert "1 outcomes change region or found/failed state" in out
     assert "trial likelihood work draws: 7 calls, 30 rows against not recorded" in out
     assert "found points whose hessian_max_eig is not negative: 1 against 0" in out
+    assert "failures: 1 against 2" in out
+    assert "failures 'Hessian at convergence is not negative definite: largest eigenvalue #': 0 against 1" in out
+
+
+def test_failures_are_counted_by_message_with_numbers_masked(solver_bits):
+    rows = [
+        ["a", failed("Newton step has negative slope -3.250e-17 on a Cholesky-tested Hessian", [(0, float("nan"))]), None],
+        ["b", failed("Newton step has negative slope -1.000e+02 on a Cholesky-tested Hessian"), None],
+        ["c", failed("coordinate underflow at convergence: cannot take the sign vector of a zero value", []), None],
+        ["d", failed("Newton decrement nan not below tolerance 1.0e-10"), None],
+        *outcomes()[:2],
+    ]
+    assert solver_bits._reasons(rows) == {
+        "Newton step has negative slope # on a Cholesky-tested Hessian": 2,
+        "Newton decrement # not below tolerance #": 1,
+        "coordinate underflow at convergence: cannot take the sign vector of a zero value": 1,
+    }
