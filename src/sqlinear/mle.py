@@ -11,10 +11,15 @@ stack of iterates: each pass evaluates the whole stack through
 :class:`Likelihood`, which holds the only copy of the log-likelihood,
 gradient and Hessian formulas, and every decision is made per row through
 masks. At these sizes a pass costs its numpy calls, not its arithmetic. A
-pass multiplies its iterates by A^T and evaluates them once, and each trial
-point once, taking its logL only where Armijo decides, so an accepted trial
-point is multiplied and evaluated again at the top of the next pass, as the
-start is for its sign test and in the first pass. A row's bits do not depend
+pass multiplies its iterates by A^T and takes their gradients and Hessians
+once, and their logL, Armijo's baseline, only once some trial reaches an
+Armijo test. It multiplies each trial point once, taking its logL only where
+Armijo decides, so an accepted trial point is multiplied and evaluated again
+at the top of the next pass, as the start is for its sign test and in the
+first pass. A pass gathers each per-row table once: the sign vectors, the
+charts' free coordinates and, with several data vectors, each row's data
+vector, its sum and its flatness bound; with one data vector those three
+are one value every row reads by broadcast. A row's bits do not depend
 on work a pass skips because no row needs it, nor, for n < 16, on how many
 rows ride with it (:func:`_product` gives a (3,20) draw where 34 of 191 rows
 move when solved in 7-row blocks). Rows may carry their own data: the batch
@@ -142,10 +147,13 @@ def _newton_step(g, H):
     however stiff, gets the pure Newton step, whose slope is the decrement;
     shifting it would wreck the soft directions during tracking. A row whose
     H is not finite, or whose eigenvalues or system LAPACK fails on (its
-    stacked calls return NaN for those matrices), gets a NaN step."""
-    M, eye = -H, np.eye(H.shape[-1])
-    bad = ~np.isfinite(M).all(axis=(1, 2))
-    M[bad] = eye  # keeps the factorizations going; the step is discarded
+    stacked calls return NaN for those matrices), gets a NaN step. The
+    identity and the fix-ups of non-finite rows are built only when some
+    row needs them."""
+    M = -H
+    bad = (~np.isfinite(M).all(axis=(1, 2))).nonzero()[0]
+    if bad.size:
+        M[bad] = np.eye(H.shape[-1])  # keeps the factorizations going; the step is discarded
     ridged = np.isnan(_umath_linalg.cholesky_lo(M, signature="d->d")).any(axis=(1, 2))
     if ridged.any():
         low = _umath_linalg.eigvalsh_lo(M[ridged], signature="d->d")[:, 0]
@@ -157,10 +165,11 @@ def _newton_step(g, H):
         ridge = np.where(low > 0.0, 0.0, base * 2.0 ** np.ceil(np.log2(np.maximum(-low, base) / base)))
         ridge[(ridge > base) & (low + ridge / 2.0 > 0.0)] /= 2.0
         ridge[~(low + ridge > 0.0)] *= 2.0
-        M[ridged] += ridge[:, None, None] * eye
+        M[ridged] += ridge[:, None, None] * np.eye(H.shape[-1])
         ridged[ridged] = ridge > 0.0
     step = _umath_linalg.solve(M, g[:, :, None], signature="dd->d")[:, :, 0]
-    step[bad] = np.nan
+    if bad.size:
+        step[bad] = np.nan
     return step, np.einsum("ri,ri->r", g, step), ridged
 
 
@@ -168,8 +177,8 @@ class Likelihood:
     """logL(y) = sum_i s_i log(l_i(y)^2 / q(y)), its gradient and its ambient
     Hessian on every row y of an (R, d) stack, read from the stack's (R, n)
     form values V = Y A^T, which every caller has already computed for its
-    sign or hyperplane test: calling it gives logL alone, and
-    :meth:`hessian` gives (logL, G, H) from one pass.
+    sign or hyperplane test: calling it gives logL alone,
+    :meth:`derivatives` gives (G, H) and :meth:`hessian` (logL, G, H).
 
     The one copy of these formulas, which the Newton batch below runs. Built
     once per (float A, s), where s is one data vector or a (K, n) stack of
@@ -200,9 +209,13 @@ class Likelihood:
         return weighted - self.totals[which] * np.log(np.einsum("ri,ri->r", V, V))
 
     def hessian(self, V, which=0):
-        """(logL, G, H) from one pass: the log-likelihoods, the gradient rows
-        sum_i (2 s_i / l_i) A_i - (2 sum s / q) A^T A y and the (R, d, d)
-        stack of Hessians."""
+        """(logL, G, H): the log-likelihoods and :meth:`derivatives`."""
+        return (self(V, which), *self.derivatives(V, which))
+
+    def derivatives(self, V, which=0):
+        """(G, H): the gradient rows sum_i (2 s_i / l_i) A_i - (2 sum s / q)
+        A^T A y and the (R, d, d) stack of Hessians, without the logL, which
+        a Newton pass takes only once a trial's Armijo test reads it."""
         s, total, W = self._S[which], self.totals[which], self._kept(V)
         q = np.einsum("ri,ri->r", V, V)
         U = _product(V, self.A)  # the rows A^T A y
@@ -213,12 +226,17 @@ class Likelihood:
             - ratio[:, None, None] * self.gram
             + (4.0 * total / q**2)[:, None, None] * (U[:, :, None] * U[:, None, :])
         )
-        return self(V, which), G, H
+        return G, H
 
 
 class CriticalPoint(Record):
     # region is a SignVector; x, y and p are float arrays
     __slots__ = ("region", "x", "y", "p", "logL", "grad_norm", "iterations", "hessian_max_eig")
+
+    # A batch builds one per region, and Record's generic __init__ takes longer.
+    def __init__(self, region, x, y, p, logL, grad_norm, iterations, hessian_max_eig):
+        for setter, value in zip(self._setters, (region, x, y, p, logL, grad_norm, iterations, hessian_max_eig)):
+            setter(self, value)
 
 
 class SolveAllResult(Record):
@@ -340,10 +358,11 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
       Hessian where it is found.
 
     Each carries the row's (iteration, lambda / sqrt(sum(s))) trace, save
-    that a start outside its region and an underflow carry none.
+    that a start outside its region carries none.
 
     A pass skips what none of its rows needs (the ridge, a logL Armijo does
-    not decide), and the ridge touches only the rows that need it.
+    not decide, the iterates' logL when no trial reaches Armijo), and the
+    ridge touches only the rows that need it.
     """
     S = np.array([_check_positive_data(s, model.n) for s in data]).reshape(-1, model.n)
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
@@ -354,10 +373,15 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     loglik = Likelihood(A, S)
     K, R, d = len(S), len(regions), model.d
     N = K * R
-    which = np.arange(N) // R  # each row's data vector
+    # Each row's data vector, that vector's sum and the slope below which the
+    # row is flat; with one data vector, the one value that every row shares.
+    which = np.arange(N) // R if K > 1 else 0
+    totals = loglik.totals[which]
+    flat_below = 1e-5 * np.maximum(1.0, totals)
     lanes = np.arange(N)[:, None]  # row positions, for gathers by row
     frees = np.array([[j for j in range(d) if j != c] for c in range(d)])  # free coordinates of each chart
-    totals = loglik.totals[which]
+    # Each chart's minor as flat positions in a d x d Hessian, and each row's offset in a flat (N, d, d) stack.
+    minors, corners = frees[:, :, None] * d + frees[:, None, :], lanes[:, :, None] * (d * d)
     signs = np.tile(np.array([r.sign.signs for r in regions], dtype=float).reshape(R, model.n), (K, 1))
     starts = [x for row in starts or () for x in row]
     X = to_floats(starts, "start") if starts else np.tile(to_floats(regions, "start").reshape(R, d), (K, 1))
@@ -372,109 +396,117 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     passes = []  # (rows, lambda / sqrt(sum(s))) of every pass, in order
     outcomes = [None] * N
 
-    def inside(V, rows=slice(None)):
-        return (signs[rows] * V > 0.0).all(axis=1)
+    def inside(V, sign):
+        return (sign * V > 0.0).all(axis=1)
 
-    def free_hessian(rows, G, H):
-        """The gradient and Hessian restricted to the free coordinates of each
-        row's chart."""
-        free, lane = frees[chart[rows]], lanes[: len(rows)]
-        return G[lane, free], H[lane[:, :, None], free[:, :, None], free[:, None, :]], free
+    def chart_minor(pins, H):
+        """Each row's Hessian restricted to the free coordinates of its chart, in one flat gather."""
+        return H.reshape(-1)[corners[: len(pins)] + minors[pins]]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         V = _product(X, A.T)
-        flip = ~inside(V) & inside(-V)
+        flip = ~inside(V, signs) & inside(-V, signs)
         X[flip], V[flip] = -X[flip], -V[flip]  # antipodal representative of the same projective point
-        running = inside(V)
+        running = inside(V, signs)
         # Each row's failure message once known; a stalled row's is told by its last decrement.
         why = [None if ok else "start point does not satisfy the region signs" for ok in running.tolist()]
 
-        flat_below = 1e-5 * np.maximum(1.0, totals)
         converged = np.zeros(N, dtype=bool)
         while True:
             rows = (running & ~converged & (iterations < MAX_ITER)).nonzero()[0]
             if not rows.size:
                 break
-            x = X[rows]  # rechart: pin each row's largest coordinate at +-1
-            size = np.abs(x)
-            chart[rows] = size.argmax(axis=1)
+            sign, x = signs[rows], X[rows]  # rechart x: pin each row's largest coordinate at +-1
+            of, total, flat_at = (which[rows], totals[rows], flat_below[rows]) if K > 1 else (which, totals, flat_below)
+            size, lane = np.abs(x), lanes[: len(rows)]
+            chart[rows] = pins = size.argmax(axis=1)
             X[rows] = x = x / size.max(axis=1)[:, None]
-            V = _product(x, A.T)
-            current, G, H = loglik.hessian(V, which[rows])
-            g, H, free = free_hessian(rows, G, H)
-            free_step, slope, ridged = _newton_step(g, H)
+            at = _product(x, A.T)  # the iterates' form values
+            G, H = loglik.derivatives(at, of)
+            free = frees[pins]
+            free_step, slope, ridged = _newton_step(G[lane, free], chart_minor(pins, H))
             step = np.zeros((len(rows), d))
-            step[lanes[: len(rows)], free] = free_step
-            lam = np.sqrt(slope / totals[rows])  # NaN for a negative slope
+            step[lane, free] = free_step
+            lam = np.sqrt(slope / total)  # NaN for a negative slope
             passes.append((rows, lam))
-            descends = ~ridged & (slope < 0.0)  # H passed the Cholesky test yet is singular
+            steady = ~ridged
+            descends = steady & (slope < 0.0)  # H passed the Cholesky test yet is singular
             for k, value in zip(rows[descends].tolist(), slope[descends].tolist()):
                 why[k] = f"Newton step has negative slope {value:.3e} on a Cholesky-tested Hessian"
             # A found row's one trial is its last step, at t = 1. Any other
             # row's first trial stops TO_WALL of the way to the nearest
             # hyperplane the step heads for: wall = min (s_i V_i) / -(s_i A_i
             # step) over i with s_i A_i step < 0.
-            found = ~ridged & (lam < tol)  # NaN compares false
-            flat = found | (~ridged & (slope <= flat_below[rows]))
-            along = signs[rows] * _product(step, A.T)
-            wall = np.where(along < 0.0, signs[rows] * V / -along, np.inf).min(axis=1)
+            found = steady & (lam < tol)  # NaN compares false
+            flat = found | (steady & (slope <= flat_at))
+            along = sign * _product(step, A.T)
+            wall = np.where(along < 0.0, sign * at / -along, np.inf).min(axis=1)
             t = np.where(found, 1.0, np.minimum(1.0, TO_WALL * wall))
             # Halve t until the trial keeps the signs and passes Armijo or the row
             # is found or flat; a trial equal to x is no step, as it would repeat.
+            # The iterates' logL, Armijo's baseline, is taken once a trial needs it.
             running[rows] = False  # until the row takes a step
+            current = None
             sub = (~descends).nonzero()[0]  # the rows still halving
             for _ in range(MAX_BACKTRACKS):
                 if not sub.size:
                     break
-                trial = x[sub] + t[sub, None] * step[sub]
+                start = x[sub]
+                trial = start + t[sub, None] * step[sub]
                 V = _product(trial, A.T)
-                ok = inside(V, rows[sub])
+                ok = inside(V, sign[sub])
                 armijo = ok & ~flat[sub]
                 if armijo.any():
+                    if current is None:
+                        current = loglik(at, of)
                     j = sub[armijo]
-                    ok[armijo] = loglik(V[armijo], which[rows[j]]) >= current[j] + 1e-4 * t[j] * slope[j]
-                took = ok & (trial != x[sub]).any(axis=1)
-                X[rows[sub[took]]] = trial[took]
-                running[rows[sub[took]]] = True
+                    ok[armijo] = loglik(V[armijo], of[j] if K > 1 else of) >= current[j] + 1e-4 * t[j] * slope[j]
+                took = ok & (trial != start).any(axis=1)
+                moved = rows[sub[took]]
+                X[moved] = trial[took]
+                running[moved] = True
                 sub = sub[~ok & ~found[sub]]
                 t[sub] *= 0.5
-            iterations[rows[~found]] += 1
-            converged[rows[found]] = True
+            iterations[rows] += ~found
+            converged[rows] = found  # none of the rows had converged
 
         rows = converged.nonzero()[0]
         xn = normalize_parameter(X[rows])
         y = _product(xn, A.T)
-        logL, G, H = loglik.hessian(y, which[rows])
-        free_H = free_hessian(rows, G, H)[1]
+        logL, G, H = loglik.hessian(y, which[rows] if K > 1 else which)
+        free_H = chart_minor(chart[rows], H)
         # A Hessian holding an infinity or a NaN fails its row unseen by LAPACK.
-        bad = ~np.isfinite(free_H).all(axis=(1, 2))
-        free_H[bad] = 0.0
+        bad = (~np.isfinite(free_H).all(axis=(1, 2))).nonzero()[0]
+        if bad.size:
+            free_H[bad] = 0.0
         top_eig = _umath_linalg.eigvalsh_lo(free_H, signature="d->d")[:, -1]
-        top_eig[bad] = np.nan
-        final_norm = np.linalg.norm(G, axis=1)
+        if bad.size:
+            top_eig[bad] = np.nan
+        final_norm = np.sqrt((G * G).sum(axis=1))  # np.linalg.norm's sum of squares
         p = y**2 / np.einsum("ri,ri->r", y, y)[:, None]
         underflow = (y == 0.0).any(axis=1)
-        left = ~(inside(y, rows) | inside(-y, rows))
+        sign = signs[rows]
+        left = ~(inside(y, sign) | inside(-y, sign))
+        fine = ~(underflow | left) & np.isfinite(top_eig) & (top_eig < 0.0)
     logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), iterations.tolist()
+    fine, underflow, left, xn, y, p = fine.tolist(), underflow.tolist(), left.tolist(), list(xn), list(y), list(p)
     for i, k in enumerate(rows.tolist()):
-        if underflow[i]:  # built here, so it carries no trace
-            outcomes[k] = NoConvergence(
-                "coordinate underflow at convergence: cannot take the sign vector of a zero value"
+        if fine[i]:
+            outcomes[k] = CriticalPoint(
+                regions[k % R].sign, xn[i], y[i], p[i], logL[i], final_norm[i], counts[k], top_eig[i]
             )
+        elif underflow[i]:
+            why[k] = "coordinate underflow at convergence: cannot take the sign vector of a zero value"
         elif left[i]:
             why[k] = "converged point left its region"
         elif not isfinite(top_eig[i]):
             why[k] = "Hessian at convergence has no finite eigenvalues"
-        elif top_eig[i] >= 0.0:
-            why[k] = f"Hessian at convergence is not negative definite: largest eigenvalue {top_eig[i]:.3e}"
         else:
-            outcomes[k] = CriticalPoint(
-                regions[k % R].sign, xn[i], y[i], p[i], logL[i], final_norm[i], counts[k], top_eig[i]
-            )
+            why[k] = f"Hessian at convergence is not negative definite: largest eigenvalue {top_eig[i]:.3e}"
     # Every row still without an outcome failed. A row runs in consecutive passes
     # from the first, so once a pass holds none of these rows no later one does.
     trail = {k: [] for k, out in enumerate(outcomes) if out is None}
-    for ran, lam in passes:
+    for ran, lam in passes if trail else ():
         hit = np.isin(ran, list(trail))
         if not hit.any():
             break

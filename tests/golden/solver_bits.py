@@ -12,12 +12,13 @@ integer data vectors in one batch. Each outcome is stored as two strings:
 its path (the bytes of x, y and p; grad_norm, iterations and
 hessian_max_eig; a failure's type, message and trace) and its logL, both
 with floats in hex. The record also holds ``mle_index`` of braid(4),
-braid(5) and Steiner at uniform data, and the trial likelihood work of each
+braid(5) and Steiner at uniform data, and the likelihood work of each
 sweep part (``numeric-mle``, ``session`` and the seeded ``draws``): the
-calls of ``Likelihood.__call__`` and the rows they evaluate, without the
-call ``Likelihood.hessian`` makes for its own logL. For each seeded draw it
-holds the sha256 of its regions (each sign string and ray) and of its chi
-coefficients, the exact inputs of its batches.
+calls of ``Likelihood.__call__`` and the rows they evaluate, as trial work
+and, apart from it, as iterate work, the calls on the form values that
+the last Hessian evaluation read (:func:`likelihood_work`). For each
+seeded draw it holds the sha256 of its regions (each sign string and ray)
+and of its chi coefficients, the exact inputs of its batches.
 
 ``compare`` first prints the draws whose regions or chi differ, since a
 moved ray moves every start of its draw; a record without these digests
@@ -29,7 +30,7 @@ also prints the outcomes whose region or found/failed state differs, the
 largest relative difference in x of the points found on both sides (max
 |x_a - x_b| over max |x_a|), and each side's total and mean iterations over
 its found points, which tell a moved start from a moved answer. It always
-prints both sides' trial likelihood work per sweep part, each side's
+prints both sides' trial and iterate likelihood work per sweep part, each side's
 count of found points whose ``hessian_max_eig`` is not negative, and each
 side's failures by reason: the failure's message with its numbers masked
 as ``#``, read from its path.
@@ -42,6 +43,7 @@ thread, since its threaded kernels may round otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -103,6 +105,45 @@ def _exact(model, regions):
     return {"regions": digest([(str(r.sign), r.ray) for r in regions]), "chi": digest(chi)}
 
 
+@contextlib.contextmanager
+def likelihood_work(mle, part):
+    """Count, while active, the calls of ``mle.Likelihood.__call__`` and the
+    rows they evaluate, per sweep part ``part[0]``. Yields {"trial": {},
+    "iterate": {}}, each mapping a part to [calls, rows]: a call on the form
+    values that the last Hessian evaluation read (``hessian`` or
+    ``derivatives``) is the iterates' logL, any other call a trial's. The
+    split does not depend on whether ``hessian`` or the Newton pass takes
+    the iterates' logL, so both sides of a compare count the same trials;
+    a checkout whose ``Likelihood`` has no ``derivatives`` is counted by
+    ``hessian`` alone."""
+    work = {"trial": {}, "iterate": {}}
+    cls, last = mle.Likelihood, [None]
+    saved = {name: getattr(cls, name) for name in ("__call__", "hessian", "derivatives") if hasattr(cls, name)}
+    call = saved["__call__"]
+
+    def counted_call(self, V, which=0):
+        total = work["iterate" if V is last[0] else "trial"].setdefault(part[0], [0, 0])
+        total[0] += 1
+        total[1] += len(V)
+        return call(self, V, which)
+
+    def noted(method):
+        def evaluate(self, V, which=0):
+            last[0] = V
+            return method(self, V, which)
+
+        return evaluate
+
+    cls.__call__ = counted_call
+    for name in saved.keys() - {"__call__"}:
+        setattr(cls, name, noted(saved[name]))
+    try:
+        yield work
+    finally:
+        for name, method in saved.items():
+            setattr(cls, name, method)
+
+
 def record(out_path):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run
@@ -116,9 +157,7 @@ def record(out_path):
 
     outcomes = []  # [label, path, logL hex or None]
     exact = {}  # draw label -> sha256 of its regions and of its chi
-    work = {}  # sweep part -> [trial Likelihood calls, rows]
     solve_batch, label, part = mle._solve_batch, [""], [""]
-    call, hessian = mle.Likelihood.__call__, mle.Likelihood.hessian
 
     def recorded(*args, **kwargs):
         rows = solve_batch(*args, **kwargs)
@@ -129,39 +168,25 @@ def record(out_path):
                 outcomes.append([f"{label[0]} #{len(outcomes)} data {k} region {r}", _path(out, found), logL])
         return rows
 
-    def counted(calls, rows):
-        total = work.setdefault(part[0], [0, 0])
-        total[0] += calls
-        total[1] += rows
-
-    def counted_call(self, V, which=0):
-        counted(1, len(V))
-        return call(self, V, which)
-
-    def counted_hessian(self, V, which=0):
-        counted(-1, -len(V))  # cancels hessian's own call, which is no trial
-        return hessian(self, V, which)
-
     mle._solve_batch = recorded
-    mle.Likelihood.__call__, mle.Likelihood.hessian = counted_call, counted_hessian
     try:
-        label[0] = part[0] = "numeric-mle"
-        for job in workloads.mle_pool_jobs():
-            job.run()
-        label[0] = part[0] = "session"
-        for cycle in workloads.setup_session(1, 16):
-            for bundled in cycle:
-                for job in bundled.parts or (bundled,):
-                    job.run()
-        part[0] = "draws"
-        for name, model, regions, batches in _draws():
-            label[0] = name
-            exact[name] = _exact(model, regions)
-            for data in batches:
-                mle._solve_batch(model, data, regions, TOL)
+        with likelihood_work(mle, part) as work:
+            label[0] = part[0] = "numeric-mle"
+            for job in workloads.mle_pool_jobs():
+                job.run()
+            label[0] = part[0] = "session"
+            for cycle in workloads.setup_session(1, 16):
+                for bundled in cycle:
+                    for job in bundled.parts or (bundled,):
+                        job.run()
+            part[0] = "draws"
+            for name, model, regions, batches in _draws():
+                label[0] = name
+                exact[name] = _exact(model, regions)
+                for data in batches:
+                    mle._solve_batch(model, data, regions, TOL)
     finally:
         mle._solve_batch = solve_batch
-        mle.Likelihood.__call__, mle.Likelihood.hessian = call, hessian
     uniform = {
         name: mle.solve_all(make_model(arr), np.ones(arr.n)).mle_index
         for name, arr in (
@@ -171,12 +196,21 @@ def record(out_path):
         )
     }
     Path(out_path).write_text(
-        json.dumps({"outcomes": outcomes, "uniform_mle_index": uniform, "work": work, "exact": exact})
+        json.dumps(
+            {
+                "outcomes": outcomes,
+                "uniform_mle_index": uniform,
+                "work": work["trial"],
+                "iterate_work": work["iterate"],
+                "exact": exact,
+            }
+        )
     )
     failures = sum(logL is None for _, _, logL in outcomes)
     print(f"{len(outcomes)} outcomes ({failures} failures); uniform-data mle_index {uniform}")
-    for name, (calls, rows) in work.items():
-        print(f"trial likelihood work {name}: {calls} calls, {rows} rows")
+    for kind, parts in work.items():
+        for name, (calls, rows) in parts.items():
+            print(f"{kind} likelihood work {name}: {calls} calls, {rows} rows")
 
 
 def _ordered(value):
@@ -273,10 +307,11 @@ def compare(a_path, b_path):
     for name, index in a["uniform_mle_index"].items():
         moved = b["uniform_mle_index"].get(name)
         print(f"uniform-data mle_index {name}: {index}" + ("" if moved == index else f" -> {moved}"))
-    works = a.get("work", {}), b.get("work", {})
-    for name in dict.fromkeys([*works[0], *works[1]]):
-        sides = (f"{w[name][0]} calls, {w[name][1]} rows" if name in w else "not recorded" for w in works)
-        print(f"trial likelihood work {name}: {' against '.join(sides)}")
+    for kind, key in (("trial", "work"), ("iterate", "iterate_work")):
+        works = a.get(key, {}), b.get(key, {})
+        for name in dict.fromkeys([*works[0], *works[1]]):
+            sides = (f"{w[name][0]} calls, {w[name][1]} rows" if name in w else "not recorded" for w in works)
+            print(f"{kind} likelihood work {name}: {' against '.join(sides)}")
     print(f"found points whose hessian_max_eig is not negative: {_not_maxima(old)} against {_not_maxima(new)}")
     reasons = _reasons(old), _reasons(new)
     print(f"failures: {sum(reasons[0].values())} against {sum(reasons[1].values())}")

@@ -89,10 +89,13 @@ def test_stacked_data_rows_match_separate_solves():
     """One batch holds k data vectors on a random (4,9), each (data vector,
     region) pair started from that region's critical point for other data.
     Every row takes the iterations of a separate one-vector batch from the
-    same starts and lands on its x bit for bit, which pins that rows and
-    starts go data vector by data vector and that no row sees its
-    neighbours; each data vector converges in all |chi(-1)|/2 regions, to
-    the local max that a witness-started solve_all finds."""
+    same starts and lands on its x, y, p, logL, gradient norm and top
+    eigenvalue bit for bit, which pins that rows and starts go data vector
+    by data vector, that no row sees its neighbours, and that the one
+    broadcast data vector of a one-vector batch computes what each row's
+    gathered data vector does; each data vector converges in all
+    |chi(-1)|/2 regions, to the local max that a witness-started solve_all
+    finds."""
     model = make_model(catalog.random_arrangement(4, 9, random.Random("batch/stacked")))
     regions = enumerate_regions(model.arr)
     chi = characteristic_polynomial(model.arr)
@@ -114,7 +117,10 @@ def test_stacked_data_rows_match_separate_solves():
         for point, other, witnessed in zip(row, alone, separate.points):
             assert point.region == other.region == witnessed.region
             assert point.iterations == other.iterations
-            assert np.array_equal(point.x, other.x)
+            for name in ("x", "y", "p"):
+                assert getattr(point, name).tobytes() == getattr(other, name).tobytes(), name
+            for name in ("logL", "grad_norm", "hessian_max_eig"):
+                assert getattr(point, name).hex() == getattr(other, name).hex(), name
             assert point.hessian_max_eig < 0.0
             assert np.abs(point.x - witnessed.x).max() <= 1e-9
             assert point.logL == pytest.approx(witnessed.logL, rel=1e-12)
@@ -240,12 +246,12 @@ def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
     s = [50, 1, 45, 29]
     regions = enumerate_regions(steiner.arr)
     lapack = mle._umath_linalg
-    hessian = mle.Likelihood.hessian
+    derivatives = mle.Likelihood.derivatives
     passes = []  # per Hessian evaluation, its LAPACK calls: (name, rows, NaN rows or lowest eigenvalues)
 
-    def spied_hessian(self, V, which=0):
+    def spied_derivatives(self, V, which=0):
         passes.append([])
-        return hessian(self, V, which)
+        return derivatives(self, V, which)
 
     def spied_cholesky_lo(a, signature):
         factor = lapack.cholesky_lo(a, signature=signature)
@@ -263,7 +269,7 @@ def test_ridged_row_beside_definite_rows_is_its_own_solve(steiner, monkeypatch):
         return step
 
     spies = SimpleNamespace(cholesky_lo=spied_cholesky_lo, eigvalsh_lo=spied_eigvalsh_lo, solve=spied_solve)
-    monkeypatch.setattr(mle.Likelihood, "hessian", spied_hessian)
+    monkeypatch.setattr(mle.Likelihood, "derivatives", spied_derivatives)
     monkeypatch.setattr(mle, "_umath_linalg", spies)
     everything = solve_all(steiner, s, regions=regions)
     monkeypatch.undo()
@@ -366,20 +372,20 @@ def singular_when_marked(monkeypatch, marked):
     -SINGULAR * I, which passes the Cholesky test, and the batch's stacked
     LAPACK solve to return NaN for each such matrix, as LAPACK does on an
     exactly singular one."""
-    hessian = mle.Likelihood.hessian
+    derivatives = mle.Likelihood.derivatives
     lapack = mle._umath_linalg
 
-    def marked_hessian(self, V, which=0):
-        logL, G, H = hessian(self, V, which)
+    def marked_derivatives(self, V, which=0):
+        G, H = derivatives(self, V, which)
         H[marked(V)] = -SINGULAR * np.eye(H.shape[-1])
-        return logL, G, H
+        return G, H
 
     def solve(a, b, signature):
         step = lapack.solve(a, b, signature=signature)
         step[a[:, 0, 0] == SINGULAR] = np.nan
         return step
 
-    monkeypatch.setattr(mle.Likelihood, "hessian", marked_hessian)
+    monkeypatch.setattr(mle.Likelihood, "derivatives", marked_derivatives)
     monkeypatch.setattr(
         mle, "_umath_linalg", SimpleNamespace(cholesky_lo=lapack.cholesky_lo, eigvalsh_lo=lapack.eigvalsh_lo, solve=solve)
     )
@@ -595,19 +601,24 @@ def test_tracking_step_line_search_starts_near_the_wall(monkeypatch, name, w, be
     regions = enumerate_regions(model.arr)
     w = np.array(w, dtype=float)
     (points,) = _solve_batch(model, [before**w], regions, 1e-10)
-    call, hessian = mle.Likelihood.__call__, mle.Likelihood.hessian
-    trial_rows = []
+    call, hessian, derivatives = mle.Likelihood.__call__, mle.Likelihood.hessian, mle.Likelihood.derivatives
+    trial_rows, iterates = [], [None]  # the form values of the last Hessian evaluation
 
     def counted_call(self, V, which=0):
-        trial_rows.append(len(V))
+        if V is not iterates[0]:  # the iterates' own logL is no trial
+            trial_rows.append(len(V))
         return call(self, V, which)
 
-    def counted_hessian(self, V, which=0):
-        trial_rows.append(-len(V))  # cancels hessian's own call, which is no trial
-        return hessian(self, V, which)
+    def noted(method):
+        def evaluate(self, V, which=0):
+            iterates[0] = V
+            return method(self, V, which)
+
+        return evaluate
 
     monkeypatch.setattr(mle.Likelihood, "__call__", counted_call)
-    monkeypatch.setattr(mle.Likelihood, "hessian", counted_hessian)
+    monkeypatch.setattr(mle.Likelihood, "hessian", noted(hessian))
+    monkeypatch.setattr(mle.Likelihood, "derivatives", noted(derivatives))
     (tracked,) = _solve_batch(model, [after**w], regions, 1e-10, [[p.x for p in points]])
     assert all(isinstance(p, CriticalPoint) for p in tracked)
     assert sum(trial_rows) <= 0.5 * sum(p.iterations for p in tracked)

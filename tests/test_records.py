@@ -66,14 +66,21 @@ def test_equality_only_within_a_class():
     assert KernelComplement((1, 2)).__eq__(CharacteristicPolynomial((1, 2))) is NotImplemented
 
 
-@pytest.mark.parametrize("name", ["Region", "TropicalPoint"])  # an own __init__, and Record's
+@pytest.mark.parametrize("name", ["Region", "TropicalPoint", "CriticalPoint"])  # own __init__s, and Record's
 def test_construction_by_position_or_keyword(name):
     cls = next(cls for cls in records() if cls.__name__ == name)
-    first, second = cls.__slots__
-    record = cls(1, 2)
-    assert cls(**{first: 1, second: 2}) == cls(1, **{second: 2}) == record
-    assert (getattr(record, first), getattr(record, second)) == (1, 2)
-    for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {first: 1}), ((), {second: 2}), ((1, 2), {"other": 3})]:
+    names, values = cls.__slots__, tuple(range(1, len(cls.__slots__) + 1))
+    first, rest = names[0], dict(zip(names[1:], values[1:]))
+    record = cls(*values)
+    assert cls(**dict(zip(names, values))) == cls(values[0], **rest) == record
+    assert tuple(getattr(record, field) for field in names) == values
+    for args, kwargs in [
+        (values[:-1], {}),  # the last field missing
+        (values + (0,), {}),  # one field too many
+        (values[:-1], {first: 1}),  # the first field twice, the last missing
+        ((), rest),  # the first field missing
+        (values, {"other": 3}),  # an unknown field
+    ]:
         with pytest.raises(TypeError, match=name):
             cls(*args, **kwargs)
 

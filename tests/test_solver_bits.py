@@ -1,10 +1,11 @@
 """``tests/golden/solver_bits.py compare``, the bit-identity check of the
 Newton batch between two checkouts, on small hand-built records: identical
 records exit 0, a changed path exits 1 and is named, a found point that
-fails is listed, and each side's trial likelihood work, count of found
-points that are no maximum and failures by reason are printed. A draw
-whose regions or chi digest differs exits 1 and is named before any path
-difference."""
+fails is listed, and each side's trial and iterate likelihood work, count
+of found points that are no maximum and failures by reason are printed. A
+draw whose regions or chi digest differs exits 1 and is named before any
+path difference. ``record``'s likelihood counter tells the iterates' logL
+from the trials' on a live batch."""
 
 import importlib.util
 import json
@@ -13,6 +14,7 @@ from array import array
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).parent / "golden" / "solver_bits.py"
@@ -45,13 +47,17 @@ def outcomes():
     ]
 
 
-def compare(solver_bits, tmp_path, old, new, work=({"draws": [7, 30]}, {"draws": [4, 12]}), exact=None):
+def compare(
+    solver_bits, tmp_path, old, new, work=({"draws": [7, 30]}, {"draws": [4, 12]}), exact=None, iterate=(None, None)
+):
     paths = []
-    for name, rows, counts, digests in zip("ab", (old, new), work, exact or ({}, {})):
+    for name, rows, counts, digests, iterates in zip("ab", (old, new), work, exact or ({}, {}), iterate):
         paths.append(tmp_path / f"{name}.json")
         record = {"outcomes": rows, "uniform_mle_index": {"steiner": 1}, "work": counts}
         if exact:
             record["exact"] = digests
+        if iterates is not None:
+            record["iterate_work"] = iterates
         paths[-1].write_text(json.dumps(record))
     return solver_bits.compare(*paths)
 
@@ -65,6 +71,7 @@ def test_identical_records_exit_0_and_print_work_and_maxima(solver_bits, tmp_pat
     out = capsys.readouterr().out
     assert "3 outcomes: 0 path differences, 0 logL differences" in out
     assert "trial likelihood work draws: 7 calls, 30 rows against 4 calls, 12 rows" in out
+    assert "iterate likelihood work" not in out  # neither record holds it
     assert "found points whose hessian_max_eig is not negative: 1 against 1" in out
     assert "regions and chi digests: not recorded on both sides" in out
     assert "failures: 1 against 1\nfailures 'Newton decrement # not below tolerance #': 1 against 1\n" in out
@@ -128,3 +135,56 @@ def test_failures_are_counted_by_message_with_numbers_masked(solver_bits):
         "Newton decrement # not below tolerance #": 1,
         "coordinate underflow at convergence: cannot take the sign vector of a zero value": 1,
     }
+
+
+def test_iterate_work_is_printed_beside_trial_work(solver_bits, tmp_path, capsys):
+    iterate = (None, {"draws": [5, 40]})  # a record made before the split holds none
+    assert compare(solver_bits, tmp_path, outcomes(), outcomes(), iterate=iterate) == 0
+    out = capsys.readouterr().out
+    assert "trial likelihood work draws: 7 calls, 30 rows against 4 calls, 12 rows\n" in out
+    assert "iterate likelihood work draws: not recorded against 5 calls, 40 rows\n" in out
+
+
+def test_iterates_logL_is_counted_apart_from_trials(solver_bits, steiner, monkeypatch):
+    """A logL on the very form values that the last Hessian evaluation read
+    is the iterates' logL, whether ``hessian`` takes it or the caller does;
+    any other logL is a trial's, even on equal values in another array. On
+    a batch, every iterate logL is one Hessian evaluation's rows, and the
+    counter puts the methods back when it ends."""
+    from sqlinear import mle
+
+    methods = (mle.Likelihood.__call__, mle.Likelihood.hessian, mle.Likelihood.derivatives)
+    A = steiner.A_float
+    loglik = mle.Likelihood(A, np.ones(steiner.n))
+    V, W = np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 4.0]]) @ A.T, np.array([[2.0, 1.0, 3.0]]) @ A.T
+    part = ["direct"]
+    with solver_bits.likelihood_work(mle, part) as work:
+        loglik.hessian(V)  # its own logL is the iterates'
+        loglik(V.copy())  # equal values, another array: a trial
+        loglik.derivatives(W)
+        loglik(W)  # the caller takes the iterates' logL
+        loglik(W[:1])
+    assert work == {"trial": {"direct": [2, 3]}, "iterate": {"direct": [2, 3]}}
+    assert (mle.Likelihood.__call__, mle.Likelihood.hessian, mle.Likelihood.derivatives) == methods
+
+    evaluated, called = [], []  # the form values of every Hessian evaluation and of every logL
+
+    def derivatives(self, V, which=0):
+        evaluated.append(V)
+        return methods[2](self, V, which)
+
+    def call(self, V, which=0):
+        called.append(V)
+        return methods[0](self, V, which)
+
+    monkeypatch.setattr(mle.Likelihood, "derivatives", derivatives)
+    monkeypatch.setattr(mle.Likelihood, "__call__", call)
+    part[0] = "batch"
+    with solver_bits.likelihood_work(mle, part) as work:
+        mle.solve_all(steiner, [4, 3, 2, 1])
+    iterates = [V for V in called if any(V is E for E in evaluated)]
+    trials = [V for V in called if all(V is not E for E in evaluated)]
+    assert work["iterate"]["batch"] == [len(iterates), sum(map(len, iterates))]
+    assert work["trial"]["batch"] == [len(trials), sum(map(len, trials))]
+    # The finish takes its logL; a pass whose rows are all found or flat takes none.
+    assert 1 <= len(iterates) < len(evaluated) and trials
