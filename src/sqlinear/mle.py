@@ -48,7 +48,8 @@ The solver has one setting, ``tol``: a row is found when its Newton
 decrement lambda, which is affine-invariant and counts in units of logL
 (Boyd & Vandenberghe 2004, section 9.5.1), satisfies lambda / sqrt(sum(s))
 < tol, whatever the scale of the data; the test is unsquared, so no tiny
-tol underflows to 0. The iteration cap ``MAX_ITER`` is fixed.
+tol underflows to 0. ``MAX_ITER`` caps the passes; a row that is found or takes
+no step leaves for good; a point's ``iterations`` is the pass that found it.
 """
 
 from __future__ import annotations
@@ -250,12 +251,13 @@ class SolveAllResult(Record):
     def of(cls, regions, outcomes) -> SolveAllResult:
         """The converged points in region order, the argmax of their logL and
         the (region, error) failures; when none converged, NoConvergence
-        carrying every failure."""
-        points = [out for out in outcomes if isinstance(out, CriticalPoint)]
-        failures = [(r, out) for r, out in zip(regions, outcomes) if not isinstance(out, CriticalPoint)]
+        carrying every failure. Of equal logL the first point is the MLE."""
+        points = [out for out in outcomes if type(out) is CriticalPoint]
+        failures = [(r, out) for r, out in zip(regions, outcomes) if type(out) is not CriticalPoint]
         if not points:
             raise NoConvergence("no region converged", trace=[], failures=failures)
-        return cls(points, max(range(len(points)), key=lambda i: points[i].logL), failures)
+        logL = [point.logL for point in points]
+        return cls(points, logL.index(max(logL)), failures)
 
 
 def likelihood_matrix(model: SquaredLinearModel, s, x) -> np.ndarray:
@@ -362,7 +364,9 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
 
     A pass skips what none of its rows needs (the ridge, a logL Armijo does
     not decide, the iterates' logL when no trial reaches Armijo), and the
-    ridge touches only the rows that need it.
+    ridge touches only the rows that need it. At most ``MAX_ITER`` passes
+    run; a row leaves for good once found or once it takes no step, and a
+    found point's ``iterations`` is the pass that found it.
     """
     S = np.array([_check_positive_data(s, model.n) for s in data]).reshape(-1, model.n)
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
@@ -392,7 +396,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         raise ValidationError(f"field 'start' needs {d} entries, got shape {shape}")
     X = X.reshape(N, d)
     chart = np.zeros(N, dtype=int)  # each row's pinned coordinate, set on every pass
-    iterations = np.zeros(N, dtype=int)
+    found_at = np.full(N, -1)  # the pass that found each row (its iteration count), or -1
     passes = []  # (rows, lambda / sqrt(sum(s))) of every pass, in order
     outcomes = [None] * N
 
@@ -407,20 +411,19 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         V = _product(X, A.T)
         flip = ~inside(V, signs) & inside(-V, signs)
         X[flip], V[flip] = -X[flip], -V[flip]  # antipodal representative of the same projective point
-        running = inside(V, signs)
+        live = inside(V, signs)
         # Each row's failure message once known; a stalled row's is told by its last decrement.
-        why = [None if ok else "start point does not satisfy the region signs" for ok in running.tolist()]
+        why = [None if ok else "start point does not satisfy the region signs" for ok in live.tolist()]
 
-        converged = np.zeros(N, dtype=bool)
-        while True:
-            rows = (running & ~converged & (iterations < MAX_ITER)).nonzero()[0]
+        rows = live.nonzero()[0]
+        for iteration in range(MAX_ITER):
             if not rows.size:
                 break
             sign, x = signs[rows], X[rows]  # rechart x: pin each row's largest coordinate at +-1
             of, total, flat_at = (which[rows], totals[rows], flat_below[rows]) if K > 1 else (which, totals, flat_below)
             size, lane = np.abs(x), lanes[: len(rows)]
             chart[rows] = pins = size.argmax(axis=1)
-            X[rows] = x = x / size.max(axis=1)[:, None]
+            x = x / size.max(axis=1)[:, None]
             at = _product(x, A.T)  # the iterates' form values
             G, H = loglik.derivatives(at, of)
             free = frees[pins]
@@ -445,7 +448,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
             # Halve t until the trial keeps the signs and passes Armijo or the row
             # is found or flat; a trial equal to x is no step, as it would repeat.
             # The iterates' logL, Armijo's baseline, is taken once a trial needs it.
-            running[rows] = False  # until the row takes a step
+            stepped = np.zeros(len(rows), dtype=bool)
             current = None
             sub = (~descends).nonzero()[0]  # the rows still halving
             for _ in range(MAX_BACKTRACKS):
@@ -462,15 +465,15 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
                     j = sub[armijo]
                     ok[armijo] = loglik(V[armijo], of[j] if K > 1 else of) >= current[j] + 1e-4 * t[j] * slope[j]
                 took = ok & (trial != start).any(axis=1)
-                moved = rows[sub[took]]
-                X[moved] = trial[took]
-                running[moved] = True
+                moved = sub[took]
+                x[moved], stepped[moved] = trial[took], True
                 sub = sub[~ok & ~found[sub]]
                 t[sub] *= 0.5
-            iterations[rows] += ~found
-            converged[rows] = found  # none of the rows had converged
+            X[rows] = x
+            found_at[rows[found]] = iteration
+            rows = rows[stepped & ~found]
 
-        rows = converged.nonzero()[0]
+        rows = (found_at >= 0).nonzero()[0]
         xn = normalize_parameter(X[rows])
         y = _product(xn, A.T)
         logL, G, H = loglik.hessian(y, which[rows] if K > 1 else which)
@@ -488,7 +491,7 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
         sign = signs[rows]
         left = ~(inside(y, sign) | inside(-y, sign))
         fine = ~(underflow | left) & np.isfinite(top_eig) & (top_eig < 0.0)
-    logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), iterations.tolist()
+    logL, final_norm, top_eig, counts = logL.tolist(), final_norm.tolist(), top_eig.tolist(), found_at.tolist()
     fine, underflow, left, xn, y, p = fine.tolist(), underflow.tolist(), left.tolist(), list(xn), list(y), list(p)
     for i, k in enumerate(rows.tolist()):
         if fine[i]:

@@ -96,7 +96,7 @@ def row_update(a, row, b, pivot_row):
     With ``a = pivot_row[c]`` and ``b = row[c]`` this clears column c in
     integers (fraction-free elimination, Bareiss 1968, dividing out the row
     content). It is the row step of :func:`_gauss_jordan`, the one
-    elimination pass here, and of the exact LP of :mod:`.simplex`.
+    elimination pass here.
     """
     line = [a * x - b * y for x, y in zip(row, pivot_row)]
     g = gcd(*line)

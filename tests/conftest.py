@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sqlinear import arrangement, ratlin
-from sqlinear.arrangement import Arrangement
+from sqlinear.arrangement import Arrangement, KernelComplement
 from sqlinear.catalog import (
     braid_arrangement,
     circle_arrangement,
@@ -21,7 +21,7 @@ from sqlinear.catalog import (
 )
 from sqlinear.dpp import DPPModel, linear_projection_arrangement
 from sqlinear.geometry import chamber_forms
-from sqlinear.model import make_model, parameters_of
+from sqlinear.model import SquaredLinearModel, make_model, parameters_of
 
 
 # Named arrangements for the differential tests of region enumeration.
@@ -81,6 +81,12 @@ def pyrng():
 
 def random_model(d, n, pyrng):
     return make_model(random_arrangement(d, n, pyrng))
+
+
+def non_essential_model():
+    """A model on three rows that span one line in d = 2, with B A = 0. The
+    model takes any B; the exact layers that need rank(A) = d check it."""
+    return SquaredLinearModel(Arrangement(((1, 0), (2, 0), (3, 0))), KernelComplement(((2, -1, 0), (3, 0, -1))))
 
 
 def grid_search_oracle(model, s, points=100_000):

@@ -1,15 +1,13 @@
-"""Test oracles for the exact LP layer.
+"""An exact LP and region enumeration by LPs, as test oracles; the library
+holds no LP.
 
-:func:`feasible_point` is the phase-1 simplex over ``Fraction``s, the
-textbook form of :func:`sqlinear.simplex.feasible_point`: the same LP
-(x = u - v, slacks, artificials) and the same Bland pivots, with every basic
-variable normalized to coefficient 1. The integer kernel of
-:mod:`sqlinear.simplex` is kept for this oracle and the benchmark tracer;
-tests/test_simplex.py checks that both return the same exact point, LP by LP.
+:func:`feasible_point` is the phase-1 simplex over ``Fraction``s with
+Bland's rule, every basic variable normalized to coefficient 1: the
+reference LP of the tests (tests/test_exact.py and tests/test_simplex.py
+check it directly).
 
 :func:`enumerate_regions` is region enumeration by LPs alone: one LP per
-(region, inserted hyperplane), infeasible or not. It calls the LP as
-``simplex.feasible_point`` so a test can swap the kernel;
+(region, inserted hyperplane), infeasible or not.
 tests/test_regions_oracle.py checks that the ray-only enumeration of
 :mod:`sqlinear.arrangement` returns the same sign vectors in the same order.
 Its rays are LP vertices cleared to primitive integers, not the library's
@@ -21,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from dd_oracle import parallel_pairs
-from sqlinear import ratlin, simplex
+from sqlinear import ratlin
 from sqlinear.arrangement import Region, SignVector, _ray, _require_essential
 from sqlinear.errors import ParallelRows
 
@@ -75,15 +73,16 @@ def feasible_point(rows):
         if leave is None:
             # Unbounded phase-1 objective cannot happen (bounded below by 0).
             return None
+        # Zero entries are skipped: 0 / piv and a - f * 0 are the values kept.
         piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
+        tableau[leave] = [v / piv if v else v for v in tableau[leave]]
         for i in range(m):
             if i != leave and tableau[i][enter] != 0:
                 f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+                tableau[i] = [a - f * b if b else a for a, b in zip(tableau[i], tableau[leave])]
         if obj[enter] != 0:
             f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+            obj = [a - f * b if b else a for a, b in zip(obj, tableau[leave])]
         basis[leave] = enter
 
     if -obj[ncols] != 0:
@@ -118,14 +117,14 @@ def enumerate_regions(arr):
             value = ratlin.dot(row, witness)
             if value != 0:
                 side = 1 if value > 0 else -1
-                other = simplex.feasible_point(cone + [signed[h][-side]])
+                other = feasible_point(cone + [signed[h][-side]])
                 grown.append((signs + (side,), witness))
                 if other is not None:
                     grown.append((signs + (-side,), other))
             else:
                 # Witness sits on the new hyperplane: both sides are cut out.
                 for side in (1, -1):
-                    point = simplex.feasible_point(cone + [signed[h][side]])
+                    point = feasible_point(cone + [signed[h][side]])
                     if point is not None:
                         grown.append((signs + (side,), point))
         regions = grown

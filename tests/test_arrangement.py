@@ -13,6 +13,7 @@ from dd_oracle import IntEchelon
 from sqlinear import arrangement, catalog, ratlin
 from sqlinear.arrangement import (
     Arrangement,
+    CharacteristicPolynomial,
     SignVector,
     characteristic_polynomial,
     enumerate_regions,
@@ -297,6 +298,11 @@ class TestMlDegree:
         arr = random_arrangement(3, 5, pyrng)
         assert ml_degree(arr) == 11
         assert len(enumerate_regions(arr)) == 11
+
+    def test_odd_chi_at_minus_one_is_rejected(self):
+        # t^2 - 2t + 2 has full rank, but |chi(-1)| = 5 is not twice a region count.
+        with pytest.raises(RankDeficient, match=r"^chi\(-1\) odd; arrangement cannot be central and essential$"):
+            CharacteristicPolynomial((1, -2, 2)).ml_degree()
 
     def test_rank_read_off_chi_matches_exact_rank(self, pyrng):
         """ml_degree takes the rank from chi's last nonzero coefficient, so

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import degeneration_oracle
-from conftest import CATALOG, limit_gap
+from conftest import CATALOG, limit_gap, non_essential_model
 from sqlinear import degeneration, mle
 from sqlinear.arrangement import enumerate_regions
 from sqlinear.catalog import random_arrangement
@@ -96,18 +96,13 @@ class TestUnitDataSolutions:
         assert len(solutions) == 7
         assert all(sol.generic_flag for sol in solutions)
 
-    def test_rank_deficient(self):
-        from sqlinear.arrangement import Arrangement
-        from sqlinear.model import SquaredLinearModel
-        from sqlinear.arrangement import KernelComplement
+    def test_anchor_out_of_range(self, steiner):
+        with pytest.raises(RankDeficient, match=r"^anchor 7 out of range for n = 4$"):
+            unit_data_solutions(steiner, 7)
 
-        arr = Arrangement(A=((1, 0), (1, 1), (1, 2), (0, 1)))
-        bogus = SquaredLinearModel(
-            arr=arr, B=KernelComplement(B=((1, -2, 1, 0),))
-        )
-        model = make_model(arr)
-        with pytest.raises(RankDeficient):
-            unit_data_solutions(model, 7)
+    def test_rank_deficient(self):
+        with pytest.raises(RankDeficient, match="^degenerate solutions need an essential arrangement$"):
+            unit_data_solutions(non_essential_model(), 0)
 
 
 # Catalog models (braid(5) aside: its 10 anchors of 130 supports each take

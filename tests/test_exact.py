@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dd_oracle import IntEchelon
+from lp_oracle import feasible_point
 from sqlinear import ratlin
 from sqlinear.arrangement import Arrangement
 from sqlinear.degeneration import TropicalData
 from sqlinear.geometry import lognormal_polytope
 from sqlinear.mle import solve_all
-from sqlinear.simplex import feasible_point
 
 
 class TestCoercion:

@@ -11,7 +11,8 @@ dataclasses, so no command loads ``dataclasses``, and the exact ones load
 no ``inspect`` either (numpy loads that).
 :mod:`sqlinear.plotting` loads numpy only when it draws, and
 :mod:`sqlinear.degeneration` only when it tracks. Region enumeration runs no
-LP, so the ``regions`` command does not load :mod:`sqlinear.simplex` either.
+LP (the library holds none), so the ``regions`` command does not load the
+emptied :mod:`sqlinear.simplex` either.
 Each probe runs in a fresh interpreter and reads ``sys.modules`` afterwards;
 nothing is timed.
 """
@@ -366,8 +367,8 @@ NO_SRC_CALLER = {
     "catalog.random_arrangement", "catalog.seven_lines_arrangement", "catalog.six_points_arrangement",
     "catalog.steiner_arrangement",
     # Library entry points that the benchmark runs or traces, and the tests call.
-    "geometry.combinatorial_type_scan", "geometry.dual_polytope", "simplex.feasible_point",
-    "mle.likelihood_matrix", "mle.rank_defect", "jsonio.arrangement_to_json",
+    "geometry.combinatorial_type_scan", "geometry.dual_polytope", "mle.likelihood_matrix",
+    "mle.rank_defect", "jsonio.arrangement_to_json",
 }
 # Methods and properties that no attribute read in src/ names: the benchmark
 # and the golden cases read form_values, and so do the tests.

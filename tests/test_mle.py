@@ -16,8 +16,11 @@ from sqlinear.arrangement import (
 )
 from sqlinear.catalog import random_arrangement
 from sqlinear.errors import BoundaryData, NoConvergence, NumericError, ValidationError, ZeroPoint
+from sqlinear import mle
 from sqlinear.mle import (
+    CriticalPoint,
     Likelihood,
+    SolveAllResult,
     _solve_batch,
     likelihood_matrix,
     normalize_parameter,
@@ -215,6 +218,32 @@ class TestSolveAll:
         (point,) = solve_all(steiner, s, tol=1e-200, regions=[region]).points
         assert point.iterations == last_iteration
         assert point.hessian_max_eig < 0.0
+
+    def test_iteration_cap_bounds_the_passes(self, braid4, monkeypatch):
+        # With MAX_ITER passes, a point found in pass k has k iterations, so
+        # every point is below the cap and is the uncapped batch's point; a
+        # row still running when the passes run out stalls, one trace entry
+        # per pass.
+        s, regions = [1, 2, 3, 4, 5, 6], enumerate_regions(braid4.arr)
+        (uncapped,) = _solve_batch(braid4, [s], regions, 1e-2)
+        monkeypatch.setattr(mle, "MAX_ITER", 3)
+        (outcomes,) = _solve_batch(braid4, [s], regions, 1e-2)
+        points = [(k, out) for k, out in enumerate(outcomes) if type(out) is CriticalPoint]
+        failures = [out for out in outcomes if type(out) is not CriticalPoint]
+        assert points and failures
+        for k, point in points:
+            assert point.iterations < 3
+            assert point.iterations == uncapped[k].iterations and point.x.tobytes() == uncapped[k].x.tobytes()
+        assert all("not below tolerance" in str(failure) and len(failure.trace) == 3 for failure in failures)
+
+    def test_first_of_equal_logL_is_the_mle(self, steiner):
+        regions = enumerate_regions(steiner.arr)[:3]
+        x = np.zeros(steiner.d)
+        a, b = (CriticalPoint(r.sign, x, x, x, -1.5, 0.0, 1, -1.0) for r in regions[1:])
+        failure = NoConvergence("stalled", [])
+        result = SolveAllResult.of(regions, [failure, a, b])
+        assert result.points == [a, b] and result.failures == [(regions[0], failure)]
+        assert result.mle_index == 0 and result.mle is a
 
     def test_numeric_error_in_one_region_is_recorded(self, steiner, rng):
         # Region 2 gets the witness of region 3, which has the wrong signs

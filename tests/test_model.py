@@ -13,11 +13,12 @@ from conftest import (
     exact_probabilities,
     float_probabilities,
     minor_space_rank,
+    non_essential_model,
     noninjectivity_witness,
     r_matrix_at,
     steiner_quartic,
 )
-from sqlinear.errors import DegenerateLeadingBlock, NoConvergence, ValidationError, ZeroPoint
+from sqlinear.errors import DegenerateLeadingBlock, NoConvergence, RankDeficient, ValidationError, ZeroPoint
 from sqlinear.mle import Likelihood, _solve_batch, likelihood_matrix, normalize_parameter
 from sqlinear.model import (
     make_model,
@@ -335,6 +336,10 @@ class TestSingularSubspaces:
         subs = singular_subspaces(model)
         assert len(subs) == 10
         assert all(s.projective_dimension == 1 for s in subs)
+
+    def test_rank_deficient(self):
+        with pytest.raises(RankDeficient, match="^singular subspaces need an essential arrangement$"):
+            singular_subspaces(non_essential_model())
 
     def test_smooth_range_empty(self, pyrng):
         model = make_model(random_arrangement(3, 5, pyrng))

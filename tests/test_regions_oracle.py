@@ -12,7 +12,6 @@ that scaled sum of the brute-force extreme rays.
 import functools
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ import pytest
 import dd_oracle
 import lp_oracle as oracle
 from conftest import CATALOG
-from sqlinear import arrangement, catalog, ratlin, simplex
+from sqlinear import arrangement, catalog, ratlin
 from sqlinear.errors import ValidationError
 
 
@@ -157,24 +156,6 @@ def test_witness_on_a_later_hyperplane():
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog(name):
     assert_same_regions(CATALOG[name]())
-
-
-def test_enumeration_runs_no_lp(monkeypatch):
-    """Generic, late-start and on-witness arrangements all enumerate with the
-    exact LP patched to raise, in every package module that holds it."""
-    rng = random.Random(13)
-    cases = [catalog.random_arrangement(d, d + 5, rng) for d in (2, 3, 4)]
-    cases += late_start_arrangements(14, 6) + on_witness_arrangements(15, 6)
-
-    def no_lp(rows):
-        raise AssertionError("region enumeration ran an LP")
-
-    lp = simplex.feasible_point
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sqlinear") and vars(module).get("feasible_point") is lp:
-            monkeypatch.setattr(module, "feasible_point", no_lp)
-    for arr in cases:
-        assert len(arrangement.enumerate_regions(arr)) == arrangement.ml_degree(arr)
 
 
 @pytest.mark.parametrize("kind", ["generic", "late_start"])

@@ -1,11 +1,14 @@
-"""Differential tests: the integer simplex against the Fraction oracle.
+"""Checks of the exact Fraction simplex of tests/lp_oracle.py on its own.
 
-The two kernels run the same LP with the same Bland pivots, so they must
-agree exactly: ``None`` for both, or the same tuple of Fractions. The LP
-region enumeration of tests/lp_oracle.py built on either must therefore
-give identical sign vectors and witnesses.
+That phase-1 simplex is the reference LP of the tests and the kernel of the
+LP region enumeration that tests/test_regions_oracle.py holds the library
+against, so it is checked here by means that share no code with it: a
+returned point must satisfy every row, an infeasible answer must come with
+a Farkas certificate found by brute force, and an LP enumeration must give
+distinct regions, each with an interior ray, as many as |chi(-1)| / 2.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,9 +17,8 @@ import pytest
 import lp_oracle
 from conftest import CATALOG
 from lp_oracle import feasible_point as oracle_point
-from sqlinear import arrangement, catalog, ratlin, simplex
+from sqlinear import arrangement, catalog, ratlin
 from sqlinear.errors import ValidationError
-from sqlinear.simplex import feasible_point
 
 
 def random_entry(rng, integral):
@@ -53,11 +55,29 @@ def random_system(rng, d, m, integral):
     return rows
 
 
-def test_empty_system():
-    assert feasible_point([]) == oracle_point([]) == ()
+def farkas_certificate(rows):
+    """Rows S and weights y > 0 with sum_S y_i row_i = 0, or None.
+
+    Such weights exist exactly when row . x >= 1 has no solution. A
+    certificate of least support has at most d + 1 rows and spans the whole
+    left null space of its rows, so trying every subset up to that size, in
+    order of size, finds one if any exists.
+    """
+    d = len(rows[0])
+    for size in range(1, min(len(rows), d + 1) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
+            columns = ratlin.transpose([rows[i] for i in subset])
+            basis = ratlin.nullspace(columns, size)
+            if len(basis) != 1:
+                continue
+            (y,) = basis
+            if all(v > 0 for v in y) or all(v < 0 for v in y):
+                return subset, tuple(abs(v) for v in y)
+    return None
 
 
 def test_matches_oracle_on_random_systems():
+    """A point exactly when no Farkas certificate exists."""
     rng = random.Random(20251017)
     feasible = infeasible = 0
     for trial in range(300):
@@ -66,12 +86,17 @@ def test_matches_oracle_on_random_systems():
         rows = random_system(rng, d, m, integral=trial % 2 == 0)
         if trial % 4 == 0:
             rows = [tuple(int(v) for v in row) for row in rows]  # plain Python ints
-        got = feasible_point(rows)
-        assert got == oracle_point(rows), rows
+        got = oracle_point(rows)
         if got is None:
             infeasible += 1
+            found = farkas_certificate(rows)
+            assert found is not None, rows
+            subset, y = found
+            total = [sum(w * rows[i][j] for w, i in zip(y, subset)) for j in range(d)]
+            assert all(v == 0 for v in total)
         else:
             feasible += 1
+            assert len(got) == d
             assert all(isinstance(v, Fraction) for v in got)
             assert all(ratlin.dot(row, got) >= 1 for row in rows)
     assert feasible > 60 and infeasible > 60
@@ -88,30 +113,34 @@ def test_matches_oracle_on_random_systems():
     ],
 )
 def test_degenerate_systems(rows, feasible):
-    got = feasible_point(rows)
-    assert got == oracle_point(rows)
+    got = oracle_point(rows)
     assert (got is not None) == feasible
+    if feasible:
+        assert all(ratlin.dot(row, got) >= 1 for row in rows)
+    else:
+        assert farkas_certificate(rows) is not None
 
 
-def regions_with(lp, arr, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(simplex, "feasible_point", lp)
-        return [(r.sign, r.witness) for r in lp_oracle.enumerate_regions(arr)]
-
-
-def assert_same_regions(arr, monkeypatch):
-    expected = regions_with(oracle_point, arr, monkeypatch)
-    assert regions_with(feasible_point, arr, monkeypatch) == expected
-    assert len(expected) == arrangement.ml_degree(arr)
+def assert_lp_regions_complete(arr):
+    """Distinct projective sign vectors, each with an exactly interior ray,
+    as many as the characteristic polynomial counts."""
+    regions = lp_oracle.enumerate_regions(arr)
+    signs = [r.sign.signs for r in regions]
+    assert len(set(signs)) == len(signs)
+    for region in regions:
+        assert region.sign.signs[0] == 1
+        values = arr.form_values(region.ray)
+        assert all(s * v > 0 for s, v in zip(region.sign.signs, values))
+    assert len(regions) == arrangement.ml_degree(arr)
 
 
 @pytest.mark.parametrize("d, n", [(2, 6), (3, 7), (3, 9), (4, 8), (5, 8)])
-def test_enumeration_matches_oracle_on_generic_arrangements(d, n, monkeypatch):
+def test_enumeration_matches_oracle_on_generic_arrangements(d, n):
     rng = random.Random(f"generic/{d}/{n}")
-    assert_same_regions(catalog.random_arrangement(d, n, rng), monkeypatch)
+    assert_lp_regions_complete(catalog.random_arrangement(d, n, rng))
 
 
-def test_enumeration_matches_oracle_on_rational_degenerate_arrangements(monkeypatch):
+def test_enumeration_matches_oracle_on_rational_degenerate_arrangements():
     """Small entries make many triple points; random positive rational scales
     make the rows non-integral without changing the arrangement."""
     rng = random.Random(7)
@@ -125,12 +154,12 @@ def test_enumeration_matches_oracle_on_rational_degenerate_arrangements(monkeypa
             rows.append(tuple(scale * rng.randint(-2, 2) for _ in range(d)))
         try:
             arr = arrangement.Arrangement(A=tuple(rows))
-            assert_same_regions(arr, monkeypatch)
+            assert_lp_regions_complete(arr)
         except ValidationError:
             continue  # zero, parallel or rank-deficient rows
         done += 1
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
-def test_enumeration_matches_oracle_on_catalog(name, monkeypatch):
-    assert_same_regions(CATALOG[name](), monkeypatch)
+def test_enumeration_matches_oracle_on_catalog(name):
+    assert_lp_regions_complete(CATALOG[name]())
