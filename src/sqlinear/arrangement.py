@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 from operator import attrgetter, itemgetter, mul, neg
 
 from . import ratlin
@@ -210,32 +209,33 @@ def kernel_complement(arr: Arrangement) -> KernelComplement:
 def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
     """chi(t) = sum over subsets S of (-1)^|S| t^(d - rank S) (Whitney).
 
-    Subsets are walked depth first. A node at row i holds rows i.. reduced
-    against the integer echelon form of its included rows; leaving row i
-    out shares that list. Including it (a join) divides its content out and
-    reduces each later row by this one pivot, a fraction-free update where
-    the row is nonzero in the pivot's lead column. A row reduced to zero is
-    in the span of the included rows, so with or without it every
-    extension has the same rank and the terms cancel: the join stops and
-    is dropped. A node with one row left adds its two terms at once, as
-    does the root at d = 1. A node of rank d - 2 closes its subtree at
-    once: its rows are zero in its pivots' lead columns, so they lie in two
-    columns, and with k directions among them up to sign their subsets sum
-    to t^2 - k t + (k - 1) (those within one direction give -1). Every node's
-    rows are a no-broken-circuit set (Bjorner 1982; Orlik & Terao 1992,
-    ch. 3), fewer than |chi(-1)|. A join updating row j has rows forming
-    such a set of the first j rows, and adding a row never removes a
-    region: at most n|chi(-1)| updates, and at d = 3, where only the root's
-    joins make any, at most n(n - 1)/2.
+    Subsets are walked depth first from the content-free rows. A node at
+    row i holds rows i.. reduced against the integer echelon form of its
+    included rows; leaving row i out shares that list. Including it (a
+    join) reduces each later row that is nonzero in the pivot's lead column
+    by this one pivot, with :func:`ratlin.row_update`, so every row stays
+    content-free. A row reduced to zero (g == 0) is in the span of the
+    included rows, so with or without it every extension has the same rank
+    and the terms cancel: the join stops and is dropped. A node with one
+    row left adds its two terms at once, as does the root at d = 1. A node
+    of rank d - 2 closes its subtree at once: its rows are zero in its
+    pivots' lead columns, so they lie in two columns, and with k directions
+    among them (distinct rows once the sign is fixed, as they are
+    content-free) their subsets sum to t^2 - k t + (k - 1) (those within
+    one direction give -1). Every node's rows are a no-broken-circuit set
+    (Bjorner 1982; Orlik & Terao 1992, ch. 3), fewer than |chi(-1)|. A
+    join updating row j has rows forming such a set of the first j rows,
+    and adding a row never removes a region: at most n|chi(-1)| updates,
+    and at d = 3, where only the root's joins make any, at most
+    n(n - 1)/2.
     """
     d = arr.d
     acc = [0] * (d + 1)
-    stack = [(0, 1, 0, [ratlin.cleared(row)[0] for row in arr.A])]
+    stack = [(0, 1, 0, [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A])]
     while stack:
         i, sign, rank, later = stack.pop()
-        if rank + 2 == d:  # t^2 - k t + (k - 1), k the directions of the rows up to sign
-            signed = ((r, gcd(*r) if next(filter(None, r)) > 0 else -gcd(*r)) for r in later)
-            k = len({tuple(v // g for v in r) for r, g in signed})
+        if rank + 2 == d:  # t^2 - k t + (k - 1), k the directions of the rows
+            k = len(set(map(ratlin.direction, later)))
             acc[rank] += sign
             acc[rank + 1] -= k * sign
             acc[rank + 2] += (k - 1) * sign
@@ -245,14 +245,13 @@ def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
             acc[rank + 1] -= sign
             continue
         stack.append((i + 1, sign, rank, later))
-        row = later[i]
-        lead, g = row.index(next(filter(None, row))), gcd(*row)
-        pivot = [v // g for v in row] if g > 1 else row
+        pivot = later[i]
+        lead = pivot.index(next(filter(None, pivot)))
         a, reduced = pivot[lead], []
         for r in later[i + 1 :]:
             if c := r[lead]:
-                r = [a * x - c * y for x, y in zip(r, pivot)]
-                if not any(r):
+                r, g = ratlin.row_update(a, r, c, pivot)
+                if not g:
                     break
             reduced.append(r)
         else:
@@ -266,58 +265,55 @@ def ml_degree(arr: Arrangement) -> int:
     return characteristic_polynomial(arr).ml_degree()
 
 
-def _ray(ints):
-    """Integer vector divided by the gcd of its entries (direction kept)."""
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
-
-
 def _simplicial_start(rows, d):
     """The first d independent integer rows (greedy, as indices) and their cone's rays.
 
     The simplicial cone {M_j x >= 0} of d independent rows M has the extreme
-    rays (M^-1)_{:,j}, returned as primitive integer vectors; ray j vanishes
-    on every chosen row but the j-th. Both come from one integer
+    rays (M^-1)_{:,j}, returned as content-free integer vectors; ray j
+    vanishes on every chosen row but the j-th. Both come from one integer
     Gauss-Jordan pass of [rows^T | I_d], reduced on its n = len(rows) left
     columns: the pivot columns are the greedy rows, and row j ends as
-    c_j (e_j on the chosen columns | (M^-1)_{:,j}). None when the rows have
-    rank < d.
+    c_j (e_j on the chosen columns | (M^-1)_{:,j}). Raises RankDeficient,
+    naming the rank the pass found, when the rows have rank < d.
     """
     n = len(rows)
     augmented = [[*col, *(int(i == j) for j in range(d))] for i, col in enumerate(zip(*rows))]
     m, chosen, _ = ratlin._gauss_jordan(augmented, n)
     if len(chosen) < d:
-        return None
-    return chosen, [_ray(row[n:] if row[c] > 0 else [-v for v in row[n:]]) for c, row in zip(chosen, m)]
+        raise RankDeficient(f"operation needs rank(A) = d = {d}, got rank {len(chosen)}")
+    return chosen, [ratlin.content_free(row[n:] if row[c] > 0 else [-v for v in row[n:]]) for c, row in zip(chosen, m)]
 
 
-def _cones(ints, d, chosen, base, signs=None):
-    """Double description of the regions of the primitive integer rows ``ints``.
+def _cones(ints, d, signs=None):
+    """Double description of the regions of the content-free integer rows ``ints``.
 
     All cones share one table of lines. A line is [v, mask, value]: a
-    primitive integer vector, the bitmask of the inserted rows vanishing on
-    it, and its value on the row being inserted. A cone is (bitmask of its
-    negative rows, [(line, sign), ...]), the extreme ray being sign * v. The
-    start cones are the orthants of the ``chosen`` rows, with rays the
-    signed ``base`` vectors (see :func:`_simplicial_start`) and row
-    ``chosen[0]`` positive. Each other row, in index order, is evaluated
-    once per line and splits every cone into the halves that some ray enters
-    strictly. A half keeps its rays strictly inside, then those on the row,
-    then one new ray per adjacent pair across the row, where their 2-face
-    meets it. Two rays are adjacent when their common zero set has at least
-    d - 2 rows and no third ray of the cone vanishes on all of them (Fukuda
-    & Prodon 1996). The new ray vanishes on that set and the row, of rank
-    d - 1, so a line another cone made on this row is found by that mask and
-    oriented by one nonzero coordinate; a line from an earlier row vanishes
-    on more of the earlier rows. While every line is simple, with exactly
-    d - 1 zero rows (so independent ones), the scan of the third rays is
-    skipped: p, q across the row then share at most d - 2 zero rows (d - 1
-    would make them one line), and if d - 2, those cut out a pointed 2-face
-    whose only extreme rays are p and q. The start lines are simple, new
-    lines stay so, and the first row vanishing on a line ends the rule once
-    its own cones are split. With ``signs`` only the cone {s_i A_i x >= 0}
-    is kept, and the table holds just its lines. Returns (lines, cones).
+    content-free integer vector, the bitmask of the inserted rows vanishing
+    on it, and its value on the row being inserted. A cone is (bitmask of
+    its negative rows, [(line, sign), ...]), the extreme ray being sign * v.
+    The start cones are the orthants of the first d independent rows, with
+    rays the signed vectors of :func:`_simplicial_start` (which raises
+    RankDeficient below rank d) and the first start row positive. Each
+    other row, in index order, is evaluated once per line and splits every
+    cone into the halves that some ray enters strictly. A half keeps its
+    rays strictly inside, then those on the row, then one new ray per
+    adjacent pair across the row, where their 2-face meets it: value(p) q -
+    value(q) p, one :func:`ratlin.row_update`. Two rays are adjacent when
+    their common zero set has at least d - 2 rows and no third ray of the
+    cone vanishes on all of them (Fukuda & Prodon 1996). The new ray
+    vanishes on that set and the row, of rank d - 1, so a line another cone
+    made on this row is found by that mask and oriented by one nonzero
+    coordinate; a line from an earlier row vanishes on more of the earlier
+    rows. While every line is simple, with exactly d - 1 zero rows (so
+    independent ones), the scan of the third rays is skipped: p, q across
+    the row then share at most d - 2 zero rows (d - 1 would make them one
+    line), and if d - 2, those cut out a pointed 2-face whose only extreme
+    rays are p and q. The start lines are simple, new lines stay so, and the
+    first row vanishing on a line ends the rule once its own cones are
+    split. With ``signs`` only the cone {s_i A_i x >= 0} is kept, and the
+    table holds just its lines. Returns (lines, cones).
     """
+    chosen, base = _simplicial_start(ints, d)
     full = sum(1 << i for i in chosen)
     lines = [[ray, full & ~(1 << i), 0] for i, ray in zip(chosen, base)]
     orthants = [[signs[i] for i in chosen]] if signs else [(1, *o) for o in itertools.product((1, -1), repeat=d - 1)]
@@ -347,8 +343,8 @@ def _cones(ints, d, chosen, base, signs=None):
                         # The new ray is sp sq r: value(p) q - value(q) p on the lines.
                         made = onrow.get(common | bit)
                         if made is None:
-                            r = [p[2] * b - q[2] * a for a, b in zip(p[0], q[0])]
-                            line = [_ray(r), common | bit, 0]
+                            r, _ = ratlin.row_update(p[2], q[0], q[2], p[0])
+                            line = [tuple(r), common | bit, 0]
                             onrow[common | bit] = line, next(k for k, v in enumerate(r) if v)
                             lines.append(line)
                             both.append((line, sp * sq))
@@ -366,26 +362,27 @@ def _cones(ints, d, chosen, base, signs=None):
     return lines, cones
 
 
-def _cone_rays(signs, chosen, base, ints, d):
-    """(primitive vector, zero mask) of each extreme ray of the closed cone
-    {s_i A_i x >= 0 : i < len(signs)}, in the order of :func:`_cones`."""
-    _, [(_, rays)] = _cones(ints, d, chosen, base, signs)
+def _cone_rays(signs, ints, d):
+    """(content-free vector, zero mask) of each extreme ray of the closed cone
+    {s_i A_i x >= 0 : i < len(signs)} of the content-free integer rows
+    ``ints``, in the order of :func:`_cones`."""
+    _, [(_, rays)] = _cones(ints, d, signs)
     return [(line[0] if s > 0 else tuple(-v for v in line[0]), line[1]) for line, s in rays]
 
 
 def enumerate_regions(arr: Arrangement) -> list:
     """All regions of the projective complement, as canonical sign vectors.
 
-    The rows are cleared to primitive integers once. Their start rows (see
-    :func:`_simplicial_start`) show whether the arrangement is essential,
-    and the rows up to sign whether two are parallel. :func:`_cones` then
-    splits the 2^(d-1) orthants of the start rows by every other row, all
+    The rows are cleared to content-free integers once, and their
+    :func:`ratlin.direction` keys show whether two are parallel.
+    :func:`_cones` then finds d independent start rows, or raises
+    RankDeficient, and splits their 2^(d-1) orthants by every other row, all
     cones sharing one table of lines. No LP runs. A region's ray is the sum
     of its extreme rays, ray j weighted 2^(e - e_j), e_j being the bit
     length of its largest |entry| (its top) and e the largest e_j in the
-    cone, and made primitive: a positive combination of all extreme rays of
-    a pointed cone lies in its interior, so the ray has the region's signs
-    exactly (Fukuda & Prodon 1996). Every weighted top lies in
+    cone, and made content-free: a positive combination of all extreme rays
+    of a pointed cone lies in its interior, so the ray has the region's
+    signs exactly (Fukuda & Prodon 1996). Every weighted top lies in
     [2^(e-1), 2^e), so rays with huge integer entries do not swamp the
     others, which put plain sums numerically on a wall, and the m rays of a
     cone sum to entries of at most e + bit_length(m) bits, however the tops
@@ -397,16 +394,12 @@ def enumerate_regions(arr: Arrangement) -> list:
     ``ml_degree(arr)``.
     """
     n, d = arr.n, arr.d
-    ints = [_ray(ratlin.cleared(row)[0]) for row in arr.A]
-    start = _simplicial_start(ints, d)
-    if start is None:
-        _require_essential(arr)  # raises: the rank is below d
+    ints = [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A]
     seen = {}
-    keys = (row if next(filter(None, row)) > 0 else tuple(-v for v in row) for row in ints)
-    pairs = [(seen[key], i) for i, key in enumerate(keys) if seen.setdefault(key, i) != i]
-    if pairs:
+    pairs = [(seen[key], i) for i, key in enumerate(map(ratlin.direction, ints)) if seen.setdefault(key, i) != i]
+    if pairs and ratlin.rank(ints) == d:  # a lower rank is reported by _cones
         raise ParallelRows(pairs)
-    lines, cones = _cones(ints, d, *start)
+    lines, cones = _cones(ints, d)
     sign_of = {"0": 1, "1": -1}.get
     tops = [max(map(abs, line[0])).bit_length() for line in lines]
     top = max(tops)
@@ -419,7 +412,7 @@ def enumerate_regions(arr: Arrangement) -> list:
         total = [sum(column) for column in zip(*(line[0] if s > 0 else line[2] for line, s in rays))]
         # Bit i of the negative rows' mask as character i: '0' < '1' sorts as '+' < '-' does.
         bits = format(mask, f"0{n}b")[::-1]
-        result.append((bits, Region(SignVector(tuple(map(sign_of, bits))), _ray(total))))
+        result.append((bits, Region(SignVector(tuple(map(sign_of, bits))), ratlin.content_free(total))))
     result.sort(key=itemgetter(0))
     return [region for _, region in result]
 

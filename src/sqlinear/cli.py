@@ -44,7 +44,7 @@ FLAGS = {
     "--tol": dict(type=float, default=1e-10, help="stop once Newton decrement / sqrt(sum s) is below this, in (0, 1)"),
     "--anchor": dict(type=int, help="1-based anchor state index"),
     "--eps-grid": dict(help="comma-separated decreasing eps values in (0, 1] for tracking"),
-    "--samples": dict(type=int, default=20, help="sample count"),
+    "--samples": dict(type=int, default=20, help="N steps, N + 1 points along the segment (t = k/N)"),
     "--svg": dict(help="also write an SVG figure to this path"),
 }
 

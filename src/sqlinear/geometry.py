@@ -28,15 +28,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import ratlin
-from .arrangement import (
-    Arrangement,
-    Record,
-    SignVector,
-    _cone_rays,
-    _ray,
-    _simplicial_start,
-    enumerate_regions,
-)
+from .arrangement import Arrangement, Record, SignVector, _cone_rays, enumerate_regions
 from .errors import DegenerateMinor, ValidationError, ZeroCoordinate
 from .model import SquaredLinearModel
 
@@ -124,18 +116,21 @@ def _check_kernel_point(model: SquaredLinearModel, y):
 def _data_cone(B, y, f_vectors=None):
     """Extreme rays of the data cone {z : z^T [1; B diag(y)^(-1)] >= 0}, and P's faces.
 
-    Row i is (1, q_i), q_i = B_{:,i} / y_i, as the primitive integers of
+    Row i is (1, q_i), q_i = B_{:,i} / y_i, as the content-free integers of
     (|y_i|, sign(y_i) B_{:,i}); y is any positive multiple of a model point
     with no zero coordinate, as every caller ensures. The cone is pointed
     ([1; B diag(y)^(-1)] has full row rank, as B y = 0) with (1, 0, ..., 0)
-    inside. Returns the (primitive ray, bitmask of its zero rows) pairs, the
-    rows, {i: bitmask of the rays on row i} for P's facet rows i, and P's
+    inside. Returns the (content-free ray, bitmask of its zero rows) pairs,
+    the rows, {i: bitmask of the rays on row i} for P's facet rows i, and P's
     f-vector; ray k is P's vertex k. The f-vector depends on the facet masks
     alone, and is kept in ``f_vectors`` (if given) under their tuple.
     """
     dim = len(B)
-    rows = [_ray(ratlin.cleared([abs(v), *(c if v > 0 else -c for c in col)])[0]) for col, v in zip(zip(*B), y)]
-    rays = _cone_rays((1,) * len(y), *_simplicial_start(rows, dim + 1), rows, dim + 1)
+    rows = [
+        ratlin.content_free(ratlin.cleared([abs(v), *(c if v > 0 else -c for c in col)])[0])
+        for col, v in zip(zip(*B), y)
+    ]
+    rays = _cone_rays((1,) * len(y), rows, dim + 1)
     zero = [sum(1 << k for k, (_, mask) in enumerate(rays) if mask >> i & 1) for i in range(len(y))]
     facets = {i: z for i, z in enumerate(zero) if z and not any(z & o == z != o for o in zero)}
     masks, f_vectors = tuple(facets.values()), {} if f_vectors is None else f_vectors

@@ -3,9 +3,13 @@
 Matrices are tuples/lists of row tuples of ``fractions.Fraction`` (ints are
 accepted too). ``rank``, ``nullspace``, ``solve``, ``inverse``, ``det`` and
 ``independent_rows`` all read their answers off one integer Gauss-Jordan
-pass built on :func:`row_update`. Everything here is deterministic;
-downstream modules rely on that for reproducible kernel bases and
-witnesses. Exact values turn into doubles in one place,
+pass built on :func:`row_update`, the one integer row step of the exact
+layer: the chi walk and the double description in :mod:`.arrangement` use
+it too. Integer rows stay content-free (:func:`content_free`), as
+:func:`row_update` returns them; :func:`direction` fixes their sign, the
+key of a row's direction, and :func:`primitive` does both. Everything here
+is deterministic; downstream modules rely on that for reproducible kernel
+bases and witnesses. Exact values turn into doubles in one place,
 :func:`sqlinear.mle.to_floats`.
 """
 
@@ -14,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Integral
+from operator import neg
 
 
 def as_fraction(value) -> Fraction:
@@ -78,16 +83,21 @@ def cleared(row):
     return [p * (lcd // q) for p, q in ratios], lcd
 
 
+def content_free(ints):
+    """Integer vector divided by the gcd of its entries (direction kept)."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def direction(ray):
+    """Content-free vector with its first nonzero entry > 0, as a tuple: the
+    key of its direction up to sign."""
+    return tuple(ray) if next(filter(None, ray), 0) >= 0 else tuple(map(neg, ray))
+
+
 def primitive(vec):
     """Scale a rational vector to coprime integers, first nonzero entry > 0."""
-    ints, _ = cleared([as_fraction(v) for v in vec])
-    g = gcd(*ints)
-    if g == 0:
-        return tuple(ints)
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+    return direction(content_free(cleared([as_fraction(v) for v in vec])[0]))
 
 
 def row_update(a, row, b, pivot_row):
@@ -95,8 +105,8 @@ def row_update(a, row, b, pivot_row):
 
     With ``a = pivot_row[c]`` and ``b = row[c]`` this clears column c in
     integers (fraction-free elimination, Bareiss 1968, dividing out the row
-    content). It is the row step of :func:`_gauss_jordan`, the one
-    elimination pass here.
+    content); g == 0 means the row became zero. It is the row step of
+    :func:`_gauss_jordan`, the one elimination pass here.
     """
     line = [a * x - b * y for x, y in zip(row, pivot_row)]
     g = gcd(*line)

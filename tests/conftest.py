@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sqlinear import arrangement, ratlin
+import dd_oracle
+from sqlinear import ratlin
 from sqlinear.arrangement import Arrangement, KernelComplement
 from sqlinear.catalog import (
     braid_arrangement,
@@ -251,23 +252,40 @@ def pencil(rng, n, spread=4):
                 return arr
 
 
-def count_row_updates(monkeypatch, module=arrangement):
-    """Count the fraction-free row updates of the chi walk in ``module``;
+def count_row_updates(monkeypatch):
+    """Count the :func:`ratlin.row_update` calls made from the library's chi
+    walk, one per row update; returns the counter.
+
+    The double description and the Gauss-Jordan pass call it too, from
+    frames of other names, and are not counted. Callers assert the count
+    positive, so a walk that stops updating its rows this way fails instead
+    of meeting its bound with a count of 0.
+    """
+    calls = [0]
+    step = ratlin.row_update
+
+    def counted(*args):
+        calls[0] += sys._getframe(1).f_code.co_name == "characteristic_polynomial"
+        return step(*args)
+
+    monkeypatch.setattr(ratlin, "row_update", counted)
+    return calls
+
+
+def count_oracle_row_updates(monkeypatch):
+    """Count the row updates of :func:`dd_oracle.persistent_characteristic_polynomial`;
     returns the counter.
 
-    Both the library's walk and :func:`dd_oracle.persistent_characteristic_polynomial`
-    build each updated row from one call of ``zip`` in their own frame, so
-    a ``zip`` shadowed in the module counts the updates as the calls made
-    from a function of the walk's name; the record the walk returns zips
-    its fields in ``Record.__init__``, which is not counted. Callers assert
-    the count positive, so a walk that stops calling it fails instead of
-    meeting its bound with a count of 0.
+    The walk builds each updated row from one call of ``zip`` in its own
+    frame, so a ``zip`` shadowed in :mod:`dd_oracle` counts the calls made
+    from that frame; the record the walk returns zips its fields in
+    ``Record.__init__``, which is not counted.
     """
     calls = [0]
 
     def counted(*args):
-        calls[0] += sys._getframe(1).f_code.co_name.endswith("characteristic_polynomial")
+        calls[0] += sys._getframe(1).f_code.co_name == "persistent_characteristic_polynomial"
         return zip(*args)
 
-    monkeypatch.setattr(module, "zip", counted, raising=False)
+    monkeypatch.setattr(dd_oracle, "zip", counted, raising=False)
     return calls

@@ -27,7 +27,6 @@ from sqlinear import ratlin
 from sqlinear.arrangement import (
     CharacteristicPolynomial,
     SignVector,
-    _ray,
     _require_essential,
     _simplicial_start,
 )
@@ -73,7 +72,7 @@ def _split(rays, row, bit, d):
         for vn, q, mq in neg:
             common = mp & mq
             if common.bit_count() >= d - 2 and sum(m & common == common for _, m in rays) == 2:
-                both.append((_ray([vp * b - vn * a for a, b in zip(p, q)]), common | bit))
+                both.append((ratlin.content_free([vp * b - vn * a for a, b in zip(p, q)]), common | bit))
     return {
         1: [(ray, mask) for _, ray, mask in pos] + both if pos else None,
         -1: [(ray, mask) for _, ray, mask in neg] + both if neg else None,
@@ -109,7 +108,7 @@ def enumerate_regions(arr):
     if pairs:
         raise ParallelRows(pairs)
     n, d = arr.n, arr.d
-    ints = [_ray(ratlin.cleared(row)[0]) for row in arr.A]
+    ints = [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A]
     chosen, base = _simplicial_start(ints, d)
     regions = []
     for orthant in itertools.product((1, -1), repeat=d - 1):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from dd_oracle import parallel_pairs
 from sqlinear import ratlin
-from sqlinear.arrangement import Region, SignVector, _ray, _require_essential
+from sqlinear.arrangement import Region, SignVector, _require_essential
 from sqlinear.errors import ParallelRows
 
 ZERO = Fraction(0)
@@ -130,6 +130,6 @@ def enumerate_regions(arr):
         regions = grown
     result = []
     for signs, witness in regions:
-        result.append(Region(sign=SignVector(signs), ray=_ray(ratlin.cleared(witness)[0])))
+        result.append(Region(sign=SignVector(signs), ray=ratlin.content_free(ratlin.cleared(witness)[0])))
     result.sort(key=lambda region: str(region.sign))
     return result

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import ratlin_oracle
 from sqlinear import ratlin
-from sqlinear.arrangement import SignVector, _ray
+from sqlinear.arrangement import SignVector
 from sqlinear.errors import NumericError
 from sqlinear.geometry import Polytope, SwapCandidate, _check_kernel_point, _data_rows
 
@@ -220,7 +220,7 @@ def simplicial_start(rows, d):
     if chosen is None:
         return None
     columns = ratlin.transpose(ratlin_oracle.inverse([rows[i] for i in chosen]))
-    return chosen, [_ray(ratlin.cleared(col)[0]) for col in columns]
+    return chosen, [ratlin.content_free(ratlin.cleared(col)[0]) for col in columns]
 
 
 def interior_samples(arr, region, count, rng):

@@ -25,7 +25,7 @@ from sqlinear.errors import ParallelRows, RankDeficient, ValidationError
 from sqlinear.geometry import chamber_arrangement
 from sqlinear.model import make_model
 
-from conftest import CATALOG, count_row_updates, degenerate_arrangement, pencil
+from conftest import CATALOG, count_oracle_row_updates, count_row_updates, degenerate_arrangement, pencil
 
 
 def row_span(rows):
@@ -283,7 +283,7 @@ class TestCharacteristicPolynomial:
             arr = random_arrangement(d, n, random.Random(f"exact-regions/{d}x{n}/{k}"))
             ours = count_row_updates(monkeypatch)
             chi = characteristic_polynomial(arr)
-            theirs = count_row_updates(monkeypatch, dd_oracle)
+            theirs = count_oracle_row_updates(monkeypatch)
             assert dd_oracle.persistent_characteristic_polynomial(arr) == chi
             monkeypatch.undo()
             assert 0 < ours[0] < theirs[0]
@@ -384,8 +384,11 @@ class TestEnumerateRegions:
             enumerate_regions(arr)
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(RankDeficient):
-            enumerate_regions(Arrangement(A=((1, 0, 0), (0, 1, 0))))
+        """The rank found is named, and a low rank is reported before
+        parallel rows: the second matrix has both."""
+        for A in (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (2, 0, 0), (0, 1, 0))):
+            with pytest.raises(RankDeficient, match=r"^operation needs rank\(A\) = d = 3, got rank 2$"):
+                enumerate_regions(Arrangement(A=A))
 
     def test_count_equals_half_chi_at_minus_one(self, pyrng):
         for d, n in ((2, 5), (3, 6), (4, 5)):

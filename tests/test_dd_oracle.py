@@ -96,13 +96,13 @@ def assert_same_enumeration(arr):
         ray = region.ray
         assert all(type(v) is int for v in ray) and math.gcd(*ray) == 1
         assert tuple(Fraction(v, max(map(abs, ray))) for v in ray) == old.witness
-    ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
+    ints = [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A]
     chosen, base = arrangement._simplicial_start(ints, arr.d)
     if len(regions) > CONES_PER_ARRANGEMENT:
         regions = random.Random(str(regions[0].sign)).sample(regions, CONES_PER_ARRANGEMENT)
     for region in regions:
         signs = region.sign.signs
-        got = arrangement._cone_rays(signs, chosen, base, ints, arr.d)
+        got = arrangement._cone_rays(signs, ints, arr.d)
         assert got == oracle.cone_rays(signs, chosen, base, ints, arr.d)
     return len(expected)
 
@@ -145,10 +145,9 @@ def test_rays_of_random_arrangements(d):
 
 def regions_with_rays(arr):
     """Each region of ``arr`` with the (vector, zero mask) extreme rays of its cone."""
-    ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
-    chosen, base = arrangement._simplicial_start(ints, arr.d)
+    ints = [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A]
     for region in arrangement.enumerate_regions(arr):
-        yield region, arrangement._cone_rays(region.sign.signs, chosen, base, ints, arr.d)
+        yield region, arrangement._cone_rays(region.sign.signs, ints, arr.d)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
@@ -209,7 +208,7 @@ def uniform_draws(d):
 def simple_lines(ints, d):
     """The line table of ``_cones`` over ``ints``, checked to hold only
     simple lines: exactly d - 1 zero rows each, so the rule held throughout."""
-    lines, _ = arrangement._cones(ints, d, *arrangement._simplicial_start(ints, d))
+    lines, _ = arrangement._cones(ints, d)
     assert all(mask.bit_count() == d - 1 for _, mask, _ in lines)
     return lines
 
@@ -218,7 +217,7 @@ def simple_lines(ints, d):
 def test_uniform_arrangements(d):
     """Every line stays simple, and regions, witnesses and cones match the scan."""
     for arr in uniform_draws(d):
-        simple_lines([arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A], d)
+        simple_lines([ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A], d)
         assert assert_same_enumeration(arr) == sum(math.comb(arr.n - 1, i) for i in range(d))
 
 
@@ -233,7 +232,7 @@ def test_row_through_a_line_ends_the_rule(d):
     adjacent, which only the scan tells."""
     rng = random.Random(f"dd/through/{d}")
     for arr in uniform_draws(d)[:4]:
-        rows = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
+        rows = [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A]
         for at in range(d, len(rows) + 1):
             while True:
                 combination = [rng.randint(-2, 2) for _ in range(d - 1)]

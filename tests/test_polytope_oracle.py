@@ -15,8 +15,9 @@ import pytest
 import polytope_oracle as oracle
 from conftest import CATALOG, sample_kernel_point, sample_wall_point
 from sqlinear import ratlin
-from sqlinear.arrangement import Arrangement, SignVector, _ray, _simplicial_start, enumerate_regions, ml_degree
+from sqlinear.arrangement import Arrangement, SignVector, _simplicial_start, enumerate_regions, ml_degree
 from sqlinear.catalog import random_arrangement
+from sqlinear.errors import RankDeficient
 from sqlinear.geometry import (
     chamber_arrangement,
     combinatorial_type_scan,
@@ -76,18 +77,20 @@ def test_large_dual_matches_oracle():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_simplicial_rays_match_inverse(d):
-    """Integer Gauss-Jordan rays equal the primitive columns of the inverse;
-    a dependent row in front checks the greedy choice, and rank < d gives None."""
+    """Integer Gauss-Jordan rays equal the content-free columns of the
+    inverse; a dependent row in front checks the greedy choice, and rank < d
+    raises RankDeficient naming the rank (the oracle gives None)."""
     rng = random.Random(40 + d)
     for _ in range(5):
         rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)) for _ in range(d + 2)]
         rows.insert(1, ratlin.scale(rows[0], Fraction(-3, 2)))
         if ratlin.is_zero(rows[0]):
             continue
-        ints = [_ray(ratlin.cleared(row)[0]) for row in rows]
+        ints = [ratlin.content_free(ratlin.cleared(row)[0]) for row in rows]
         assert _simplicial_start(ints, d) == oracle.simplicial_start(rows, d)
         flat = [row[:-1] + (Fraction(0),) for row in rows]  # rank < d
-        assert _simplicial_start([ratlin.cleared(row)[0] for row in flat], d) is None
+        with pytest.raises(RankDeficient, match=f"got rank {ratlin.rank(flat)}$"):
+            _simplicial_start([ratlin.cleared(row)[0] for row in flat], d)
         assert oracle.simplicial_start(flat, d) is None
 
 

@@ -110,6 +110,15 @@ def test_row_update_clears_the_column_and_divides_the_content():
     assert ratlin.row_update(1, [1, 2], 1, [1, 2]) == ([0, 0], 0)
 
 
+def test_content_free_and_direction_normalise_integer_rows():
+    assert ratlin.content_free([-4, 6, 0]) == (-2, 3, 0)
+    assert ratlin.content_free((-3, 5)) == (-3, 5)
+    assert ratlin.content_free([0, 0]) == (0, 0)
+    assert ratlin.direction([0, -2, 3]) == (0, 2, -3)
+    assert ratlin.direction((0, 2, -3)) == (0, 2, -3)
+    assert ratlin.direction((0, 0)) == (0, 0)
+
+
 def test_independent_rows_match_oracle():
     for _, rows in matrices(20251020, 300):
         exact = as_fractions(rows)

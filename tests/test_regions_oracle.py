@@ -97,7 +97,7 @@ def kernel_lines(arr):
     for subset in itertools.combinations(range(arr.n), d - 1):
         kernel = ratlin.nullspace([arr.A[i] for i in subset], ncols=d)
         if len(kernel) == 1:
-            lines.add(arrangement._ray(ratlin.cleared(kernel[0])[0]))
+            lines.add(ratlin.content_free(ratlin.cleared(kernel[0])[0]))
     return [(line, arr.form_values(line)) for line in lines]
 
 
@@ -168,12 +168,9 @@ def test_carried_rays_are_the_extreme_rays(kind):
     else:
         cases = late_start_arrangements(17, 5)
     for arr in cases:
-        chosen = ratlin.independent_rows(arr.A, arr.d)
-        columns = ratlin.transpose(ratlin.inverse([arr.A[i] for i in chosen]))
-        base = [arrangement._ray(ratlin.cleared(col)[0]) for col in columns]
-        ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
+        ints = [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A]
         for region in arrangement.enumerate_regions(arr):
-            rays = arrangement._cone_rays(region.sign.signs, chosen, base, ints, arr.d)
+            rays = arrangement._cone_rays(region.sign.signs, ints, arr.d)
             assert len(rays) == len(set(rays))
             assert set(rays) == extreme_rays(arr, region.sign.signs)
 
@@ -196,8 +193,8 @@ def test_line_table_holds_no_more_lines_than_the_arrangement(kind):
     else:
         cases = on_witness_arrangements(20, 5)
     for arr in cases:
-        ints = [arrangement._ray(ratlin.cleared(row)[0]) for row in arr.A]
-        lines, _ = arrangement._cones(ints, arr.d, *arrangement._simplicial_start(ints, arr.d))
+        ints = [ratlin.content_free(ratlin.cleared(row)[0]) for row in arr.A]
+        lines, _ = arrangement._cones(ints, arr.d)
         kernel = {canonical(line): values for line, values in kernel_lines(arr)}
         assert len(lines) <= len(kernel)
         assert len({canonical(vector) for vector, _, _ in lines}) == len(lines)
