@@ -6,6 +6,13 @@ with a "schema": "slm/1" tag, figures as SVG. Exit codes: 0 success,
 an input too large for the memory at hand), 3 numeric failure (no
 convergence, lost path). Errors are reported as JSON on stderr.
 
+Every command runs through :func:`main`. It reads the input once, as the
+arrangement, model or DPP that :data:`COMMANDS` names for the command. When
+the command draws (``plot``, or ``--svg``), it checks the figure's dimension
+before any work. The handler takes the parsed input and returns its JSON
+document and, when it draws, its overlays. Then the figure is written, and
+the JSON last.
+
 State indices (anchor, subsets J, DPP states) are 1-based on the command
 line and in emitted JSON, matching the labeling of the input rows. Start-up
 is most of a call, so ``import sqlinear.cli`` loads only :mod:`.jsonio` and
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Likelihood geometry of squared linear statistical models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
+    for name, (_, _, help_text, flags) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", required=True, help="path to the JSON input")
         cmd.add_argument("--output", help="output path (default: stdout)")
@@ -67,13 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        read, handler = COMMANDS[args.command][:2]
         doc = _load_input(args.input)
-        handler = COMMANDS[args.command][0]
-        result = handler(doc, args)
-        if not isinstance(result, str):
-            result["schema"] = SCHEMA
-            result = jsonio.dumps(result)
-        _write(args.output, result)
+        data = read(doc)
+        svg = getattr(args, "svg", None)  # only regions, mle and tropical take --svg
+        draws = svg or args.command == "plot"
+        if draws:
+            from .plotting import _check_dimension, plot_arrangement
+
+            arr = getattr(data, "arr", data)  # a model's arrangement, or the arrangement read
+            _check_dimension(arr.d)
+        out, overlays = handler(data, doc, args)
+        if draws:
+            _write(svg or args.output, plot_arrangement(arr, **overlays))
+        if out is not None:
+            out["schema"] = SCHEMA
+            _write(args.output, jsonio.dumps(out))
     except ValidationError as err:
         _emit_error("validation", err)
         return EXIT_VALIDATION
@@ -201,18 +217,9 @@ def _tracking_overlays(model, trop, estimates):
     }
 
 
-def _check_figure(arr, wanted):
-    """Plotting's dimension check, made before any work goes into a figure."""
-    if wanted:
-        from .plotting import _check_dimension
-        _check_dimension(arr.d)
-
-
-def _cmd_regions(doc, args):
+def _cmd_regions(arr, doc, args):
     from .arrangement import enumerate_regions
 
-    arr = jsonio.arrangement_from_json(doc)
-    _check_figure(arr, args.svg)
     regions = enumerate_regions(arr)
     out = {
         "regions": [
@@ -221,45 +228,35 @@ def _cmd_regions(doc, args):
         ],
         "count": len(regions),
     }
-    if args.svg:
-        from .plotting import plot_arrangement
-        _write(args.svg, plot_arrangement(arr, region_labels=[(r, str(r.sign)) for r in regions]))
-    return out
+    return out, {"region_labels": [(r, str(r.sign)) for r in regions]} if args.svg else None
 
 
-def _cmd_charpoly(doc, args):
+def _cmd_charpoly(arr, doc, args):
     from .arrangement import characteristic_polynomial
 
-    chi = characteristic_polynomial(jsonio.arrangement_from_json(doc))
-    return {"char_poly": list(chi.coeffs)}
+    return {"char_poly": list(characteristic_polynomial(arr).coeffs)}, None
 
 
-def _cmd_mldegree(doc, args):
+def _cmd_mldegree(arr, doc, args):
     from .arrangement import characteristic_polynomial
 
-    chi = characteristic_polynomial(jsonio.arrangement_from_json(doc))
-    return {"ml_degree": chi.ml_degree(), "char_poly": list(chi.coeffs)}
+    chi = characteristic_polynomial(arr)
+    return {"ml_degree": chi.ml_degree(), "char_poly": list(chi.coeffs)}, None
 
 
-def _cmd_mle(doc, args):
-    model = jsonio.model_from_json(doc)
-    _check_figure(model.arr, args.svg)
+def _cmd_mle(model, doc, args):
     result = _solve(model, *_data(model, doc, args))
     out = {
         "critical_points": [jsonio.critical_point_to_json(p) for p in result.points],
         "mle_index": result.mle_index,
         "ml_degree": len(result.points),
     }
-    if args.svg:
-        from .plotting import plot_arrangement
-        _write(args.svg, plot_arrangement(model.arr, critical_points=[p.x for p in result.points]))
-    return out
+    return out, {"critical_points": [p.x for p in result.points]} if args.svg else None
 
 
-def _cmd_degenerate(doc, args):
+def _cmd_degenerate(model, doc, args):
     from .degeneration import unit_data_solutions
 
-    model = jsonio.model_from_json(doc)
     anchor = _anchor_index(args, model.n)
     solutions = unit_data_solutions(model, anchor)
     return {
@@ -273,14 +270,12 @@ def _cmd_degenerate(doc, args):
             }
             for sol in solutions
         ],
-    }
+    }, None
 
 
-def _cmd_tropical(doc, args):
+def _cmd_tropical(model, doc, args):
     from .degeneration import tropical_predictions
 
-    model = jsonio.model_from_json(doc)
-    _check_figure(model.arr, args.svg)
     trop, estimates = _track(model, doc, args)
     predictions = tropical_predictions(model, trop)
     out = {
@@ -300,16 +295,12 @@ def _cmd_tropical(doc, args):
             for e in estimates
         ],
     }
-    if args.svg:
-        from .plotting import plot_arrangement
-        _write(args.svg, plot_arrangement(model.arr, **_tracking_overlays(model, trop, estimates)))
-    return out
+    return out, _tracking_overlays(model, trop, estimates) if args.svg else None
 
 
-def _cmd_lognormal(doc, args):
+def _cmd_lognormal(model, doc, args):
     from .geometry import lognormal_polytope, swap_candidates
 
-    model = jsonio.model_from_json(doc)
     y = jsonio.parse_vector(_need(doc, "y"), "y")
     poly = lognormal_polytope(model, y)
     swaps = swap_candidates(model, y)
@@ -326,13 +317,12 @@ def _cmd_lognormal(doc, args):
             }
             for c in swaps
         ],
-    }
+    }, None
 
 
-def _cmd_chamber(doc, args):
+def _cmd_chamber(model, doc, args):
     from .geometry import chamber_arrangement
 
-    model = jsonio.model_from_json(doc)
     chamber = chamber_arrangement(model)
     return {
         "count": chamber.arrangement.n,
@@ -342,13 +332,12 @@ def _cmd_chamber(doc, args):
             {"kept": kept, "dropped": list(dropped)}
             for kept, dropped in chamber.duplicates
         ],
-    }
+    }, None
 
 
-def _cmd_voronoi(doc, args):
+def _cmd_voronoi(model, doc, args):
     from .geometry import log_voronoi_scan
 
-    model = jsonio.model_from_json(doc)
     y = jsonio.parse_vector(_need(doc, "y"), "y")
     segment = _need(doc, "segment")
     if not isinstance(segment, dict) or "start" not in segment or "end" not in segment:
@@ -365,14 +354,13 @@ def _cmd_voronoi(doc, args):
             {"t": t, "from": before, "to": after}
             for t, before, after in profile.crossings
         ],
-    }
+    }, None
 
 
-def _cmd_dpp(doc, args):
+def _cmd_dpp(dpp, doc, args):
     from .arrangement import ml_degree
     from .dpp import dpp_ml_degree_l2, dpp_probabilities, linear_projection_arrangement
 
-    dpp = jsonio.dpp_from_json(doc)
     disc = linear_projection_arrangement(dpp)
     out = {
         "states": [[i + 1 for i in sigma] for sigma in dpp.states],
@@ -392,13 +380,12 @@ def _cmd_dpp(doc, args):
             {"sigma": [i + 1 for i in sigma], "prob": p}
             for sigma, p in zip(dist.states, dist.probs.tolist())
         ]
-    return out
+    return out, None
 
 
-def _cmd_ideal(doc, args):
+def _cmd_ideal(model, doc, args):
     from .model import minor_space_dimension, veronese_generators
 
-    model = jsonio.model_from_json(doc)
     gens = veronese_generators(model)
     return {
         "n_linear_forms": len(gens.linear_forms),
@@ -409,13 +396,12 @@ def _cmd_ideal(doc, args):
         ],
         "monomials": [[i + 1, j + 1] for i, j in gens.monomials],
         "minor_space_dim": minor_space_dimension(model.d),
-    }
+    }, None
 
 
-def _cmd_singular(doc, args):
+def _cmd_singular(model, doc, args):
     from .model import singular_subspaces
 
-    model = jsonio.model_from_json(doc)
     subspaces = singular_subspaces(model)
     return {
         "count": len(subspaces),
@@ -428,19 +414,16 @@ def _cmd_singular(doc, args):
             }
             for sub in subspaces
         ],
-    }
+    }, None
 
 
-def _cmd_plot(doc, args):
+def _cmd_plot(arr, doc, args):
     from .model import make_model
-    from .plotting import _check_dimension, plot_arrangement
 
     # Only "s", --anchor and a "y" that draws the fiber (n = 3) need the
     # model: the bare figure is the arrangement's, n = d too.
-    arr = jsonio.arrangement_from_json(doc)
     fiber = "y" in doc and arr.n == 3
     model = make_model(arr) if "s" in doc or fiber or args.anchor is not None else None
-    _check_dimension(arr.d)
     data = _data(model, doc, args) if "s" in doc else None
     overlays = _tracking_overlays(model, *_track(model, doc, args)) if args.anchor is not None else {}
     if data is not None:
@@ -448,28 +431,27 @@ def _cmd_plot(doc, args):
     if fiber:
         from .geometry import lognormal_polytope
         overlays["lognormal"] = lognormal_polytope(model, jsonio.parse_vector(doc["y"], "y"))
-    return plot_arrangement(arr, **overlays)
+    return None, overlays
 
 
-# command -> (handler, help text, flags it reads)
+# command -> (the jsonio function that reads its input, handler, help text, flags it reads)
+_ARR, _MODEL = jsonio.arrangement_from_json, jsonio.model_from_json
 COMMANDS = {
-    "regions": (_cmd_regions, "enumerate regions with witnesses", ("--svg",)),
-    "charpoly": (_cmd_charpoly, "characteristic polynomial of the arrangement", ()),
-    "mldegree": (_cmd_mldegree, "ML degree and characteristic polynomial", ()),
-    "mle": (_cmd_mle, "critical points and the MLE for the data in the input", ("--tol", "--svg")),
-    "degenerate": (_cmd_degenerate, "closed-form critical points at a unit data vector", ("--anchor",)),
+    "regions": (_ARR, _cmd_regions, "enumerate regions with witnesses", ("--svg",)),
+    "charpoly": (_ARR, _cmd_charpoly, "characteristic polynomial of the arrangement", ()),
+    "mldegree": (_ARR, _cmd_mldegree, "ML degree and characteristic polynomial", ()),
+    "mle": (_MODEL, _cmd_mle, "critical points and the MLE for the data in the input", ("--tol", "--svg")),
+    "degenerate": (_MODEL, _cmd_degenerate, "closed-form critical points at a unit data vector", ("--anchor",)),
     "tropical": (
-        _cmd_tropical,
-        "tropical predictions and path-tracked valuations",
-        ("--anchor", "--eps-grid", "--svg"),
+        _MODEL, _cmd_tropical, "tropical predictions and path-tracked valuations", ("--anchor", "--eps-grid", "--svg")
     ),
-    "lognormal": (_cmd_lognormal, "log-normal polytope and its dual at the input point", ()),
-    "chamber": (_cmd_chamber, "chamber arrangement of the model", ()),
-    "voronoi": (_cmd_voronoi, "log-Voronoi membership scan along a data segment", ("--tol", "--samples")),
-    "dpp": (_cmd_dpp, "linear projection DPP: arrangement and ML degree", ()),
-    "ideal": (_cmd_ideal, "implicit generators (linear forms and quadric matrix)", ()),
-    "singular": (_cmd_singular, "singular subspaces of the model", ()),
-    "plot": (_cmd_plot, "SVG figure of the arrangement with overlays", ("--tol", "--anchor", "--eps-grid")),
+    "lognormal": (_MODEL, _cmd_lognormal, "log-normal polytope and its dual at the input point", ()),
+    "chamber": (_MODEL, _cmd_chamber, "chamber arrangement of the model", ()),
+    "voronoi": (_MODEL, _cmd_voronoi, "log-Voronoi membership scan along a data segment", ("--tol", "--samples")),
+    "dpp": (jsonio.dpp_from_json, _cmd_dpp, "linear projection DPP: arrangement and ML degree", ()),
+    "ideal": (_MODEL, _cmd_ideal, "implicit generators (linear forms and quadric matrix)", ()),
+    "singular": (_MODEL, _cmd_singular, "singular subspaces of the model", ()),
+    "plot": (_ARR, _cmd_plot, "SVG figure of the arrangement with overlays", ("--tol", "--anchor", "--eps-grid")),
 }
 
 

@@ -6,50 +6,13 @@ solving in every region at once, and the determinantal rank test.
 Every region of the arrangement complement carries exactly one critical
 point of the log-likelihood, and it is a local maximum, so damped Newton
 with steps rejected whenever they would flip the sign of any form converges
-from any interior start of the region. All regions are solved as one (R, d)
-stack of iterates: each pass evaluates the whole stack through
-:class:`Likelihood`, which holds the only copy of the log-likelihood,
-gradient and Hessian formulas, and every decision is made per row through
-masks. At these sizes a pass costs its numpy calls, not its arithmetic. A
-pass multiplies its iterates by A^T and takes their gradients and Hessians
-once, and their logL, Armijo's baseline, only once some trial reaches an
-Armijo test. It multiplies each trial point once, taking its logL only where
-Armijo decides, so an accepted trial point is multiplied and evaluated again
-at the top of the next pass, as the start is for its sign test and in the
-first pass. A pass gathers each per-row table once: the sign vectors, the
-charts' free coordinates and, with several data vectors, each row's data
-vector, its sum and its flatness bound; with one data vector those three
-are one value every row reads by broadcast. A row's bits do not depend
-on work a pass skips because no row needs it, nor, for n < 16, on how many
-rows ride with it (:func:`_product` gives a (3,20) draw where 34 of 191 rows
-move when solved in 7-row blocks). Rows may carry their own data: the batch
-takes a sequence of data vectors, checks each, solves every region for each
-of them and returns one row of outcomes per data vector, which is how a
-log-Voronoi scan solves all its samples at once; each row reads its own data
-vector alone, so at any n its logL from given form values ignores the
-others. :meth:`SolveAllResult.of` is the one rule that turns a row into the
-converged points, the MLE and the failures. A row's chart pins its largest
-coordinate and hops when another one takes over, so iterates stay bounded. A
-pass tests every row's chart Hessian for negative definiteness by Cholesky
-and solves every row's Newton system, each in one stacked call that returns
-NaN for the rows LAPACK fails on; only a row that fails the test gets its
-eigenvalues and is ridged, by ``SHIFT_MARGIN * scale`` doubled until the
-smallest eigenvalue of -H plus the ridge is positive, scale being the
-largest |diagonal entry| of H (Nocedal & Wright 2006, section 3.4). A found
-row's one trial is its last Newton step; any other row's line search starts
-at t = min(1, TO_WALL * wall), wall being the step length at which the
-Newton step reaches the nearest hyperplane: near a degeneration the critical
-point sits close to a wall and the Newton step overshoots it, and halving
-down from t = 1 would spend one evaluation per halving (the
-fraction-to-the-boundary rule of interior-point methods; Nocedal & Wright
-2006, section 19.2).
-
-The solver has one setting, ``tol``: a row is found when its Newton
-decrement lambda, which is affine-invariant and counts in units of logL
-(Boyd & Vandenberghe 2004, section 9.5.1), satisfies lambda / sqrt(sum(s))
-< tol, whatever the scale of the data; the test is unsquared, so no tiny
-tol underflows to 0. ``MAX_ITER`` caps the passes; a row that is found or takes
-no step leaves for good; a point's ``iterations`` is the pass that found it.
+from any interior start of the region. :func:`_solve_batch` solves every
+region as one (R, d) stack of iterates, for one data vector or several (a
+log-Voronoi scan solves all its samples at once), and its docstring states
+the solver's rules. :class:`Likelihood` holds the only copy of the
+log-likelihood, gradient and Hessian formulas, and
+:meth:`SolveAllResult.of` is the one rule that turns a row into the
+converged points, the MLE and the failures.
 """
 
 from __future__ import annotations
@@ -69,12 +32,10 @@ from .errors import BoundaryData, NoConvergence, ValidationError, ZeroPoint
 from .model import SquaredLinearModel
 
 
-# A Hessian H that is not negative definite is ridged by SHIFT_MARGIN times
-# H's largest |diagonal entry|, doubled until -H plus the ridge is positive
-# definite; the fraction of the way along the Newton step to the nearest
-# hyperplane at which the line search starts, since near a degeneration the
-# step overshoots a wall; the most halvings of a step; and the most
-# iterations per region.
+# The ridge's base as a fraction of H's largest |diagonal entry|; the
+# fraction of the way to the nearest hyperplane at which a line search
+# starts (both rules are stated in _solve_batch); the most halvings of a
+# step; and the most passes.
 SHIFT_MARGIN = 1e-8
 TO_WALL = 0.9
 MAX_BACKTRACKS = 50
@@ -334,13 +295,38 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
     its region's witness, each region converted once for all the data
     vectors. A start of other than d entries is a ValidationError.
 
-    A row is found when its Newton decrement lambda, with lambda^2 =
-    g . solve(-H, g) >= 0 on its chart and H not ridged, satisfies
-    lambda / sqrt(sum(s)) < ``tol``; that last Newton step is then its one
-    trial, kept if it keeps the signs. Other rows halve t from the module's
-    min(1, TO_WALL * wall) until the step keeps the signs and passes Armijo,
-    which once lambda^2 is below ``1e-5 * max(1, sum(s))`` is roundoff and
-    left to the sign guard.
+    Every decision is made per row through masks; at these sizes a pass
+    costs its numpy calls, not its arithmetic. A row's chart pins its
+    largest coordinate and hops when another one takes over, so iterates
+    stay bounded. A row reads its own data vector alone, so at any n its
+    logL from given form values ignores the others. Its bits depend neither
+    on work a pass skips because no row needs it nor, for n < 16, on how
+    many rows ride with it (see :func:`_product`).
+
+    The solver has one setting, ``tol``. A row is found when its Newton
+    decrement lambda, with lambda^2 = g . solve(-H, g) >= 0 on its chart and
+    H not ridged, satisfies lambda / sqrt(sum(s)) < ``tol``. lambda is
+    affine-invariant and counts in units of logL (Boyd & Vandenberghe 2004,
+    section 9.5.1), so the test holds whatever the scale of the data, and it
+    is unsquared, so no tiny tol underflows to 0. A found row's last Newton
+    step is its one trial, kept if it keeps the signs. Any other row's line
+    search starts at t = min(1, TO_WALL * wall), wall being the step length
+    at which the Newton step reaches the nearest hyperplane: near a
+    degeneration the critical point sits close to a wall and the Newton
+    step overshoots it, and halving down from t = 1 would spend one
+    evaluation per halving (the fraction-to-the-boundary rule of
+    interior-point methods; Nocedal & Wright 2006, section 19.2). It halves
+    t until the step keeps the signs and passes Armijo, which once lambda^2
+    is below ``1e-5 * max(1, sum(s))`` is roundoff and left to the sign
+    guard.
+
+    A pass tests every row's chart Hessian for negative definiteness by
+    Cholesky and solves every row's Newton system, each in one stacked call
+    that returns NaN for the rows LAPACK fails on. Only a row that fails the
+    test gets its eigenvalues and is ridged, by ``SHIFT_MARGIN * scale``
+    doubled until the smallest eigenvalue of -H plus the ridge is positive,
+    scale being the largest |diagonal entry| of H (Nocedal & Wright 2006,
+    section 3.4).
 
     A row that finds no CriticalPoint ends in a NoConvergence whose message
     names which of seven ways it ended:
@@ -364,9 +350,11 @@ def _solve_batch(model, data, regions, tol, starts=None) -> list:
 
     A pass skips what none of its rows needs (the ridge, a logL Armijo does
     not decide, the iterates' logL when no trial reaches Armijo), and the
-    ridge touches only the rows that need it. At most ``MAX_ITER`` passes
-    run; a row leaves for good once found or once it takes no step, and a
-    found point's ``iterations`` is the pass that found it.
+    ridge touches only the rows that need it. A pass multiplies each trial
+    point by A^T once, so an accepted one is multiplied and evaluated again
+    at the top of the next pass. At most ``MAX_ITER`` passes run; a row
+    leaves for good once found or once it takes no step, and a found point's
+    ``iterations`` is the pass that found it.
     """
     S = np.array([_check_positive_data(s, model.n) for s in data]).reshape(-1, model.n)
     if not 0.0 <= tol < np.inf:  # NaN fails both comparisons

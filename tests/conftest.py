@@ -15,7 +15,6 @@ from sqlinear.catalog import (
     braid_arrangement,
     circle_arrangement,
     four_points_arrangement,
-    random_arrangement,
     seven_lines_arrangement,
     six_points_arrangement,
     steiner_arrangement,
@@ -78,10 +77,6 @@ def rng():
 @pytest.fixture()
 def pyrng():
     return random.Random(20240811)
-
-
-def random_model(d, n, pyrng):
-    return make_model(random_arrangement(d, n, pyrng))
 
 
 def non_essential_model():

@@ -414,6 +414,25 @@ class TestPlot:
         assert sorted(e.get("data-label") for e in root.iter() if "data-label" in e.attrib) == sorted(labels)
 
     @pytest.mark.parametrize(
+        "command, doc, extra",
+        [("mle", dict(STEINER, s=[4, 3, 2, 1]), []), ("tropical", dict(STEINER, w=[0, 3, 4, 5]), ["--anchor", "1"])],
+    )
+    def test_svg_draws_what_plot_draws(self, tmp_path, command, doc, extra):
+        # --svg and plot draw through one path: the same overlays give the same bytes.
+        svg = tmp_path / "figure.svg"
+        assert run(tmp_path, command, doc, *extra, "--svg", str(svg))[0] == 0
+        assert run(tmp_path, "plot", doc, *extra)[0] == 0
+        assert (tmp_path / "out.json").read_bytes() == svg.read_bytes()
+
+    def test_plot_checks_dimension_before_building_a_model(self, tmp_path, capsys):
+        # I_4 is no model (n = d); plot once built one first and reported RankDeficient.
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        code, _ = run(tmp_path, "plot", {"A": identity, "s": [1, 2, 3, 4]})
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (code, err["type"]) == (2, "DimensionUnsupported")
+        assert err["message"] == "plotting supports d in (2, 3), got d = 4"
+
+    @pytest.mark.parametrize(
         "command, extra",
         [("plot", ["--anchor", "1"]), ("mle", ["--svg", "figure.svg"]), ("tropical", ["--anchor", "1", "--svg", "figure.svg"])],
     )
@@ -496,10 +515,11 @@ class TestExitCodes:
         # A bare MemoryError has no message; the error JSON gives one.
         from sqlinear import cli
 
-        def exhausted(doc, args):
+        def exhausted(arr, doc, args):
             raise MemoryError
 
-        monkeypatch.setitem(cli.COMMANDS, "mldegree", (exhausted, *cli.COMMANDS["mldegree"][1:]))
+        read, _, *rest = cli.COMMANDS["mldegree"]
+        monkeypatch.setitem(cli.COMMANDS, "mldegree", (read, exhausted, *rest))
         code, text = run(tmp_path, "mldegree", STEINER)
         assert (code, text) == (2, "")
         lines = capsys.readouterr().err.splitlines()
@@ -799,7 +819,7 @@ class TestExitCodes:
 
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         optional = 0
-        for name, (_, _, flags) in COMMANDS.items():
+        for name, (_, _, _, flags) in COMMANDS.items():
             taken = {s for a in sub.choices[name]._actions for s in a.option_strings}
             assert taken == {"-h", "--help", "--input", "--output", *flags}
             optional += len(flags)

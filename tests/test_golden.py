@@ -28,6 +28,15 @@ def test_case_list_matches_golden_file():
     assert sorted(CASES) == sorted(GOLDEN)
 
 
+def test_cases_run_every_command_and_flag():
+    # So make_golden.py --check byte-checks every path through cli.main.
+    from sqlinear import cli
+
+    commands = {command for command, _, _ in CASES.values()}
+    flags = {arg for _, _, extra in CASES.values() for arg in extra}
+    assert (set(cli.COMMANDS) - commands, set(cli.FLAGS) - flags) == (set(), set())
+
+
 def test_changes_name_what_a_rewrite_changed():
     old = {"exit": 0, "stderr": "", "output": json.dumps({"a": [1, 2], "b": 1.0})}
     new = {"exit": 0, "stderr": "x", "output": json.dumps({"a": [1, 3], "c": None})}
